@@ -12,8 +12,9 @@ leans on are fixed here:
 * contracting a decomposable contracts the LEFTMOST factor first, so
   ι_{X₁∧⋯∧X_p} = ι_{X_p}∘⋯∘ι_{X₁};
 * degree-zero contraction is plain multiplication;
-* 𝓛_U ω = d ι_U ω − (−1)^p ι_U dω for a degree-p multivector U, with the
-  interior products read as zero when the degrees run out;
+* spaces of negative degree are zero, so contracting past the bottom
+  degree gives a zero of the (negative) degree the operands call for;
+* 𝓛_U ω = d ι_U ω − (−1)^p ι_U dω for a degree-p multivector U;
 * the graded bracket of decomposables is
   [U, V] = Σ_{i,j} (−1)^{i+j} [X_i, Y_j] ∧ X₁⋯X̂_i⋯∧X_p ∧ Y₁⋯Ŷ_j⋯∧Y_q,
   extended to degree zero by [U, g] = (−1)^{p+1} ι_{dg} U and
@@ -75,10 +76,9 @@ class _Graded:
     __slots__ = ("chart", "degree", "terms")
 
     def __init__(self, chart: Chart, degree: int, terms: Mapping[tuple[int, ...], Coefficient] | None = None):
-        if degree < 0:
-            raise DegreeError(f"negative degree {degree}")
-        # degrees above the chart dimension are allowed: those spaces are
-        # zero, and index-tuple validation below keeps them empty
+        # negative degrees and degrees above the chart dimension are
+        # allowed: those spaces are zero, and index-tuple validation below
+        # keeps them empty
         clean: dict[tuple[int, ...], Coefficient] = {}
         for key, coeff in (terms or {}).items():
             key = tuple(key)
@@ -301,8 +301,9 @@ def _contract_key(eaten: tuple[int, ...], target: tuple[int, ...]) -> tuple[int,
 
 
 def interior_product(U: MultiVector, omega: DiffForm, strict: bool = True) -> DiffForm:
-    """ι_U ω.  Degree-zero U multiplies; U too long raises DegreeError
-    unless ``strict`` is off, in which case the result is zero."""
+    """ι_U ω, of degree ω.degree − U.degree.  Degree-zero U multiplies; U
+    too long raises DegreeError unless ``strict`` is off, in which case the
+    result is the zero form of that (negative) degree."""
     if not isinstance(U, MultiVector) or not isinstance(omega, DiffForm):
         raise StructuralError("interior product takes a multivector and a form")
     if U.chart != omega.chart:
@@ -314,7 +315,7 @@ def interior_product(U: MultiVector, omega: DiffForm, strict: bool = True) -> Di
             raise DegreeError(
                 f"cannot contract a degree-{U.degree} multivector into a degree-{omega.degree} form"
             )
-        return DiffForm.zero(omega.chart, 0)
+        return DiffForm.zero(omega.chart, omega.degree - U.degree)
     terms: dict[tuple[int, ...], Coefficient] = {}
     for J, c in U.terms.items():
         for I, k in omega.terms.items():
@@ -331,7 +332,8 @@ def interior_product(U: MultiVector, omega: DiffForm, strict: bool = True) -> Di
 
 
 def form_contraction(xi: DiffForm, U: MultiVector, strict: bool = True) -> MultiVector:
-    """ι_ξ U, the mirror contraction of a form into a multivector."""
+    """ι_ξ U, the mirror contraction of a form into a multivector, of
+    degree U.degree − ξ.degree; ``strict`` as for interior_product."""
     if not isinstance(xi, DiffForm) or not isinstance(U, MultiVector):
         raise StructuralError("form contraction takes a form and a multivector")
     if xi.chart != U.chart:
@@ -343,7 +345,7 @@ def form_contraction(xi: DiffForm, U: MultiVector, strict: bool = True) -> Multi
             raise DegreeError(
                 f"cannot contract a degree-{xi.degree} form into a degree-{U.degree} multivector"
             )
-        return MultiVector.zero(U.chart, 0)
+        return MultiVector.zero(U.chart, U.degree - xi.degree)
     terms: dict[tuple[int, ...], Coefficient] = {}
     for I, k in xi.terms.items():
         for J, c in U.terms.items():
@@ -360,17 +362,11 @@ def form_contraction(xi: DiffForm, U: MultiVector, strict: bool = True) -> Multi
 
 
 def lie_derivative(U: MultiVector, omega: DiffForm) -> DiffForm:
-    """𝓛_U ω = d ι_U ω − (−1)^p ι_U dω, with out-of-degree contractions
-    read as zero."""
+    """𝓛_U ω = d ι_U ω − (−1)^p ι_U dω, of degree ω.degree − p + 1; a
+    contraction past the bottom degree is the zero of its negative degree."""
     p = U.degree
     first = exterior_derivative(interior_product(U, omega, strict=False))
     second = interior_product(U, exterior_derivative(omega), strict=False)
-    if first.degree != second.degree:
-        # one side fell off the bottom degree; it is zero, so align it
-        if first.is_zero():
-            first = DiffForm.zero(omega.chart, second.degree)
-        else:
-            second = DiffForm.zero(omega.chart, first.degree)
     return first + second.scale((-1) ** (p + 1))
 
 

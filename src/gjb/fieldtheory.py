@@ -38,15 +38,17 @@ from .exterior import (
     pull_form_along,
     wedge,
 )
-from .linalg import is_in_span, reduce_mod_span, rref, solve_affine
+from .linalg import is_in_span, reduce_mod_span, rref
 from .structures import (
     CheckReport,
     ConformalData,
     NFormStructure,
+    _contraction_columns,
     _index_tuples,
     is_multicontact,
     jacobi_bracket,
     make_conformal_data,
+    solve_by_contraction,
 )
 
 __all__ = [
@@ -477,29 +479,21 @@ def refined_reeb(S: NFormStructure) -> RefinedReeb:
     basis = _reeb_kernel_basis(S)
     if not basis:
         raise DomainError("the degree-1 kernel of dTheta is trivial; no Reeb directions exist")
-    alphas = [interior_product(R, S.theta) for R in basis]
     keys = _index_tuples(chart, n - 1)
-    rows = []
-    for a in alphas:
-        row = []
-        for J in keys:
-            probe = MultiVector(chart, n - 1, {J: Coefficient.one(chart)})
-            row.append(interior_product(probe, a, strict=False).scalar())
-        rows.append(row)
+    # column J pairs ∂_J with every Reeb direction: ι_{∂_J}ι_{R_i}Θ for each i
+    columns = list(zip(*(_contraction_columns(interior_product(R, S.theta), n - 1)[1] for R in basis)))
     pairs = []
     for j, R in enumerate(basis):
-        rhs = [Coefficient.constant(chart, 1 if i == j else 0) for i in range(len(basis))]
-        solution = solve_affine(rows, rhs, chart)
-        if solution.particular is None:
+        deltas = [DiffForm.from_scalar(Coefficient.constant(chart, 1 if i == j else 0)) for i in range(len(basis))]
+        solved = solve_by_contraction(columns, deltas)
+        if solved is None:
             raise DomainError("the Reeb directions do not admit dual multivectors")
-        coeffs = solution.coefficient_solution()
-        terms = {J: c for J, c in zip(keys, coeffs) if not c.is_zero()}
-        pairs.append((R, MultiVector(chart, n - 1, terms)))
+        pairs.append((R, MultiVector(chart, n - 1, dict(zip(keys, solved[0])))))
     reeb = RefinedReeb(S, tuple(pairs))
     rep = reeb.representative
     if interior_product(rep, S.theta).scalar() != Coefficient.one(chart):
         raise StructuralError("refined Reeb representative does not contract Theta to 1")
-    if not interior_product(rep, S.dtheta, strict=False).is_zero():
+    if not interior_product(rep, S.dtheta).is_zero():
         raise StructuralError("refined Reeb representative does not annihilate dTheta")
     return reeb
 
@@ -973,7 +967,7 @@ def gamma_obstruction(S: NFormStructure, h: DiffForm, R: MultiVector, v: MultiVe
     for W, label in ((R, "R"), (v, "v")):
         if W.degree != 1:
             raise DegreeError(f"{label} must be a vector field")
-        if not interior_product(W, S.dtheta, strict=False).is_zero():
+        if not interior_product(W, S.dtheta).is_zero():
             raise DomainError(f"{label} is not a Reeb direction (it does not annihilate dTheta)")
     raw = lie_derivative(R, interior_product(v, h)) - interior_product(
         v, exterior_derivative(interior_product(R, h))

@@ -42,15 +42,14 @@ from typing import Sequence
 from .coeffring import Coefficient
 from .errors import DegreeError, DomainError, StructuralError, ValidationError
 from .exterior import DiffForm, MultiVector, exterior_derivative, interior_product, wedge
-from .linalg import reduce_mod_span, solve_affine
+from .linalg import reduce_mod_span
 from .structures import (
     ConformalData,
     NFormStructure,
     _basis_multivector,
-    _forms_to_matrix,
     _index_tuples,
-    _tolerant_add,
     jacobi_bracket,
+    solve_by_contraction,
 )
 
 __all__ = [
@@ -83,15 +82,15 @@ class ZDecomposition:
     def n_form(self) -> DiffForm:
         """The degree-n member ι_{x_part}dΘ + γ·Θ the source contracts from."""
         S = self.structure
-        return interior_product(self.x_part, S.dtheta, strict=False) + S.theta.scale(self.gamma)
+        return interior_product(self.x_part, S.dtheta) + S.theta.scale(self.gamma)
 
     def verify(self) -> "ZDecomposition":
-        side = interior_product(self.x_part, self.structure.theta, strict=False)
+        side = interior_product(self.x_part, self.structure.theta)
         if not side.is_zero():
             raise ValidationError(
                 "decomposition vector fails to annihilate theta", residuals={"iota_x_theta": str(side)}
             )
-        residual = _tolerant_add(interior_product(self.u_part, self.n_form, strict=False), -self.source)
+        residual = interior_product(self.u_part, self.n_form) - self.source
         if not residual.is_zero():
             raise ValidationError(
                 "decomposition does not reproduce the source form", residuals={"difference": str(residual)}
@@ -153,20 +152,15 @@ class QuotientMultiVector:
 
 
 def _decomposition_solution(S: NFormStructure, alpha: DiffForm, u: MultiVector):
-    """Solve α = ι_u(ι_X dΘ + γ·Θ), ι_X Θ = 0 for the unknowns (X, γ)."""
-    chart = S.chart
-    cols, side_cols = [], []
-    for j in range(chart.dimension):
-        ej = _basis_multivector(chart, (j,))
-        cols.append(interior_product(u, interior_product(ej, S.dtheta), strict=False))
-        side_cols.append(interior_product(ej, S.theta, strict=False))
-    cols.append(interior_product(u, S.theta, strict=False))
-    side_cols.append(DiffForm.zero(chart, S.degree - 1))
-    rows = _forms_to_matrix(cols, alpha.degree, chart)
-    rhs = [alpha.terms.get(I, Coefficient.zero(chart)) for I in _index_tuples(chart, alpha.degree)]
-    rows += _forms_to_matrix(side_cols, S.degree - 1, chart)
-    rhs += [Coefficient.zero(chart)] * len(_index_tuples(chart, S.degree - 1))
-    return solve_affine(rows, rhs, chart)
+    """Solve α = ι_u(ι_X dΘ + γ·Θ), ι_X Θ = 0 for the unknowns (X, γ):
+    the components of X in coordinate order, then γ."""
+    columns = []
+    for j in range(S.chart.dimension):
+        ej = _basis_multivector(S.chart, (j,))
+        columns.append((interior_product(u, interior_product(ej, S.dtheta)), interior_product(ej, S.theta)))
+    side = DiffForm.zero(S.chart, S.degree - 1)
+    columns.append((interior_product(u, S.theta), side))
+    return solve_by_contraction(columns, [alpha, side])
 
 
 def _decompositions(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None, limit: int) -> list[ZDecomposition]:
@@ -185,15 +179,12 @@ def _decompositions(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None
             candidates.append(u)
     found: list[ZDecomposition] = []
     for u in candidates:
-        solution = _decomposition_solution(S, alpha, u)
-        if solution.particular is None:
+        solved = _decomposition_solution(S, alpha, u)
+        if solved is None:
             continue
-        try:
-            values = solution.coefficient_solution()
-        except DomainError:
-            continue
+        values, unique = solved
         x = MultiVector(S.chart, 1, {(j,): values[j] for j in range(S.chart.dimension)})
-        dec = ZDecomposition(S, alpha, u, x, values[-1], unique=not solution.homogeneous)
+        dec = ZDecomposition(S, alpha, u, x, values[-1], unique=unique)
         found.append(dec.verify())
         if len(found) >= limit:
             break
@@ -273,14 +264,14 @@ def bracket_via_sharp(
     v_beta = dec_b.u_part.scale(-dec_b.gamma)
     vee = -interior_product(wedge(a.x_field, b.x_field), S.theta, strict=False)
     dbeta = exterior_derivative(b.alpha)
-    total = exterior_derivative(vee).scale((-1) ** q)
-    total = _tolerant_add(
-        total, interior_product(sharp_da.representative, dbeta, strict=False).scale((-1) ** ((p - 1) * q))
+    total = (
+        exterior_derivative(vee).scale((-1) ** q)
+        + interior_product(sharp_da.representative, dbeta, strict=False).scale((-1) ** ((p - 1) * q))
+        + interior_product(v_beta, a.alpha, strict=False).scale((-1) ** (q + 1))
+        - interior_product(v_alpha, b.alpha, strict=False).scale((-1) ** ((p - 1) * q))
     )
-    total = _tolerant_add(total, interior_product(v_beta, a.alpha, strict=False).scale((-1) ** (q + 1)))
-    total = _tolerant_add(total, interior_product(v_alpha, b.alpha, strict=False).scale(-((-1) ** ((p - 1) * q))))
     definitional = jacobi_bracket(a, b).alpha
-    residual = _tolerant_add(total, -definitional)
+    residual = total - definitional
     if not residual.is_zero():
         raise ValidationError(
             "sharp-form bracket disagrees with the definitional bracket",

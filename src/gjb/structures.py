@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .coeffring import Chart, Coefficient
-from .errors import DegreeError, StructuralError, ValidationError
+from .errors import DegreeError, DomainError, StructuralError, ValidationError
 from .exterior import (
     DiffForm,
     MultiVector,
@@ -65,19 +65,9 @@ class CheckReport:
 
 
 def _index_tuples(chart: Chart, p: int) -> list[tuple[int, ...]]:
+    if p < 0:
+        return []
     return list(itertools.combinations(range(chart.dimension), p))
-
-
-def _tolerant_add(a: DiffForm, b: DiffForm) -> DiffForm:
-    """Add forms whose degrees may disagree when one side collapsed to a
-    lenient zero (contractions past the bottom degree)."""
-    if a.degree == b.degree:
-        return a + b
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    raise DegreeError(f"cannot add forms of degrees {a.degree} and {b.degree}")
 
 
 def _basis_multivector(chart: Chart, key: tuple[int, ...]) -> MultiVector:
@@ -93,10 +83,40 @@ def _contraction_columns(omega: DiffForm, p: int) -> tuple[list[tuple[int, ...]]
 def _forms_to_matrix(forms: Sequence[DiffForm], degree: int, chart: Chart) -> list[list[Coefficient]]:
     """Rows = coefficients of each degree-`degree` index tuple, columns =
     the given forms; fixed row order makes elimination reproducible."""
+    for f in forms:
+        if f.degree != degree:
+            raise DegreeError(f"a degree-{f.degree} form among degree-{degree} columns")
     rows = []
     for I in _index_tuples(chart, degree):
         rows.append([f.terms.get(I, Coefficient.zero(chart)) for f in forms])
     return rows
+
+
+def solve_by_contraction(
+    columns: Sequence[Sequence[DiffForm]], targets: Sequence[DiffForm]
+) -> tuple[list[Coefficient], bool] | None:
+    """Ring coefficients c with Σ_k c_k·columns[k][e] = targets[e] for every
+    equation e, and whether they are unique; None when the stacked system
+    is inconsistent or its solution leaves the Laurent ring."""
+    chart = targets[0].chart
+    zero = Coefficient.zero(chart)
+    rows: list[list[Coefficient]] = []
+    rhs: list[Coefficient] = []
+    for e, target in enumerate(targets):
+        rows += _forms_to_matrix([column[e] for column in columns], target.degree, chart)
+        rhs += [target.terms.get(I, zero) for I in _index_tuples(chart, target.degree)]
+    if not rows:
+        # every equation sits in a zero space: one zero row keeps the
+        # column count, so every unknown stays free
+        rows, rhs = [[zero] * len(columns)], [zero]
+    solution = solve_affine(rows, rhs, chart)
+    if solution.particular is None:
+        return None
+    try:
+        values = solution.coefficient_solution()
+    except DomainError:
+        return None
+    return values, not solution.homogeneous
 
 
 class NFormStructure:
@@ -130,11 +150,13 @@ class NFormStructure:
         rows: list[list[Coefficient]] = []
         if which in {"theta", "both"}:
             _, cols = _contraction_columns(self.theta, p)
-            rows += _forms_to_matrix(cols, max(self.degree - p, 0), self.chart)
+            rows += _forms_to_matrix(cols, self.degree - p, self.chart)
         if which in {"dtheta", "both"}:
             _, cols = _contraction_columns(self.dtheta, p)
-            rows += _forms_to_matrix(cols, max(self.degree + 1 - p, 0), self.chart)
-        vectors = nullspace(rows, self.chart)
+            rows += _forms_to_matrix(cols, self.degree + 1 - p, self.chart)
+        # above the top degree there are no rows; one zero row keeps the
+        # column count, so every key is free
+        vectors = nullspace(rows or [[Coefficient.zero(self.chart)] * len(keys)], self.chart)
         out = []
         for vec in vectors:
             terms = {J: c for J, c in zip(keys, vec) if not c.is_zero()}
@@ -171,8 +193,9 @@ def is_multicontact(S: NFormStructure) -> CheckReport:
 class ConformalData:
     """A conformal Hamiltonian triple (α, X, V) on a structure.
 
-    alpha has degree n−p, x_field degree p, v_field degree p−1.  Use
-    make_conformal_data to construct with validation.
+    alpha has degree n−p (a negative degree, whose only form is zero, when
+    p > n), x_field degree p, v_field degree p−1.  Use make_conformal_data
+    to construct with validation.
     """
 
     structure: NFormStructure
@@ -186,13 +209,10 @@ class ConformalData:
 
     def residuals(self) -> dict[str, DiffForm]:
         S, p = self.structure, self.degree
-        eq1 = _tolerant_add(interior_product(self.x_field, S.theta, strict=False), self.alpha)
+        eq1 = interior_product(self.x_field, S.theta, strict=False) + self.alpha
         dalpha = exterior_derivative(self.alpha)
-        rhs = _tolerant_add(dalpha, interior_product(self.v_field, S.theta, strict=False)).scale(
-            (-1) ** (p + 1)
-        )
-        lhs = interior_product(self.x_field, S.dtheta, strict=False)
-        eq2 = _tolerant_add(lhs, -rhs)
+        rhs = (dalpha + interior_product(self.v_field, S.theta, strict=False)).scale((-1) ** (p + 1))
+        eq2 = interior_product(self.x_field, S.dtheta, strict=False) - rhs
         return {"defining": eq1, "conformal": eq2}
 
     def validate(self) -> "ConformalData":
@@ -232,12 +252,22 @@ def _as_witness(chart: Chart, v, degree: int) -> MultiVector:
     raise StructuralError(f"cannot read {type(v).__name__} as a witness multivector")
 
 
+def _as_alpha(chart: Chart, alpha: DiffForm, degree: int) -> DiffForm:
+    if alpha.degree == degree:
+        return alpha
+    if not alpha.is_zero():
+        raise DegreeError(f"alpha must have degree n - p = {degree}, got degree {alpha.degree}")
+    return DiffForm.zero(chart, degree)
+
+
 def make_conformal_data(S: NFormStructure, alpha: DiffForm, x_field: MultiVector, v_field) -> ConformalData:
     """Package and validate a conformal triple; raises ValidationError with
-    the nonzero residual when either defining equation fails."""
+    the nonzero residual when either defining equation fails.  A zero alpha
+    of any degree is read as the zero (n−p)-form."""
     if x_field.degree < 1:
         raise DegreeError("the conformal multivector must have degree at least 1")
     v = _as_witness(S.chart, v_field, x_field.degree - 1)
+    alpha = _as_alpha(S.chart, alpha, S.degree - x_field.degree)
     data = ConformalData(S, alpha, x_field, v)
     return data.validate()
 
@@ -248,22 +278,11 @@ def verify_conformal(S: NFormStructure, X: MultiVector) -> MultiVector | None:
     p = X.degree
     if p < 1:
         raise DegreeError("conformal candidates must have degree at least 1")
-    target = lie_derivative(X, S.theta)
     keys, cols = _contraction_columns(S.theta, p - 1)
-    result_degree = S.degree - (p - 1)
-    if result_degree < 0:
-        return MultiVector.zero(S.chart, p - 1) if target.is_zero() else None
-    matrix = _forms_to_matrix(cols, result_degree, S.chart)
-    rhs = [target.terms.get(I, Coefficient.zero(S.chart)) for I in _index_tuples(S.chart, result_degree)]
-    solution = solve_affine(matrix, rhs, S.chart)
-    if solution.particular is None:
+    solved = solve_by_contraction([(c,) for c in cols], [lie_derivative(X, S.theta)])
+    if solved is None:
         return None
-    try:
-        values = solution.coefficient_solution()
-    except Exception:
-        return None
-    terms = {J: c for J, c in zip(keys, values) if not c.is_zero()}
-    return MultiVector(S.chart, p - 1, terms)
+    return MultiVector(S.chart, p - 1, dict(zip(keys, solved[0])))
 
 
 def jacobi_bracket(a: ConformalData, b: ConformalData) -> ConformalData:
@@ -284,8 +303,8 @@ def cup_product(a: ConformalData, b: ConformalData) -> ConformalData:
     """Cup product α∨β = −ι_{X_α∧X_β}Θ with a constructed witness.
 
     The three equivalent contraction expressions are asserted against each
-    other; the witness formula is validated and, if it ever failed, a
-    linear solve would recover a witness instead.
+    other, and the closed-form witness is validated like any conformal
+    data, so a wrong formula raises ValidationError.
     """
     if a.structure is not b.structure:
         raise StructuralError("conformal data on different structures")
@@ -306,13 +325,7 @@ def cup_product(a: ConformalData, b: ConformalData) -> ConformalData:
         )
         + wedge(a.v_field, b.x_field).scale((-1) ** q)
     )
-    try:
-        return make_conformal_data(S, form, x, v)
-    except ValidationError:
-        solved = verify_conformal(S, x)
-        if solved is None:
-            raise
-        return make_conformal_data(S, form, x, solved)
+    return make_conformal_data(S, form, x, v)
 
 
 def ms_hamiltonian_pair(omega: DiffForm, alpha: DiffForm) -> MultiVector | None:
@@ -329,20 +342,8 @@ def ms_hamiltonian_pair(omega: DiffForm, alpha: DiffForm) -> MultiVector | None:
         raise DegreeError(
             f"no multivector degree matches: form degree {alpha.degree} against ambient degree {omega.degree}"
         )
-    if p == 0:
-        # scalar unknown g with g·Ω = dα
-        keys, cols = [()], [omega]
-    else:
-        keys, cols = _contraction_columns(omega, p)
-    chart = omega.chart
-    matrix = _forms_to_matrix(cols, target.degree, chart)
-    rhs = [target.terms.get(I, Coefficient.zero(chart)) for I in _index_tuples(chart, target.degree)]
-    solution = solve_affine(matrix, rhs, chart)
-    if solution.particular is None:
+    keys, cols = _contraction_columns(omega, p)
+    solved = solve_by_contraction([(c,) for c in cols], [target])
+    if solved is None:
         return None
-    try:
-        values = solution.coefficient_solution()
-    except Exception:
-        return None
-    terms = {J: c for J, c in zip(keys, values) if not c.is_zero()}
-    return MultiVector(chart, p, terms)
+    return MultiVector(omega.chart, p, dict(zip(keys, solved[0])))

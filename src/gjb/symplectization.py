@@ -45,7 +45,7 @@ from .exterior import (
     reindex,
     wedge,
 )
-from .structures import CheckReport, ConformalData, NFormStructure, _tolerant_add, cup_product, jacobi_bracket
+from .structures import CheckReport, ConformalData, NFormStructure, cup_product, jacobi_bracket
 
 __all__ = [
     "Symplectization",
@@ -81,7 +81,7 @@ class Symplectization:
     conformal_factor: Coefficient
 
     def __post_init__(self):
-        if not _tolerant_add(interior_product(self.liouville, self.omega, strict=False), self.upsilon).is_zero():
+        if not (interior_product(self.liouville, self.omega) + self.upsilon).is_zero():
             raise StructuralError("Liouville contraction does not recover -upsilon")
         applied = interior_product(
             self.liouville, exterior_derivative(DiffForm.from_scalar(self.conformal_factor))
@@ -145,9 +145,7 @@ def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> Multi
     if p < 1:
         raise StructuralError("conformal fields have degree at least 1")
     v = _as_witness(S.chart, v_field, p - 1)
-    residual = _tolerant_add(
-        lie_derivative(x_field, S.theta), -interior_product(v, S.theta, strict=False)
-    )
+    residual = lie_derivative(x_field, S.theta) - interior_product(v, S.theta, strict=False)
     if not residual.is_zero():
         raise ValidationError(
             "not a conformal pair on the base", residuals={"lie_vs_witness": str(residual)}
@@ -163,9 +161,7 @@ def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> Multi
 def _verify_hamiltonian_pair(sym: Symplectization, alpha: DiffForm, x: MultiVector, label: str):
     if alpha.chart != sym.extended_chart or x.chart != sym.extended_chart:
         raise StructuralError("Hamiltonian pairs must live on the extended chart")
-    residual = _tolerant_add(
-        interior_product(x, sym.omega, strict=False), -exterior_derivative(alpha)
-    )
+    residual = interior_product(x, sym.omega, strict=False) - exterior_derivative(alpha)
     if not residual.is_zero():
         raise ValidationError(
             f"{label} is not a Hamiltonian pair for omega", residuals={label: str(residual)}
@@ -193,9 +189,7 @@ def psi_map(sym: Symplectization, data: ConformalData) -> tuple[DiffForm, MultiV
     p = data.degree
     psi = sym.horizontal(data.alpha).scale(sym.conformal_factor).scale((-1) ** (p + 1))
     witness = -lift_conformal(sym, data.x_field, data.v_field)
-    residual = _tolerant_add(
-        interior_product(witness, sym.omega, strict=False), -exterior_derivative(psi)
-    )
+    residual = interior_product(witness, sym.omega, strict=False) - exterior_derivative(psi)
     if not residual.is_zero():
         raise StructuralError("psi image failed its Hamiltonian contraction")
     return psi, witness
@@ -211,4 +205,4 @@ def check_correspondence(sym: Symplectization, a: ConformalData, b: ConformalDat
     psi_bracket = psi_map(sym, jacobi_bracket(a, b))[0]
     psi_cup = psi_map(sym, cup_product(a, b))[0]
     exact_term = exterior_derivative(psi_cup).scale((-1) ** q)
-    return _tolerant_add(_tolerant_add(poisson, -psi_bracket), -exact_term)
+    return poisson - psi_bracket - exact_term

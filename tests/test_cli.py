@@ -201,6 +201,27 @@ class TestConformalAndBrackets:
         assert "error:" in err
         assert "residual[" in err
 
+    def test_verify_reads_a_typed_zero_alpha(self, contact_session, capsys):
+        # p = 2 > n = 1, so alpha lives in degree -1 and the typed 0 is read there
+        code, out, _ = run(
+            capsys,
+            "conformal",
+            "verify",
+            "--alpha",
+            "0",
+            "--x=e_q^e_p+q*e_q^e_z",
+            "--v=-e_z",
+            "-s",
+            contact_session,
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "conformal: yes",
+            "alpha = 0",
+            "X = e_q^e_p + q*e_q^e_z",
+            "V = -e_z",
+        ]
+
     def _store_pair(self, session, capsys):
         run(capsys, "conformal", "make", "--x=-e_s0", "--store", "a", "-s", session)
         run(capsys, "conformal", "make", "--x", "e_y", "--store", "b", "-s", session)

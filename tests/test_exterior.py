@@ -130,8 +130,19 @@ def test_overlong_contraction_raises_unless_lenient():
     with pytest.raises(DegreeError):
         interior_product(wedge(e("a"), e("b")), dx("a"))
     assert interior_product(wedge(e("a"), e("b")), dx("a"), strict=False).is_zero()
+    assert interior_product(wedge(e("a"), e("b")), dx("a"), strict=False).degree == -1
     with pytest.raises(DegreeError):
         form_contraction(wedge(dx("a"), dx("b")), e("a"))
+    assert form_contraction(wedge(dx("a"), dx("b")), e("a"), strict=False) == MultiVector.zero(CH, -1)
+
+
+def test_lie_derivative_past_the_bottom_degree_is_typed():
+    # L_U g = d i_U g - i_U dg for a degree-2 U on a 0-form lands in degree -1
+    result = lie_derivative(wedge(e("a"), e("b")), DiffForm.from_scalar(C("a*b")))
+    assert result.is_zero()
+    assert result.degree == -1
+    with pytest.raises(DegreeError):
+        result + DiffForm.zero(CH, 0)
 
 
 def test_mirror_contraction_single_slot():

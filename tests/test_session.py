@@ -81,6 +81,64 @@ def test_conformal_data_revalidates_on_load(tmp_path):
         Session.load(path)
 
 
+CONTACT_CHART = {"coordinates": ["q", "p", "z"], "nonvanishing": []}
+
+# c = cup(a, b) for X_a = e_q, X_b = e_p + q*e_z on theta = dz - p*dq, as
+# files written before zero forms carried negative degrees stored it: the
+# zero alpha sits at degree 0 rather than n - p = -1
+OLD_CUP_SESSION = {
+    "schema": "gjb-session/1",
+    "chart": CONTACT_CHART,
+    "theta": {
+        "kind": "form",
+        "degree": 1,
+        "chart": CONTACT_CHART,
+        "terms": [{"coeff": "-1*p", "indices": [0]}, {"coeff": "1", "indices": [2]}],
+    },
+    "bindings": {
+        "c": {
+            "kind": "conformal-data",
+            "alpha": {"kind": "form", "degree": 0, "chart": CONTACT_CHART, "terms": []},
+            "x_field": {
+                "kind": "multivector",
+                "degree": 2,
+                "chart": CONTACT_CHART,
+                "terms": [{"coeff": "1", "indices": [0, 1]}, {"coeff": "1*q", "indices": [0, 2]}],
+            },
+            "v_field": {
+                "kind": "multivector",
+                "degree": 1,
+                "chart": CONTACT_CHART,
+                "terms": [{"coeff": "-1", "indices": [2]}],
+            },
+            "validated": True,
+        }
+    },
+}
+
+
+def test_old_zero_alpha_at_degree_zero_still_loads(tmp_path):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(OLD_CUP_SESSION))
+    cup = Session.load(path).bindings["c"]
+    assert cup.alpha.is_zero()
+    assert cup.alpha.degree == -1
+    assert str(cup.x_field) == "e_q^e_p + q*e_q^e_z"
+    assert str(cup.v_field) == "-e_z"
+
+
+def test_typed_zero_alpha_survives_a_round_trip(tmp_path):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(OLD_CUP_SESSION))
+    loaded = Session.load(path)
+    loaded.save(path)
+    assert json.loads(path.read_text())["bindings"]["c"]["alpha"]["degree"] == -1
+    again = Session.load(path)
+    assert again.bindings["c"].alpha == loaded.bindings["c"].alpha
+    assert again.bindings["c"].x_field == loaded.bindings["c"].x_field
+    assert again.bindings["c"].v_field == loaded.bindings["c"].v_field
+
+
 def test_conformal_data_without_theta_is_refused(tmp_path):
     session = canonical_session()
     rows, _ = elementary_tables(CAN)

@@ -14,6 +14,7 @@ import pytest
 from conftest import SEED, rand_coefficient
 from gjb.coeffring import Chart, Coefficient, parse_coefficient
 from gjb.errors import DegreeError, StructuralError, ValidationError
+from gjb.linalg import AffineSolution
 from gjb.exterior import (
     DiffForm,
     MultiVector,
@@ -114,6 +115,16 @@ def test_five_dim_kernels():
     assert any(v == pair or v == -pair for v in k2)
 
 
+def test_kernels_above_the_top_degree_are_everything():
+    # contractions into theta and d(theta) land in negative degrees, where
+    # every form is zero, so the whole top-degree space is the kernel
+    S = contact_structure()
+    e = lambda name: MultiVector.basis_vector(CONTACT, name)
+    top = wedge(wedge(e("q"), e("p")), e("z"))
+    for which in ("theta", "dtheta", "both"):
+        assert kernel_basis(S, 3, which) == [top]
+
+
 def test_degenerate_structure_is_not_multicontact():
     chart = Chart(("x", "y"))
     S = NFormStructure(chart, DiffForm.differential(chart, "x"))
@@ -165,6 +176,50 @@ def test_verify_conformal_absent_for_non_conformal_field():
 def test_verify_conformal_zero_field():
     S = contact_structure()
     assert verify_conformal(S, MultiVector.zero(CONTACT, 1)) == MultiVector.zero(CONTACT, 0)
+
+
+def test_verify_conformal_past_the_top_degree():
+    # p - 1 = 2 > n = 1: both sides of L_X theta = i_V theta are zero forms
+    # of degree -1, so V = 0 is a witness
+    S = contact_structure()
+    e = lambda name: MultiVector.basis_vector(CONTACT, name)
+    top = wedge(wedge(e("q"), e("p")), e("z"))
+    assert verify_conformal(S, top) == MultiVector.zero(CONTACT, 2)
+
+
+def test_zero_alpha_is_read_at_degree_n_minus_p():
+    S = contact_structure()
+    e = lambda name: MultiVector.basis_vector(CONTACT, name)
+    x = wedge(e("q"), e("p")) + wedge(e("q"), e("z")).scale(Coefficient.coordinate(CONTACT, "q"))
+    data = make_conformal_data(S, DiffForm.zero(CONTACT, 0), x, -e("z"))
+    assert data.alpha == DiffForm.zero(CONTACT, -1)
+
+
+def test_nonzero_alpha_of_the_wrong_degree_is_refused():
+    S = contact_structure()
+    data = contact_data(S, Coefficient.coordinate(CONTACT, "q"))
+    with pytest.raises(DegreeError, match="n - p = 0"):
+        make_conformal_data(S, DiffForm.differential(CONTACT, "q"), data.x_field, data.v_field)
+
+
+def test_solves_do_not_swallow_unexpected_errors(monkeypatch):
+    # only DomainError means "no ring solution"; any other error is a bug
+    # and must surface instead of reading as "no witness"
+    def broken(self):
+        raise StructuralError("injected")
+
+    S = contact_structure()
+    X = contact_data(S, Coefficient.coordinate(CONTACT, "q")).x_field
+    chart = Chart(("x", "y", "z"))
+    omega = wedge(DiffForm.differential(chart, "z"), DiffForm.differential(chart, "x"))
+    alpha = DiffForm.from_scalar(Coefficient.coordinate(chart, "x") ** 2)
+    assert verify_conformal(S, X) is not None
+    assert ms_hamiltonian_pair(omega, alpha) is not None
+    monkeypatch.setattr(AffineSolution, "coefficient_solution", broken)
+    with pytest.raises(StructuralError):
+        verify_conformal(S, X)
+    with pytest.raises(StructuralError):
+        ms_hamiltonian_pair(omega, alpha)
 
 
 def test_conformal_addition_and_scaling(rng):
@@ -335,6 +390,14 @@ def test_ms_hamiltonian_pair_solves_and_reports_absence():
     # closed alpha admits X = 0
     const = DiffForm.from_scalar(Coefficient.constant(chart, 5))
     assert ms_hamiltonian_pair(omega, const) == MultiVector.zero(chart, 1)
+
+
+def test_ms_hamiltonian_pair_scalar_unknown():
+    # d(y dx) = -dx^dy, so the degree-0 unknown is g = -1
+    chart = Chart(("x", "y"))
+    omega = wedge(DiffForm.differential(chart, "x"), DiffForm.differential(chart, "y"))
+    alpha = DiffForm.differential(chart, "x").scale(Coefficient.coordinate(chart, "y"))
+    assert ms_hamiltonian_pair(omega, alpha) == MultiVector.from_scalar(Coefficient.constant(chart, -1))
 
 
 def test_ms_hamiltonian_pair_requires_closed_form():
