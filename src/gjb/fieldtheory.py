@@ -38,7 +38,7 @@ from .exterior import (
     pull_form_along,
     wedge,
 )
-from .linalg import is_in_span, reduce_mod_span, rref
+from .linalg import RrefResult, rref
 from .structures import (
     CheckReport,
     ConformalData,
@@ -164,11 +164,17 @@ def _field_rows(fields: Sequence[MultiVector], chart: Chart) -> list[list[Coeffi
     ]
 
 
+def _in_span(vector: Sequence[Coefficient], span: RrefResult) -> bool:
+    return all(entry.is_zero() for entry in span.reduce(vector))
+
+
 def _same_span(a: Sequence[MultiVector], b: Sequence[MultiVector], chart: Chart) -> bool:
     rows_a, rows_b = _field_rows(a, chart), _field_rows(b, chart)
-    return all(is_in_span(r, rows_b, chart) for r in rows_a) and all(
-        is_in_span(r, rows_a, chart) for r in rows_b
-    )
+    span_b = rref(rows_b, chart)
+    if not all(_in_span(r, span_b) for r in rows_a):
+        return False
+    span_a = rref(rows_a, chart)
+    return all(_in_span(r, span_a) for r in rows_b)
 
 
 def build_canonical(spec: PhaseSpaceSpec | int, m: int | None = None, parameters: tuple[str, ...] = ()) -> CanonicalStructure:
@@ -498,14 +504,15 @@ def refined_reeb(S: NFormStructure) -> RefinedReeb:
     return reeb
 
 
-def _flat_image_rows(S: NFormStructure, basis: Sequence[MultiVector]) -> tuple[list[tuple[int, ...]], list[list[Coefficient]]]:
+def _flat_image_span(S: NFormStructure, basis: Sequence[MultiVector]) -> tuple[list[tuple[int, ...]], RrefResult]:
+    """The (n-1)-form keys and the eliminated span of the forms iota_R Theta."""
     chart, n = S.chart, S.degree
     keys = _index_tuples(chart, n - 1)
     rows = []
     for R in basis:
         a = interior_product(R, S.theta)
         rows.append([a.terms.get(I, Coefficient.zero(chart)) for I in keys])
-    return keys, rows
+    return keys, rref(rows, chart)
 
 
 def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
@@ -517,13 +524,13 @@ def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
     if h.degree != S.degree:
         raise DegreeError(f"h must be an {S.degree}-form, got degree {h.degree}")
     basis = _reeb_kernel_basis(S)
-    keys, rows = _flat_image_rows(S, basis)
+    keys, span = _flat_image_span(S, basis)
     for name in chart.coordinates:
         if isinstance(S, CanonicalStructure) and name in S.parameters:
             continue
         contraction = interior_product(MultiVector.basis_vector(chart, name), h)
         vec = [contraction.terms.get(I, Coefficient.zero(chart)) for I in keys]
-        if not is_in_span(vec, rows, chart):
+        if not _in_span(vec, span):
             return CheckReport(False, witness=name, details=f"iota along {name} leaves the image of the flat map")
     return CheckReport(True)
 
@@ -921,10 +928,10 @@ def variational_check(S: NFormStructure) -> CheckReport:
     return CheckReport(True)
 
 
-def _mod_flat_representative(S: NFormStructure, omega: DiffForm, keys, rows) -> DiffForm:
+def _mod_flat_representative(S: NFormStructure, omega: DiffForm, keys, span: RrefResult) -> DiffForm:
     chart = S.chart
     vec = [omega.terms.get(I, Coefficient.zero(chart)) for I in keys]
-    reduced = reduce_mod_span(vec, rows, chart)
+    reduced = span.reduce(vec)
     terms = {}
     for I, entry in zip(keys, reduced):
         if not entry.is_zero():
@@ -943,12 +950,12 @@ def distortion(S: NFormStructure) -> tuple[dict[tuple[int, int], DiffForm], bool
     if not report.ok:
         raise DomainError(f"distortion is only defined on variational structures: {report.details}")
     basis = _reeb_kernel_basis(S)
-    keys, rows = _flat_image_rows(S, basis)
+    keys, span = _flat_image_span(S, basis)
     table: dict[tuple[int, int], DiffForm] = {}
     for i, R in enumerate(basis):
         for j, Rp in enumerate(basis):
             raw = interior_product(R, exterior_derivative(interior_product(Rp, S.theta)))
-            table[(i, j)] = _mod_flat_representative(S, raw, keys, rows)
+            table[(i, j)] = _mod_flat_representative(S, raw, keys, span)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if table[(i, j)] != table[(j, i)]:
@@ -973,5 +980,5 @@ def gamma_obstruction(S: NFormStructure, h: DiffForm, R: MultiVector, v: MultiVe
         v, exterior_derivative(interior_product(R, h))
     )
     basis = _reeb_kernel_basis(S)
-    keys, rows = _flat_image_rows(S, basis)
-    return _mod_flat_representative(S, raw, keys, rows)
+    keys, span = _flat_image_span(S, basis)
+    return _mod_flat_representative(S, raw, keys, span)

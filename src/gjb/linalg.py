@@ -8,12 +8,20 @@ when elimination is forced onto a non-invertible pivot the result is
 tagged ``generic_only`` — rank and membership claims then hold off the
 pivot's zero locus only.  All the structures this package builds pivot on
 units, so the tag mostly exists to keep us honest.
+
+Only the work a caller reads is done.  Row operations skip the zero
+entries of the pivot row, which is most of them in kernel and contraction
+matrices.  ``solve_affine`` reports the kernel's dimension (``nullity``)
+at once but builds the denominator-cleared kernel basis only when its
+``homogeneous`` attribute is first read.  An ``RrefResult`` reduces any
+number of vectors against one elimination of its span.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -192,8 +200,10 @@ class Frac:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    # equal values need not share a representation: (x+1)(y+1)/((x+1)(z+1))
+    # equals (y+1)/(z+1) but keeps the common factor, so no hash of the
+    # parts can agree with ==
+    __hash__ = None
 
     def __repr__(self):
         if self.den == Coefficient.one(self.chart):
@@ -233,13 +243,15 @@ def _shift(expo: tuple[int, ...], by: tuple[int, ...], chart: Chart) -> tuple[in
     return tuple(a + b for a, b in zip(expo, by))
 
 
-def _to_frac(entry, chart: Chart) -> Frac:
+def _to_frac(entry, chart: Chart | None) -> Frac:
+    """A matrix entry as a Frac; plain rationals need the chart."""
     if isinstance(entry, Frac):
         return entry
+    if isinstance(entry, (int, Fraction)) and chart is not None:
+        entry = Coefficient.constant(chart, entry)
     if isinstance(entry, Coefficient):
-        return Frac(entry)
-    if isinstance(entry, (int, Fraction)):
-        return Frac(Coefficient.constant(chart, entry))
+        # a ring element over 1 is already in normal form
+        return Frac(entry, _normalize=False)
     raise StructuralError(f"matrix entries must be Coefficient or Frac, got {type(entry).__name__}")
 
 
@@ -262,9 +274,32 @@ class RrefResult:
     def pivot_columns(self) -> list[int]:
         return [c for _, c in self.pivots]
 
+    def reduce(self, vector: Sequence[Coefficient | Frac]) -> list[Frac]:
+        """Canonical representative of ``vector`` modulo the row span:
+        pivot columns of the span are zeroed out, everything else is
+        untouched.  Reduce many vectors against one elimination this way."""
+        if self.rows and len(vector) != len(self.rows[0]):
+            raise StructuralError("vector and span have different lengths")
+        vec = [_to_frac(entry, None) for entry in vector]
+        for r, c in self.pivots:
+            factor = vec[c]
+            if factor.is_zero():
+                continue
+            for j, b in enumerate(self.rows[r]):
+                if not b.is_zero():
+                    vec[j] = vec[j] - factor * b
+        return vec
+
 
 def _matrix(rows: Sequence[Sequence], chart: Chart) -> list[list[Frac]]:
-    return [[_to_frac(entry, chart) for entry in row] for row in rows]
+    zero = Frac(Coefficient.zero(chart))  # shared: most cells of a kernel matrix are zero
+    return [
+        [
+            zero if isinstance(entry, Coefficient) and entry.is_zero() else _to_frac(entry, chart)
+            for entry in row
+        ]
+        for row in rows
+    ]
 
 
 def _eliminate(mat: list[list[Frac]], ncols: int) -> tuple[list[tuple[int, int]], bool]:
@@ -273,7 +308,9 @@ def _eliminate(mat: list[list[Frac]], ncols: int) -> tuple[list[tuple[int, int]]
     Honest-unit pivots (invertible at every chart point) are taken first,
     scanning columns left to right; only when none remain anywhere does
     elimination pivot on a non-unit entry, flagging the result as valid
-    at generic points only.  Deterministic throughout.
+    at generic points only.  Deterministic throughout.  Row operations
+    touch only the columns where the pivot row is nonzero: a − f·0 = a
+    and 0·inv = 0.
     """
     pivots: list[tuple[int, int]] = []
     generic = False
@@ -296,12 +333,16 @@ def _eliminate(mat: list[list[Frac]], ncols: int) -> tuple[list[tuple[int, int]]
             row = candidates[0]
             if not honest_only:
                 generic = True
-            inv = mat[row][col].inverse()
-            mat[row] = [entry * inv for entry in mat[row]]
-            for r in range(len(mat)):
-                if r != row and not mat[r][col].is_zero():
-                    factor = mat[r][col]
-                    mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+            pivot_row = mat[row]
+            live = [j for j, entry in enumerate(pivot_row) if not entry.is_zero()]
+            inv = pivot_row[col].inverse()
+            for j in live:
+                pivot_row[j] = pivot_row[j] * inv
+            for r, target in enumerate(mat):
+                if r != row and not target[col].is_zero():
+                    factor = target[col]
+                    for j in live:
+                        target[j] = target[j] - factor * pivot_row[j]
             used_rows.add(row)
             used_cols.add(col)
             pivots.append((row, col))
@@ -363,33 +404,53 @@ def _clear_denominators(vector: list[Frac], chart: Chart) -> list[Coefficient]:
     return out
 
 
+def _kernel_basis(
+    rows: list[list[Frac]], pivots: list[tuple[int, int]], ncols: int, chart: Chart
+) -> list[list[Coefficient]]:
+    """One denominator-cleared kernel vector per free column among the
+    first ``ncols`` columns of a reduced matrix."""
+    pivot_cols = {c for _, c in pivots}
+    zero = Frac(Coefficient.zero(chart))
+    one = Frac(Coefficient.one(chart))
+    basis = []
+    for col in range(ncols):
+        if col in pivot_cols:
+            continue
+        vec = [zero] * ncols
+        vec[col] = one
+        for r, c in pivots:
+            vec[c] = -rows[r][col]
+        basis.append(_clear_denominators(vec, chart))
+    return basis
+
+
 def nullspace(rows: Sequence[Sequence], chart: Chart) -> list[list[Coefficient]]:
     """Right-nullspace basis with denominators cleared, one vector per free
     column, deterministic up to the fixed column order."""
     result = rref(rows, chart)
     if not result.rows:
         return []
-    ncols = len(result.rows[0])
-    pivot_of_col = {c: r for r, c in result.pivots}
-    zero = Frac(Coefficient.zero(chart))
-    one = Frac(Coefficient.one(chart))
-    basis = []
-    for col in range(ncols):
-        if col in pivot_of_col:
-            continue
-        vec = [zero] * ncols
-        vec[col] = one
-        for r, c in result.pivots:
-            vec[c] = -result.rows[r][col]
-        basis.append(_clear_denominators(vec, chart))
-    return basis
+    return _kernel_basis(result.rows, result.pivots, len(result.rows[0]), chart)
 
 
 @dataclass(frozen=True)
 class AffineSolution:
+    """Solution of A x = b.  ``particular`` is None when the system is
+    inconsistent.  ``nullity``, the kernel dimension of A, is known at
+    once; the denominator-cleared ``homogeneous`` basis of that kernel is
+    built from the kept reduced matrix on first read."""
+
     particular: list[Frac] | None
-    homogeneous: list[list[Coefficient]]
+    nullity: int
     generic_only: bool
+    _rows: list[list[Frac]] = field(repr=False, compare=False)
+    _pivots: list[tuple[int, int]] = field(repr=False, compare=False)
+    _chart: Chart = field(repr=False, compare=False)
+
+    @cached_property
+    def homogeneous(self) -> list[list[Coefficient]]:
+        ncols = self.nullity + len(self._pivots)
+        return _kernel_basis(self._rows, self._pivots, ncols, self._chart)
 
     def coefficient_solution(self) -> list[Coefficient]:
         if self.particular is None:
@@ -399,7 +460,8 @@ class AffineSolution:
 
 def solve_affine(rows: Sequence[Sequence], rhs: Sequence, chart: Chart) -> AffineSolution:
     """Solve A x = b over the fraction field.  ``particular`` is None when
-    inconsistent; ``homogeneous`` spans the kernel of A."""
+    inconsistent; ``nullity`` is the kernel dimension of A, and
+    ``homogeneous``, a basis of that kernel, is built on first read."""
     mat = _matrix(rows, chart)
     b = [_to_frac(entry, chart) for entry in rhs]
     if len(mat) != len(b):
@@ -418,19 +480,7 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence, chart: Chart) -> Affin
         particular = [zero] * ncols
         for r, c in pivots:
             particular[c] = augmented[r][-1]
-
-    pivot_of_col = {c: r for r, c in pivots}
-    one = Frac(Coefficient.one(chart))
-    homogeneous = []
-    for col in range(ncols):
-        if col in pivot_of_col:
-            continue
-        vec = [zero] * ncols
-        vec[col] = one
-        for r, c in pivots:
-            vec[c] = -augmented[r][col]
-        homogeneous.append(_clear_denominators(vec, chart))
-    return AffineSolution(particular, homogeneous, generic)
+    return AffineSolution(particular, ncols - len(pivots), generic, augmented, pivots, chart)
 
 
 def reduce_mod_span(vector: Sequence, basis: Sequence[Sequence], chart: Chart) -> list[Frac]:
@@ -440,13 +490,7 @@ def reduce_mod_span(vector: Sequence, basis: Sequence[Sequence], chart: Chart) -
     vec = [_to_frac(entry, chart) for entry in vector]
     if not basis:
         return vec
-    result = rref(basis, chart)
-    for r, c in result.pivots:
-        factor = vec[c]
-        if factor.is_zero():
-            continue
-        vec = [a - factor * b for a, b in zip(vec, result.rows[r])]
-    return vec
+    return rref(basis, chart).reduce(vec)
 
 
 def is_in_span(vector: Sequence, basis: Sequence[Sequence], chart: Chart) -> bool:

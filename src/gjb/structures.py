@@ -116,7 +116,7 @@ def solve_by_contraction(
         values = solution.coefficient_solution()
     except DomainError:
         return None
-    return values, not solution.homogeneous
+    return values, solution.nullity == 0
 
 
 class NFormStructure:

@@ -485,6 +485,24 @@ def test_hdw_matches_reference_system_for_random_hamiltonians(rng):
         assert hdw_residuals(CAN, section, J) == expected_hdw_system(CAN, H, J)
 
 
+@pytest.mark.parametrize("n, m", [(4, 1), (4, 2)])
+def test_sigma_and_hdw_at_four_variables(rng, n, m):
+    S = build_canonical(n, m)
+    coord = lambda name: Coefficient.coordinate(S.chart, name)
+    quadratic = coord("s0").scale(3)
+    for mu in range(n):
+        for i in range(m):
+            quadratic = quadratic + (coord(S.momentum_name(mu, i)) ** 2).scale(Fraction(1, 2))
+    for H in (quadratic, rand_hamiltonian(rng, S)):
+        section = hamiltonian_section(S, H)
+        sigma = DiffForm.zero(S.chart, 1)
+        for mu, s in enumerate(S.s_names):
+            sigma = sigma + DiffForm.differential(S.chart, S.x_names[mu]).scale(H.partial(s))
+        assert dissipation_form(S, section) == sigma
+        J = JetSection.for_hamiltonian_section(section)
+        assert hdw_residuals(S, section, J) == expected_hdw_system(S, H, J)
+
+
 def test_hdw_constant_hamiltonian():
     H = Coefficient.constant(CAN.chart, Fraction(3, 7))
     section = hamiltonian_section(CAN, H)

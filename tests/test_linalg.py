@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjb import linalg
 from gjb.coeffring import Chart, Coefficient, parse_coefficient
-from gjb.errors import DomainError
+from gjb.errors import DomainError, StructuralError
 from gjb.linalg import (
     Frac,
     exact_divide,
@@ -54,6 +55,17 @@ def test_frac_arithmetic():
     assert (a * b).den == C("x^2 - 1")
     assert a - a == Frac(Coefficient.zero(CHART))
     assert (a / b) == Frac(C("x - 1"), C("x + 1"))
+
+
+def test_equal_fracs_are_not_hashable():
+    # normalization cancels no common factor that does not divide, so
+    # equal values can keep different parts and no hash of them is sound
+    a = Frac(C("x*y + x + y + 1"), C("x*z + x + z + 1"))
+    b = Frac(C("y + 1"), C("z + 1"))
+    assert a == b
+    assert (a.num, a.den) != (b.num, b.den)
+    with pytest.raises(TypeError):
+        {a, b}
 
 
 def test_rref_rank_and_unit_pivots():
@@ -148,3 +160,132 @@ def test_solve_affine_solutions_check_out(raw, target):
         for a, v in zip(row, x):
             acc = acc + a * v
         assert acc == b
+
+
+# Laurent entries: z is nonvanishing on CHART, x and y are not
+LAURENT = ["1", "-2", "1/3", "x", "x + 1", "y - x", "z", "z^-1", "2*x*z^-1 + y", "x^2 - 1"]
+
+
+@st.composite
+def _sparse_system(draw):
+    """A matrix with at least half its entries zero, and a vector."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    cells = [(r, c) for r in range(nrows) for c in range(ncols)]
+    live = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells) // 2))
+    raw = [["0"] * ncols for _ in range(nrows)]
+    for r, c in live:
+        raw[r][c] = draw(st.sampled_from(LAURENT))
+    vector = draw(st.lists(st.sampled_from(["0"] + LAURENT), min_size=ncols, max_size=ncols))
+    return raw, vector
+
+
+def _annihilates(vec, rows):
+    for row in rows:
+        acc = Coefficient.zero(CHART)
+        for a, v in zip(row, vec):
+            acc = acc + a * v
+        assert acc.is_zero()
+
+
+_integer_matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(st.lists(st.sampled_from([str(v) for v in range(-3, 4)]),
+                                    min_size=ncols, max_size=ncols), min_size=1, max_size=4)
+)
+
+
+# Laurent matrices are kept sparse, as kernel and contraction matrices are:
+# a dense 4x5 one with non-unit pivots takes seconds to clear denominators
+@given(st.one_of(_integer_matrices, _sparse_system().map(lambda system: system[0])))
+@settings(max_examples=60, deadline=None)
+def test_nullity_is_the_size_of_the_lazy_basis(raw):
+    rows = [[C(text) for text in row] for row in raw]
+    sol = solve_affine(rows, [Coefficient.zero(CHART)] * len(rows), CHART)
+    assert "homogeneous" not in vars(sol)  # nothing built before it is read
+    assert sol.nullity == len(raw[0]) - rref(rows, CHART).rank
+    assert sol.nullity == len(sol.homogeneous)
+    for vec in sol.homogeneous:
+        _annihilates(vec, rows)
+
+
+def _dense_rref(rows):
+    """Reference elimination: the same pivot policy as ``linalg._eliminate``
+    with every row operation applied to every entry, zeros included."""
+    mat = [[Frac(entry) for entry in row] for row in rows]
+    ncols = len(mat[0])
+    pivots, used_rows, used_cols = [], set(), set()
+    generic = False
+
+    def run_pass(honest_only):
+        nonlocal generic
+        progressed = False
+        for col in range(ncols):
+            if col in used_cols:
+                continue
+            candidates = [r for r in range(len(mat)) if r not in used_rows and not mat[r][col].is_zero()]
+            if honest_only:
+                candidates = [r for r in candidates if mat[r][col].honest_unit()]
+            if not candidates:
+                continue
+            row = candidates[0]
+            generic = generic or not honest_only
+            inv = mat[row][col].inverse()
+            mat[row] = [entry * inv for entry in mat[row]]
+            for r in range(len(mat)):
+                if r != row and not mat[r][col].is_zero():
+                    factor = mat[r][col]
+                    mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+            used_rows.add(row)
+            used_cols.add(col)
+            pivots.append((row, col))
+            progressed = True
+        return progressed
+
+    while run_pass(True):
+        pass
+    while run_pass(False):
+        while run_pass(True):
+            pass
+    return mat, sorted(pivots, key=lambda rc: rc[1]), generic
+
+
+def _dense_reduce(vector, rows):
+    """Reference reduction: one fresh elimination per call, every entry
+    updated."""
+    vec = [Frac(entry) for entry in vector]
+    mat, pivots, _ = _dense_rref(rows)
+    for r, c in pivots:
+        factor = vec[c]
+        if not factor.is_zero():
+            vec = [a - factor * b for a, b in zip(vec, mat[r])]
+    return vec
+
+
+def _same_fracs(a, b):
+    # equal values and equal parts: the parts decide cleared kernel vectors
+    return a == b and [(f.num, f.den) for f in a] == [(f.num, f.den) for f in b]
+
+
+@given(_sparse_system())
+@settings(max_examples=80, deadline=None)
+def test_zero_skipping_elimination_matches_the_dense_reference(system):
+    raw, raw_vector = system
+    rows = [[C(text) for text in row] for row in raw]
+    mat, pivots, generic = _dense_rref(rows)
+    result = rref(rows, CHART)
+    assert result.pivots == pivots
+    assert result.generic_only == generic
+    for got, want in zip(result.rows, mat):
+        assert _same_fracs(got, want)
+    ncols = len(raw[0])
+    assert nullspace(rows, CHART) == linalg._kernel_basis(mat, pivots, ncols, CHART)
+    vector = [C(text) for text in raw_vector]
+    reduced = result.reduce(vector)
+    assert _same_fracs(reduced, _dense_reduce(vector, rows))
+    assert _same_fracs(reduced, reduce_mod_span(vector, rows, CHART))
+    assert is_in_span(vector, rows, CHART) == all(f.is_zero() for f in reduced)
+
+
+def test_reduce_rejects_a_vector_of_the_wrong_length():
+    span = rref([[C("1"), C("x")]], CHART)
+    with pytest.raises(StructuralError):
+        span.reduce([C("1")])
