@@ -38,13 +38,13 @@ from .errors import GjbError, ParseError, ValidationError
 from .exterior import DiffForm, MultiVector, interior_product
 from .fieldtheory import (
     CanonicalStructure,
+    _hdw_system,
     build_canonical,
     dissipated_check,
     dissipation_form,
     distortion,
     elementary_tables,
     hamiltonian_section,
-    hdw_residuals,
     jet_name,
     JetSection,
     vertical_conformal_from_FG,
@@ -485,8 +485,7 @@ def _cmd_hdw(args) -> int:
     _flush_warnings(env)
     section = hamiltonian_section(C, H)
     J = JetSection.for_hamiltonian_section(section)
-    sigma = dissipation_form(C, section)
-    equations = hdw_residuals(C, section, J)
+    equations, _, sigma = _hdw_system(C, section, J)
     labels = _hdw_labels(C, len(equations))
     if args.format == "json":
         import json as _json

@@ -84,6 +84,24 @@ def _as_fraction(value) -> Fraction:
     raise StructuralError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _accumulate(pairs: Iterable[tuple], terms: dict | None = None) -> dict:
+    """Add each ``(key, value)`` pair into ``terms`` (a new dict by default)
+    and return it; a key whose sum is zero is dropped.  The values are
+    Fractions or Coefficients, both false exactly when zero."""
+    if terms is None:
+        terms = {}
+    for key, value in pairs:
+        if key in terms:
+            value = terms[key] + value
+            if not value:
+                del terms[key]
+                continue
+        elif not value:
+            continue
+        terms[key] = value
+    return terms
+
+
 class Coefficient:
     """Sparse exact Laurent polynomial attached to a chart."""
 
@@ -188,14 +206,7 @@ class Coefficient:
         if not isinstance(other, Coefficient):
             return NotImplemented
         self._check_mate(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = terms.get(expo, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(expo, None)
-            else:
-                terms[expo] = acc
-        return Coefficient(self.chart, terms)
+        return Coefficient(self.chart, _accumulate(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -218,16 +229,12 @@ class Coefficient:
         if not isinstance(other, Coefficient):
             return NotImplemented
         self._check_mate(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(expo, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    terms.pop(expo, None)
-                else:
-                    terms[expo] = acc
-        return Coefficient(self.chart, terms)
+        products = (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return Coefficient(self.chart, _accumulate(products))
 
     __rmul__ = __mul__
 
@@ -259,25 +266,20 @@ class Coefficient:
     def __hash__(self):
         return hash((self.chart, frozenset(self.terms.items())))
 
+    def __bool__(self):
+        return bool(self.terms)
+
     # -- calculus ----------------------------------------------------------
 
     def partial(self, name: str) -> "Coefficient":
         """Exact partial derivative; Laurent terms differentiate termwise."""
         i = self.chart.index(name)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in self.terms.items():
-            k = expo[i]
-            if k == 0:
-                continue
-            new = list(expo)
-            new[i] = k - 1
-            key = tuple(new)
-            acc = terms.get(key, Fraction(0)) + coeff * k
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return Coefficient(self.chart, terms)
+        lowered = (
+            (expo[:i] + (expo[i] - 1,) + expo[i + 1 :], coeff * expo[i])
+            for expo, coeff in self.terms.items()
+            if expo[i] != 0
+        )
+        return Coefficient(self.chart, _accumulate(lowered))
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Evaluate at a rational point; every chart coordinate must be
@@ -309,7 +311,7 @@ class Coefficient:
         """Ring morphism: replace every coordinate by its image (a
         Coefficient on `target`).  Negative powers require the image to be
         a unit."""
-        out = Coefficient.zero(target)
+        terms: dict[tuple[int, ...], Fraction] = {}
         cache: dict[tuple[int, int], Coefficient] = {}
 
         def power(i: int, k: int) -> Coefficient:
@@ -325,14 +327,13 @@ class Coefficient:
             for i, k in enumerate(expo):
                 if k != 0:
                     term = term * power(i, k)
-            out = out + term
-        return out
+            _accumulate(term.terms.items(), terms)
+        return Coefficient(target, terms)
 
     def rename_chart(self, target: Chart, mapping: Mapping[str, str] | None = None) -> "Coefficient":
         """Reinterpret on `target`, coordinate names mapped by `mapping`
         (default: same names).  Purely positional re-indexing."""
         mapping = mapping or {}
-        terms: dict[tuple[int, ...], Fraction] = {}
         positions: dict[int, int] = {}
 
         def position(i: int) -> int:
@@ -341,18 +342,15 @@ class Coefficient:
                 positions[i] = target.index(mapping.get(name, name))
             return positions[i]
 
-        for expo, coeff in self.terms.items():
+        def moved(expo: tuple[int, ...]) -> tuple[int, ...]:
             new = [0] * target.dimension
             for i, k in enumerate(expo):
                 if k != 0:
                     new[position(i)] += k
-            key = tuple(new)
-            acc = terms.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return Coefficient(target, terms)
+            return tuple(new)
+
+        pairs = ((moved(expo), coeff) for expo, coeff in self.terms.items())
+        return Coefficient(target, _accumulate(pairs))
 
     # -- display -----------------------------------------------------------
 

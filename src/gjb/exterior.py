@@ -15,9 +15,12 @@ leans on are fixed here:
 * spaces of negative degree are zero, so contracting past the bottom
   degree gives a zero of the (negative) degree the operands call for;
 * 𝓛_U ω = d ι_U ω − (−1)^p ι_U dω for a degree-p multivector U;
-* the graded bracket of decomposables is
-  [U, V] = Σ_{i,j} (−1)^{i+j} [X_i, Y_j] ∧ X₁⋯X̂_i⋯∧X_p ∧ Y₁⋯Ŷ_j⋯∧Y_q,
-  extended to degree zero by [U, g] = (−1)^{p+1} ι_{dg} U and
+* the graded bracket is the odd-variable formula: read c·e_J as c·ξ_J
+  with one odd variable ξᵢ per coordinate, then
+  [P, Q] = Σᵢ ∂ᴿP/∂ξᵢ ∧ ∂Q/∂xⁱ − (−1)^{(p−1)(q−1)} ∂ᴿQ/∂ξᵢ ∧ ∂P/∂xⁱ,
+  where the right derivative ∂ᴿ/∂ξᵢ takes c·ξ_J to (−1)^{|J|−1−k} c·ξ_{J∖i}
+  when i sits at 0-based position k of J, and ∂/∂xⁱ differentiates the
+  coefficients.  On a scalar g it gives [U, g] = (−1)^{p+1} ι_{dg} U and
   [g, U] = −ι_{dg} U.
 
 The characterizing identity (and the regression test pinning the global
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .coeffring import Chart, Coefficient, format_coefficient
+from .coeffring import Chart, Coefficient, _accumulate, format_coefficient
 from .errors import DegreeError, StructuralError
 
 __all__ = [
@@ -128,14 +131,7 @@ class _Graded:
 
     def __add__(self, other):
         self._mate(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = terms.get(key, Coefficient.zero(self.chart)) + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return type(self)(self.chart, self.degree, terms)
+        return type(self)(self.chart, self.degree, _accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
         return type(self)(self.chart, self.degree, {k: -c for k, c in self.terms.items()})
@@ -246,19 +242,13 @@ def wedge(a: _Graded, b: _Graded) -> _Graded:
         raise StructuralError(f"cannot wedge {type(a).__name__} with {type(b).__name__}")
     if a.chart != b.chart:
         raise StructuralError("operands live on different charts")
-    terms: dict[tuple[int, ...], Coefficient] = {}
-    for I, c in a.terms.items():
-        for J, e in b.terms.items():
-            merged = _merge_indices(I, J)
-            if merged is None:
-                continue
-            sign, key = merged
-            acc = terms.get(key, Coefficient.zero(a.chart)) + (c * e).scale(sign)
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-    return type(a)(a.chart, a.degree + b.degree, terms)
+    products = (
+        (merged[1], (c * e).scale(merged[0]))
+        for I, c in a.terms.items()
+        for J, e in b.terms.items()
+        if (merged := _merge_indices(I, J)) is not None
+    )
+    return type(a)(a.chart, a.degree + b.degree, _accumulate(products))
 
 
 def exterior_derivative(omega: DiffForm) -> DiffForm:
@@ -266,22 +256,13 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
     if not isinstance(omega, DiffForm):
         raise StructuralError("exterior derivative applies to differential forms")
     chart = omega.chart
-    terms: dict[tuple[int, ...], Coefficient] = {}
-    for I, c in omega.terms.items():
-        for j, name in enumerate(chart.coordinates):
-            dc = c.partial(name)
-            if dc.is_zero():
-                continue
-            merged = _merge_indices((j,), I)
-            if merged is None:
-                continue
-            sign, key = merged
-            acc = terms.get(key, Coefficient.zero(chart)) + dc.scale(sign)
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-    return DiffForm(chart, omega.degree + 1, terms)
+    pieces = (
+        (merged[1], dc.scale(merged[0]))
+        for I, c in omega.terms.items()
+        for j, name in enumerate(chart.coordinates)
+        if (merged := _merge_indices((j,), I)) is not None and (dc := c.partial(name))
+    )
+    return DiffForm(chart, omega.degree + 1, _accumulate(pieces))
 
 
 def _contract_key(eaten: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -316,19 +297,13 @@ def interior_product(U: MultiVector, omega: DiffForm, strict: bool = True) -> Di
                 f"cannot contract a degree-{U.degree} multivector into a degree-{omega.degree} form"
             )
         return DiffForm.zero(omega.chart, omega.degree - U.degree)
-    terms: dict[tuple[int, ...], Coefficient] = {}
-    for J, c in U.terms.items():
-        for I, k in omega.terms.items():
-            hit = _contract_key(J, I)
-            if hit is None:
-                continue
-            sign, key = hit
-            acc = terms.get(key, Coefficient.zero(U.chart)) + (c * k).scale(sign)
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-    return DiffForm(omega.chart, omega.degree - U.degree, terms)
+    products = (
+        (hit[1], (c * k).scale(hit[0]))
+        for J, c in U.terms.items()
+        for I, k in omega.terms.items()
+        if (hit := _contract_key(J, I)) is not None
+    )
+    return DiffForm(omega.chart, omega.degree - U.degree, _accumulate(products))
 
 
 def form_contraction(xi: DiffForm, U: MultiVector, strict: bool = True) -> MultiVector:
@@ -346,19 +321,13 @@ def form_contraction(xi: DiffForm, U: MultiVector, strict: bool = True) -> Multi
                 f"cannot contract a degree-{xi.degree} form into a degree-{U.degree} multivector"
             )
         return MultiVector.zero(U.chart, U.degree - xi.degree)
-    terms: dict[tuple[int, ...], Coefficient] = {}
-    for I, k in xi.terms.items():
-        for J, c in U.terms.items():
-            hit = _contract_key(I, J)
-            if hit is None:
-                continue
-            sign, key = hit
-            acc = terms.get(key, Coefficient.zero(U.chart)) + (k * c).scale(sign)
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-    return MultiVector(U.chart, U.degree - xi.degree, terms)
+    products = (
+        (hit[1], (k * c).scale(hit[0]))
+        for I, k in xi.terms.items()
+        for J, c in U.terms.items()
+        if (hit := _contract_key(I, J)) is not None
+    )
+    return MultiVector(U.chart, U.degree - xi.degree, _accumulate(products))
 
 
 def lie_derivative(U: MultiVector, omega: DiffForm) -> DiffForm:
@@ -376,70 +345,44 @@ def vector_bracket(X: MultiVector, Y: MultiVector) -> MultiVector:
         raise DegreeError(f"vector bracket needs two vector fields, got degrees {X.degree} and {Y.degree}")
     if X.chart != Y.chart:
         raise StructuralError("operands live on different charts")
-    chart = X.chart
-    terms: dict[tuple[int, ...], Coefficient] = {}
+    names = X.chart.coordinates
 
-    def bump(position: int, coeff: Coefficient):
-        if coeff.is_zero():
-            return
-        key = (position,)
-        acc = terms.get(key, Coefficient.zero(chart)) + coeff
-        if acc.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = acc
+    def pieces():
+        for (m,), a in X.terms.items():
+            for (n,), b in Y.terms.items():
+                yield (n,), a * b.partial(names[m])
+                yield (m,), -(b * a.partial(names[n]))
 
-    for (m,), a in X.terms.items():
-        name_m = chart.coordinates[m]
-        for (n,), b in Y.terms.items():
-            name_n = chart.coordinates[n]
-            bump(n, a * b.partial(name_m))
-            bump(m, -(b * a.partial(name_n)))
-    return MultiVector(chart, 1, terms)
+    return MultiVector(X.chart, 1, _accumulate(pieces()))
 
 
 def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
-    """Graded bracket of multivector fields (see the module docstring for
-    the decomposable formula and degree-zero cases)."""
+    """Graded bracket of multivector fields, of degree p + q − 1, by the
+    odd-variable formula of the module docstring; one double loop over the
+    term pairs of each ordering, with no special case for a scalar operand."""
     p, q = U.degree, V.degree
     if p == 0 and q == 0:
         raise DegreeError("the graded bracket of two scalars is not defined")
-    chart = U.chart
-    if chart != V.chart:
+    if U.chart != V.chart:
         raise StructuralError("operands live on different charts")
-    if p == 0:
-        dg = exterior_derivative(DiffForm.from_scalar(U.scalar()))
-        return -form_contraction(dg, V)
-    if q == 0:
-        dg = exterior_derivative(DiffForm.from_scalar(V.scalar()))
-        return form_contraction(dg, U).scale((-1) ** (p + 1))
+    names = U.chart.coordinates
 
-    one = Coefficient.one(chart)
-    out = MultiVector.zero(chart, p + q - 1)
-    for J, c in U.terms.items():
-        factors_u = [
-            MultiVector(chart, 1, {(idx,): c if k == 0 else one}) for k, idx in enumerate(J)
-        ]
-        for K, e in V.terms.items():
-            factors_v = [
-                MultiVector(chart, 1, {(idx,): e if k == 0 else one}) for k, idx in enumerate(K)
-            ]
-            for i in range(p):
-                for j in range(q):
-                    w = vector_bracket(factors_u[i], factors_v[j])
-                    if w.is_zero():
-                        continue
-                    piece = w
-                    for k in range(p):
-                        if k != i:
-                            piece = wedge(piece, factors_u[k])
-                    for k in range(q):
-                        if k != j:
-                            piece = wedge(piece, factors_v[k])
-                    if (i + j) % 2:
-                        piece = -piece
-                    out = out + piece
-    return out
+    def half(A: MultiVector, B: MultiVector, sign: int):
+        # sign · Σᵢ ∂ᴿA/∂ξᵢ · ∂B/∂xⁱ as (key, coefficient) pairs
+        for J, c in A.terms.items():
+            for k, i in enumerate(J):
+                rest = J[:k] + J[k + 1 :]
+                right = sign if (A.degree - 1 - k) % 2 == 0 else -sign
+                for K, e in B.terms.items():
+                    merged = _merge_indices(rest, K)
+                    if merged is not None and (de := e.partial(names[i])):
+                        yield merged[1], (c * de).scale(right * merged[0])
+
+    # (p − 1)(q − 1) is negative when an operand is a scalar
+    swap = -1 if (p - 1) * (q - 1) % 2 else 1
+    terms = _accumulate(half(U, V, 1))
+    _accumulate(half(V, U, -swap), terms)
+    return MultiVector(U.chart, p + q - 1, terms)
 
 
 def reindex(obj: _Graded, target: Chart, rename: Mapping[str, str] | None = None) -> _Graded:
@@ -455,25 +398,19 @@ def reindex(obj: _Graded, target: Chart, rename: Mapping[str, str] | None = None
             positions[i] = target.index(rename.get(name, name))
         return positions[i]
 
-    terms: dict[tuple[int, ...], Coefficient] = {}
-    for key, coeff in obj.terms.items():
-        mapped = [position(i) for i in key]
-        order = sorted(range(len(mapped)), key=lambda k: mapped[k])
-        inversions = sum(
-            1 for a in range(len(order)) for b in range(a + 1, len(order)) if order[a] > order[b]
-        )
-        new_key = tuple(mapped[k] for k in order)
-        if len(set(new_key)) != len(new_key):
-            raise StructuralError("rename collapses two factor directions")
-        moved = coeff.rename_chart(target, rename)
-        if inversions % 2:
-            moved = -moved
-        acc = terms.get(new_key, Coefficient.zero(target)) + moved
-        if acc.is_zero():
-            terms.pop(new_key, None)
-        else:
-            terms[new_key] = acc
-    return type(obj)(target, obj.degree, terms)
+    def moved():
+        for key, coeff in obj.terms.items():
+            mapped = [position(i) for i in key]
+            order = sorted(range(len(mapped)), key=lambda k: mapped[k])
+            inversions = sum(
+                1 for a in range(len(order)) for b in range(a + 1, len(order)) if order[a] > order[b]
+            )
+            new_key = tuple(mapped[k] for k in order)
+            if len(set(new_key)) != len(new_key):
+                raise StructuralError("rename collapses two factor directions")
+            yield new_key, coeff.rename_chart(target, rename).scale((-1) ** inversions)
+
+    return type(obj)(target, obj.degree, _accumulate(moved()))
 
 
 def pull_form_along(
@@ -488,7 +425,7 @@ def pull_form_along(
     for name, image in form_images.items():
         if image.degree != 1:
             raise DegreeError(f"image of d{name} must be a 1-form, got degree {image.degree}")
-    out = DiffForm.zero(source, omega.degree)
+    terms: dict[tuple[int, ...], Coefficient] = {}
     for I, c in omega.terms.items():
         piece = DiffForm.from_scalar(c.substitute(scalar_images, source))
         for idx in I:
@@ -496,10 +433,8 @@ def pull_form_along(
             if name not in form_images:
                 raise StructuralError(f"no differential image for coordinate {name!r}")
             piece = wedge(piece, form_images[name])
-        if piece.degree != omega.degree:
-            piece = DiffForm(source, omega.degree, piece.terms)
-        out = out + piece
-    return out
+        _accumulate(piece.terms.items(), terms)
+    return DiffForm(source, omega.degree, terms)
 
 
 @dataclass(frozen=True)

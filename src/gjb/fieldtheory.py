@@ -724,8 +724,9 @@ def _jet_degree(expo: tuple[int, ...], jet_positions: set[int]) -> int:
 
 def _hdw_system(
     C: CanonicalStructure, h: HamiltonianSection | DiffForm, jet: JetSection | None
-) -> tuple[list[Coefficient], dict[str, Coefficient]]:
-    """Emit the covariant Hamilton equations and the solved pivot images.
+) -> tuple[list[Coefficient], dict[str, Coefficient], DiffForm]:
+    """Emit the covariant Hamilton equations, the solved pivot images and
+    the dissipation form sigma_h they were built with.
 
     The raw equations are the pullbacks of (Theta + h) and of
     iota_xi (d + sigma_h ^)(Theta + h) for xi over the coordinate fields.
@@ -819,7 +820,7 @@ def _hdw_system(
             reduced = eq.substitute(images, chart)
             if not reduced.is_zero():
                 emitted.append(reduced)
-    return emitted, solved
+    return emitted, solved, sigma
 
 
 def hdw_residuals(
@@ -834,7 +835,7 @@ def hdw_residuals(
     * dy^i/dx^mu - dH/dp^mu_i           (one equation per i, mu),
     * sum_mu dp^mu_i/dx^mu + dH/dy^i + (dH/ds^mu) p^mu_i   (one per i).
     """
-    emitted, _ = _hdw_system(C, h, jet)
+    emitted, _, _ = _hdw_system(C, h, jet)
     return emitted
 
 
@@ -867,8 +868,7 @@ def evolution_residual(
     if jet is None:
         raise StructuralError("a jet section is required when h is a bare form")
     h_form = _as_h_form(h)
-    sigma = dissipation_form(C, h_form)
-    _, solved = _hdw_system(C, h, jet)
+    _, solved, sigma = _hdw_system(C, h, jet)
 
     alpha, X = data.alpha, data.x_field
     reeb_coefficient = -data.v_field.scalar()

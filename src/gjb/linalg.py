@@ -25,7 +25,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .coeffring import Chart, Coefficient
+from .coeffring import Chart, Coefficient, _accumulate
 from .errors import DomainError, StructuralError
 
 __all__ = [
@@ -87,13 +87,10 @@ def _poly_divide(F: dict, G: dict) -> dict | None:
             return None
         factor = remainder[r_lead] / g_coeff
         quotient[step] = factor
-        for expo, coeff in G.items():
-            key = tuple(a + b for a, b in zip(expo, step))
-            acc = remainder.get(key, Fraction(0)) - factor * coeff
-            if acc == 0:
-                remainder.pop(key, None)
-            else:
-                remainder[key] = acc
+        _accumulate(
+            ((tuple(a + b for a, b in zip(expo, step)), -factor * coeff) for expo, coeff in G.items()),
+            remainder,
+        )
     return quotient
 
 
@@ -372,13 +369,15 @@ def rref(rows: Sequence[Sequence], chart: Chart) -> RrefResult:
 
 
 def _clear_denominators(vector: list[Frac], chart: Chart) -> list[Coefficient]:
-    dens: list[Coefficient] = []
-    for entry in vector:
-        if not entry.den.is_unit() and all(entry.den != d for d in dens):
-            dens.append(entry.den)
+    # a common multiple of the non-unit denominators: taken largest first,
+    # a denominator that already divides the multiplier adds nothing
+    dens = [entry.den for entry in vector if not entry.den.is_unit()]
     multiplier = Coefficient.one(chart)
-    for d in dens:
-        multiplier = multiplier * d
+    for d in sorted(dens, key=Coefficient.max_degree, reverse=True):
+        try:
+            exact_divide(multiplier, d)
+        except DomainError:
+            multiplier = multiplier * d
     cleared = [(entry * Frac(multiplier)).to_coefficient() for entry in vector]
     live = [c for c in cleared if not c.is_zero()]
     if not live:

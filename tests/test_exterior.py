@@ -27,6 +27,8 @@ from gjb.exterior import (
 )
 
 CH = Chart(("a", "b", "c", "u"))
+# t is nonvanishing, so coefficients may carry negative powers of it
+LAURENT_CH = Chart(("a", "b", "c", "t", "u"), frozenset({"t"}))
 
 
 def C(text):
@@ -306,6 +308,49 @@ def test_graded_bracket_degree_zero_rules(rng):
         assert schouten_nijenhuis(G, U) == -form_contraction(dg, U, strict=False)
     with pytest.raises(DegreeError):
         schouten_nijenhuis(MultiVector.from_scalar(C("a")), MultiVector.from_scalar(C("b")))
+
+
+def reference_schouten(U, V):
+    """The graded bracket from decomposable factors, an oracle independent
+    of the odd-variable formula: for term pairs c·X₁∧⋯∧X_p and e·Y₁∧⋯∧Y_q
+    (the coefficient on the first factor) it sums
+    (−1)^{i+j} [X_i, Y_j] ∧ X₁⋯X̂_i⋯∧X_p ∧ Y₁⋯Ŷ_j⋯∧Y_q, with
+    [U, g] = (−1)^{p+1} ι_{dg} U and [g, U] = −ι_{dg} U for a scalar g."""
+    p, q = U.degree, V.degree
+    chart = U.chart
+    if p == 0:
+        dg = exterior_derivative(DiffForm.from_scalar(U.scalar()))
+        return -form_contraction(dg, V)
+    if q == 0:
+        dg = exterior_derivative(DiffForm.from_scalar(V.scalar()))
+        return form_contraction(dg, U).scale((-1) ** (p + 1))
+    one = Coefficient.one(chart)
+    out = MultiVector.zero(chart, p + q - 1)
+    for J, c in U.terms.items():
+        factors_u = [MultiVector(chart, 1, {(idx,): c if k == 0 else one}) for k, idx in enumerate(J)]
+        for K, e in V.terms.items():
+            factors_v = [MultiVector(chart, 1, {(idx,): e if k == 0 else one}) for k, idx in enumerate(K)]
+            for i in range(p):
+                for j in range(q):
+                    piece = vector_bracket(factors_u[i], factors_v[j])
+                    for k in range(p):
+                        if k != i:
+                            piece = wedge(piece, factors_u[k])
+                    for k in range(q):
+                        if k != j:
+                            piece = wedge(piece, factors_v[k])
+                    out = out + piece.scale((-1) ** (i + j))
+    return out
+
+
+def test_graded_bracket_matches_the_decomposable_reference(rng):
+    degrees = [(p, q) for p in range(4) for q in range(4) if (p, q) != (0, 0)]
+    for _ in range(200):
+        p, q = rng.choice(degrees)
+        chart = rng.choice((CH, LAURENT_CH))
+        U = rand_multivector(rng, chart, p, laurent=True)
+        V = rand_multivector(rng, chart, q, laurent=True)
+        assert schouten_nijenhuis(U, V) == reference_schouten(U, V)
 
 
 # -- transport ----------------------------------------------------------------

@@ -604,7 +604,7 @@ def test_dissipated_quantity_on_shell(rng):
     section = hamiltonian_section(CAN, C("p1") * C("x0") + C("s0").scale(Fraction(1, 2)))
     assert dissipated_check(CAN, section, row3.data)
     J = JetSection.for_hamiltonian_section(section)
-    _, solved = _hdw_system(CAN, section, J)
+    _, solved, _ = _hdw_system(CAN, section, J)
     sigma = dissipation_form(CAN, section)
     alpha = row3.data.alpha
     onshell = _top_coefficient(J, J.pull(exterior_derivative(alpha) + wedge(sigma, alpha)))

@@ -289,3 +289,12 @@ def test_reduce_rejects_a_vector_of_the_wrong_length():
     span = rref([[C("1"), C("x")]], CHART)
     with pytest.raises(StructuralError):
         span.reduce([C("1")])
+
+
+def test_cleared_kernel_keeps_no_common_factor():
+    # pivots x + 1 and (x + 1)(y + 1) come before the free column, so the
+    # kernel vector has denominators x + 1 and (x + 1)(y + 1); their
+    # product as the multiplier would leave x + 1 in every entry
+    rows = [[C("x + 1"), C("0"), C("y")], [C("0"), C("(x + 1)*(y + 1)"), C("y")]]
+    assert rref(rows, CHART).generic_only
+    assert nullspace(rows, CHART) == [[C("y^2 + y"), C("y"), C("-x*y - x - y - 1")]]
