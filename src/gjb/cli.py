@@ -103,20 +103,14 @@ def _expect_data(value, label: str) -> ConformalData:
     return value
 
 
-def _expect_form(value, label: str) -> DiffForm:
+def _expect_graded(kind: type, value, label: str):
+    """value as a form or multivector (``kind``); a scalar has degree 0."""
     if isinstance(value, Coefficient):
-        return DiffForm.from_scalar(value)
-    if isinstance(value, DiffForm):
+        return kind.from_scalar(value)
+    if isinstance(value, kind):
         return value
-    raise _UsageError(f"{label} must be a differential form, got {type(value).__name__}")
-
-
-def _expect_multivector(value, label: str) -> MultiVector:
-    if isinstance(value, Coefficient):
-        return MultiVector.from_scalar(value)
-    if isinstance(value, MultiVector):
-        return value
-    raise _UsageError(f"{label} must be a multivector, got {type(value).__name__}")
+    noun = "a differential form" if kind is DiffForm else "a multivector"
+    raise _UsageError(f"{label} must be {noun}, got {type(value).__name__}")
 
 
 def _session_env(session: Session) -> Environment:
@@ -260,8 +254,8 @@ def _cmd_conformal(args) -> int:
     if args.mode == "verify":
         if args.alpha is None or args.x is None or args.v is None:
             raise _UsageError("conformal verify needs --alpha, --x and --v")
-        alpha = _expect_form(_evaluate(env, args.alpha, "--alpha"), "--alpha")
-        x_field = _expect_multivector(_evaluate(env, args.x, "--x"), "--x")
+        alpha = _expect_graded(DiffForm, _evaluate(env, args.alpha, "--alpha"), "--alpha")
+        x_field = _expect_graded(MultiVector, _evaluate(env, args.x, "--x"), "--x")
         v_value = _evaluate(env, args.v, "--v")
         _flush_warnings(env)
         data = make_conformal_data(S, alpha, x_field, v_value)
@@ -269,7 +263,7 @@ def _cmd_conformal(args) -> int:
         # make: solve for the witness from the transformation alone
         if args.x is None:
             raise _UsageError("conformal make needs --x")
-        x_field = _expect_multivector(_evaluate(env, args.x, "--x"), "--x")
+        x_field = _expect_graded(MultiVector, _evaluate(env, args.x, "--x"), "--x")
         _flush_warnings(env)
         witness = verify_conformal(S, x_field)
         if witness is None:
@@ -350,7 +344,7 @@ def _cmd_psi_check(args) -> int:
 def _cmd_sharp(args) -> int:
     session = Session.load(args.session)
     env = _session_env(session)
-    alpha = _expect_form(_evaluate(env, args.expr, "operand"), "operand")
+    alpha = _expect_graded(DiffForm, _evaluate(env, args.expr, "operand"), "operand")
     _flush_warnings(env)
     x_field, factor = sharp_and_reeb(session.structure(), alpha)
     print(f"sharp = {x_field}")
@@ -758,13 +752,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except SessionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ParseError as err:
+    except (_UsageError, SessionError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValidationError as err:

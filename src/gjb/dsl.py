@@ -38,6 +38,7 @@ from typing import Mapping
 from .coeffring import (
     Chart,
     Coefficient,
+    _accumulate,
     Token,
     format_coefficient,
     parse_coefficient,
@@ -630,8 +631,23 @@ def chart_to_json(chart: Chart) -> dict:
     }
 
 
+def _member(payload, key: str, kind: type, what: str):
+    """``payload[key]``, checked to be a ``kind``; malformed input raises
+    StructuralError instead of a KeyError or TypeError."""
+    if not isinstance(payload, dict):
+        raise StructuralError(f"{what} is not a JSON object")
+    value = payload.get(key)
+    if not isinstance(value, kind):
+        raise StructuralError(f"{what} needs a {kind.__name__} {key!r}")
+    return value
+
+
 def chart_from_json(payload: dict) -> Chart:
-    return Chart(tuple(payload["coordinates"]), frozenset(payload.get("nonvanishing", ())))
+    coordinates = _member(payload, "coordinates", list, "a serialized chart")
+    nonvanishing = payload.get("nonvanishing", [])
+    if not isinstance(nonvanishing, list) or not all(isinstance(n, str) for n in coordinates + nonvanishing):
+        raise StructuralError("a serialized chart needs lists of coordinate names")
+    return Chart(tuple(coordinates), frozenset(nonvanishing))
 
 
 def _graded_to_json(obj: DiffForm | MultiVector) -> dict:
@@ -668,37 +684,45 @@ def to_json(obj: Value) -> dict:
     raise StructuralError(f"cannot serialize a {type(obj).__name__}")
 
 
-def _graded_from_json(payload: dict, chart: Chart | None) -> DiffForm | MultiVector:
-    target = chart_from_json(payload["chart"])
+def _chart_of(payload: dict, chart: Chart | None) -> Chart:
+    target = chart_from_json(_member(payload, "chart", dict, "a serialized object"))
     if chart is not None and target != chart:
         raise StructuralError("serialized object lives on a different chart")
-    cls = DiffForm if payload["kind"] == "form" else MultiVector
-    degree = int(payload["degree"])
-    result = cls.zero(target, degree)
-    for term in payload["terms"]:
-        indices = tuple(int(i) for i in term["indices"])
-        if len(indices) != degree or tuple(sorted(set(indices))) != indices:
+    return target
+
+
+def _graded_from_json(payload: dict, chart: Chart | None) -> DiffForm | MultiVector:
+    kind = _member(payload, "kind", str, "a serialized object")
+    if kind not in {"form", "multivector"}:
+        raise StructuralError(f"expected a serialized form or multivector, got kind {kind!r}")
+    target = _chart_of(payload, chart)
+    degree = _member(payload, "degree", int, "a serialized object")
+    pairs = []
+    for term in _member(payload, "terms", list, "a serialized object"):
+        indices = tuple(_member(term, "indices", list, "a serialized term"))
+        integers = all(isinstance(i, int) for i in indices)
+        if not integers or len(indices) != degree or tuple(sorted(set(indices))) != indices:
             raise StructuralError(f"malformed index tuple {indices} for degree {degree}")
         if indices and not (0 <= indices[0] and indices[-1] < target.dimension):
             raise StructuralError(f"index tuple {indices} escapes the chart")
-        coeff = parse_coefficient(target, term["coeff"])
-        single = cls(target, degree, {indices: coeff} if not coeff.is_zero() else {})
-        result = result + single
-    return result
+        pairs.append((indices, parse_coefficient(target, _member(term, "coeff", str, "a serialized term"))))
+    # a repeated index tuple is summed, like the terms of any sum
+    cls = DiffForm if kind == "form" else MultiVector
+    return cls(target, degree, _accumulate(pairs))
 
 
 def object_from_json(payload: dict, chart: Chart | None = None, structure: NFormStructure | None = None) -> Value:
     """Rebuild an expression value; conformal data is re-validated
     against ``structure`` and never trusts the stored stamp."""
-    kind = payload.get("kind")
+    kind = _member(payload, "kind", str, "a serialized value")
     if kind == "coefficient":
-        target = chart_from_json(payload["chart"])
-        if chart is not None and target != chart:
-            raise StructuralError("serialized object lives on a different chart")
-        total = Coefficient.zero(target)
-        for term in payload["terms"]:
-            total = total + parse_coefficient(target, term["coeff"])
-        return total
+        target = _chart_of(payload, chart)
+        pairs = (
+            pair
+            for term in _member(payload, "terms", list, "a serialized object")
+            for pair in parse_coefficient(target, _member(term, "coeff", str, "a serialized term")).terms.items()
+        )
+        return Coefficient(target, _accumulate(pairs))
     if kind in {"form", "multivector"}:
         return _graded_from_json(payload, chart)
     if kind == "conformal-data":
@@ -706,10 +730,8 @@ def object_from_json(payload: dict, chart: Chart | None = None, structure: NForm
             raise StructuralError("conformal data needs a structure to re-validate against")
         from .structures import make_conformal_data
 
-        alpha = _graded_from_json(payload["alpha"], structure.chart)
-        x_field = _graded_from_json(payload["x_field"], structure.chart)
-        v_field = _graded_from_json(payload["v_field"], structure.chart)
-        return make_conformal_data(structure, alpha, x_field, v_field)
+        parts = (_graded_from_json(payload.get(part), structure.chart) for part in ("alpha", "x_field", "v_field"))
+        return make_conformal_data(structure, *parts)
     raise StructuralError(f"unknown serialized kind {kind!r}")
 
 

@@ -44,7 +44,8 @@ from .structures import (
     ConformalData,
     NFormStructure,
     _contraction_columns,
-    _index_tuples,
+    _coordinates,
+    _from_coordinates,
     is_multicontact,
     jacobi_bracket,
     make_conformal_data,
@@ -157,19 +158,12 @@ class CanonicalStructure(NFormStructure):
         return [MultiVector.basis_vector(self.chart, s) for s in self.s_names]
 
 
-def _field_rows(fields: Sequence[MultiVector], chart: Chart) -> list[list[Coefficient]]:
-    return [
-        [f.terms.get((j,), Coefficient.zero(chart)) for j in range(chart.dimension)]
-        for f in fields
-    ]
-
-
 def _in_span(vector: Sequence[Coefficient], span: RrefResult) -> bool:
     return all(entry.is_zero() for entry in span.reduce(vector))
 
 
 def _same_span(a: Sequence[MultiVector], b: Sequence[MultiVector], chart: Chart) -> bool:
-    rows_a, rows_b = _field_rows(a, chart), _field_rows(b, chart)
+    rows_a, rows_b = [_coordinates(u) for u in a], [_coordinates(u) for u in b]
     span_b = rref(rows_b, chart)
     if not all(_in_span(r, span_b) for r in rows_a):
         return False
@@ -203,11 +197,8 @@ def build_canonical(spec: PhaseSpaceSpec | int, m: int | None = None, parameters
     for i in range(m_):
         terms = {(chart.index(S.y_names[i]),): Coefficient.one(chart)}
         for mu in range(n):
-            terms[(chart.index(S.momentum_name(mu, i)),)] = Coefficient.zero(chart)
             terms[(chart.index(S.s_names[mu]),)] = S.coordinate(S.momentum_name(mu, i))
-        expected_theta_kernel.append(
-            MultiVector(chart, 1, {k: v for k, v in terms.items() if not v.is_zero()})
-        )
+        expected_theta_kernel.append(MultiVector(chart, 1, terms))
     for name in (S.p_name,) + S.momentum_names:
         expected_theta_kernel.append(MultiVector.basis_vector(chart, name))
     if not _same_span(S.kernel(1, "theta"), expected_theta_kernel, chart):
@@ -485,16 +476,15 @@ def refined_reeb(S: NFormStructure) -> RefinedReeb:
     basis = _reeb_kernel_basis(S)
     if not basis:
         raise DomainError("the degree-1 kernel of dTheta is trivial; no Reeb directions exist")
-    keys = _index_tuples(chart, n - 1)
     # column J pairs ∂_J with every Reeb direction: ι_{∂_J}ι_{R_i}Θ for each i
-    columns = list(zip(*(_contraction_columns(interior_product(R, S.theta), n - 1)[1] for R in basis)))
+    columns = _contraction_columns([interior_product(R, S.theta) for R in basis], n - 1)
     pairs = []
     for j, R in enumerate(basis):
         deltas = [DiffForm.from_scalar(Coefficient.constant(chart, 1 if i == j else 0)) for i in range(len(basis))]
         solved = solve_by_contraction(columns, deltas)
         if solved is None:
             raise DomainError("the Reeb directions do not admit dual multivectors")
-        pairs.append((R, MultiVector(chart, n - 1, dict(zip(keys, solved[0])))))
+        pairs.append((R, _from_coordinates(MultiVector, chart, n - 1, solved[0])))
     reeb = RefinedReeb(S, tuple(pairs))
     rep = reeb.representative
     if interior_product(rep, S.theta).scalar() != Coefficient.one(chart):
@@ -504,15 +494,9 @@ def refined_reeb(S: NFormStructure) -> RefinedReeb:
     return reeb
 
 
-def _flat_image_span(S: NFormStructure, basis: Sequence[MultiVector]) -> tuple[list[tuple[int, ...]], RrefResult]:
-    """The (n-1)-form keys and the eliminated span of the forms iota_R Theta."""
-    chart, n = S.chart, S.degree
-    keys = _index_tuples(chart, n - 1)
-    rows = []
-    for R in basis:
-        a = interior_product(R, S.theta)
-        rows.append([a.terms.get(I, Coefficient.zero(chart)) for I in keys])
-    return keys, rref(rows, chart)
+def _flat_image_span(S: NFormStructure, basis: Sequence[MultiVector]) -> RrefResult:
+    """The eliminated span of the forms iota_R Theta."""
+    return rref([_coordinates(interior_product(R, S.theta)) for R in basis], S.chart)
 
 
 def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
@@ -523,14 +507,12 @@ def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
         raise StructuralError("h does not live on the structure chart")
     if h.degree != S.degree:
         raise DegreeError(f"h must be an {S.degree}-form, got degree {h.degree}")
-    basis = _reeb_kernel_basis(S)
-    keys, span = _flat_image_span(S, basis)
+    span = _flat_image_span(S, _reeb_kernel_basis(S))
     for name in chart.coordinates:
         if isinstance(S, CanonicalStructure) and name in S.parameters:
             continue
         contraction = interior_product(MultiVector.basis_vector(chart, name), h)
-        vec = [contraction.terms.get(I, Coefficient.zero(chart)) for I in keys]
-        if not _in_span(vec, span):
+        if not _in_span(_coordinates(contraction), span):
             return CheckReport(False, witness=name, details=f"iota along {name} leaves the image of the flat map")
     return CheckReport(True)
 
@@ -807,19 +789,13 @@ def _hdw_system(
                     eq = eq + entries[pos] * Coefficient.coordinate(chart, col)
             emitted.append(eq)
             if c < len(columns):
-                image = -entries[-1]
-                for pos, col in enumerate(columns):
-                    if pos != c and not entries[pos].is_zero():
-                        image = image - entries[pos] * Coefficient.coordinate(chart, col)
-                solved[columns[c]] = image
+                # rref scales every pivot to 1, so eq is the head plus the rest
+                solved[columns[c]] = Coefficient.coordinate(chart, columns[c]) - eq
 
-    if leftovers:
-        images = {name: Coefficient.coordinate(chart, name) for name in chart.coordinates}
-        images.update(solved)
-        for eq in leftovers:
-            reduced = eq.substitute(images, chart)
-            if not reduced.is_zero():
-                emitted.append(reduced)
+    for eq in leftovers:
+        reduced = _hdw_reduce(jet, solved, eq)
+        if not reduced.is_zero():
+            emitted.append(reduced)
     return emitted, solved, sigma
 
 
@@ -928,15 +904,11 @@ def variational_check(S: NFormStructure) -> CheckReport:
     return CheckReport(True)
 
 
-def _mod_flat_representative(S: NFormStructure, omega: DiffForm, keys, span: RrefResult) -> DiffForm:
-    chart = S.chart
-    vec = [omega.terms.get(I, Coefficient.zero(chart)) for I in keys]
-    reduced = span.reduce(vec)
-    terms = {}
-    for I, entry in zip(keys, reduced):
-        if not entry.is_zero():
-            terms[I] = entry.to_coefficient()
-    return DiffForm(chart, S.degree - 1, terms)
+def _mod_flat_representative(S: NFormStructure, omega: DiffForm, span: RrefResult) -> DiffForm:
+    zero = Coefficient.zero(S.chart)
+    reduced = span.reduce(_coordinates(omega))
+    values = [zero if entry.is_zero() else entry.to_coefficient() for entry in reduced]
+    return _from_coordinates(DiffForm, S.chart, omega.degree, values)
 
 
 def distortion(S: NFormStructure) -> tuple[dict[tuple[int, int], DiffForm], bool]:
@@ -950,12 +922,12 @@ def distortion(S: NFormStructure) -> tuple[dict[tuple[int, int], DiffForm], bool
     if not report.ok:
         raise DomainError(f"distortion is only defined on variational structures: {report.details}")
     basis = _reeb_kernel_basis(S)
-    keys, span = _flat_image_span(S, basis)
+    span = _flat_image_span(S, basis)
     table: dict[tuple[int, int], DiffForm] = {}
     for i, R in enumerate(basis):
         for j, Rp in enumerate(basis):
             raw = interior_product(R, exterior_derivative(interior_product(Rp, S.theta)))
-            table[(i, j)] = _mod_flat_representative(S, raw, keys, span)
+            table[(i, j)] = _mod_flat_representative(S, raw, span)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if table[(i, j)] != table[(j, i)]:
@@ -979,6 +951,4 @@ def gamma_obstruction(S: NFormStructure, h: DiffForm, R: MultiVector, v: MultiVe
     raw = lie_derivative(R, interior_product(v, h)) - interior_product(
         v, exterior_derivative(interior_product(R, h))
     )
-    basis = _reeb_kernel_basis(S)
-    keys, span = _flat_image_span(S, basis)
-    return _mod_flat_representative(S, raw, keys, span)
+    return _mod_flat_representative(S, raw, _flat_image_span(S, _reeb_kernel_basis(S)))

@@ -43,6 +43,14 @@ class SessionError(GjbError):
     """A session file is missing, malformed, or incompatible."""
 
 
+def _read(label: str, reader, payload, **context):
+    """``reader(payload)``, refusing a malformed payload as a SessionError."""
+    try:
+        return reader(payload, **context)
+    except StructuralError as err:
+        raise SessionError(f"malformed session file: {label}: {err}") from err
+
+
 @dataclass
 class Session:
     chart: Chart
@@ -121,20 +129,20 @@ class Session:
             raise SessionError(
                 f"unsupported session schema {schema!r}; this build reads {SCHEMA!r}"
             )
-        chart = chart_from_json(payload["chart"])
+        bindings = payload.get("bindings", {})
+        if not isinstance(bindings, dict):
+            raise SessionError("the session bindings are not a JSON object")
+        chart = _read("chart", chart_from_json, payload.get("chart"))
         session = cls(chart=chart)
         if payload.get("theta") is not None:
-            theta = object_from_json(payload["theta"], chart=chart)
+            theta = _read("theta", object_from_json, payload["theta"], chart=chart)
             if not isinstance(theta, DiffForm):
                 raise SessionError("the stored structure form is not a form")
             session.theta = theta
         structure = session.structure() if session.theta is not None else None
-        for name, entry in payload.get("bindings", {}).items():
-            if entry.get("kind") == "conformal-data" and structure is None:
-                raise SessionError(
-                    f"binding {name!r} holds conformal data but the session has no structure form"
-                )
-            session.bindings[name] = object_from_json(entry, chart=chart, structure=structure)
+        for name, entry in bindings.items():
+            # object_from_json refuses conformal data when there is no structure form
+            session.bindings[name] = _read(f"binding {name!r}", object_from_json, entry, chart=chart, structure=structure)
         return session
 
     @classmethod

@@ -47,6 +47,8 @@ from .structures import (
     ConformalData,
     NFormStructure,
     _basis_multivector,
+    _coordinates,
+    _from_coordinates,
     _index_tuples,
     jacobi_bracket,
     solve_by_contraction,
@@ -114,12 +116,8 @@ class QuotientMultiVector:
                 raise StructuralError("modulus entries must match the representative's chart and degree")
         self.representative = representative
         self.modulus = tuple(modulus)
-        chart = representative.chart
-        keys = _index_tuples(chart, representative.degree)
-        zero = Coefficient.zero(chart)
-        basis_rows = [[u.terms.get(J, zero) for J in keys] for u in self.modulus]
-        vector = [representative.terms.get(J, zero) for J in keys]
-        self._normal = reduce_mod_span(vector, basis_rows, chart)
+        basis_rows = [_coordinates(u) for u in self.modulus]
+        self._normal = reduce_mod_span(_coordinates(representative), basis_rows, representative.chart)
 
     @property
     def chart(self):
@@ -183,7 +181,7 @@ def _decompositions(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None
         if solved is None:
             continue
         values, unique = solved
-        x = MultiVector(S.chart, 1, {(j,): values[j] for j in range(S.chart.dimension)})
+        x = _from_coordinates(MultiVector, S.chart, 1, values[:-1])
         dec = ZDecomposition(S, alpha, u, x, values[-1], unique=unique)
         found.append(dec.verify())
         if len(found) >= limit:

@@ -16,10 +16,19 @@ with witnesses [X_α, X_β] and [X_α, V_β] − (−1)^{(p−1)(q−1)} [X_β, 
 the cup product is α∨β = −ι_{X_α∧X_β}Θ = ι_{X_β}α.  Every constructor
 re-validates its output, so identities downstream are checked claims, not
 assumptions.
+
+Linear problems see a degree-p form or multivector in one coordinate
+format, its coefficients along _index_tuples(chart, p) (_coordinates and
+its inverse _from_coordinates).  Kernels and solves share one stacked
+contraction system: _contraction_columns pairs each basis multivector ∂_J
+with the contractions ι_{∂_J}ω of every equation form ω, and _stacked_rows
+lays them out; kernels take its nullspace, and solve_by_contraction, the
+only caller of solve_affine, adds the targets as right-hand side.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,32 +73,58 @@ class CheckReport:
         return self.ok
 
 
-def _index_tuples(chart: Chart, p: int) -> list[tuple[int, ...]]:
-    if p < 0:
-        return []
-    return list(itertools.combinations(range(chart.dimension), p))
+@functools.lru_cache(maxsize=64)
+def _index_tuples(chart: Chart, p: int) -> tuple[tuple[int, ...], ...]:
+    """The keys of the degree-p terms on the chart, in lexicographic order
+    (none for negative p); cached, since every coordinate vector reads them."""
+    return tuple(itertools.combinations(range(chart.dimension), p)) if p >= 0 else ()
+
+
+def _coordinates(obj: DiffForm | MultiVector) -> list[Coefficient]:
+    """The coefficients of a form or multivector along
+    _index_tuples(chart, degree): the coordinate format of every linear
+    system in the package."""
+    zero = Coefficient.zero(obj.chart)
+    return [obj.terms.get(key, zero) for key in _index_tuples(obj.chart, obj.degree)]
+
+
+def _from_coordinates(kind: type, chart: Chart, degree: int, values: Sequence[Coefficient]):
+    """The form or multivector (``kind``) of the given chart and degree
+    whose coordinates are ``values``; the inverse of _coordinates."""
+    keys = _index_tuples(chart, degree)
+    return kind(chart, degree, {key: c for key, c in zip(keys, values, strict=True) if not c.is_zero()})
 
 
 def _basis_multivector(chart: Chart, key: tuple[int, ...]) -> MultiVector:
     return MultiVector(chart, len(key), {key: Coefficient.one(chart)})
 
 
-def _contraction_columns(omega: DiffForm, p: int) -> tuple[list[tuple[int, ...]], list[DiffForm]]:
-    """For every degree-p basis multivector ∂_J, the form ι_{∂_J}ω."""
-    keys = _index_tuples(omega.chart, p)
-    return keys, [interior_product(_basis_multivector(omega.chart, J), omega, strict=False) for J in keys]
+def _contraction_columns(forms: Sequence[DiffForm], p: int) -> list[tuple[DiffForm, ...]]:
+    """For every degree-p basis multivector ∂_J, in _index_tuples order,
+    the forms ι_{∂_J}ω for each ω of ``forms``: one column of the stacked
+    system whose unknowns are the coordinates of a p-multivector."""
+    chart = forms[0].chart
+    return [
+        tuple(interior_product(_basis_multivector(chart, J), omega, strict=False) for omega in forms)
+        for J in _index_tuples(chart, p)
+    ]
 
 
-def _forms_to_matrix(forms: Sequence[DiffForm], degree: int, chart: Chart) -> list[list[Coefficient]]:
-    """Rows = coefficients of each degree-`degree` index tuple, columns =
-    the given forms; fixed row order makes elimination reproducible."""
-    for f in forms:
-        if f.degree != degree:
-            raise DegreeError(f"a degree-{f.degree} form among degree-{degree} columns")
-    rows = []
-    for I in _index_tuples(chart, degree):
-        rows.append([f.terms.get(I, Coefficient.zero(chart)) for f in forms])
-    return rows
+def _stacked_rows(columns: Sequence[Sequence[DiffForm]], degrees: Sequence[int], chart: Chart) -> list[list[Coefficient]]:
+    """The matrix of Σ_k c_k·columns[k][e]: for each equation e in turn, one
+    row per degree-``degrees[e]`` index tuple; fixed row order makes
+    elimination reproducible."""
+    rows: list[list[Coefficient]] = []
+    for e, degree in enumerate(degrees):
+        forms = [column[e] for column in columns]
+        for f in forms:
+            if f.degree != degree:
+                raise DegreeError(f"a degree-{f.degree} form among degree-{degree} columns")
+        entries = [_coordinates(f) for f in forms]
+        rows += ([entry[i] for entry in entries] for i in range(len(_index_tuples(chart, degree))))
+    # when every equation sits in a zero space there are no rows; one zero
+    # row keeps the column count, so every unknown stays free
+    return rows or [[Coefficient.zero(chart)] * len(columns)]
 
 
 def solve_by_contraction(
@@ -99,17 +134,8 @@ def solve_by_contraction(
     equation e, and whether they are unique; None when the stacked system
     is inconsistent or its solution leaves the Laurent ring."""
     chart = targets[0].chart
-    zero = Coefficient.zero(chart)
-    rows: list[list[Coefficient]] = []
-    rhs: list[Coefficient] = []
-    for e, target in enumerate(targets):
-        rows += _forms_to_matrix([column[e] for column in columns], target.degree, chart)
-        rhs += [target.terms.get(I, zero) for I in _index_tuples(chart, target.degree)]
-    if not rows:
-        # every equation sits in a zero space: one zero row keeps the
-        # column count, so every unknown stays free
-        rows, rhs = [[zero] * len(columns)], [zero]
-    solution = solve_affine(rows, rhs, chart)
+    augmented = _stacked_rows([*columns, targets], [t.degree for t in targets], chart)
+    solution = solve_affine([row[:-1] for row in augmented], [row[-1] for row in augmented], chart)
     if solution.particular is None:
         return None
     try:
@@ -140,31 +166,19 @@ class NFormStructure:
         if which not in {"theta", "dtheta", "both"}:
             raise StructuralError(f"unknown kernel target {which!r}")
         if (p, which) not in self._kernels:
-            self._kernels[(p, which)] = self._compute_kernel(p, which)
+            targets = {"theta": [self.theta], "dtheta": [self.dtheta], "both": [self.theta, self.dtheta]}
+            self._kernels[(p, which)] = self._compute_kernel(p, targets[which])
         return self._kernels[(p, which)]
 
-    def _compute_kernel(self, p: int, which: str) -> list[MultiVector]:
+    def _compute_kernel(self, p: int, targets: Sequence[DiffForm]) -> list[MultiVector]:
+        """A basis of the degree-p multivectors annihilating every target."""
         if p < 1 or p > self.chart.dimension:
             raise DegreeError(f"kernel degree {p} out of range")
-        keys = _index_tuples(self.chart, p)
-        rows: list[list[Coefficient]] = []
-        if which in {"theta", "both"}:
-            _, cols = _contraction_columns(self.theta, p)
-            rows += _forms_to_matrix(cols, self.degree - p, self.chart)
-        if which in {"dtheta", "both"}:
-            _, cols = _contraction_columns(self.dtheta, p)
-            rows += _forms_to_matrix(cols, self.degree + 1 - p, self.chart)
-        # above the top degree there are no rows; one zero row keeps the
-        # column count, so every key is free
-        vectors = nullspace(rows or [[Coefficient.zero(self.chart)] * len(keys)], self.chart)
-        out = []
-        for vec in vectors:
-            terms = {J: c for J, c in zip(keys, vec) if not c.is_zero()}
-            out.append(MultiVector(self.chart, p, terms))
+        rows = _stacked_rows(_contraction_columns(targets, p), [t.degree - p for t in targets], self.chart)
+        out = [_from_coordinates(MultiVector, self.chart, p, vec) for vec in nullspace(rows, self.chart)]
         # kernels must re-verify by contraction; elimination bugs die here
-        target = {"theta": [self.theta], "dtheta": [self.dtheta], "both": [self.theta, self.dtheta]}
         for u in out:
-            for t in target[which]:
+            for t in targets:
                 if not interior_product(u, t, strict=False).is_zero():
                     raise ValidationError(f"kernel candidate {u} fails to annihilate the target")
         return out
@@ -278,11 +292,10 @@ def verify_conformal(S: NFormStructure, X: MultiVector) -> MultiVector | None:
     p = X.degree
     if p < 1:
         raise DegreeError("conformal candidates must have degree at least 1")
-    keys, cols = _contraction_columns(S.theta, p - 1)
-    solved = solve_by_contraction([(c,) for c in cols], [lie_derivative(X, S.theta)])
+    solved = solve_by_contraction(_contraction_columns([S.theta], p - 1), [lie_derivative(X, S.theta)])
     if solved is None:
         return None
-    return MultiVector(S.chart, p - 1, dict(zip(keys, solved[0])))
+    return _from_coordinates(MultiVector, S.chart, p - 1, solved[0])
 
 
 def jacobi_bracket(a: ConformalData, b: ConformalData) -> ConformalData:
@@ -342,8 +355,7 @@ def ms_hamiltonian_pair(omega: DiffForm, alpha: DiffForm) -> MultiVector | None:
         raise DegreeError(
             f"no multivector degree matches: form degree {alpha.degree} against ambient degree {omega.degree}"
         )
-    keys, cols = _contraction_columns(omega, p)
-    solved = solve_by_contraction([(c,) for c in cols], [target])
+    solved = solve_by_contraction(_contraction_columns([omega], p), [target])
     if solved is None:
         return None
-    return MultiVector(omega.chart, p, dict(zip(keys, solved[0])))
+    return _from_coordinates(MultiVector, omega.chart, p, solved[0])

@@ -581,6 +581,37 @@ class TestErrorPaths:
         code, _, err = run(capsys, "check", "multicontact", "-s", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"schema": "gjb-session/1"},
+            {
+                "schema": "gjb-session/1",
+                "chart": {"coordinates": ["q", "p", "z"], "nonvanishing": []},
+                "theta": None,
+                "bindings": {"a": 3},
+            },
+            {
+                "schema": "gjb-session/1",
+                "chart": {"coordinates": ["q", "p", "z"], "nonvanishing": []},
+                "theta": {
+                    "kind": "form",
+                    "degree": 1,
+                    "chart": {"coordinates": ["q", "p", "z"], "nonvanishing": []},
+                },
+            },
+        ],
+        ids=["no-chart", "binding-not-an-object", "theta-without-terms"],
+    )
+    def test_malformed_session_file_is_a_usage_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "kernel", "-s", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_syntax_error_reports_position(self, canonical_session, capsys):
         code, _, err = run(capsys, "render", "d(x0", "-s", canonical_session)
         assert code == 2

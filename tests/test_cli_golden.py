@@ -1,0 +1,135 @@
+"""The command-line interface prints exactly its golden output.
+
+Every command of ``COMMANDS`` runs in-process through ``gjb.cli.main``.
+Its exit code, stdout and stderr are compared byte for byte with
+``golden/cli/<name>.exit``, ``.stdout`` and ``.stderr``.  Session
+commands read fresh session files that ``chart new`` and ``theta set``
+build in a temporary directory; the session path is replaced by
+``<session>`` before comparing.
+
+After an intended output change, rewrite the golden files with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from gjb.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+
+# session name -> the commands that create it (each gets ``-s <path>``)
+SESSIONS = {
+    "contact": [["chart", "new", "--coordinates", "q,p,z"], ["theta", "set", "d(z) - p*d(q)"]],
+    "canonical": [["chart", "new", "--canonical", "2,1"]],
+    "laurent": [
+        ["chart", "new", "--coordinates", "q,p,z", "--nonvanishing", "z"],
+        ["theta", "set", "z*d(z) - p*z^-1*d(q)"],
+    ],
+    "degenerate": [["chart", "new", "--coordinates", "q,p,z"], ["theta", "set", "d(q)"]],
+}
+
+H21 = "1/2*p0^2 + 1/2*p1^2 + 3*s0"
+H31 = "1/2*p0^2 + 1/2*p1^2 + 1/2*p2^2 + 3*s0 + y*s1"
+
+
+def _commands():
+    out = []
+    for session in ("contact", "canonical", "laurent"):
+        for degree in ("1", "2"):
+            for which in ("theta", "dtheta", "both"):
+                argv = ["kernel", "--degree", degree, "--which", which]
+                out.append((f"kernel_{session}_{degree}_{which}", session, argv))
+    out += [
+        ("kernel_contact_3_both", "contact", ["kernel", "--degree", "3", "--which", "both"]),
+        ("kernel_contact_4_theta", "contact", ["kernel", "--degree", "4"]),
+        ("check_contact", "contact", ["check", "multicontact"]),
+        ("check_canonical", "canonical", ["check", "multicontact"]),
+        ("check_laurent", "laurent", ["check", "multicontact"]),
+        ("check_degenerate", "degenerate", ["check", "multicontact"]),
+        ("sharp_contact", "contact", ["sharp", "d(z)"]),
+        ("sharp_canonical", "canonical", ["sharp", "d(y)^d(x1)"]),
+        ("sharp_canonical_volume", "canonical", ["sharp", "p*d(x0)^d(x1)"]),
+        ("sharp_wrong_degree", "contact", ["sharp", "d(q)^d(p)"]),
+        ("conformal_make_contact_reeb", "contact", ["conformal", "make", "--x", "e_z"]),
+        ("conformal_make_contact_scaling", "contact", ["conformal", "make", "--x", "q*e_q + z*e_z"]),
+        ("conformal_make_canonical", "canonical", ["conformal", "make", "--x", "e_s0", "--format", "json"]),
+        ("conformal_make_canonical_no", "canonical", ["conformal", "make", "--x", "e_y + p0*e_s0 + p1*e_s1"]),
+        ("conformal_make_laurent", "laurent", ["conformal", "make", "--x", "z*e_z"]),
+        ("render_contact_json", "contact", ["render", "d(z) - p*d(q)", "--format", "json"]),
+        ("render_canonical_json", "canonical", ["render", "y*e_y + s0*e_p0", "--format", "json"]),
+        ("render_laurent_json", "laurent", ["render", "z^-2*q*d(p)", "--format", "json"]),
+    ]
+    for n, m, H in (("2", "1", H21), ("3", "1", H31)):
+        size = ["--n", n, "--m", m]
+        out += [
+            (f"tables_{n}{m}", None, ["tables", *size]),
+            (f"hdw_{n}{m}_json", None, ["hdw", *size, "--H", H, "--format", "json"]),
+            (f"distortion_{n}{m}", None, ["distortion", *size]),
+        ]
+    return out
+
+
+COMMANDS = _commands()
+
+
+def _run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _make_sessions(directory: Path) -> dict:
+    paths = {}
+    for name, setup in SESSIONS.items():
+        path = str(directory / f"{name}.json")
+        for argv in setup:
+            code, _, err = _run(argv + ["-s", path])
+            if code != 0:
+                raise RuntimeError(f"session {name!r} setup failed: {err}")
+        paths[name] = path
+    return paths
+
+
+def _output(argv, session, paths):
+    path = paths.get(session)
+    if path is not None:
+        argv = argv + ["-s", path]
+    code, out, err = _run(argv)
+    if path is not None:
+        out, err = out.replace(path, "<session>"), err.replace(path, "<session>")
+    return code, out, err
+
+
+@pytest.fixture(scope="module")
+def sessions(tmp_path_factory):
+    return _make_sessions(tmp_path_factory.mktemp("cli-golden"))
+
+
+@pytest.mark.parametrize("name,session,argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_cli_output_is_golden(name, session, argv, sessions):
+    code, out, err = _output(argv, session, sessions)
+    assert out == (GOLDEN / f"{name}.stdout").read_text()
+    assert err == (GOLDEN / f"{name}.stderr").read_text()
+    assert code == int((GOLDEN / f"{name}.exit").read_text())
+
+
+def _write_golden() -> None:
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _make_sessions(Path(tmp))
+        for name, session, argv in COMMANDS:
+            code, out, err = _output(argv, session, paths)
+            (GOLDEN / f"{name}.stdout").write_text(out)
+            (GOLDEN / f"{name}.stderr").write_text(err)
+            (GOLDEN / f"{name}.exit").write_text(f"{code}\n")
+
+
+if __name__ == "__main__":
+    _write_golden()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gjb.coeffring import Chart, Coefficient
+from gjb.coeffring import Chart, Coefficient, parse_coefficient
 from gjb.dsl import (
     Environment,
     elaborate,
@@ -318,6 +318,23 @@ def test_json_terms_accepted_in_any_order():
     payload = to_json(form)
     payload["terms"] = list(reversed(payload["terms"]))
     assert object_from_json(payload, chart=CAN.chart) == form
+
+
+def test_json_sums_repeated_terms_and_drops_cancelled_ones():
+    scalar = lambda text: parse_coefficient(CAN.chart, text)
+    form = DiffForm.differential(CAN.chart, "x0").scale(C("s0")) + DiffForm.differential(CAN.chart, "x1")
+    payload = to_json(form)
+    payload["terms"].append({"indices": [0], "coeff": "2 - s0"})
+    payload["terms"].append({"indices": [1], "coeff": "-1"})
+    assert object_from_json(payload, chart=CAN.chart) == DiffForm.differential(CAN.chart, "x0").scale(2)
+    vector = to_json(MultiVector.basis_vector(CAN.chart, "y"))
+    vector["terms"].append({"indices": [2], "coeff": "-1"})
+    assert object_from_json(vector, chart=CAN.chart) == MultiVector.zero(CAN.chart, 1)
+    payload = to_json(scalar("s0 + 1"))
+    payload["terms"].append({"indices": [], "coeff": "1 - s0"})
+    assert object_from_json(payload, chart=CAN.chart) == scalar("2")
+    payload["terms"].append({"indices": [], "coeff": "-2"})
+    assert object_from_json(payload, chart=CAN.chart) == Coefficient.zero(CAN.chart)
 
 
 def test_json_rejects_malformed_indices():

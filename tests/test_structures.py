@@ -7,14 +7,15 @@ with Θ = dz − p·dq, and a five-dimensional chart with
 potentials Φ(s1, s2) via X_Φ = Φ_{s2}∂_{s1} − Φ_{s1}∂_{s2}, α = −dΦ.
 """
 
+import itertools
 import random
 
 import pytest
 
-from conftest import SEED, rand_coefficient
+from conftest import SEED, rand_coefficient, rand_form, rand_multivector
 from gjb.coeffring import Chart, Coefficient, parse_coefficient
-from gjb.errors import DegreeError, StructuralError, ValidationError
-from gjb.linalg import AffineSolution
+from gjb.errors import DegreeError, DomainError, StructuralError, ValidationError
+from gjb.linalg import AffineSolution, nullspace, solve_affine
 from gjb.exterior import (
     DiffForm,
     MultiVector,
@@ -33,6 +34,11 @@ from gjb.structures import (
     make_conformal_data,
     ms_hamiltonian_pair,
     verify_conformal,
+    _contraction_columns,
+    _coordinates,
+    _from_coordinates,
+    _stacked_rows,
+    solve_by_contraction,
 )
 
 CONTACT = Chart(("q", "p", "z"))
@@ -407,3 +413,128 @@ def test_ms_hamiltonian_pair_requires_closed_form():
     )
     with pytest.raises(ValidationError):
         ms_hamiltonian_pair(omega, DiffForm.from_scalar(Coefficient.coordinate(chart, "x")))
+
+
+# -- the coordinate format and the stacked contraction system ----------------
+#
+# The reference below is the column-by-column construction the stacked
+# system replaced: per-form contraction columns, a per-form matrix of
+# coefficients, and per-target stacking of the kernel rows.
+
+LAURENT = Chart(("q", "p", "z", "t"), frozenset({"t"}))
+
+
+def reference_index_tuples(chart, p):
+    return list(itertools.combinations(range(chart.dimension), p)) if p >= 0 else []
+
+
+def reference_columns(omega, p):
+    """For every degree-p basis multivector ∂_J, the form ι_{∂_J}ω."""
+    one = Coefficient.one(omega.chart)
+    return [
+        interior_product(MultiVector(omega.chart, p, {J: one}), omega, strict=False)
+        for J in reference_index_tuples(omega.chart, p)
+    ]
+
+
+def reference_forms_to_matrix(forms, degree, chart):
+    for f in forms:
+        if f.degree != degree:
+            raise DegreeError(f"a degree-{f.degree} form among degree-{degree} columns")
+    return [[f.terms.get(I, Coefficient.zero(chart)) for f in forms] for I in reference_index_tuples(chart, degree)]
+
+
+def reference_kernel_rows(S, p, which):
+    rows = []
+    if which in {"theta", "both"}:
+        rows += reference_forms_to_matrix(reference_columns(S.theta, p), S.degree - p, S.chart)
+    if which in {"dtheta", "both"}:
+        rows += reference_forms_to_matrix(reference_columns(S.dtheta, p), S.degree + 1 - p, S.chart)
+    return rows or [[Coefficient.zero(S.chart)] * len(reference_index_tuples(S.chart, p))]
+
+
+def reference_kernel(S, p, which):
+    keys = reference_index_tuples(S.chart, p)
+    return [
+        MultiVector(S.chart, p, {J: c for J, c in zip(keys, vec) if not c.is_zero()})
+        for vec in nullspace(reference_kernel_rows(S, p, which), S.chart)
+    ]
+
+
+def reference_solve(columns, targets):
+    chart = targets[0].chart
+    zero = Coefficient.zero(chart)
+    rows, rhs = [], []
+    for e, target in enumerate(targets):
+        rows += reference_forms_to_matrix([column[e] for column in columns], target.degree, chart)
+        rhs += [target.terms.get(I, zero) for I in reference_index_tuples(chart, target.degree)]
+    if not rows:
+        rows, rhs = [[zero] * len(columns)], [zero]
+    solution = solve_affine(rows, rhs, chart)
+    if solution.particular is None:
+        return None
+    try:
+        values = solution.coefficient_solution()
+    except DomainError:
+        return None
+    return values, solution.nullity == 0
+
+
+def random_structure(rng):
+    while True:
+        theta = rand_form(rng, LAURENT, rng.randint(1, 3), max_terms=3, max_degree=1, laurent=True)
+        if not theta.is_zero():
+            return NFormStructure(LAURENT, theta)
+
+
+def test_coordinates_round_trip_at_every_degree(rng):
+    for degree in range(-1, LAURENT.dimension + 2):
+        keys = reference_index_tuples(LAURENT, degree)
+        for kind, make in ((DiffForm, rand_form), (MultiVector, rand_multivector)):
+            for _ in range(6):
+                if keys:
+                    obj = make(rng, LAURENT, degree, max_terms=4, laurent=True)
+                else:
+                    obj = kind.zero(LAURENT, degree)
+                values = _coordinates(obj)
+                assert values == [obj.terms.get(I, Coefficient.zero(LAURENT)) for I in keys]
+                back = _from_coordinates(kind, LAURENT, degree, values)
+                assert type(back) is kind and back == obj
+
+
+def test_stacked_rows_and_kernels_match_the_column_reference(rng):
+    for _ in range(8):
+        S = random_structure(rng)
+        targets = {"theta": [S.theta], "dtheta": [S.dtheta], "both": [S.theta, S.dtheta]}
+        for p in range(1, LAURENT.dimension + 1):
+            columns = _contraction_columns([S.theta], p)
+            assert [column[0] for column in columns] == reference_columns(S.theta, p)
+            for which, forms in targets.items():
+                rows = _stacked_rows(_contraction_columns(forms, p), [f.degree - p for f in forms], S.chart)
+                assert rows == reference_kernel_rows(S, p, which)
+                assert kernel_basis(S, p, which) == reference_kernel(S, p, which)
+
+
+def test_stacked_solves_match_the_column_reference(rng):
+    for _ in range(8):
+        S = random_structure(rng)
+        for p in range(0, S.degree + 1):
+            U = rand_multivector(rng, LAURENT, p, max_terms=2, laurent=True)
+            # a consistent system, one that may be inconsistent, and the
+            # same unknowns against Θ and dΘ at once
+            for forms, targets in (
+                ([S.theta], [interior_product(U, S.theta, strict=False)]),
+                ([S.theta], [rand_form(rng, LAURENT, S.degree - p, laurent=True)]),
+                ([S.theta, S.dtheta], [interior_product(U, S.theta), interior_product(U, S.dtheta)]),
+            ):
+                reference = list(zip(*(reference_columns(f, p) for f in forms)))
+                assert solve_by_contraction(_contraction_columns(forms, p), targets) == reference_solve(
+                    reference, targets
+                )
+
+
+def test_stacked_rows_refuse_a_column_of_the_wrong_degree():
+    S = contact_structure()
+    columns = _contraction_columns([S.theta], 1)
+    with pytest.raises(DegreeError):
+        solve_by_contraction(columns, [S.theta])
