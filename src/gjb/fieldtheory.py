@@ -38,7 +38,7 @@ from .exterior import (
     pull_form_along,
     wedge,
 )
-from .linalg import RrefResult, rref
+from .linalg import RrefResult, exact_divide, rref
 from .structures import (
     CheckReport,
     ConformalData,
@@ -159,7 +159,8 @@ class CanonicalStructure(NFormStructure):
 
 
 def _in_span(vector: Sequence[Coefficient], span: RrefResult) -> bool:
-    return all(entry.is_zero() for entry in span.reduce(vector))
+    reduced, _ = span.reduce(vector)
+    return all(entry.is_zero() for entry in reduced)
 
 
 def _same_span(a: Sequence[MultiVector], b: Sequence[MultiVector], chart: Chart) -> bool:
@@ -781,15 +782,16 @@ def _hdw_system(
     solved: dict[str, Coefficient] = {}
     if affine_rows:
         result = rref(affine_rows, chart)
-        for r, c in sorted(result.pivots, key=lambda rc: rc[1]):
-            entries = [f.to_coefficient() for f in result.rows[r]]
+        for r, c in result.pivots:
+            entries = [exact_divide(entry, result.rows[r][c]) for entry in result.rows[r]]
             eq = entries[-1]
             for pos, col in enumerate(columns):
                 if not entries[pos].is_zero():
                     eq = eq + entries[pos] * Coefficient.coordinate(chart, col)
             emitted.append(eq)
             if c < len(columns):
-                # rref scales every pivot to 1, so eq is the head plus the rest
+                # the row divided by its pivot entry (1 for a unit pivot)
+                # has 1 at the head, so eq is the head plus the rest
                 solved[columns[c]] = Coefficient.coordinate(chart, columns[c]) - eq
 
     for eq in leftovers:
@@ -905,9 +907,8 @@ def variational_check(S: NFormStructure) -> CheckReport:
 
 
 def _mod_flat_representative(S: NFormStructure, omega: DiffForm, span: RrefResult) -> DiffForm:
-    zero = Coefficient.zero(S.chart)
-    reduced = span.reduce(_coordinates(omega))
-    values = [zero if entry.is_zero() else entry.to_coefficient() for entry in reduced]
+    reduced, den = span.reduce(_coordinates(omega))
+    values = [exact_divide(entry, den) for entry in reduced]
     return _from_coordinates(DiffForm, S.chart, omega.degree, values)
 
 

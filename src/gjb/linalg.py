@@ -1,18 +1,26 @@
-"""Exact linear algebra over the scalar ring and its fraction field.
+"""Exact linear algebra over the scalar ring.
 
-Matrices have Coefficient entries (or Frac entries, pairs of Coefficients
-read as num/den).  Elimination runs over the fraction field with a fixed
-left-to-right column order so results are deterministic.  Pivots that are
-invertible in the ring keep every conclusion valid at every chart point;
-when elimination is forced onto a non-invertible pivot the result is
-tagged ``generic_only`` — rank and membership claims then hold off the
-pivot's zero locus only.  All the structures this package builds pivot on
-units, so the tag mostly exists to keep us honest.
+Matrices have Coefficient entries and elimination never leaves the Laurent
+ring; there is no fraction field.  Columns are scanned left to right, so
+results are deterministic.  A pivot that is a unit of the ring (invertible
+at every chart point) is scaled to 1 by its inverse and cleared from the
+other rows with ring operations.  Only when no unit pivot remains anywhere
+does elimination pivot on a non-unit entry p.  It clears p's column from
+another row by cross-multiplying, row <- p*row - a*pivot_row, the
+fraction-free step of Bareiss 1968 without its division by the previous
+pivot, and tags the result ``generic_only``: rank and membership claims
+then hold off the pivot's zero locus only.  All the structures this
+package builds pivot on units, so the tag mostly exists to keep us honest.
 
-Only the work a caller reads is done.  Row operations skip the zero
-entries of the pivot row, which is most of them in kernel and contraction
-matrices.  ``solve_affine`` reports the kernel's dimension (``nullity``)
-at once but builds the denominator-cleared kernel basis only when its
+A result is read by one rule.  A pivot row stands for its entries divided
+by its pivot entry, which is 1 for a unit pivot, and a reduced vector
+stands for its entries divided by one common denominator, the product of
+the non-unit pivot entries it was reduced by (1 when there are none).
+
+Only the work a caller reads is done.  Row operations by a unit pivot skip
+the zero entries of the pivot row, which is most of them in kernel and
+contraction matrices.  ``solve_affine`` reports the kernel's dimension
+(``nullity``) at once but builds the cleared kernel basis only when its
 ``homogeneous`` attribute is first read.  An ``RrefResult`` reduces any
 number of vectors against one elimination of its span.
 """
@@ -23,13 +31,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .coeffring import Chart, Coefficient, _accumulate
 from .errors import DomainError, StructuralError
 
 __all__ = [
-    "Frac",
     "exact_divide",
     "rref",
     "RrefResult",
@@ -102,6 +109,8 @@ def exact_divide(f: Coefficient, g: Coefficient) -> Coefficient:
         return Coefficient.zero(f.chart)
     if f.chart != g.chart:
         raise StructuralError("operands live on different charts")
+    if g.is_unit():
+        return f * g.unit_inverse()
     cf, mf, F = _strip(f)
     cg, mg, G = _strip(g)
     Q = _poly_divide(F, G)
@@ -122,146 +131,20 @@ def exact_divide(f: Coefficient, g: Coefficient) -> Coefficient:
 
 
 # ---------------------------------------------------------------------------
-# fraction field
-# ---------------------------------------------------------------------------
-
-
-class Frac:
-    """num/den over the scalar ring, kept lightly normalized."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Coefficient, den: Coefficient | None = None, _normalize: bool = True):
-        if den is None:
-            den = Coefficient.one(num.chart)
-        if den.is_zero():
-            raise DomainError("fraction with zero denominator")
-        if num.chart != den.chart:
-            raise StructuralError("numerator and denominator on different charts")
-        if _normalize and not num.is_zero():
-            num, den = _normalize_pair(num, den)
-        elif num.is_zero():
-            den = Coefficient.one(num.chart)
-        self.num = num
-        self.den = den
-
-    @property
-    def chart(self) -> Chart:
-        return self.num.chart
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_ring(self) -> bool:
-        if self.den.is_unit():
-            return True
-        try:
-            exact_divide(self.num, self.den)
-            return True
-        except DomainError:
-            return False
-
-    def to_coefficient(self) -> Coefficient:
-        if self.den.is_unit():
-            return self.num * self.den.unit_inverse()
-        return exact_divide(self.num, self.den)
-
-    def honest_unit(self) -> bool:
-        """Invertible at every chart point: both parts are ring units."""
-        return self.num.is_unit() and self.den.is_unit()
-
-    def __add__(self, other: "Frac") -> "Frac":
-        if self.den == other.den:
-            return Frac(self.num + other.num, self.den)
-        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "Frac") -> "Frac":
-        return self + (-other)
-
-    def __neg__(self) -> "Frac":
-        return Frac(-self.num, self.den, _normalize=False)
-
-    def __mul__(self, other: "Frac") -> "Frac":
-        return Frac(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "Frac":
-        if self.is_zero():
-            raise DomainError("inverting zero")
-        return Frac(self.den, self.num)
-
-    def __truediv__(self, other: "Frac") -> "Frac":
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        if not isinstance(other, Frac):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    # equal values need not share a representation: (x+1)(y+1)/((x+1)(z+1))
-    # equals (y+1)/(z+1) but keeps the common factor, so no hash of the
-    # parts can agree with ==
-    __hash__ = None
-
-    def __repr__(self):
-        if self.den == Coefficient.one(self.chart):
-            return f"Frac({self.num})"
-        return f"Frac(({self.num}) / ({self.den}))"
-
-
-def _normalize_pair(num: Coefficient, den: Coefficient) -> tuple[Coefficient, Coefficient]:
-    chart = num.chart
-    cn, mn, N = _strip(num)
-    cd, md, D = _strip(den)
-    scale = cn / cd
-    shift = tuple(a - b for a, b in zip(mn, md))
-    # split the monomial quotient into what the numerator may legally carry
-    # and a leftover monomial that stays below the line
-    carry = tuple(
-        k if (k >= 0 or name in chart.nonvanishing) else 0
-        for k, name in zip(shift, chart.coordinates)
-    )
-    leftover = tuple(c - k for c, k in zip(carry, shift))
-    if len(D) == 1 and max(D) == (0,) * chart.dimension:
-        quotient = N
-    else:
-        quotient = _poly_divide(N, D)
-    if quotient is not None:
-        return (
-            Coefficient(chart, {_shift(e, carry, chart): v * scale for e, v in quotient.items()}),
-            Coefficient(chart, {leftover: Fraction(1)}),
-        )
-    return (
-        Coefficient(chart, {_shift(e, carry, chart): v * scale for e, v in N.items()}),
-        Coefficient(chart, {_shift(e, leftover, chart): v for e, v in D.items()}),
-    )
-
-
-def _shift(expo: tuple[int, ...], by: tuple[int, ...], chart: Chart) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(expo, by))
-
-
-def _to_frac(entry, chart: Chart | None) -> Frac:
-    """A matrix entry as a Frac; plain rationals need the chart."""
-    if isinstance(entry, Frac):
-        return entry
-    if isinstance(entry, (int, Fraction)) and chart is not None:
-        entry = Coefficient.constant(chart, entry)
-    if isinstance(entry, Coefficient):
-        # a ring element over 1 is already in normal form
-        return Frac(entry, _normalize=False)
-    raise StructuralError(f"matrix entries must be Coefficient or Frac, got {type(entry).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RrefResult:
-    rows: list[list[Frac]]
+    """A reduced matrix.  The row of a pivot (r, c) stands for
+    rows[r] / rows[r][c], and rows[r][c] is 1 when the pivot is a unit;
+    every other row is zero.  ``pivots`` are sorted by column."""
+
+    rows: list[list[Coefficient]]
     pivots: list[tuple[int, int]]  # (row, column)
     generic_only: bool
+    _chart: Chart = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -271,43 +154,62 @@ class RrefResult:
     def pivot_columns(self) -> list[int]:
         return [c for _, c in self.pivots]
 
-    def reduce(self, vector: Sequence[Coefficient | Frac]) -> list[Frac]:
-        """Canonical representative of ``vector`` modulo the row span:
-        pivot columns of the span are zeroed out, everything else is
-        untouched.  Reduce many vectors against one elimination this way."""
+    def reduce(self, vector: Sequence[Coefficient]) -> tuple[list[Coefficient], Coefficient]:
+        """Canonical representative of ``vector`` modulo the row span, as
+        entries and one common denominator; its value is the entries
+        divided by the denominator.  Pivot columns of the span are zeroed
+        out and every other column keeps its value.  The denominator is the
+        product of the non-unit pivot entries the reduction used, 1 when it
+        used none.  Reduce many vectors against one elimination this way."""
         if self.rows and len(vector) != len(self.rows[0]):
             raise StructuralError("vector and span have different lengths")
-        vec = [_to_frac(entry, None) for entry in vector]
+        vec = list(vector)
+        one = Coefficient.one(self._chart)
+        den = one
         for r, c in self.pivots:
             factor = vec[c]
             if factor.is_zero():
                 continue
-            for j, b in enumerate(self.rows[r]):
-                if not b.is_zero():
-                    vec[j] = vec[j] - factor * b
-        return vec
+            row, pivot = self.rows[r], self.rows[r][c]
+            if pivot == one:
+                for j, b in enumerate(row):
+                    if not b.is_zero():
+                        vec[j] = vec[j] - factor * b
+            else:
+                vec = _cross_multiply(vec, row, pivot, factor)
+                den = den * pivot
+        return vec, den
 
 
-def _matrix(rows: Sequence[Sequence], chart: Chart) -> list[list[Frac]]:
-    zero = Frac(Coefficient.zero(chart))  # shared: most cells of a kernel matrix are zero
-    return [
-        [
-            zero if isinstance(entry, Coefficient) and entry.is_zero() else _to_frac(entry, chart)
-            for entry in row
-        ]
-        for row in rows
-    ]
+def _entry(entry, chart: Chart) -> Coefficient:
+    """A matrix entry as a Coefficient; plain rationals are constants."""
+    if isinstance(entry, Coefficient):
+        return entry
+    if isinstance(entry, (int, Fraction)):
+        return Coefficient.constant(chart, entry)
+    raise StructuralError(f"matrix entries must be Coefficient, got {type(entry).__name__}")
 
 
-def _eliminate(mat: list[list[Frac]], ncols: int) -> tuple[list[tuple[int, int]], bool]:
+def _matrix(rows: Sequence[Sequence], chart: Chart) -> list[list[Coefficient]]:
+    return [[_entry(entry, chart) for entry in row] for row in rows]
+
+
+def _cross_multiply(
+    target: list[Coefficient], pivot_row: list[Coefficient], pivot: Coefficient, factor: Coefficient
+) -> list[Coefficient]:
+    """pivot * target - factor * pivot_row, entries zero in both skipped."""
+    return [pivot * a - factor * b if a or b else a for a, b in zip(target, pivot_row)]
+
+
+def _eliminate(mat: list[list[Coefficient]], ncols: int) -> tuple[list[tuple[int, int]], bool]:
     """In-place Gauss–Jordan elimination on the first ``ncols`` columns.
 
     Honest-unit pivots (invertible at every chart point) are taken first,
     scanning columns left to right; only when none remain anywhere does
     elimination pivot on a non-unit entry, flagging the result as valid
-    at generic points only.  Deterministic throughout.  Row operations
-    touch only the columns where the pivot row is nonzero: a − f·0 = a
-    and 0·inv = 0.
+    at generic points only.  Deterministic throughout.  Row operations by
+    a unit pivot touch only the columns where the pivot row is nonzero:
+    a - f*0 = a and 0*inv = 0.
     """
     pivots: list[tuple[int, int]] = []
     generic = False
@@ -324,103 +226,117 @@ def _eliminate(mat: list[list[Frac]], ncols: int) -> tuple[list[tuple[int, int]]
                 r for r in range(len(mat)) if r not in used_rows and not mat[r][col].is_zero()
             ]
             if honest_only:
-                candidates = [r for r in candidates if mat[r][col].honest_unit()]
+                candidates = [r for r in candidates if mat[r][col].is_unit()]
             if not candidates:
                 continue
             row = candidates[0]
             if not honest_only:
                 generic = True
             pivot_row = mat[row]
-            live = [j for j, entry in enumerate(pivot_row) if not entry.is_zero()]
-            inv = pivot_row[col].inverse()
-            for j in live:
-                pivot_row[j] = pivot_row[j] * inv
-            for r, target in enumerate(mat):
-                if r != row and not target[col].is_zero():
-                    factor = target[col]
-                    for j in live:
-                        target[j] = target[j] - factor * pivot_row[j]
+            pivot = pivot_row[col]
+            if pivot.is_unit():
+                live = [j for j, entry in enumerate(pivot_row) if not entry.is_zero()]
+                inv = pivot.unit_inverse()
+                for j in live:
+                    pivot_row[j] = pivot_row[j] * inv
+                for r, target in enumerate(mat):
+                    if r != row and not target[col].is_zero():
+                        factor = target[col]
+                        for j in live:
+                            target[j] = target[j] - factor * pivot_row[j]
+            else:
+                for r, target in enumerate(mat):
+                    if r != row and not target[col].is_zero():
+                        mat[r] = _cross_multiply(target, pivot_row, pivot, target[col])
             used_rows.add(row)
             used_cols.add(col)
             pivots.append((row, col))
             progressed = True
         return progressed
 
+    # Every honest pass runs before the first cross-multiplication, so each
+    # row still stands for itself and an entry is an honest unit exactly
+    # when it is a unit.  One non-honest pass then finishes: it pivots on
+    # every column with a nonzero entry in an unused row, and its row
+    # operations combine unused rows only, so no such entry is left behind.
     while run_pass(honest_only=True):
         pass
-    while run_pass(honest_only=False):
-        while run_pass(honest_only=True):
-            pass
+    run_pass(honest_only=False)
     pivots.sort(key=lambda rc: rc[1])
     return pivots, generic
 
 
 def rref(rows: Sequence[Sequence], chart: Chart) -> RrefResult:
-    """Reduced row echelon form over the fraction field (up to row order),
+    """Reduced row echelon form over the Laurent ring (up to row order),
     with honest-unit pivots preferred over the whole matrix."""
     mat = _matrix(rows, chart)
     if not mat:
-        return RrefResult([], [], False)
+        return RrefResult([], [], False, chart)
     ncols = len(mat[0])
     if any(len(row) != ncols for row in mat):
         raise StructuralError("ragged matrix")
     pivots, generic = _eliminate(mat, ncols)
-    return RrefResult(mat, pivots, generic)
+    return RrefResult(mat, pivots, generic, chart)
 
 
-def _clear_denominators(vector: list[Frac], chart: Chart) -> list[Coefficient]:
-    # a common multiple of the non-unit denominators: taken largest first,
-    # a denominator that already divides the multiplier adds nothing
-    dens = [entry.den for entry in vector if not entry.den.is_unit()]
+def _divides(d: Coefficient, f: Coefficient) -> bool:
+    try:
+        exact_divide(f, d)
+    except DomainError:
+        return False
+    return True
+
+
+def _cleared_vector(
+    col: int, ratios: list[tuple[int, Coefficient, Coefficient]], ncols: int, chart: Chart
+) -> list[Coefficient]:
+    """The kernel vector with x_col = 1 and x_c = a / p for each (c, a, p)
+    in ``ratios``, multiplied through by a common multiple of the p that do
+    not divide their a, then stripped of common content."""
+    # taken largest first, a denominator that already divides the
+    # multiplier adds nothing
+    dens = [p for _, a, p in ratios if not p.is_unit() and not _divides(p, a)]
     multiplier = Coefficient.one(chart)
     for d in sorted(dens, key=Coefficient.max_degree, reverse=True):
-        try:
-            exact_divide(multiplier, d)
-        except DomainError:
+        if not _divides(d, multiplier):
             multiplier = multiplier * d
-    cleared = [(entry * Frac(multiplier)).to_coefficient() for entry in vector]
-    live = [c for c in cleared if not c.is_zero()]
-    if not live:
-        return cleared
+    cleared = [Coefficient.zero(chart)] * ncols
+    cleared[col] = multiplier
+    for c, a, p in ratios:
+        cleared[c] = exact_divide(a * multiplier, p)
     # strip common content and fix the overall sign deterministically
-    contents = [_strip(c) for c in live]
+    contents = [_strip(c) for c in cleared if not c.is_zero()]
     rational = contents[0][0]
     for c, _, _ in contents[1:]:
         rational = Fraction(
             math.gcd(abs(rational.numerator), abs(c.numerator)),
             math.lcm(rational.denominator, c.denominator),
         )
-    mono = [min(ms) for ms in zip(*(m for _, m, _ in contents))]
-    legal = tuple(
-        m if (m >= 0 or name in chart.nonvanishing) else 0
-        for m, name in zip(mono, chart.coordinates)
-    )
-    divisor = Coefficient(chart, {legal: rational})
-    out = [exact_divide(c, divisor) if not c.is_zero() else c for c in cleared]
-    first = next(c for c in out if not c.is_zero())
-    if _strip(first)[0] < 0:
+    mono = tuple(min(ms) for ms in zip(*(m for _, m, _ in contents)))
+    divisor = Coefficient(chart, {mono: abs(rational)})
+    out = [exact_divide(c, divisor) for c in cleared]
+    if contents[0][0] < 0:
         out = [-c for c in out]
     return out
 
 
 def _kernel_basis(
-    rows: list[list[Frac]], pivots: list[tuple[int, int]], ncols: int, chart: Chart
+    rows: list[list[Coefficient]], pivots: list[tuple[int, int]], ncols: int, chart: Chart
 ) -> list[list[Coefficient]]:
-    """One denominator-cleared kernel vector per free column among the
-    first ``ncols`` columns of a reduced matrix."""
+    """One cleared kernel vector per free column among the first ``ncols``
+    columns of a reduced matrix: x_col = 1 and x_c = -rows[r][col] /
+    rows[r][c] at each pivot (r, c)."""
     pivot_cols = {c for _, c in pivots}
-    zero = Frac(Coefficient.zero(chart))
-    one = Frac(Coefficient.one(chart))
-    basis = []
-    for col in range(ncols):
-        if col in pivot_cols:
-            continue
-        vec = [zero] * ncols
-        vec[col] = one
-        for r, c in pivots:
-            vec[c] = -rows[r][col]
-        basis.append(_clear_denominators(vec, chart))
-    return basis
+    return [
+        _cleared_vector(
+            col,
+            [(c, -rows[r][col], rows[r][c]) for r, c in pivots if not rows[r][col].is_zero()],
+            ncols,
+            chart,
+        )
+        for col in range(ncols)
+        if col not in pivot_cols
+    ]
 
 
 def nullspace(rows: Sequence[Sequence], chart: Chart) -> list[list[Coefficient]]:
@@ -434,15 +350,17 @@ def nullspace(rows: Sequence[Sequence], chart: Chart) -> list[list[Coefficient]]
 
 @dataclass(frozen=True)
 class AffineSolution:
-    """Solution of A x = b.  ``particular`` is None when the system is
-    inconsistent.  ``nullity``, the kernel dimension of A, is known at
-    once; the denominator-cleared ``homogeneous`` basis of that kernel is
-    built from the kept reduced matrix on first read."""
+    """Solution of A x = b.  ``consistent`` says whether there is one, and
+    ``coefficient_solution()`` reads it off the kept reduced augmented
+    matrix: x_c = rows[r][-1] / rows[r][c] at each pivot (r, c), 0 at free
+    columns.  ``nullity``, the kernel dimension of A, is known at once;
+    the cleared ``homogeneous`` basis of that kernel is built from the
+    kept matrix on first read."""
 
-    particular: list[Frac] | None
+    consistent: bool
     nullity: int
     generic_only: bool
-    _rows: list[list[Frac]] = field(repr=False, compare=False)
+    _rows: list[list[Coefficient]] = field(repr=False, compare=False)
     _pivots: list[tuple[int, int]] = field(repr=False, compare=False)
     _chart: Chart = field(repr=False, compare=False)
 
@@ -452,45 +370,43 @@ class AffineSolution:
         return _kernel_basis(self._rows, self._pivots, ncols, self._chart)
 
     def coefficient_solution(self) -> list[Coefficient]:
-        if self.particular is None:
+        """The solution in ring coefficients; DomainError when the system
+        is inconsistent or the solution leaves the ring."""
+        if not self.consistent:
             raise DomainError("the linear system is inconsistent")
-        return [entry.to_coefficient() for entry in self.particular]
+        values = [Coefficient.zero(self._chart)] * (self.nullity + len(self._pivots))
+        for r, c in self._pivots:
+            values[c] = exact_divide(self._rows[r][-1], self._rows[r][c])
+        return values
 
 
 def solve_affine(rows: Sequence[Sequence], rhs: Sequence, chart: Chart) -> AffineSolution:
-    """Solve A x = b over the fraction field.  ``particular`` is None when
-    inconsistent; ``nullity`` is the kernel dimension of A, and
+    """Solve A x = b over the Laurent ring.  ``consistent`` says whether a
+    solution exists; ``nullity`` is the kernel dimension of A, and
     ``homogeneous``, a basis of that kernel, is built on first read."""
     mat = _matrix(rows, chart)
-    b = [_to_frac(entry, chart) for entry in rhs]
+    b = [_entry(entry, chart) for entry in rhs]
     if len(mat) != len(b):
         raise StructuralError("matrix and right-hand side have different heights")
     ncols = len(mat[0]) if mat else 0
     augmented = [row + [bi] for row, bi in zip(mat, b)]
-    zero = Frac(Coefficient.zero(chart))
-
     pivots, generic = _eliminate(augmented, ncols)
-
     consistent = all(
         row[-1].is_zero() or any(not entry.is_zero() for entry in row[:-1]) for row in augmented
     )
-    particular = None
-    if consistent:
-        particular = [zero] * ncols
-        for r, c in pivots:
-            particular[c] = augmented[r][-1]
-    return AffineSolution(particular, ncols - len(pivots), generic, augmented, pivots, chart)
+    return AffineSolution(consistent, ncols - len(pivots), generic, augmented, pivots, chart)
 
 
-def reduce_mod_span(vector: Sequence, basis: Sequence[Sequence], chart: Chart) -> list[Frac]:
+def reduce_mod_span(
+    vector: Sequence, basis: Sequence[Sequence], chart: Chart
+) -> tuple[list[Coefficient], Coefficient]:
     """Canonical representative of ``vector`` modulo the row span of
-    ``basis`` over the fraction field: pivot columns of the span are
-    zeroed out, everything else is untouched."""
-    vec = [_to_frac(entry, chart) for entry in vector]
-    if not basis:
-        return vec
-    return rref(basis, chart).reduce(vec)
+    ``basis``, as entries and one common denominator (see
+    ``RrefResult.reduce``): pivot columns of the span are zeroed out,
+    everything else keeps its value."""
+    return rref(basis, chart).reduce([_entry(entry, chart) for entry in vector])
 
 
 def is_in_span(vector: Sequence, basis: Sequence[Sequence], chart: Chart) -> bool:
-    return all(entry.is_zero() for entry in reduce_mod_span(vector, basis, chart))
+    reduced, _ = reduce_mod_span(vector, basis, chart)
+    return all(entry.is_zero() for entry in reduced)

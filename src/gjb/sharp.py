@@ -106,8 +106,10 @@ class QuotientMultiVector:
     Equality is a normal-form comparison: the coordinate vector of the
     representative is reduced against the modulus by exact elimination
     (with the fixed pivot order of the basis), so two classes agree iff
-    their reductions match entry for entry.  The stored representative
-    keeps its original ring coefficients for use in contractions.
+    their reductions agree in value.  Each reduction carries one common
+    denominator, so entries are compared by cross-multiplication.  The
+    stored representative keeps its original ring coefficients for use in
+    contractions.
     """
 
     def __init__(self, representative: MultiVector, modulus: Sequence[MultiVector]):
@@ -128,16 +130,17 @@ class QuotientMultiVector:
         return self.representative.degree
 
     def is_zero(self) -> bool:
-        return all(entry.is_zero() for entry in self._normal)
+        return all(entry.is_zero() for entry in self._normal[0])
 
     def __eq__(self, other):
         if not isinstance(other, QuotientMultiVector):
             return NotImplemented
+        (mine, my_den), (theirs, their_den) = self._normal, other._normal
         return (
             self.chart == other.chart
             and self.degree == other.degree
             and self.modulus == other.modulus
-            and self._normal == other._normal
+            and all(a * their_den == b * my_den for a, b in zip(mine, theirs))
         )
 
     __hash__ = None

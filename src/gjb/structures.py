@@ -136,7 +136,7 @@ def solve_by_contraction(
     chart = targets[0].chart
     augmented = _stacked_rows([*columns, targets], [t.degree for t in targets], chart)
     solution = solve_affine([row[:-1] for row in augmented], [row[-1] for row in augmented], chart)
-    if solution.particular is None:
+    if not solution.consistent:
         return None
     try:
         values = solution.coefficient_solution()

@@ -68,6 +68,18 @@ def contact_structure():
     return NFormStructure(chart, eta)
 
 
+def contact_data(S, f):
+    """The contact conformal triple of a function f on the (q, p, z) chart."""
+    fq, fp, fz = (f.partial(name) for name in ("q", "p", "z"))
+    p = Coefficient.coordinate(S.chart, "p")
+    X = (
+        MultiVector.basis_vector(S.chart, "q").scale(fp)
+        - MultiVector.basis_vector(S.chart, "p").scale(fq + p * fz)
+        + MultiVector.basis_vector(S.chart, "z").scale(p * fp - f)
+    )
+    return make_conformal_data(S, DiffForm.from_scalar(f), X, -fz)
+
+
 def phase_field_names(n, m):
     """(y names, momentum names) of the degree-n phase space with m fields."""
     ys = ["y"] if m == 1 else [f"y{i}" for i in range(m)]

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from conftest import (
     SEED,
+    contact_data,
     contact_structure,
     rand_coefficient,
     rand_fg_data,
@@ -89,18 +90,6 @@ def _run_cli(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
-
-
-def _contact_data(S, f):
-    """The contact conformal triple of a function f on the (q, p, z) chart."""
-    fq, fp, fz = (f.partial(name) for name in ("q", "p", "z"))
-    p = Coefficient.coordinate(S.chart, "p")
-    X = (
-        MultiVector.basis_vector(S.chart, "q").scale(fp)
-        - MultiVector.basis_vector(S.chart, "p").scale(fq + p * fz)
-        + MultiVector.basis_vector(S.chart, "z").scale(p * fp - f)
-    )
-    return make_conformal_data(S, DiffForm.from_scalar(f), X, -fz)
 
 
 def _five_structure():
@@ -420,7 +409,7 @@ def test_criterion_06_correspondence():
         for _ in range(15):
             f = rand_coefficient(rng, Sc.chart, max_terms=3, max_degree=2)
             g = rand_coefficient(rng, Sc.chart, max_terms=3, max_degree=2)
-            a, b = _contact_data(Sc, f), _contact_data(Sc, g)
+            a, b = contact_data(Sc, f), contact_data(Sc, g)
             assert cup_product(a, b).alpha.is_zero()
             lhs = poisson_bracket(symc, psi_map(symc, a), psi_map(symc, b))
             rhs = psi_map(symc, jacobi_bracket(a, b))[0]
@@ -586,7 +575,7 @@ def test_criterion_10_contact_recovery():
         for _ in range(50):
             f = rand_coefficient(rng, chart, max_terms=3, max_degree=2)
             g = rand_coefficient(rng, chart, max_terms=3, max_degree=2)
-            a, b = _contact_data(Sc, f), _contact_data(Sc, g)
+            a, b = contact_data(Sc, f), contact_data(Sc, g)
             df = exterior_derivative(DiffForm.from_scalar(f))
             dg = exterior_derivative(DiffForm.from_scalar(g))
             xf, rf = sharp_and_reeb(Sc, df)

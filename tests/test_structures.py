@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import SEED, rand_coefficient, rand_form, rand_multivector
+from conftest import SEED, contact_data, contact_structure, rand_coefficient, rand_form, rand_multivector
 from gjb.coeffring import Chart, Coefficient, parse_coefficient
 from gjb.errors import DegreeError, DomainError, StructuralError, ValidationError
 from gjb.linalg import AffineSolution, nullspace, solve_affine
@@ -45,30 +45,11 @@ CONTACT = Chart(("q", "p", "z"))
 FIVE = Chart(("x", "y", "z", "s1", "s2"), frozenset({"z"}))
 
 
-def contact_structure():
-    theta = DiffForm.differential(CONTACT, "z") - DiffForm.differential(CONTACT, "q").scale(
-        Coefficient.coordinate(CONTACT, "p")
-    )
-    return NFormStructure(CONTACT, theta)
-
-
 def five_structure():
     theta = wedge(DiffForm.differential(FIVE, "s1"), DiffForm.differential(FIVE, "s2")) + wedge(
         DiffForm.differential(FIVE, "x"), DiffForm.differential(FIVE, "y")
     ).scale(Coefficient.coordinate(FIVE, "z"))
     return NFormStructure(FIVE, theta)
-
-
-def contact_data(S, f: Coefficient):
-    """The contact conformal triple of a function f."""
-    fq, fp, fz = (f.partial(n) for n in ("q", "p", "z"))
-    p = Coefficient.coordinate(CONTACT, "p")
-    X = (
-        MultiVector.basis_vector(CONTACT, "q").scale(fp)
-        - MultiVector.basis_vector(CONTACT, "p").scale(fq + p * fz)
-        + MultiVector.basis_vector(CONTACT, "z").scale(p * fp - f)
-    )
-    return make_conformal_data(S, DiffForm.from_scalar(f), X, -fz)
 
 
 def potential_data(S, phi: Coefficient):
@@ -264,6 +245,20 @@ def test_bracket_jacobi_identity_contact(rng):
             + jacobi_bracket(c, jacobi_bracket(a, b)).alpha
         )
         assert total.is_zero()
+
+
+def test_bracket_leibniz_rule_contact(rng):
+    # every Jacobi bracket satisfies {f, gh} = g{f, h} + h{f, g} - gh{f, 1}
+    # (Kirillov 1976, Lichnerowicz 1978)
+    S = contact_structure()
+
+    def bracket(f, g):
+        return jacobi_bracket(contact_data(S, f), contact_data(S, g)).alpha.scalar()
+
+    one = Coefficient.one(CONTACT)
+    for _ in range(30):
+        f, g, h = (rand_coefficient(rng, CONTACT, max_terms=3, max_degree=2) for _ in range(3))
+        assert bracket(f, g * h) == g * bracket(f, h) + h * bracket(f, g) - g * h * bracket(f, one)
 
 
 def test_bracket_expression_identity(rng):
@@ -471,7 +466,7 @@ def reference_solve(columns, targets):
     if not rows:
         rows, rhs = [[zero] * len(columns)], [zero]
     solution = solve_affine(rows, rhs, chart)
-    if solution.particular is None:
+    if not solution.consistent:
         return None
     try:
         values = solution.coefficient_solution()
