@@ -27,6 +27,7 @@ from .coeffring import Chart, Coefficient
 from .dsl import (
     FUNCTIONS,
     Environment,
+    _chart_name,
     free_names,
     latex_coefficient,
     latex_name,
@@ -131,13 +132,8 @@ def _canonical_from_args(args, extra_exprs: tuple[str, ...] = ()) -> tuple[Canon
     unknown: set[str] = set()
     for text in extra_exprs:
         for name in free_names(parse(text)):
-            if name in probe.chart.coordinates:
-                continue
-            if name.startswith("d") and name[1:] in probe.chart.coordinates:
-                continue
-            if name.startswith("e_") and name[2:] in probe.chart.coordinates:
-                continue
-            unknown.add(name)
+            if _chart_name(probe.chart, name) is None:
+                unknown.add(name)
     if unknown:
         C = build_canonical(args.n, args.m, parameters=tuple(sorted(unknown)))
     else:
@@ -232,8 +228,10 @@ def _cmd_kernel(args) -> int:
 def _check_binding_name(session: Session, name: str) -> None:
     if not name.isidentifier():
         raise _UsageError(f"{name!r} is not a valid binding name")
-    if name in session.chart.coordinates:
-        raise _UsageError(f"{name!r} is a chart coordinate and cannot be rebound")
+    value = _chart_name(session.chart, name)
+    if value is not None:
+        noun = {Coefficient: "coordinate", DiffForm: "coordinate differential", MultiVector: "coordinate vector field"}
+        raise _UsageError(f"{name!r} is a chart {noun[type(value)]} and cannot be rebound")
     if name in FUNCTIONS:
         raise _UsageError(f"{name!r} is a builtin function name and cannot be rebound")
 
@@ -530,11 +528,10 @@ def _cmd_sigma(args) -> int:
 
 def _parse_row_spec(text: str) -> tuple[int, tuple[int, ...]]:
     head, _, tail = text.partition(":")
-    if not head.isdigit():
+    parts = _split_names(tail)
+    if not all(part.isdecimal() for part in (head, *parts)):
         raise _UsageError(f"bad --row {text!r}; expected FAMILY[:i[,mu]] like 3:0 or 2:0,1")
-    family = int(head)
-    indices = tuple(int(p) for p in _split_names(tail)) if tail else ()
-    return family, indices
+    return int(head), tuple(int(part) for part in parts)
 
 
 def _cmd_dissipated(args) -> int:

@@ -268,18 +268,28 @@ class Environment:
             self.warnings.append(message)
 
 
-def _resolve(env: Environment, node: Ident) -> Value:
-    name = node.name
-    if name in env.bindings:
-        return env.bindings[name]
-    chart = env.chart
+def _chart_name(chart: Chart, name: str) -> Value | None:
+    """What the chart itself calls ``name``: a coordinate, its differential
+    ``d<coordinate>`` or its vector field ``e_<coordinate>``; None for any
+    other name.  These names are how objects render, so nothing may rebind
+    them."""
     if name in chart.coordinates:
         return Coefficient.coordinate(chart, name)
     if name.startswith("d") and name[1:] in chart.coordinates:
         return DiffForm.differential(chart, name[1:])
     if name.startswith("e_") and name[2:] in chart.coordinates:
         return MultiVector.basis_vector(chart, name[2:])
-    raise ParseError(f"unknown name {name!r}", node.line, node.column)
+    return None
+
+
+def _resolve(env: Environment, node: Ident) -> Value:
+    name = node.name
+    if name in env.bindings:
+        return env.bindings[name]
+    value = _chart_name(env.chart, name)
+    if value is None:
+        raise ParseError(f"unknown name {name!r}", node.line, node.column)
+    return value
 
 
 def _degree_of(value: Value) -> int:

@@ -158,18 +158,13 @@ class CanonicalStructure(NFormStructure):
         return [MultiVector.basis_vector(self.chart, s) for s in self.s_names]
 
 
-def _in_span(vector: Sequence[Coefficient], span: RrefResult) -> bool:
-    reduced, _ = span.reduce(vector)
-    return all(entry.is_zero() for entry in reduced)
-
-
 def _same_span(a: Sequence[MultiVector], b: Sequence[MultiVector], chart: Chart) -> bool:
     rows_a, rows_b = [_coordinates(u) for u in a], [_coordinates(u) for u in b]
     span_b = rref(rows_b, chart)
-    if not all(_in_span(r, span_b) for r in rows_a):
+    if not all(span_b.contains(r) for r in rows_a):
         return False
     span_a = rref(rows_a, chart)
-    return all(_in_span(r, span_a) for r in rows_b)
+    return all(span_a.contains(r) for r in rows_b)
 
 
 def build_canonical(spec: PhaseSpaceSpec | int, m: int | None = None, parameters: tuple[str, ...] = ()) -> CanonicalStructure:
@@ -477,15 +472,18 @@ def refined_reeb(S: NFormStructure) -> RefinedReeb:
     basis = _reeb_kernel_basis(S)
     if not basis:
         raise DomainError("the degree-1 kernel of dTheta is trivial; no Reeb directions exist")
-    # column J pairs ∂_J with every Reeb direction: ι_{∂_J}ι_{R_i}Θ for each i
+    # column J pairs ∂_J with every Reeb direction: ι_{∂_J}ι_{R_i}Θ for each
+    # i; right-hand side j asks for ι_{u^j}ι_{R_i}Θ = δ_i^j, and one
+    # elimination solves all of them
     columns = _contraction_columns([interior_product(R, S.theta) for R in basis], n - 1)
-    pairs = []
-    for j, R in enumerate(basis):
-        deltas = [DiffForm.from_scalar(Coefficient.constant(chart, 1 if i == j else 0)) for i in range(len(basis))]
-        solved = solve_by_contraction(columns, deltas)
-        if solved is None:
-            raise DomainError("the Reeb directions do not admit dual multivectors")
-        pairs.append((R, _from_coordinates(MultiVector, chart, n - 1, solved[0])))
+    deltas = [
+        [DiffForm.from_scalar(Coefficient.constant(chart, 1 if i == j else 0)) for i in range(len(basis))]
+        for j in range(len(basis))
+    ]
+    solved = solve_by_contraction(columns, deltas)
+    if None in solved:
+        raise DomainError("the Reeb directions do not admit dual multivectors")
+    pairs = [(R, _from_coordinates(MultiVector, chart, n - 1, values)) for R, (values, _) in zip(basis, solved)]
     reeb = RefinedReeb(S, tuple(pairs))
     rep = reeb.representative
     if interior_product(rep, S.theta).scalar() != Coefficient.one(chart):
@@ -513,7 +511,7 @@ def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
         if isinstance(S, CanonicalStructure) and name in S.parameters:
             continue
         contraction = interior_product(MultiVector.basis_vector(chart, name), h)
-        if not _in_span(_coordinates(contraction), span):
+        if not span.contains(_coordinates(contraction)):
             return CheckReport(False, witness=name, details=f"iota along {name} leaves the image of the flat map")
     return CheckReport(True)
 

@@ -12,6 +12,14 @@ pivot, and tags the result ``generic_only``: rank and membership claims
 then hold off the pivot's zero locus only.  All the structures this
 package builds pivot on units, so the tag mostly exists to keep us honest.
 
+``rref`` is the one way into elimination and ``RrefResult`` its one
+result.  Its ``unknowns`` argument limits pivots to the leading columns;
+the trailing columns are right-hand sides, carried through every row
+operation but never pivoted on, so one elimination of [A | b_0 ... b_k]
+solves A x = b_j for every j (``solution(j)``).  The same result gives
+the kernel of A (``nullity`` and ``kernel``), and reduces vectors modulo
+the row span (``reduce`` and ``contains``).
+
 A result is read by one rule.  A pivot row stands for its entries divided
 by its pivot entry, which is 1 for a unit pivot, and a reduced vector
 stands for its entries divided by one common denominator, the product of
@@ -19,10 +27,8 @@ the non-unit pivot entries it was reduced by (1 when there are none).
 
 Only the work a caller reads is done.  Row operations by a unit pivot skip
 the zero entries of the pivot row, which is most of them in kernel and
-contraction matrices.  ``solve_affine`` reports the kernel's dimension
-(``nullity``) at once but builds the cleared kernel basis only when its
-``homogeneous`` attribute is first read.  An ``RrefResult`` reduces any
-number of vectors against one elimination of its span.
+contraction matrices.  ``nullity`` is known at once, but the cleared
+kernel basis is built only when ``kernel`` is first read.
 """
 
 from __future__ import annotations
@@ -36,16 +42,7 @@ from typing import Sequence
 from .coeffring import Chart, Coefficient, _accumulate
 from .errors import DomainError, StructuralError
 
-__all__ = [
-    "exact_divide",
-    "rref",
-    "RrefResult",
-    "nullspace",
-    "solve_affine",
-    "AffineSolution",
-    "reduce_mod_span",
-    "is_in_span",
-]
+__all__ = ["exact_divide", "rref", "RrefResult"]
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +134,17 @@ def exact_divide(f: Coefficient, g: Coefficient) -> Coefficient:
 
 @dataclass(frozen=True)
 class RrefResult:
-    """A reduced matrix.  The row of a pivot (r, c) stands for
-    rows[r] / rows[r][c], and rows[r][c] is 1 when the pivot is a unit;
-    every other row is zero.  ``pivots`` are sorted by column."""
+    """A reduced matrix.  Its first ``nullity + rank`` columns are the
+    unknowns, and every pivot lies among them; any later columns are
+    right-hand sides, carried through every row operation.  The row of a
+    pivot (r, c) stands for rows[r] / rows[r][c], and rows[r][c] is 1 when
+    the pivot is a unit; every other row is zero on the unknowns.
+    ``pivots`` are sorted by column."""
 
     rows: list[list[Coefficient]]
     pivots: list[tuple[int, int]]  # (row, column)
     generic_only: bool
+    nullity: int  # free unknowns, the dimension of the kernel
     _chart: Chart = field(repr=False, compare=False)
 
     @property
@@ -153,6 +154,29 @@ class RrefResult:
     @property
     def pivot_columns(self) -> list[int]:
         return [c for _, c in self.pivots]
+
+    @cached_property
+    def kernel(self) -> list[list[Coefficient]]:
+        """Kernel basis of the unknowns with denominators cleared, one
+        vector per free column, built on first read."""
+        return _kernel_basis(self.rows, self.pivots, self.nullity + self.rank, self._chart)
+
+    def solution(self, j: int) -> list[Coefficient]:
+        """The solution of A x = b_j, b_j the j-th right-hand side, in ring
+        coefficients: x_c = rows[r][k + j] / rows[r][c] at each pivot
+        (r, c), k the number of unknowns, and 0 at free columns.
+        DomainError when b_j is inconsistent or the solution leaves the
+        ring."""
+        unknowns = self.nullity + self.rank
+        col = unknowns + j
+        if j < 0 or not self.rows or col >= len(self.rows[0]):
+            raise StructuralError(f"there is no right-hand side {j}")
+        if any(not row[col].is_zero() and all(a.is_zero() for a in row[:unknowns]) for row in self.rows):
+            raise DomainError("the linear system is inconsistent")
+        values = [Coefficient.zero(self._chart)] * unknowns
+        for r, c in self.pivots:
+            values[c] = exact_divide(self.rows[r][col], self.rows[r][c])
+        return values
 
     def reduce(self, vector: Sequence[Coefficient]) -> tuple[list[Coefficient], Coefficient]:
         """Canonical representative of ``vector`` modulo the row span, as
@@ -179,6 +203,11 @@ class RrefResult:
                 vec = _cross_multiply(vec, row, pivot, factor)
                 den = den * pivot
         return vec, den
+
+    def contains(self, vector: Sequence[Coefficient]) -> bool:
+        """Does ``vector`` lie in the row span?"""
+        reduced, _ = self.reduce(vector)
+        return all(entry.is_zero() for entry in reduced)
 
 
 def _entry(entry, chart: Chart) -> Coefficient:
@@ -266,17 +295,20 @@ def _eliminate(mat: list[list[Coefficient]], ncols: int) -> tuple[list[tuple[int
     return pivots, generic
 
 
-def rref(rows: Sequence[Sequence], chart: Chart) -> RrefResult:
+def rref(rows: Sequence[Sequence], chart: Chart, unknowns: int | None = None) -> RrefResult:
     """Reduced row echelon form over the Laurent ring (up to row order),
-    with honest-unit pivots preferred over the whole matrix."""
+    with honest-unit pivots preferred over the whole matrix.  Pivots are
+    taken in the first ``unknowns`` columns (all of them by default); the
+    columns after those are right-hand sides."""
     mat = _matrix(rows, chart)
-    if not mat:
-        return RrefResult([], [], False, chart)
-    ncols = len(mat[0])
+    ncols = len(mat[0]) if mat else 0
     if any(len(row) != ncols for row in mat):
         raise StructuralError("ragged matrix")
-    pivots, generic = _eliminate(mat, ncols)
-    return RrefResult(mat, pivots, generic, chart)
+    unknowns = ncols if unknowns is None else unknowns
+    if not 0 <= unknowns <= ncols:
+        raise StructuralError(f"{unknowns} unknowns in a matrix of {ncols} columns")
+    pivots, generic = _eliminate(mat, unknowns)
+    return RrefResult(mat, pivots, generic, unknowns - len(pivots), chart)
 
 
 def _divides(d: Coefficient, f: Coefficient) -> bool:
@@ -337,76 +369,3 @@ def _kernel_basis(
         for col in range(ncols)
         if col not in pivot_cols
     ]
-
-
-def nullspace(rows: Sequence[Sequence], chart: Chart) -> list[list[Coefficient]]:
-    """Right-nullspace basis with denominators cleared, one vector per free
-    column, deterministic up to the fixed column order."""
-    result = rref(rows, chart)
-    if not result.rows:
-        return []
-    return _kernel_basis(result.rows, result.pivots, len(result.rows[0]), chart)
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Solution of A x = b.  ``consistent`` says whether there is one, and
-    ``coefficient_solution()`` reads it off the kept reduced augmented
-    matrix: x_c = rows[r][-1] / rows[r][c] at each pivot (r, c), 0 at free
-    columns.  ``nullity``, the kernel dimension of A, is known at once;
-    the cleared ``homogeneous`` basis of that kernel is built from the
-    kept matrix on first read."""
-
-    consistent: bool
-    nullity: int
-    generic_only: bool
-    _rows: list[list[Coefficient]] = field(repr=False, compare=False)
-    _pivots: list[tuple[int, int]] = field(repr=False, compare=False)
-    _chart: Chart = field(repr=False, compare=False)
-
-    @cached_property
-    def homogeneous(self) -> list[list[Coefficient]]:
-        ncols = self.nullity + len(self._pivots)
-        return _kernel_basis(self._rows, self._pivots, ncols, self._chart)
-
-    def coefficient_solution(self) -> list[Coefficient]:
-        """The solution in ring coefficients; DomainError when the system
-        is inconsistent or the solution leaves the ring."""
-        if not self.consistent:
-            raise DomainError("the linear system is inconsistent")
-        values = [Coefficient.zero(self._chart)] * (self.nullity + len(self._pivots))
-        for r, c in self._pivots:
-            values[c] = exact_divide(self._rows[r][-1], self._rows[r][c])
-        return values
-
-
-def solve_affine(rows: Sequence[Sequence], rhs: Sequence, chart: Chart) -> AffineSolution:
-    """Solve A x = b over the Laurent ring.  ``consistent`` says whether a
-    solution exists; ``nullity`` is the kernel dimension of A, and
-    ``homogeneous``, a basis of that kernel, is built on first read."""
-    mat = _matrix(rows, chart)
-    b = [_entry(entry, chart) for entry in rhs]
-    if len(mat) != len(b):
-        raise StructuralError("matrix and right-hand side have different heights")
-    ncols = len(mat[0]) if mat else 0
-    augmented = [row + [bi] for row, bi in zip(mat, b)]
-    pivots, generic = _eliminate(augmented, ncols)
-    consistent = all(
-        row[-1].is_zero() or any(not entry.is_zero() for entry in row[:-1]) for row in augmented
-    )
-    return AffineSolution(consistent, ncols - len(pivots), generic, augmented, pivots, chart)
-
-
-def reduce_mod_span(
-    vector: Sequence, basis: Sequence[Sequence], chart: Chart
-) -> tuple[list[Coefficient], Coefficient]:
-    """Canonical representative of ``vector`` modulo the row span of
-    ``basis``, as entries and one common denominator (see
-    ``RrefResult.reduce``): pivot columns of the span are zeroed out,
-    everything else keeps its value."""
-    return rref(basis, chart).reduce([_entry(entry, chart) for entry in vector])
-
-
-def is_in_span(vector: Sequence, basis: Sequence[Sequence], chart: Chart) -> bool:
-    reduced, _ = reduce_mod_span(vector, basis, chart)
-    return all(entry.is_zero() for entry in reduced)

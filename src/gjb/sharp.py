@@ -42,7 +42,7 @@ from typing import Sequence
 from .coeffring import Coefficient
 from .errors import DegreeError, DomainError, StructuralError, ValidationError
 from .exterior import DiffForm, MultiVector, exterior_derivative, interior_product, wedge
-from .linalg import reduce_mod_span
+from .linalg import rref
 from .structures import (
     ConformalData,
     NFormStructure,
@@ -70,7 +70,7 @@ class ZDecomposition:
 
     For degree-n input, u is the constant 1 and the decomposition is
     α = ι_X dΘ + γ·Θ itself; `unique` records whether the linear system
-    pinning (X, γ) had a trivial nullspace.
+    pinning (X, γ) had a trivial kernel.
     """
 
     structure: NFormStructure
@@ -118,8 +118,8 @@ class QuotientMultiVector:
                 raise StructuralError("modulus entries must match the representative's chart and degree")
         self.representative = representative
         self.modulus = tuple(modulus)
-        basis_rows = [_coordinates(u) for u in self.modulus]
-        self._normal = reduce_mod_span(_coordinates(representative), basis_rows, representative.chart)
+        span = rref([_coordinates(u) for u in self.modulus], representative.chart)
+        self._normal = span.reduce(_coordinates(representative))
 
     @property
     def chart(self):
@@ -161,7 +161,7 @@ def _decomposition_solution(S: NFormStructure, alpha: DiffForm, u: MultiVector):
         columns.append((interior_product(u, interior_product(ej, S.dtheta)), interior_product(ej, S.theta)))
     side = DiffForm.zero(S.chart, S.degree - 1)
     columns.append((interior_product(u, S.theta), side))
-    return solve_by_contraction(columns, [alpha, side])
+    return solve_by_contraction(columns, [[alpha, side]])[0]
 
 
 def _decompositions(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None, limit: int) -> list[ZDecomposition]:

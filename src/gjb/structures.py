@@ -22,8 +22,9 @@ format, its coefficients along _index_tuples(chart, p) (_coordinates and
 its inverse _from_coordinates).  Kernels and solves share one stacked
 contraction system: _contraction_columns pairs each basis multivector ∂_J
 with the contractions ι_{∂_J}ω of every equation form ω, and _stacked_rows
-lays them out; kernels take its nullspace, and solve_by_contraction, the
-only caller of solve_affine, adds the targets as right-hand side.
+lays them out.  Kernels read the kernel of its elimination, and
+solve_by_contraction appends any number of right-hand sides as trailing
+columns and reads every solution from one elimination.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .exterior import (
     schouten_nijenhuis,
     wedge,
 )
-from .linalg import nullspace, solve_affine
+from .linalg import rref
 
 __all__ = [
     "CheckReport",
@@ -128,21 +129,23 @@ def _stacked_rows(columns: Sequence[Sequence[DiffForm]], degrees: Sequence[int],
 
 
 def solve_by_contraction(
-    columns: Sequence[Sequence[DiffForm]], targets: Sequence[DiffForm]
-) -> tuple[list[Coefficient], bool] | None:
-    """Ring coefficients c with Σ_k c_k·columns[k][e] = targets[e] for every
-    equation e, and whether they are unique; None when the stacked system
-    is inconsistent or its solution leaves the Laurent ring."""
-    chart = targets[0].chart
-    augmented = _stacked_rows([*columns, targets], [t.degree for t in targets], chart)
-    solution = solve_affine([row[:-1] for row in augmented], [row[-1] for row in augmented], chart)
-    if not solution.consistent:
-        return None
-    try:
-        values = solution.coefficient_solution()
-    except DomainError:
-        return None
-    return values, solution.nullity == 0
+    columns: Sequence[Sequence[DiffForm]], rhs: Sequence[Sequence[DiffForm]]
+) -> list[tuple[list[Coefficient], bool] | None]:
+    """For each right-hand side b of ``rhs`` (one target form per equation,
+    shaped like a column), ring coefficients c with Σ_k c_k·columns[k][e] =
+    b[e] for every equation e, and whether they are unique; None when that
+    system is inconsistent or its solution leaves the Laurent ring.  One
+    elimination serves every right-hand side."""
+    chart = rhs[0][0].chart
+    rows = _stacked_rows([*columns, *rhs], [t.degree for t in rhs[0]], chart)
+    result = rref(rows, chart, unknowns=len(columns))
+    solved: list[tuple[list[Coefficient], bool] | None] = []
+    for j in range(len(rhs)):
+        try:
+            solved.append((result.solution(j), result.nullity == 0))
+        except DomainError:
+            solved.append(None)
+    return solved
 
 
 class NFormStructure:
@@ -175,7 +178,7 @@ class NFormStructure:
         if p < 1 or p > self.chart.dimension:
             raise DegreeError(f"kernel degree {p} out of range")
         rows = _stacked_rows(_contraction_columns(targets, p), [t.degree - p for t in targets], self.chart)
-        out = [_from_coordinates(MultiVector, self.chart, p, vec) for vec in nullspace(rows, self.chart)]
+        out = [_from_coordinates(MultiVector, self.chart, p, vec) for vec in rref(rows, self.chart).kernel]
         # kernels must re-verify by contraction; elimination bugs die here
         for u in out:
             for t in targets:
@@ -292,7 +295,7 @@ def verify_conformal(S: NFormStructure, X: MultiVector) -> MultiVector | None:
     p = X.degree
     if p < 1:
         raise DegreeError("conformal candidates must have degree at least 1")
-    solved = solve_by_contraction(_contraction_columns([S.theta], p - 1), [lie_derivative(X, S.theta)])
+    (solved,) = solve_by_contraction(_contraction_columns([S.theta], p - 1), [[lie_derivative(X, S.theta)]])
     if solved is None:
         return None
     return _from_coordinates(MultiVector, S.chart, p - 1, solved[0])
@@ -355,7 +358,7 @@ def ms_hamiltonian_pair(omega: DiffForm, alpha: DiffForm) -> MultiVector | None:
         raise DegreeError(
             f"no multivector degree matches: form degree {alpha.degree} against ambient degree {omega.degree}"
         )
-    solved = solve_by_contraction(_contraction_columns([omega], p), [target])
+    (solved,) = solve_by_contraction(_contraction_columns([omega], p), [[target]])
     if solved is None:
         return None
     return _from_coordinates(MultiVector, omega.chart, p, solved[0])

@@ -478,6 +478,15 @@ class TestSigmaDissipatedDistortion:
             assert code == 2
             assert "error:" in err
 
+    def test_dissipated_rejects_a_malformed_row_index(self, capsys):
+        code, out, err = run(
+            capsys, "dissipated", "--n", "2", "--m", "1", "--H", "p0^2", "--row", "2:x"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "FAMILY[:i[,mu]]" in err
+
     def test_distortion_of_the_canonical_space(self, capsys):
         code, out, _ = run(capsys, "distortion", "--n", "2", "--m", "1")
         assert code == 0
@@ -542,6 +551,21 @@ class TestRenderAndLet:
         # Nothing was printed or stored before the rejection.
         code, _, err = run(capsys, "render", "d(x0) + p", "-s", canonical_session)
         assert code == 2  # p is still the scalar coordinate: degree mismatch
+
+    def test_differential_and_vector_field_names_cannot_be_rebound(self, contact_session, capsys):
+        code, out, err = run(capsys, "let", "dq", "=", "2*dz", "-s", contact_session)
+        assert code == 2
+        assert "'dq' is a chart coordinate differential" in err and "dq =" not in out
+        code, out, err = run(
+            capsys, "conformal", "make", "--x", "e_z", "--store", "e_p", "-s", contact_session
+        )
+        assert code == 2
+        assert "'e_p' is a chart coordinate vector field" in err and "conformal: yes" not in out
+        # both names still mean what they render as
+        code, out, _ = run(capsys, "render", "dq + e_p", "-s", contact_session)
+        assert code == 2  # a 1-form and a 1-vector do not add
+        code, out, _ = run(capsys, "render", "i_(e_p, dq)", "-s", contact_session)
+        assert code == 0 and out.strip() == "0"
 
     def test_let_requires_an_equals_sign(self, canonical_session, capsys):
         code, _, err = run(capsys, "let", "w", "d(x0)", "-s", canonical_session)

@@ -1,10 +1,12 @@
 """Canonical phase space, elementary tables, Reeb calculus, covariant
 Hamilton equations, dissipated quantities, distortion and obstructions."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from gjb import linalg
 from gjb.coeffring import Chart, Coefficient
 from gjb.errors import DomainError, StructuralError
 from gjb.exterior import (
@@ -33,8 +35,14 @@ from gjb.fieldtheory import (
     variational_check,
     vertical_conformal_from_FG,
 )
-from gjb.linalg import is_in_span
-from gjb.structures import NFormStructure, is_multicontact
+from gjb.linalg import rref
+from gjb.structures import (
+    NFormStructure,
+    _contraction_columns,
+    _from_coordinates,
+    is_multicontact,
+    solve_by_contraction,
+)
 
 from conftest import contact_structure, rand_fg_data
 
@@ -111,7 +119,7 @@ def test_canonical_kernel_oracle_signs():
         for v in CAN.kernel(1, "theta")
     ]
     vec = [plus.terms.get((j,), Coefficient.zero(CAN.chart)) for j in range(CAN.chart.dimension)]
-    assert is_in_span(vec, rows, CAN.chart)
+    assert rref(rows, CAN.chart).contains(vec)
 
 
 def test_residual_momentum_direction_is_in_theta_kernel():
@@ -300,6 +308,33 @@ def test_refined_reeb_duality_for_three_variables():
     rep = reeb.representative
     assert interior_product(rep, S.theta).scalar() == Coefficient.one(S.chart)
     assert interior_product(rep, S.dtheta, strict=False).is_zero()
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2)])
+def test_refined_reeb_runs_one_elimination(n, m, monkeypatch):
+    # the k dual pairs are k right-hand sides of one elimination, and they
+    # equal the pairs of k single-right-hand-side solves
+    S = build_canonical(n, m)
+    original, rows_seen = linalg.rref, []
+
+    def counting(*args, **kwargs):
+        rows_seen.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "gjb" or name.startswith("gjb.")) and getattr(module, "rref", None) is original:
+            monkeypatch.setattr(module, "rref", counting)
+    reeb = refined_reeb(S)
+    monkeypatch.undo()
+    assert len(rows_seen) == 1
+    basis = S.reeb_directions
+    columns = _contraction_columns([interior_product(R, S.theta) for R in basis], n - 1)
+    one, zero = (DiffForm.from_scalar(Coefficient.constant(S.chart, v)) for v in (1, 0))
+    pairs = []
+    for j, R in enumerate(basis):
+        (solved,) = solve_by_contraction(columns, [[one if i == j else zero for i in range(len(basis))]])
+        pairs.append((R, _from_coordinates(MultiVector, S.chart, n - 1, solved[0])))
+    assert list(reeb.pairs) == pairs
 
 
 def test_refined_reeb_contact_specialization():

@@ -10,20 +10,18 @@ from hypothesis import strategies as st
 from gjb import linalg
 from gjb.coeffring import Chart, Coefficient, parse_coefficient
 from gjb.errors import DomainError, StructuralError
-from gjb.linalg import (
-    exact_divide,
-    is_in_span,
-    nullspace,
-    reduce_mod_span,
-    rref,
-    solve_affine,
-)
+from gjb.linalg import exact_divide, rref
 
 CHART = Chart(("x", "y", "z"), frozenset({"z"}))
 
 
 def C(text):
     return parse_coefficient(CHART, text)
+
+
+def _augmented(rows, *rhs):
+    """[A | b_0 ... b_k] for rref(..., unknowns=<columns of A>)."""
+    return [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
 
 
 def test_exact_divide_polynomials():
@@ -56,7 +54,7 @@ def test_rref_rank_and_unit_pivots():
 
 def test_nullspace_is_cleared_and_exact():
     rows = [[C("1"), C("x"), C("0")], [C("0"), C("0"), C("1")]]
-    basis = nullspace(rows, CHART)
+    basis = rref(rows, CHART).kernel
     assert len(basis) == 1
     vec = basis[0]
     assert all(isinstance(entry, Coefficient) for entry in vec)
@@ -71,36 +69,35 @@ def test_nullspace_is_cleared_and_exact():
 
 def test_solve_affine_consistent():
     rows = [[C("1"), C("1")], [C("1"), C("-1")]]
-    sol = solve_affine(rows, [C("2*x"), C("0")], CHART)
-    assert sol.consistent
-    assert sol.coefficient_solution() == [C("x"), C("x")]
-    assert sol.homogeneous == []
+    sol = rref(_augmented(rows, [C("2*x"), C("0")]), CHART, unknowns=2)
+    assert sol.solution(0) == [C("x"), C("x")]
+    assert sol.kernel == []
 
 
 def test_solve_affine_inconsistent():
     rows = [[C("1"), C("1")], [C("2"), C("2")]]
-    sol = solve_affine(rows, [C("1"), C("3")], CHART)
-    assert not sol.consistent
-    with pytest.raises(DomainError):
-        sol.coefficient_solution()
-    assert len(sol.homogeneous) == 1
+    sol = rref(_augmented(rows, [C("1"), C("3")]), CHART, unknowns=2)
+    with pytest.raises(DomainError, match="inconsistent"):
+        sol.solution(0)
+    assert len(sol.kernel) == 1
 
 
 def test_solve_affine_underdetermined():
-    sol = solve_affine([[C("1"), C("1"), C("0")]], [C("y")], CHART)
-    x = sol.coefficient_solution()
+    sol = rref([[C("1"), C("1"), C("0"), C("y")]], CHART, unknowns=3)
+    x = sol.solution(0)
     assert x[0] + x[1] == C("y") and x[2].is_zero()
-    assert len(sol.homogeneous) == 2
+    assert len(sol.kernel) == 2
 
 
 def test_reduce_mod_span_zeroes_pivot_columns():
     basis = [[C("1"), C("0"), C("2")], [C("0"), C("1"), C("-1")]]
-    reduced, den = reduce_mod_span([C("y"), C("x"), C("0")], basis, CHART)
+    span = rref(basis, CHART)
+    reduced, den = span.reduce([C("y"), C("x"), C("0")])
     assert den == C("1")  # every pivot is a unit
     assert reduced[0].is_zero() and reduced[1].is_zero()
     assert reduced[2] == C("-2*y + x")
-    assert is_in_span([C("3"), C("1"), C("5")], basis, CHART)
-    assert not is_in_span([C("0"), C("0"), C("1")], basis, CHART)
+    assert span.contains([C("3"), C("1"), C("5")])
+    assert not span.contains([C("0"), C("0"), C("1")])
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -110,7 +107,7 @@ small = st.integers(min_value=-6, max_value=6)
 @settings(max_examples=60)
 def test_nullspace_annihilates_random_integer_matrices(raw):
     rows = [[Coefficient.constant(CHART, v) for v in row] for row in raw]
-    for vec in nullspace(rows, CHART):
+    for vec in rref(rows, CHART).kernel:
         for row in rows:
             acc = Coefficient.zero(CHART)
             for a, v in zip(row, vec):
@@ -126,10 +123,12 @@ def test_nullspace_annihilates_random_integer_matrices(raw):
 def test_solve_affine_solutions_check_out(raw, target):
     rows = [[Coefficient.constant(CHART, v) for v in row] for row in raw]
     rhs = [Coefficient.constant(CHART, v) for v in target]
-    sol = solve_affine(rows, rhs, CHART)
-    if not sol.consistent:
+    sol = rref(_augmented(rows, rhs), CHART, unknowns=3)
+    if rref(_augmented(rows, rhs), CHART).rank > rref(rows, CHART).rank:  # inconsistent
+        with pytest.raises(DomainError):
+            sol.solution(0)
         return
-    x = sol.coefficient_solution()
+    x = sol.solution(0)
     for row, b in zip(rows, rhs):
         acc = Coefficient.zero(CHART)
         for a, v in zip(row, x):
@@ -176,11 +175,11 @@ _integer_matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_nullity_is_the_size_of_the_lazy_basis(raw):
     rows = [[C(text) for text in row] for row in raw]
-    sol = solve_affine(rows, [Coefficient.zero(CHART)] * len(rows), CHART)
-    assert "homogeneous" not in vars(sol)  # nothing built before it is read
+    sol = rref(_augmented(rows, [Coefficient.zero(CHART)] * len(rows)), CHART, unknowns=len(raw[0]))
+    assert "kernel" not in vars(sol)  # nothing built before it is read
     assert sol.nullity == len(raw[0]) - rref(rows, CHART).rank
-    assert sol.nullity == len(sol.homogeneous)
-    for vec in sol.homogeneous:
+    assert sol.nullity == len(sol.kernel)
+    for vec in sol.kernel:
         _annihilates(vec, rows)
 
 
@@ -195,10 +194,10 @@ def test_dense_laurent_kernel_stays_small():
         ["z", "y - x", "x^2 - 1", "0", "0"],
     ]
     rows = [[C(text) for text in row] for row in raw]
-    sol = solve_affine(rows, [Coefficient.zero(CHART)] * len(rows), CHART)
+    sol = rref(rows, CHART)
     assert sol.generic_only
     assert sol.nullity == 1
-    (vec,) = sol.homogeneous
+    (vec,) = sol.kernel
     _annihilates(vec, rows)
     assert max(len(entry.terms) for entry in vec) <= 251
 
@@ -212,10 +211,10 @@ def test_laurent_solutions_check_out(system):
     rows = [[C(text) for text in row] for row in raw]
     x0 = [C(text) for text in raw_vector]
     rhs = [sum((a * v for a, v in zip(row, x0)), Coefficient.zero(CHART)) for row in rows]
-    sol = solve_affine(rows, rhs, CHART)
-    assert sol.consistent
+    assert rref(_augmented(rows, rhs), CHART).rank == rref(rows, CHART).rank  # consistent
+    sol = rref(_augmented(rows, rhs), CHART, unknowns=len(raw[0]))
     try:
-        x = sol.coefficient_solution()
+        x = sol.solution(0)
     except DomainError:
         assert sol.generic_only
         return
@@ -379,12 +378,18 @@ def test_zero_skipping_elimination_matches_the_dense_reference(system):
         den = got[pivot_of[r]] if r in pivot_of else Coefficient.one(CHART)
         assert _same_values(got, den, want)
     ncols = len(raw[0])
-    assert nullspace(rows, CHART) == linalg._kernel_basis(ring_mat, pivots, ncols, CHART)
+    assert result.kernel == linalg._kernel_basis(ring_mat, pivots, ncols, CHART)
     vector = [C(text) for text in raw_vector]
     reduced, den = result.reduce(vector)
     assert _same_values(reduced, den, _dense_reduce(vector, rows))
-    assert (reduced, den) == reduce_mod_span(vector, rows, CHART)
-    assert is_in_span(vector, rows, CHART) == all(f.is_zero() for f in reduced)
+    assert result.contains(vector) == all(f.is_zero() for f in reduced)
+    # a trailing right-hand side is carried, never pivoted on, and changes
+    # nothing in the leading columns
+    column = [vector[i % ncols] for i in range(len(rows))]
+    carried = rref(_augmented(rows, column), CHART, unknowns=ncols)
+    assert carried.pivots == result.pivots and carried.generic_only == result.generic_only
+    assert [row[:ncols] for row in carried.rows] == result.rows
+    assert carried.nullity == result.nullity
 
 
 def _rational_rank(matrix):
@@ -411,15 +416,38 @@ _points = st.tuples(_rationals, _rationals, _rationals.filter(lambda v: v != 0))
 def test_rank_matches_the_pointwise_rank(system, points):
     # an honest elimination holds at every chart point; a generic one
     # bounds the rank at each point from above
-    raw, _ = system
+    raw, raw_vector = system
     rows = [[C(text) for text in row] for row in raw]
+    ncols = len(raw[0])
     result = rref(rows, CHART)
+    # two right-hand sides A·x, consistent by construction, in one elimination
+    xs = [[C(text) for text in raw_vector], [C(text) for text in reversed(raw_vector)]]
+    rhs = [[sum((a * v for a, v in zip(row, x)), Coefficient.zero(CHART)) for row in rows] for x in xs]
+    solved = rref(_augmented(rows, *rhs), CHART, unknowns=ncols)
+    solutions = [] if result.generic_only else [solved.solution(j) for j in range(len(rhs))]
     for x, y, z in points:
-        rank = _rational_rank([[entry.evaluate({"x": x, "y": y, "z": z}) for entry in row] for row in rows])
+        point = {"x": x, "y": y, "z": z}
+
+        def at(vector):
+            return [entry.evaluate(point) for entry in vector]
+
+        def apply(matrix, vector):
+            return [sum(a * v for a, v in zip(row, vector)) for row in matrix]
+
+        matrix = [at(row) for row in rows]
+        rank = _rational_rank(matrix)
         if result.generic_only:
             assert rank <= result.rank
-        else:
-            assert rank == result.rank
+            continue
+        assert rank == result.rank
+        assert result.nullity == solved.nullity == ncols - rank
+        kernel = [at(vec) for vec in solved.kernel]
+        for vec in kernel:
+            assert not any(apply(matrix, vec))
+        if kernel:
+            assert _rational_rank(kernel) == len(kernel)
+        for solution, b in zip(solutions, rhs):
+            assert apply(matrix, at(solution)) == at(b)
 
 
 def test_reduce_rejects_a_vector_of_the_wrong_length():
@@ -434,4 +462,4 @@ def test_cleared_kernel_keeps_no_common_factor():
     # product as the multiplier would leave x + 1 in every entry
     rows = [[C("x + 1"), C("0"), C("y")], [C("0"), C("(x + 1)*(y + 1)"), C("y")]]
     assert rref(rows, CHART).generic_only
-    assert nullspace(rows, CHART) == [[C("y^2 + y"), C("y"), C("-x*y - x - y - 1")]]
+    assert rref(rows, CHART).kernel == [[C("y^2 + y"), C("y"), C("-x*y - x - y - 1")]]

@@ -1,0 +1,39 @@
+"""The public surface of the package: every exported name resolves, and
+every elimination passes its matrix positionally.
+
+``bench/tracer.py`` wraps each entry of every module's ``__all__`` by
+``getattr`` and reads an elimination's matrix as its first positional
+argument, so a stale export or a keyword matrix breaks traced runs.
+"""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import pytest
+
+import gjb
+
+MODULES = ["gjb"] + [
+    f"gjb.{info.name}" for info in pkgutil.iter_modules(gjb.__path__) if not info.name.startswith("_")
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)] == []
+
+
+def test_rref_is_called_with_its_rows_first():
+    calls = []
+    for path in pathlib.Path(gjb.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "rref":
+                    calls.append((path.name, node.lineno, bool(node.args)))
+    assert calls, "no call of rref found"
+    assert [call for call in calls if not call[2]] == []

@@ -26,7 +26,7 @@ from gjb.exterior import (
     interior_product,
     wedge,
 )
-from gjb.linalg import solve_affine
+from gjb.linalg import rref
 from gjb.sharp import (
     QuotientMultiVector,
     bracket_via_sharp,
@@ -198,9 +198,9 @@ def test_unique_decomposition_survives_permuted_resolve(rng):
         for I in itertools.combinations(range(dim), degree):
             rows.append([f.terms.get(I, Coefficient.zero(chart)) for f in forms])
             rhs.append(target.terms.get(I, Coefficient.zero(chart)) if target is not None else Coefficient.zero(chart))
-    solution = solve_affine(rows, rhs, chart)
-    values = solution.coefficient_solution()
-    assert not solution.homogeneous
+    solution = rref([row + [b] for row, b in zip(rows, rhs)], chart, unknowns=len(cols))
+    values = solution.solution(0)
+    assert not solution.kernel
     assert values[0] == gamma
     resolved = MultiVector(chart, 1, {(dim - 1 - k,): c for k, c in enumerate(values[1:])})
     assert resolved == x

@@ -15,7 +15,7 @@ import pytest
 from conftest import SEED, contact_data, contact_structure, rand_coefficient, rand_form, rand_multivector
 from gjb.coeffring import Chart, Coefficient, parse_coefficient
 from gjb.errors import DegreeError, DomainError, StructuralError, ValidationError
-from gjb.linalg import AffineSolution, nullspace, solve_affine
+from gjb.linalg import RrefResult, rref
 from gjb.exterior import (
     DiffForm,
     MultiVector,
@@ -192,7 +192,7 @@ def test_nonzero_alpha_of_the_wrong_degree_is_refused():
 def test_solves_do_not_swallow_unexpected_errors(monkeypatch):
     # only DomainError means "no ring solution"; any other error is a bug
     # and must surface instead of reading as "no witness"
-    def broken(self):
+    def broken(self, j):
         raise StructuralError("injected")
 
     S = contact_structure()
@@ -202,7 +202,7 @@ def test_solves_do_not_swallow_unexpected_errors(monkeypatch):
     alpha = DiffForm.from_scalar(Coefficient.coordinate(chart, "x") ** 2)
     assert verify_conformal(S, X) is not None
     assert ms_hamiltonian_pair(omega, alpha) is not None
-    monkeypatch.setattr(AffineSolution, "coefficient_solution", broken)
+    monkeypatch.setattr(RrefResult, "solution", broken)
     with pytest.raises(StructuralError):
         verify_conformal(S, X)
     with pytest.raises(StructuralError):
@@ -452,7 +452,7 @@ def reference_kernel(S, p, which):
     keys = reference_index_tuples(S.chart, p)
     return [
         MultiVector(S.chart, p, {J: c for J, c in zip(keys, vec) if not c.is_zero()})
-        for vec in nullspace(reference_kernel_rows(S, p, which), S.chart)
+        for vec in rref(reference_kernel_rows(S, p, which), S.chart).kernel
     ]
 
 
@@ -465,11 +465,9 @@ def reference_solve(columns, targets):
         rhs += [target.terms.get(I, zero) for I in reference_index_tuples(chart, target.degree)]
     if not rows:
         rows, rhs = [[zero] * len(columns)], [zero]
-    solution = solve_affine(rows, rhs, chart)
-    if not solution.consistent:
-        return None
+    solution = rref([row + [b] for row, b in zip(rows, rhs)], chart, unknowns=len(columns))
     try:
-        values = solution.coefficient_solution()
+        values = solution.solution(0)
     except DomainError:
         return None
     return values, solution.nullity == 0
@@ -517,19 +515,27 @@ def test_stacked_solves_match_the_column_reference(rng):
             U = rand_multivector(rng, LAURENT, p, max_terms=2, laurent=True)
             # a consistent system, one that may be inconsistent, and the
             # same unknowns against Θ and dΘ at once
+            consistent = [interior_product(U, S.theta, strict=False)]
+            arbitrary = [rand_form(rng, LAURENT, S.degree - p, laurent=True)]
             for forms, targets in (
-                ([S.theta], [interior_product(U, S.theta, strict=False)]),
-                ([S.theta], [rand_form(rng, LAURENT, S.degree - p, laurent=True)]),
+                ([S.theta], consistent),
+                ([S.theta], arbitrary),
                 ([S.theta, S.dtheta], [interior_product(U, S.theta), interior_product(U, S.dtheta)]),
             ):
                 reference = list(zip(*(reference_columns(f, p) for f in forms)))
-                assert solve_by_contraction(_contraction_columns(forms, p), targets) == reference_solve(
-                    reference, targets
-                )
+                assert solve_by_contraction(_contraction_columns(forms, p), [targets]) == [
+                    reference_solve(reference, targets)
+                ]
+            # both single-equation right-hand sides from one elimination
+            reference = [(column,) for column in reference_columns(S.theta, p)]
+            assert solve_by_contraction(_contraction_columns([S.theta], p), [consistent, arbitrary]) == [
+                reference_solve(reference, consistent),
+                reference_solve(reference, arbitrary),
+            ]
 
 
 def test_stacked_rows_refuse_a_column_of_the_wrong_degree():
     S = contact_structure()
     columns = _contraction_columns([S.theta], 1)
     with pytest.raises(DegreeError):
-        solve_by_contraction(columns, [S.theta])
+        solve_by_contraction(columns, [[S.theta]])
