@@ -21,12 +21,13 @@ names, missing or incompatible session files).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .coeffring import Chart, Coefficient
 from .dsl import (
-    FUNCTIONS,
     Environment,
+    _binding_name_error,
     _chart_name,
     free_names,
     latex_coefficient,
@@ -226,14 +227,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _check_binding_name(session: Session, name: str) -> None:
-    if not name.isidentifier():
-        raise _UsageError(f"{name!r} is not a valid binding name")
-    value = _chart_name(session.chart, name)
-    if value is not None:
-        noun = {Coefficient: "coordinate", DiffForm: "coordinate differential", MultiVector: "coordinate vector field"}
-        raise _UsageError(f"{name!r} is a chart {noun[type(value)]} and cannot be rebound")
-    if name in FUNCTIONS:
-        raise _UsageError(f"{name!r} is a builtin function name and cannot be rebound")
+    error = _binding_name_error(session.chart, name)
+    if error is not None:
+        raise _UsageError(error)
 
 
 def _store_binding(session: Session, path, name: str, value) -> None:
@@ -622,7 +618,10 @@ def _add_nm_flags(parser, required: bool = True) -> None:
     parser.add_argument("--m", type=int, required=required, help="number of field components")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first ``main`` call of a
+    process and reused by every later one (parsing leaves it unchanged)."""
     parser = _Parser(prog="gjb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

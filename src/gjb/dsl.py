@@ -282,6 +282,21 @@ def _chart_name(chart: Chart, name: str) -> Value | None:
     return None
 
 
+def _binding_name_error(chart: Chart, name: str) -> str | None:
+    """Why ``name`` may not name a binding on ``chart``, or None when it
+    may: a binding must be an identifier and may shadow neither a name
+    the chart gives (see ``_chart_name``) nor a builtin function."""
+    if not name.isidentifier():
+        return f"{name!r} is not a valid binding name"
+    value = _chart_name(chart, name)
+    if value is not None:
+        noun = {Coefficient: "coordinate", DiffForm: "coordinate differential", MultiVector: "coordinate vector field"}
+        return f"{name!r} is a chart {noun[type(value)]} and cannot be rebound"
+    if name in FUNCTIONS:
+        return f"{name!r} is a builtin function name and cannot be rebound"
+    return None
+
+
 def _resolve(env: Environment, node: Ident) -> Value:
     name = node.name
     if name in env.bindings:
@@ -701,13 +716,16 @@ def _chart_of(payload: dict, chart: Chart | None) -> Chart:
     return target
 
 
-def _graded_from_json(payload: dict, chart: Chart | None) -> DiffForm | MultiVector:
+def _check_graded(payload: dict, chart: Chart | None):
+    """``_check_shape`` for a serialized form or multivector: kind,
+    chart, degree and index tuples are checked and every coefficient must
+    be a string, but none is parsed."""
     kind = _member(payload, "kind", str, "a serialized object")
     if kind not in {"form", "multivector"}:
         raise StructuralError(f"expected a serialized form or multivector, got kind {kind!r}")
     target = _chart_of(payload, chart)
     degree = _member(payload, "degree", int, "a serialized object")
-    pairs = []
+    terms = []
     for term in _member(payload, "terms", list, "a serialized object"):
         indices = tuple(_member(term, "indices", list, "a serialized term"))
         integers = all(isinstance(i, int) for i in indices)
@@ -715,34 +733,41 @@ def _graded_from_json(payload: dict, chart: Chart | None) -> DiffForm | MultiVec
             raise StructuralError(f"malformed index tuple {indices} for degree {degree}")
         if indices and not (0 <= indices[0] and indices[-1] < target.dimension):
             raise StructuralError(f"index tuple {indices} escapes the chart")
-        pairs.append((indices, parse_coefficient(target, _member(term, "coeff", str, "a serialized term"))))
-    # a repeated index tuple is summed, like the terms of any sum
+        terms.append((indices, _member(term, "coeff", str, "a serialized term")))
     cls = DiffForm if kind == "form" else MultiVector
-    return cls(target, degree, _accumulate(pairs))
+    # a repeated index tuple is summed, like the terms of any sum
+    return lambda: cls(target, degree, _accumulate((indices, parse_coefficient(target, text)) for indices, text in terms))
 
 
-def object_from_json(payload: dict, chart: Chart | None = None, structure: NFormStructure | None = None) -> Value:
-    """Rebuild an expression value; conformal data is re-validated
-    against ``structure`` and never trusts the stored stamp."""
+def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure | None):
+    """The structural pass of ``object_from_json``: everything about a
+    serialized value that can be checked without parsing a coefficient.
+    Returns the parse pass, a function of no arguments that parses the
+    coefficients and rebuilds the value (re-validating conformal data
+    against ``structure``)."""
     kind = _member(payload, "kind", str, "a serialized value")
     if kind == "coefficient":
         target = _chart_of(payload, chart)
-        pairs = (
-            pair
-            for term in _member(payload, "terms", list, "a serialized object")
-            for pair in parse_coefficient(target, _member(term, "coeff", str, "a serialized term")).terms.items()
+        texts = [_member(term, "coeff", str, "a serialized term") for term in _member(payload, "terms", list, "a serialized object")]
+        return lambda: Coefficient(
+            target, _accumulate(pair for text in texts for pair in parse_coefficient(target, text).terms.items())
         )
-        return Coefficient(target, _accumulate(pairs))
     if kind in {"form", "multivector"}:
-        return _graded_from_json(payload, chart)
+        return _check_graded(payload, chart)
     if kind == "conformal-data":
         if structure is None:
             raise StructuralError("conformal data needs a structure to re-validate against")
         from .structures import make_conformal_data
 
-        parts = (_graded_from_json(payload.get(part), structure.chart) for part in ("alpha", "x_field", "v_field"))
-        return make_conformal_data(structure, *parts)
+        parts = [_check_graded(payload.get(part), structure.chart) for part in ("alpha", "x_field", "v_field")]
+        return lambda: make_conformal_data(structure, *(parse() for parse in parts))
     raise StructuralError(f"unknown serialized kind {kind!r}")
+
+
+def object_from_json(payload: dict, chart: Chart | None = None, structure: NFormStructure | None = None) -> Value:
+    """Rebuild an expression value; conformal data is re-validated
+    against ``structure`` and never trusts the stored stamp."""
+    return _check_shape(payload, chart, structure)()
 
 
 def render(obj: Value, fmt: str = "plain") -> str:

@@ -9,28 +9,37 @@ A session file is a JSON document:
       "bindings": {"name": <form|multivector|coefficient|conformal-data>, ...}
     }
 
-where the object payloads follow the library's JSON interchange.  The
-schema tag is checked on load and unrecognized versions are refused.
-Stored conformal data never trusts its validation stamp: it is rebuilt
-against the session structure, re-running the defining equations, every
-time the file is read.
+where the object payloads follow the library's JSON interchange.
+
+Every load checks the JSON syntax, the schema tag (unrecognized versions
+are refused), the chart, the structure form, the binding names and the
+shape of every binding, without parsing any stored coefficient.  Every
+binding a command reads is then rebuilt from its payload on first read:
+its coefficients are parsed, and conformal data is re-validated against
+the session structure, re-running the defining equations; nothing read
+is ever trusted, the stored validation stamp included.  Bindings a
+command does not read are written back verbatim when it saves.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .coeffring import Chart
 from .dsl import (
     Environment,
+    _binding_name_error,
+    _check_shape,
     chart_from_json,
     chart_to_json,
     object_from_json,
     to_json,
 )
-from .errors import GjbError, StructuralError
+from .errors import GjbError, ParseError, StructuralError
 from .exterior import DiffForm
 from .structures import NFormStructure
 
@@ -47,16 +56,72 @@ def _read(label: str, reader, payload, **context):
     """``reader(payload)``, refusing a malformed payload as a SessionError."""
     try:
         return reader(payload, **context)
-    except StructuralError as err:
+    except (StructuralError, ParseError) as err:
         raise SessionError(f"malformed session file: {label}: {err}") from err
+
+
+class _Unread:
+    """A binding as the session file stores it, not read yet."""
+
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: dict):
+        self.payload = payload
+
+
+class _Bindings(MutableMapping):
+    """A session's named values.  A binding loaded from a file stays its
+    payload until it is first looked up; ``read(name, payload)`` then
+    rebuilds it and the value replaces the payload.  Membership,
+    iteration and length never read a binding."""
+
+    def __init__(self, read, entries):
+        self._read = read
+        self._entries = dict(entries)
+
+    def __getitem__(self, name):
+        entry = self._entries[name]
+        if isinstance(entry, _Unread):
+            entry = self._entries[name] = self._read(name, entry.payload)
+        return entry
+
+    def __setitem__(self, name, value):
+        self._entries[name] = value
+
+    def __delitem__(self, name):
+        del self._entries[name]
+
+    def __contains__(self, name):
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def to_json(self) -> dict:
+        """Unread payloads verbatim, read and new values serialized."""
+        return {
+            name: entry.payload if isinstance(entry, _Unread) else to_json(entry)
+            for name, entry in self._entries.items()
+        }
 
 
 @dataclass
 class Session:
     chart: Chart
     theta: DiffForm | None = None
-    bindings: dict[str, object] = field(default_factory=dict)
+    bindings: MutableMapping[str, object] = field(default_factory=dict)
     _structure: NFormStructure | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.bindings = _Bindings(self._read_binding, self.bindings)
+
+    def _read_binding(self, name: str, payload: dict):
+        # object_from_json refuses conformal data when there is no structure form
+        structure = self.structure() if self.theta is not None else None
+        return _read(f"binding {name!r}", object_from_json, payload, chart=self.chart, structure=structure)
 
     # -- structure ---------------------------------------------------------
 
@@ -68,33 +133,32 @@ class Session:
         return self._structure
 
     def set_theta(self, theta: DiffForm) -> None:
-        """Install a new structure form, re-validating every stored
-        conformal triple against it."""
+        """Install a new structure form, reading every binding and
+        re-validating every conformal triple against it."""
         if theta.chart != self.chart:
             raise StructuralError("theta must live on the session chart")
         if theta.degree < 1 or theta.is_zero():
             raise StructuralError("theta must be a nonzero form of positive degree")
-        old_theta, old_structure = self.theta, self._structure
+        old = self.theta, self._structure, self.bindings
         self.theta = theta
         self._structure = None
         try:
             self._revalidate_bindings()
         except GjbError:
-            self.theta, self._structure = old_theta, old_structure
+            self.theta, self._structure, self.bindings = old
             raise
 
     def _revalidate_bindings(self) -> None:
         from .structures import ConformalData, make_conformal_data
 
         rebuilt = {}
-        for name, value in self.bindings.items():
-            if isinstance(value, ConformalData):
-                rebuilt[name] = make_conformal_data(
-                    self.structure(), value.alpha, value.x_field, value.v_field
-                )
-            else:
-                rebuilt[name] = value
-        self.bindings = rebuilt
+        for name, entry in self.bindings._entries.items():
+            if isinstance(entry, _Unread):
+                entry = self._read_binding(name, entry.payload)
+            elif isinstance(entry, ConformalData):
+                entry = make_conformal_data(self.structure(), entry.alpha, entry.x_field, entry.v_field)
+            rebuilt[name] = entry
+        self.bindings = _Bindings(self._read_binding, rebuilt)
 
     def environment(self, extension=None) -> Environment:
         structure = None
@@ -114,11 +178,22 @@ class Session:
             "schema": SCHEMA,
             "chart": chart_to_json(self.chart),
             "theta": None if self.theta is None else to_json(self.theta),
-            "bindings": {name: to_json(value) for name, value in self.bindings.items()},
+            "bindings": self.bindings.to_json(),
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n")
+        """Write the session atomically: a failed write leaves the old
+        file whole, unread bindings included."""
+        path = Path(path)
+        text = json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+        scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(scratch, "w") as handle:
+                handle.write(text)
+            os.replace(scratch, path)
+        except BaseException:
+            scratch.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Session":
@@ -141,8 +216,13 @@ class Session:
             session.theta = theta
         structure = session.structure() if session.theta is not None else None
         for name, entry in bindings.items():
-            # object_from_json refuses conformal data when there is no structure form
-            session.bindings[name] = _read(f"binding {name!r}", object_from_json, entry, chart=chart, structure=structure)
+            error = _binding_name_error(chart, name)
+            if error is not None:
+                raise SessionError(f"malformed session file: binding {name!r}: {error}")
+            _read(f"binding {name!r}", _check_shape, entry, chart=chart, structure=structure)
+            session.bindings[name] = _Unread(entry)
+            if _untyped_zero_alpha(entry, session.theta):
+                session.bindings[name]  # read it now
         return session
 
     @classmethod
@@ -155,3 +235,14 @@ class Session:
         except json.JSONDecodeError as err:
             raise SessionError(f"session file {p} is not valid JSON: {err}") from err
         return cls.from_payload(payload)
+
+
+def _untyped_zero_alpha(entry: dict, theta: DiffForm | None) -> bool:
+    """Whether a checked binding payload is conformal data whose zero α
+    is stored at a degree other than n − p, as files written before zero
+    forms carried negative degrees store it.  Such a binding is read on
+    load, so that saving writes the typed zero."""
+    if entry["kind"] != "conformal-data":
+        return False
+    alpha = entry["alpha"]
+    return not alpha["terms"] and alpha["degree"] != theta.degree - entry["x_field"]["degree"]

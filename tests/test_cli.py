@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from gjb import cli
 from gjb.cli import main
 
 
@@ -668,3 +669,54 @@ class TestErrorPaths:
         code, _, err = run(capsys, "check", "multicontact", "-s", path)
         assert code == 2
         assert "no structure form" in err
+
+    @pytest.mark.parametrize("name", ["dq", "e_p", "q", "d", "jb", "not-a-name"])
+    def test_stored_reserved_binding_names_are_refused_on_load(self, contact_session, capsys, name):
+        assert run(capsys, "let", "u", "=", "2*dz", "-s", contact_session)[0] == 0
+        with open(contact_session) as handle:
+            payload = json.load(handle)
+        payload["bindings"] = {name: payload["bindings"]["u"]}
+        with open(contact_session, "w") as handle:
+            json.dump(payload, handle)
+        code, out, err = run(capsys, "render", "dq", "-s", contact_session)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: malformed session file: binding {name!r}: {name!r} ")
+        assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+DISSIPATED = ["dissipated", "--n", "2", "--m", "1", "--H", "1/2*p0^2", "--F", "0"]
+
+# each pair could leak a default from its first command into its second
+REUSE = {
+    "repeated-G": [DISSIPATED + ["--G=-1", "--G", "0"], DISSIPATED],
+    "bracket-cup": [["bracket", "a", "b"], ["cup", "a", "b"]],
+    "store": [["conformal", "make", "--x=-e_s0", "--store", "a"], ["conformal", "make", "--x=-e_s0"]],
+    "usage-error": [["kernel", "--which", "nothing"], ["kernel", "--which", "dtheta"]],
+}
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    @pytest.mark.parametrize("pair", sorted(REUSE))
+    def test_one_parser_gives_what_a_fresh_parser_gives(self, canonical_session, capsys, monkeypatch, pair, order):
+        run(capsys, "conformal", "make", "--x=-e_s0", "--store", "a", "-s", canonical_session)
+        run(capsys, "conformal", "make", "--x", "e_y", "--store", "b", "-s", canonical_session)
+        commands = REUSE[pair] if order == "forward" else REUSE[pair][::-1]
+        shared = cli._build_parser()
+        for argv in commands:
+            if argv[0] != "dissipated":
+                argv = argv + ["-s", canonical_session]
+            reused = run(capsys, *argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+                fresh = run(capsys, *argv)
+            assert reused == fresh
+            if reused[0] != 2:
+                fresh_parser = cli._build_parser.__wrapped__()
+                assert vars(shared.parse_args(argv)) == vars(fresh_parser.parse_args(argv))
+        assert cli._build_parser() is shared

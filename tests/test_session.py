@@ -1,11 +1,18 @@
-"""Session persistence: schema versioning, round trips, re-validation."""
+"""Session persistence: schema versioning, round trips, re-validation on
+read, lazy bindings, verbatim write-back and atomic saves."""
 
+import builtins
+import errno
+import io
 import json
+from pathlib import Path
 
 import pytest
 
+from gjb import session as session_module
+from gjb.cli import main
 from gjb.coeffring import Chart, Coefficient
-from gjb.dsl import to_json
+from gjb.dsl import object_from_json, render, to_json
 from gjb.errors import StructuralError, ValidationError
 from gjb.exterior import DiffForm, MultiVector
 from gjb.fieldtheory import build_canonical, elementary_tables
@@ -77,8 +84,9 @@ def test_conformal_data_revalidates_on_load(tmp_path):
     payload = json.loads(path.read_text())
     payload["bindings"]["data"]["x_field"]["terms"][0]["coeff"] = "17"
     path.write_text(json.dumps(payload))
+    loaded = Session.load(path)
     with pytest.raises(ValidationError):
-        Session.load(path)
+        loaded.bindings["data"]
 
 
 CONTACT_CHART = {"coordinates": ["q", "p", "z"], "nonvanishing": []}
@@ -184,3 +192,171 @@ def test_environment_carries_structure_and_bindings():
     assert bare.environment().structure is None
     with pytest.raises(SessionError):
         bare.structure()
+
+
+# -- the lazy contract ---------------------------------------------------------
+#
+# A load checks every binding's shape and name; a binding's coefficients
+# are parsed, and conformal data re-validated, when a command first reads it.
+
+
+def _saved(tmp_path, bindings):
+    session = canonical_session()
+    for name, value in bindings.items():
+        session.bindings[name] = value
+    path = tmp_path / "session.json"
+    session.save(path)
+    return path
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_command_builds_only_the_bindings_it_reads(tmp_path, capsys, monkeypatch):
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {f"a{i}": rows[i % len(rows)].data for i in range(32)})
+    stored = json.loads(path.read_text())
+    built = []
+
+    def counting(payload, *args, **kwargs):
+        if payload != stored["theta"]:
+            built.append(payload)
+        return object_from_json(payload, *args, **kwargs)
+
+    monkeypatch.setattr(session_module, "object_from_json", counting)
+    code, out, _ = _cli(capsys, "render", "a0", "-s", str(path))
+    assert code == 0
+    assert out == render(rows[0].data) + "\n"
+    assert built == [stored["bindings"]["a0"]]
+
+
+def test_membership_iteration_and_length_read_nothing(tmp_path, monkeypatch):
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
+    loaded = Session.load(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a binding was read")
+
+    monkeypatch.setattr(session_module, "object_from_json", refuse)
+    assert "data" in loaded.bindings and "zz" not in loaded.bindings
+    assert list(loaded.bindings) == ["data", "w"]
+    assert len(loaded.bindings) == 2
+    assert loaded.environment().bindings is loaded.bindings
+
+
+def test_unread_payloads_are_written_back_verbatim(tmp_path):
+    path = _saved(tmp_path, {"w": DiffForm.differential(CAN.chart, "y")})
+    payload = json.loads(path.read_text())
+    # not the canonical text to_json writes, so a rebuilt value would differ
+    payload["bindings"]["w"]["terms"][0]["coeff"] = "2 - 1"
+    payload["bindings"]["w"]["stamp"] = "kept"
+    path.write_text(json.dumps(payload))
+    loaded = Session.load(path)
+    loaded.bindings["u"] = DiffForm.differential(CAN.chart, "x0")
+    loaded.save(path)
+    saved = json.loads(path.read_text())
+    assert saved["bindings"]["w"] == payload["bindings"]["w"]
+    assert saved["bindings"]["u"] == to_json(loaded.bindings["u"])
+    again = Session.load(path)
+    assert again.bindings["w"] == DiffForm.differential(CAN.chart, "y")
+    again.save(path)
+    assert json.loads(path.read_text())["bindings"]["w"] == to_json(DiffForm.differential(CAN.chart, "y"))
+
+
+def test_set_theta_forces_every_binding_and_its_rollback_keeps_them_unread(tmp_path):
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
+    before = path.read_bytes()
+    loaded = Session.load(path)
+    other = DiffForm.volume(CAN.chart, ("x0", "x1"))
+    with pytest.raises(ValidationError):
+        loaded.set_theta(other)
+    assert loaded.theta == CAN.theta
+    assert all(isinstance(entry, session_module._Unread) for entry in loaded.bindings._entries.values())
+    loaded.save(path)
+    assert path.read_bytes() == before
+
+    loaded.set_theta(CAN.theta)
+    assert not any(isinstance(entry, session_module._Unread) for entry in loaded.bindings._entries.values())
+    assert loaded.bindings["data"].structure is loaded.structure()
+
+
+def _tampered(tmp_path):
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {"data": rows[3].data})
+    payload = json.loads(path.read_text())
+    payload["bindings"]["data"]["x_field"]["terms"][0]["coeff"] = "17"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return str(path)
+
+
+def test_a_tampered_triple_fails_the_commands_that_read_it(tmp_path, capsys):
+    path = _tampered(tmp_path)
+    before = Path(path).read_bytes()
+    for argv in (["bracket", "data", "data"], ["theta", "set", str(CAN.theta)]):
+        code, out, err = _cli(capsys, *argv, "-s", path)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "\n  residual[" in err
+    assert Path(path).read_bytes() == before
+    code, out, _ = _cli(capsys, "render", "d(x0)", "-s", path)
+    assert (code, out) == (0, "dx0\n")
+
+
+def test_a_malformed_coefficient_names_its_binding(tmp_path, capsys):
+    path = _saved(tmp_path, {"w": DiffForm.differential(CAN.chart, "x0"), "u": DiffForm.differential(CAN.chart, "y")})
+    payload = json.loads(path.read_text())
+    payload["bindings"]["w"]["terms"][0]["coeff"] = "2*x0^"
+    path.write_text(json.dumps(payload))
+    code, out, err = _cli(capsys, "render", "w", "-s", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed session file: binding 'w': exponent must be an integer (line 1, column 5)\n"
+    code, out, err = _cli(capsys, "render", "u", "-s", str(path))
+    assert (code, out, err) == (0, "dy\n", "")
+
+
+def test_a_failed_save_leaves_the_old_file_whole(tmp_path, monkeypatch):
+    rows, _ = elementary_tables(CAN)
+    bindings = {f"a{i}": rows[i].data for i in range(len(rows))}
+    path = _saved(tmp_path, bindings)
+    loaded = Session.load(path)
+    loaded.bindings["w"] = DiffForm.differential(CAN.chart, "y")
+    real_open = builtins.open
+
+    class HalfWrite:
+        """A file that takes half of what is written, then runs out of space."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return HalfWrite(handle) if "w" in mode and str(tmp_path) in str(file) else handle
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
+    with pytest.raises(OSError):
+        loaded.save(path)
+    monkeypatch.undo()
+
+    assert [p.name for p in tmp_path.iterdir()] == ["session.json"]
+    again = Session.load(path)
+    assert sorted(again.bindings) == sorted(bindings)
+    for name, data in bindings.items():
+        assert again.bindings[name].alpha == data.alpha
