@@ -27,8 +27,10 @@ import sys
 from .coeffring import Chart, Coefficient
 from .dsl import (
     Environment,
+    _as_scalar,
     _binding_name_error,
     _chart_name,
+    elaborate,
     free_names,
     latex_coefficient,
     latex_name,
@@ -41,6 +43,7 @@ from .exterior import DiffForm, MultiVector, interior_product
 from .fieldtheory import (
     CanonicalStructure,
     _hdw_system,
+    _table1_rows,
     build_canonical,
     dissipated_check,
     dissipation_form,
@@ -54,7 +57,6 @@ from .fieldtheory import (
 from .session import Session, SessionError
 from .structures import ConformalData, is_multicontact, make_conformal_data, verify_conformal
 from .symplectization import (
-    build,
     check_correspondence,
     lift_conformal,
     nondegeneracy_check,
@@ -84,49 +86,49 @@ def _split_names(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _evaluate(env: Environment, text: str, label: str = "expression"):
-    from .dsl import elaborate
+# what an operand of each kind says when it is given something else
+_REFUSALS = {
+    Coefficient: "{label} must be a scalar expression",
+    DiffForm: "{label} must be a differential form, got {got}",
+    MultiVector: "{label} must be a multivector, got {got}",
+    ConformalData: "{label} must name conformal data, got {got}",
+}
 
-    try:
-        return elaborate(parse(text), env)
-    except ParseError as err:
-        raise _UsageError(f"in {label}: {err}") from err
 
-
-def _flush_warnings(env: Environment) -> None:
+def _operands(env: Environment, *operands: tuple[str, str, type | None]) -> list:
+    """Each ``(text, label, kind)`` evaluated against ``env`` and coerced
+    to ``kind`` (None takes the value as it is), by the expression
+    language's rule that a scalar and a degree-0 form or multivector are
+    one thing.  The warnings of the whole evaluation are printed once,
+    after every operand is read."""
+    values = []
+    for text, label, kind in operands:
+        try:
+            value = elaborate(parse(text), env)
+        except ParseError as err:
+            raise _UsageError(f"in {label}: {err}") from err
+        if kind is not None and not isinstance(value, kind):
+            scalar = None if kind is ConformalData else _as_scalar(value)
+            if scalar is None:
+                raise _UsageError(_REFUSALS[kind].format(label=label, got=type(value).__name__))
+            value = scalar if kind is Coefficient else kind.from_scalar(scalar)
+        values.append(value)
     for message in env.warnings:
         print(f"warning: {message}", file=sys.stderr)
     env.warnings.clear()
+    return values
 
 
-def _expect_data(value, label: str) -> ConformalData:
-    if not isinstance(value, ConformalData):
-        raise _UsageError(f"{label} must name conformal data, got {type(value).__name__}")
-    return value
-
-
-def _expect_graded(kind: type, value, label: str):
-    """value as a form or multivector (``kind``); a scalar has degree 0."""
-    if isinstance(value, Coefficient):
-        return kind.from_scalar(value)
-    if isinstance(value, kind):
-        return value
-    noun = "a differential form" if kind is DiffForm else "a multivector"
-    raise _UsageError(f"{label} must be {noun}, got {type(value).__name__}")
-
-
-def _session_env(session: Session) -> Environment:
-    extension = None
-    if session.theta is not None:
-        extension = build(session.structure())
-    return session.environment(extension=extension)
+def _data_pair(args) -> tuple:
+    """The operands of ``bracket``, ``cup``, ``poisson`` and ``psi-check``."""
+    return (args.first, "first operand", ConformalData), (args.second, "second operand", ConformalData)
 
 
 def _print_value(value, fmt: str = "plain") -> None:
     print(render(value, fmt))
 
 
-def _canonical_from_args(args, extra_exprs: tuple[str, ...] = ()) -> tuple[CanonicalStructure, dict]:
+def _canonical_from_args(args, extra_exprs: tuple[str, ...] = ()) -> CanonicalStructure:
     """Build the (n, m) phase space, promoting unknown names in the given
     expressions to symbolic parameters."""
     probe = build_canonical(args.n, args.m)
@@ -136,20 +138,8 @@ def _canonical_from_args(args, extra_exprs: tuple[str, ...] = ()) -> tuple[Canon
             if _chart_name(probe.chart, name) is None:
                 unknown.add(name)
     if unknown:
-        C = build_canonical(args.n, args.m, parameters=tuple(sorted(unknown)))
-    else:
-        C = probe
-    env = Environment(chart=C.chart)
-    return C, {"env": env, "parameters": tuple(sorted(unknown))}
-
-
-def _scalar_on(env: Environment, text: str, label: str) -> Coefficient:
-    value = _evaluate(env, text, label)
-    if isinstance(value, Coefficient):
-        return value
-    if isinstance(value, (DiffForm, MultiVector)) and value.degree == 0:
-        return value.scalar()
-    raise _UsageError(f"{label} must be a scalar expression")
+        return build_canonical(args.n, args.m, parameters=tuple(sorted(unknown)))
+    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +178,7 @@ def _cmd_chart_new(args) -> int:
 
 def _cmd_theta_set(args) -> int:
     session = Session.load(args.session)
-    env = session.environment()
-    value = _evaluate(env, args.expr, "theta")
-    _flush_warnings(env)
+    (value,) = _operands(session.environment(), (args.expr, "theta", None))
     if not isinstance(value, DiffForm) or value.degree < 1:
         raise _UsageError("theta must be a form of positive degree")
     session.set_theta(value)
@@ -244,21 +232,19 @@ def _cmd_conformal(args) -> int:
     if args.store:
         _check_binding_name(session, args.store)
     S = session.structure()
-    env = _session_env(session)
+    env = session.environment()
     if args.mode == "verify":
         if args.alpha is None or args.x is None or args.v is None:
             raise _UsageError("conformal verify needs --alpha, --x and --v")
-        alpha = _expect_graded(DiffForm, _evaluate(env, args.alpha, "--alpha"), "--alpha")
-        x_field = _expect_graded(MultiVector, _evaluate(env, args.x, "--x"), "--x")
-        v_value = _evaluate(env, args.v, "--v")
-        _flush_warnings(env)
+        alpha, x_field, v_value = _operands(
+            env, (args.alpha, "--alpha", DiffForm), (args.x, "--x", MultiVector), (args.v, "--v", None)
+        )
         data = make_conformal_data(S, alpha, x_field, v_value)
     else:
         # make: solve for the witness from the transformation alone
         if args.x is None:
             raise _UsageError("conformal make needs --x")
-        x_field = _expect_graded(MultiVector, _evaluate(env, args.x, "--x"), "--x")
-        _flush_warnings(env)
+        (x_field,) = _operands(env, (args.x, "--x", MultiVector))
         witness = verify_conformal(S, x_field)
         if witness is None:
             print("conformal: no (no witness solves the conformal equation)")
@@ -275,11 +261,7 @@ def _cmd_conformal(args) -> int:
 def _cmd_bracket(args) -> int:
     from .structures import cup_product, jacobi_bracket
 
-    session = Session.load(args.session)
-    env = _session_env(session)
-    a = _expect_data(_evaluate(env, args.first, "first operand"), "first operand")
-    b = _expect_data(_evaluate(env, args.second, "second operand"), "second operand")
-    _flush_warnings(env)
+    a, b = _operands(Session.load(args.session).environment(), *_data_pair(args))
     result = jacobi_bracket(a, b) if args.operation == "bracket" else cup_product(a, b)
     _print_value(result, args.format)
     return 0
@@ -287,7 +269,7 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_symplectize(args) -> int:
     session = Session.load(args.session)
-    sym = build(session.structure())
+    sym = Environment(chart=session.chart, structure=session.structure()).extension
     print(f"fiber: {sym.fiber}")
     print(f"upsilon = {sym.upsilon}")
     print(f"omega = {sym.omega}")
@@ -300,32 +282,24 @@ def _cmd_symplectize(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    session = Session.load(args.session)
-    env = _session_env(session)
-    data = _expect_data(_evaluate(env, args.expr, "operand"), "operand")
-    _flush_warnings(env)
+    env = Session.load(args.session).environment()
+    (data,) = _operands(env, (args.expr, "operand", ConformalData))
     lifted = lift_conformal(env.extension, data.x_field, data.v_field)
     print(f"lift = {lifted}")
     return 0
 
 
 def _cmd_poisson(args) -> int:
-    session = Session.load(args.session)
-    env = _session_env(session)
-    a = _expect_data(_evaluate(env, args.first, "first operand"), "first operand")
-    b = _expect_data(_evaluate(env, args.second, "second operand"), "second operand")
-    _flush_warnings(env)
+    env = Session.load(args.session).environment()
+    a, b = _operands(env, *_data_pair(args))
     result = poisson_bracket(env.extension, psi_map(env.extension, a), psi_map(env.extension, b))
     _print_value(result, args.format)
     return 0
 
 
 def _cmd_psi_check(args) -> int:
-    session = Session.load(args.session)
-    env = _session_env(session)
-    a = _expect_data(_evaluate(env, args.first, "first operand"), "first operand")
-    b = _expect_data(_evaluate(env, args.second, "second operand"), "second operand")
-    _flush_warnings(env)
+    env = Session.load(args.session).environment()
+    a, b = _operands(env, *_data_pair(args))
     residual = check_correspondence(env.extension, a, b)
     print(f"residual = {residual}")
     if residual.is_zero():
@@ -337,9 +311,7 @@ def _cmd_psi_check(args) -> int:
 
 def _cmd_sharp(args) -> int:
     session = Session.load(args.session)
-    env = _session_env(session)
-    alpha = _expect_graded(DiffForm, _evaluate(env, args.expr, "operand"), "operand")
-    _flush_warnings(env)
+    (alpha,) = _operands(session.environment(), (args.expr, "operand", DiffForm))
     x_field, factor = sharp_and_reeb(session.structure(), alpha)
     print(f"sharp = {x_field}")
     print(f"reeb factor = {factor}")
@@ -347,10 +319,7 @@ def _cmd_sharp(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    session = Session.load(args.session)
-    env = _session_env(session)
-    value = _evaluate(env, args.expr, "expression")
-    _flush_warnings(env)
+    (value,) = _operands(Session.load(args.session).environment(), (args.expr, "expression", None))
     _print_value(value, args.format)
     return 0
 
@@ -363,9 +332,7 @@ def _cmd_let(args) -> int:
     name = name.strip()
     session = Session.load(args.session)
     _check_binding_name(session, name)
-    env = _session_env(session)
-    value = _evaluate(env, expr, "expression")
-    _flush_warnings(env)
+    (value,) = _operands(session.environment(), (expr, "expression", None))
     print(f"{name} =")
     _print_value(value)
     _store_binding(session, args.session, name, value)
@@ -385,7 +352,7 @@ def _row_title(row) -> str:
 
 
 def _cmd_tables(args) -> int:
-    C, _ = _canonical_from_args(args)
+    C = _canonical_from_args(args)
     rows, entries = elementary_tables(C)
     if args.format == "json":
         import json as _json
@@ -467,10 +434,8 @@ def _legend(C: CanonicalStructure, J: JetSection) -> dict[str, str]:
 
 
 def _cmd_hdw(args) -> int:
-    C, meta = _canonical_from_args(args, (args.H,))
-    env = meta["env"]
-    H = _scalar_on(env, args.H, "--H")
-    _flush_warnings(env)
+    C = _canonical_from_args(args, (args.H,))
+    (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
     section = hamiltonian_section(C, H)
     J = JetSection.for_hamiltonian_section(section)
     equations, _, sigma = _hdw_system(C, section, J)
@@ -481,7 +446,7 @@ def _cmd_hdw(args) -> int:
         payload = {
             "n": args.n,
             "m": args.m,
-            "parameters": list(meta["parameters"]),
+            "parameters": list(C.parameters),
             "hamiltonian": str(H),
             "sigma": to_json(sigma),
             "residuals": [
@@ -496,8 +461,8 @@ def _cmd_hdw(args) -> int:
         for label, eq in zip(labels, equations):
             print(f"0 = {latex_coefficient(eq)} \\qquad [{latex_name(label)}]")
         return 0
-    if meta["parameters"]:
-        print(f"parameters: {', '.join(meta['parameters'])}")
+    if C.parameters:
+        print(f"parameters: {', '.join(C.parameters)}")
     print(f"sigma = {sigma}")
     print("field equations (each = 0):")
     from .coeffring import format_coefficient
@@ -512,10 +477,8 @@ def _cmd_hdw(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    C, meta = _canonical_from_args(args, (args.H,))
-    env = meta["env"]
-    H = _scalar_on(env, args.H, "--H")
-    _flush_warnings(env)
+    C = _canonical_from_args(args, (args.H,))
+    (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
     section = hamiltonian_section(C, H)
     sigma = dissipation_form(C, section)
     _print_value(sigma, args.format)
@@ -531,43 +494,34 @@ def _parse_row_spec(text: str) -> tuple[int, tuple[int, ...]]:
 
 
 def _cmd_dissipated(args) -> int:
-    exprs = [args.H]
-    if args.F:
-        exprs.append(args.F)
-    if args.G:
-        exprs.extend(args.G)
-    C, meta = _canonical_from_args(args, tuple(exprs))
-    env = meta["env"]
-    H = _scalar_on(env, args.H, "--H")
-    section = hamiltonian_section(C, H)
+    C = _canonical_from_args(args, (args.H, *([args.F] if args.F else ()), *(args.G or ())))
     if args.row and (args.F or args.G):
         raise _UsageError("give either --row or --F/--G, not both")
     if args.row:
         family, indices = _parse_row_spec(args.row)
-        rows, _ = elementary_tables(C)
-        matches = [r for r in rows if r.family == family and (not indices or r.indices == indices)]
+        matches = [r for r in _table1_rows(C) if r.family == family and (not indices or r.indices == indices)]
         if not matches:
             raise _UsageError(f"no elementary row {args.row!r} on this phase space")
         if len(matches) > 1:
             options = ", ".join(_row_title(r) for r in matches)
             raise _UsageError(f"--row {args.row!r} is ambiguous; candidates: {options}")
+        (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
         data = matches[0].data
         title = matches[0].label
     elif args.F or args.G:
         if args.G and len(args.G) != C.spec.n:
             raise _UsageError(f"--G must be given {C.spec.n} times (one component per variable)")
-        F = _scalar_on(env, args.F, "--F") if args.F else Coefficient.zero(C.chart)
-        G = (
-            [_scalar_on(env, g, "--G") for g in args.G]
-            if args.G
-            else [Coefficient.zero(C.chart)] * C.spec.n
+        H, F, *G = _operands(
+            Environment(chart=C.chart),
+            (args.H, "--H", Coefficient),
+            (args.F or "0", "--F", Coefficient),
+            *((g, "--G", Coefficient) for g in args.G or ["0"] * C.spec.n),
         )
         _, data = vertical_conformal_from_FG(C, F, G)
         title = "vertical conformal data from (F, G)"
     else:
         raise _UsageError("dissipated needs --row or --F/--G to pick the conformal data")
-    _flush_warnings(env)
-    verdict = dissipated_check(C, section, data)
+    verdict = dissipated_check(C, hamiltonian_section(C, H), data)
     print(f"form: {title}")
     print(f"alpha = {data.alpha}")
     print(f"dissipated: {'yes' if verdict else 'no'}")

@@ -330,16 +330,14 @@ class Coefficient:
             _accumulate(term.terms.items(), terms)
         return Coefficient(target, terms)
 
-    def rename_chart(self, target: Chart, mapping: Mapping[str, str] | None = None) -> "Coefficient":
-        """Reinterpret on `target`, coordinate names mapped by `mapping`
-        (default: same names).  Purely positional re-indexing."""
-        mapping = mapping or {}
+    def rename_chart(self, target: Chart) -> "Coefficient":
+        """Reinterpret on `target` by coordinate name.  Purely positional
+        re-indexing."""
         positions: dict[int, int] = {}
 
         def position(i: int) -> int:
             if i not in positions:
-                name = self.chart.coordinates[i]
-                positions[i] = target.index(mapping.get(name, name))
+                positions[i] = target.index(self.chart.coordinates[i])
             return positions[i]
 
         def moved(expo: tuple[int, ...]) -> tuple[int, ...]:

@@ -29,6 +29,7 @@ plain renderer.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from .coeffring import (
     parse_coefficient,
     tokenize,
 )
-from .errors import DegreeError, ParseError, StructuralError
+from .errors import DegreeError, DomainError, ParseError, StructuralError
 from .exterior import (
     DiffForm,
     MultiVector,
@@ -253,19 +254,27 @@ Value = object  # Coefficient | DiffForm | MultiVector | ConformalData
 class Environment:
     """Everything an expression may refer to.
 
-    ``extension`` is the homogeneous extension used by ``psi`` and is
-    built on demand by the command layer.
+    ``extension`` is the homogeneous extension of ``structure`` that
+    ``psi`` transports to.  It is built from the structure when it is
+    first read and kept; it is None when there is no structure.
     """
 
     chart: Chart
     bindings: Mapping[str, Value] = field(default_factory=dict)
     structure: NFormStructure | None = None
-    extension: object | None = None  # symplectization.Symplectization
     warnings: list[str] = field(default_factory=list)
 
     def warn(self, message: str) -> None:
         if message not in self.warnings:
             self.warnings.append(message)
+
+    @functools.cached_property
+    def extension(self):  # symplectization.Symplectization | None
+        if self.structure is None:
+            return None
+        from .symplectization import build
+
+        return build(self.structure)
 
 
 def _chart_name(chart: Chart, name: str) -> Value | None:
@@ -305,12 +314,6 @@ def _resolve(env: Environment, node: Ident) -> Value:
     if value is None:
         raise ParseError(f"unknown name {name!r}", node.line, node.column)
     return value
-
-
-def _degree_of(value: Value) -> int:
-    if isinstance(value, Coefficient):
-        return 0
-    return value.degree
 
 
 def _describe(value: Value) -> str:
@@ -398,7 +401,7 @@ def _wedge_like(env: Environment, node: BinOp, left: Value, right: Value) -> Val
     if ls is not None:
         if isinstance(right, ConformalData):
             if ls.is_constant():
-                return right.scale(ls.terms.get((0,) * ls.chart.dimension, Fraction(0)))
+                return right.scale(ls.constant_value())
             raise ParseError(
                 "conformal data scales by constants only", node.line, node.column
             )
@@ -406,7 +409,7 @@ def _wedge_like(env: Environment, node: BinOp, left: Value, right: Value) -> Val
     if rs is not None:
         if isinstance(left, ConformalData):
             if rs.is_constant():
-                return left.scale(rs.terms.get((0,) * rs.chart.dimension, Fraction(0)))
+                return left.scale(rs.constant_value())
             raise ParseError(
                 "conformal data scales by constants only", node.line, node.column
             )
@@ -473,7 +476,7 @@ def elaborate(node: Node, env: Environment) -> Value:
         if node.op == "^":
             rs = _as_scalar(right)
             if rs is not None and rs.is_constant() and _as_scalar(left) is not None:
-                value = rs.terms.get((0,) * rs.chart.dimension, Fraction(0))
+                value = rs.constant_value()
                 if value.denominator != 1:
                     raise ParseError("exponent must be an integer", node.line, node.column)
                 return _power(env, node, left, int(value))
@@ -518,7 +521,7 @@ def _call(env: Environment, node: Call) -> Value:
         data = _as_data(args[0], node.args[0])
         if env.extension is None:
             raise ParseError(
-                "psi needs a homogeneous extension in scope (run `symplectize`)",
+                "psi needs a structure form to extend (run `theta set` first)",
                 node.line,
                 node.column,
             )
@@ -716,6 +719,16 @@ def _chart_of(payload: dict, chart: Chart | None) -> Chart:
     return target
 
 
+def _stored_coefficient(chart: Chart, text: str) -> Coefficient:
+    """Parse a serialized coefficient.  Text that parses but leaves the
+    chart's Laurent ring (a negative power of a coordinate that may
+    vanish) is as malformed as text that does not parse."""
+    try:
+        return parse_coefficient(chart, text)
+    except DomainError as err:
+        raise StructuralError(f"coefficient {text!r}: {err}") from err
+
+
 def _check_graded(payload: dict, chart: Chart | None):
     """``_check_shape`` for a serialized form or multivector: kind,
     chart, degree and index tuples are checked and every coefficient must
@@ -736,7 +749,7 @@ def _check_graded(payload: dict, chart: Chart | None):
         terms.append((indices, _member(term, "coeff", str, "a serialized term")))
     cls = DiffForm if kind == "form" else MultiVector
     # a repeated index tuple is summed, like the terms of any sum
-    return lambda: cls(target, degree, _accumulate((indices, parse_coefficient(target, text)) for indices, text in terms))
+    return lambda: cls(target, degree, _accumulate((indices, _stored_coefficient(target, text)) for indices, text in terms))
 
 
 def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure | None):
@@ -750,7 +763,7 @@ def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure |
         target = _chart_of(payload, chart)
         texts = [_member(term, "coeff", str, "a serialized term") for term in _member(payload, "terms", list, "a serialized object")]
         return lambda: Coefficient(
-            target, _accumulate(pair for text in texts for pair in parse_coefficient(target, text).terms.items())
+            target, _accumulate(pair for text in texts for pair in _stored_coefficient(target, text).terms.items())
         )
     if kind in {"form", "multivector"}:
         return _check_graded(payload, chart)

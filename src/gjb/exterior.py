@@ -385,17 +385,14 @@ def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
     return MultiVector(U.chart, p + q - 1, terms)
 
 
-def reindex(obj: _Graded, target: Chart, rename: Mapping[str, str] | None = None) -> _Graded:
-    """Transport an object to another chart by coordinate name (identity on
-    names unless ``rename`` maps them); coefficients are reinterpreted on
-    the target chart."""
-    rename = rename or {}
+def reindex(obj: _Graded, target: Chart) -> _Graded:
+    """Transport an object to another chart by coordinate name;
+    coefficients are reinterpreted on the target chart."""
     positions: dict[int, int] = {}
 
     def position(i: int) -> int:
         if i not in positions:
-            name = obj.chart.coordinates[i]
-            positions[i] = target.index(rename.get(name, name))
+            positions[i] = target.index(obj.chart.coordinates[i])
         return positions[i]
 
     def moved():
@@ -405,10 +402,7 @@ def reindex(obj: _Graded, target: Chart, rename: Mapping[str, str] | None = None
             inversions = sum(
                 1 for a in range(len(order)) for b in range(a + 1, len(order)) if order[a] > order[b]
             )
-            new_key = tuple(mapped[k] for k in order)
-            if len(set(new_key)) != len(new_key):
-                raise StructuralError("rename collapses two factor directions")
-            yield new_key, coeff.rename_chart(target, rename).scale((-1) ** inversions)
+            yield tuple(mapped[k] for k in order), coeff.rename_chart(target).scale((-1) ** inversions)
 
     return type(obj)(target, obj.degree, _accumulate(moved()))
 

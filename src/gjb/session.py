@@ -52,6 +52,11 @@ class SessionError(GjbError):
     """A session file is missing, malformed, or incompatible."""
 
 
+class _SaveError(SessionError, OSError):
+    """A session file could not be written.  It stays an OSError, so a
+    caller that catches the write's own error still catches it."""
+
+
 def _read(label: str, reader, payload, **context):
     """``reader(payload)``, refusing a malformed payload as a SessionError."""
     try:
@@ -160,16 +165,9 @@ class Session:
             rebuilt[name] = entry
         self.bindings = _Bindings(self._read_binding, rebuilt)
 
-    def environment(self, extension=None) -> Environment:
-        structure = None
-        if self.theta is not None:
-            structure = self.structure()
-        return Environment(
-            chart=self.chart,
-            bindings=self.bindings,
-            structure=structure,
-            extension=extension,
-        )
+    def environment(self) -> Environment:
+        structure = self.structure() if self.theta is not None else None
+        return Environment(chart=self.chart, bindings=self.bindings, structure=structure)
 
     # -- persistence ---------------------------------------------------------
 
@@ -183,7 +181,8 @@ class Session:
 
     def save(self, path: str | Path) -> None:
         """Write the session atomically: a failed write leaves the old
-        file whole, unread bindings included."""
+        file whole, unread bindings included, and raises a SessionError
+        (also an OSError) that names ``path``."""
         path = Path(path)
         text = json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
         scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -191,6 +190,9 @@ class Session:
             with open(scratch, "w") as handle:
                 handle.write(text)
             os.replace(scratch, path)
+        except OSError as err:
+            scratch.unlink(missing_ok=True)
+            raise _SaveError(f"cannot write session file {path}: {err.strerror or err}") from err
         except BaseException:
             scratch.unlink(missing_ok=True)
             raise

@@ -6,6 +6,7 @@ under ``tmp_path``.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -720,3 +721,91 @@ class TestParserReuse:
                 fresh_parser = cli._build_parser.__wrapped__()
                 assert vars(shared.parse_args(argv)) == vars(fresh_parser.parse_args(argv))
         assert cli._build_parser() is shared
+
+
+# ---------------------------------------------------------------------------
+# operands: one reader, and the extension built only where it is read
+# ---------------------------------------------------------------------------
+
+
+class TestOperandPath:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Calls of ``symplectization.build``, wherever a module binds it."""
+        from gjb import symplectization
+
+        calls = []
+        real = symplectization.build
+
+        def counting(S):
+            calls.append(S)
+            return real(S)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gjb" and getattr(module, "build", None) is real:
+                monkeypatch.setattr(module, "build", counting)
+        return calls
+
+    COMMANDS = [
+        (0, ["render", "i_(e_x0, d(x0)^d(x1))"]),
+        (0, ["let", "w = a"]),
+        (0, ["conformal", "make", "--x", "e_y"]),
+        (0, ["bracket", "a", "b"]),
+        (0, ["cup", "a", "b"]),
+        (1, ["lift", "a"]),
+        (1, ["poisson", "a", "b"]),
+        (1, ["psi-check", "a", "b"]),
+        (1, ["symplectize"]),
+        (1, ["render", "psi(a) + psi(b)"]),
+    ]
+
+    @pytest.mark.parametrize("expected, argv", COMMANDS, ids=[" ".join(argv) for _, argv in COMMANDS])
+    def test_only_the_extension_commands_build_it(self, canonical_session, capsys, builds, expected, argv):
+        run(capsys, "conformal", "make", "--x=-e_s0", "--store", "a", "-s", canonical_session)
+        run(capsys, "conformal", "make", "--x", "e_y", "--store", "b", "-s", canonical_session)
+        builds.clear()
+        code, _, err = run(capsys, *argv, "-s", canonical_session)
+        assert (code, err) == (0, "")
+        assert len(builds) == expected
+
+    def test_sharp_builds_no_extension(self, contact_session, capsys, builds):
+        assert run(capsys, "sharp", "d(q^2)", "-s", contact_session)[0] == 0
+        assert builds == []
+
+    def test_warnings_of_every_operand_print_once_before_the_error(self, canonical_session, capsys):
+        code, out, err = run(
+            capsys, "conformal", "verify", "--alpha", "d(x0)^d(x0)", "--x", "e_y^e_y", "--v", "0",
+            "-s", canonical_session,
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "warning: exterior product vanishes identically (repeated factor)",
+            "error: scalar witness supplied where degree 1 is needed",
+        ]
+
+    def test_a_degree_zero_multivector_is_a_scalar_operand(self, contact_session, capsys):
+        # sn(e_q, q) = e_q(q) = 1 is a degree-0 multivector; --alpha needs a form
+        code, out, err = run(
+            capsys, "conformal", "verify", "--alpha", "sn(e_q, q)", "--x=-e_z", "--v", "0", "-s", contact_session
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["conformal: yes", "alpha = 1", "X = -e_z", "V = 0"]
+
+    # captured from the version that built the whole bracket table first
+    ROWS = {
+        "1": (1, "form: s^mu d^{n-1}x_mu\nalpha = -s1*dx0 + s0*dx1\ndissipated: no\n"),
+        "3:0": (1, "form: p^mu_0 d^{n-1}x_mu\nalpha = -p1*dx0 + p0*dx1\ndissipated: no\n"),
+        "2:0,1": (0, "form: y^0 d^{n-1}x_1\nalpha = -y*dx0\ndissipated: yes\n"),
+    }
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_dissipated_row_computes_no_bracket(self, capsys, monkeypatch, row):
+        from gjb import fieldtheory, structures
+
+        calls = []
+        for module in (fieldtheory, structures):
+            real = module.jacobi_bracket
+            monkeypatch.setattr(module, "jacobi_bracket", lambda a, b, real=real: calls.append(1) or real(a, b))
+        code, out, err = run(capsys, "dissipated", "--n", "2", "--m", "1", "--H", "1/2*p0^2 + k*y", "--row", row)
+        assert (code, out, err) == (*self.ROWS[row], "")
+        assert calls == []

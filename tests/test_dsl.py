@@ -191,9 +191,9 @@ def test_psi_requires_an_extension():
     rows, _ = elementary_tables(CAN)
     data = rows[0].data
     with pytest.raises(ParseError):
-        evaluate("psi(a)", env(a=data))
+        evaluate("psi(a)", Environment(chart=CAN.chart, bindings={"a": data}))
     sym = build(CAN)
-    e = Environment(chart=CAN.chart, bindings={"a": data}, structure=CAN, extension=sym)
+    e = Environment(chart=CAN.chart, bindings={"a": data}, structure=CAN)
     assert evaluate("psi(a)", e) == psi_map(sym, data)[0]
 
 

@@ -37,3 +37,29 @@ def test_rref_is_called_with_its_rows_first():
                     calls.append((path.name, node.lineno, bool(node.args)))
     assert calls, "no call of rref found"
     assert [call for call in calls if not call[2]] == []
+
+
+def test_every_private_function_has_a_caller():
+    """A module-level ``_name`` function that nothing in the package
+    refers to (outside its own body) is dead code."""
+    package = pathlib.Path(gjb.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    defined = [
+        (filename, node)
+        for filename, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    unreferenced = []
+    for filename, definition in defined:
+        own = {id(node) for node in ast.walk(definition)}
+        referenced = any(
+            id(node) not in own
+            and (getattr(node, "id", None) == definition.name or getattr(node, "attr", None) == definition.name)
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+        if not referenced:
+            unreferenced.append(f"{filename}:{definition.lineno} {definition.name}")
+    assert unreferenced == []

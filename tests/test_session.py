@@ -320,6 +320,35 @@ def test_a_malformed_coefficient_names_its_binding(tmp_path, capsys):
     assert (code, out, err) == (0, "dy\n", "")
 
 
+def test_a_coefficient_outside_the_ring_names_its_binding(tmp_path, capsys):
+    rows, _ = elementary_tables(CAN)
+    dx0, dy = DiffForm.differential(CAN.chart, "x0"), DiffForm.differential(CAN.chart, "y")
+    path = _saved(tmp_path, {"w": dx0, "a": rows[0].data, "u": dy})
+    payload = json.loads(path.read_text())
+    # parses, but x0 may vanish, so x0^-1 is not in the chart's Laurent ring
+    payload["bindings"]["w"]["terms"][0]["coeff"] = "x0^-1"
+    payload["bindings"]["a"]["x_field"]["terms"][0]["coeff"] = "p^-2"
+    path.write_text(json.dumps(payload))
+    code, out, err = _cli(capsys, "render", "w", "-s", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed session file: binding 'w': coefficient 'x0^-1': 1*x0 is not a unit of the Laurent ring\n"
+    code, out, err = _cli(capsys, "bracket", "a", "a", "-s", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed session file: binding 'a': coefficient 'p^-2': 1*p is not a unit of the Laurent ring\n"
+    code, out, err = _cli(capsys, "render", "u", "-s", str(path))
+    assert (code, out, err) == (0, "dy\n", "")
+
+
+def test_saving_into_a_missing_directory_is_a_session_error(tmp_path, capsys):
+    target = tmp_path / "nodir" / "x.json"
+    code, out, err = _cli(capsys, "chart", "new", "--coordinates", "q,p,z", "-s", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write session file {target}: No such file or directory\n"
+    with pytest.raises(SessionError, match="cannot write session file"):
+        canonical_session().save(target)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_failed_save_leaves_the_old_file_whole(tmp_path, monkeypatch):
     rows, _ = elementary_tables(CAN)
     bindings = {f"a{i}": rows[i].data for i in range(len(rows))}
