@@ -15,13 +15,17 @@ Two kinds of commands:
 
 Exit codes: 0 on success, 1 when a mathematical check fails or an object
 fails validation, 2 on usage errors (bad flags, syntax errors, unknown
-names, missing or incompatible session files).
+names, an expression that leaves the Laurent ring such as ``q^-1`` where
+``q`` may vanish, missing or incompatible session files), 141 (128 +
+SIGPIPE) when stdout is a pipe whose reader has closed it, as in
+``gjb tables --n 2 --m 1 | head -1``; nothing more is written then.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .coeffring import Chart, Coefficient
@@ -32,7 +36,6 @@ from .dsl import (
     _chart_name,
     elaborate,
     free_names,
-    latex_coefficient,
     latex_name,
     parse,
     render,
@@ -57,6 +60,7 @@ from .fieldtheory import (
 from .session import Session, SessionError
 from .structures import ConformalData, is_multicontact, make_conformal_data, verify_conformal
 from .symplectization import (
+    build,
     check_correspondence,
     lift_conformal,
     nondegeneracy_check,
@@ -269,7 +273,7 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_symplectize(args) -> int:
     session = Session.load(args.session)
-    sym = Environment(chart=session.chart, structure=session.structure()).extension
+    sym = build(session.structure())
     print(f"fiber: {sym.fiber}")
     print(f"upsilon = {sym.upsilon}")
     print(f"omega = {sym.omega}")
@@ -385,14 +389,12 @@ def _cmd_tables(args) -> int:
         }
         print(_json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    latex = args.format == "latex"
-    show = (lambda obj: render(obj, "latex")) if latex else (lambda obj: str(obj))
     print(f"elementary conformal forms on the canonical (n={args.n}, m={args.m}) phase space")
     print()
     print("Table 1: form | transformation | factor")
     for row in rows:
-        print(f"  [{_row_title(row)}] alpha = {show(row.data.alpha)}")
-        print(f"      X = {show(row.data.x_field)}")
+        print(f"  [{_row_title(row)}] alpha = {render(row.data.alpha, args.format)}")
+        print(f"      X = {render(row.data.x_field, args.format)}")
         print(f"      factor = {row.factor}")
     print()
     print("Table 2: pairwise brackets, definitional vs reference")
@@ -403,7 +405,7 @@ def _cmd_tables(args) -> int:
             mismatches += 1
         line = (
             f"  {{{_row_title(entry.row)}, {_row_title(entry.column)}}}"
-            f" = {show(entry.computed)}  [reference: {show(entry.reference)}]  {verdict}"
+            f" = {render(entry.computed, args.format)}  [reference: {render(entry.reference, args.format)}]  {verdict}"
         )
         if entry.note:
             line += f"  ({entry.note})"
@@ -459,16 +461,14 @@ def _cmd_hdw(args) -> int:
     if args.format == "latex":
         print(f"\\sigma_h = {render(sigma, 'latex')}")
         for label, eq in zip(labels, equations):
-            print(f"0 = {latex_coefficient(eq)} \\qquad [{latex_name(label)}]")
+            print(f"0 = {render(eq, 'latex')} \\qquad [{latex_name(label)}]")
         return 0
     if C.parameters:
         print(f"parameters: {', '.join(C.parameters)}")
-    print(f"sigma = {sigma}")
+    print(f"sigma = {render(sigma)}")
     print("field equations (each = 0):")
-    from .coeffring import format_coefficient
-
     for label, eq in zip(labels, equations):
-        print(f"  {label}: {format_coefficient(eq, elide_unit=True)}")
+        print(f"  {label}: {render(eq)}")
     legend = _legend(C, J)
     print("legend:")
     for symbol in sorted(legend):
@@ -701,7 +701,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is still buffered to the
+        # null device, so that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe ended
     except (_UsageError, SessionError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -15,13 +15,19 @@ term a rational prefix followed by `name^exponent` factors with the names
 in lexicographic order.  The same token stream and precedence are used by
 the CLI expression language, where `^` doubles as the wedge; on scalars
 both readings agree because `name^int` is parsed as an integer power.
+
+All plain and LaTeX text of the package is written here: a spelling
+record per format (`_PLAIN`, `_LATEX`) says how it writes each piece of
+a value, down to whether a unit prefix such as the `1*` of `1*z^-1` is
+ever written, and `_signed_sum` is the only code that joins signed terms.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, ParseError, StructuralError
 
@@ -543,36 +549,108 @@ def parse_coefficient(chart: Chart, text: str) -> Coefficient:
     return _ScalarParser(chart, tokenize(text)).parse()
 
 
-def _format_rational(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+# ---------------------------------------------------------------------------
+# text: one spelling record per output format, one signed-sum writer
+# ---------------------------------------------------------------------------
 
 
-def format_monomial(chart: Chart, expo: tuple[int, ...]) -> str:
-    names = sorted(
-        (name, k) for name, k in zip(chart.coordinates, expo) if k != 0
+def latex_name(name: str) -> str:
+    """Coordinate names to LaTeX: trailing digits become a superscript
+    index and underscores start subscripts, so ``p0_1`` is ``p^{0}_{1}``
+    and ``y_x0`` is ``y_{x^{0}}``."""
+    if "_" in name:
+        head, tail = name.split("_", 1)
+        return f"{latex_name(head)}_{{{latex_name(tail)}}}"
+    m = re.fullmatch(r"([A-Za-z]+)(\d+)", name)
+    if m:
+        return f"{m.group(1)}^{{{m.group(2)}}}"
+    return name
+
+
+def _latex_power(name: str, k: int) -> str:
+    text = latex_name(name)
+    if k == 1:
+        return text
+    base = f"{{{text}}}" if ("^" in text or "_" in text) else text
+    return f"{base}^{{{k}}}"
+
+
+@dataclass(frozen=True)
+class _Spelling:
+    """How one output format writes the pieces of a value.  Signs are not
+    a piece: every signed sum of every format is joined by ``_signed_sum``."""
+
+    rational: Callable[[Fraction], str]  # a positive rational
+    power: Callable[[str, int], str]  # a coordinate to a nonzero power
+    product: str  # between the factors of a term
+    wedge: str  # between exterior factors
+    form_factor: Callable[[str], str]  # the differential of a coordinate
+    vector_factor: Callable[[str], str]  # the vector field of a coordinate
+    scaled: str  # between a one-term coefficient and its exterior factors
+    grouped: str  # a multi-term coefficient ``{}`` before its exterior factors
+    unit_prefix: bool  # a 1 in front of a monomial is written unless elided
+
+
+_PLAIN = _Spelling(
+    rational=str,
+    power=lambda name, k: name if k == 1 else f"{name}^{k}",
+    product="*",
+    wedge="^",
+    form_factor="d{}".format,
+    vector_factor="e_{}".format,
+    scaled="*",
+    grouped="({})*",
+    unit_prefix=True,
+)
+
+_LATEX = _Spelling(
+    rational=lambda v: str(v) if v.denominator == 1 else f"\\tfrac{{{v.numerator}}}{{{v.denominator}}}",
+    power=_latex_power,
+    product=" ",
+    wedge=" \\wedge ",
+    form_factor=lambda name: f"\\mathrm{{d}}{latex_name(name)}",
+    vector_factor=lambda name: f"\\partial_{{{latex_name(name)}}}",
+    scaled="\\, ",
+    grouped="\\left({}\\right) ",
+    unit_prefix=False,
+)
+
+_SPELLINGS = {"plain": _PLAIN, "latex": _LATEX}
+
+
+def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join ``(negative, body)`` terms: the first is written ``body`` or
+    ``-body``, every later one `` + body`` or `` - body``; no terms is ``0``."""
+    pieces: list[str] = []
+    for negative, body in terms:
+        if pieces:
+            pieces.append(" - " if negative else " + ")
+        elif negative:
+            pieces.append("-")
+        pieces.append(body)
+    return "".join(pieces) or "0"
+
+
+def _term_text(chart: Chart, expo: tuple[int, ...], magnitude: Fraction, spelling: _Spelling, elide_unit: bool) -> str:
+    """One unsigned term: the rational, then the coordinate powers in name
+    order.  A rational 1 before a monomial is left out when ``elide_unit``
+    is set or the format never writes it."""
+    mono = spelling.product.join(spelling.power(name, k) for name, k in sorted(zip(chart.coordinates, expo)) if k)
+    if not mono:
+        return spelling.rational(magnitude)
+    if magnitude == 1 and (elide_unit or not spelling.unit_prefix):
+        return mono
+    return f"{spelling.rational(magnitude)}{spelling.product}{mono}"
+
+
+def _coefficient_text(c: Coefficient, spelling: _Spelling, elide_unit: bool = False) -> str:
+    return _signed_sum(
+        (value < 0, _term_text(c.chart, expo, abs(value), spelling, elide_unit)) for expo, value in c.sorted_terms()
     )
-    parts = [name if k == 1 else f"{name}^{k}" for name, k in names]
-    return "*".join(parts)
 
 
 def format_coefficient(c: Coefficient, elide_unit: bool = False) -> str:
     """Canonical text.  With ``elide_unit`` a ±1 rational prefix in front
     of a nontrivial monomial is dropped (used when coefficients are
     embedded in rendered forms)."""
-    if c.is_zero():
-        return "0"
-    pieces: list[str] = []
-    for i, (expo, coeff) in enumerate(c.sorted_terms()):
-        mono = format_monomial(c.chart, expo)
-        mag = abs(coeff)
-        if not mono:
-            body = _format_rational(mag)
-        elif elide_unit and mag == 1:
-            body = mono
-        else:
-            body = f"{_format_rational(mag)}*{mono}"
-        if i == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"{' + ' if coeff > 0 else ' - '}{body}")
-    return "".join(pieces)
+    return _coefficient_text(c, _PLAIN, elide_unit)

@@ -25,23 +25,30 @@ coordinates, ``d<coordinate>`` (a coordinate differential) and
 ``e_<coordinate>`` (a coordinate vector field); this matches the textual
 form every object in the package renders to, so ``parse`` inverts the
 plain renderer.
+
+``render`` writes plain text and LaTeX through the one text writer of
+``coeffring``, adding only the layout of conformal data, and JSON.  A
+power that leaves the Laurent ring (``q^-1`` where ``q`` may vanish) is
+a ``ParseError`` at its ``^``.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from .coeffring import (
+    _SPELLINGS,
     Chart,
     Coefficient,
     _accumulate,
+    _coefficient_text,
     Token,
     format_coefficient,
+    latex_name,
     parse_coefficient,
     tokenize,
 )
@@ -336,24 +343,16 @@ def _as_scalar(value: Value) -> Coefficient | None:
     return None
 
 
-def _as_form(env: Environment, value: Value, node: Node) -> DiffForm:
-    if isinstance(value, DiffForm):
+def _as_graded(cls: type, value: Value, node: Node):
+    """``value`` as a ``cls`` (DiffForm or MultiVector); a scalar is the
+    degree-0 object of either species."""
+    if isinstance(value, cls):
         return value
     scalar = _as_scalar(value)
     if scalar is not None:
-        return DiffForm.from_scalar(scalar)
-    raise ParseError(f"expected a form, got a {_describe(value)}", node.line, node.column)
-
-
-def _as_multivector(env: Environment, value: Value, node: Node) -> MultiVector:
-    if isinstance(value, MultiVector):
-        return value
-    scalar = _as_scalar(value)
-    if scalar is not None:
-        return MultiVector.from_scalar(scalar)
-    raise ParseError(
-        f"expected a multivector, got a {_describe(value)}", node.line, node.column
-    )
+        return cls.from_scalar(scalar)
+    noun = "form" if cls is DiffForm else "multivector"
+    raise ParseError(f"expected a {noun}, got a {_describe(value)}", node.line, node.column)
 
 
 def _as_data(value: Value, node: Node) -> ConformalData:
@@ -382,10 +381,9 @@ def _add(env: Environment, node: BinOp, left: Value, right: Value) -> Value:
     if ls is not None and rs is not None:
         return ls + rs if sign > 0 else ls - rs
     if isinstance(left, DiffForm) or isinstance(right, DiffForm):
-        a, b = _as_form(env, left, node.left), _as_form(env, right, node.right)
+        a, b = _as_graded(DiffForm, left, node.left), _as_graded(DiffForm, right, node.right)
     else:
-        a = _as_multivector(env, left, node.left)
-        b = _as_multivector(env, right, node.right)
+        a, b = _as_graded(MultiVector, left, node.left), _as_graded(MultiVector, right, node.right)
     try:
         return a + b if sign > 0 else a - b
     except DegreeError as err:
@@ -432,7 +430,10 @@ def _wedge_like(env: Environment, node: BinOp, left: Value, right: Value) -> Val
 def _power(env: Environment, node: BinOp, left: Value, exponent: int) -> Value:
     scalar = _as_scalar(left)
     if scalar is not None:
-        return scalar**exponent
+        try:
+            return scalar**exponent
+        except DomainError as err:  # a negative power of a coordinate that may vanish
+            raise ParseError(str(err), node.line, node.column) from err
     if isinstance(left, ConformalData):
         raise ParseError("conformal data has no powers", node.line, node.column)
     if exponent < 0:
@@ -499,19 +500,19 @@ def _call(env: Environment, node: Call) -> Value:
             f"d applies to forms, got a {_describe(value)}", node.line, node.column
         )
     if node.func == "i_":
-        U = _as_multivector(env, args[0], node.args[0])
-        omega = _as_form(env, args[1], node.args[1])
+        U = _as_graded(MultiVector, args[0], node.args[0])
+        omega = _as_graded(DiffForm, args[1], node.args[1])
         try:
             return interior_product(U, omega)
         except DegreeError as err:
             raise ParseError(str(err), node.line, node.column) from err
     if node.func == "L_":
-        U = _as_multivector(env, args[0], node.args[0])
-        omega = _as_form(env, args[1], node.args[1])
+        U = _as_graded(MultiVector, args[0], node.args[0])
+        omega = _as_graded(DiffForm, args[1], node.args[1])
         return lie_derivative(U, omega)
     if node.func == "sn":
-        U = _as_multivector(env, args[0], node.args[0])
-        V = _as_multivector(env, args[1], node.args[1])
+        U = _as_graded(MultiVector, args[0], node.args[0])
+        V = _as_graded(MultiVector, args[1], node.args[1])
         return schouten_nijenhuis(U, V)
     if node.func in {"jb", "cup"}:
         a = _as_data(args[0], node.args[0])
@@ -537,119 +538,8 @@ def evaluate(text: str, env: Environment) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# renderers
+# JSON interchange and the renderer
 # ---------------------------------------------------------------------------
-
-
-def latex_name(name: str) -> str:
-    """Coordinate names to LaTeX: trailing digits become a superscript
-    index and underscores start subscripts, so ``p0_1`` is ``p^{0}_{1}``
-    and ``y_x0`` is ``y_{x^{0}}``."""
-    if "_" in name:
-        head, tail = name.split("_", 1)
-        return f"{latex_name(head)}_{{{latex_name(tail)}}}"
-    m = re.fullmatch(r"([A-Za-z]+)(\d+)", name)
-    if m:
-        return f"{m.group(1)}^{{{m.group(2)}}}"
-    return name
-
-
-def _latex_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\tfrac{{{abs(value.numerator)}}}{{{value.denominator}}}"
-
-
-def _latex_base(text: str) -> str:
-    return f"{{{text}}}" if ("^" in text or "_" in text) else text
-
-
-def latex_coefficient(c: Coefficient) -> str:
-    if c.is_zero():
-        return "0"
-    pieces: list[str] = []
-    for i, (expo, value) in enumerate(c.sorted_terms()):
-        monomials = [
-            (name, k)
-            for name, k in sorted(zip(c.chart.coordinates, expo))
-            if k != 0
-        ]
-        mono = " ".join(
-            latex_name(name) if k == 1 else f"{_latex_base(latex_name(name))}^{{{k}}}"
-            for name, k in monomials
-        )
-        mag = abs(value)
-        if not mono:
-            body = _latex_rational(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{_latex_rational(mag)} {mono}"
-        if i == 0:
-            pieces.append(body if value > 0 else f"-{body}")
-        else:
-            pieces.append(f" + {body}" if value > 0 else f" - {body}")
-    return "".join(pieces)
-
-
-def _latex_graded(obj: DiffForm | MultiVector) -> str:
-    if obj.degree == 0:
-        return latex_coefficient(obj.scalar())
-    if not obj.terms:
-        return "0"
-    if isinstance(obj, DiffForm):
-        factor = lambda i: f"\\mathrm{{d}}{latex_name(obj.chart.coordinates[i])}"
-    else:
-        factor = lambda i: f"\\partial_{{{latex_name(obj.chart.coordinates[i])}}}"
-    pieces: list[str] = []
-    for key in sorted(obj.terms):
-        coeff = obj.terms[key]
-        factors = " \\wedge ".join(factor(i) for i in key)
-        if len(coeff.terms) == 1:
-            expo, value = next(iter(coeff.terms.items()))
-            negative = value < 0
-            magnitude = Coefficient(obj.chart, {expo: abs(value)})
-            scalar_text = latex_coefficient(magnitude)
-            body = factors if scalar_text == "1" else f"{scalar_text}\\, {factors}"
-        else:
-            negative = False
-            body = f"\\left({latex_coefficient(coeff)}\\right) {factors}"
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f" - {body}" if negative else f" + {body}")
-    return "".join(pieces)
-
-
-def _latex_conformal(data: ConformalData) -> str:
-    return "\n".join(
-        [
-            f"\\alpha = {_latex_graded(data.alpha)}",
-            f"X = {_latex_graded(data.x_field)}",
-            f"V = {_latex_graded(data.v_field)}",
-            "\\text{with } \\iota_X\\Theta = -\\alpha,\\quad"
-            " \\iota_X\\mathrm{d}\\Theta = (-1)^{p+1}"
-            "(\\mathrm{d}\\alpha + \\iota_V\\Theta)",
-        ]
-    )
-
-
-def _plain(obj: Value) -> str:
-    if isinstance(obj, Coefficient):
-        return format_coefficient(obj, elide_unit=True)
-    if isinstance(obj, ConformalData):
-        return "\n".join(
-            [
-                f"alpha = {obj.alpha}",
-                f"X = {obj.x_field}",
-                f"V = {obj.v_field}",
-            ]
-        )
-    return str(obj)
-
-
-# -- JSON interchange --------------------------------------------------------
 
 
 def chart_to_json(chart: Chart) -> dict:
@@ -693,12 +583,7 @@ def _graded_to_json(obj: DiffForm | MultiVector) -> dict:
 def to_json(obj: Value) -> dict:
     """Serializable dictionary for any expression value."""
     if isinstance(obj, Coefficient):
-        return {
-            "kind": "coefficient",
-            "degree": 0,
-            "chart": chart_to_json(obj.chart),
-            "terms": [] if obj.is_zero() else [{"indices": [], "coeff": format_coefficient(obj)}],
-        }
+        return {**_graded_to_json(DiffForm.from_scalar(obj)), "kind": "coefficient"}
     if isinstance(obj, (DiffForm, MultiVector)):
         return _graded_to_json(obj)
     if isinstance(obj, ConformalData):
@@ -783,18 +668,33 @@ def object_from_json(payload: dict, chart: Chart | None = None, structure: NForm
     return _check_shape(payload, chart, structure)()
 
 
+# conformal data in each text format: the name of alpha, and the lines
+# that follow the three parts
+_CONFORMAL_LAYOUT = {
+    "plain": ("alpha", []),
+    "latex": (
+        "\\alpha",
+        ["\\text{with } \\iota_X\\Theta = -\\alpha,\\quad \\iota_X\\mathrm{d}\\Theta = (-1)^{p+1}(\\mathrm{d}\\alpha + \\iota_V\\Theta)"],
+    ),
+}
+
+
 def render(obj: Value, fmt: str = "plain") -> str:
-    """Deterministic text for an expression value in the given format."""
-    if fmt == "plain":
-        return _plain(obj)
-    if fmt == "latex":
-        if isinstance(obj, Coefficient):
-            return latex_coefficient(obj)
-        if isinstance(obj, (DiffForm, MultiVector)):
-            return _latex_graded(obj)
-        if isinstance(obj, ConformalData):
-            return _latex_conformal(obj)
-        raise StructuralError(f"cannot render a {type(obj).__name__}")
+    """Deterministic text for an expression value in the given format.
+    Plain and LaTeX text come from one writer and differ only in the
+    format's spelling record (``coeffring._SPELLINGS``); a scalar drops a
+    unit prefix that a degree-0 form or multivector keeps in plain text."""
     if fmt == "json":
         return json.dumps(to_json(obj), indent=2, sort_keys=True)
-    raise StructuralError(f"unknown render format {fmt!r}")
+    spelling = _SPELLINGS.get(fmt)
+    if spelling is None:
+        raise StructuralError(f"unknown render format {fmt!r}")
+    if isinstance(obj, Coefficient):
+        return _coefficient_text(obj, spelling, elide_unit=True)
+    if isinstance(obj, (DiffForm, MultiVector)):
+        return obj._text(spelling)
+    if isinstance(obj, ConformalData):
+        alpha, notes = _CONFORMAL_LAYOUT[fmt]
+        lines = [f"{alpha} = {obj.alpha._text(spelling)}", f"X = {obj.x_field._text(spelling)}", f"V = {obj.v_field._text(spelling)}"]
+        return "\n".join(lines + notes)
+    raise StructuralError(f"cannot render a {type(obj).__name__}")

@@ -33,7 +33,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .coeffring import Chart, Coefficient, _accumulate, format_coefficient
+from .coeffring import (
+    _PLAIN,
+    Chart,
+    Coefficient,
+    _Spelling,
+    _accumulate,
+    _coefficient_text,
+    _signed_sum,
+    _term_text,
+)
 from .errors import DegreeError, StructuralError
 
 __all__ = [
@@ -169,32 +178,33 @@ class _Graded:
 
     # -- display -------------------------------------------------------------
 
-    def _factor_name(self, position: int) -> str:
-        raise NotImplementedError
+    def _text(self, spelling: _Spelling) -> str:
+        """The object in one output format: a degree-0 object is its scalar
+        (with its unit prefix, where the format writes one); otherwise each
+        coefficient sits before its wedge of coordinate factors."""
+        if self.degree == 0:
+            return _coefficient_text(self.scalar(), spelling)
+        factor = spelling.form_factor if isinstance(self, DiffForm) else spelling.vector_factor
+        names = self.chart.coordinates
+
+        def terms():
+            for key in sorted(self.terms):
+                coeff = self.terms[key]
+                factors = spelling.wedge.join(factor(names[i]) for i in key)
+                if len(coeff.terms) > 1:
+                    yield False, spelling.grouped.format(_coefficient_text(coeff, spelling, elide_unit=True)) + factors
+                    continue
+                ((expo, value),) = coeff.terms.items()
+                if abs(value) == 1 and not any(expo):
+                    yield value < 0, factors
+                else:
+                    body = _term_text(self.chart, expo, abs(value), spelling, elide_unit=True)
+                    yield value < 0, f"{body}{spelling.scaled}{factors}"
+
+        return _signed_sum(terms())
 
     def __str__(self):
-        if self.degree == 0:
-            return format_coefficient(self.scalar())
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            factors = "^".join(self._factor_name(i) for i in key)
-            if len(coeff.terms) == 1:
-                expo, value = next(iter(coeff.terms.items()))
-                negative = value < 0
-                magnitude = Coefficient(self.chart, {expo: abs(value)})
-                scalar_text = format_coefficient(magnitude, elide_unit=True)
-                body = factors if scalar_text == "1" else f"{scalar_text}*{factors}"
-            else:
-                negative = False
-                body = f"({format_coefficient(coeff, elide_unit=True)})*{factors}"
-            if not pieces:
-                pieces.append(f"-{body}" if negative else body)
-            else:
-                pieces.append(f" - {body}" if negative else f" + {body}")
-        return "".join(pieces)
+        return self._text(_PLAIN)
 
     def __repr__(self):
         return f"{type(self).__name__}({self!s})"
@@ -219,9 +229,6 @@ class DiffForm(_Graded):
     def d(self) -> "DiffForm":
         return exterior_derivative(self)
 
-    def _factor_name(self, position: int) -> str:
-        return f"d{self.chart.coordinates[position]}"
-
 
 class MultiVector(_Graded):
     """Alternating multivector field with exact scalar coefficients."""
@@ -231,9 +238,6 @@ class MultiVector(_Graded):
     @staticmethod
     def basis_vector(chart: Chart, name: str) -> "MultiVector":
         return MultiVector(chart, 1, {(chart.index(name),): Coefficient.one(chart)})
-
-    def _factor_name(self, position: int) -> str:
-        return f"e_{self.chart.coordinates[position]}"
 
 
 def wedge(a: _Graded, b: _Graded) -> _Graded:

@@ -45,7 +45,7 @@ from .exterior import (
     reindex,
     wedge,
 )
-from .structures import CheckReport, ConformalData, NFormStructure, cup_product, jacobi_bracket
+from .structures import CheckReport, ConformalData, NFormStructure, _as_witness, cup_product, jacobi_bracket
 
 __all__ = [
     "Symplectization",
@@ -136,8 +136,6 @@ def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> Multi
     checked to annihilate Υ under the Lie derivative and to project back
     onto ``x_field``.
     """
-    from .structures import _as_witness
-
     S = sym.base
     if x_field.chart != S.chart:
         raise StructuralError("the conformal field must live on the base chart")

@@ -6,10 +6,14 @@ under ``tmp_path``.
 """
 
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
+import gjb
 from gjb import cli
 from gjb.cli import main
 
@@ -659,6 +663,18 @@ class TestErrorPaths:
         assert out.strip() == "0"
         assert "warning:" in err and "vanishes identically" in err
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["render", "q^-1"], "in expression: 1*q is not a unit of the Laurent ring (line 1, column 1)"),
+            (["render", "p + q^(0 - 2)*d(z)"], "in expression: 1*q is not a unit of the Laurent ring (line 1, column 5)"),
+            (["let", "w", "=", "z*q^-1"], "in expression: 1*q is not a unit of the Laurent ring (line 1, column 4)"),
+            (["conformal", "make", "--x", "p^-1*e_q"], "in --x: 1*p is not a unit of the Laurent ring (line 1, column 1)"),
+        ],
+    )
+    def test_a_power_outside_the_ring_is_an_expression_error(self, contact_session, capsys, argv, error):
+        assert run(capsys, *argv, "-s", contact_session) == (2, "", f"error: {error}\n")
+
     def test_no_command_is_a_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 2
@@ -809,3 +825,29 @@ class TestOperandPath:
         code, out, err = run(capsys, "dissipated", "--n", "2", "--m", "1", "--H", "1/2*p0^2 + k*y", "--row", row)
         assert (code, out, err) == (*self.ROWS[row], "")
         assert calls == []
+
+
+class TestClosedPipe:
+    """Writing into a pipe whose reader is gone, as in
+    ``gjb tables --n 2 --m 1 | head -1``, ends quietly with exit 141."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tables", "--n", "2", "--m", "1"],
+            ["sigma", "--n", "2", "--m", "1", "--H", "3*s0"],
+        ],
+    )
+    def test_a_closed_pipe_exits_141_without_a_traceback(self, argv):
+        src = str(pathlib.Path(gjb.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "gjb.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 141

@@ -64,6 +64,35 @@ def _commands():
         ("render_contact_json", "contact", ["render", "d(z) - p*d(q)", "--format", "json"]),
         ("render_canonical_json", "canonical", ["render", "y*e_y + s0*e_p0", "--format", "json"]),
         ("render_laurent_json", "laurent", ["render", "z^-2*q*d(p)", "--format", "json"]),
+        ("render_contact_degree0_form", "contact", ["render", "i_(e_q, q*d(q))"]),
+        ("render_contact_degree0_form_latex", "contact", ["render", "i_(e_q, q*d(q))", "--format", "latex"]),
+    ]
+    # LaTeX output of every command that takes --format latex, and plain
+    # output of the same renders
+    laurent_form = "-3/2*z^-2*q*d(p) + 2/3*p*z*d(q) - d(z) + 5*z^3*d(p)"
+    grouped_form = "(p0^2 - 1/2*s0*y - 1)*d(x0)^d(x1) - 3*y*d(y)^d(p0) + (p1 - p)*d(s1)^d(y)"
+    scalar = "-p0^2 + 1/2*s0*y - 3 + 7/4*x0^3*s1"
+    multivector = "(1 - y^2)*e_y^e_p0 + 1/2*s0*e_s0^e_x1 - p1*e_x0^e_p + e_p1^e_s1"
+    for fmt in ("plain", "latex"):
+        out += [
+            (f"render_laurent_form_{fmt}", "laurent", ["render", laurent_form, "--format", fmt]),
+            (f"render_grouped_form_{fmt}", "canonical", ["render", grouped_form, "--format", fmt]),
+            (f"render_scalar_{fmt}", "canonical", ["render", scalar, "--format", fmt]),
+            (f"render_multivector_{fmt}", "canonical", ["render", multivector, "--format", fmt]),
+        ]
+    H = "1/2*p0^2 + 1/2*p1^2 + g*s0*y"
+    H22 = "1/2*p0_0^2 + 1/2*p1_1^2 + g*y0*s0 - y1^2"
+    out += [
+        ("tables_21_latex", None, ["tables", "--n", "2", "--m", "1", "--format", "latex"]),
+        ("hdw_21_parameter", None, ["hdw", "--n", "2", "--m", "1", "--H", H]),
+        ("hdw_21_parameter_latex", None, ["hdw", "--n", "2", "--m", "1", "--H", H, "--format", "latex"]),
+        ("hdw_22_parameter_latex", None, ["hdw", "--n", "2", "--m", "2", "--H", H22, "--format", "latex"]),
+        ("sigma_21", None, ["sigma", "--n", "2", "--m", "1", "--H", H21]),
+        ("sigma_21_latex", None, ["sigma", "--n", "2", "--m", "1", "--H", H21, "--format", "latex"]),
+        ("sigma_22_latex", None, ["sigma", "--n", "2", "--m", "2", "--H", H22, "--format", "latex"]),
+        ("conformal_make_contact_latex", "contact", ["conformal", "make", "--x", "q*e_q + z*e_z", "--format", "latex"]),
+        ("conformal_make_canonical_latex", "canonical", ["conformal", "make", "--x", "e_s0", "--format", "latex"]),
+        ("conformal_make_laurent_latex", "laurent", ["conformal", "make", "--x", "e_q", "--format", "latex"]),
     ]
     for n, m, H in (("2", "1", H21), ("3", "1", H31)):
         size = ["--n", n, "--m", m]

@@ -255,6 +255,33 @@ def test_zero_renders_as_zero():
     assert render(Coefficient.zero(CAN.chart)) == "0"
 
 
+def test_a_degree_zero_form_keeps_its_unit_prefix_in_plain_text():
+    # a scalar drops the 1 in front of its monomial; a degree-0 form or
+    # multivector writes it in plain text (so the text parses back to the
+    # same species), never in LaTeX
+    q = C("p0") - C("s0") * C("y")
+    for species in (DiffForm, MultiVector):
+        assert render(species.from_scalar(q)) == str(species.from_scalar(q)) == "1*p0 - 1*s0*y"
+        assert render(species.from_scalar(q), "latex") == "p^{0} - s^{0} y"
+    assert render(q) == "p0 - s0*y"
+    assert render(q, "latex") == "p^{0} - s^{0} y"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex"])
+def test_only_expression_values_render(fmt):
+    with pytest.raises(StructuralError, match="cannot render a Fraction"):
+        render(Fraction(1, 2), fmt)
+    with pytest.raises(StructuralError, match="unknown render format 'xml'"):
+        render(C("y"), "xml")
+
+
+def test_graded_operands_refuse_other_species_by_name():
+    with pytest.raises(ParseError, match="expected a form, got a 1-vector"):
+        evaluate("d(x0) + e_y", env())
+    with pytest.raises(ParseError, match="expected a multivector, got a 1-form"):
+        evaluate("sn(e_y, d(x0))", env())
+
+
 # --------------------------------------------------------------------------
 # LaTeX renderer
 # --------------------------------------------------------------------------
@@ -298,6 +325,19 @@ def test_latex_conformal_data_mentions_iota():
 # --------------------------------------------------------------------------
 # JSON interchange
 # --------------------------------------------------------------------------
+
+
+def test_a_coefficient_serializes_as_a_degree_zero_term_list():
+    value = C("p0").scale(Fraction(-3, 2)) + C("y") ** 2
+    chart = {"coordinates": list(CAN.chart.coordinates), "nonvanishing": []}
+    assert to_json(value) == {
+        "kind": "coefficient",
+        "degree": 0,
+        "chart": chart,
+        "terms": [{"indices": [], "coeff": "-3/2*p0 + 1*y^2"}],
+    }
+    assert list(to_json(value)) == ["kind", "degree", "chart", "terms"]
+    assert to_json(Coefficient.zero(CAN.chart)) == {"kind": "coefficient", "degree": 0, "chart": chart, "terms": []}
 
 
 def test_json_round_trip_on_random_objects(rng):

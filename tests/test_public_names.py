@@ -63,3 +63,18 @@ def test_every_private_function_has_a_caller():
         if not referenced:
             unreferenced.append(f"{filename}:{definition.lineno} {definition.name}")
     assert unreferenced == []
+
+
+def test_one_function_joins_signed_terms():
+    """Plain and LaTeX text of every value come from one writer: the
+    ``" + "`` and ``" - "`` that join the terms of a sum are spelled in
+    ``coeffring._signed_sum`` and nowhere else in the package."""
+    package = pathlib.Path(gjb.__file__).parent
+
+    def separators(tree):
+        return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in {" + ", " - "}]
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    assert {name: len(separators(tree)) for name, tree in trees.items() if separators(tree)} == {"coeffring.py": 2}
+    (signed_sum,) = [node for node in trees["coeffring.py"].body if getattr(node, "name", None) == "_signed_sum"]
+    assert sorted(separators(signed_sum)) == [" + ", " - "]
