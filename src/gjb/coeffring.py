@@ -2,13 +2,32 @@
 
 A Coefficient is a sparse Laurent polynomial over Q in the chart's
 coordinates.  Representation: a dict mapping exponent vectors (one signed
-int per chart coordinate, as a tuple) to nonzero Fractions.  The zero
-polynomial is the empty dict.  Negative exponents are allowed only for
-coordinates the chart flags as nonvanishing; everything else is ordinary
-polynomial data.  No floats anywhere.
+int per chart coordinate, as a tuple) to nonzero exact rationals, each an
+`int` or a `Fraction`.  Values enter as `int` when integral, so most
+products take Python's integer path; arithmetic may leave an integral
+value as a `Fraction`, which compares, hashes and prints exactly like the
+`int`.  The zero polynomial is the empty dict.  Negative exponents are
+allowed only for coordinates the chart flags as nonvanishing; everything
+else is ordinary polynomial data.  No floats and no bools anywhere: every
+division and every negative power has a `Fraction` operand.
 
 Coefficients are immutable by convention: all operations return new
 objects and nothing mutates `terms` after construction.
+
+Construction has a validating boundary and a trusted interior.  The
+public constructor checks every term (an exact rational value, an
+exponent vector of the chart's length, negative exponents only on
+nonvanishing coordinates) and drops zeros; `zero`, `constant`, `one`,
+`coordinate`, parsing, `unit_inverse`, `substitute` and `rename_chart`
+go through it.  The results of `+`, `-`, `*`, `scale`, positive powers
+and `partial` are built by `_trusted`, which checks nothing, because the
+ring is closed under them: both operands are on one chart
+(`_check_mate`), so exponent vectors keep its length; negation and
+scaling keep the exponents; an exponent of a product is negative only
+where an operand's was, on a nonvanishing coordinate; `partial` drops
+the terms whose exponent in its coordinate is 0, so it makes a negative
+exponent only where one already was; and `_accumulate` never keeps a
+zero.
 
 The textual form is `3/2*s0*y^2 - 1*z^-1`: terms joined by signs, each
 term a rational prefix followed by `name^exponent` factors with the names
@@ -24,6 +43,7 @@ ever written, and `_signed_sum` is the only code that joins signed terms.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,6 +75,10 @@ class Chart:
     nonvanishing: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        # any sequence and any collection are accepted, but a chart is a
+        # dict key and a cache key, so its fields are stored hashable
+        object.__setattr__(self, "coordinates", tuple(self.coordinates))
+        object.__setattr__(self, "nonvanishing", frozenset(self.nonvanishing))
         if not self.coordinates:
             raise StructuralError("a chart needs at least one coordinate")
         if len(set(self.coordinates)) != len(self.coordinates):
@@ -82,18 +106,23 @@ class Chart:
         return Chart(self.coordinates + (name,), frozenset(flags))
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value) -> int | Fraction:
+    """An exact rational as it is stored: an integral value (a bool
+    included) as a plain ``int``, any other ``Fraction`` as it is."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise StructuralError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _accumulate(pairs: Iterable[tuple], terms: dict | None = None) -> dict:
     """Add each ``(key, value)`` pair into ``terms`` (a new dict by default)
     and return it; a key whose sum is zero is dropped.  The values are
-    Fractions or Coefficients, both false exactly when zero."""
+    exact rationals (``int`` or ``Fraction``) or Coefficients, all false
+    exactly when zero, so no value it returns is zero."""
     if terms is None:
         terms = {}
     for key, value in pairs:
@@ -113,10 +142,10 @@ class Coefficient:
 
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for expo, coeff in (terms or {}).items():
-            coeff = _as_fraction(coeff)
+            coeff = _as_rational(coeff)
             if coeff == 0:
                 continue
             if len(expo) != chart.dimension:
@@ -132,6 +161,15 @@ class Coefficient:
         self.chart = chart
         self.terms = clean
 
+    @staticmethod
+    def _trusted(chart: Chart, terms: dict[tuple[int, ...], int | Fraction]) -> "Coefficient":
+        """A Coefficient over ``terms`` as they are, with no check and no
+        copy: only for results the ring is closed under (module docstring)."""
+        new = object.__new__(Coefficient)
+        new.chart = chart
+        new.terms = terms
+        return new
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -140,7 +178,7 @@ class Coefficient:
 
     @staticmethod
     def constant(chart: Chart, value) -> "Coefficient":
-        return Coefficient(chart, {(0,) * chart.dimension: _as_fraction(value)})
+        return Coefficient(chart, {(0,) * chart.dimension: value})
 
     @staticmethod
     def one(chart: Chart) -> "Coefficient":
@@ -150,7 +188,7 @@ class Coefficient:
     def coordinate(chart: Chart, name: str, power: int = 1) -> "Coefficient":
         expo = [0] * chart.dimension
         expo[chart.index(name)] = power
-        return Coefficient(chart, {tuple(expo): Fraction(1)})
+        return Coefficient(chart, {tuple(expo): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -165,7 +203,7 @@ class Coefficient:
             return Fraction(0)
         if not self.is_constant():
             raise DomainError(f"{self} is not a constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def is_unit(self) -> bool:
         """True when invertible in the ring: a single term supported on
@@ -203,7 +241,7 @@ class Coefficient:
     # -- arithmetic --------------------------------------------------------
 
     def _check_mate(self, other: "Coefficient"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise StructuralError("coefficients live on different charts")
 
     def __add__(self, other):
@@ -212,19 +250,21 @@ class Coefficient:
         if not isinstance(other, Coefficient):
             return NotImplemented
         self._check_mate(other)
-        return Coefficient(self.chart, _accumulate(other.terms.items(), dict(self.terms)))
+        return Coefficient._trusted(self.chart, _accumulate(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient(self.chart, {e: -c for e, c in self.terms.items()})
+        return Coefficient._trusted(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Coefficient.constant(self.chart, other)
         if not isinstance(other, Coefficient):
             return NotImplemented
-        return self + (-other)
+        self._check_mate(other)
+        negated = ((e, -c) for e, c in other.terms.items())
+        return Coefficient._trusted(self.chart, _accumulate(negated, dict(self.terms)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -236,19 +276,21 @@ class Coefficient:
             return NotImplemented
         self._check_mate(other)
         products = (
-            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            (tuple(map(operator.add, e1, e2)), c1 * c2)
             for e1, c1 in self.terms.items()
             for e2, c2 in other.terms.items()
         )
-        return Coefficient(self.chart, _accumulate(products))
+        return Coefficient._trusted(self.chart, _accumulate(products))
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "Coefficient":
-        value = _as_fraction(value)
+        value = _as_rational(value)
+        if value == 1:
+            return self
         if value == 0:
             return Coefficient.zero(self.chart)
-        return Coefficient(self.chart, {e: c * value for e, c in self.terms.items()})
+        return Coefficient._trusted(self.chart, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -285,16 +327,17 @@ class Coefficient:
             for expo, coeff in self.terms.items()
             if expo[i] != 0
         )
-        return Coefficient(self.chart, _accumulate(lowered))
+        return Coefficient._trusted(self.chart, _accumulate(lowered))
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Evaluate at a rational point; every chart coordinate must be
-        assigned, and nonvanishing coordinates must be nonzero."""
+        assigned, and nonvanishing coordinates must be nonzero.  The point's
+        values are taken as Fractions, so a negative power stays exact."""
         values = []
         for name in self.chart.coordinates:
             if name not in point:
                 raise StructuralError(f"no value supplied for coordinate {name!r}")
-            v = _as_fraction(point[name])
+            v = Fraction(_as_rational(point[name]))
             if v == 0 and name in self.chart.nonvanishing:
                 raise DomainError(f"coordinate {name!r} is nonvanishing but got 0")
             values.append(v)

@@ -25,6 +25,21 @@ leans on are fixed here:
 
 The characterizing identity (and the regression test pinning the global
 sign) is ι_{[U,V]} ω = (−1)^{(p−1)q} 𝓛_U ι_V ω − ι_V 𝓛_U ω.
+
+As in ``coeffring``, construction has a validating boundary and a
+trusted interior.  The constructors of DiffForm and MultiVector check
+every term (index tuples strictly increasing, of the stated degree and
+inside the chart; coefficients on the chart) and drop zeros; the named
+builders, ``reindex``, ``pull_form_along``, ``vector_bracket`` and
+every parser and loader go through them.  The results of ``+``, ``-``,
+``scale``, ``wedge``, ``exterior_derivative``, ``interior_product``,
+``form_contraction`` and ``schouten_nijenhuis`` are built by
+``_Graded._trusted``, which checks nothing: their operands are checked
+to share one chart, every key is a merge of strictly increasing tuples
+(``_merge_indices``) or what a contraction leaves of one
+(``_contract_key``), so it is strictly increasing, inside the chart and
+of the result's degree, and every coefficient comes out of
+``_accumulate``, which keeps no zero.
 """
 
 from __future__ import annotations
@@ -110,6 +125,16 @@ class _Graded:
         self.degree = degree
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, chart: Chart, degree: int, terms: dict[tuple[int, ...], Coefficient]):
+        """An object over ``terms`` as they are, with no check and no copy:
+        only for results built from checked operands (module docstring)."""
+        new = object.__new__(cls)
+        new.chart = chart
+        new.degree = degree
+        new.terms = terms
+        return new
+
     # -- building blocks ---------------------------------------------------
 
     @classmethod
@@ -133,27 +158,28 @@ class _Graded:
     def _mate(self, other):
         if type(self) is not type(other):
             raise StructuralError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise StructuralError("operands live on different charts")
         if self.degree != other.degree:
             raise DegreeError(f"degrees {self.degree} and {other.degree} do not match")
 
     def __add__(self, other):
         self._mate(other)
-        return type(self)(self.chart, self.degree, _accumulate(other.terms.items(), dict(self.terms)))
+        return self._trusted(self.chart, self.degree, _accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
-        return type(self)(self.chart, self.degree, {k: -c for k, c in self.terms.items()})
+        return self._trusted(self.chart, self.degree, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._mate(other)
+        negated = ((k, -c) for k, c in other.terms.items())
+        return self._trusted(self.chart, self.degree, _accumulate(negated, dict(self.terms)))
 
     def scale(self, factor) -> "_Graded":
         if not isinstance(factor, Coefficient):
             factor = Coefficient.constant(self.chart, factor)
-        return type(self)(
-            self.chart, self.degree, {k: factor * c for k, c in self.terms.items()}
-        )
+        products = ((k, factor * c) for k, c in self.terms.items())
+        return self._trusted(self.chart, self.degree, _accumulate(products))
 
     def __mul__(self, factor):
         if isinstance(factor, (int, Fraction, Coefficient)):
@@ -252,7 +278,7 @@ def wedge(a: _Graded, b: _Graded) -> _Graded:
         for J, e in b.terms.items()
         if (merged := _merge_indices(I, J)) is not None
     )
-    return type(a)(a.chart, a.degree + b.degree, _accumulate(products))
+    return a._trusted(a.chart, a.degree + b.degree, _accumulate(products))
 
 
 def exterior_derivative(omega: DiffForm) -> DiffForm:
@@ -266,7 +292,7 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
         for j, name in enumerate(chart.coordinates)
         if (merged := _merge_indices((j,), I)) is not None and (dc := c.partial(name))
     )
-    return DiffForm(chart, omega.degree + 1, _accumulate(pieces))
+    return DiffForm._trusted(chart, omega.degree + 1, _accumulate(pieces))
 
 
 def _contract_key(eaten: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -307,7 +333,7 @@ def interior_product(U: MultiVector, omega: DiffForm, strict: bool = True) -> Di
         for I, k in omega.terms.items()
         if (hit := _contract_key(J, I)) is not None
     )
-    return DiffForm(omega.chart, omega.degree - U.degree, _accumulate(products))
+    return DiffForm._trusted(omega.chart, omega.degree - U.degree, _accumulate(products))
 
 
 def form_contraction(xi: DiffForm, U: MultiVector, strict: bool = True) -> MultiVector:
@@ -331,7 +357,7 @@ def form_contraction(xi: DiffForm, U: MultiVector, strict: bool = True) -> Multi
         for J, c in U.terms.items()
         if (hit := _contract_key(I, J)) is not None
     )
-    return MultiVector(U.chart, U.degree - xi.degree, _accumulate(products))
+    return MultiVector._trusted(U.chart, U.degree - xi.degree, _accumulate(products))
 
 
 def lie_derivative(U: MultiVector, omega: DiffForm) -> DiffForm:
@@ -372,21 +398,25 @@ def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
     names = U.chart.coordinates
 
     def half(A: MultiVector, B: MultiVector, sign: int):
-        # sign · Σᵢ ∂ᴿA/∂ξᵢ · ∂B/∂xⁱ as (key, coefficient) pairs
+        # sign · Σᵢ ∂ᴿA/∂ξᵢ · ∂B/∂xⁱ as (key, coefficient) pairs; the
+        # nonzero ∂B/∂xⁱ are taken once per i
+        derivatives: dict[int, list[tuple[tuple[int, ...], Coefficient]]] = {}
         for J, c in A.terms.items():
             for k, i in enumerate(J):
+                if i not in derivatives:
+                    derivatives[i] = [(K, de) for K, e in B.terms.items() if (de := e.partial(names[i]))]
                 rest = J[:k] + J[k + 1 :]
                 right = sign if (A.degree - 1 - k) % 2 == 0 else -sign
-                for K, e in B.terms.items():
+                for K, de in derivatives[i]:
                     merged = _merge_indices(rest, K)
-                    if merged is not None and (de := e.partial(names[i])):
+                    if merged is not None:
                         yield merged[1], (c * de).scale(right * merged[0])
 
     # (p − 1)(q − 1) is negative when an operand is a scalar
     swap = -1 if (p - 1) * (q - 1) % 2 else 1
     terms = _accumulate(half(U, V, 1))
     _accumulate(half(V, U, -swap), terms)
-    return MultiVector(U.chart, p + q - 1, terms)
+    return MultiVector._trusted(U.chart, p + q - 1, terms)
 
 
 def reindex(obj: _Graded, target: Chart) -> _Graded:

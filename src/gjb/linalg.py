@@ -51,7 +51,9 @@ __all__ = ["exact_divide", "rref", "RrefResult"]
 
 
 def _content(c: Coefficient) -> tuple[Fraction, tuple[int, ...]]:
-    """Rational content and componentwise minimal exponent vector."""
+    """Rational content, always a Fraction (so a stored value divided by
+    it stays exact, even an int), and componentwise minimal exponent
+    vector."""
     if c.is_zero():
         raise StructuralError("zero has no content")
     nums = [abs(v.numerator) for v in c.terms.values()]
@@ -79,7 +81,8 @@ def _strip(c: Coefficient) -> tuple[Fraction, tuple[int, ...], dict[tuple[int, .
 def _poly_divide(F: dict, G: dict) -> dict | None:
     """Exact quotient of ordinary polynomial dicts, or None.  Greedy
     leading-term division in lex order; exact divisibility guarantees the
-    leading term always divides."""
+    leading term always divides.  F and G come from ``_strip``, whose
+    values are Fractions, so every quotient stays exact."""
     quotient: dict[tuple[int, ...], Fraction] = {}
     remainder = dict(F)
     g_lead = max(G)

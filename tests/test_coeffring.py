@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjb.coeffring import Chart, Coefficient, format_coefficient, parse_coefficient
+from gjb.dsl import render, to_json
 from gjb.errors import DomainError, ParseError, StructuralError
+from gjb.linalg import exact_divide
+from gjb.session import Session
 
 CHART = Chart(("p", "x", "y", "z"), frozenset({"z"}))
 
@@ -62,6 +65,7 @@ def test_subtraction_cancels_shared_term():
 def test_partial_of_inverse_power():
     zinv = Coefficient.coordinate(CHART, "z", -1)
     assert zinv.partial("z") == Coefficient.coordinate(CHART, "z", -2).scale(-1)
+    assert zinv.partial("z").terms == Coefficient(CHART, {(0, 0, 0, -2): -1}).terms
 
 
 def test_negative_exponent_needs_flag():
@@ -215,3 +219,106 @@ def test_evaluation_is_a_homomorphism(f, g):
 @given(coefficients())
 def test_text_round_trip(f):
     assert parse_coefficient(CHART, format_coefficient(f)) == f
+
+
+# -- validating boundary, trusted interior -----------------------------------
+
+
+def test_chart_stores_its_fields_hashable():
+    chart = Chart(["q", "z"], {"z"})
+    assert type(chart.coordinates) is tuple and type(chart.nonvanishing) is frozenset
+    assert chart == Chart(("q", "z"), frozenset({"z"}))
+    assert hash(chart) == hash(Chart(("q", "z"), frozenset({"z"})))
+    assert {chart: 1}[Chart(("q", "z"), frozenset({"z"}))] == 1
+    assert Coefficient.coordinate(chart, "z", -1).partial("z") == Coefficient.coordinate(chart, "z", -2).scale(-1)
+
+
+def test_stored_values_are_never_bools():
+    assert Coefficient.constant(CHART, True).terms == {(0, 0, 0, 0): 1}
+    assert type(Coefficient.constant(CHART, True).terms[(0, 0, 0, 0)]) is int
+    assert type(Coefficient(CHART, {(1, 0, 0, 0): True}).terms[(1, 0, 0, 0)]) is int
+    assert coord("x").scale(True) == coord("x")
+    assert (coord("x") * True).terms == {(0, 1, 0, 0): 1}
+    assert not Coefficient.constant(CHART, False)
+
+
+def test_the_boundary_refuses_what_is_not_in_the_ring():
+    with pytest.raises(StructuralError):
+        Coefficient(CHART, {(1, 0, 0): 1})  # exponent vector of the wrong length
+    with pytest.raises(DomainError):
+        Coefficient(CHART, {(0, -1, 0, 0): 1})  # x may vanish
+    with pytest.raises(StructuralError):
+        Coefficient(CHART, {(0, 0, 0, 0): 0.5})
+    with pytest.raises(StructuralError):
+        Coefficient.constant(CHART, 1.0)
+
+
+def test_arithmetic_across_charts_still_raises():
+    other = Chart(("p", "x", "y", "z"))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(StructuralError):
+            op(coord("x"), Coefficient.coordinate(other, "x"))
+
+
+def test_renaming_onto_a_chart_that_may_vanish_still_raises():
+    zinv = Coefficient.coordinate(CHART, "z", -1)
+    with pytest.raises(DomainError):
+        zinv.rename_chart(Chart(("p", "x", "y", "z")))
+
+
+def test_values_at_a_point_stay_exact():
+    zinv = Coefficient.coordinate(CHART, "z", -1)
+    point = {"p": 0, "x": 0, "y": 0, "z": 1}
+    assert type(zinv.evaluate(point)) is Fraction
+    assert zinv.evaluate({**point, "z": 2}) == Fraction(1, 2)
+    assert type(const(3).constant_value()) is Fraction
+    assert type(Coefficient.zero(CHART).evaluate(point)) is Fraction
+
+
+def _stored_types(c):
+    return {type(v) for v in c.terms.values()}
+
+
+@given(coefficients(), coefficients(), rationals, st.sampled_from(CHART.coordinates), st.integers(1, 3))
+@settings(max_examples=60)
+def test_no_float_or_bool_is_ever_stored(f, g, r, name, k):
+    unit = Coefficient(CHART, {(0, 0, 0, k - 2): r or 1})
+    results = [f + g, f - g, -f, f * g, f.scale(r), f.partial(name), f**k, unit.unit_inverse(), unit**-k]
+    if g:
+        results.append(exact_divide(f * g, g))
+    for result in results:
+        assert _stored_types(result) <= {int, Fraction}
+    point = {"p": 2, "x": -1, "y": Fraction(1, 3), "z": 1}
+    assert all(type(c.evaluate(point)) is Fraction for c in results + [f, g, unit])
+
+
+@given(coefficients(), coefficients(), rationals, st.sampled_from(CHART.coordinates), st.integers(1, 3))
+@settings(max_examples=60)
+def test_every_trusted_result_passes_the_boundary_unchanged(f, g, r, name, k):
+    for result in (f + g, f - g, (f + g) - g, -f, f * g, f.scale(r), f * r, f.partial(name), f**k, 2 - f):
+        assert 0 not in result.terms.values()
+        checked = Coefficient(result.chart, result.terms)
+        assert checked == result and checked.terms == result.terms
+
+
+def test_an_integral_fraction_is_an_int(tmp_path):
+    expo = (1, 0, 2, -1)
+    as_int = Coefficient(CHART, {expo: 3})
+    # the boundary stores an int; arithmetic may leave a Fraction
+    given_fraction = Coefficient(CHART, {expo: Fraction(3)})
+    computed = Coefficient(CHART, {expo: Fraction(3, 2)}) * 2
+    assert _stored_types(as_int) == _stored_types(given_fraction) == {int}
+    assert _stored_types(computed) == {Fraction}
+
+    def session_bytes(value, name):
+        session = Session(chart=CHART)
+        session.bindings["c"] = value
+        session.save(tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    for value in (given_fraction, computed):
+        assert value == as_int and hash(value) == hash(as_int)
+        assert str(value) == str(as_int) == "3*p*y^2*z^-1"
+        assert render(value, "latex") == render(as_int, "latex")
+        assert to_json(value) == to_json(as_int)
+        assert session_bytes(value, "value.json") == session_bytes(as_int, "int.json")

@@ -5,13 +5,17 @@ identity in particular characterizes the graded bracket, so any silent
 convention drift fails loudly here.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SEED, rand_coefficient, rand_form, rand_multivector
 from gjb.coeffring import Chart, Coefficient, parse_coefficient
-from gjb.errors import DegreeError, StructuralError
+from gjb.errors import DegreeError, DomainError, StructuralError
 from gjb.exterior import (
     DiffForm,
     MultiVector,
@@ -393,3 +397,91 @@ def test_plain_text_is_canonical():
     assert str(e("a").scale(C("b")) - e("c")) == "b*e_a - e_c"
     multi = wedge(dx("a"), dx("b")).scale(C("a + b"))
     assert str(multi) == "(a + b)*da^db"
+
+
+# -- validating boundary, trusted interior -------------------------------------
+
+
+def test_the_constructors_refuse_malformed_terms():
+    one = Coefficient.one(CH)
+    with pytest.raises(StructuralError):
+        DiffForm(CH, 2, {(1, 0): one})  # not increasing
+    with pytest.raises(StructuralError):
+        MultiVector(CH, 2, {(1, 1): one})
+    with pytest.raises(StructuralError):
+        DiffForm(CH, 1, {(4,): one})  # past the last coordinate
+    with pytest.raises(StructuralError):
+        MultiVector(CH, 1, {(-1,): one})
+    with pytest.raises(DegreeError):
+        DiffForm(CH, 2, {(0,): one})
+    with pytest.raises(StructuralError):
+        DiffForm(CH, 1, {(0,): Coefficient.one(LAURENT_CH)})  # on another chart
+    with pytest.raises(DomainError):
+        reindex(DiffForm(LAURENT_CH, 1, {(0,): parse_coefficient(LAURENT_CH, "t^-1")}), Chart(CH.coordinates + ("t",)))
+
+
+def test_operands_on_two_charts_still_raise():
+    equal = Chart(CH.coordinates)
+    assert equal is not CH
+    assert DiffForm.differential(equal, "a") + dx("b") == dx("a") + dx("b")
+    other = Chart(("a", "b", "c", "u", "w"))
+    a, b = DiffForm.differential(CH, "a"), DiffForm.differential(other, "a")
+    U, V = MultiVector.basis_vector(CH, "a"), MultiVector.basis_vector(other, "b")
+    ops = [
+        lambda: a + b,
+        lambda: a - b,
+        lambda: wedge(a, b),
+        lambda: wedge(U, V),
+        lambda: interior_product(V, a),
+        lambda: form_contraction(b, U),
+        lambda: schouten_nijenhuis(U, V),
+        lambda: a.scale(Coefficient.one(other)),
+    ]
+    for op in ops:
+        with pytest.raises(StructuralError):
+            op()
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def laurent_coefficients(draw):
+    exponents = [st.integers(-2 if name in LAURENT_CH.nonvanishing else 0, 2) for name in LAURENT_CH.coordinates]
+    terms = draw(st.dictionaries(st.tuples(*exponents), rationals, max_size=3))
+    return Coefficient(LAURENT_CH, terms)
+
+
+@st.composite
+def graded(draw, cls, degree=None):
+    if degree is None:
+        degree = draw(st.integers(0, 3))
+    keys = list(itertools.combinations(range(LAURENT_CH.dimension), degree))
+    return cls(LAURENT_CH, degree, draw(st.dictionaries(st.sampled_from(keys), laurent_coefficients(), max_size=3)))
+
+
+@given(graded(DiffForm), graded(DiffForm), graded(MultiVector), graded(MultiVector), laurent_coefficients(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_trusted_graded_result_passes_the_boundary_unchanged(om, eta, U, V, f, data):
+    same_degree = data.draw(graded(DiffForm, om.degree))
+    same_vector = data.draw(graded(MultiVector, U.degree))
+    results = [
+        om + same_degree,
+        om - same_degree,
+        U - same_vector,
+        -om,
+        -U,
+        om.scale(f),
+        U.scale(f),
+        wedge(om, eta),
+        wedge(U, V),
+        exterior_derivative(om),
+        interior_product(U, om, strict=False),
+        form_contraction(om, U, strict=False),
+    ]
+    if U.degree or V.degree:
+        results.append(schouten_nijenhuis(U, V))
+    for r in results:
+        assert all(r.terms.values())
+        checked = type(r)(r.chart, r.degree, r.terms)
+        assert checked == r and checked.terms == r.terms
