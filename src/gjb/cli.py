@@ -41,7 +41,7 @@ from .dsl import (
     render,
     to_json,
 )
-from .errors import GjbError, ParseError, ValidationError
+from .errors import DomainError, GjbError, ParseError, ValidationError
 from .exterior import DiffForm, MultiVector, interior_product
 from .fieldtheory import (
     CanonicalStructure,
@@ -55,6 +55,7 @@ from .fieldtheory import (
     hamiltonian_section,
     jet_name,
     JetSection,
+    PhaseSpaceSpec,
     vertical_conformal_from_FG,
 )
 from .session import Session, SessionError
@@ -132,17 +133,26 @@ def _print_value(value, fmt: str = "plain") -> None:
     print(render(value, fmt))
 
 
+def _spec(n: int, m: int) -> PhaseSpaceSpec:
+    """The phase-space shape the flags give; one out of range is a usage
+    error, with the library's message."""
+    try:
+        return PhaseSpaceSpec(n, m)
+    except DomainError as err:
+        raise _UsageError(str(err)) from err
+
+
 def _canonical_from_args(args, extra_exprs: tuple[str, ...] = ()) -> CanonicalStructure:
     """Build the (n, m) phase space, promoting unknown names in the given
     expressions to symbolic parameters."""
-    probe = build_canonical(args.n, args.m)
+    probe = build_canonical(_spec(args.n, args.m))
     unknown: set[str] = set()
     for text in extra_exprs:
         for name in free_names(parse(text)):
             if _chart_name(probe.chart, name) is None:
                 unknown.add(name)
     if unknown:
-        return build_canonical(args.n, args.m, parameters=tuple(sorted(unknown)))
+        return build_canonical(probe.spec, parameters=tuple(sorted(unknown)))
     return probe
 
 
@@ -161,7 +171,7 @@ def _cmd_chart_new(args) -> int:
         if len(pieces) != 2 or not all(p.isdigit() for p in pieces):
             raise _UsageError("--canonical expects N,M (e.g. --canonical 2,1)")
         parameters = _split_names(args.parameters) if args.parameters else ()
-        C = build_canonical(int(pieces[0]), int(pieces[1]), parameters=parameters)
+        C = build_canonical(_spec(int(pieces[0]), int(pieces[1])), parameters=parameters)
         session = Session(chart=C.chart)
         session.set_theta(C.theta)
     else:
@@ -532,7 +542,7 @@ def _cmd_distortion(args) -> int:
     if args.n is not None or args.m is not None:
         if args.n is None or args.m is None:
             raise _UsageError("give both --n and --m (or neither, to use the session)")
-        S = build_canonical(args.n, args.m)
+        S = build_canonical(_spec(args.n, args.m))
     else:
         S = Session.load(args.session).structure()
     table, all_zero = distortion(S)

@@ -115,17 +115,14 @@ class CanonicalStructure(NFormStructure):
             f"p{mu}" if m == 1 else f"p{mu}_{i}" for mu in range(n) for i in range(m)
         )
         self.s_names = tuple(f"s{mu}" for mu in range(n))
-        names = (
-            self.x_names
-            + self.y_names
-            + (self.p_name,)
-            + self.momentum_names
-            + self.s_names
-            + self.parameters
-        )
-        if len(set(names)) != len(names):
-            raise DomainError(f"parameter names collide with phase-space coordinates: {parameters}")
-        chart = Chart(names)
+        coordinates = self.x_names + self.y_names + (self.p_name,) + self.momentum_names + self.s_names
+        repeated = tuple(sorted({name for name in self.parameters if self.parameters.count(name) > 1}))
+        if repeated:
+            raise DomainError(f"parameter names are repeated: {repeated}")
+        clashing = tuple(name for name in self.parameters if name in coordinates)
+        if clashing:
+            raise DomainError(f"parameter names collide with phase-space coordinates: {clashing}")
+        chart = Chart(coordinates + self.parameters)
         dnx = DiffForm.volume(chart, self.x_names)
         theta = dnx.scale(-Coefficient.coordinate(chart, self.p_name))
         for mu in range(n):
@@ -158,23 +155,32 @@ class CanonicalStructure(NFormStructure):
         return [MultiVector.basis_vector(self.chart, s) for s in self.s_names]
 
 
-def _same_span(a: Sequence[MultiVector], b: Sequence[MultiVector], chart: Chart) -> bool:
-    rows_a, rows_b = [_coordinates(u) for u in a], [_coordinates(u) for u in b]
-    span_b = rref(rows_b, chart)
-    if not all(span_b.contains(r) for r in rows_a):
-        return False
-    span_a = rref(rows_a, chart)
-    return all(span_a.contains(r) for r in rows_b)
+def _theta_kernel_basis(C: CanonicalStructure) -> list[MultiVector]:
+    """The closed form of ker_1 Theta: ``d/dy^i + p^mu_i d/ds^mu`` for each
+    field, then the residual momentum field and every momentum field."""
+    chart = C.chart
+    basis = []
+    for i in range(C.spec.m):
+        terms = {(chart.index(C.y_names[i]),): Coefficient.one(chart)}
+        for mu in range(C.spec.n):
+            terms[(chart.index(C.s_names[mu]),)] = C.coordinate(C.momentum_name(mu, i))
+        basis.append(MultiVector(chart, 1, terms))
+    return basis + [MultiVector.basis_vector(chart, name) for name in (C.p_name,) + C.momentum_names]
 
 
 def build_canonical(spec: PhaseSpaceSpec | int, m: int | None = None, parameters: tuple[str, ...] = ()) -> CanonicalStructure:
     """Construct and validate the canonical phase-space structure.
 
     Accepts either a PhaseSpaceSpec or the pair (n, m).  On a parameter-free
-    chart the construction is validated: the structure must be multicontact, the
-    degree-1 kernel of dTheta must be spanned by the s-coordinate fields, and
-    the degree-1 kernel of Theta by ``d/dy^i + p^mu_i d/ds^mu`` together with
-    all momentum coordinate fields (the residual momentum included).
+    chart the degree-1 kernels have a closed form, and the construction
+    certifies it with no elimination (NFormStructure._certify_kernel; see
+    the structures module): ker_1 dTheta is spanned by the s-coordinate
+    fields, ker_1 Theta by ``d/dy^i + p^mu_i d/ds^mu`` together with all
+    momentum coordinate fields (the residual momentum included), and
+    K_1 = ker_1 Theta ∩ ker_1 dTheta is zero while ker_1 dTheta is not, so
+    the structure is multicontact.  The certified bases are the ones elimination gives,
+    vector for vector and in order; a failed certificate raises
+    StructuralError.
     """
     if not isinstance(spec, PhaseSpaceSpec):
         if m is None:
@@ -183,25 +189,9 @@ def build_canonical(spec: PhaseSpaceSpec | int, m: int | None = None, parameters
     S = CanonicalStructure(spec, parameters)
     if parameters:
         return S
-    report = is_multicontact(S)
-    if not report.ok:
-        raise StructuralError(f"canonical structure failed the multicontact check: {report.details}")
-    chart, n, m_ = S.chart, spec.n, spec.m
-    if not _same_span(S.kernel(1, "dtheta"), S.reeb_directions, chart):
-        raise StructuralError("degree-1 kernel of dTheta is not spanned by the s-coordinate fields")
-    expected_theta_kernel = []
-    for i in range(m_):
-        terms = {(chart.index(S.y_names[i]),): Coefficient.one(chart)}
-        for mu in range(n):
-            terms[(chart.index(S.s_names[mu]),)] = S.coordinate(S.momentum_name(mu, i))
-        expected_theta_kernel.append(MultiVector(chart, 1, terms))
-    for name in (S.p_name,) + S.momentum_names:
-        expected_theta_kernel.append(MultiVector.basis_vector(chart, name))
-    if not _same_span(S.kernel(1, "theta"), expected_theta_kernel, chart):
-        raise StructuralError(
-            "degree-1 kernel of Theta is not spanned by the lifted field directions "
-            "and the momentum coordinate fields"
-        )
+    S._certify_kernel(1, "dtheta", S.reeb_directions)
+    S._certify_kernel(1, "theta", _theta_kernel_basis(S))
+    S._certify_kernel(1, "both", [])
     return S
 
 

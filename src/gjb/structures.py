@@ -1,9 +1,9 @@
 """n-form structures, kernels, and conformal Hamiltonian data.
 
 An NFormStructure is a chart with a distinguished n-form Θ.  The layer
-computes kernel bases ker_p Θ, ker_p dΘ and K_p = ker_pΘ ∩ ker_p dΘ by
-exact elimination, decides the multicontact property (K₁ = 0 and
-ker₁dΘ ≠ 0), and works with conformal data (α, X, V) characterized by
+computes kernel bases ker_p Θ, ker_p dΘ and K_p = ker_pΘ ∩ ker_p dΘ,
+decides the multicontact property (K₁ = 0 and ker₁dΘ ≠ 0), and works
+with conformal data (α, X, V) characterized by
 
     ι_X Θ = −α,    ι_X dΘ = (−1)^{p+1} (dα + ι_V Θ),
 
@@ -25,6 +25,23 @@ with the contractions ι_{∂_J}ω of every equation form ω, and _stacked_rows
 lays them out.  Kernels read the kernel of its elimination, and
 solve_by_contraction appends any number of right-hand sides as trailing
 columns and reads every solution from one elimination.
+
+A kernel is either eliminated or certified.  NFormStructure.kernel
+eliminates: it reads a basis off the reduced contraction system and
+re-checks each vector by contraction.  A structure whose kernel has a
+known closed form, as the canonical phase space of field theory has, may
+instead install it with _certify_kernel, which proves the claim without
+elimination.  For a candidate basis E of the degree-p kernel it checks
+that (1) every e ∈ E contracts every target to zero; (2) E's coordinate
+matrix has a unit lower-triangular minor on |E| coordinates D; (3) the
+contraction map u ↦ (ι_u t)_t, restricted to multivectors supported off
+D, has a unit lower-triangular minor of full size.  By (2) any kernel
+element minus a ring combination of E vanishes on D, and by (3) the only
+kernel element vanishing on D is zero, so E is a basis of the kernel over
+the Laurent ring itself; an empty E with (3) proves the kernel zero.  Both
+minors are found by linalg._unit_triangular_minor, read sparsely from
+the terms of the vectors and of the contractions ι_{∂_J}t, and a failed
+step raises StructuralError: nothing is taken on trust.
 """
 
 from __future__ import annotations
@@ -46,7 +63,7 @@ from .exterior import (
     schouten_nijenhuis,
     wedge,
 )
-from .linalg import rref
+from .linalg import _unit_triangular_minor, rref
 
 __all__ = [
     "CheckReport",
@@ -165,13 +182,56 @@ class NFormStructure:
     def degree(self) -> int:
         return self.theta.degree
 
-    def kernel(self, p: int, which: str = "theta") -> list[MultiVector]:
-        if which not in {"theta", "dtheta", "both"}:
+    def _targets(self, which: str) -> list[DiffForm]:
+        """The forms a kernel of the given target must annihilate."""
+        targets = {"theta": [self.theta], "dtheta": [self.dtheta], "both": [self.theta, self.dtheta]}
+        if which not in targets:
             raise StructuralError(f"unknown kernel target {which!r}")
+        return targets[which]
+
+    def kernel(self, p: int, which: str = "theta") -> list[MultiVector]:
+        targets = self._targets(which)
         if (p, which) not in self._kernels:
-            targets = {"theta": [self.theta], "dtheta": [self.dtheta], "both": [self.theta, self.dtheta]}
-            self._kernels[(p, which)] = self._compute_kernel(p, targets[which])
+            self._kernels[(p, which)] = self._compute_kernel(p, targets)
         return self._kernels[(p, which)]
+
+    def _certify_kernel(self, p: int, which: str, basis: Sequence[MultiVector]) -> None:
+        """Install ``basis`` as the degree-p kernel of the target ``which``
+        once the three checks of the module docstring prove it a basis over
+        the ring; StructuralError names the first that fails."""
+        targets = self._targets(which)
+        keys = _index_tuples(self.chart, p)
+        for u in basis:
+            if u.chart != self.chart or u.degree != p:
+                raise StructuralError(f"certified kernel vector {u} is not a degree-{p} multivector on the chart")
+            for t in targets:
+                if not interior_product(u, t, strict=False).is_zero():
+                    raise StructuralError(f"certified kernel vector {u} fails to annihilate the target")
+        # (2): the rows are coordinates, the columns the vectors of the basis
+        by_key: dict[tuple[int, ...], dict[int, Coefficient]] = {}
+        for b, u in enumerate(basis):
+            for key, c in u.terms.items():
+                by_key.setdefault(key, {})[b] = c
+        own = list(by_key)
+        independent = _unit_triangular_minor([by_key[key] for key in own])
+        if len(independent) < len(basis):
+            raise StructuralError(f"the certified degree-{p} kernel basis of {which} has no unit-triangular minor")
+        taken = {own[r] for r, _ in independent}
+        # (3): the rows are the coordinates of the contractions, the
+        # columns the coordinates off the minor of (2)
+        rows: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Coefficient]] = {}
+        for J in keys:
+            if J in taken:
+                continue
+            unit = _basis_multivector(self.chart, J)
+            for e, t in enumerate(targets):
+                for I, c in interior_product(unit, t, strict=False).terms.items():
+                    rows.setdefault((e, I), {})[J] = c
+        if len(_unit_triangular_minor(list(rows.values()))) < len(keys) - len(taken):
+            raise StructuralError(
+                f"the degree-{p} kernel of {which} is not shown to be spanned by the certified basis"
+            )
+        self._kernels[(p, which)] = list(basis)
 
     def _compute_kernel(self, p: int, targets: Sequence[DiffForm]) -> list[MultiVector]:
         """A basis of the degree-p multivectors annihilating every target."""

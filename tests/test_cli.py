@@ -593,6 +593,35 @@ class TestRenderAndLet:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["tables", "--n", "1", "--m", "1"], "at least two independent variables"),
+            (["hdw", "--n", "2", "--m", "0", "--H", "p0"], "at least one field component"),
+            (["sigma", "--n", "-3", "--m", "1", "--H", "p0"], "at least two independent variables"),
+            (["dissipated", "--n", "2", "--m", "-1", "--H", "p0", "--row", "1"], "at least one field component"),
+            (["distortion", "--n", "0", "--m", "1"], "at least two independent variables"),
+            (["chart", "new", "--canonical", "1,1"], "at least two independent variables"),
+            (["chart", "new", "--canonical", "2,0"], "at least one field component"),
+        ],
+    )
+    def test_phase_space_shape_out_of_range_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        session = str(tmp_path / "f.json")
+        code, out, err = run(capsys, *argv, "-s", session) if argv[0] == "chart" else run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: a phase space needs {message}\n"
+        assert not os.path.exists(session)
+
+    def test_repeated_parameter_is_not_called_a_coordinate_collision(self, tmp_path, capsys):
+        path = str(tmp_path / "c.json")
+        code, _, err = run(capsys, "chart", "new", "--canonical", "2,1", "--parameters", "g,g", "-s", path)
+        assert code == 1
+        assert err == "error: parameter names are repeated: ('g',)\n"
+        code, _, err = run(capsys, "chart", "new", "--canonical", "2,1", "--parameters", "g,p0", "-s", path)
+        assert code == 1
+        assert err == "error: parameter names collide with phase-space coordinates: ('p0',)\n"
+
     def test_missing_session_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", "multicontact", "-s", str(tmp_path / "nope.json"))
         assert code == 2

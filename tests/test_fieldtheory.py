@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gjb import linalg
+from gjb import fieldtheory, linalg, structures
 from gjb.coeffring import Chart, Coefficient
 from gjb.errors import DomainError, StructuralError
 from gjb.exterior import (
@@ -17,6 +17,7 @@ from gjb.exterior import (
     wedge,
 )
 from gjb.fieldtheory import (
+    CanonicalStructure,
     JetSection,
     PhaseSpaceSpec,
     build_canonical,
@@ -99,7 +100,7 @@ def test_spec_validation():
         build_canonical(2)
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
 def test_canonical_grid_is_multicontact_and_variational(n, m):
     S = build_canonical(n, m)
     assert is_multicontact(S).ok
@@ -140,8 +141,100 @@ def test_parameters_are_inert():
 
 
 def test_parameter_name_collision_rejected():
-    with pytest.raises(DomainError):
-        build_canonical(2, 1, parameters=("p0",))
+    with pytest.raises(DomainError, match=r"collide with phase-space coordinates: \('p0',\)"):
+        build_canonical(2, 1, parameters=("g", "p0"))
+
+
+def test_repeated_parameter_name_is_reported_as_repeated():
+    with pytest.raises(DomainError, match=r"parameter names are repeated: \('g',\)"):
+        build_canonical(2, 1, parameters=("g", "k", "g"))
+
+
+# --------------------------------------------------------------------------
+# the certified kernels of the canonical structure
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_certified_kernels_equal_the_eliminated_ones(n, m):
+    S = build_canonical(n, m)
+    eliminated = NFormStructure(S.chart, S.theta)
+    for which in ("theta", "dtheta", "both"):
+        assert S.kernel(1, which) == eliminated.kernel(1, which)
+
+
+def _y_lift(S, i, sign=1, factor=None):
+    """d/dy^i + sign * p^mu_i d/ds^mu, times ``factor`` when given."""
+    lift = MultiVector.basis_vector(S.chart, S.y_names[i])
+    for mu in range(S.spec.n):
+        s_field = MultiVector.basis_vector(S.chart, S.s_names[mu])
+        lift = lift + s_field.scale(S.coordinate(S.momentum_name(mu, i))).scale(sign)
+    return lift if factor is None else lift.scale(factor)
+
+
+def _momenta(S):
+    return [MultiVector.basis_vector(S.chart, name) for name in (S.p_name,) + S.momentum_names]
+
+
+_WRONG_THETA_KERNELS = {
+    "sign-flipped lift": lambda S: [_y_lift(S, 0, sign=-1), *_momenta(S)],
+    "missing momentum field": lambda S: [_y_lift(S, 0), *_momenta(S)[:-1]],
+    "duplicated vector": lambda S: [_y_lift(S, 0), *_momenta(S), _momenta(S)[0]],
+    "lift times p": lambda S: [_y_lift(S, 0, factor=S.coordinate("p")), *_momenta(S)],
+    # a zero vector annihilates everything and leaves the rank witness
+    # intact; only the size of the independence minor refuses it
+    "zero vector": lambda S: [_y_lift(S, 0), *_momenta(S), MultiVector.zero(S.chart, 1)],
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(_WRONG_THETA_KERNELS))
+def test_a_wrong_closed_form_theta_kernel_is_refused(monkeypatch, wrong):
+    monkeypatch.setattr(fieldtheory, "_theta_kernel_basis", _WRONG_THETA_KERNELS[wrong])
+    with pytest.raises(StructuralError, match="kernel"):
+        build_canonical(2, 1)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda S: [MultiVector.basis_vector(S.chart, S.s_names[0])],  # one s-field short
+        lambda S: [MultiVector.basis_vector(S.chart, name) for name in (*S.s_names, S.p_name)],
+        lambda S: [MultiVector.basis_vector(S.chart, S.s_names[0]).scale(S.coordinate("p0"))] * 2,
+    ],
+)
+def test_a_wrong_closed_form_reeb_kernel_is_refused(monkeypatch, wrong):
+    monkeypatch.setattr(CanonicalStructure, "reeb_directions", property(wrong))
+    with pytest.raises(StructuralError, match="kernel"):
+        build_canonical(2, 1)
+
+
+def test_a_nonzero_intersection_kernel_is_refused():
+    # ker_1 Theta ∩ ker_1 dTheta of a degenerate structure is not zero, so
+    # the empty basis fails the rank witness
+    chart = Chart(("q", "p", "z", "w"))
+    theta = DiffForm.differential(chart, "z") - DiffForm.differential(chart, "q").scale(
+        Coefficient.coordinate(chart, "p")
+    )
+    S = NFormStructure(chart, theta)
+    with pytest.raises(StructuralError, match="not shown to be spanned"):
+        S._certify_kernel(1, "both", [])
+    S._certify_kernel(1, "both", [MultiVector.basis_vector(chart, "w")])
+    assert S.kernel(1, "both") == NFormStructure(chart, theta).kernel(1, "both")
+
+
+def test_build_canonical_does_no_elimination(monkeypatch):
+    calls = []
+
+    def counting_rref(*args, **kwargs):
+        calls.append(args)
+        return rref(*args, **kwargs)
+
+    for module in (linalg, structures, fieldtheory):
+        monkeypatch.setattr(module, "rref", counting_rref)
+    S = build_canonical(3, 2)
+    assert calls == []
+    assert is_multicontact(S).ok
+    assert calls == []  # the multicontact verdict reads the certified kernels
 
 
 # --------------------------------------------------------------------------
