@@ -144,16 +144,12 @@ def _spec(n: int, m: int) -> PhaseSpaceSpec:
 
 def _canonical_from_args(args, extra_exprs: tuple[str, ...] = ()) -> CanonicalStructure:
     """Build the (n, m) phase space, promoting unknown names in the given
-    expressions to symbolic parameters."""
-    probe = build_canonical(_spec(args.n, args.m))
-    unknown: set[str] = set()
-    for text in extra_exprs:
-        for name in free_names(parse(text)):
-            if _chart_name(probe.chart, name) is None:
-                unknown.add(name)
-    if unknown:
-        return build_canonical(probe.spec, parameters=tuple(sorted(unknown)))
-    return probe
+    expressions to symbolic parameters.  The names are read off the shape
+    alone, so exactly one structure is built."""
+    spec = _spec(args.n, args.m)
+    chart = Chart(spec.coordinates)
+    unknown = {name for text in extra_exprs for name in free_names(parse(text)) if _chart_name(chart, name) is None}
+    return build_canonical(spec, parameters=tuple(sorted(unknown)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +167,10 @@ def _cmd_chart_new(args) -> int:
         if len(pieces) != 2 or not all(p.isdigit() for p in pieces):
             raise _UsageError("--canonical expects N,M (e.g. --canonical 2,1)")
         parameters = _split_names(args.parameters) if args.parameters else ()
-        C = build_canonical(_spec(int(pieces[0]), int(pieces[1])), parameters=parameters)
+        try:
+            C = build_canonical(_spec(int(pieces[0]), int(pieces[1])), parameters=parameters)
+        except DomainError as err:  # a repeated or colliding parameter name
+            raise _UsageError(str(err)) from err
         session = Session(chart=C.chart)
         session.set_theta(C.theta)
     else:

@@ -60,7 +60,10 @@ __all__ = [
     "Token",
 ]
 
-_NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# the alphabet of names (coordinates, and every name the tokenizer reads);
+# a name does not start with a digit, and a number is ASCII digits only
+_DIGITS = frozenset("0123456789")
+_NAME_OK = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_") | _DIGITS
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class Chart:
         if len(set(self.coordinates)) != len(self.coordinates):
             raise StructuralError(f"duplicate coordinate names in {self.coordinates}")
         for name in self.coordinates:
-            if not name or name[0].isdigit() or not set(name) <= _NAME_OK:
+            if not name or name[0] in _DIGITS or not set(name) <= _NAME_OK:
                 raise StructuralError(f"bad coordinate name {name!r}")
         extra = set(self.nonvanishing) - set(self.coordinates)
         if extra:
@@ -439,7 +442,9 @@ _OPS = {"+", "-", "*", "^", "(", ")", ",", "="}
 def tokenize(text: str) -> list[Token]:
     """Token stream shared by the scalar grammar and the CLI expression
     language.  Numbers are integers or integer ratios like 3/2 (no spaces
-    around the slash); names are identifiers."""
+    around the slash) in ASCII digits; names are spelled in the chart's
+    alphabet ``_NAME_OK`` and do not start with a digit.  Any other
+    character, a non-ASCII digit or letter included, is a ParseError."""
     tokens: list[Token] = []
     line, col = 1, 0
     i = 0
@@ -455,16 +460,16 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             num = int(text[i:j])
             den = 1
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdigit():
+            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1] in _DIGITS:
                 j += 1
                 k = j
-                while k < len(text) and text[k].isdigit():
+                while k < len(text) and text[k] in _DIGITS:
                     k += 1
                 den = int(text[j:k])
                 if den == 0:
@@ -474,9 +479,9 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_OK:
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j] in _NAME_OK:
                 j += 1
             tokens.append(Token("NAME", text[i:j], line, start_col))
             col += j - i

@@ -41,6 +41,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .coeffring import (
+    _NAME_OK,
     _SPELLINGS,
     Chart,
     Coefficient,
@@ -300,9 +301,10 @@ def _chart_name(chart: Chart, name: str) -> Value | None:
 
 def _binding_name_error(chart: Chart, name: str) -> str | None:
     """Why ``name`` may not name a binding on ``chart``, or None when it
-    may: a binding must be an identifier and may shadow neither a name
-    the chart gives (see ``_chart_name``) nor a builtin function."""
-    if not name.isidentifier():
+    may: a binding must be an identifier spelled in the alphabet the
+    tokenizer reads names in, and may shadow neither a name the chart
+    gives (see ``_chart_name``) nor a builtin function."""
+    if not name.isidentifier() or not set(name) <= _NAME_OK:
         return f"{name!r} is not a valid binding name"
     value = _chart_name(chart, name)
     if value is not None:
@@ -598,7 +600,11 @@ def to_json(obj: Value) -> dict:
 
 
 def _chart_of(payload: dict, chart: Chart | None) -> Chart:
-    target = chart_from_json(_member(payload, "chart", dict, "a serialized object"))
+    stored = _member(payload, "chart", dict, "a serialized object")
+    # the serialized form of ``chart`` is a well-formed chart that names it
+    if chart is not None and stored == chart_to_json(chart):
+        return chart
+    target = chart_from_json(stored)
     if chart is not None and target != chart:
         raise StructuralError("serialized object lives on a different chart")
     return target

@@ -95,6 +95,30 @@ class PhaseSpaceSpec:
         if not isinstance(self.m, int) or self.m < 1:
             raise DomainError("a phase space needs at least one field component")
 
+    # -- naming rules: the coordinates, in chart order ---------------------
+
+    @property
+    def x_names(self) -> tuple[str, ...]:
+        return tuple(f"x{mu}" for mu in range(self.n))
+
+    @property
+    def y_names(self) -> tuple[str, ...]:
+        return ("y",) if self.m == 1 else tuple(f"y{i}" for i in range(self.m))
+
+    @property
+    def momentum_names(self) -> tuple[str, ...]:
+        return tuple(f"p{mu}" if self.m == 1 else f"p{mu}_{i}" for mu in range(self.n) for i in range(self.m))
+
+    @property
+    def s_names(self) -> tuple[str, ...]:
+        return tuple(f"s{mu}" for mu in range(self.n))
+
+    @property
+    def coordinates(self) -> tuple[str, ...]:
+        """The chart of the parameter-free phase space: x, y, the residual
+        momentum p, the momenta and s."""
+        return self.x_names + self.y_names + ("p",) + self.momentum_names + self.s_names
+
 
 class CanonicalStructure(NFormStructure):
     """The canonical multicontact structure of a first-order field theory.
@@ -108,14 +132,9 @@ class CanonicalStructure(NFormStructure):
         self.spec = spec
         self.parameters = tuple(parameters)
         n, m = spec.n, spec.m
-        self.x_names = tuple(f"x{mu}" for mu in range(n))
-        self.y_names = ("y",) if m == 1 else tuple(f"y{i}" for i in range(m))
-        self.p_name = "p"
-        self.momentum_names = tuple(
-            f"p{mu}" if m == 1 else f"p{mu}_{i}" for mu in range(n) for i in range(m)
-        )
-        self.s_names = tuple(f"s{mu}" for mu in range(n))
-        coordinates = self.x_names + self.y_names + (self.p_name,) + self.momentum_names + self.s_names
+        self.x_names, self.y_names, self.p_name = spec.x_names, spec.y_names, "p"
+        self.momentum_names, self.s_names = spec.momentum_names, spec.s_names
+        coordinates = spec.coordinates
         repeated = tuple(sorted({name for name in self.parameters if self.parameters.count(name) > 1}))
         if repeated:
             raise DomainError(f"parameter names are repeated: {repeated}")

@@ -3,13 +3,19 @@
 A session file is a JSON document:
 
     {
-      "schema": "gjb-session/1",
+      "bindings": {
+        "name": <form|multivector|coefficient|conformal-data>,
+        ...
+      },
       "chart": {"coordinates": [...], "nonvanishing": [...]},
-      "theta": <form> | null,
-      "bindings": {"name": <form|multivector|coefficient|conformal-data>, ...}
+      "schema": "gjb-session/1",
+      "theta": <form> | null
     }
 
-where the object payloads follow the library's JSON interchange.
+where the object payloads follow the library's JSON interchange.  A save
+writes one member to a line and one binding to a line, sorted by name,
+each value compact with sorted keys; a load needs only valid JSON, so a
+file in any other layout reads the same.
 
 Every load checks the JSON syntax, the schema tag (unrecognized versions
 are refused), the chart, the structure form, the binding names and the
@@ -184,7 +190,20 @@ class Session:
         file whole, unread bindings included, and raises a SessionError
         (also an OSError) that names ``path``."""
         path = Path(path)
-        text = json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+        # one member to a line and one binding to a line, sorted by name;
+        # json.dumps writes each value with the C encoder, which it uses
+        # only without an indent
+        payload = self.to_payload()
+        members = []
+        for key in sorted(payload):
+            value = payload[key]
+            if key == "bindings" and value:
+                lines = ",\n".join(f"    {json.dumps(name)}: {json.dumps(value[name], sort_keys=True)}" for name in sorted(value))
+                value_text = f"{{\n{lines}\n  }}"
+            else:
+                value_text = json.dumps(value, sort_keys=True)
+            members.append(f"  {json.dumps(key)}: {value_text}")
+        text = "{\n" + ",\n".join(members) + "\n}\n"
         scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(scratch, "w") as handle:

@@ -616,11 +616,31 @@ class TestErrorPaths:
     def test_repeated_parameter_is_not_called_a_coordinate_collision(self, tmp_path, capsys):
         path = str(tmp_path / "c.json")
         code, _, err = run(capsys, "chart", "new", "--canonical", "2,1", "--parameters", "g,g", "-s", path)
-        assert code == 1
+        assert code == 2
         assert err == "error: parameter names are repeated: ('g',)\n"
         code, _, err = run(capsys, "chart", "new", "--canonical", "2,1", "--parameters", "g,p0", "-s", path)
-        assert code == 1
+        assert code == 2
         assert err == "error: parameter names collide with phase-space coordinates: ('p0',)\n"
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["render", "2²"], "error: in expression: unexpected character '²' (line 1, column 1)\n"),
+            (["hdw", "--n", "2", "--m", "1", "--H", "3²"], "error: unexpected character '²' (line 1, column 1)\n"),
+            (["hdw", "--n", "2", "--m", "1", "--H", "p0²"], "error: unexpected character '²' (line 1, column 2)\n"),
+        ],
+    )
+    def test_a_non_ascii_digit_is_a_parse_error_at_it(self, contact_session, capsys, argv, message):
+        extra = ["-s", contact_session] if argv[0] == "render" else []
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out, err) == (2, "", message)
+
+    def test_a_binding_name_outside_the_name_alphabet_is_refused(self, contact_session, capsys):
+        before = pathlib.Path(contact_session).read_bytes()
+        code, out, err = run(capsys, "let", "α = dq", "-s", contact_session)
+        assert (code, out, err) == (2, "", "error: 'α' is not a valid binding name\n")
+        assert pathlib.Path(contact_session).read_bytes() == before
 
     def test_missing_session_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", "multicontact", "-s", str(tmp_path / "nope.json"))
@@ -854,6 +874,32 @@ class TestOperandPath:
         code, out, err = run(capsys, "dissipated", "--n", "2", "--m", "1", "--H", "1/2*p0^2 + k*y", "--row", row)
         assert (code, out, err) == (*self.ROWS[row], "")
         assert calls == []
+
+
+class TestOneStructurePerCommand:
+    COMMANDS = [
+        ["hdw", "--n", "2", "--m", "1", "--H", "p0^2/2 + g*s0"],
+        ["hdw", "--n", "2", "--m", "1", "--H", "p0^2/2"],
+        ["sigma", "--n", "2", "--m", "1", "--H", "k*y"],
+        ["dissipated", "--n", "2", "--m", "1", "--H", "1/2*p0^2 + k*y", "--row", "2:0,1"],
+        ["tables", "--n", "2", "--m", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
+    def test_a_phase_space_command_builds_one_canonical_structure(self, capsys, monkeypatch, argv):
+        from gjb.fieldtheory import CanonicalStructure
+
+        built = []
+        real = CanonicalStructure.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CanonicalStructure, "__init__", counting)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(built) == 1
 
 
 class TestClosedPipe:

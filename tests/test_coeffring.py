@@ -165,6 +165,18 @@ def test_parse_error_positions():
         parse_coefficient(CHART, "1/0")
 
 
+
+@pytest.mark.parametrize("text, column", [("2²", 1), ("x²", 1), ("３", 0), ("1/2٣", 3), ("xé", 1), ("é", 0)])
+def test_a_character_outside_the_ascii_alphabet_is_a_parse_error_at_it(text, column):
+    # str.isdigit and str.isalnum accept these; int() refuses some of them
+    with pytest.raises(ParseError) as err:
+        parse_coefficient(CHART, text)
+    assert err.value.column == column
+    assert str(err.value).startswith(f"unexpected character {text[column]!r}")
+    with pytest.raises(StructuralError):
+        Chart((text,))
+
+
 # -- property tests ----------------------------------------------------------
 
 rationals = st.builds(

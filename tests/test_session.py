@@ -389,3 +389,130 @@ def test_a_failed_save_leaves_the_old_file_whole(tmp_path, monkeypatch):
     assert sorted(again.bindings) == sorted(bindings)
     for name, data in bindings.items():
         assert again.bindings[name].alpha == data.alpha
+
+
+# -- the file layout -------------------------------------------------------------
+#
+# A save writes one member to a line and one binding to a line, each value by
+# the C encoder (json.dumps without an indent); a load needs only valid JSON.
+
+
+def _binding_lines(text):
+    lines = text.splitlines()
+    start = lines.index('  "bindings": {')
+    return lines[start + 1 : lines.index("  },", start)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_a_save_writes_one_line_per_binding(tmp_path, k):
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {f"a{i}": rows[i % len(rows)].data for i in reversed(range(k))})
+    text = path.read_text()
+    lines = _binding_lines(text)
+    assert len(lines) == k
+    assert [json.loads("{" + line.rstrip(",") + "}").popitem()[0] for line in lines] == [f"a{i}" for i in range(k)]
+    tail = text.splitlines()[k + 3 :]
+    assert [line.split(":")[0] for line in tail] == ['  "chart"', '  "schema"', '  "theta"', "}"]
+
+
+def test_an_empty_session_writes_an_empty_bindings_object(tmp_path):
+    path = tmp_path / "session.json"
+    canonical_session().save(path)
+    assert path.read_text().splitlines()[:2] == ["{", '  "bindings": {},']
+
+
+def test_the_saved_text_holds_exactly_the_payload(tmp_path):
+    rows, _ = elementary_tables(CAN)
+    session = canonical_session()
+    session.bindings["w"] = DiffForm.differential(CAN.chart, "x0")
+    session.bindings["s"] = Coefficient.coordinate(CAN.chart, "p0")
+    session.bindings["data"] = rows[2].data
+    path = tmp_path / "session.json"
+    session.save(path)
+    assert json.loads(path.read_text()) == session.to_payload()
+    bare = Session(chart=Chart(("q", "p", "z"), frozenset({"z"})))
+    bare.save(path)
+    assert json.loads(path.read_text()) == bare.to_payload()
+
+
+def test_saving_an_unchanged_file_reproduces_its_bytes(tmp_path):
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
+    before = path.read_bytes()
+    Session.load(path).save(path)
+    assert path.read_bytes() == before
+    loaded = Session.load(path)
+    loaded.bindings["data"], loaded.bindings["w"]  # read, then written from the values
+    loaded.save(path)
+    assert path.read_bytes() == before
+
+
+def test_a_file_in_the_indented_layout_loads_and_is_rewritten_in_the_new_one(tmp_path):
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
+    new_layout = path.read_bytes()
+    payload = json.loads(new_layout)
+    # an unread value keeps even a spelling the writer would not produce
+    payload["bindings"]["w"]["terms"][0]["coeff"] = "2 - 1"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    loaded = Session.load(path)
+    assert loaded.to_payload() == payload
+    loaded.save(path)
+    text = path.read_text()
+    assert json.loads(text) == payload
+    assert len(_binding_lines(text)) == 2
+    assert len(text.splitlines()) == 9
+    assert Session.load(path).bindings["w"] == DiffForm.differential(CAN.chart, "y")
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        {"coordinates": ["a", "b"], "nonvanishing": []},
+        {"coordinates": list(reversed(CAN.chart.coordinates)), "nonvanishing": []},
+        {"coordinates": list(CAN.chart.coordinates), "nonvanishing": ["p"]},
+    ],
+    ids=["other-names", "other-order", "other-flags"],
+)
+@pytest.mark.parametrize("part", [None, "alpha", "x_field", "v_field"])
+def test_a_binding_on_a_foreign_chart_is_refused_at_load(tmp_path, capsys, chart, part):
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
+    payload = json.loads(path.read_text())
+    if part is None:
+        payload["bindings"]["w"]["chart"] = chart
+    else:
+        payload["bindings"]["data"][part]["chart"] = chart
+    path.write_text(json.dumps(payload))
+    name = "w" if part is None else "data"
+    with pytest.raises(SessionError, match=f"binding '{name}': serialized object lives on a different chart"):
+        Session.load(path)
+    code, out, err = _cli(capsys, "render", "dx0", "-s", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed session file: binding '{name}': serialized object lives on a different chart\n"
+
+
+def test_a_binding_on_an_equal_chart_spelled_otherwise_loads(tmp_path):
+    chart = Chart(("q", "p", "z"), frozenset({"p", "z"}))
+    p = Coefficient.coordinate(chart, "p")
+    session = Session(chart=chart)
+    session.set_theta(DiffForm.differential(chart, "z") - DiffForm.differential(chart, "q").scale(p))
+    w = DiffForm.differential(chart, "q").scale(p ** -1)
+    session.bindings["w"] = w
+    path = tmp_path / "session.json"
+    session.save(path)
+    payload = json.loads(path.read_text())
+    assert payload["bindings"]["w"]["chart"]["nonvanishing"] == ["p", "z"]
+    payload["bindings"]["w"]["chart"]["nonvanishing"] = ["z", "p", "z"]
+    path.write_text(json.dumps(payload))
+    assert Session.load(path).bindings["w"] == w
+
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
+    payload = json.loads(path.read_text())
+    for value in (payload["bindings"]["w"], *(payload["bindings"]["data"][part] for part in ("alpha", "x_field", "v_field"))):
+        del value["chart"]["nonvanishing"]
+    path.write_text(json.dumps(payload))
+    loaded = Session.load(path)
+    assert loaded.bindings["w"] == DiffForm.differential(CAN.chart, "y")
+    assert loaded.bindings["data"].x_field == rows[0].data.x_field
