@@ -34,6 +34,7 @@ from .dsl import (
     _as_scalar,
     _binding_name_error,
     _chart_name,
+    _shadowing_error,
     elaborate,
     free_names,
     latex_name,
@@ -41,7 +42,7 @@ from .dsl import (
     render,
     to_json,
 )
-from .errors import DomainError, GjbError, ParseError, ValidationError
+from .errors import DomainError, GjbError, ParseError, StructuralError, ValidationError
 from .exterior import DiffForm, MultiVector, interior_product
 from .fieldtheory import (
     CanonicalStructure,
@@ -142,13 +143,20 @@ def _spec(n: int, m: int) -> PhaseSpaceSpec:
         raise _UsageError(str(err)) from err
 
 
-def _canonical_from_args(args, extra_exprs: tuple[str, ...] = ()) -> CanonicalStructure:
-    """Build the (n, m) phase space, promoting unknown names in the given
-    expressions to symbolic parameters.  The names are read off the shape
-    alone, so exactly one structure is built."""
+def _canonical_from_args(args, *operands: tuple[str, str]) -> CanonicalStructure:
+    """Build the (n, m) phase space, promoting unknown names in the
+    ``(text, label)`` operands to symbolic parameters.  The names are read
+    off the shape alone, so exactly one structure is built; a text that
+    does not parse is a usage error labelled as ``_operands`` labels it."""
     spec = _spec(args.n, args.m)
     chart = Chart(spec.coordinates)
-    unknown = {name for text in extra_exprs for name in free_names(parse(text)) if _chart_name(chart, name) is None}
+    unknown = set()
+    for text, label in operands:
+        try:
+            names = free_names(parse(text))
+        except ParseError as err:
+            raise _UsageError(f"in {label}: {err}") from err
+        unknown.update(name for name in names if _chart_name(chart, name) is None)
     return build_canonical(spec, parameters=tuple(sorted(unknown)))
 
 
@@ -169,16 +177,24 @@ def _cmd_chart_new(args) -> int:
         parameters = _split_names(args.parameters) if args.parameters else ()
         try:
             C = build_canonical(_spec(int(pieces[0]), int(pieces[1])), parameters=parameters)
-        except DomainError as err:  # a repeated or colliding parameter name
+        except DomainError as err:  # a repeated, colliding or misspelled parameter name
             raise _UsageError(str(err)) from err
-        session = Session(chart=C.chart)
-        session.set_theta(C.theta)
+        chart, theta = C.chart, C.theta
     else:
         if args.parameters:
             raise _UsageError("--parameters applies to canonical charts only")
         coordinates = _split_names(args.coordinates)
         nonvanishing = frozenset(_split_names(args.nonvanishing)) if args.nonvanishing else frozenset()
-        session = Session(chart=Chart(coordinates, nonvanishing))
+        try:
+            chart, theta = Chart(coordinates, nonvanishing), None
+        except StructuralError as err:  # a repeated or misspelled name, or a flag on no coordinate
+            raise _UsageError(str(err)) from err
+    shadowing = _shadowing_error(chart)
+    if shadowing is not None:
+        raise _UsageError(shadowing)
+    session = Session(chart=chart)
+    if theta is not None:
+        session.set_theta(theta)
     session.save(args.session)
     print(f"chart: {', '.join(session.chart.coordinates)}")
     if session.chart.nonvanishing:
@@ -445,7 +461,7 @@ def _legend(C: CanonicalStructure, J: JetSection) -> dict[str, str]:
 
 
 def _cmd_hdw(args) -> int:
-    C = _canonical_from_args(args, (args.H,))
+    C = _canonical_from_args(args, (args.H, "--H"))
     (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
     section = hamiltonian_section(C, H)
     J = JetSection.for_hamiltonian_section(section)
@@ -486,7 +502,7 @@ def _cmd_hdw(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    C = _canonical_from_args(args, (args.H,))
+    C = _canonical_from_args(args, (args.H, "--H"))
     (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
     section = hamiltonian_section(C, H)
     sigma = dissipation_form(C, section)
@@ -503,7 +519,9 @@ def _parse_row_spec(text: str) -> tuple[int, tuple[int, ...]]:
 
 
 def _cmd_dissipated(args) -> int:
-    C = _canonical_from_args(args, (args.H, *([args.F] if args.F else ()), *(args.G or ())))
+    C = _canonical_from_args(
+        args, (args.H, "--H"), *([(args.F, "--F")] if args.F else ()), *((g, "--G") for g in args.G or ())
+    )
     if args.row and (args.F or args.G):
         raise _UsageError("give either --row or --F/--G, not both")
     if args.row:

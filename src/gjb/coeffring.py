@@ -4,9 +4,11 @@ A Coefficient is a sparse Laurent polynomial over Q in the chart's
 coordinates.  Representation: a dict mapping exponent vectors (one signed
 int per chart coordinate, as a tuple) to nonzero exact rationals, each an
 `int` or a `Fraction`.  Values enter as `int` when integral, so most
-products take Python's integer path; arithmetic may leave an integral
-value as a `Fraction`, which compares, hashes and prints exactly like the
-`int`.  The zero polynomial is the empty dict.  Negative exponents are
+products take Python's integer path.  The ring operations here may leave
+an integral value as a `Fraction`, which compares, hashes and prints
+exactly like the `int`; the graded products of `exterior` (its product
+kernel) never do, since they divide once per result term.  The zero
+polynomial is the empty dict.  Negative exponents are
 allowed only for coordinates the chart flags as nonvanishing; everything
 else is ordinary polynomial data.  No floats and no bools anywhere: every
 division and every negative power has a `Fraction` operand.

@@ -299,6 +299,19 @@ def _chart_name(chart: Chart, name: str) -> Value | None:
     return None
 
 
+def _shadowing_error(chart: Chart) -> str | None:
+    """Why the chart's own names do not all read back, or None: a
+    coordinate spelled ``d<name>`` or ``e_<name>`` for another coordinate
+    ``name`` would be read by ``_chart_name`` in place of that coordinate's
+    differential or vector field, so neither could be written again."""
+    for name in chart.coordinates:
+        for prefix, noun in (("d", "differential"), ("e_", "vector field")):
+            base = name[len(prefix) :]
+            if name.startswith(prefix) and base in chart.coordinates:
+                return f"coordinate {name!r} would shadow the {noun} of {base!r}"
+    return None
+
+
 def _binding_name_error(chart: Chart, name: str) -> str | None:
     """Why ``name`` may not name a binding on ``chart``, or None when it
     may: a binding must be an identifier spelled in the alphabet the

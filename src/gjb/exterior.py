@@ -39,14 +39,31 @@ to share one chart, every key is a merge of strictly increasing tuples
 (``_merge_indices``) or what a contraction leaves of one
 (``_contract_key``), so it is strictly increasing, inside the chart and
 of the result's degree, and every coefficient comes out of
-``_accumulate``, which keeps no zero.
+``_accumulate``, which keeps no zero, or out of the product kernel.
+
+``wedge`` and ``schouten_nijenhuis`` multiply through the product kernel
+(``_cleared``, ``_products``), which works fraction-free: each side's
+coefficients are multiplied by the lcm of their value denominators once,
+every term product is summed as an int per (key, exponent vector), and
+each sum is divided once by the product of the two lcms.  Its results
+are closed like the ring's: an exponent vector is a sum of two valid
+vectors of the chart's length (or a derivative's, which lowers an
+exponent only where it was nonzero, as ``Coefficient.partial`` does), so
+it is negative only where an operand's was, on a nonvanishing
+coordinate; a zero sum is dropped, and so is a key left with no term;
+and the one exact division gives an int whenever the value is integral
+and a reduced Fraction otherwise, so no kernel result holds a whole
+number as a Fraction.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .coeffring import (
     _PLAIN,
@@ -95,6 +112,66 @@ def _merge_indices(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[i
     out.extend(I[i:])
     out.extend(J[j:])
     return sign, tuple(out)
+
+
+# -- the product kernel (see the module docstring) ---------------------------
+
+
+def _cleared(terms: Mapping[Hashable, Coefficient]) -> tuple[int, dict[Hashable, dict[tuple[int, ...], int]]]:
+    """The lcm L of the value denominators of the coefficients in
+    ``terms`` and, under the same keys, each one's terms times L: the same
+    exponent vectors, every value an int."""
+    L, integral = 1, True
+    for c in terms.values():
+        for v in c.terms.values():
+            if type(v) is not int:
+                integral = False
+                if L % v.denominator:
+                    L = math.lcm(L, v.denominator)
+    if integral:
+        return 1, {key: c.terms for key, c in terms.items()}
+    return L, {
+        key: {e: v * L if type(v) is int else v.numerator * (L // v.denominator) for e, v in c.terms.items()}
+        for key, c in terms.items()
+    }
+
+
+def _int_partial(terms: dict[tuple[int, ...], int], i: int) -> dict[tuple[int, ...], int]:
+    """∂/∂xⁱ of integer terms; distinct exponents stay distinct, so no sum
+    is formed and no zero arises."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: n * e[i] for e, n in terms.items() if e[i]}
+
+
+def _products(
+    chart: Chart, items: Iterable[tuple[int, tuple[int, ...], dict, dict]], denominator: int
+) -> dict[tuple[int, ...], Coefficient]:
+    """Σ sign·left·right per key, divided by ``denominator``: ``left`` and
+    ``right`` are integer terms (exponent vector to int) of coefficients
+    that were multiplied by factors whose product is ``denominator``.  The
+    sums run in ints, one dict of exponent vectors per key; a zero sum is
+    dropped, and each other sum is divided once, giving an int when the
+    quotient is integral and a reduced Fraction otherwise."""
+    sums: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for sign, key, left, right in items:
+        bucket = sums.get(key)
+        if bucket is None:
+            bucket = sums[key] = {}
+        get = bucket.get
+        for e1, n1 in left.items():
+            n1 *= sign
+            for e2, n2 in right.items():
+                expo = tuple(map(operator.add, e1, e2))
+                bucket[expo] = get(expo, 0) + n1 * n2
+    out: dict[tuple[int, ...], Coefficient] = {}
+    for key, bucket in sums.items():
+        terms = {
+            expo: total // denominator if total % denominator == 0 else Fraction(total, denominator)
+            for expo, total in bucket.items()
+            if total
+        }
+        if terms:
+            out[key] = Coefficient._trusted(chart, terms)
+    return out
 
 
 class _Graded:
@@ -272,13 +349,16 @@ def wedge(a: _Graded, b: _Graded) -> _Graded:
         raise StructuralError(f"cannot wedge {type(a).__name__} with {type(b).__name__}")
     if a.chart != b.chart:
         raise StructuralError("operands live on different charts")
-    products = (
-        (merged[1], (c * e).scale(merged[0]))
-        for I, c in a.terms.items()
-        for J, e in b.terms.items()
-        if (merged := _merge_indices(I, J)) is not None
-    )
-    return a._trusted(a.chart, a.degree + b.degree, _accumulate(products))
+    pairs = [(merged, I, J) for I in a.terms for J in b.terms if (merged := _merge_indices(I, J)) is not None]
+    # each side clears only the coefficients that take part: all of them
+    # when every pair of keys meets
+    if len(pairs) == len(a.terms) * len(b.terms):
+        (La, A), (Lb, B) = _cleared(a.terms), _cleared(b.terms)
+    else:
+        La, A = _cleared({I: a.terms[I] for _, I, _ in pairs})
+        Lb, B = _cleared({J: b.terms[J] for _, _, J in pairs})
+    items = ((sign, key, A[I], B[J]) for (sign, key), I, J in pairs)
+    return a._trusted(a.chart, a.degree + b.degree, _products(a.chart, items, La * Lb))
 
 
 def exterior_derivative(omega: DiffForm) -> DiffForm:
@@ -395,28 +475,30 @@ def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
         raise DegreeError("the graded bracket of two scalars is not defined")
     if U.chart != V.chart:
         raise StructuralError("operands live on different charts")
-    names = U.chart.coordinates
+    # every term of each operand can take part, so each is cleared whole
+    LU, U_int = _cleared(U.terms)
+    LV, V_int = _cleared(V.terms)
 
-    def half(A: MultiVector, B: MultiVector, sign: int):
-        # sign · Σᵢ ∂ᴿA/∂ξᵢ · ∂B/∂xⁱ as (key, coefficient) pairs; the
-        # nonzero ∂B/∂xⁱ are taken once per i
-        derivatives: dict[int, list[tuple[tuple[int, ...], Coefficient]]] = {}
-        for J, c in A.terms.items():
+    def half(A: dict, degree: int, B: dict, sign: int):
+        # sign · Σᵢ ∂ᴿA/∂ξᵢ · ∂B/∂xⁱ as kernel items; the nonzero ∂B/∂xⁱ
+        # are taken once per i
+        derivatives: dict[int, list[tuple[tuple[int, ...], dict]]] = {}
+        for J, c in A.items():
             for k, i in enumerate(J):
                 if i not in derivatives:
-                    derivatives[i] = [(K, de) for K, e in B.terms.items() if (de := e.partial(names[i]))]
+                    derivatives[i] = [(K, de) for K, e in B.items() if (de := _int_partial(e, i))]
                 rest = J[:k] + J[k + 1 :]
-                right = sign if (A.degree - 1 - k) % 2 == 0 else -sign
+                right = sign if (degree - 1 - k) % 2 == 0 else -sign
                 for K, de in derivatives[i]:
                     merged = _merge_indices(rest, K)
                     if merged is not None:
-                        yield merged[1], (c * de).scale(right * merged[0])
+                        yield right * merged[0], merged[1], c, de
 
-    # (p − 1)(q − 1) is negative when an operand is a scalar
+    # (p − 1)(q − 1) is negative when an operand is a scalar; both halves
+    # are products of a U term with a V term, so they share one denominator
     swap = -1 if (p - 1) * (q - 1) % 2 else 1
-    terms = _accumulate(half(U, V, 1))
-    _accumulate(half(V, U, -swap), terms)
-    return MultiVector._trusted(U.chart, p + q - 1, terms)
+    items = itertools.chain(half(U_int, p, V_int, 1), half(V_int, q, U_int, -swap))
+    return MultiVector._trusted(U.chart, p + q - 1, _products(U.chart, items, LU * LV))
 
 
 def reindex(obj: _Graded, target: Chart) -> _Graded:

@@ -141,7 +141,10 @@ class CanonicalStructure(NFormStructure):
         clashing = tuple(name for name in self.parameters if name in coordinates)
         if clashing:
             raise DomainError(f"parameter names collide with phase-space coordinates: {clashing}")
-        chart = Chart(coordinates + self.parameters)
+        try:
+            chart = Chart(coordinates + self.parameters)
+        except StructuralError as err:  # the names are distinct, so one is misspelled
+            raise DomainError(str(err)) from err
         dnx = DiffForm.volume(chart, self.x_names)
         theta = dnx.scale(-Coefficient.coordinate(chart, self.p_name))
         for mu in range(n):

@@ -626,9 +626,54 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv,message",
         [
+            (["hdw", "--n", "2", "--m", "1", "--H", "p0^"], "in --H: expected a name, number or '(', found 'end of input' (line 1, column 3)"),
+            (["sigma", "--n", "2", "--m", "1", "--H", "p0 +"], "in --H: expected a name, number or '(', found 'end of input' (line 1, column 4)"),
+            (
+                ["dissipated", "--n", "2", "--m", "1", "--H", "p0 +", "--F", "y", "--G", "y", "--G", "y"],
+                "in --H: expected a name, number or '(', found 'end of input' (line 1, column 4)",
+            ),
+            (
+                ["dissipated", "--n", "2", "--m", "1", "--H", "p0", "--F", "y^", "--G", "y", "--G", "y"],
+                "in --F: expected a name, number or '(', found 'end of input' (line 1, column 2)",
+            ),
+            (
+                ["dissipated", "--n", "2", "--m", "1", "--H", "p0", "--F", "y", "--G", "y", "--G", "(y"],
+                "in --G: expected ')', found 'end of input' (line 1, column 2)",
+            ),
+        ],
+    )
+    def test_a_syntax_error_in_a_phase_space_flag_names_the_flag(self, capsys, argv, message):
+        # the texts are read for parameter names before they are evaluated,
+        # and that first read labels its errors too
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--coordinates", "q,dq,z"], "coordinate 'dq' would shadow the differential of 'q'"),
+            (["--coordinates", "e_z,q,z"], "coordinate 'e_z' would shadow the vector field of 'z'"),
+            (["--canonical", "2,1", "--parameters", "dx0"], "coordinate 'dx0' would shadow the differential of 'x0'"),
+            (["--canonical", "2,1", "--parameters", "g,dg"], "coordinate 'dg' would shadow the differential of 'g'"),
+            (["--coordinates", "q,2x"], "bad coordinate name '2x'"),
+            (["--canonical", "2,1", "--parameters", "2x"], "bad coordinate name '2x'"),
+        ],
+    )
+    def test_chart_names_that_do_not_read_back_are_refused(self, tmp_path, capsys, argv, message):
+        path = str(tmp_path / "c.json")
+        assert run(capsys, "chart", "new", *argv, "-s", path) == (2, "", f"error: {message}\n")
+        assert not os.path.exists(path)
+
+    def test_a_d_or_e_prefix_without_its_coordinate_is_a_plain_name(self, tmp_path, capsys):
+        path = str(tmp_path / "c.json")
+        assert run(capsys, "chart", "new", "--coordinates", "q,dz,e_w", "-s", path)[0] == 0
+        assert run(capsys, "render", "dz*d(dz)", "-s", path) == (0, "dz*ddz\n", "")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
             (["render", "2²"], "error: in expression: unexpected character '²' (line 1, column 1)\n"),
-            (["hdw", "--n", "2", "--m", "1", "--H", "3²"], "error: unexpected character '²' (line 1, column 1)\n"),
-            (["hdw", "--n", "2", "--m", "1", "--H", "p0²"], "error: unexpected character '²' (line 1, column 2)\n"),
+            (["hdw", "--n", "2", "--m", "1", "--H", "3²"], "error: in --H: unexpected character '²' (line 1, column 1)\n"),
+            (["hdw", "--n", "2", "--m", "1", "--H", "p0²"], "error: in --H: unexpected character '²' (line 1, column 2)\n"),
         ],
     )
     def test_a_non_ascii_digit_is_a_parse_error_at_it(self, contact_session, capsys, argv, message):

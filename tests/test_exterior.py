@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SEED, rand_coefficient, rand_form, rand_multivector
-from gjb.coeffring import Chart, Coefficient, parse_coefficient
+from gjb.coeffring import Chart, Coefficient, _accumulate, parse_coefficient
 from gjb.errors import DegreeError, DomainError, StructuralError
 from gjb.exterior import (
     DiffForm,
     MultiVector,
     PolyMap,
+    _merge_indices,
     exterior_derivative,
     form_contraction,
     interior_product,
@@ -453,11 +454,11 @@ def laurent_coefficients(draw):
 
 
 @st.composite
-def graded(draw, cls, degree=None):
+def graded(draw, cls, degree=None, coefficients=laurent_coefficients):
     if degree is None:
         degree = draw(st.integers(0, 3))
     keys = list(itertools.combinations(range(LAURENT_CH.dimension), degree))
-    return cls(LAURENT_CH, degree, draw(st.dictionaries(st.sampled_from(keys), laurent_coefficients(), max_size=3)))
+    return cls(LAURENT_CH, degree, draw(st.dictionaries(st.sampled_from(keys), coefficients(), max_size=3)))
 
 
 @given(graded(DiffForm), graded(DiffForm), graded(MultiVector), graded(MultiVector), laurent_coefficients(), st.data())
@@ -479,9 +480,85 @@ def test_every_trusted_graded_result_passes_the_boundary_unchanged(om, eta, U, V
         interior_product(U, om, strict=False),
         form_contraction(om, U, strict=False),
     ]
+    kernel_results = [wedge(om, eta), wedge(U, V)]
     if U.degree or V.degree:
-        results.append(schouten_nijenhuis(U, V))
-    for r in results:
+        kernel_results.append(schouten_nijenhuis(U, V))
+    for r in results + kernel_results:
         assert all(r.terms.values())
         checked = type(r)(r.chart, r.degree, r.terms)
         assert checked == r and checked.terms == r.terms
+    for r in kernel_results:
+        assert_integral_values_are_ints(r)
+
+
+# -- the product kernel against the Coefficient-level loops it replaced --------
+
+
+def assert_integral_values_are_ints(obj):
+    for coeff in obj.terms.values():
+        for value in coeff.terms.values():
+            assert type(value) is int or value.denominator != 1, value
+
+
+def reference_wedge(a, b):
+    """The wedge as one sum of Coefficient products, one per term pair."""
+    products = (
+        (merged[1], (c * e).scale(merged[0]))
+        for I, c in a.terms.items()
+        for J, e in b.terms.items()
+        if (merged := _merge_indices(I, J)) is not None
+    )
+    return type(a)(a.chart, a.degree + b.degree, _accumulate(products))
+
+
+def reference_schouten(U, V):
+    """The odd-variable bracket with Coefficient derivatives and products."""
+    p, q = U.degree, V.degree
+    names = U.chart.coordinates
+
+    def half(A, B, sign):
+        for J, c in A.terms.items():
+            for k, i in enumerate(J):
+                rest = J[:k] + J[k + 1 :]
+                right = sign if (A.degree - 1 - k) % 2 == 0 else -sign
+                for K, e in B.terms.items():
+                    merged = _merge_indices(rest, K)
+                    if merged is not None:
+                        yield merged[1], (c * e.partial(names[i])).scale(right * merged[0])
+
+    swap = -1 if (p - 1) * (q - 1) % 2 else 1
+    terms = _accumulate(half(U, V, 1))
+    _accumulate(half(V, U, -swap), terms)
+    return MultiVector(U.chart, p + q - 1, terms)
+
+
+# an int, a Fraction with a denominator up to 7 (which may reduce to a whole
+# number), or a whole number kept as a Fraction, as arithmetic can leave one
+mixed_values = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 7)),
+    st.integers(-9, 9).filter(bool).map(Fraction),
+)
+
+
+@st.composite
+def mixed_coefficients(draw):
+    exponents = [st.integers(-2 if name in LAURENT_CH.nonvanishing else 0, 2) for name in LAURENT_CH.coordinates]
+    # built as trusted so that a whole-number Fraction stays one
+    return Coefficient._trusted(LAURENT_CH, draw(st.dictionaries(st.tuples(*exponents), mixed_values, max_size=3)))
+
+
+@given(
+    graded(DiffForm, coefficients=mixed_coefficients),
+    graded(DiffForm, coefficients=mixed_coefficients),
+    graded(MultiVector, coefficients=mixed_coefficients),
+    graded(MultiVector, coefficients=mixed_coefficients),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_products_match_the_coefficient_loops(om, eta, U, V):
+    results = [(wedge(om, eta), reference_wedge(om, eta)), (wedge(U, V), reference_wedge(U, V))]
+    if U.degree or V.degree:
+        results.append((schouten_nijenhuis(U, V), reference_schouten(U, V)))
+    for kernel, reference in results:
+        assert kernel == reference
+        assert_integral_values_are_ints(kernel)

@@ -12,7 +12,16 @@ import random
 
 import pytest
 
-from conftest import SEED, contact_data, contact_structure, rand_coefficient, rand_form, rand_multivector
+from conftest import (
+    SEED,
+    canonical_structure,
+    contact_data,
+    contact_structure,
+    rand_coefficient,
+    rand_fg_data,
+    rand_form,
+    rand_multivector,
+)
 from gjb.coeffring import Chart, Coefficient, parse_coefficient
 from gjb.errors import DegreeError, DomainError, StructuralError, ValidationError
 from gjb.linalg import RrefResult, rref
@@ -282,6 +291,59 @@ def test_bracket_expression_identity_five(rng):
             a.v_field, b.alpha, strict=False
         )
         assert jacobi_bracket(a, b).alpha == expected
+
+
+def _degree_one_data(rng, shape):
+    """Six seeded degree-1 conformal data: vertical (F, G) data on a
+    canonical phase space, or contact data of random functions."""
+    if shape == "contact":
+        S = contact_structure()
+        return [contact_data(S, rand_coefficient(rng, CONTACT, max_terms=2, max_degree=2)) for _ in range(6)]
+    n, m = shape
+    S = canonical_structure(n, m)
+    return [rand_fg_data(rng, S, n, m, max_degree=1) for _ in range(6)]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), "contact"], ids=["canonical22", "canonical31", "contact"])
+def test_bracket_identities_beyond_canonical_21(rng, shape):
+    # skew symmetry, the expression identity, graded Jacobi and Leibniz,
+    # ten of each; every Jacobi and Leibniz chain has one degree-2 operand,
+    # a cup product, so the graded signs bite
+    pool = _degree_one_data(rng, shape)
+
+    def draw():
+        return pool[rng.randrange(len(pool))]
+
+    def cup():
+        return cup_product(draw(), draw())
+
+    nonzero = 0
+    for k in range(10):
+        a, b = draw(), cup() if k % 2 else draw()
+        p, q = a.degree, b.degree
+        bracket = jacobi_bracket(a, b).alpha
+        nonzero += not bracket.is_zero()
+        assert bracket == jacobi_bracket(b, a).alpha.scale(-((-1) ** ((p - 1) * (q - 1))))
+        expected = lie_derivative(a.x_field, b.alpha) - interior_product(a.v_field, b.alpha, strict=False)
+        assert bracket == expected.scale((-1) ** ((p - 1) * q))
+    assert nonzero  # the draws are not all in involution
+    for k in range(10):
+        a, b, c = (cup() if j == k % 3 else draw() for j in range(3))
+        p, q, r = a.degree, b.degree, c.degree
+        total = (
+            jacobi_bracket(a, jacobi_bracket(b, c)).alpha.scale((-1) ** ((p - 1) * (r - 1)))
+            + jacobi_bracket(c, jacobi_bracket(a, b)).alpha.scale((-1) ** ((r - 1) * (q - 1)))
+            + jacobi_bracket(b, jacobi_bracket(c, a)).alpha.scale((-1) ** ((q - 1) * (p - 1)))
+        )
+        assert total.is_zero()
+    for _ in range(10):
+        a, b, c = draw(), draw(), draw()
+        q, r = b.degree, c.degree
+        lhs = jacobi_bracket(a, cup_product(b, c)).alpha
+        rhs = cup_product(jacobi_bracket(a, b), c).alpha + cup_product(b, jacobi_bracket(a, c)).alpha.scale(
+            (-1) ** ((r - 1) * q)
+        )
+        assert lhs == rhs
 
 
 def test_weak_leibniz_zero_data():
