@@ -40,6 +40,7 @@ from .dsl import (
     Environment,
     _binding_name_error,
     _check_shape,
+    _shadowing_error,
     chart_from_json,
     chart_to_json,
     object_from_json,
@@ -229,6 +230,8 @@ class Session:
         if not isinstance(bindings, dict):
             raise SessionError("the session bindings are not a JSON object")
         chart = _read("chart", chart_from_json, payload.get("chart"))
+        if (error := _shadowing_error(chart)) is not None:
+            raise SessionError(f"malformed session file: chart: {error}")
         session = cls(chart=chart)
         if payload.get("theta") is not None:
             theta = _read("theta", object_from_json, payload["theta"], chart=chart)

@@ -46,7 +46,7 @@ from .linalg import rref
 from .structures import (
     ConformalData,
     NFormStructure,
-    _basis_multivector,
+    _contraction_columns,
     _coordinates,
     _from_coordinates,
     _index_tuples,
@@ -155,10 +155,7 @@ class QuotientMultiVector:
 def _decomposition_solution(S: NFormStructure, alpha: DiffForm, u: MultiVector):
     """Solve α = ι_u(ι_X dΘ + γ·Θ), ι_X Θ = 0 for the unknowns (X, γ):
     the components of X in coordinate order, then γ."""
-    columns = []
-    for j in range(S.chart.dimension):
-        ej = _basis_multivector(S.chart, (j,))
-        columns.append((interior_product(u, interior_product(ej, S.dtheta)), interior_product(ej, S.theta)))
+    columns = [(interior_product(u, a), b) for a, b in _contraction_columns([S.dtheta, S.theta], 1)]
     side = DiffForm.zero(S.chart, S.degree - 1)
     columns.append((interior_product(u, S.theta), side))
     return solve_by_contraction(columns, [[alpha, side]])[0]
@@ -174,8 +171,9 @@ def _decompositions(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None
         if hint.degree != n - a:
             raise DegreeError(f"a degree-{a} form needs a degree-{n - a} contraction hint, got {hint.degree}")
         candidates.append(hint)
+    one = Coefficient.one(S.chart)
     for J in _index_tuples(S.chart, n - a):
-        u = _basis_multivector(S.chart, J)
+        u = MultiVector(S.chart, n - a, {J: one})
         if not any(u == c for c in candidates):
             candidates.append(u)
     found: list[ZDecomposition] = []

@@ -19,12 +19,13 @@ assumptions.
 
 Linear problems see a degree-p form or multivector in one coordinate
 format, its coefficients along _index_tuples(chart, p) (_coordinates and
-its inverse _from_coordinates).  Kernels and solves share one stacked
-contraction system: _contraction_columns pairs each basis multivector ∂_J
-with the contractions ι_{∂_J}ω of every equation form ω, and _stacked_rows
-lays them out.  Kernels read the kernel of its elimination, and
-solve_by_contraction appends any number of right-hand sides as trailing
-columns and reads every solution from one elimination.
+its inverse _from_coordinates).  Every contraction system is built one
+way: _contraction_columns reads the contractions ι_{∂_J}ω of every
+equation form ω off ω's terms, and _stacked_rows lays them out with one
+row per index tuple some column touches, so no row is zero.  Kernels read
+the kernel of its elimination, solve_by_contraction appends right-hand
+sides as trailing columns and reads every solution from one elimination,
+and the certificate below and sharp's decompositions read the same system.
 
 A kernel is either eliminated or certified.  NFormStructure.kernel
 eliminates: it reads a basis off the reduced contraction system and
@@ -39,9 +40,9 @@ D, has a unit lower-triangular minor of full size.  By (2) any kernel
 element minus a ring combination of E vanishes on D, and by (3) the only
 kernel element vanishing on D is zero, so E is a basis of the kernel over
 the Laurent ring itself; an empty E with (3) proves the kernel zero.  Both
-minors are found by linalg._unit_triangular_minor, read sparsely from
-the terms of the vectors and of the contractions ι_{∂_J}t, and a failed
-step raises StructuralError: nothing is taken on trust.
+minors are found by linalg._unit_triangular_minor, read from the terms
+of the vectors and from the stacked contraction rows, and a failed step
+raises StructuralError: nothing is taken on trust.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .errors import DegreeError, DomainError, StructuralError, ValidationError
 from .exterior import (
     DiffForm,
     MultiVector,
+    _contract_key,
     exterior_derivative,
     interior_product,
     lie_derivative,
@@ -113,36 +115,36 @@ def _from_coordinates(kind: type, chart: Chart, degree: int, values: Sequence[Co
     return kind(chart, degree, {key: c for key, c in zip(keys, values, strict=True) if not c.is_zero()})
 
 
-def _basis_multivector(chart: Chart, key: tuple[int, ...]) -> MultiVector:
-    return MultiVector(chart, len(key), {key: Coefficient.one(chart)})
-
-
 def _contraction_columns(forms: Sequence[DiffForm], p: int) -> list[tuple[DiffForm, ...]]:
-    """For every degree-p basis multivector ∂_J, in _index_tuples order,
-    the forms ι_{∂_J}ω for each ω of ``forms``: one column of the stacked
-    system whose unknowns are the coordinates of a p-multivector."""
+    """For every degree-p index tuple J, in _index_tuples order, the forms
+    ι_{∂_J}ω for each ω of ``forms``, read off ω's terms: c·dx^I gives
+    ±c·dx^{I∖J} to every J ⊆ I, and J and I∖J determine I, so no two add."""
     chart = forms[0].chart
-    return [
-        tuple(interior_product(_basis_multivector(chart, J), omega, strict=False) for omega in forms)
-        for J in _index_tuples(chart, p)
-    ]
+    columns = {J: [{} for _ in forms] for J in _index_tuples(chart, p)}
+    for e, omega in enumerate(forms):
+        for I, c in omega.terms.items():
+            for J in itertools.combinations(I, p):
+                sign, rest = _contract_key(J, I)
+                columns[J][e][rest] = c if sign > 0 else -c
+    # trusted: each key is what _contract_key leaves of a key of ω, each value ±c ≠ 0
+    return [tuple(DiffForm._trusted(chart, f.degree - p, t) for f, t in zip(forms, terms)) for terms in columns.values()]
 
 
 def _stacked_rows(columns: Sequence[Sequence[DiffForm]], degrees: Sequence[int], chart: Chart) -> list[list[Coefficient]]:
     """The matrix of Σ_k c_k·columns[k][e]: for each equation e in turn, one
-    row per degree-``degrees[e]`` index tuple; fixed row order makes
-    elimination reproducible."""
+    row per index tuple some column touches, in _index_tuples order (a row
+    left out is zero and never pivots), so elimination is reproducible."""
+    zero = Coefficient.zero(chart)
     rows: list[list[Coefficient]] = []
     for e, degree in enumerate(degrees):
         forms = [column[e] for column in columns]
         for f in forms:
             if f.degree != degree:
                 raise DegreeError(f"a degree-{f.degree} form among degree-{degree} columns")
-        entries = [_coordinates(f) for f in forms]
-        rows += ([entry[i] for entry in entries] for i in range(len(_index_tuples(chart, degree))))
-    # when every equation sits in a zero space there are no rows; one zero
+        rows += ([f.terms.get(I, zero) for f in forms] for I in sorted({I for f in forms for I in f.terms}))
+    # when no column touches any index tuple there are no rows; one zero
     # row keeps the column count, so every unknown stays free
-    return rows or [[Coefficient.zero(chart)] * len(columns)]
+    return rows or [[zero] * len(columns)]
 
 
 def solve_by_contraction(
@@ -217,17 +219,11 @@ class NFormStructure:
         if len(independent) < len(basis):
             raise StructuralError(f"the certified degree-{p} kernel basis of {which} has no unit-triangular minor")
         taken = {own[r] for r, _ in independent}
-        # (3): the rows are the coordinates of the contractions, the
-        # columns the coordinates off the minor of (2)
-        rows: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Coefficient]] = {}
-        for J in keys:
-            if J in taken:
-                continue
-            unit = _basis_multivector(self.chart, J)
-            for e, t in enumerate(targets):
-                for I, c in interior_product(unit, t, strict=False).terms.items():
-                    rows.setdefault((e, I), {})[J] = c
-        if len(_unit_triangular_minor(list(rows.values()))) < len(keys) - len(taken):
+        # (3): the stacked contraction system on the coordinates off the
+        # minor of (2)
+        columns = [column for J, column in zip(keys, _contraction_columns(targets, p)) if J not in taken]
+        rows = _stacked_rows(columns, [t.degree - p for t in targets], self.chart)
+        if len(_unit_triangular_minor([dict(enumerate(row)) for row in rows])) < len(columns):
             raise StructuralError(
                 f"the degree-{p} kernel of {which} is not shown to be spanned by the certified basis"
             )

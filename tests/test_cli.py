@@ -795,6 +795,19 @@ class TestErrorPaths:
         assert err.startswith(f"error: malformed session file: binding {name!r}: {name!r} ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name,shadowed", [("dq", "differential of 'q'"), ("e_z", "vector field of 'z'")])
+    def test_a_stored_chart_with_a_shadowing_pair_is_refused_on_load(self, contact_session, capsys, name, shadowed):
+        with open(contact_session) as handle:
+            payload = json.load(handle)
+        for chart in (payload["chart"], payload["theta"]["chart"]):
+            chart["coordinates"].append(name)
+        with open(contact_session, "w") as handle:
+            json.dump(payload, handle)
+        code, out, err = run(capsys, "render", "dq", "-s", contact_session)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed session file: chart: coordinate {name!r} would shadow the {shadowed}\n"
+
 
 # ---------------------------------------------------------------------------
 # one parser per process

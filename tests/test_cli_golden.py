@@ -36,6 +36,7 @@ SESSIONS = {
 
 H21 = "1/2*p0^2 + 1/2*p1^2 + 3*s0"
 H31 = "1/2*p0^2 + 1/2*p1^2 + 1/2*p2^2 + 3*s0 + y*s1"
+H42 = "1/2*p0_0^2 + 1/2*p1_1^2 + 3*s0 + y0*s1"
 
 
 def _commands():
@@ -94,7 +95,7 @@ def _commands():
         ("conformal_make_canonical_latex", "canonical", ["conformal", "make", "--x", "e_s0", "--format", "latex"]),
         ("conformal_make_laurent_latex", "laurent", ["conformal", "make", "--x", "e_q", "--format", "latex"]),
     ]
-    for n, m, H in (("2", "1", H21), ("3", "1", H31)):
+    for n, m, H in (("2", "1", H21), ("3", "1", H31), ("4", "2", H42)):
         size = ["--n", n, "--m", m]
         out += [
             (f"tables_{n}{m}", None, ["tables", *size]),

@@ -155,7 +155,7 @@ def test_repeated_parameter_name_is_reported_as_repeated():
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
 def test_certified_kernels_equal_the_eliminated_ones(n, m):
     S = build_canonical(n, m)
     eliminated = NFormStructure(S.chart, S.theta)

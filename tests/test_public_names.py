@@ -78,3 +78,33 @@ def test_one_function_joins_signed_terms():
     assert {name: len(separators(tree)) for name, tree in trees.items() if separators(tree)} == {"coeffring.py": 2}
     (signed_sum,) = [node for node in trees["coeffring.py"].body if getattr(node, "name", None) == "_signed_sum"]
     assert sorted(separators(signed_sum)) == [" + ", " - "]
+
+
+def test_one_builder_reads_the_contraction_sign_rule():
+    """Every contraction system comes from one builder: the sign rule
+    ``exterior._contract_key`` is used inside ``exterior`` and, elsewhere in
+    the package, only by ``structures._contraction_columns``, which reads
+    the columns ι_{∂_J}ω off the forms' terms (and by the import that
+    brings it there)."""
+    package = pathlib.Path(gjb.__file__).parent
+
+    def refers(node):
+        return (
+            isinstance(node, ast.Name)
+            and node.id == "_contract_key"
+            or isinstance(node, ast.Attribute)
+            and node.attr == "_contract_key"
+            or isinstance(node, ast.alias)
+            and node.name == "_contract_key"
+        )
+
+    uses = set()
+    for path in package.glob("*.py"):
+        if path.name != "exterior.py":
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                if any(refers(node) for node in ast.walk(top)):
+                    uses.add((path.name, type(top).__name__, getattr(top, "name", None)))
+    assert uses == {
+        ("structures.py", "ImportFrom", None),
+        ("structures.py", "FunctionDef", "_contraction_columns"),
+    }

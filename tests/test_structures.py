@@ -561,12 +561,21 @@ def test_stacked_rows_and_kernels_match_the_column_reference(rng):
     for _ in range(8):
         S = random_structure(rng)
         targets = {"theta": [S.theta], "dtheta": [S.dtheta], "both": [S.theta, S.dtheta]}
-        for p in range(1, LAURENT.dimension + 1):
-            columns = _contraction_columns([S.theta], p)
-            assert [column[0] for column in columns] == reference_columns(S.theta, p)
+        # p = 0 reads ι_1ω = ω, and p above a form's degree gives the zero
+        # form of negative degree
+        for p in range(0, LAURENT.dimension + 2):
             for which, forms in targets.items():
-                rows = _stacked_rows(_contraction_columns(forms, p), [f.degree - p for f in forms], S.chart)
-                assert rows == reference_kernel_rows(S, p, which)
+                columns = _contraction_columns(forms, p)
+                assert columns == list(zip(*(reference_columns(f, p) for f in forms)))
+                if not 1 <= p <= LAURENT.dimension:
+                    continue
+                rows = _stacked_rows(columns, [f.degree - p for f in forms], S.chart)
+                # the reference's nonzero rows in order, or the lone zero
+                # placeholder when there are none
+                placeholder = [[Coefficient.zero(S.chart)] * len(columns)]
+                nonzero = [row for row in reference_kernel_rows(S, p, which) if any(row)]
+                assert rows == (nonzero or placeholder)
+                assert rows == placeholder or all(any(row) for row in rows)
                 assert kernel_basis(S, p, which) == reference_kernel(S, p, which)
 
 
