@@ -19,13 +19,18 @@ objects and nothing mutates `terms` after construction.
 Construction has a validating boundary and a trusted interior.  The
 public constructor checks every term (an exact rational value, an
 exponent vector of the chart's length, negative exponents only on
-nonvanishing coordinates) and drops zeros; `zero`, `constant`, `one`,
-`coordinate`, parsing, `unit_inverse`, `substitute` and `rename_chart`
-go through it.  The results of `+`, `-`, `*`, `scale`, positive powers
-and `partial` are built by `_trusted`, which checks nothing, because the
-ring is closed under them: both operands are on one chart
-(`_check_mate`), so exponent vectors keep its length; negation and
-scaling keep the exponents; an exponent of a product is negative only
+nonvanishing coordinates) and drops zeros; parsing, `unit_inverse`,
+`substitute` and `rename_chart` go through it.  The named builders
+`zero`, `constant`, `one` and `coordinate` check their arguments instead
+and are then trusted: the one term they write has an exponent vector of
+the chart's length by construction, `Chart.index` refuses an unknown
+name, a negative power is refused on a coordinate not flagged
+nonvanishing, `_as_rational` stores the value as the boundary would, and
+a zero value writes no term.  The results of `+`, `-`, `*`, `scale`,
+positive powers and `partial` are built by `_trusted`, which checks
+nothing, because the ring is closed under them: both operands are on
+one chart (`_check_mate`), so exponent vectors keep its length;
+negation and scaling keep the exponents; an exponent of a product is negative only
 where an operand's was, on a nonvanishing coordinate; `partial` drops
 the terms whose exponent in its coordinate is 0, so it makes a negative
 exponent only where one already was; and `_accumulate` never keeps a
@@ -179,21 +184,24 @@ class Coefficient:
 
     @staticmethod
     def zero(chart: Chart) -> "Coefficient":
-        return Coefficient(chart, {})
+        return Coefficient._trusted(chart, {})
 
     @staticmethod
     def constant(chart: Chart, value) -> "Coefficient":
-        return Coefficient(chart, {(0,) * chart.dimension: value})
+        value = _as_rational(value)
+        return Coefficient._trusted(chart, {(0,) * chart.dimension: value} if value else {})
 
     @staticmethod
     def one(chart: Chart) -> "Coefficient":
-        return Coefficient.constant(chart, 1)
+        return Coefficient._trusted(chart, {(0,) * chart.dimension: 1})
 
     @staticmethod
     def coordinate(chart: Chart, name: str, power: int = 1) -> "Coefficient":
         expo = [0] * chart.dimension
         expo[chart.index(name)] = power
-        return Coefficient(chart, {tuple(expo): 1})
+        if power < 0 and name not in chart.nonvanishing:
+            raise DomainError(f"negative exponent on {name!r}, which is not flagged nonvanishing")
+        return Coefficient._trusted(chart, {tuple(expo): 1})
 
     # -- queries -----------------------------------------------------------
 

@@ -29,13 +29,17 @@ sign) is ι_{[U,V]} ω = (−1)^{(p−1)q} 𝓛_U ι_V ω − ι_V 𝓛_U ω.
 As in ``coeffring``, construction has a validating boundary and a
 trusted interior.  The constructors of DiffForm and MultiVector check
 every term (index tuples strictly increasing, of the stated degree and
-inside the chart; coefficients on the chart) and drop zeros; the named
-builders, ``reindex``, ``pull_form_along``, ``vector_bracket`` and
-every parser and loader go through them.  The results of ``+``, ``-``,
-``scale``, ``wedge``, ``exterior_derivative``, ``interior_product``,
-``form_contraction`` and ``schouten_nijenhuis`` are built by
-``_Graded._trusted``, which checks nothing: their operands are checked
-to share one chart, every key is a merge of strictly increasing tuples
+inside the chart; coefficients on the chart) and drop zeros;
+``reindex``, ``pull_form_along``, ``vector_bracket`` and every parser
+and loader go through them.  The named builders (``zero``,
+``from_scalar``, ``differential``, ``volume``, ``basis_vector``) check
+their arguments and are then trusted: ``Chart.index`` refuses an unknown
+name, ``volume`` refuses a repeated one, so its sorted key is strictly
+increasing, and ``from_scalar`` writes no term for a zero scalar.  The
+results of ``+``, ``-``, ``scale``, ``wedge``, ``exterior_derivative``,
+``interior_product``, ``form_contraction`` and ``schouten_nijenhuis``
+are built by ``_Graded._trusted``, which checks nothing: their operands
+are checked to share one chart, every key is a merge of strictly increasing tuples
 (``_merge_indices``) or what a contraction leaves of one
 (``_contract_key``), so it is strictly increasing, inside the chart and
 of the result's degree, and every coefficient comes out of
@@ -54,6 +58,23 @@ coordinate; a zero sum is dropped, and so is a key left with no term;
 and the one exact division gives an int whenever the value is integral
 and a reduced Fraction otherwise, so no kernel result holds a whole
 number as a Fraction.
+
+Three operations skip work whose result would be thrown away, and each
+skip is exact:
+
+* prefilter: ``interior_product`` and ``form_contraction`` try
+  ``_contract_key`` on a pair of keys only when the first eaten slot is
+  in the target key, since the contraction of a slot not in it is zero;
+* support-only d: ``exterior_derivative`` differentiates a coefficient
+  only along the coordinates where some term has a nonzero exponent,
+  negative ones included, in ascending order, since ∂c/∂xʲ is zero
+  exactly off that support and the pieces keep the order of a loop over
+  every coordinate;
+* rational scaling: ``scale`` by an int or a Fraction multiplies each
+  coefficient's values by it (``Coefficient.scale``), with the empty
+  object for 0, since a product with a constant
+  coefficient multiplies every value by that constant and keeps every
+  exponent vector and its order.
 """
 
 from __future__ import annotations
@@ -71,6 +92,7 @@ from .coeffring import (
     Coefficient,
     _Spelling,
     _accumulate,
+    _as_rational,
     _coefficient_text,
     _signed_sum,
     _term_text,
@@ -216,11 +238,11 @@ class _Graded:
 
     @classmethod
     def zero(cls, chart: Chart, degree: int = 0):
-        return cls(chart, degree, {})
+        return cls._trusted(chart, degree, {})
 
     @classmethod
     def from_scalar(cls, coeff: Coefficient):
-        return cls(coeff.chart, 0, {(): coeff})
+        return cls._trusted(coeff.chart, 0, {(): coeff} if coeff.terms else {})
 
     def scalar(self) -> Coefficient:
         if self.degree != 0:
@@ -253,10 +275,13 @@ class _Graded:
         return self._trusted(self.chart, self.degree, _accumulate(negated, dict(self.terms)))
 
     def scale(self, factor) -> "_Graded":
-        if not isinstance(factor, Coefficient):
-            factor = Coefficient.constant(self.chart, factor)
-        products = ((k, factor * c) for k, c in self.terms.items())
-        return self._trusted(self.chart, self.degree, _accumulate(products))
+        if isinstance(factor, Coefficient):
+            products = ((k, factor * c) for k, c in self.terms.items())
+            return self._trusted(self.chart, self.degree, _accumulate(products))
+        factor = _as_rational(factor)
+        if factor == 0:
+            return self._trusted(self.chart, self.degree, {})
+        return self._trusted(self.chart, self.degree, {k: c.scale(factor) for k, c in self.terms.items()})
 
     def __mul__(self, factor):
         if isinstance(factor, (int, Fraction, Coefficient)):
@@ -320,14 +345,16 @@ class DiffForm(_Graded):
 
     @staticmethod
     def differential(chart: Chart, name: str) -> "DiffForm":
-        return DiffForm(chart, 1, {(chart.index(name),): Coefficient.one(chart)})
+        return DiffForm._trusted(chart, 1, {(chart.index(name),): Coefficient.one(chart)})
 
     @staticmethod
     def volume(chart: Chart, names: Iterable[str] | None = None) -> "DiffForm":
         positions = tuple(sorted(chart.index(n) for n in names)) if names is not None else tuple(
             range(chart.dimension)
         )
-        return DiffForm(chart, len(positions), {positions: Coefficient.one(chart)})
+        if any(b == a for a, b in zip(positions, positions[1:])):
+            raise StructuralError(f"index tuple {positions} is not strictly increasing")
+        return DiffForm._trusted(chart, len(positions), {positions: Coefficient.one(chart)})
 
     def d(self) -> "DiffForm":
         return exterior_derivative(self)
@@ -340,7 +367,7 @@ class MultiVector(_Graded):
 
     @staticmethod
     def basis_vector(chart: Chart, name: str) -> "MultiVector":
-        return MultiVector(chart, 1, {(chart.index(name),): Coefficient.one(chart)})
+        return MultiVector._trusted(chart, 1, {(chart.index(name),): Coefficient.one(chart)})
 
 
 def wedge(a: _Graded, b: _Graded) -> _Graded:
@@ -366,11 +393,12 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
     if not isinstance(omega, DiffForm):
         raise StructuralError("exterior derivative applies to differential forms")
     chart = omega.chart
+    positions = range(chart.dimension)
     pieces = (
-        (merged[1], dc.scale(merged[0]))
+        (merged[1], c.partial(chart.coordinates[j]).scale(merged[0]))
         for I, c in omega.terms.items()
-        for j, name in enumerate(chart.coordinates)
-        if (merged := _merge_indices((j,), I)) is not None and (dc := c.partial(name))
+        for j in sorted({j for e in c.terms for j in itertools.compress(positions, e)})
+        if (merged := _merge_indices((j,), I)) is not None
     )
     return DiffForm._trusted(chart, omega.degree + 1, _accumulate(pieces))
 
@@ -411,7 +439,7 @@ def interior_product(U: MultiVector, omega: DiffForm, strict: bool = True) -> Di
         (hit[1], (c * k).scale(hit[0]))
         for J, c in U.terms.items()
         for I, k in omega.terms.items()
-        if (hit := _contract_key(J, I)) is not None
+        if J[0] in I and (hit := _contract_key(J, I)) is not None
     )
     return DiffForm._trusted(omega.chart, omega.degree - U.degree, _accumulate(products))
 
@@ -435,7 +463,7 @@ def form_contraction(xi: DiffForm, U: MultiVector, strict: bool = True) -> Multi
         (hit[1], (k * c).scale(hit[0]))
         for I, k in xi.terms.items()
         for J, c in U.terms.items()
-        if (hit := _contract_key(I, J)) is not None
+        if I[0] in J and (hit := _contract_key(I, J)) is not None
     )
     return MultiVector._trusted(U.chart, U.degree - xi.degree, _accumulate(products))
 

@@ -334,3 +334,37 @@ def test_an_integral_fraction_is_an_int(tmp_path):
         assert render(value, "latex") == render(as_int, "latex")
         assert to_json(value) == to_json(as_int)
         assert session_bytes(value, "value.json") == session_bytes(as_int, "int.json")
+
+
+def test_named_builders_refuse_what_the_boundary_refuses():
+    with pytest.raises(StructuralError):
+        Coefficient.coordinate(CHART, "w")
+    with pytest.raises(DomainError, match="not flagged nonvanishing"):
+        Coefficient.coordinate(CHART, "y", -1)
+    with pytest.raises(StructuralError):
+        Coefficient.constant(CHART, 1.0)
+    with pytest.raises(StructuralError):
+        Coefficient.constant(CHART, "1")
+
+
+def test_named_builders_store_what_the_boundary_stores():
+    z = CHART.coordinates.index("z")
+    expo = tuple(-2 if i == z else 0 for i in range(CHART.dimension))
+    assert Coefficient.coordinate(CHART, "z", -2).terms == {expo: 1}
+    assert Coefficient.coordinate(CHART, "y", 0) == Coefficient.one(CHART)
+    for zero in (0, Fraction(0), False):
+        assert Coefficient.constant(CHART, zero).terms == {}
+    assert Coefficient.zero(CHART).terms == {}
+    assert _stored_types(Coefficient.constant(CHART, Fraction(4, 2))) == {int}
+    assert _stored_types(Coefficient.constant(CHART, True)) == {int}
+    built = [
+        Coefficient.zero(CHART),
+        Coefficient.one(CHART),
+        Coefficient.constant(CHART, Fraction(-3, 2)),
+        Coefficient.constant(CHART, Fraction(4, 2)),
+        Coefficient.coordinate(CHART, "p", 3),
+        Coefficient.coordinate(CHART, "z", -1),
+    ]
+    for c in built:
+        checked = Coefficient(c.chart, c.terms)
+        assert checked == c and checked.terms == c.terms

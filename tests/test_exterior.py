@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import SEED, rand_coefficient, rand_form, rand_multivector
@@ -20,6 +20,7 @@ from gjb.exterior import (
     DiffForm,
     MultiVector,
     PolyMap,
+    _contract_key,
     _merge_indices,
     exterior_derivative,
     form_contraction,
@@ -562,3 +563,183 @@ def test_kernel_products_match_the_coefficient_loops(om, eta, U, V):
     for kernel, reference in results:
         assert kernel == reference
         assert_integral_values_are_ints(kernel)
+
+
+# -- the skip rules against the loops that did the skipped work ---------------
+
+
+def full_interior_product(U, omega, strict=True):
+    """ι_U ω with _contract_key tried on every pair of terms."""
+    if U.degree == 0:
+        return full_scale(omega, U.scalar())
+    if U.degree > omega.degree:
+        if strict:
+            raise DegreeError("too long")
+        return DiffForm.zero(omega.chart, omega.degree - U.degree)
+    products = (
+        (hit[1], (c * k).scale(hit[0]))
+        for J, c in U.terms.items()
+        for I, k in omega.terms.items()
+        if (hit := _contract_key(J, I)) is not None
+    )
+    return DiffForm(omega.chart, omega.degree - U.degree, _accumulate(products))
+
+
+def full_form_contraction(xi, U, strict=True):
+    """ι_ξ U with _contract_key tried on every pair of terms."""
+    if xi.degree == 0:
+        return full_scale(U, xi.scalar())
+    if xi.degree > U.degree:
+        if strict:
+            raise DegreeError("too long")
+        return MultiVector.zero(U.chart, U.degree - xi.degree)
+    products = (
+        (hit[1], (k * c).scale(hit[0]))
+        for I, k in xi.terms.items()
+        for J, c in U.terms.items()
+        if (hit := _contract_key(I, J)) is not None
+    )
+    return MultiVector(U.chart, U.degree - xi.degree, _accumulate(products))
+
+
+def full_exterior_derivative(omega):
+    """d with every coefficient differentiated along every coordinate."""
+    chart = omega.chart
+    pieces = (
+        (merged[1], dc.scale(merged[0]))
+        for I, c in omega.terms.items()
+        for j, name in enumerate(chart.coordinates)
+        if (merged := _merge_indices((j,), I)) is not None and (dc := c.partial(name))
+    )
+    return DiffForm(chart, omega.degree + 1, _accumulate(pieces))
+
+
+def full_scale(obj, factor):
+    """Scaling as a product with a constant Coefficient, term by term."""
+    if not isinstance(factor, Coefficient):
+        factor = Coefficient(obj.chart, {(0,) * obj.chart.dimension: factor})
+    products = ((k, factor * c) for k, c in obj.terms.items())
+    return type(obj)(obj.chart, obj.degree, _accumulate(products))
+
+
+def assert_same_in_order(result, reference):
+    assert type(result) is type(reference) and result.degree == reference.degree
+    assert result == reference
+    assert list(result.terms) == list(reference.terms)
+    for key, coeff in result.terms.items():
+        assert list(coeff.terms.items()) == list(reference.terms[key].terms.items())
+
+
+every_degree = st.integers(0, LAURENT_CH.dimension)
+nonzero_rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def dense_graded(draw, cls, degree):
+    """Up to four terms of one degree, each coefficient nonzero, with
+    negative powers of the nonvanishing t; no terms at all is allowed."""
+    exponents = [st.integers(-2 if name in LAURENT_CH.nonvanishing else 0, 2) for name in LAURENT_CH.coordinates]
+    coefficients = st.dictionaries(st.tuples(*exponents), nonzero_rationals, min_size=1, max_size=3)
+    keys = list(itertools.combinations(range(LAURENT_CH.dimension), degree))
+    terms = draw(st.dictionaries(st.sampled_from(keys), coefficients.map(lambda t: Coefficient(LAURENT_CH, t)), max_size=4))
+    return cls(LAURENT_CH, degree, terms)
+
+
+@seed(SEED)
+@given(every_degree, every_degree, st.data())
+@settings(max_examples=120, deadline=None)
+def test_prefiltered_contractions_match_the_full_pair_loops(p, k, data):
+    U = data.draw(dense_graded(MultiVector, p))
+    omega = data.draw(dense_graded(DiffForm, k))
+    xi = data.draw(dense_graded(DiffForm, p))
+    V = data.draw(dense_graded(MultiVector, k))
+    assert_same_in_order(interior_product(U, omega, strict=False), full_interior_product(U, omega, strict=False))
+    assert_same_in_order(form_contraction(xi, V, strict=False), full_form_contraction(xi, V, strict=False))
+    if p > k:
+        with pytest.raises(DegreeError):
+            interior_product(U, omega)
+        with pytest.raises(DegreeError):
+            form_contraction(xi, V)
+    else:
+        assert_same_in_order(interior_product(U, omega), full_interior_product(U, omega))
+        assert_same_in_order(form_contraction(xi, V), full_form_contraction(xi, V))
+
+
+@seed(SEED)
+@given(every_degree, st.data())
+@settings(max_examples=80, deadline=None)
+def test_support_only_d_matches_the_every_coordinate_loop(k, data):
+    omega = data.draw(dense_graded(DiffForm, k))
+    assert_same_in_order(exterior_derivative(omega), full_exterior_derivative(omega))
+
+
+def test_d_differentiates_along_a_coordinate_held_only_at_a_negative_power():
+    t = Coefficient.coordinate(LAURENT_CH, "t", -2)
+    omega = DiffForm(LAURENT_CH, 1, {(0,): t})
+    # d(t^-2 da) = -2 t^-3 dt ^ da = 2 t^-3 da ^ dt
+    assert exterior_derivative(omega) == DiffForm(LAURENT_CH, 2, {(0, 3): -t.partial("t")})
+    assert_same_in_order(exterior_derivative(omega), full_exterior_derivative(omega))
+
+
+SCALE_FACTORS = [0, 1, -1, True, Fraction(3, 2), Fraction(4, 2)]
+
+
+@seed(SEED)
+@given(st.sampled_from([DiffForm, MultiVector]), every_degree, st.sampled_from(SCALE_FACTORS), st.data())
+@settings(max_examples=120, deadline=None)
+def test_rational_scaling_matches_the_constant_coefficient_product(cls, k, factor, data):
+    obj = data.draw(dense_graded(cls, k))
+    scaled = obj.scale(factor)
+    assert_same_in_order(scaled, full_scale(obj, factor))
+    assert_same_in_order(obj * factor, scaled)
+    for coeff in scaled.terms.values():
+        assert not any(type(value) is bool for value in coeff.terms.values())
+    if factor == 1:
+        assert scaled.terms is not obj.terms
+
+
+def test_rational_scaling_refuses_what_a_constant_refuses():
+    with pytest.raises(StructuralError):
+        dx("a").scale(1.5)
+    with pytest.raises(StructuralError):
+        e("a").scale(0.0)
+
+
+# -- the named builders keep the boundary's refusals ---------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiffForm.differential(CH, "w"),
+        lambda: DiffForm.volume(CH, ["a", "w"]),
+        lambda: MultiVector.basis_vector(CH, "w"),
+        lambda: DiffForm.volume(CH, ["a", "b", "a"]),
+    ],
+)
+def test_named_graded_builders_refuse_unknown_and_repeated_names(build):
+    with pytest.raises(StructuralError):
+        build()
+
+
+def test_named_graded_builders_pass_the_boundary_unchanged():
+    zero = Coefficient.zero(LAURENT_CH)
+    t = Coefficient.coordinate(LAURENT_CH, "t", -1)
+    built = [
+        DiffForm.differential(LAURENT_CH, "t"),
+        DiffForm.volume(LAURENT_CH),
+        DiffForm.volume(LAURENT_CH, ["u", "a"]),
+        DiffForm.volume(LAURENT_CH, []),
+        MultiVector.basis_vector(LAURENT_CH, "b"),
+        DiffForm.from_scalar(t),
+        MultiVector.from_scalar(t),
+        DiffForm.zero(LAURENT_CH, 2),
+        MultiVector.zero(LAURENT_CH, -1),
+    ]
+    for obj in built:
+        checked = type(obj)(obj.chart, obj.degree, obj.terms)
+        assert checked == obj and checked.terms == obj.terms
+    assert DiffForm.volume(LAURENT_CH, ["u", "a"]).terms == {(0, 4): Coefficient.one(LAURENT_CH)}
+    for cls in (DiffForm, MultiVector):
+        assert cls.from_scalar(zero).terms == {}
+        assert cls.from_scalar(zero) == cls.zero(LAURENT_CH)
