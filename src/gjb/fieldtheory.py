@@ -23,6 +23,7 @@ Conventions in force throughout:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -44,8 +45,6 @@ from .structures import (
     ConformalData,
     NFormStructure,
     _contraction_columns,
-    _coordinates,
-    _from_coordinates,
     is_multicontact,
     jacobi_bracket,
     make_conformal_data,
@@ -492,10 +491,10 @@ def refined_reeb(S: NFormStructure) -> RefinedReeb:
         [DiffForm.from_scalar(Coefficient.constant(chart, 1 if i == j else 0)) for i in range(len(basis))]
         for j in range(len(basis))
     ]
-    solved = solve_by_contraction(columns, deltas)
+    solved = solve_by_contraction(columns, deltas, math.comb(chart.dimension, n - 1))
     if None in solved:
         raise DomainError("the Reeb directions do not admit dual multivectors")
-    pairs = [(R, _from_coordinates(MultiVector, chart, n - 1, values)) for R, (values, _) in zip(basis, solved)]
+    pairs = [(R, MultiVector(chart, n - 1, values)) for R, (values, _) in zip(basis, solved)]
     reeb = RefinedReeb(S, tuple(pairs))
     rep = reeb.representative
     if interior_product(rep, S.theta).scalar() != Coefficient.one(chart):
@@ -507,7 +506,7 @@ def refined_reeb(S: NFormStructure) -> RefinedReeb:
 
 def _flat_image_span(S: NFormStructure, basis: Sequence[MultiVector]) -> RrefResult:
     """The eliminated span of the forms iota_R Theta."""
-    return rref([_coordinates(interior_product(R, S.theta)) for R in basis], S.chart)
+    return rref([interior_product(R, S.theta).terms for R in basis], S.chart)
 
 
 def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
@@ -523,7 +522,7 @@ def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
         if isinstance(S, CanonicalStructure) and name in S.parameters:
             continue
         contraction = interior_product(MultiVector.basis_vector(chart, name), h)
-        if not span.contains(_coordinates(contraction)):
+        if not span.contains(contraction.terms):
             return CheckReport(False, witness=name, details=f"iota along {name} leaves the image of the flat map")
     return CheckReport(True)
 
@@ -763,6 +762,8 @@ def _hdw_system(
             heads.append(jet_name(pm, C.x_names[0]))
     columns = heads + [j for j in jets if j not in heads]
 
+    # row keys: the position of a column in ``columns``, and len(columns)
+    # for the constant term
     affine_rows = []
     leftovers = []
     for eq in raw:
@@ -770,8 +771,8 @@ def _hdw_system(
             continue
         degree = max(_jet_degree(expo, jet_positions) for expo in eq.terms)
         if degree <= 1:
-            row = []
-            for col in columns:
+            row = {}
+            for k, col in enumerate(columns):
                 pos = chart.index(col)
                 entry = {}
                 for expo, value in eq.terms.items():
@@ -779,30 +780,29 @@ def _hdw_system(
                         reduced = list(expo)
                         reduced[pos] = 0
                         entry[tuple(reduced)] = value
-                row.append(Coefficient(chart, entry))
-            constant = Coefficient(
+                row[k] = Coefficient(chart, entry)
+            row[len(columns)] = Coefficient(
                 chart,
                 {e: v for e, v in eq.terms.items() if _jet_degree(e, jet_positions) == 0},
             )
-            affine_rows.append(row + [constant])
+            affine_rows.append(row)
         else:
             leftovers.append(eq)
 
     emitted: list[Coefficient] = []
     solved: dict[str, Coefficient] = {}
-    if affine_rows:
-        result = rref(affine_rows, chart)
-        for r, c in result.pivots:
-            entries = [exact_divide(entry, result.rows[r][c]) for entry in result.rows[r]]
-            eq = entries[-1]
-            for pos, col in enumerate(columns):
-                if not entries[pos].is_zero():
-                    eq = eq + entries[pos] * Coefficient.coordinate(chart, col)
-            emitted.append(eq)
-            if c < len(columns):
-                # the row divided by its pivot entry (1 for a unit pivot)
-                # has 1 at the head, so eq is the head plus the rest
-                solved[columns[c]] = Coefficient.coordinate(chart, columns[c]) - eq
+    result = rref(affine_rows, chart)
+    for r, c in result.pivots:
+        entries = {k: exact_divide(entry, result.rows[r][c]) for k, entry in result.rows[r].items()}
+        eq = entries.get(len(columns), Coefficient.zero(chart))
+        for pos, col in enumerate(columns):
+            if pos in entries:
+                eq = eq + entries[pos] * Coefficient.coordinate(chart, col)
+        emitted.append(eq)
+        if c < len(columns):
+            # the row divided by its pivot entry (1 for a unit pivot)
+            # has 1 at the head, so eq is the head plus the rest
+            solved[columns[c]] = Coefficient.coordinate(chart, columns[c]) - eq
 
     for eq in leftovers:
         reduced = _hdw_reduce(jet, solved, eq)
@@ -917,9 +917,8 @@ def variational_check(S: NFormStructure) -> CheckReport:
 
 
 def _mod_flat_representative(S: NFormStructure, omega: DiffForm, span: RrefResult) -> DiffForm:
-    reduced, den = span.reduce(_coordinates(omega))
-    values = [exact_divide(entry, den) for entry in reduced]
-    return _from_coordinates(DiffForm, S.chart, omega.degree, values)
+    reduced, den = span.reduce(omega.terms)
+    return DiffForm(S.chart, omega.degree, {key: exact_divide(entry, den) for key, entry in reduced.items()})
 
 
 def distortion(S: NFormStructure) -> tuple[dict[tuple[int, int], DiffForm], bool]:

@@ -1,8 +1,10 @@
 """Exact linear algebra over the scalar ring.
 
-Matrices have Coefficient entries and elimination never leaves the Laurent
-ring; there is no fraction field.  Columns are scanned left to right, so
-results are deterministic.  A pivot that is a unit of the ring (invertible
+A matrix is a list of rows, each a map from column key to Coefficient
+entry, the format of the terms of a form or multivector: a key a row does
+not hold is a zero entry.  Elimination never leaves the Laurent ring;
+there is no fraction field.  The unknowns are scanned in one given order,
+so results are deterministic.  A pivot that is a unit of the ring (invertible
 at every chart point) is scaled to 1 by its inverse and cleared from the
 other rows with ring operations.  Only when no unit pivot remains anywhere
 does elimination pivot on a non-unit entry p.  It clears p's column from
@@ -13,22 +15,25 @@ then hold off the pivot's zero locus only.  All the structures this
 package builds pivot on units, so the tag mostly exists to keep us honest.
 
 ``rref`` is the one way into elimination and ``RrefResult`` its one
-result.  Its ``unknowns`` argument limits pivots to the leading columns;
-the trailing columns are right-hand sides, carried through every row
-operation but never pivoted on, so one elimination of [A | b_0 ... b_k]
-solves A x = b_j for every j (``solution(j)``).  The same result gives
-the kernel of A (``nullity`` and ``kernel``), and reduces vectors modulo
-the row span (``reduce`` and ``contains``).
+result.  Its ``unknowns`` are the keys pivots may lie on, in order (by
+default every key the rows hold, sorted); an unknown no row holds is free.
+Any other key is a right-hand side, carried through every row operation
+but never pivoted on, so one elimination of [A | b_0 ... b_k] solves
+A x = b_j for every j (``solution(key)``).  The same result gives the
+kernel of A (``nullity`` and ``kernel``), and reduces vectors modulo the
+row span (``reduce`` and ``contains``).
 
-A result is read by one rule.  A pivot row stands for its entries divided
-by its pivot entry, which is 1 for a unit pivot, and a reduced vector
-stands for its entries divided by one common denominator, the product of
-the non-unit pivot entries it was reduced by (1 when there are none).
+A result is read by one rule.  Rows, solutions, kernel vectors and reduced
+vectors are maps holding only nonzero entries.  A pivot row stands for its
+entries divided by its pivot entry, which is 1 for a unit pivot, and a
+reduced vector stands for its entries divided by one common denominator,
+the product of the non-unit pivot entries it was reduced by (1 when there
+are none).
 
-Only the work a caller reads is done.  Row operations by a unit pivot skip
-the zero entries of the pivot row, which is most of them in kernel and
-contraction matrices.  ``nullity`` is known at once, but the cleared
-kernel basis is built only when ``kernel`` is first read.
+Only the work a caller reads is done.  A row operation touches only the
+keys of the pivot row, and an unknown no row holds is never scanned.
+``nullity`` is known at once, but the cleared kernel basis is built only
+when ``kernel`` is first read.
 
 One question needs no elimination at all: a lower bound on the rank of a
 sparse matrix that some rows already make plain.  ``_unit_triangular_minor``
@@ -145,17 +150,17 @@ def exact_divide(f: Coefficient, g: Coefficient) -> Coefficient:
 
 @dataclass(frozen=True)
 class RrefResult:
-    """A reduced matrix.  Its first ``nullity + rank`` columns are the
-    unknowns, and every pivot lies among them; any later columns are
-    right-hand sides, carried through every row operation.  The row of a
-    pivot (r, c) stands for rows[r] / rows[r][c], and rows[r][c] is 1 when
-    the pivot is a unit; every other row is zero on the unknowns.
-    ``pivots`` are sorted by column."""
+    """A reduced matrix.  Its rows map column keys to nonzero entries.
+    ``unknowns`` are the keys pivots may lie on, in the order they were
+    scanned; every other key is a right-hand side, carried through every
+    row operation.  The row of a pivot (r, c) stands for rows[r] /
+    rows[r][c], and rows[r][c] is 1 when the pivot is a unit; every other
+    row holds no unknown.  ``pivots`` are sorted in unknowns order."""
 
-    rows: list[list[Coefficient]]
-    pivots: list[tuple[int, int]]  # (row, column)
+    rows: list[dict[Hashable, Coefficient]]
+    pivots: list[tuple[int, Hashable]]  # (row, column key)
     generic_only: bool
-    nullity: int  # free unknowns, the dimension of the kernel
+    unknowns: tuple[Hashable, ...]
     _chart: Chart = field(repr=False, compare=False)
 
     @property
@@ -163,130 +168,133 @@ class RrefResult:
         return len(self.pivots)
 
     @property
-    def pivot_columns(self) -> list[int]:
+    def nullity(self) -> int:  # free unknowns, the dimension of the kernel
+        return len(self.unknowns) - len(self.pivots)
+
+    @property
+    def pivot_columns(self) -> list[Hashable]:
         return [c for _, c in self.pivots]
 
     @cached_property
-    def kernel(self) -> list[list[Coefficient]]:
-        """Kernel basis of the unknowns with denominators cleared, one
-        vector per free column, built on first read."""
-        return _kernel_basis(self.rows, self.pivots, self.nullity + self.rank, self._chart)
+    def _positions(self) -> dict[Hashable, int]:
+        return {c: i for i, c in enumerate(self.unknowns)}
 
-    def solution(self, j: int) -> list[Coefficient]:
-        """The solution of A x = b_j, b_j the j-th right-hand side, in ring
-        coefficients: x_c = rows[r][k + j] / rows[r][c] at each pivot
-        (r, c), k the number of unknowns, and 0 at free columns.
-        DomainError when b_j is inconsistent or the solution leaves the
+    @cached_property
+    def kernel(self) -> list[dict[Hashable, Coefficient]]:
+        """Kernel basis of the unknowns with denominators cleared, one map
+        per free unknown in unknowns order, built on first read."""
+        return _kernel_basis(self.rows, self.pivots, self._positions, self._chart)
+
+    def solution(self, key: Hashable) -> dict[Hashable, Coefficient]:
+        """The solution of A x = b, b the right-hand side ``key``, as a map
+        from each unknown to its nonzero ring value: x_c = rows[r][key] /
+        rows[r][c] at each pivot (r, c), and 0 at every free unknown.
+        DomainError when b is inconsistent or the solution leaves the
         ring."""
-        unknowns = self.nullity + self.rank
-        col = unknowns + j
-        if j < 0 or not self.rows or col >= len(self.rows[0]):
-            raise StructuralError(f"there is no right-hand side {j}")
-        if any(not row[col].is_zero() and all(a.is_zero() for a in row[:unknowns]) for row in self.rows):
+        if key in self._positions:
+            raise StructuralError(f"{key!r} is an unknown, not a right-hand side")
+        pivot_rows = {r for r, _ in self.pivots}
+        if any(key in row for r, row in enumerate(self.rows) if r not in pivot_rows):
             raise DomainError("the linear system is inconsistent")
-        values = [Coefficient.zero(self._chart)] * unknowns
-        for r, c in self.pivots:
-            values[c] = exact_divide(self.rows[r][col], self.rows[r][c])
-        return values
+        return {c: exact_divide(self.rows[r][key], self.rows[r][c]) for r, c in self.pivots if key in self.rows[r]}
 
-    def reduce(self, vector: Sequence[Coefficient]) -> tuple[list[Coefficient], Coefficient]:
-        """Canonical representative of ``vector`` modulo the row span, as
-        entries and one common denominator; its value is the entries
-        divided by the denominator.  Pivot columns of the span are zeroed
-        out and every other column keeps its value.  The denominator is the
-        product of the non-unit pivot entries the reduction used, 1 when it
-        used none.  Reduce many vectors against one elimination this way."""
-        if self.rows and len(vector) != len(self.rows[0]):
-            raise StructuralError("vector and span have different lengths")
-        vec = list(vector)
+    def reduce(self, vector: Mapping[Hashable, Coefficient]) -> tuple[dict[Hashable, Coefficient], Coefficient]:
+        """Canonical representative of ``vector`` (a map from column key to
+        entry) modulo the row span, as nonzero entries and one common
+        denominator; its value is the entries divided by the denominator.
+        Pivot columns of the span are cleared and every other key keeps
+        its value.  The denominator is the product of the non-unit pivot
+        entries the reduction used, 1 when it used none."""
+        vec = _row(vector)
         one = Coefficient.one(self._chart)
         den = one
         for r, c in self.pivots:
-            factor = vec[c]
-            if factor.is_zero():
+            factor = vec.get(c)
+            if factor is None:
                 continue
             row, pivot = self.rows[r], self.rows[r][c]
             if pivot == one:
-                for j, b in enumerate(row):
-                    if not b.is_zero():
-                        vec[j] = vec[j] - factor * b
+                _subtract(vec, factor, row)
             else:
                 vec = _cross_multiply(vec, row, pivot, factor)
                 den = den * pivot
         return vec, den
 
-    def contains(self, vector: Sequence[Coefficient]) -> bool:
+    def contains(self, vector: Mapping[Hashable, Coefficient]) -> bool:
         """Does ``vector`` lie in the row span?"""
-        reduced, _ = self.reduce(vector)
-        return all(entry.is_zero() for entry in reduced)
+        return not self.reduce(vector)[0]
 
 
-def _entry(entry, chart: Chart) -> Coefficient:
-    """A matrix entry as a Coefficient; plain rationals are constants."""
-    if isinstance(entry, Coefficient):
-        return entry
-    if isinstance(entry, (int, Fraction)):
-        return Coefficient.constant(chart, entry)
-    raise StructuralError(f"matrix entries must be Coefficient, got {type(entry).__name__}")
+def _row(row: Mapping[Hashable, Coefficient]) -> dict[Hashable, Coefficient]:
+    """A copy of a matrix row without its zero entries."""
+    out = {}
+    for key, entry in row.items():
+        if not isinstance(entry, Coefficient):
+            raise StructuralError(f"matrix entries must be Coefficient, got {type(entry).__name__}")
+        if not entry.is_zero():
+            out[key] = entry
+    return out
 
 
-def _matrix(rows: Sequence[Sequence], chart: Chart) -> list[list[Coefficient]]:
-    return [[_entry(entry, chart) for entry in row] for row in rows]
+def _subtract(target: dict, factor: Coefficient, row: Mapping) -> None:
+    """target <- target - factor * row in place, keeping no zero entry."""
+    zero = Coefficient.zero(factor.chart)
+    for j, b in row.items():
+        value = target.get(j, zero) - factor * b
+        if value.is_zero():
+            target.pop(j, None)
+        else:
+            target[j] = value
 
 
-def _cross_multiply(
-    target: list[Coefficient], pivot_row: list[Coefficient], pivot: Coefficient, factor: Coefficient
-) -> list[Coefficient]:
-    """pivot * target - factor * pivot_row, entries zero in both skipped."""
-    return [pivot * a - factor * b if a or b else a for a, b in zip(target, pivot_row)]
+def _cross_multiply(target: dict, pivot_row: Mapping, pivot: Coefficient, factor: Coefficient) -> dict:
+    """pivot * target - factor * pivot_row, with no zero entry."""
+    out = {j: pivot * a for j, a in target.items()}
+    _subtract(out, factor, pivot_row)
+    return out
 
 
-def _eliminate(mat: list[list[Coefficient]], ncols: int) -> tuple[list[tuple[int, int]], bool]:
-    """In-place Gauss–Jordan elimination on the first ``ncols`` columns.
+def _eliminate(mat: list[dict], unknowns: Sequence[Hashable]) -> tuple[list[tuple[int, Hashable]], bool]:
+    """In-place Gauss–Jordan elimination on the ``unknowns`` columns.
 
     Honest-unit pivots (invertible at every chart point) are taken first,
-    scanning columns left to right; only when none remain anywhere does
+    scanning the unknowns in order; only when none remain anywhere does
     elimination pivot on a non-unit entry, flagging the result as valid
-    at generic points only.  Deterministic throughout.  Row operations by
-    a unit pivot touch only the columns where the pivot row is nonzero:
-    a - f*0 = a and 0*inv = 0.
+    at generic points only.  Deterministic throughout.  A row operation
+    touches only the keys the pivot row holds, and an unknown no row holds
+    is never scanned, since row operations only combine rows.
     """
-    pivots: list[tuple[int, int]] = []
+    pivots: list[tuple[int, Hashable]] = []
     generic = False
     used_rows: set[int] = set()
-    used_cols: set[int] = set()
+    used_cols: set[Hashable] = set()
+    held = set().union(*mat)
+    columns = [c for c in unknowns if c in held]
 
     def run_pass(honest_only: bool) -> bool:
         nonlocal generic
         progressed = False
-        for col in range(ncols):
+        for col in columns:
             if col in used_cols:
                 continue
-            candidates = [
-                r for r in range(len(mat)) if r not in used_rows and not mat[r][col].is_zero()
-            ]
-            if honest_only:
-                candidates = [r for r in candidates if mat[r][col].is_unit()]
-            if not candidates:
+            holding = (r for r, target in enumerate(mat) if r not in used_rows and col in target)
+            row = next((r for r in holding if not honest_only or mat[r][col].is_unit()), None)
+            if row is None:
                 continue
-            row = candidates[0]
             if not honest_only:
                 generic = True
             pivot_row = mat[row]
             pivot = pivot_row[col]
             if pivot.is_unit():
-                live = [j for j, entry in enumerate(pivot_row) if not entry.is_zero()]
                 inv = pivot.unit_inverse()
-                for j in live:
+                for j in pivot_row:
                     pivot_row[j] = pivot_row[j] * inv
                 for r, target in enumerate(mat):
-                    if r != row and not target[col].is_zero():
-                        factor = target[col]
-                        for j in live:
-                            target[j] = target[j] - factor * pivot_row[j]
+                    if r != row and col in target:
+                        _subtract(target, target[col], pivot_row)
             else:
                 for r, target in enumerate(mat):
-                    if r != row and not target[col].is_zero():
+                    if r != row and col in target:
                         mat[r] = _cross_multiply(target, pivot_row, pivot, target[col])
             used_rows.add(row)
             used_cols.add(col)
@@ -302,24 +310,24 @@ def _eliminate(mat: list[list[Coefficient]], ncols: int) -> tuple[list[tuple[int
     while run_pass(honest_only=True):
         pass
     run_pass(honest_only=False)
-    pivots.sort(key=lambda rc: rc[1])
+    order = {c: i for i, c in enumerate(columns)}
+    pivots.sort(key=lambda rc: order[rc[1]])
     return pivots, generic
 
 
-def rref(rows: Sequence[Sequence], chart: Chart, unknowns: int | None = None) -> RrefResult:
+def rref(rows: Sequence[Mapping], chart: Chart, unknowns: Sequence[Hashable] | None = None) -> RrefResult:
     """Reduced row echelon form over the Laurent ring (up to row order),
-    with honest-unit pivots preferred over the whole matrix.  Pivots are
-    taken in the first ``unknowns`` columns (all of them by default); the
-    columns after those are right-hand sides."""
-    mat = _matrix(rows, chart)
-    ncols = len(mat[0]) if mat else 0
-    if any(len(row) != ncols for row in mat):
-        raise StructuralError("ragged matrix")
-    unknowns = ncols if unknowns is None else unknowns
-    if not 0 <= unknowns <= ncols:
-        raise StructuralError(f"{unknowns} unknowns in a matrix of {ncols} columns")
+    with honest-unit pivots preferred over the whole matrix.  Each row maps
+    column keys to Coefficient entries; a zero entry is no entry.  Pivots
+    are taken among ``unknowns``, scanned in the order given (by default
+    the keys the rows hold, sorted); every other key is a right-hand side.
+    An unknown no row holds is free."""
+    mat = [_row(row) for row in rows]
+    unknowns = tuple(sorted(set().union(*mat)) if unknowns is None else unknowns)
+    if len(set(unknowns)) != len(unknowns):
+        raise StructuralError("an unknown is listed twice")
     pivots, generic = _eliminate(mat, unknowns)
-    return RrefResult(mat, pivots, generic, unknowns - len(pivots), chart)
+    return RrefResult(mat, pivots, generic, unknowns, chart)
 
 
 def _unit_triangular_minor(rows: Sequence[Mapping[Hashable, Coefficient]]) -> list[tuple[int, Hashable]]:
@@ -361,12 +369,11 @@ def _divides(d: Coefficient, f: Coefficient) -> bool:
     return True
 
 
-def _cleared_vector(
-    col: int, ratios: list[tuple[int, Coefficient, Coefficient]], ncols: int, chart: Chart
-) -> list[Coefficient]:
+def _cleared_vector(col: Hashable, ratios: list[tuple], positions: Mapping[Hashable, int], chart: Chart) -> dict:
     """The kernel vector with x_col = 1 and x_c = a / p for each (c, a, p)
     in ``ratios``, multiplied through by a common multiple of the p that do
-    not divide their a, then stripped of common content."""
+    not divide their a, then stripped of common content, with its keys in
+    unknowns order (``positions``) and its first entry's sign positive."""
     # taken largest first, a denominator that already divides the
     # multiplier adds nothing
     dens = [p for _, a, p in ratios if not p.is_unit() and not _divides(p, a)]
@@ -374,12 +381,12 @@ def _cleared_vector(
     for d in sorted(dens, key=Coefficient.max_degree, reverse=True):
         if not _divides(d, multiplier):
             multiplier = multiplier * d
-    cleared = [Coefficient.zero(chart)] * ncols
-    cleared[col] = multiplier
+    cleared = {col: multiplier}
     for c, a, p in ratios:
         cleared[c] = exact_divide(a * multiplier, p)
+    keys = sorted(cleared, key=positions.__getitem__)
     # strip common content and fix the overall sign deterministically
-    contents = [_strip(c) for c in cleared if not c.is_zero()]
+    contents = [_strip(cleared[c]) for c in keys]
     rational = contents[0][0]
     for c, _, _ in contents[1:]:
         rational = Fraction(
@@ -388,26 +395,19 @@ def _cleared_vector(
         )
     mono = tuple(min(ms) for ms in zip(*(m for _, m, _ in contents)))
     divisor = Coefficient(chart, {mono: abs(rational)})
-    out = [exact_divide(c, divisor) for c in cleared]
+    out = {c: exact_divide(cleared[c], divisor) for c in keys}
     if contents[0][0] < 0:
-        out = [-c for c in out]
+        out = {c: -v for c, v in out.items()}
     return out
 
 
-def _kernel_basis(
-    rows: list[list[Coefficient]], pivots: list[tuple[int, int]], ncols: int, chart: Chart
-) -> list[list[Coefficient]]:
-    """One cleared kernel vector per free column among the first ``ncols``
-    columns of a reduced matrix: x_col = 1 and x_c = -rows[r][col] /
+def _kernel_basis(rows: list[dict], pivots: list[tuple], positions: Mapping[Hashable, int], chart: Chart) -> list[dict]:
+    """One cleared kernel vector per free unknown of a reduced matrix, in
+    unknowns order (``positions``): x_col = 1 and x_c = -rows[r][col] /
     rows[r][c] at each pivot (r, c)."""
     pivot_cols = {c for _, c in pivots}
     return [
-        _cleared_vector(
-            col,
-            [(c, -rows[r][col], rows[r][c]) for r, c in pivots if not rows[r][col].is_zero()],
-            ncols,
-            chart,
-        )
-        for col in range(ncols)
+        _cleared_vector(col, [(c, -rows[r][col], rows[r][c]) for r, c in pivots if col in rows[r]], positions, chart)
+        for col in positions
         if col not in pivot_cols
     ]

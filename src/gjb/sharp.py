@@ -47,8 +47,6 @@ from .structures import (
     ConformalData,
     NFormStructure,
     _contraction_columns,
-    _coordinates,
-    _from_coordinates,
     _index_tuples,
     jacobi_bracket,
     solve_by_contraction,
@@ -103,8 +101,8 @@ class ZDecomposition:
 class QuotientMultiVector:
     """A multivector considered modulo the span of a fixed K_p basis.
 
-    Equality is a normal-form comparison: the coordinate vector of the
-    representative is reduced against the modulus by exact elimination
+    Equality is a normal-form comparison: the terms of the representative
+    are reduced against the terms of the modulus by exact elimination
     (with the fixed pivot order of the basis), so two classes agree iff
     their reductions agree in value.  Each reduction carries one common
     denominator, so entries are compared by cross-multiplication.  The
@@ -118,8 +116,8 @@ class QuotientMultiVector:
                 raise StructuralError("modulus entries must match the representative's chart and degree")
         self.representative = representative
         self.modulus = tuple(modulus)
-        span = rref([_coordinates(u) for u in self.modulus], representative.chart)
-        self._normal = span.reduce(_coordinates(representative))
+        span = rref([u.terms for u in self.modulus], representative.chart)
+        self._normal = span.reduce(representative.terms)
 
     @property
     def chart(self):
@@ -130,7 +128,7 @@ class QuotientMultiVector:
         return self.representative.degree
 
     def is_zero(self) -> bool:
-        return all(entry.is_zero() for entry in self._normal[0])
+        return not self._normal[0]
 
     def __eq__(self, other):
         if not isinstance(other, QuotientMultiVector):
@@ -140,7 +138,8 @@ class QuotientMultiVector:
             self.chart == other.chart
             and self.degree == other.degree
             and self.modulus == other.modulus
-            and all(a * their_den == b * my_den for a, b in zip(mine, theirs))
+            and mine.keys() == theirs.keys()
+            and all(mine[key] * their_den == theirs[key] * my_den for key in mine)
         )
 
     __hash__ = None
@@ -154,11 +153,12 @@ class QuotientMultiVector:
 
 def _decomposition_solution(S: NFormStructure, alpha: DiffForm, u: MultiVector):
     """Solve α = ι_u(ι_X dΘ + γ·Θ), ι_X Θ = 0 for the unknowns (X, γ):
-    the components of X in coordinate order, then γ."""
-    columns = [(interior_product(u, a), b) for a, b in _contraction_columns([S.dtheta, S.theta], 1)]
+    the components of X in coordinate order, keyed by index tuple, then γ,
+    keyed "gamma"."""
+    columns = {J: (interior_product(u, a), b) for J, (a, b) in _contraction_columns([S.dtheta, S.theta], 1).items()}
     side = DiffForm.zero(S.chart, S.degree - 1)
-    columns.append((interior_product(u, S.theta), side))
-    return solve_by_contraction(columns, [[alpha, side]])[0]
+    columns["gamma"] = (interior_product(u, S.theta), side)
+    return solve_by_contraction(columns, [[alpha, side]], S.chart.dimension + 1)[0]
 
 
 def _decompositions(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None, limit: int) -> list[ZDecomposition]:
@@ -182,8 +182,8 @@ def _decompositions(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None
         if solved is None:
             continue
         values, unique = solved
-        x = _from_coordinates(MultiVector, S.chart, 1, values[:-1])
-        dec = ZDecomposition(S, alpha, u, x, values[-1], unique=unique)
+        gamma = values.pop("gamma", Coefficient.zero(S.chart))
+        dec = ZDecomposition(S, alpha, u, MultiVector(S.chart, 1, values), gamma, unique=unique)
         found.append(dec.verify())
         if len(found) >= limit:
             break

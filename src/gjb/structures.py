@@ -17,15 +17,18 @@ the cup product is α∨β = −ι_{X_α∧X_β}Θ = ι_{X_β}α.  Every constru
 re-validates its output, so identities downstream are checked claims, not
 assumptions.
 
-Linear problems see a degree-p form or multivector in one coordinate
-format, its coefficients along _index_tuples(chart, p) (_coordinates and
-its inverse _from_coordinates).  Every contraction system is built one
-way: _contraction_columns reads the contractions ι_{∂_J}ω of every
-equation form ω off ω's terms, and _stacked_rows lays them out with one
-row per index tuple some column touches, so no row is zero.  Kernels read
-the kernel of its elimination, solve_by_contraction appends right-hand
-sides as trailing columns and reads every solution from one elimination,
-and the certificate below and sharp's decompositions read the same system.
+Linear problems see a form or multivector in one coordinate format, its
+own terms, a map from index tuple to Coefficient: that is a row or vector
+of linalg.rref, and its solutions and kernel vectors come back as such
+maps.  Every contraction system is built one way: _contraction_columns
+reads the contractions ι_{∂_J}ω of every equation form ω off ω's terms,
+for the index tuples J some term touches, and _stacked_rows lays them out
+as map rows, one per index tuple some column touches, so no row is zero.
+Any other J is a free unknown, counted (math.comb) and never listed.
+Kernels read the kernel of its elimination, solve_by_contraction carries
+right-hand sides under their own keys and reads every solution from one
+elimination, and the certificate below and sharp's decompositions read
+the same system.
 
 A kernel is either eliminated or certified.  NFormStructure.kernel
 eliminates: it reads a basis off the reduced contraction system and
@@ -36,7 +39,8 @@ elimination.  For a candidate basis E of the degree-p kernel it checks
 that (1) every e ∈ E contracts every target to zero; (2) E's coordinate
 matrix has a unit lower-triangular minor on |E| coordinates D; (3) the
 contraction map u ↦ (ι_u t)_t, restricted to multivectors supported off
-D, has a unit lower-triangular minor of full size.  By (2) any kernel
+D, has a unit lower-triangular minor of full size C(N, p) − |D|, so an
+index tuple off D that no target touches fails it.  By (2) any kernel
 element minus a ring combination of E vanishes on D, and by (3) the only
 kernel element vanishing on D is zero, so E is a basis of the kernel over
 the Laurent ring itself; an empty E with (3) proves the kernel zero.  Both
@@ -49,9 +53,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .coeffring import Chart, Coefficient
 from .errors import DegreeError, DomainError, StructuralError, ValidationError
@@ -96,72 +101,60 @@ class CheckReport:
 @functools.lru_cache(maxsize=64)
 def _index_tuples(chart: Chart, p: int) -> tuple[tuple[int, ...], ...]:
     """The keys of the degree-p terms on the chart, in lexicographic order
-    (none for negative p); cached, since every coordinate vector reads them."""
+    (none for negative p); cached, since every kernel lists them."""
     return tuple(itertools.combinations(range(chart.dimension), p)) if p >= 0 else ()
 
 
-def _coordinates(obj: DiffForm | MultiVector) -> list[Coefficient]:
-    """The coefficients of a form or multivector along
-    _index_tuples(chart, degree): the coordinate format of every linear
-    system in the package."""
-    zero = Coefficient.zero(obj.chart)
-    return [obj.terms.get(key, zero) for key in _index_tuples(obj.chart, obj.degree)]
-
-
-def _from_coordinates(kind: type, chart: Chart, degree: int, values: Sequence[Coefficient]):
-    """The form or multivector (``kind``) of the given chart and degree
-    whose coordinates are ``values``; the inverse of _coordinates."""
-    keys = _index_tuples(chart, degree)
-    return kind(chart, degree, {key: c for key, c in zip(keys, values, strict=True) if not c.is_zero()})
-
-
-def _contraction_columns(forms: Sequence[DiffForm], p: int) -> list[tuple[DiffForm, ...]]:
-    """For every degree-p index tuple J, in _index_tuples order, the forms
-    ι_{∂_J}ω for each ω of ``forms``, read off ω's terms: c·dx^I gives
-    ±c·dx^{I∖J} to every J ⊆ I, and J and I∖J determine I, so no two add."""
+def _contraction_columns(forms: Sequence[DiffForm], p: int) -> dict[tuple[int, ...], tuple[DiffForm, ...]]:
+    """For every degree-p index tuple J some term of ``forms`` touches, in
+    lexicographic order, the forms ι_{∂_J}ω for each ω of ``forms``, read
+    off ω's terms: c·dx^I gives ±c·dx^{I∖J} to every J ⊆ I, and J and I∖J
+    determine I, so no two add.  Every other ∂_J contracts each ω to zero."""
     chart = forms[0].chart
-    columns = {J: [{} for _ in forms] for J in _index_tuples(chart, p)}
+    columns: dict[tuple[int, ...], list[dict]] = {}
     for e, omega in enumerate(forms):
         for I, c in omega.terms.items():
             for J in itertools.combinations(I, p):
                 sign, rest = _contract_key(J, I)
-                columns[J][e][rest] = c if sign > 0 else -c
+                columns.setdefault(J, [{} for _ in forms])[e][rest] = c if sign > 0 else -c
     # trusted: each key is what _contract_key leaves of a key of ω, each value ±c ≠ 0
-    return [tuple(DiffForm._trusted(chart, f.degree - p, t) for f, t in zip(forms, terms)) for terms in columns.values()]
+    return {J: tuple(DiffForm._trusted(chart, f.degree - p, t) for f, t in zip(forms, columns[J])) for J in sorted(columns)}
 
 
-def _stacked_rows(columns: Sequence[Sequence[DiffForm]], degrees: Sequence[int], chart: Chart) -> list[list[Coefficient]]:
-    """The matrix of Σ_k c_k·columns[k][e]: for each equation e in turn, one
-    row per index tuple some column touches, in _index_tuples order (a row
-    left out is zero and never pivots), so elimination is reproducible."""
-    zero = Coefficient.zero(chart)
-    rows: list[list[Coefficient]] = []
+def _stacked_rows(columns: Mapping[Hashable, Sequence[DiffForm]], degrees: Sequence[int]) -> list[dict]:
+    """The matrix of Σ_k c_k·columns[k][e] as map rows keyed by column key:
+    for each equation e in turn, one row per index tuple some column
+    touches, in lexicographic order, so no row is zero and elimination is
+    reproducible."""
+    rows = []
     for e, degree in enumerate(degrees):
-        forms = [column[e] for column in columns]
-        for f in forms:
+        by_tuple: dict[tuple[int, ...], dict[Hashable, Coefficient]] = {}
+        for k, column in columns.items():
+            f = column[e]
             if f.degree != degree:
                 raise DegreeError(f"a degree-{f.degree} form among degree-{degree} columns")
-        rows += ([f.terms.get(I, zero) for f in forms] for I in sorted({I for f in forms for I in f.terms}))
-    # when no column touches any index tuple there are no rows; one zero
-    # row keeps the column count, so every unknown stays free
-    return rows or [[zero] * len(columns)]
+            for I, c in f.terms.items():
+                by_tuple.setdefault(I, {})[k] = c
+        rows += (by_tuple[I] for I in sorted(by_tuple))
+    return rows
 
 
 def solve_by_contraction(
-    columns: Sequence[Sequence[DiffForm]], rhs: Sequence[Sequence[DiffForm]]
-) -> list[tuple[list[Coefficient], bool] | None]:
+    columns: Mapping[Hashable, Sequence[DiffForm]], rhs: Sequence[Sequence[DiffForm]], size: int
+) -> list[tuple[dict[Hashable, Coefficient], bool] | None]:
     """For each right-hand side b of ``rhs`` (one target form per equation,
     shaped like a column), ring coefficients c with Σ_k c_k·columns[k][e] =
-    b[e] for every equation e, and whether they are unique; None when that
-    system is inconsistent or its solution leaves the Laurent ring.  One
-    elimination serves every right-hand side."""
-    chart = rhs[0][0].chart
-    rows = _stacked_rows([*columns, *rhs], [t.degree for t in rhs[0]], chart)
-    result = rref(rows, chart, unknowns=len(columns))
-    solved: list[tuple[list[Coefficient], bool] | None] = []
+    b[e] for every equation e, as a map from column key (never an int: the
+    j-th b is carried under key j) to nonzero value, and whether they are
+    unique among all ``size`` unknowns, the ones with no column included;
+    None when that system is inconsistent or its solution leaves the
+    Laurent ring.  One elimination serves every right-hand side."""
+    rows = _stacked_rows({**columns, **dict(enumerate(rhs))}, [t.degree for t in rhs[0]])
+    result = rref(rows, rhs[0][0].chart, unknowns=list(columns))
+    solved: list[tuple[dict, bool] | None] = []
     for j in range(len(rhs)):
         try:
-            solved.append((result.solution(j), result.nullity == 0))
+            solved.append((result.solution(j), result.rank == size))
         except DomainError:
             solved.append(None)
     return solved
@@ -202,7 +195,6 @@ class NFormStructure:
         once the three checks of the module docstring prove it a basis over
         the ring; StructuralError names the first that fails."""
         targets = self._targets(which)
-        keys = _index_tuples(self.chart, p)
         for u in basis:
             if u.chart != self.chart or u.degree != p:
                 raise StructuralError(f"certified kernel vector {u} is not a degree-{p} multivector on the chart")
@@ -220,10 +212,10 @@ class NFormStructure:
             raise StructuralError(f"the certified degree-{p} kernel basis of {which} has no unit-triangular minor")
         taken = {own[r] for r, _ in independent}
         # (3): the stacked contraction system on the coordinates off the
-        # minor of (2)
-        columns = [column for J, column in zip(keys, _contraction_columns(targets, p)) if J not in taken]
-        rows = _stacked_rows(columns, [t.degree - p for t in targets], self.chart)
-        if len(_unit_triangular_minor([dict(enumerate(row)) for row in rows])) < len(columns):
+        # minor of (2); one no target touches has no column, so no minor
+        columns = {J: column for J, column in _contraction_columns(targets, p).items() if J not in taken}
+        rows = _stacked_rows(columns, [t.degree - p for t in targets])
+        if len(_unit_triangular_minor(rows)) < math.comb(self.chart.dimension, p) - len(taken):
             raise StructuralError(
                 f"the degree-{p} kernel of {which} is not shown to be spanned by the certified basis"
             )
@@ -233,8 +225,9 @@ class NFormStructure:
         """A basis of the degree-p multivectors annihilating every target."""
         if p < 1 or p > self.chart.dimension:
             raise DegreeError(f"kernel degree {p} out of range")
-        rows = _stacked_rows(_contraction_columns(targets, p), [t.degree - p for t in targets], self.chart)
-        out = [_from_coordinates(MultiVector, self.chart, p, vec) for vec in rref(rows, self.chart).kernel]
+        rows = _stacked_rows(_contraction_columns(targets, p), [t.degree - p for t in targets])
+        result = rref(rows, self.chart, unknowns=_index_tuples(self.chart, p))
+        out = [MultiVector(self.chart, p, vec) for vec in result.kernel]
         # kernels must re-verify by contraction; elimination bugs die here
         for u in out:
             for t in targets:
@@ -351,10 +344,11 @@ def verify_conformal(S: NFormStructure, X: MultiVector) -> MultiVector | None:
     p = X.degree
     if p < 1:
         raise DegreeError("conformal candidates must have degree at least 1")
-    (solved,) = solve_by_contraction(_contraction_columns([S.theta], p - 1), [[lie_derivative(X, S.theta)]])
+    columns = _contraction_columns([S.theta], p - 1)
+    (solved,) = solve_by_contraction(columns, [[lie_derivative(X, S.theta)]], math.comb(S.chart.dimension, p - 1))
     if solved is None:
         return None
-    return _from_coordinates(MultiVector, S.chart, p - 1, solved[0])
+    return MultiVector(S.chart, p - 1, solved[0])
 
 
 def jacobi_bracket(a: ConformalData, b: ConformalData) -> ConformalData:
@@ -414,7 +408,7 @@ def ms_hamiltonian_pair(omega: DiffForm, alpha: DiffForm) -> MultiVector | None:
         raise DegreeError(
             f"no multivector degree matches: form degree {alpha.degree} against ambient degree {omega.degree}"
         )
-    (solved,) = solve_by_contraction(_contraction_columns([omega], p), [[target]])
+    (solved,) = solve_by_contraction(_contraction_columns([omega], p), [[target]], math.comb(omega.chart.dimension, p))
     if solved is None:
         return None
-    return _from_coordinates(MultiVector, omega.chart, p, solved[0])
+    return MultiVector(omega.chart, p, solved[0])

@@ -37,6 +37,7 @@ SESSIONS = {
 H21 = "1/2*p0^2 + 1/2*p1^2 + 3*s0"
 H31 = "1/2*p0^2 + 1/2*p1^2 + 1/2*p2^2 + 3*s0 + y*s1"
 H42 = "1/2*p0_0^2 + 1/2*p1_1^2 + 3*s0 + y0*s1"
+H62 = "1/2*p0_0^2 + 1/2*p5_1^2 + 3*s0 + y1*s5"
 
 
 def _commands():
@@ -102,6 +103,13 @@ def _commands():
             (f"hdw_{n}{m}_json", None, ["hdw", *size, "--H", H, "--format", "json"]),
             (f"distortion_{n}{m}", None, ["distortion", *size]),
         ]
+    # (6, 2): contraction systems of C(27, 5) = 80 730 index tuples, of
+    # which the forms touch a few dozen
+    size = ["--n", "6", "--m", "2"]
+    out += [
+        ("hdw_62_json", None, ["hdw", *size, "--H", H62, "--format", "json"]),
+        ("distortion_62", None, ["distortion", *size]),
+    ]
     return out
 
 

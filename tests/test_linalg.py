@@ -1,6 +1,11 @@
 """Exact elimination over the Laurent ring, checked against a fraction-field
-reference, a dense copy of itself and pointwise ranks at rational points."""
+reference, a dense copy of itself and pointwise ranks at rational points.
 
+``rref`` reads map rows; the tests write most matrices densely and key
+column c of a dense row by c (``_rows``), so the dense references below
+read the same matrices."""
+
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +29,23 @@ def _augmented(rows, *rhs):
     return [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
 
 
+def _rows(dense):
+    """The map rows of a dense matrix: column c is key c, and a zero is no
+    entry."""
+    return [{c: entry for c, entry in enumerate(row) if not entry.is_zero()} for row in dense]
+
+
+def _dense(vector, ncols):
+    """A map vector over keys 0..ncols-1 written densely."""
+    return [vector.get(c, Coefficient.zero(CHART)) for c in range(ncols)]
+
+
+def _solve(dense, *rhs):
+    """One elimination of [A | b_0 ... b_k] with the columns of A as its
+    unknowns; b_j is key ncols + j."""
+    return rref(_rows(_augmented(dense, *rhs)), CHART, unknowns=range(len(dense[0])))
+
+
 def test_exact_divide_polynomials():
     assert exact_divide(C("x^2 - y^2"), C("x - y")) == C("x + y")
     assert exact_divide(C("x^2 + 2*x*y + y^2"), C("x + y")) == C("x + y")
@@ -40,64 +62,101 @@ def test_exact_divide_laurent():
 
 def test_rref_rank_and_unit_pivots():
     rows = [[C("0"), C("2")], [C("3"), C("1")], [C("3"), C("3")]]
-    result = rref(rows, CHART)
+    result = rref(_rows(rows), CHART)
     assert result.rank == 2
     assert not result.generic_only
     # an available unit pivot is preferred over an earlier polynomial one
-    result2 = rref([[C("x"), C("1")]], CHART)
+    result2 = rref(_rows([[C("x"), C("1")]]), CHART)
     assert not result2.generic_only
     assert result2.pivot_columns == [1]
     # only polynomial entries available: the result is generic-rank only
-    result3 = rref([[C("x"), C("y")]], CHART)
+    result3 = rref(_rows([[C("x"), C("y")]]), CHART)
     assert result3.generic_only
 
 
 def test_nullspace_is_cleared_and_exact():
     rows = [[C("1"), C("x"), C("0")], [C("0"), C("0"), C("1")]]
-    basis = rref(rows, CHART).kernel
+    basis = rref(_rows(rows), CHART).kernel
     assert len(basis) == 1
     vec = basis[0]
-    assert all(isinstance(entry, Coefficient) for entry in vec)
-    for row in rows:
-        acc = Coefficient.zero(CHART)
-        for a, v in zip(row, vec):
-            acc = acc + a * v
-        assert acc.is_zero()
-    # sign convention: first nonzero entry has positive leading coefficient
-    assert vec == [C("x"), C("-1"), C("0")]
+    assert all(isinstance(entry, Coefficient) for entry in vec.values())
+    _annihilates(_dense(vec, 3), rows)
+    # sign convention: first nonzero entry has positive leading coefficient;
+    # a kernel vector holds only its nonzero entries, in unknowns order
+    assert vec == {0: C("x"), 1: C("-1")} and list(vec) == [0, 1]
+
+
+def test_unknowns_order_drives_pivots_and_the_kernel_sign():
+    # scanned as (1, 0), the pivot is on column 1, and the kernel vector's
+    # first entry in that order, x_1, is the one made positive
+    result = rref(_rows([[C("1"), C("1")]]), CHART, unknowns=(1, 0))
+    assert result.pivot_columns == [1]
+    (vec,) = result.kernel
+    assert vec == {1: C("1"), 0: C("-1")} and list(vec) == [1, 0]
+    # sorted keys by default, so the same matrix pivots on column 0
+    assert rref(_rows([[C("1"), C("1")]]), CHART).pivot_columns == [0]
+
+
+def test_an_unknown_no_row_holds_is_free():
+    # key 2 is in no row: it counts in the nullity, the kernel gets e_2 in
+    # its place in unknowns order, and a solve sets it to 0
+    rows = _rows([[C("1"), C("x")]])
+    rows[0]["b"] = C("y")
+    result = rref(rows, CHART, unknowns=(2, 0, 1))
+    assert result.nullity == 2 and result.rank == 1
+    assert result.kernel == [{2: C("1")}, {0: C("x"), 1: C("-1")}]
+    assert list(result.kernel[1]) == [0, 1]
+    assert result.solution("b") == {0: C("y")}
+    # with no rows at all, every unknown is free
+    empty = rref([], CHART, unknowns=("u", "v"))
+    assert empty.nullity == 2 and empty.kernel == [{"u": C("1")}, {"v": C("1")}]
+    assert empty.solution("b") == {}
+
+
+def test_rows_and_unknowns_are_checked():
+    with pytest.raises(StructuralError, match="must be Coefficient"):
+        rref([{0: 1}], CHART)
+    with pytest.raises(StructuralError, match="twice"):
+        rref([{0: C("1")}], CHART, unknowns=(0, 0))
+    with pytest.raises(StructuralError, match="unknown"):
+        rref([{0: C("1")}], CHART).solution(0)
+    # a zero entry is no entry
+    result = rref([{0: C("0"), 1: C("2")}], CHART)
+    assert result.rows == [{1: C("1")}] and result.unknowns == (1,)
 
 
 def test_solve_affine_consistent():
     rows = [[C("1"), C("1")], [C("1"), C("-1")]]
-    sol = rref(_augmented(rows, [C("2*x"), C("0")]), CHART, unknowns=2)
-    assert sol.solution(0) == [C("x"), C("x")]
+    sol = _solve(rows, [C("2*x"), C("0")])
+    assert sol.solution(2) == {0: C("x"), 1: C("x")}
     assert sol.kernel == []
 
 
 def test_solve_affine_inconsistent():
     rows = [[C("1"), C("1")], [C("2"), C("2")]]
-    sol = rref(_augmented(rows, [C("1"), C("3")]), CHART, unknowns=2)
+    sol = _solve(rows, [C("1"), C("3")])
     with pytest.raises(DomainError, match="inconsistent"):
-        sol.solution(0)
+        sol.solution(2)
     assert len(sol.kernel) == 1
 
 
 def test_solve_affine_underdetermined():
-    sol = rref([[C("1"), C("1"), C("0"), C("y")]], CHART, unknowns=3)
-    x = sol.solution(0)
+    sol = _solve([[C("1"), C("1"), C("0")]], [C("y")])
+    x = _dense(sol.solution(3), 3)
     assert x[0] + x[1] == C("y") and x[2].is_zero()
     assert len(sol.kernel) == 2
 
 
 def test_reduce_mod_span_zeroes_pivot_columns():
     basis = [[C("1"), C("0"), C("2")], [C("0"), C("1"), C("-1")]]
-    span = rref(basis, CHART)
-    reduced, den = span.reduce([C("y"), C("x"), C("0")])
+    span = rref(_rows(basis), CHART)
+    reduced, den = span.reduce({0: C("y"), 1: C("x")})
     assert den == C("1")  # every pivot is a unit
-    assert reduced[0].is_zero() and reduced[1].is_zero()
-    assert reduced[2] == C("-2*y + x")
-    assert span.contains([C("3"), C("1"), C("5")])
-    assert not span.contains([C("0"), C("0"), C("1")])
+    assert reduced == {2: C("-2*y + x")}
+    assert span.contains({0: C("3"), 1: C("1"), 2: C("5")})
+    assert not span.contains({2: C("1")})
+    # a key the span does not hold keeps its value
+    assert span.reduce({"w": C("x"), 0: C("1")}) == ({"w": C("x"), 2: C("-2")}, C("1"))
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -107,12 +166,8 @@ small = st.integers(min_value=-6, max_value=6)
 @settings(max_examples=60)
 def test_nullspace_annihilates_random_integer_matrices(raw):
     rows = [[Coefficient.constant(CHART, v) for v in row] for row in raw]
-    for vec in rref(rows, CHART).kernel:
-        for row in rows:
-            acc = Coefficient.zero(CHART)
-            for a, v in zip(row, vec):
-                acc = acc + a * v
-            assert acc.is_zero()
+    for vec in rref(_rows(rows), CHART, unknowns=range(3)).kernel:
+        _annihilates(_dense(vec, 3), rows)
 
 
 @given(
@@ -123,12 +178,12 @@ def test_nullspace_annihilates_random_integer_matrices(raw):
 def test_solve_affine_solutions_check_out(raw, target):
     rows = [[Coefficient.constant(CHART, v) for v in row] for row in raw]
     rhs = [Coefficient.constant(CHART, v) for v in target]
-    sol = rref(_augmented(rows, rhs), CHART, unknowns=3)
-    if rref(_augmented(rows, rhs), CHART).rank > rref(rows, CHART).rank:  # inconsistent
+    sol = _solve(rows, rhs)
+    if rref(_rows(_augmented(rows, rhs)), CHART).rank > rref(_rows(rows), CHART).rank:  # inconsistent
         with pytest.raises(DomainError):
-            sol.solution(0)
+            sol.solution(3)
         return
-    x = sol.solution(0)
+    x = _dense(sol.solution(3), 3)
     for row, b in zip(rows, rhs):
         acc = Coefficient.zero(CHART)
         for a, v in zip(row, x):
@@ -175,12 +230,13 @@ _integer_matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_nullity_is_the_size_of_the_lazy_basis(raw):
     rows = [[C(text) for text in row] for row in raw]
-    sol = rref(_augmented(rows, [Coefficient.zero(CHART)] * len(rows)), CHART, unknowns=len(raw[0]))
+    ncols = len(raw[0])
+    sol = _solve(rows, [Coefficient.zero(CHART)] * len(rows))
     assert "kernel" not in vars(sol)  # nothing built before it is read
-    assert sol.nullity == len(raw[0]) - rref(rows, CHART).rank
+    assert sol.nullity == ncols - rref(_rows(rows), CHART).rank
     assert sol.nullity == len(sol.kernel)
     for vec in sol.kernel:
-        _annihilates(vec, rows)
+        _annihilates(_dense(vec, ncols), rows)
 
 
 def test_dense_laurent_kernel_stays_small():
@@ -194,12 +250,12 @@ def test_dense_laurent_kernel_stays_small():
         ["z", "y - x", "x^2 - 1", "0", "0"],
     ]
     rows = [[C(text) for text in row] for row in raw]
-    sol = rref(rows, CHART)
+    sol = rref(_rows(rows), CHART)
     assert sol.generic_only
     assert sol.nullity == 1
     (vec,) = sol.kernel
-    _annihilates(vec, rows)
-    assert max(len(entry.terms) for entry in vec) <= 251
+    _annihilates(_dense(vec, 5), rows)
+    assert max(len(entry.terms) for entry in vec.values()) <= 251
 
 
 @given(_sparse_system())
@@ -211,10 +267,11 @@ def test_laurent_solutions_check_out(system):
     rows = [[C(text) for text in row] for row in raw]
     x0 = [C(text) for text in raw_vector]
     rhs = [sum((a * v for a, v in zip(row, x0)), Coefficient.zero(CHART)) for row in rows]
-    assert rref(_augmented(rows, rhs), CHART).rank == rref(rows, CHART).rank  # consistent
-    sol = rref(_augmented(rows, rhs), CHART, unknowns=len(raw[0]))
+    ncols = len(raw[0])
+    assert rref(_rows(_augmented(rows, rhs)), CHART).rank == rref(_rows(rows), CHART).rank  # consistent
+    sol = _solve(rows, rhs)
     try:
-        x = sol.solution(0)
+        x = _dense(sol.solution(ncols), ncols)
     except DomainError:
         assert sol.generic_only
         return
@@ -356,6 +413,49 @@ def _dense_reduce(vector, rows):
     return vec
 
 
+def _dense_kernel(mat, pivots, ncols):
+    """Dense reference kernel of a reduced ring matrix, one vector per
+    free column left to right: x_col = 1 and x_c = -mat[r][col] /
+    mat[r][c] at each pivot (r, c), multiplied through by a common
+    multiple of the denominators that do not divide, stripped of common
+    content, and signed so that the first nonzero entry is positive."""
+
+    def divides(d, f):
+        try:
+            exact_divide(f, d)
+        except DomainError:
+            return False
+        return True
+
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for col in range(ncols):
+        if col in pivot_cols:
+            continue
+        ratios = [(c, -mat[r][col], mat[r][c]) for r, c in pivots if not mat[r][col].is_zero()]
+        dens = [p for _, a, p in ratios if not p.is_unit() and not divides(p, a)]
+        multiplier = Coefficient.one(CHART)
+        for d in sorted(dens, key=Coefficient.max_degree, reverse=True):
+            if not divides(d, multiplier):
+                multiplier = multiplier * d
+        cleared = [Coefficient.zero(CHART)] * ncols
+        cleared[col] = multiplier
+        for c, a, p in ratios:
+            cleared[c] = exact_divide(a * multiplier, p)
+        contents = [linalg._strip(c) for c in cleared if not c.is_zero()]
+        rational = contents[0][0]
+        for c, _, _ in contents[1:]:
+            rational = Fraction(
+                math.gcd(abs(rational.numerator), abs(c.numerator)),
+                math.lcm(rational.denominator, c.denominator),
+            )
+        mono = tuple(min(ms) for ms in zip(*(m for _, m, _ in contents)))
+        divisor = Coefficient(CHART, {mono: abs(rational)})
+        vec = [exact_divide(c, divisor) for c in cleared]
+        basis.append([-c for c in vec] if contents[0][0] < 0 else vec)
+    return basis
+
+
 def _same_values(entries, den, ratios):
     """entries / den equals ratios entry by entry (cross-multiplied)."""
     return all(a * r.den == r.num * den for a, r in zip(entries, ratios))
@@ -366,29 +466,34 @@ def _same_values(entries, den, ratios):
 def test_zero_skipping_elimination_matches_the_dense_reference(system):
     raw, raw_vector = system
     rows = [[C(text) for text in row] for row in raw]
+    ncols = len(raw[0])
     mat, pivots, generic = _dense_rref(rows)
     ring_mat, ring_pivots, ring_generic = _dense_ring_rref(rows)
-    result = rref(rows, CHART)
+    result = rref(_rows(rows), CHART, unknowns=range(ncols))
     assert result.pivots == pivots == ring_pivots
     assert result.generic_only == generic == ring_generic
-    assert result.rows == ring_mat
+    # the map rows hold exactly the nonzero entries of the dense ones
+    assert result.rows == _rows(ring_mat)
     # a pivot row stands for itself divided by its pivot entry; the others are zero
     pivot_of = dict(pivots)
     for r, (got, want) in enumerate(zip(result.rows, mat)):
         den = got[pivot_of[r]] if r in pivot_of else Coefficient.one(CHART)
-        assert _same_values(got, den, want)
-    ncols = len(raw[0])
-    assert result.kernel == linalg._kernel_basis(ring_mat, pivots, ncols, CHART)
+        assert _same_values(_dense(got, ncols), den, want)
+    # kernel vectors hold the dense reference's nonzero entries, in its order
+    assert result.kernel == _rows(_dense_kernel(ring_mat, pivots, ncols))
+    assert [list(vec) for vec in result.kernel] == [list(vec) for vec in _rows(_dense_kernel(ring_mat, pivots, ncols))]
     vector = [C(text) for text in raw_vector]
-    reduced, den = result.reduce(vector)
-    assert _same_values(reduced, den, _dense_reduce(vector, rows))
-    assert result.contains(vector) == all(f.is_zero() for f in reduced)
+    (sparse_vector,) = _rows([vector])
+    reduced, den = result.reduce(sparse_vector)
+    assert not any(f.is_zero() for f in reduced.values())
+    assert _same_values(_dense(reduced, ncols), den, _dense_reduce(vector, rows))
+    assert result.contains(sparse_vector) == (not reduced)
     # a trailing right-hand side is carried, never pivoted on, and changes
     # nothing in the leading columns
     column = [vector[i % ncols] for i in range(len(rows))]
-    carried = rref(_augmented(rows, column), CHART, unknowns=ncols)
+    carried = _solve(rows, column)
     assert carried.pivots == result.pivots and carried.generic_only == result.generic_only
-    assert [row[:ncols] for row in carried.rows] == result.rows
+    assert [{k: v for k, v in row.items() if k != ncols} for row in carried.rows] == result.rows
     assert carried.nullity == result.nullity
 
 
@@ -419,12 +524,12 @@ def test_rank_matches_the_pointwise_rank(system, points):
     raw, raw_vector = system
     rows = [[C(text) for text in row] for row in raw]
     ncols = len(raw[0])
-    result = rref(rows, CHART)
+    result = rref(_rows(rows), CHART, unknowns=range(ncols))
     # two right-hand sides A·x, consistent by construction, in one elimination
     xs = [[C(text) for text in raw_vector], [C(text) for text in reversed(raw_vector)]]
     rhs = [[sum((a * v for a, v in zip(row, x)), Coefficient.zero(CHART)) for row in rows] for x in xs]
-    solved = rref(_augmented(rows, *rhs), CHART, unknowns=ncols)
-    solutions = [] if result.generic_only else [solved.solution(j) for j in range(len(rhs))]
+    solved = _solve(rows, *rhs)
+    solutions = [] if result.generic_only else [_dense(solved.solution(ncols + j), ncols) for j in range(len(rhs))]
     for x, y, z in points:
         point = {"x": x, "y": y, "z": z}
 
@@ -441,7 +546,7 @@ def test_rank_matches_the_pointwise_rank(system, points):
             continue
         assert rank == result.rank
         assert result.nullity == solved.nullity == ncols - rank
-        kernel = [at(vec) for vec in solved.kernel]
+        kernel = [at(_dense(vec, ncols)) for vec in solved.kernel]
         for vec in kernel:
             assert not any(apply(matrix, vec))
         if kernel:
@@ -450,28 +555,21 @@ def test_rank_matches_the_pointwise_rank(system, points):
             assert apply(matrix, at(solution)) == at(b)
 
 
-def test_reduce_rejects_a_vector_of_the_wrong_length():
-    span = rref([[C("1"), C("x")]], CHART)
-    with pytest.raises(StructuralError):
-        span.reduce([C("1")])
-
-
 def test_cleared_kernel_keeps_no_common_factor():
     # pivots x + 1 and (x + 1)(y + 1) come before the free column, so the
     # kernel vector has denominators x + 1 and (x + 1)(y + 1); their
     # product as the multiplier would leave x + 1 in every entry
-    rows = [[C("x + 1"), C("0"), C("y")], [C("0"), C("(x + 1)*(y + 1)"), C("y")]]
+    rows = _rows([[C("x + 1"), C("0"), C("y")], [C("0"), C("(x + 1)*(y + 1)"), C("y")]])
     assert rref(rows, CHART).generic_only
-    assert rref(rows, CHART).kernel == [[C("y^2 + y"), C("y"), C("-x*y - x - y - 1")]]
+    assert rref(rows, CHART).kernel == [{0: C("y^2 + y"), 1: C("y"), 2: C("-x*y - x - y - 1")}]
 
 
 @given(st.one_of(_integer_matrices, _sparse_system().map(lambda system: system[0])))
 @settings(max_examples=80, deadline=None)
 def test_unit_triangular_minor_is_one_and_bounds_the_rank_from_below(raw):
     rows = [[C(text) for text in row] for row in raw]
-    sparse = [{c: entry for c, entry in enumerate(row) if not entry.is_zero()} for row in rows]
-    minor = linalg._unit_triangular_minor(sparse)
-    assert len(minor) <= rref(rows, CHART).rank
+    minor = linalg._unit_triangular_minor(_rows(rows))
+    assert len(minor) <= rref(_rows(rows), CHART).rank
     picked_rows, picked_cols = [r for r, _ in minor], [c for _, c in minor]
     assert len(set(picked_rows)) == len(set(picked_cols)) == len(minor)
     for i, (r, c) in enumerate(minor):

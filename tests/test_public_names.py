@@ -108,3 +108,43 @@ def test_one_builder_reads_the_contraction_sign_rule():
         ("structures.py", "ImportFrom", None),
         ("structures.py", "FunctionDef", "_contraction_columns"),
     }
+
+
+def test_solves_do_not_enumerate_every_index_tuple():
+    """A contraction solve, the flat-image span and its reductions read only
+    the index tuples some term touches; an untouched unknown is counted
+    (``math.comb``), never listed.  ``structures._index_tuples`` lists all
+    C(N, p) of them, which at (n, m) = (8, 2) is 6 724 520 for p = 7, so
+    none of these functions may refer to it."""
+    package = pathlib.Path(gjb.__file__).parent
+    sparse = {
+        "structures.py": {
+            "_contraction_columns",
+            "_stacked_rows",
+            "solve_by_contraction",
+            "verify_conformal",
+            "ms_hamiltonian_pair",
+            "_certify_kernel",
+        },
+        "sharp.py": {"_decomposition_solution"},
+        "fieldtheory.py": {
+            "refined_reeb",
+            "_flat_image_span",
+            "hamiltonian_subbundle_check",
+            "_mod_flat_representative",
+        },
+    }
+    found, offenders = set(), []
+    for filename, names in sparse.items():
+        tree = ast.parse((package / filename).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                found.add((filename, node.name))
+                if any(
+                    "_index_tuples" in (getattr(inner, "id", None), getattr(inner, "attr", None), getattr(inner, "name", None))
+                    for inner in ast.walk(node)
+                    if inner is not node
+                ):
+                    offenders.append(f"{filename}:{node.name}")
+    assert found == {(filename, name) for filename, names in sparse.items() for name in names}
+    assert offenders == []

@@ -193,16 +193,19 @@ def test_unique_decomposition_survives_permuted_resolve(rng):
     zero_form = DiffForm.zero(chart, CAN.degree - 1)
     cols = [CAN.theta] + [interior_product(e(CAN, name), CAN.dtheta) for name in reversed(chart.coordinates)]
     side = [zero_form] + [interior_product(e(CAN, name), CAN.theta) for name in reversed(chart.coordinates)]
-    rows, rhs = [], []
+    # map rows keyed by the position of a column, and "b" for the right-hand side
+    rows = []
     for degree, forms, target in ((CAN.degree, cols, alpha), (CAN.degree - 1, side, None)):
         for I in itertools.combinations(range(dim), degree):
-            rows.append([f.terms.get(I, Coefficient.zero(chart)) for f in forms])
-            rhs.append(target.terms.get(I, Coefficient.zero(chart)) if target is not None else Coefficient.zero(chart))
-    solution = rref([row + [b] for row, b in zip(rows, rhs)], chart, unknowns=len(cols))
-    values = solution.solution(0)
+            row = {k: f.terms[I] for k, f in enumerate(forms) if I in f.terms}
+            if target is not None and I in target.terms:
+                row["b"] = target.terms[I]
+            rows.append(row)
+    solution = rref(rows, chart, unknowns=range(len(cols)))
+    values = solution.solution("b")
     assert not solution.kernel
-    assert values[0] == gamma
-    resolved = MultiVector(chart, 1, {(dim - 1 - k,): c for k, c in enumerate(values[1:])})
+    assert values.get(0, Coefficient.zero(chart)) == gamma
+    resolved = MultiVector(chart, 1, {(dim - k,): c for k, c in values.items() if k})
     assert resolved == x
 
 
