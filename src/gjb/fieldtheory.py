@@ -124,7 +124,13 @@ class CanonicalStructure(NFormStructure):
 
     Extra ``parameters`` are appended to the chart as inert constants (no
     differentials enter the structure form and no dynamics is attached to
-    them); structural validation only applies to the parameter-free chart.
+    them).  On the parameter-free chart ker_1 dTheta is spanned by the
+    s-coordinate fields (``reeb_directions``) and ker_1 Theta by
+    ``d/dy^i + p^mu_i d/ds^mu`` and the momentum fields, the residual
+    momentum included, so K_1 is zero and the structure is multicontact.
+    A parameter's field lies in both kernels, so with parameters K_1 is
+    spanned by the parameter fields.  Kernels are eliminated on first
+    read, as for any NFormStructure; the tests pin these closed forms.
     """
 
     def __init__(self, spec: PhaseSpaceSpec, parameters: tuple[str, ...] = ()):
@@ -176,44 +182,15 @@ class CanonicalStructure(NFormStructure):
         return [MultiVector.basis_vector(self.chart, s) for s in self.s_names]
 
 
-def _theta_kernel_basis(C: CanonicalStructure) -> list[MultiVector]:
-    """The closed form of ker_1 Theta: ``d/dy^i + p^mu_i d/ds^mu`` for each
-    field, then the residual momentum field and every momentum field."""
-    chart = C.chart
-    basis = []
-    for i in range(C.spec.m):
-        terms = {(chart.index(C.y_names[i]),): Coefficient.one(chart)}
-        for mu in range(C.spec.n):
-            terms[(chart.index(C.s_names[mu]),)] = C.coordinate(C.momentum_name(mu, i))
-        basis.append(MultiVector(chart, 1, terms))
-    return basis + [MultiVector.basis_vector(chart, name) for name in (C.p_name,) + C.momentum_names]
-
-
 def build_canonical(spec: PhaseSpaceSpec | int, m: int | None = None, parameters: tuple[str, ...] = ()) -> CanonicalStructure:
-    """Construct and validate the canonical phase-space structure.
-
-    Accepts either a PhaseSpaceSpec or the pair (n, m).  On a parameter-free
-    chart the degree-1 kernels have a closed form, and the construction
-    certifies it with no elimination (NFormStructure._certify_kernel; see
-    the structures module): ker_1 dTheta is spanned by the s-coordinate
-    fields, ker_1 Theta by ``d/dy^i + p^mu_i d/ds^mu`` together with all
-    momentum coordinate fields (the residual momentum included), and
-    K_1 = ker_1 Theta ∩ ker_1 dTheta is zero while ker_1 dTheta is not, so
-    the structure is multicontact.  The certified bases are the ones elimination gives,
-    vector for vector and in order; a failed certificate raises
-    StructuralError.
-    """
+    """The canonical phase-space structure of a PhaseSpaceSpec or of the
+    pair (n, m).  Its kernels are eliminated on first read, like those of
+    any NFormStructure."""
     if not isinstance(spec, PhaseSpaceSpec):
         if m is None:
             raise DomainError("build_canonical needs a PhaseSpaceSpec or the pair (n, m)")
         spec = PhaseSpaceSpec(spec, m)
-    S = CanonicalStructure(spec, parameters)
-    if parameters:
-        return S
-    S._certify_kernel(1, "dtheta", S.reeb_directions)
-    S._certify_kernel(1, "theta", _theta_kernel_basis(S))
-    S._certify_kernel(1, "both", [])
-    return S
+    return CanonicalStructure(spec, parameters)
 
 
 # --------------------------------------------------------------------------
@@ -763,31 +740,30 @@ def _hdw_system(
     columns = heads + [j for j in jets if j not in heads]
 
     # row keys: the position of a column in ``columns``, and len(columns)
-    # for the constant term
+    # for the constant term; a term of jet degree 0 is constant, and one of
+    # jet degree 1 goes, its jet factor removed, to the column of each jet
+    # position where its exponent is 1
+    column_of = {chart.index(col): k for k, col in enumerate(columns)}
     affine_rows = []
     leftovers = []
     for eq in raw:
         if eq.is_zero():
             continue
-        degree = max(_jet_degree(expo, jet_positions) for expo in eq.terms)
-        if degree <= 1:
-            row = {}
-            for k, col in enumerate(columns):
-                pos = chart.index(col)
-                entry = {}
-                for expo, value in eq.terms.items():
-                    if expo[pos] == 1 and _jet_degree(expo, jet_positions) == 1:
+        degrees = [_jet_degree(expo, jet_positions) for expo in eq.terms]
+        if max(degrees) > 1:
+            leftovers.append(eq)
+            continue
+        entries: dict[int, dict] = {}
+        for (expo, value), degree in zip(eq.terms.items(), degrees):
+            if degree == 0:
+                entries.setdefault(len(columns), {})[expo] = value
+            elif degree == 1:
+                for pos, k in column_of.items():
+                    if expo[pos] == 1:
                         reduced = list(expo)
                         reduced[pos] = 0
-                        entry[tuple(reduced)] = value
-                row[k] = Coefficient(chart, entry)
-            row[len(columns)] = Coefficient(
-                chart,
-                {e: v for e, v in eq.terms.items() if _jet_degree(e, jet_positions) == 0},
-            )
-            affine_rows.append(row)
-        else:
-            leftovers.append(eq)
+                        entries.setdefault(k, {})[tuple(reduced)] = value
+        affine_rows.append({k: Coefficient(chart, entries[k]) for k in sorted(entries)})
 
     emitted: list[Coefficient] = []
     solved: dict[str, Coefficient] = {}

@@ -34,14 +34,6 @@ Only the work a caller reads is done.  A row operation touches only the
 keys of the pivot row, and an unknown no row holds is never scanned.
 ``nullity`` is known at once, but the cleared kernel basis is built only
 when ``kernel`` is first read.
-
-One question needs no elimination at all: a lower bound on the rank of a
-sparse matrix that some rows already make plain.  ``_unit_triangular_minor``
-peels, one at a time, a row left with a single nonzero entry among the
-columns not yet peeled, when that entry is a unit; the peeled rows and
-columns form a minor that is lower-triangular with unit diagonal, so its
-determinant is a unit and the rank is at least its size.  It compares
-entries with zero and asks whether they are units, and does no arithmetic.
 """
 
 from __future__ import annotations
@@ -328,37 +320,6 @@ def rref(rows: Sequence[Mapping], chart: Chart, unknowns: Sequence[Hashable] | N
         raise StructuralError("an unknown is listed twice")
     pivots, generic = _eliminate(mat, unknowns)
     return RrefResult(mat, pivots, generic, unknowns, chart)
-
-
-def _unit_triangular_minor(rows: Sequence[Mapping[Hashable, Coefficient]]) -> list[tuple[int, Hashable]]:
-    """A unit lower-triangular minor of the sparse matrix ``rows`` (each
-    row a map from column key to entry), as (row index, column key) pairs
-    in peeling order.  A row is peeled when exactly one of its nonzero
-    entries lies in a column not yet peeled and that entry is a unit; its
-    column is then peeled with it.  So the i-th row is zero in the columns
-    of every later pair, and the minor has unit diagonal: the rank of the
-    matrix is at least its length.  Which columns end up peeled does not
-    depend on the order rows are taken in, since peeling a column only
-    makes other rows easier to peel."""
-    live = [{c for c, entry in row.items() if not entry.is_zero()} for row in rows]
-    rows_of: dict[Hashable, list[int]] = {}
-    for r, cols in enumerate(live):
-        for c in cols:
-            rows_of.setdefault(c, []).append(r)
-    ready = [r for r, cols in enumerate(live) if len(cols) == 1]
-    minor: list[tuple[int, Hashable]] = []
-    for r in ready:  # grows while it is read
-        if len(live[r]) != 1:
-            continue  # its last column was peeled by another row
-        (c,) = live[r]
-        if not rows[r][c].is_unit():
-            continue  # it can only lose that column now, never gain another
-        minor.append((r, c))
-        for other in rows_of[c]:
-            live[other].discard(c)
-            if len(live[other]) == 1:
-                ready.append(other)
-    return minor
 
 
 def _divides(d: Coefficient, f: Coefficient) -> bool:

@@ -25,28 +25,12 @@ reads the contractions ι_{∂_J}ω of every equation form ω off ω's terms,
 for the index tuples J some term touches, and _stacked_rows lays them out
 as map rows, one per index tuple some column touches, so no row is zero.
 Any other J is a free unknown, counted (math.comb) and never listed.
-Kernels read the kernel of its elimination, solve_by_contraction carries
-right-hand sides under their own keys and reads every solution from one
-elimination, and the certificate below and sharp's decompositions read
-the same system.
-
-A kernel is either eliminated or certified.  NFormStructure.kernel
-eliminates: it reads a basis off the reduced contraction system and
-re-checks each vector by contraction.  A structure whose kernel has a
-known closed form, as the canonical phase space of field theory has, may
-instead install it with _certify_kernel, which proves the claim without
-elimination.  For a candidate basis E of the degree-p kernel it checks
-that (1) every e ∈ E contracts every target to zero; (2) E's coordinate
-matrix has a unit lower-triangular minor on |E| coordinates D; (3) the
-contraction map u ↦ (ι_u t)_t, restricted to multivectors supported off
-D, has a unit lower-triangular minor of full size C(N, p) − |D|, so an
-index tuple off D that no target touches fails it.  By (2) any kernel
-element minus a ring combination of E vanishes on D, and by (3) the only
-kernel element vanishing on D is zero, so E is a basis of the kernel over
-the Laurent ring itself; an empty E with (3) proves the kernel zero.  Both
-minors are found by linalg._unit_triangular_minor, read from the terms
-of the vectors and from the stacked contraction rows, and a failed step
-raises StructuralError: nothing is taken on trust.
+A kernel is computed one way, for every structure: NFormStructure.kernel
+reads it off the kernel of that system's elimination on first read,
+re-checks each vector by contraction and caches the basis.
+solve_by_contraction carries right-hand sides under their own keys and
+reads every solution from one elimination, and sharp's decompositions
+read the same system.
 """
 
 from __future__ import annotations
@@ -70,7 +54,7 @@ from .exterior import (
     schouten_nijenhuis,
     wedge,
 )
-from .linalg import _unit_triangular_minor, rref
+from .linalg import rref
 
 __all__ = [
     "CheckReport",
@@ -189,37 +173,6 @@ class NFormStructure:
         if (p, which) not in self._kernels:
             self._kernels[(p, which)] = self._compute_kernel(p, targets)
         return self._kernels[(p, which)]
-
-    def _certify_kernel(self, p: int, which: str, basis: Sequence[MultiVector]) -> None:
-        """Install ``basis`` as the degree-p kernel of the target ``which``
-        once the three checks of the module docstring prove it a basis over
-        the ring; StructuralError names the first that fails."""
-        targets = self._targets(which)
-        for u in basis:
-            if u.chart != self.chart or u.degree != p:
-                raise StructuralError(f"certified kernel vector {u} is not a degree-{p} multivector on the chart")
-            for t in targets:
-                if not interior_product(u, t, strict=False).is_zero():
-                    raise StructuralError(f"certified kernel vector {u} fails to annihilate the target")
-        # (2): the rows are coordinates, the columns the vectors of the basis
-        by_key: dict[tuple[int, ...], dict[int, Coefficient]] = {}
-        for b, u in enumerate(basis):
-            for key, c in u.terms.items():
-                by_key.setdefault(key, {})[b] = c
-        own = list(by_key)
-        independent = _unit_triangular_minor([by_key[key] for key in own])
-        if len(independent) < len(basis):
-            raise StructuralError(f"the certified degree-{p} kernel basis of {which} has no unit-triangular minor")
-        taken = {own[r] for r, _ in independent}
-        # (3): the stacked contraction system on the coordinates off the
-        # minor of (2); one no target touches has no column, so no minor
-        columns = {J: column for J, column in _contraction_columns(targets, p).items() if J not in taken}
-        rows = _stacked_rows(columns, [t.degree - p for t in targets])
-        if len(_unit_triangular_minor(rows)) < math.comb(self.chart.dimension, p) - len(taken):
-            raise StructuralError(
-                f"the degree-{p} kernel of {which} is not shown to be spanned by the certified basis"
-            )
-        self._kernels[(p, which)] = list(basis)
 
     def _compute_kernel(self, p: int, targets: Sequence[DiffForm]) -> list[MultiVector]:
         """A basis of the degree-p multivectors annihilating every target."""

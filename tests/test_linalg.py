@@ -562,32 +562,3 @@ def test_cleared_kernel_keeps_no_common_factor():
     rows = _rows([[C("x + 1"), C("0"), C("y")], [C("0"), C("(x + 1)*(y + 1)"), C("y")]])
     assert rref(rows, CHART).generic_only
     assert rref(rows, CHART).kernel == [{0: C("y^2 + y"), 1: C("y"), 2: C("-x*y - x - y - 1")}]
-
-
-@given(st.one_of(_integer_matrices, _sparse_system().map(lambda system: system[0])))
-@settings(max_examples=80, deadline=None)
-def test_unit_triangular_minor_is_one_and_bounds_the_rank_from_below(raw):
-    rows = [[C(text) for text in row] for row in raw]
-    minor = linalg._unit_triangular_minor(_rows(rows))
-    assert len(minor) <= rref(_rows(rows), CHART).rank
-    picked_rows, picked_cols = [r for r, _ in minor], [c for _, c in minor]
-    assert len(set(picked_rows)) == len(set(picked_cols)) == len(minor)
-    for i, (r, c) in enumerate(minor):
-        assert rows[r][c].is_unit()
-        assert all(rows[r][later].is_zero() for later in picked_cols[i + 1:])
-
-
-def test_unit_triangular_minor_peels_in_a_chain_and_skips_non_units():
-    # row 2 is plain at once; peeling column 2 leaves row 1 plain on
-    # column 1, then row 0 on column 0.  Zeros given as entries are no
-    # entries, and the non-unit x in row 3 is never a pivot.
-    rows = [
-        {0: C("z"), 1: C("x"), 2: C("y")},
-        {1: C("-2"), 2: C("x + 1")},
-        {2: C("1/3"), 3: C("0")},
-        {3: C("x")},
-    ]
-    assert linalg._unit_triangular_minor(rows) == [(2, 2), (1, 1), (0, 0)]
-    # x is the only way into column 0, so row 1 never becomes plain
-    assert linalg._unit_triangular_minor([{0: C("x")}, {0: C("y"), 1: C("1")}]) == []
-    assert linalg._unit_triangular_minor([]) == []

@@ -124,7 +124,6 @@ def test_solves_do_not_enumerate_every_index_tuple():
             "solve_by_contraction",
             "verify_conformal",
             "ms_hamiltonian_pair",
-            "_certify_kernel",
         },
         "sharp.py": {"_decomposition_solution"},
         "fieldtheory.py": {
