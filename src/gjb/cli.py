@@ -464,8 +464,7 @@ def _cmd_hdw(args) -> int:
     C = _canonical_from_args(args, (args.H, "--H"))
     (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
     section = hamiltonian_section(C, H)
-    J = JetSection.for_hamiltonian_section(section)
-    equations, _, sigma = _hdw_system(C, section, J)
+    equations, _, sigma = _hdw_system(C, section)
     labels = _hdw_labels(C, len(equations))
     if args.format == "json":
         import json as _json
@@ -479,7 +478,7 @@ def _cmd_hdw(args) -> int:
             "residuals": [
                 {"label": label, "expression": str(eq)} for label, eq in zip(labels, equations)
             ],
-            "legend": _legend(C, J),
+            "legend": _legend(C, section.jet),
         }
         print(_json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -494,7 +493,7 @@ def _cmd_hdw(args) -> int:
     print("field equations (each = 0):")
     for label, eq in zip(labels, equations):
         print(f"  {label}: {render(eq)}")
-    legend = _legend(C, J)
+    legend = _legend(C, section.jet)
     print("legend:")
     for symbol in sorted(legend):
         print(f"  {symbol}: {legend[symbol]}")

@@ -54,7 +54,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import DomainError, ParseError, StructuralError
 

@@ -84,7 +84,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .coeffring import (
     _PLAIN,

@@ -4,7 +4,8 @@ This module builds the canonical multicontact phase space of a first-order
 field theory (``n`` independent variables, ``m`` field components), the
 elementary families of conformal Hamiltonian forms on it, the refined Reeb
 calculus that produces the dissipation 1-form, and an exact first-jet
-emission of the dissipative covariant Hamilton equations.
+emission of the dissipative covariant Hamilton equations of a
+HamiltonianSection, which owns its jet section (``section.jet``).
 
 Conventions in force throughout:
 
@@ -17,11 +18,15 @@ Conventions in force throughout:
 * a Hamiltonian section fixes ``p = -H(x, y, p^mu_i, s^mu)`` and contributes
   the n-form ``h = (p + H) d^n x``;
 * jet symbols are named ``<coordinate>_<x-coordinate>`` and represent the
-  first partial derivatives of an unknown section.
+  first partial derivatives of an unknown section;
+* the jet chart order is ``x^0..x^{n-1}``, the fields ``y^i, p^mu_i, s^mu``,
+  their jets (field-major), then the parameters, so the jet symbols form
+  one contiguous block (``JetSection.jets``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -486,15 +491,14 @@ def _flat_image_span(S: NFormStructure, basis: Sequence[MultiVector]) -> RrefRes
     return rref([interior_product(R, S.theta).terms for R in basis], S.chart)
 
 
-def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
-    """Is every single contraction of h a combination of the forms
-    iota_R Theta, R ranging over the degree-1 kernel of dTheta?"""
+def _subbundle_membership(S: NFormStructure, h: DiffForm, span: RrefResult) -> CheckReport:
+    """Is every single contraction of h in ``span``, the eliminated flat
+    images of the Reeb directions?"""
     chart = S.chart
     if h.chart != chart:
         raise StructuralError("h does not live on the structure chart")
     if h.degree != S.degree:
         raise DegreeError(f"h must be an {S.degree}-form, got degree {h.degree}")
-    span = _flat_image_span(S, _reeb_kernel_basis(S))
     for name in chart.coordinates:
         if isinstance(S, CanonicalStructure) and name in S.parameters:
             continue
@@ -504,15 +508,24 @@ def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
     return CheckReport(True)
 
 
+def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
+    """Is every single contraction of h a combination of the forms
+    iota_R Theta, R ranging over the degree-1 kernel of dTheta?"""
+    return _subbundle_membership(S, h, _flat_image_span(S, _reeb_kernel_basis(S)))
+
+
 def good_hamiltonian_check(S: NFormStructure, h: DiffForm) -> CheckReport:
     """Does iota_R dh stay inside the Hamiltonian subbundle for every Reeb
-    direction R?  Requires h to lie in the subbundle itself."""
-    report = hamiltonian_subbundle_check(S, h)
+    direction R?  Requires h to lie in the subbundle itself.  The flat
+    images are eliminated once for all 1 + k membership tests."""
+    basis = _reeb_kernel_basis(S)
+    span = _flat_image_span(S, basis)
+    report = _subbundle_membership(S, h, span)
     if not report.ok:
         raise DomainError(f"h is not a Hamiltonian form: {report.details}")
     dh = exterior_derivative(h)
-    for R in _reeb_kernel_basis(S):
-        inner = hamiltonian_subbundle_check(S, interior_product(R, dh))
+    for R in basis:
+        inner = _subbundle_membership(S, interior_product(R, dh), span)
         if not inner.ok:
             return CheckReport(
                 False,
@@ -537,6 +550,11 @@ class HamiltonianSection:
     def h_form(self) -> DiffForm:
         C = self.canonical
         return C.volume.scale(C.coordinate(C.p_name) + self.hamiltonian)
+
+    @functools.cached_property
+    def jet(self) -> "JetSection":
+        """The first-jet image of the section, built on first read."""
+        return JetSection.for_hamiltonian_section(self)
 
 
 def hamiltonian_section(C: CanonicalStructure, H: Coefficient) -> HamiltonianSection:
@@ -582,87 +600,62 @@ def jet_name(coordinate: str, x_coordinate: str) -> str:
 
 @dataclass(frozen=True)
 class JetSection:
-    """An unknown section expressed through first-jet symbols.
+    """The first-jet image of a Hamiltonian section.
 
-    ``fields`` are the base coordinates treated as unknown functions of x;
-    every field gets one jet symbol per x-coordinate.  Restricted flavors
-    (Hamiltonian sections) express eliminated coordinates through the
-    remaining ones, with differentials given by total derivatives.
+    ``fields`` (y, the momenta and s) are the base coordinates treated as
+    unknown functions of x, and each gets one jet symbol per x-coordinate.
+    The jet chart reads x, fields, jets (field-major), parameters, so the
+    jet symbols fill the contiguous block ``jets`` of chart positions.  The
+    residual momentum is eliminated: its image is -H, and the image of dp
+    is the total differential of -H through the jet symbols.
     """
 
     canonical: CanonicalStructure
     chart: Chart
     fields: tuple[str, ...]
+    jets: range
     scalar_images: Mapping[str, Coefficient]
     form_images: Mapping[str, DiffForm]
-
-    @staticmethod
-    def _jet_chart(C: CanonicalStructure, fields: tuple[str, ...]) -> Chart:
-        names = list(C.x_names) + list(fields)
-        for f in fields:
-            for x in C.x_names:
-                names.append(jet_name(f, x))
-        names += list(C.parameters)
-        return Chart(tuple(names), nonvanishing=frozenset(set(C.chart.nonvanishing) & set(names)))
-
-    @classmethod
-    def _build(cls, C: CanonicalStructure, fields: tuple[str, ...], eliminated: Mapping[str, Coefficient] | None = None):
-        base = C.chart
-        chart = cls._jet_chart(C, fields)
-        coord = lambda name: Coefficient.coordinate(chart, name)
-        scalar_images: dict[str, Coefficient] = {}
-        form_images: dict[str, DiffForm] = {}
-        for x in C.x_names:
-            scalar_images[x] = coord(x)
-            form_images[x] = DiffForm.differential(chart, x)
-        for f in fields:
-            scalar_images[f] = coord(f)
-            df = DiffForm.zero(chart, 1)
-            for x in C.x_names:
-                df = df + DiffForm.differential(chart, x).scale(coord(jet_name(f, x)))
-            form_images[f] = df
-        for prm in C.parameters:
-            scalar_images[prm] = coord(prm)
-            form_images[prm] = DiffForm.zero(chart, 1)
-        for name, image in (eliminated or {}).items():
-            if image.chart != chart:
-                raise StructuralError(f"image of eliminated coordinate {name!r} must live on the jet chart")
-            scalar_images[name] = image
-            # total differential of the image through the jet symbols
-            d_image = DiffForm.zero(chart, 1)
-            for x in C.x_names:
-                total = image.partial(x)
-                for f in fields:
-                    total = total + image.partial(f) * coord(jet_name(f, x))
-                d_image = d_image + DiffForm.differential(chart, x).scale(total)
-            form_images[name] = d_image
-        missing = set(base.coordinates) - set(scalar_images)
-        if missing:
-            raise StructuralError(f"jet section leaves base coordinates unmapped: {sorted(missing)}")
-        return cls(C, chart, fields, scalar_images, form_images)
-
-    @classmethod
-    def generic(cls, C: CanonicalStructure) -> "JetSection":
-        """All non-x coordinates unknown, including the residual momentum."""
-        fields = tuple(
-            name for name in C.chart.coordinates if name not in C.x_names and name not in C.parameters
-        )
-        return cls._build(C, fields)
 
     @classmethod
     def for_hamiltonian_section(cls, section: HamiltonianSection) -> "JetSection":
         """Fields y, momenta and s unknown; the residual momentum is -H."""
         C = section.canonical
-        fields = tuple(
-            name
-            for name in C.chart.coordinates
-            if name not in C.x_names and name != C.p_name and name not in C.parameters
-        )
-        h_jet = section.hamiltonian.rename_chart(cls._jet_chart(C, fields))
-        return cls._build(C, fields, eliminated={C.p_name: -h_jet})
+        fields = C.y_names + C.momentum_names + C.s_names
+        symbols = tuple(jet_name(f, x) for f in fields for x in C.x_names)
+        start = len(C.x_names) + len(fields)
+        chart = Chart(C.x_names + fields + symbols + C.parameters)
+        coord = lambda name: Coefficient.coordinate(chart, name)
+        dx = {x: DiffForm.differential(chart, x) for x in C.x_names}
+        scalar_images: dict[str, Coefficient] = {}
+        form_images: dict[str, DiffForm] = {}
+        for x in C.x_names:
+            scalar_images[x] = coord(x)
+            form_images[x] = dx[x]
+        for f in fields:
+            scalar_images[f] = coord(f)
+            df = DiffForm.zero(chart, 1)
+            for x in C.x_names:
+                df = df + dx[x].scale(coord(jet_name(f, x)))
+            form_images[f] = df
+        for prm in C.parameters:
+            scalar_images[prm] = coord(prm)
+            form_images[prm] = DiffForm.zero(chart, 1)
+        # p = -H, and dp is the total differential of -H through the jets
+        image = -section.hamiltonian.rename_chart(chart)
+        slopes = {f: image.partial(f) for f in fields if image.depends_on(f)}
+        d_image = DiffForm.zero(chart, 1)
+        for x in C.x_names:
+            total = image.partial(x)
+            for f, slope in slopes.items():
+                total = total + slope * coord(jet_name(f, x))
+            d_image = d_image + dx[x].scale(total)
+        scalar_images[C.p_name] = image
+        form_images[C.p_name] = d_image
+        return cls(C, chart, fields, range(start, start + len(symbols)), scalar_images, form_images)
 
     def jet_symbols(self) -> list[str]:
-        return [jet_name(f, x) for f in self.fields for x in self.canonical.x_names]
+        return [self.chart.coordinates[k] for k in self.jets]
 
     def pull_scalar(self, c: Coefficient) -> Coefficient:
         if c.chart != self.canonical.chart:
@@ -687,30 +680,26 @@ def _top_coefficient(J: JetSection, omega: DiffForm) -> Coefficient:
     return omega.terms.get(xkey, Coefficient.zero(J.chart))
 
 
-def _jet_degree(expo: tuple[int, ...], jet_positions: set[int]) -> int:
-    return sum(k for i, k in enumerate(expo) if i in jet_positions)
-
-
 def _hdw_system(
-    C: CanonicalStructure, h: HamiltonianSection | DiffForm, jet: JetSection | None
+    C: CanonicalStructure, section: HamiltonianSection
 ) -> tuple[list[Coefficient], dict[str, Coefficient], DiffForm]:
     """Emit the covariant Hamilton equations, the solved pivot images and
     the dissipation form sigma_h they were built with.
 
-    The raw equations are the pullbacks of (Theta + h) and of
-    iota_xi (d + sigma_h ^)(Theta + h) for xi over the coordinate fields.
+    The raw equations are the pullbacks, along the section's jet, of
+    (Theta + h) and of iota_xi (d + sigma_h ^)(Theta + h) for xi over the
+    coordinate fields.  A term's jet degree is its exponent sum over the
+    jet block, and a degree-1 term's column is the one jet it carries.
     Equations affine in the jet symbols are reduced to a canonical echelon
     system whose heads are, in order: the first jet of s^0, the jets of the
     fields y^i, and the first jets of the momenta p^0_i.  Higher-degree
     equations are reduced modulo the solved heads and emitted only if
     anything survives.
     """
-    if isinstance(h, HamiltonianSection):
-        if jet is None:
-            jet = JetSection.for_hamiltonian_section(h)
-    elif jet is None:
-        raise StructuralError("a jet section is required when h is a bare form")
-    h_form = _as_h_form(h)
+    if not isinstance(section, HamiltonianSection):
+        raise StructuralError("the covariant Hamilton equations need a HamiltonianSection")
+    jet = section.jet
+    h_form = section.h_form
     sigma = dissipation_form(C, h_form)
     total = C.theta + h_form
     curl = exterior_derivative(total) + wedge(sigma, total)
@@ -723,33 +712,25 @@ def _hdw_system(
         raw.append(_top_coefficient(jet, jet.pull(interior_product(xi, curl))))
 
     chart = jet.chart
-    jets = jet.jet_symbols()
-    jet_positions = {chart.index(j) for j in jets}
+    lo, hi = jet.jets.start, jet.jets.stop
 
     # canonical column order: the echelon heads first
-    heads = []
-    if C.s_names[0] in jet.fields:
-        heads.append(jet_name(C.s_names[0], C.x_names[0]))
-    for y in C.y_names:
-        if y in jet.fields:
-            heads.extend(jet_name(y, x) for x in C.x_names)
-    for i in range(C.spec.m):
-        pm = C.momentum_name(0, i)
-        if pm in jet.fields:
-            heads.append(jet_name(pm, C.x_names[0]))
-    columns = heads + [j for j in jets if j not in heads]
+    x0 = C.x_names[0]
+    heads = [jet_name(C.s_names[0], x0)]
+    heads += [jet_name(y, x) for y in C.y_names for x in C.x_names]
+    heads += [jet_name(C.momentum_name(0, i), x0) for i in range(C.spec.m)]
+    columns = heads + [j for j in jet.jet_symbols() if j not in heads]
 
     # row keys: the position of a column in ``columns``, and len(columns)
     # for the constant term; a term of jet degree 0 is constant, and one of
-    # jet degree 1 goes, its jet factor removed, to the column of each jet
-    # position where its exponent is 1
+    # jet degree 1 goes, its jet factor removed, to the column of that jet
     column_of = {chart.index(col): k for k, col in enumerate(columns)}
     affine_rows = []
     leftovers = []
     for eq in raw:
         if eq.is_zero():
             continue
-        degrees = [_jet_degree(expo, jet_positions) for expo in eq.terms]
+        degrees = [sum(expo[lo:hi]) for expo in eq.terms]
         if max(degrees) > 1:
             leftovers.append(eq)
             continue
@@ -757,12 +738,9 @@ def _hdw_system(
         for (expo, value), degree in zip(eq.terms.items(), degrees):
             if degree == 0:
                 entries.setdefault(len(columns), {})[expo] = value
-            elif degree == 1:
-                for pos, k in column_of.items():
-                    if expo[pos] == 1:
-                        reduced = list(expo)
-                        reduced[pos] = 0
-                        entries.setdefault(k, {})[tuple(reduced)] = value
+            else:
+                pos = expo.index(1, lo, hi)
+                entries.setdefault(column_of[pos], {})[expo[:pos] + (0,) + expo[pos + 1 :]] = value
         affine_rows.append({k: Coefficient(chart, entries[k]) for k in sorted(entries)})
 
     emitted: list[Coefficient] = []
@@ -787,10 +765,9 @@ def _hdw_system(
     return emitted, solved, sigma
 
 
-def hdw_residuals(
-    C: CanonicalStructure, h: HamiltonianSection | DiffForm, jet: JetSection | None = None
-) -> list[Coefficient]:
-    """The covariant Hamilton equations of h as exact jet-space residuals.
+def hdw_residuals(C: CanonicalStructure, section: HamiltonianSection) -> list[Coefficient]:
+    """The covariant Hamilton equations of a Hamiltonian section as exact
+    jet-space residuals.
 
     For a Hamiltonian section with Hamiltonian H the emitted system is, in
     order:
@@ -799,40 +776,36 @@ def hdw_residuals(
     * dy^i/dx^mu - dH/dp^mu_i           (one equation per i, mu),
     * sum_mu dp^mu_i/dx^mu + dH/dy^i + (dH/ds^mu) p^mu_i   (one per i).
     """
-    emitted, _, _ = _hdw_system(C, h, jet)
+    emitted, _, _ = _hdw_system(C, section)
     return emitted
 
 
 def _hdw_reduce(jet: JetSection, solved: Mapping[str, Coefficient], value: Coefficient) -> Coefficient:
-    images = {name: Coefficient.coordinate(jet.chart, name) for name in jet.chart.coordinates}
-    images.update(solved)
+    """Substitute the solved heads into value; every other coordinate of
+    its support stays itself."""
+    images = {
+        name: solved[name] if name in solved else Coefficient.coordinate(jet.chart, name)
+        for name in value.support()
+    }
     return value.substitute(images, jet.chart)
 
 
-def evolution_residual(
-    C: CanonicalStructure,
-    h: HamiltonianSection | DiffForm,
-    data: ConformalData,
-    jet: JetSection | None = None,
-) -> Coefficient:
+def evolution_residual(C: CanonicalStructure, section: HamiltonianSection, data: ConformalData) -> Coefficient:
     """Residual of the evolution law of a conformal Hamiltonian form.
 
     For alpha with vector-type conformal data the on-shell law reads
     psi*(d alpha) = psi*( -r h - iota_X dh - sigma_h ^ alpha
     + sigma_h ^ iota_X h ) with r the Reeb coefficient of d alpha; the
-    difference of both sides is pulled back and reduced modulo the solved
-    covariant Hamilton system.  A zero return certifies the law.
+    difference of both sides is pulled back along the section's jet and
+    reduced modulo the solved covariant Hamilton system.  A zero return
+    certifies the law.
     """
     if data.structure is not C:
         raise StructuralError("conformal data does not live on the given structure")
     if data.degree != 1:
         raise DomainError("the evolution law applies to data with a vector transformation")
-    if isinstance(h, HamiltonianSection) and jet is None:
-        jet = JetSection.for_hamiltonian_section(h)
-    if jet is None:
-        raise StructuralError("a jet section is required when h is a bare form")
-    h_form = _as_h_form(h)
-    _, solved, sigma = _hdw_system(C, h, jet)
+    _, solved, sigma = _hdw_system(C, section)
+    jet, h_form = section.jet, section.h_form
 
     alpha, X = data.alpha, data.x_field
     reeb_coefficient = -data.v_field.scalar()
@@ -926,7 +899,8 @@ def gamma_obstruction(S: NFormStructure, h: DiffForm, R: MultiVector, v: MultiVe
     """Obstruction class L_R iota_v h - iota_v d iota_R h modulo the image
     of the flat map.  A nonzero value exhibits a Hamiltonian form whose
     dynamics depends on the choice of Reeb direction."""
-    report = hamiltonian_subbundle_check(S, h)
+    span = _flat_image_span(S, _reeb_kernel_basis(S))
+    report = _subbundle_membership(S, h, span)
     if not report.ok:
         raise DomainError(f"h is not a Hamiltonian form: {report.details}")
     for W, label in ((R, "R"), (v, "v")):
@@ -937,4 +911,4 @@ def gamma_obstruction(S: NFormStructure, h: DiffForm, R: MultiVector, v: MultiVe
     raw = lie_derivative(R, interior_product(v, h)) - interior_product(
         v, exterior_derivative(interior_product(R, h))
     )
-    return _mod_flat_representative(S, raw, _flat_image_span(S, _reeb_kernel_basis(S)))
+    return _mod_flat_representative(S, raw, span)

@@ -38,9 +38,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .coeffring import Chart, Coefficient
 from .errors import DegreeError, DomainError, StructuralError, ValidationError

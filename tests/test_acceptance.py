@@ -481,7 +481,7 @@ def test_criterion_08_field_equations(capsys):
             assert all(H.depends_on(c) for c in CAN21.chart.coordinates if c != CAN21.p_name)
             section = hamiltonian_section(CAN21, H)
             J = JetSection.for_hamiltonian_section(section)
-            assert hdw_residuals(CAN21, section, J) == _reference_hdw_system(CAN21, H, J)
+            assert hdw_residuals(CAN21, section) == _reference_hdw_system(CAN21, H, J)
 
         # the worked quadratic example, through the command-line emitter
         code, out = _run_cli(
@@ -578,7 +578,7 @@ def test_field_equations_and_distortion_at_8_2():
             expected = expected + DiffForm.differential(C.chart, f"x{mu}").scale(H.partial(f"s{mu}"))
         assert dissipation_form(C, section) == expected
         J = JetSection.for_hamiltonian_section(section)
-        assert hdw_residuals(C, section, J) == _reference_hdw_system(C, H, J)
+        assert hdw_residuals(C, section) == _reference_hdw_system(C, H, J)
     print(
         "(8, 2): PASS — the distortion table vanishes and is symmetric, sigma carries the "
         f"s-gradient, and the emitted equations match the independent rebuild [{clock.stamp()}]"

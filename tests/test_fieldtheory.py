@@ -459,6 +459,26 @@ def test_sections_are_good(rng):
         assert good_hamiltonian_check(CAN, section.h_form).ok
 
 
+def test_flat_images_are_eliminated_once_per_check(monkeypatch, rng):
+    # good_hamiltonian_check tests 1 + k memberships, and gamma_obstruction
+    # tests one and reduces one form: each eliminates the flat images once
+    S = build_canonical(3, 2)
+    h = hamiltonian_section(S, rand_hamiltonian(rng, S)).h_form
+    R, v = (MultiVector.basis_vector(S.chart, s) for s in S.s_names[:2])
+    calls = []
+
+    def counting_rref(*args, **kwargs):
+        calls.append(args)
+        return rref(*args, **kwargs)
+
+    for module in (linalg, structures, fieldtheory):
+        monkeypatch.setattr(module, "rref", counting_rref)
+    assert good_hamiltonian_check(S, h).ok
+    assert len(calls) == 1
+    assert gamma_obstruction(S, h, R, v).is_zero()
+    assert len(calls) == 2
+
+
 def test_section_rejects_residual_momentum_dependence():
     with pytest.raises(DomainError):
         hamiltonian_section(CAN, C("p") * C("y"))
@@ -507,7 +527,7 @@ def test_sigma_vanishes_without_action_dependence():
 
 
 def test_generic_jet_section_differentials():
-    J = JetSection.generic(CAN)
+    J = hamiltonian_section(CAN, C("p0") ** 2 + C("y") * C("s1")).jet
     pulled = J.pull(DiffForm.differential(CAN.chart, "y"))
     expected = DiffForm.differential(J.chart, "x0").scale(
         Coefficient.coordinate(J.chart, jet_name("y", "x0"))
@@ -515,7 +535,6 @@ def test_generic_jet_section_differentials():
         Coefficient.coordinate(J.chart, jet_name("y", "x1"))
     )
     assert pulled == expected
-    assert "p" in J.fields
 
 
 def test_hamiltonian_jet_section_eliminates_the_residual_momentum():
@@ -542,8 +561,20 @@ def test_hamiltonian_jet_section_eliminates_the_residual_momentum():
 
 
 def test_jet_pullback_of_the_volume():
-    J = JetSection.generic(CAN)
+    J = hamiltonian_section(CAN, C("p0") ** 2 + C("y") * C("s1")).jet
     assert J.pull(CAN.volume) == DiffForm.volume(J.chart, ("x0", "x1"))
+
+
+@pytest.mark.parametrize("n, m, parameters", [(2, 1, ()), (2, 3, ()), (4, 2, ()), (3, 2, ("g", "k"))])
+def test_jet_symbols_fill_one_block_of_the_jet_chart(n, m, parameters):
+    S = build_canonical(n, m, parameters)
+    J = hamiltonian_section(S, Coefficient.coordinate(S.chart, S.s_names[0])).jet
+    assert J.fields == S.y_names + S.momentum_names + S.s_names
+    symbols = tuple(jet_name(f, x) for f in J.fields for x in S.x_names)
+    assert J.chart.coordinates[J.jets.start : J.jets.stop] == symbols
+    assert tuple(J.jet_symbols()) == symbols
+    assert J.chart.coordinates[: J.jets.start] == S.x_names + J.fields
+    assert J.chart.coordinates[J.jets.stop :] == S.parameters
 
 
 # --------------------------------------------------------------------------
@@ -584,7 +615,7 @@ def test_hdw_quadratic_action_dependent_example():
     H = (C("p0") ** 2 + C("p1") ** 2).scale(Fraction(1, 2)) + C("s0").scale(gamma)
     section = hamiltonian_section(CAN, H)
     J = JetSection.for_hamiltonian_section(section)
-    eqs = hdw_residuals(CAN, section, J)
+    eqs = hdw_residuals(CAN, section)
     coord = lambda n: Coefficient.coordinate(J.chart, n)
     assert eqs == [
         coord("s0_x0")
@@ -602,7 +633,7 @@ def test_hdw_matches_reference_system_for_random_hamiltonians(rng):
         H = rand_hamiltonian(rng, CAN)
         section = hamiltonian_section(CAN, H)
         J = JetSection.for_hamiltonian_section(section)
-        assert hdw_residuals(CAN, section, J) == expected_hdw_system(CAN, H, J)
+        assert hdw_residuals(CAN, section) == expected_hdw_system(CAN, H, J)
 
 
 @pytest.mark.parametrize("n, m", [(4, 1), (4, 2)])
@@ -620,14 +651,14 @@ def test_sigma_and_hdw_at_four_variables(rng, n, m):
             sigma = sigma + DiffForm.differential(S.chart, S.x_names[mu]).scale(H.partial(s))
         assert dissipation_form(S, section) == sigma
         J = JetSection.for_hamiltonian_section(section)
-        assert hdw_residuals(S, section, J) == expected_hdw_system(S, H, J)
+        assert hdw_residuals(S, section) == expected_hdw_system(S, H, J)
 
 
 def test_hdw_constant_hamiltonian():
     H = Coefficient.constant(CAN.chart, Fraction(3, 7))
     section = hamiltonian_section(CAN, H)
     J = JetSection.for_hamiltonian_section(section)
-    eqs = hdw_residuals(CAN, section, J)
+    eqs = hdw_residuals(CAN, section)
     assert eqs == expected_hdw_system(CAN, H, J)
     assert len(eqs) == 4
 
@@ -637,7 +668,7 @@ def test_hdw_for_two_fields(rng):
     H = rand_hamiltonian(rng, S)
     section = hamiltonian_section(S, H)
     J = JetSection.for_hamiltonian_section(section)
-    eqs = hdw_residuals(S, section, J)
+    eqs = hdw_residuals(S, section)
     assert eqs == expected_hdw_system(S, H, J)
     assert len(eqs) == 1 + 4 + 2
 
@@ -647,9 +678,16 @@ def test_hdw_for_three_variables(rng):
     H = rand_hamiltonian(rng, S, max_terms=3)
     section = hamiltonian_section(S, H)
     J = JetSection.for_hamiltonian_section(section)
-    eqs = hdw_residuals(S, section, J)
+    eqs = hdw_residuals(S, section)
     assert eqs == expected_hdw_system(S, H, J)
     assert len(eqs) == 1 + 3 + 1
+
+
+def test_hdw_at_eight_variables_and_two_fields(rng):
+    S = build_canonical(8, 2)
+    H = rand_hamiltonian(rng, S, max_terms=6)
+    section = hamiltonian_section(S, H)
+    assert hdw_residuals(S, section) == expected_hdw_system(S, H, section.jet)
 
 
 def test_hdw_requires_a_jet_section_for_bare_forms():
@@ -667,18 +705,16 @@ def test_evolution_residual_vanishes_on_elementary_forms(rng):
     for _ in range(3):
         H = rand_hamiltonian(rng, CAN)
         section = hamiltonian_section(CAN, H)
-        J = JetSection.for_hamiltonian_section(section)
         for row in rows:
-            assert evolution_residual(CAN, section, row.data, J).is_zero()
+            assert evolution_residual(CAN, section, row.data).is_zero()
 
 
 def test_evolution_residual_vanishes_on_random_vertical_data(rng):
     for _ in range(5):
         H = rand_hamiltonian(rng, CAN)
         section = hamiltonian_section(CAN, H)
-        J = JetSection.for_hamiltonian_section(section)
         data = rand_fg_data(rng, CAN, 2, 1)
-        assert evolution_residual(CAN, section, data, J).is_zero()
+        assert evolution_residual(CAN, section, data).is_zero()
 
 
 def test_evolution_rejects_higher_degree_data(rng):
@@ -724,7 +760,7 @@ def test_dissipated_quantity_on_shell(rng):
     section = hamiltonian_section(CAN, C("p1") * C("x0") + C("s0").scale(Fraction(1, 2)))
     assert dissipated_check(CAN, section, row3.data)
     J = JetSection.for_hamiltonian_section(section)
-    _, solved, _ = _hdw_system(CAN, section, J)
+    _, solved, _ = _hdw_system(CAN, section)
     sigma = dissipation_form(CAN, section)
     alpha = row3.data.alpha
     onshell = _top_coefficient(J, J.pull(exterior_derivative(alpha) + wedge(sigma, alpha)))

@@ -147,3 +147,39 @@ def test_solves_do_not_enumerate_every_index_tuple():
                     offenders.append(f"{filename}:{node.name}")
     assert found == {(filename, name) for filename, names in sparse.items() for name in names}
     assert offenders == []
+
+
+def test_every_module_level_import_is_used():
+    """A name a module imports at its top level is read somewhere in that
+    module: in code, in a quoted annotation such as ``"JetSection"``, or
+    by ``__all__``."""
+    package = pathlib.Path(gjb.__file__).parent
+
+    def annotations(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                yield node.returns
+            elif isinstance(node, ast.arg) and node.annotation:
+                yield node.annotation
+            elif isinstance(node, ast.AnnAssign):
+                yield node.annotation
+
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for annotation in annotations(tree):
+            for node in ast.walk(annotation):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    quoted = ast.parse(node.value, mode="eval")
+                    used.update(inner.id for inner in ast.walk(quoted) if isinstance(inner, ast.Name))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == [], unused
