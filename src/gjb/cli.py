@@ -46,7 +46,6 @@ from .errors import DomainError, GjbError, ParseError, StructuralError, Validati
 from .exterior import DiffForm, MultiVector, interior_product
 from .fieldtheory import (
     CanonicalStructure,
-    _hdw_system,
     _table1_rows,
     build_canonical,
     dissipated_check,
@@ -464,7 +463,7 @@ def _cmd_hdw(args) -> int:
     C = _canonical_from_args(args, (args.H, "--H"))
     (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
     section = hamiltonian_section(C, H)
-    equations, _, sigma = _hdw_system(C, section)
+    equations, _, sigma = section.system
     labels = _hdw_labels(C, len(equations))
     if args.format == "json":
         import json as _json

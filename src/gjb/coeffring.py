@@ -1,40 +1,70 @@
 """Exact scalar functions on a coordinate chart.
 
 A Coefficient is a sparse Laurent polynomial over Q in the chart's
-coordinates.  Representation: a dict mapping exponent vectors (one signed
-int per chart coordinate, as a tuple) to nonzero exact rationals, each an
-`int` or a `Fraction`.  Values enter as `int` when integral, so most
-products take Python's integer path.  The ring operations here may leave
-an integral value as a `Fraction`, which compares, hashes and prints
-exactly like the `int`; the graded products of `exterior` (its product
-kernel) never do, since they divide once per result term.  The zero
-polynomial is the empty dict.  Negative exponents are
-allowed only for coordinates the chart flags as nonvanishing; everything
-else is ordinary polynomial data.  No floats and no bools anywhere: every
-division and every negative power has a `Fraction` operand.
+coordinates.  Representation: a dict mapping packed exponent keys (one
+int per monomial, below) to nonzero exact rationals, each an `int` or a
+`Fraction`.  Values enter as `int` when integral, so most products take
+Python's integer path.  The ring operations here may leave an integral
+value as a `Fraction`, which compares, hashes and prints exactly like the
+`int`; the graded products of `exterior` (its product kernel) never do,
+since they divide once per result term.  The zero polynomial is the
+empty dict.  Negative exponents are allowed only for coordinates the
+chart flags as nonvanishing; everything else is ordinary polynomial
+data.  No floats and no bools anywhere: every division and every
+negative power has a `Fraction` operand.
+
+Packed keys (the layout of Monagan and Pearce's packed exponent vectors).
+A key holds one `_WIDTH`-bit slot per chart coordinate, the first
+coordinate in the most significant slot, and a slot stores its exponent
+plus `_BIAS`.  So a key's int order is the lexicographic order of its
+exponent vectors, and the key of the zero vector, `Chart.origin`, holds
+`_BIAS` in every slot.  The layout depends on the chart's dimension only,
+so equal charts pack alike.  A monomial product is `e1 + e2 - origin`, a
+partial derivative subtracts its slot's unit, a unit's inverse is
+`2*origin - e`, and the support, `is_unit` and `depends_on` are mask
+tests.  An exponent lies in [-`_BIAS`, `_BIAS`); the top bit of each slot
+is a guard bit that every valid key keeps clear.  A sum of two valid
+keys minus the origin (or one less) cannot carry past its slot, and a
+slot that leaves the range, above or below, sets its guard bit.  So each
+operation ORs its result keys together (every key it formed, cancelled
+ones included, where a cancellation could hide one) and tests the guard
+bits once: an exponent that would leave its slot raises `DomainError`
+instead of carrying into its neighbour.  `**` tests its bound before it
+multiplies, from the slotwise extremes of its operand.  Tuples appear
+only at the boundary: the validating constructor takes tuple-keyed maps
+and packs them (`Chart.pack`), and text, JSON and the tuple view
+`exponent_terms` unpack (`Chart.unpack`).  The layout is read here
+only: the other modules reach packed keys through `Chart.origin` and the
+helpers `_partial_terms` (a partial of raw terms), `_block` (a key's
+exponents at a range of positions), `_slot_bound` (slotwise extremes),
+`_slots_at_least` (a slotwise comparison), `_positions`, `_check_range`
+and `_negative_name`.
 
 Coefficients are immutable by convention: all operations return new
 objects and nothing mutates `terms` after construction.
 
 Construction has a validating boundary and a trusted interior.  The
 public constructor checks every term (an exact rational value, an
-exponent vector of the chart's length, negative exponents only on
-nonvanishing coordinates) and drops zeros; parsing, `unit_inverse`,
-`substitute` and `rename_chart` go through it.  The named builders
-`zero`, `constant`, `one` and `coordinate` check their arguments instead
-and are then trusted: the one term they write has an exponent vector of
-the chart's length by construction, `Chart.index` refuses an unknown
-name, a negative power is refused on a coordinate not flagged
-nonvanishing, `_as_rational` stores the value as the boundary would, and
-a zero value writes no term.  The results of `+`, `-`, `*`, `scale`,
+integer exponent vector of the chart's length, every exponent inside its
+slot, negative exponents only on nonvanishing coordinates) and drops
+zeros.  `_checked` applies the same checks to packed keys, for
+`unit_inverse`, `substitute`, `rename_chart`, `linalg.exact_divide` and
+the sums `dsl` reads back from stored text.  The named builders `zero`,
+`constant`, `one` and `coordinate` check their arguments instead and are
+then trusted: the one term they write has a key of the chart's layout
+by construction, `Chart.index` refuses an unknown name, a negative power
+is refused on a coordinate not flagged nonvanishing and a power outside
+the slot range is refused, `_as_rational` stores the value as the
+boundary would, and a zero value writes no term; parsing builds from
+them and the ring operations.  The results of `+`, `-`, `*`, `scale`,
 positive powers and `partial` are built by `_trusted`, which checks
-nothing, because the ring is closed under them: both operands are on
-one chart (`_check_mate`), so exponent vectors keep its length;
-negation and scaling keep the exponents; an exponent of a product is negative only
-where an operand's was, on a nonvanishing coordinate; `partial` drops
-the terms whose exponent in its coordinate is 0, so it makes a negative
-exponent only where one already was; and `_accumulate` never keeps a
-zero.
+nothing, because the ring is closed under them up to the slot range,
+which each of them tests through the guard bits: both operands are on
+one chart (`_check_mate`), so keys keep its layout; negation and scaling
+keep the keys; an exponent of a product is negative only where an
+operand's was, on a nonvanishing coordinate; `partial` drops the terms
+whose exponent in its coordinate is 0, so it makes a negative exponent
+only where one already was; and no result keeps a zero.
 
 The textual form is `3/2*s0*y^2 - 1*z^-1`: terms joined by signs, each
 term a rational prefix followed by `name^exponent` factors with the names
@@ -52,9 +82,11 @@ from __future__ import annotations
 
 import operator
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from functools import reduce
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DomainError, ParseError, StructuralError
 
@@ -72,6 +104,14 @@ __all__ = [
 _DIGITS = frozenset("0123456789")
 _NAME_OK = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_") | _DIGITS
 
+# the packed layout (module docstring): a slot of _WIDTH bits holds an
+# exponent in [-_BIAS, _BIAS) as exponent + _BIAS, below its guard bit;
+# Chart.pack and Chart.unpack read a slot as a big-endian unsigned short
+_WIDTH = 16
+_BIAS = 1 << (_WIDTH - 2)
+_SLOT = (1 << _WIDTH) - 1
+_GUARD = 1 << (_WIDTH - 1)
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -79,6 +119,13 @@ class Chart:
 
     The nonvanishing flag is what licenses negative exponents (Laurent
     directions) for that coordinate in every Coefficient on the chart.
+
+    The chart also holds the packed layout of its Coefficients' keys
+    (module docstring), computed once from the fields: ``origin``, the
+    key of the zero exponent vector; ``_guards``, the guard bit of every
+    slot; ``_shifts``, the bit offset of each coordinate's slot;
+    ``_polynomial``, the lowest bit of each slot of a coordinate not
+    flagged nonvanishing; and ``_format``, the struct format of one key.
     """
 
     coordinates: tuple[str, ...]
@@ -99,6 +146,18 @@ class Chart:
         extra = set(self.nonvanishing) - set(self.coordinates)
         if extra:
             raise StructuralError(f"nonvanishing flags for unknown coordinates {sorted(extra)}")
+        n = len(self.coordinates)
+        ones = ((1 << (_WIDTH * n)) - 1) // _SLOT  # the lowest bit of every slot
+        shifts = tuple(_WIDTH * (n - 1 - i) for i in range(n))
+        layout = {
+            "origin": _BIAS * ones,
+            "_guards": _GUARD * ones,
+            "_shifts": shifts,
+            "_polynomial": sum(1 << s for s, name in zip(shifts, self.coordinates) if name not in self.nonvanishing),
+            "_format": f">{n}H",
+        }
+        for name, value in layout.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
@@ -114,6 +173,125 @@ class Chart:
         """New chart with one appended coordinate."""
         flags = set(self.nonvanishing) | ({name} if nonvanishing else set())
         return Chart(self.coordinates + (name,), frozenset(flags))
+
+    def pack(self, expo) -> int:
+        """The key of an exponent vector: StructuralError for a wrong
+        length or a non-integer exponent, DomainError for an exponent
+        outside its slot's range."""
+        if len(expo) != self.dimension:
+            raise StructuralError(f"exponent vector {expo} has length {len(expo)}, chart has {self.dimension}")
+        for k in expo:
+            if not isinstance(k, int):
+                raise StructuralError(f"exponent vector {expo} holds a non-integer exponent")
+            if not -_BIAS <= k < _BIAS:
+                raise DomainError(f"exponent {k} is outside the range [{-_BIAS}, {_BIAS - 1}] of a slot")
+        return int.from_bytes(struct.pack(self._format, *[k + _BIAS for k in expo]), "big")
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a valid key."""
+        return tuple(v - _BIAS for v in struct.unpack(self._format, key.to_bytes(2 * self.dimension, "big")))
+
+
+def _slots(chart: Chart, mask: int) -> Iterator[tuple[int, int]]:
+    """``(position, bit offset)`` of each slot where ``mask`` has a bit
+    set, positions ascending; only those slots are visited."""
+    last = chart.dimension - 1
+    while mask:
+        slot = (mask.bit_length() - 1) // _WIDTH
+        shift = slot * _WIDTH
+        yield last - slot, shift
+        mask &= (1 << shift) - 1
+
+
+def _exponents(chart: Chart, key: int) -> Iterator[tuple[int, int]]:
+    """``(position, exponent)`` for each nonzero exponent of a valid key,
+    positions ascending."""
+    for i, shift in _slots(chart, key ^ chart.origin):
+        yield i, ((key >> shift) & _SLOT) - _BIAS
+
+
+def _positions(chart: Chart, keys: Iterable[int]) -> list[int]:
+    """The positions, ascending, where some key has a nonzero exponent."""
+    origin = chart.origin
+    mask = 0
+    for key in keys:
+        mask |= key ^ origin
+    return [i for i, _ in _slots(chart, mask)]
+
+
+def _partial_terms(chart: Chart, terms: Mapping[int, int | Fraction], i: int, offset: int = 0) -> dict:
+    """∂/∂xⁱ of packed terms, each result key less ``offset``: a term with
+    a nonzero exponent k in slot i goes to its key less the slot's unit,
+    times k, and any other term drops.  Distinct keys stay distinct, so
+    no sum is formed and no zero arises; the caller tests the range."""
+    shift = chart._shifts[i]
+    lowered = (1 << shift) + offset
+    out = {}
+    for key, value in terms.items():
+        k = ((key >> shift) & _SLOT) - _BIAS
+        if k:
+            out[key - lowered] = value * k
+    return out
+
+
+def _block(chart: Chart, key: int, lo: int, hi: int) -> tuple[int, list[tuple[int, int]]]:
+    """A valid key with its exponents at positions lo <= i < hi set to
+    zero, and those of them that are nonzero, as ``(position, exponent)``
+    pairs, positions ascending."""
+    origin = chart.origin
+    inside = (key ^ origin) & (((1 << ((hi - lo) * _WIDTH)) - 1) << chart._shifts[hi - 1])
+    if not inside:
+        return key, []
+    return key ^ inside, list(_exponents(chart, origin ^ inside))
+
+
+def _slots_at_least(chart: Chart, a: int, b: int) -> bool:
+    """Whether every slot of ``a`` is at least the same slot of ``b``, for
+    two keys whose every slot is below its guard bit: with the guard bits
+    set on ``a``, no slot of the difference borrows from its neighbour,
+    and a guard bit survives exactly where ``a``'s slot is the larger."""
+    guards = chart._guards
+    return ((a | guards) - b) & guards == guards
+
+
+def _check_range(chart: Chart, seen: int) -> None:
+    """Refuse a result whose keys OR to ``seen``: a guard bit set there
+    means an exponent left its slot."""
+    if seen & chart._guards:
+        raise DomainError(f"an exponent leaves the range [{-_BIAS}, {_BIAS - 1}] of its slot")
+
+
+def _negative_name(chart: Chart, keys: Iterable[int]) -> str | None:
+    """The first coordinate not flagged nonvanishing on which some valid
+    key has a negative exponent (its slot below ``_BIAS``), or None."""
+    need = chart._polynomial * _BIAS
+    common = need
+    for key in keys:
+        common &= key
+    missing = need & ~common
+    if not missing:
+        return None
+    return chart.coordinates[chart.dimension - 1 - (missing.bit_length() - 1) // _WIDTH]
+
+
+def _refuse_negative(chart: Chart, keys: Iterable[int]) -> None:
+    name = _negative_name(chart, keys)
+    if name is not None:
+        raise DomainError(f"negative exponent on {name!r}, which is not flagged nonvanishing")
+
+
+def _slot_bound(chart: Chart, keys: Iterable[int], upper: bool = False) -> int:
+    """The key of the slotwise minimum (maximum with ``upper``) of some
+    valid keys, slot by slot in ints: with every guard bit set on one side
+    no slot of a difference borrows from its neighbour, and the guard bit
+    left over says which side is at least the other."""
+    guards = chart._guards
+    keys = iter(keys)
+    bound = next(keys)
+    for key in keys:
+        ge = ((((bound | guards) - key) & guards) >> (_WIDTH - 1)) * _SLOT
+        bound ^= (bound ^ key) & (~ge if upper else ge)
+    return bound
 
 
 def _as_rational(value) -> int | Fraction:
@@ -153,32 +331,37 @@ class Coefficient:
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        packed: dict[int, int | Fraction] = {}
         for expo, coeff in (terms or {}).items():
             coeff = _as_rational(coeff)
-            if coeff == 0:
-                continue
-            if len(expo) != chart.dimension:
-                raise StructuralError(
-                    f"exponent vector {expo} has length {len(expo)}, chart has {chart.dimension}"
-                )
-            for k, name in zip(expo, chart.coordinates):
-                if k < 0 and name not in chart.nonvanishing:
-                    raise DomainError(
-                        f"negative exponent on {name!r}, which is not flagged nonvanishing"
-                    )
-            clean[tuple(expo)] = coeff
+            if coeff:
+                packed[chart.pack(expo)] = coeff
+        _refuse_negative(chart, packed)
         self.chart = chart
-        self.terms = clean
+        self.terms = packed
 
     @staticmethod
-    def _trusted(chart: Chart, terms: dict[tuple[int, ...], int | Fraction]) -> "Coefficient":
+    def _trusted(chart: Chart, terms: dict[int, int | Fraction]) -> "Coefficient":
         """A Coefficient over ``terms`` as they are, with no check and no
         copy: only for results the ring is closed under (module docstring)."""
         new = object.__new__(Coefficient)
         new.chart = chart
         new.terms = terms
         return new
+
+    @staticmethod
+    def _checked(chart: Chart, terms: Mapping[int, int | Fraction]) -> "Coefficient":
+        """The constructor's checks on packed keys: values stored as the
+        boundary stores them and zeros dropped, every exponent inside its
+        slot, negative exponents only on nonvanishing coordinates."""
+        clean: dict[int, int | Fraction] = {}
+        for key, coeff in terms.items():
+            coeff = _as_rational(coeff)
+            if coeff:
+                clean[key] = coeff
+        _check_range(chart, reduce(operator.or_, clean, 0))
+        _refuse_negative(chart, clean)
+        return Coefficient._trusted(chart, clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -189,27 +372,35 @@ class Coefficient:
     @staticmethod
     def constant(chart: Chart, value) -> "Coefficient":
         value = _as_rational(value)
-        return Coefficient._trusted(chart, {(0,) * chart.dimension: value} if value else {})
+        return Coefficient._trusted(chart, {chart.origin: value} if value else {})
 
     @staticmethod
     def one(chart: Chart) -> "Coefficient":
-        return Coefficient._trusted(chart, {(0,) * chart.dimension: 1})
+        return Coefficient._trusted(chart, {chart.origin: 1})
 
     @staticmethod
     def coordinate(chart: Chart, name: str, power: int = 1) -> "Coefficient":
-        expo = [0] * chart.dimension
-        expo[chart.index(name)] = power
+        i = chart.index(name)
         if power < 0 and name not in chart.nonvanishing:
             raise DomainError(f"negative exponent on {name!r}, which is not flagged nonvanishing")
-        return Coefficient._trusted(chart, {tuple(expo): 1})
+        if not isinstance(power, int) or not -_BIAS <= power < _BIAS:
+            raise DomainError(f"power {power} of {name!r} is not an integer in [{-_BIAS}, {_BIAS - 1}]")
+        return Coefficient._trusted(chart, {chart.origin + (power << chart._shifts[i]): 1})
 
     # -- queries -----------------------------------------------------------
+
+    def exponent_terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """The terms under their exponent vectors: the tuple view of the
+        packed keys, in the same order."""
+        unpack = self.chart.unpack
+        return {unpack(key): value for key, value in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(k == 0 for k in expo) for expo in self.terms)
+        origin = self.chart.origin
+        return all(key == origin for key in self.terms)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
@@ -223,33 +414,29 @@ class Coefficient:
         nonvanishing coordinates only."""
         if len(self.terms) != 1:
             return False
-        expo = next(iter(self.terms))
-        return all(
-            k == 0 or name in self.chart.nonvanishing
-            for k, name in zip(expo, self.chart.coordinates)
-        )
+        chart = self.chart
+        return not (next(iter(self.terms)) ^ chart.origin) & (chart._polynomial * _SLOT)
 
     def unit_inverse(self) -> "Coefficient":
         if not self.is_unit():
             raise DomainError(f"{self} is not a unit of the Laurent ring")
-        expo, coeff = next(iter(self.terms.items()))
-        return Coefficient(self.chart, {tuple(-k for k in expo): Fraction(1) / coeff})
+        key, coeff = next(iter(self.terms.items()))
+        return Coefficient._checked(self.chart, {2 * self.chart.origin - key: Fraction(1) / coeff})
 
     def depends_on(self, name: str) -> bool:
-        i = self.chart.index(name)
-        return any(expo[i] != 0 for expo in self.terms)
+        chart = self.chart
+        mask = _SLOT << chart._shifts[chart.index(name)]
+        zero = chart.origin & mask
+        return any(key & mask != zero for key in self.terms)
 
     def support(self) -> set[str]:
-        names = set()
-        for expo in self.terms:
-            for k, name in zip(expo, self.chart.coordinates):
-                if k != 0:
-                    names.add(name)
-        return names
+        names = self.chart.coordinates
+        return {names[i] for i in _positions(self.chart, self.terms)}
 
     def max_degree(self) -> int:
         """Largest total degree over the terms (sum of positive parts)."""
-        return max((sum(k for k in expo if k > 0) for expo in self.terms), default=0)
+        chart = self.chart
+        return max((sum(k for _, k in _exponents(chart, key) if k > 0) for key in self.terms), default=0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -288,12 +475,23 @@ class Coefficient:
         if not isinstance(other, Coefficient):
             return NotImplemented
         self._check_mate(other)
-        products = (
-            (tuple(map(operator.add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
-        )
-        return Coefficient._trusted(self.chart, _accumulate(products))
+        origin = self.chart.origin
+        terms: dict[int, int | Fraction] = {}
+        seen = 0
+        for e1, c1 in self.terms.items():
+            e1 -= origin
+            for e2, c2 in other.terms.items():
+                key = e1 + e2
+                seen |= key
+                value = c1 * c2
+                if key in terms:
+                    value += terms[key]
+                    if not value:
+                        del terms[key]
+                        continue
+                terms[key] = value
+        _check_range(self.chart, seen)
+        return Coefficient._trusted(self.chart, terms)
 
     __rmul__ = __mul__
 
@@ -312,6 +510,14 @@ class Coefficient:
             return Coefficient.one(self.chart)
         if n < 0:
             return self.unit_inverse() ** (-n)
+        if n > 1 and self.terms:
+            # the slotwise extremes of a power are n times the operand's
+            # (the ring has no zero divisors), so the bound is known first
+            unpack = self.chart.unpack
+            low = min(unpack(_slot_bound(self.chart, self.terms)))
+            high = max(unpack(_slot_bound(self.chart, self.terms, upper=True)))
+            if n * low < -_BIAS or n * high >= _BIAS:
+                raise DomainError(f"power {n} takes an exponent outside the range [{-_BIAS}, {_BIAS - 1}] of its slot")
         out = self
         for _ in range(n - 1):
             out = out * self
@@ -334,13 +540,9 @@ class Coefficient:
 
     def partial(self, name: str) -> "Coefficient":
         """Exact partial derivative; Laurent terms differentiate termwise."""
-        i = self.chart.index(name)
-        lowered = (
-            (expo[:i] + (expo[i] - 1,) + expo[i + 1 :], coeff * expo[i])
-            for expo, coeff in self.terms.items()
-            if expo[i] != 0
-        )
-        return Coefficient._trusted(self.chart, _accumulate(lowered))
+        terms = _partial_terms(self.chart, self.terms, self.chart.index(name))
+        _check_range(self.chart, reduce(operator.or_, terms, 0))
+        return Coefficient._trusted(self.chart, terms)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Evaluate at a rational point; every chart coordinate must be
@@ -358,11 +560,10 @@ class Coefficient:
         if unknown:
             raise StructuralError(f"values supplied for unknown coordinates {sorted(unknown)}")
         total = Fraction(0)
-        for expo, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             acc = coeff
-            for v, k in zip(values, expo):
-                if k == 0:
-                    continue
+            for i, k in _exponents(self.chart, key):
+                v = values[i]
                 if v == 0 and k < 0:
                     raise DomainError("division by zero while evaluating a Laurent term")
                 acc *= v**k
@@ -373,7 +574,7 @@ class Coefficient:
         """Ring morphism: replace every coordinate by its image (a
         Coefficient on `target`).  Negative powers require the image to be
         a unit."""
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[int, int | Fraction] = {}
         cache: dict[tuple[int, int], Coefficient] = {}
 
         def power(i: int, k: int) -> Coefficient:
@@ -384,43 +585,42 @@ class Coefficient:
                 cache[(i, k)] = images[name] ** k
             return cache[(i, k)]
 
-        for expo, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             term = Coefficient.constant(target, coeff)
-            for i, k in enumerate(expo):
-                if k != 0:
-                    term = term * power(i, k)
+            for i, k in _exponents(self.chart, key):
+                term = term * power(i, k)
             _accumulate(term.terms.items(), terms)
-        return Coefficient(target, terms)
+        return Coefficient._checked(target, terms)
 
     def rename_chart(self, target: Chart) -> "Coefficient":
-        """Reinterpret on `target` by coordinate name.  Purely positional
-        re-indexing."""
-        positions: dict[int, int] = {}
+        """Reinterpret on `target` by coordinate name: each nonzero
+        exponent moves to its coordinate's slot on `target`."""
+        shifts: dict[int, int] = {}
 
-        def position(i: int) -> int:
-            if i not in positions:
-                positions[i] = target.index(self.chart.coordinates[i])
-            return positions[i]
+        def shift(i: int) -> int:
+            if i not in shifts:
+                shifts[i] = target._shifts[target.index(self.chart.coordinates[i])]
+            return shifts[i]
 
-        def moved(expo: tuple[int, ...]) -> tuple[int, ...]:
-            new = [0] * target.dimension
-            for i, k in enumerate(expo):
-                if k != 0:
-                    new[position(i)] += k
-            return tuple(new)
+        def moved(key: int) -> int:
+            new = target.origin
+            for i, k in _exponents(self.chart, key):
+                new += k << shift(i)
+            return new
 
-        pairs = ((moved(expo), coeff) for expo, coeff in self.terms.items())
-        return Coefficient(target, _accumulate(pairs))
+        pairs = ((moved(key), coeff) for key, coeff in self.terms.items())
+        return Coefficient._checked(target, _accumulate(pairs))
 
     # -- display -----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[int, int | Fraction]]:
         """Canonical term order: exponents read along lexicographically
         sorted coordinate names, larger vectors first."""
         order = sorted(range(self.chart.dimension), key=lambda i: self.chart.coordinates[i])
+        unpack = self.chart.unpack
 
         def key(item):
-            expo, _ = item
+            expo = unpack(item[0])
             return tuple(-expo[i] for i in order)
 
         return sorted(self.terms.items(), key=key)
@@ -689,11 +889,13 @@ def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
     return "".join(pieces) or "0"
 
 
-def _term_text(chart: Chart, expo: tuple[int, ...], magnitude: Fraction, spelling: _Spelling, elide_unit: bool) -> str:
-    """One unsigned term: the rational, then the coordinate powers in name
-    order.  A rational 1 before a monomial is left out when ``elide_unit``
-    is set or the format never writes it."""
-    mono = spelling.product.join(spelling.power(name, k) for name, k in sorted(zip(chart.coordinates, expo)) if k)
+def _term_text(chart: Chart, key: int, magnitude: Fraction, spelling: _Spelling, elide_unit: bool) -> str:
+    """One unsigned term: the rational, then the coordinate powers of the
+    packed ``key`` in name order.  A rational 1 before a monomial is left
+    out when ``elide_unit`` is set or the format never writes it."""
+    names = chart.coordinates
+    powers = sorted((names[i], k) for i, k in _exponents(chart, key))
+    mono = spelling.product.join(spelling.power(name, k) for name, k in powers)
     if not mono:
         return spelling.rational(magnitude)
     if magnitude == 1 and (elide_unit or not spelling.unit_prefix):
@@ -703,7 +905,7 @@ def _term_text(chart: Chart, expo: tuple[int, ...], magnitude: Fraction, spellin
 
 def _coefficient_text(c: Coefficient, spelling: _Spelling, elide_unit: bool = False) -> str:
     return _signed_sum(
-        (value < 0, _term_text(c.chart, expo, abs(value), spelling, elide_unit)) for expo, value in c.sorted_terms()
+        (value < 0, _term_text(c.chart, key, abs(value), spelling, elide_unit)) for key, value in c.sorted_terms()
     )
 
 

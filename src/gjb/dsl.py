@@ -410,7 +410,10 @@ def _wedge_like(env: Environment, node: BinOp, left: Value, right: Value) -> Val
     operands of the same species take their exterior product."""
     ls, rs = _as_scalar(left), _as_scalar(right)
     if ls is not None and rs is not None:
-        return ls * rs
+        try:
+            return ls * rs
+        except DomainError as err:  # an exponent that leaves its slot
+            raise ParseError(str(err), node.line, node.column) from err
     if ls is not None:
         if isinstance(right, ConformalData):
             if ls.is_constant():
@@ -447,7 +450,7 @@ def _power(env: Environment, node: BinOp, left: Value, exponent: int) -> Value:
     if scalar is not None:
         try:
             return scalar**exponent
-        except DomainError as err:  # a negative power of a coordinate that may vanish
+        except DomainError as err:  # a negative power of a coordinate that may vanish, or past a slot
             raise ParseError(str(err), node.line, node.column) from err
     if isinstance(left, ConformalData):
         raise ParseError("conformal data has no powers", node.line, node.column)
@@ -666,7 +669,7 @@ def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure |
     if kind == "coefficient":
         target = _chart_of(payload, chart)
         texts = [_member(term, "coeff", str, "a serialized term") for term in _member(payload, "terms", list, "a serialized object")]
-        return lambda: Coefficient(
+        return lambda: Coefficient._checked(
             target, _accumulate(pair for text in texts for pair in _stored_coefficient(target, text).terms.items())
         )
     if kind in {"form", "multivector"}:

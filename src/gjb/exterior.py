@@ -46,18 +46,22 @@ of the result's degree, and every coefficient comes out of
 ``_accumulate``, which keeps no zero, or out of the product kernel.
 
 ``wedge`` and ``schouten_nijenhuis`` multiply through the product kernel
-(``_cleared``, ``_products``), which works fraction-free: each side's
-coefficients are multiplied by the lcm of their value denominators once,
-every term product is summed as an int per (key, exponent vector), and
+(``_cleared``, ``coeffring._partial_terms``, ``_products``), which works
+fraction-free on the ring's packed exponent keys (``coeffring``): each
+side's coefficients are multiplied by the lcm of their value
+denominators once, the right side's keys are taken less the chart's
+origin once per operand, so every term product is one int addition of
+keys and one int product of values, summed per (index tuple, key), and
 each sum is divided once by the product of the two lcms.  Its results
 are closed like the ring's: an exponent vector is a sum of two valid
-vectors of the chart's length (or a derivative's, which lowers an
-exponent only where it was nonzero, as ``Coefficient.partial`` does), so
-it is negative only where an operand's was, on a nonvanishing
-coordinate; a zero sum is dropped, and so is a key left with no term;
-and the one exact division gives an int whenever the value is integral
-and a reduced Fraction otherwise, so no kernel result holds a whole
-number as a Fraction.
+vectors (or a derivative's, which lowers an exponent only where it was
+nonzero, as ``Coefficient.partial`` does), so it is negative only where
+an operand's was, on a nonvanishing coordinate; every key formed is ORed
+into one guard-bit test, so an exponent that leaves its slot raises
+``DomainError``; a zero sum is dropped, and so is an index tuple left
+with no term; and the one exact division gives an int whenever the value
+is integral and a reduced Fraction otherwise, so no kernel result holds
+a whole number as a Fraction.
 
 Three operations skip work whose result would be thrown away, and each
 skip is exact:
@@ -70,11 +74,12 @@ skip is exact:
   negative ones included, in ascending order, since ∂c/∂xʲ is zero
   exactly off that support and the pieces keep the order of a loop over
   every coordinate;
-* rational scaling: ``scale`` by an int or a Fraction multiplies each
-  coefficient's values by it (``Coefficient.scale``), with the empty
-  object for 0, since a product with a constant
-  coefficient multiplies every value by that constant and keeps every
-  exponent vector and its order.
+* rational scaling: ``scale`` by an int, a Fraction, or a Coefficient
+  that is zero or a one-term constant (after the chart check) multiplies
+  each coefficient's values by it (``Coefficient.scale``), with the
+  empty object for 0, since a product with a constant coefficient
+  multiplies every value by that constant and keeps every exponent key
+  and its order.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Hashable, Iterable, Mapping
 
 from .coeffring import (
@@ -93,7 +99,10 @@ from .coeffring import (
     _Spelling,
     _accumulate,
     _as_rational,
+    _check_range,
     _coefficient_text,
+    _partial_terms,
+    _positions,
     _signed_sum,
     _term_text,
 )
@@ -139,10 +148,11 @@ def _merge_indices(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[i
 # -- the product kernel (see the module docstring) ---------------------------
 
 
-def _cleared(terms: Mapping[Hashable, Coefficient]) -> tuple[int, dict[Hashable, dict[tuple[int, ...], int]]]:
+def _cleared(terms: Mapping[Hashable, Coefficient], offset: int = 0) -> tuple[int, dict[Hashable, dict[int, int]]]:
     """The lcm L of the value denominators of the coefficients in
-    ``terms`` and, under the same keys, each one's terms times L: the same
-    exponent vectors, every value an int."""
+    ``terms`` and, under the same keys, each one's terms times L: every
+    value an int, every packed exponent key less ``offset`` (the chart's
+    origin for a right operand of ``_products``, none for a left one)."""
     L, integral = 1, True
     for c in terms.values():
         for v in c.terms.values():
@@ -151,29 +161,28 @@ def _cleared(terms: Mapping[Hashable, Coefficient]) -> tuple[int, dict[Hashable,
                 if L % v.denominator:
                     L = math.lcm(L, v.denominator)
     if integral:
-        return 1, {key: c.terms for key, c in terms.items()}
+        if not offset:
+            return 1, {key: c.terms for key, c in terms.items()}
+        return 1, {key: {e - offset: v for e, v in c.terms.items()} for key, c in terms.items()}
     return L, {
-        key: {e: v * L if type(v) is int else v.numerator * (L // v.denominator) for e, v in c.terms.items()}
+        key: {e - offset: v * L if type(v) is int else v.numerator * (L // v.denominator) for e, v in c.terms.items()}
         for key, c in terms.items()
     }
-
-
-def _int_partial(terms: dict[tuple[int, ...], int], i: int) -> dict[tuple[int, ...], int]:
-    """∂/∂xⁱ of integer terms; distinct exponents stay distinct, so no sum
-    is formed and no zero arises."""
-    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: n * e[i] for e, n in terms.items() if e[i]}
 
 
 def _products(
     chart: Chart, items: Iterable[tuple[int, tuple[int, ...], dict, dict]], denominator: int
 ) -> dict[tuple[int, ...], Coefficient]:
     """Σ sign·left·right per key, divided by ``denominator``: ``left`` and
-    ``right`` are integer terms (exponent vector to int) of coefficients
-    that were multiplied by factors whose product is ``denominator``.  The
-    sums run in ints, one dict of exponent vectors per key; a zero sum is
-    dropped, and each other sum is divided once, giving an int when the
-    quotient is integral and a reduced Fraction otherwise."""
-    sums: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    ``right`` are integer terms of coefficients that were multiplied by
+    factors whose product is ``denominator``, ``left`` under packed keys
+    and ``right`` under packed keys less the chart's origin, so a monomial
+    product is one int addition.  The sums run in ints, one dict of
+    exponent keys per key; every key formed, cancelled or not, is ORed
+    into one guard test, a zero sum is dropped, and each other sum is
+    divided once, giving an int when the quotient is integral and a
+    reduced Fraction otherwise."""
+    sums: dict[tuple[int, ...], dict[int, int]] = {}
     for sign, key, left, right in items:
         bucket = sums.get(key)
         if bucket is None:
@@ -182,10 +191,12 @@ def _products(
         for e1, n1 in left.items():
             n1 *= sign
             for e2, n2 in right.items():
-                expo = tuple(map(operator.add, e1, e2))
+                expo = e1 + e2
                 bucket[expo] = get(expo, 0) + n1 * n2
+    seen = 0
     out: dict[tuple[int, ...], Coefficient] = {}
     for key, bucket in sums.items():
+        seen = reduce(operator.or_, bucket, seen)
         terms = {
             expo: total // denominator if total % denominator == 0 else Fraction(total, denominator)
             for expo, total in bucket.items()
@@ -193,6 +204,7 @@ def _products(
         }
         if terms:
             out[key] = Coefficient._trusted(chart, terms)
+    _check_range(chart, seen)
     return out
 
 
@@ -276,8 +288,15 @@ class _Graded:
 
     def scale(self, factor) -> "_Graded":
         if isinstance(factor, Coefficient):
-            products = ((k, factor * c) for k, c in self.terms.items())
-            return self._trusted(self.chart, self.degree, _accumulate(products))
+            if factor.chart is not self.chart and factor.chart != self.chart:
+                raise StructuralError("coefficients live on different charts")
+            values = factor.terms
+            origin = self.chart.origin
+            if len(values) > 1 or (values and origin not in values):
+                products = ((k, factor * c) for k, c in self.terms.items())
+                return self._trusted(self.chart, self.degree, _accumulate(products))
+            # zero or a one-term constant: a rational factor
+            factor = values.get(origin, 0)
         factor = _as_rational(factor)
         if factor == 0:
             return self._trusted(self.chart, self.degree, {})
@@ -323,7 +342,7 @@ class _Graded:
                     yield False, spelling.grouped.format(_coefficient_text(coeff, spelling, elide_unit=True)) + factors
                     continue
                 ((expo, value),) = coeff.terms.items()
-                if abs(value) == 1 and not any(expo):
+                if abs(value) == 1 and expo == self.chart.origin:
                     yield value < 0, factors
                 else:
                     body = _term_text(self.chart, expo, abs(value), spelling, elide_unit=True)
@@ -379,11 +398,12 @@ def wedge(a: _Graded, b: _Graded) -> _Graded:
     pairs = [(merged, I, J) for I in a.terms for J in b.terms if (merged := _merge_indices(I, J)) is not None]
     # each side clears only the coefficients that take part: all of them
     # when every pair of keys meets
+    origin = a.chart.origin
     if len(pairs) == len(a.terms) * len(b.terms):
-        (La, A), (Lb, B) = _cleared(a.terms), _cleared(b.terms)
+        (La, A), (Lb, B) = _cleared(a.terms), _cleared(b.terms, origin)
     else:
         La, A = _cleared({I: a.terms[I] for _, I, _ in pairs})
-        Lb, B = _cleared({J: b.terms[J] for _, _, J in pairs})
+        Lb, B = _cleared({J: b.terms[J] for _, _, J in pairs}, origin)
     items = ((sign, key, A[I], B[J]) for (sign, key), I, J in pairs)
     return a._trusted(a.chart, a.degree + b.degree, _products(a.chart, items, La * Lb))
 
@@ -393,11 +413,10 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
     if not isinstance(omega, DiffForm):
         raise StructuralError("exterior derivative applies to differential forms")
     chart = omega.chart
-    positions = range(chart.dimension)
     pieces = (
         (merged[1], c.partial(chart.coordinates[j]).scale(merged[0]))
         for I, c in omega.terms.items()
-        for j in sorted({j for e in c.terms for j in itertools.compress(positions, e)})
+        for j in _positions(chart, c.terms)
         if (merged := _merge_indices((j,), I)) is not None
     )
     return DiffForm._trusted(chart, omega.degree + 1, _accumulate(pieces))
@@ -509,12 +528,14 @@ def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
 
     def half(A: dict, degree: int, B: dict, sign: int):
         # sign · Σᵢ ∂ᴿA/∂ξᵢ · ∂B/∂xⁱ as kernel items; the nonzero ∂B/∂xⁱ
-        # are taken once per i
+        # are taken once per i, keyed less the origin as a right operand
         derivatives: dict[int, list[tuple[tuple[int, ...], dict]]] = {}
         for J, c in A.items():
             for k, i in enumerate(J):
                 if i not in derivatives:
-                    derivatives[i] = [(K, de) for K, e in B.items() if (de := _int_partial(e, i))]
+                    derivatives[i] = [
+                        (K, de) for K, e in B.items() if (de := _partial_terms(U.chart, e, i, U.chart.origin))
+                    ]
                 rest = J[:k] + J[k + 1 :]
                 right = sign if (degree - 1 - k) % 2 == 0 else -sign
                 for K, de in derivatives[i]:

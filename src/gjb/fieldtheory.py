@@ -31,9 +31,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .coeffring import Chart, Coefficient
+from .coeffring import Chart, Coefficient, _block
 from .errors import DegreeError, DomainError, StructuralError
 from .exterior import (
     DiffForm,
@@ -556,6 +557,14 @@ class HamiltonianSection:
         """The first-jet image of the section, built on first read."""
         return JetSection.for_hamiltonian_section(self)
 
+    @functools.cached_property
+    def system(self) -> tuple[tuple[Coefficient, ...], Mapping[str, Coefficient], DiffForm]:
+        """The covariant Hamilton system of the section (``_hdw_system``):
+        the emitted equations, the solved heads and sigma_h, built on
+        first read and read-only."""
+        emitted, solved, sigma = _hdw_system(self.canonical, self)
+        return tuple(emitted), MappingProxyType(solved), sigma
+
 
 def hamiltonian_section(C: CanonicalStructure, H: Coefficient) -> HamiltonianSection:
     if H.chart != C.chart:
@@ -694,10 +703,9 @@ def _hdw_system(
     system whose heads are, in order: the first jet of s^0, the jets of the
     fields y^i, and the first jets of the momenta p^0_i.  Higher-degree
     equations are reduced modulo the solved heads and emitted only if
-    anything survives.
+    anything survives.  ``HamiltonianSection.system`` builds it once per
+    section, and every public reader reads that.
     """
-    if not isinstance(section, HamiltonianSection):
-        raise StructuralError("the covariant Hamilton equations need a HamiltonianSection")
     jet = section.jet
     h_form = section.h_form
     sigma = dissipation_form(C, h_form)
@@ -730,18 +738,16 @@ def _hdw_system(
     for eq in raw:
         if eq.is_zero():
             continue
-        degrees = [sum(expo[lo:hi]) for expo in eq.terms]
-        if max(degrees) > 1:
+        # jet symbols are polynomial, so a term's jet degree is above 1
+        # exactly when its block holds two jets or one jet squared or more
+        split = [_block(chart, expo, lo, hi) for expo in eq.terms]
+        if any(len(jets) > 1 or (jets and jets[0][1] > 1) for _, jets in split):
             leftovers.append(eq)
             continue
         entries: dict[int, dict] = {}
-        for (expo, value), degree in zip(eq.terms.items(), degrees):
-            if degree == 0:
-                entries.setdefault(len(columns), {})[expo] = value
-            else:
-                pos = expo.index(1, lo, hi)
-                entries.setdefault(column_of[pos], {})[expo[:pos] + (0,) + expo[pos + 1 :]] = value
-        affine_rows.append({k: Coefficient(chart, entries[k]) for k in sorted(entries)})
+        for (rest, jets), value in zip(split, eq.terms.values()):
+            entries.setdefault(column_of[jets[0][0]] if jets else len(columns), {})[rest] = value
+        affine_rows.append({k: Coefficient._trusted(chart, entries[k]) for k in sorted(entries)})
 
     emitted: list[Coefficient] = []
     solved: dict[str, Coefficient] = {}
@@ -776,8 +782,15 @@ def hdw_residuals(C: CanonicalStructure, section: HamiltonianSection) -> list[Co
     * dy^i/dx^mu - dH/dp^mu_i           (one equation per i, mu),
     * sum_mu dp^mu_i/dx^mu + dH/dy^i + (dH/ds^mu) p^mu_i   (one per i).
     """
-    emitted, _, _ = _hdw_system(C, section)
-    return emitted
+    _check_section(C, section)
+    return list(section.system[0])
+
+
+def _check_section(C: CanonicalStructure, section: HamiltonianSection) -> None:
+    if not isinstance(section, HamiltonianSection):
+        raise StructuralError("the covariant Hamilton equations need a HamiltonianSection")
+    if section.canonical is not C:
+        raise StructuralError("the section does not live on the given structure")
 
 
 def _hdw_reduce(jet: JetSection, solved: Mapping[str, Coefficient], value: Coefficient) -> Coefficient:
@@ -804,7 +817,8 @@ def evolution_residual(C: CanonicalStructure, section: HamiltonianSection, data:
         raise StructuralError("conformal data does not live on the given structure")
     if data.degree != 1:
         raise DomainError("the evolution law applies to data with a vector transformation")
-    _, solved, sigma = _hdw_system(C, section)
+    _check_section(C, section)
+    _, solved, sigma = section.system
     jet, h_form = section.jet, section.h_form
 
     alpha, X = data.alpha, data.x_field

@@ -44,7 +44,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-from .coeffring import Chart, Coefficient, _accumulate
+from .coeffring import Chart, Coefficient, _accumulate, _check_range, _negative_name, _slot_bound, _slots_at_least
 from .errors import DomainError, StructuralError
 
 __all__ = ["exact_divide", "rref", "RrefResult"]
@@ -55,54 +55,55 @@ __all__ = ["exact_divide", "rref", "RrefResult"]
 # ---------------------------------------------------------------------------
 
 
-def _content(c: Coefficient) -> tuple[Fraction, tuple[int, ...]]:
+def _content(c: Coefficient) -> tuple[Fraction, int]:
     """Rational content, always a Fraction (so a stored value divided by
-    it stays exact, even an int), and componentwise minimal exponent
-    vector."""
+    it stays exact, even an int), and the packed key of the componentwise
+    minimal exponent vector."""
     if c.is_zero():
         raise StructuralError("zero has no content")
     nums = [abs(v.numerator) for v in c.terms.values()]
     dens = [v.denominator for v in c.terms.values()]
     rational = Fraction(math.gcd(*nums), math.lcm(*dens))
-    mono = tuple(min(e[i] for e in c.terms) for i in range(c.chart.dimension))
-    return rational, mono
+    return rational, _slot_bound(c.chart, c.terms)
 
 
-def _strip(c: Coefficient) -> tuple[Fraction, tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    """Write c = content * monomial * P with P a primitive ordinary
-    polynomial whose leading coefficient is positive."""
-    content, mono = _content(c)
-    raw = {
-        tuple(k - m for k, m in zip(expo, mono)): coeff / content
-        for expo, coeff in c.terms.items()
-    }
-    lead = max(raw)
-    if raw[lead] < 0:
-        content = -content
-        raw = {e: -v for e, v in raw.items()}
-    return content, mono, raw
-
-
-def _poly_divide(F: dict, G: dict) -> dict | None:
-    """Exact quotient of ordinary polynomial dicts, or None.  Greedy
-    leading-term division in lex order; exact divisibility guarantees the
-    leading term always divides.  F and G come from ``_strip``, whose
-    values are Fractions, so every quotient stays exact."""
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    remainder = dict(F)
+def _poly_divide(F: dict, G: dict, chart: Chart) -> dict | None:
+    """Exact quotient of Laurent term dicts under packed keys, or None.
+    Greedy leading-term division in lex order, which is the order of the
+    packed keys and a total order compatible with products, so exact
+    divisibility guarantees the leading term always divides.  A Laurent
+    slot has no floor, so the quotient's box stands in for one: when G
+    divides F, each exponent of the quotient lies between the slotwise
+    minima's difference min F - min G and the maxima's max F - max G (the
+    ring has no zero divisors).  A step outside that box returns None;
+    inside it every remainder key stays inside F's box, so each key is
+    valid and the strictly falling leading keys, finitely many, end the
+    loop.  The box test compares distances from the box's corners, which
+    are never negative.  G's values are divided as Fractions, so every
+    quotient stays exact; its keys are differences of valid keys plus the
+    origin, so one guard test covers them."""
+    origin = chart.origin
+    f_low, f_high = _slot_bound(chart, F), _slot_bound(chart, F, upper=True)
     g_lead = max(G)
-    g_coeff = G[g_lead]
+    g_coeff = Fraction(G[g_lead])
+    g_above_low = g_lead - _slot_bound(chart, G)
+    g_below_high = _slot_bound(chart, G, upper=True) - g_lead
+    quotient: dict[int, Fraction] = {}
+    remainder = dict(F)
+    seen = 0
     while remainder:
         r_lead = max(remainder)
-        step = tuple(a - b for a, b in zip(r_lead, g_lead))
-        if any(k < 0 for k in step):
+        if not (
+            _slots_at_least(chart, r_lead - f_low, g_above_low)
+            and _slots_at_least(chart, f_high - r_lead, g_below_high)
+        ):
             return None
+        shift = r_lead - g_lead
         factor = remainder[r_lead] / g_coeff
-        quotient[step] = factor
-        _accumulate(
-            ((tuple(a + b for a, b in zip(expo, step)), -factor * coeff) for expo, coeff in G.items()),
-            remainder,
-        )
+        quotient[shift + origin] = factor
+        seen |= shift + origin
+        _accumulate(((key + shift, -factor * coeff) for key, coeff in G.items()), remainder)
+    _check_range(chart, seen)
     return quotient
 
 
@@ -116,23 +117,15 @@ def exact_divide(f: Coefficient, g: Coefficient) -> Coefficient:
         raise StructuralError("operands live on different charts")
     if g.is_unit():
         return f * g.unit_inverse()
-    cf, mf, F = _strip(f)
-    cg, mg, G = _strip(g)
-    Q = _poly_divide(F, G)
+    Q = _poly_divide(f.terms, g.terms, f.chart)
     if Q is None:
         raise DomainError(f"({f}) is not divisible by ({g})")
-    shift = tuple(a - b for a, b in zip(mf, mg))
-    scale = cf / cg
-    try:
-        return Coefficient(
-            f.chart,
-            {tuple(a + b for a, b in zip(expo, shift)): coeff * scale for expo, coeff in Q.items()},
-        )
-    except DomainError:
+    if _negative_name(f.chart, Q) is not None:
         raise DomainError(
             f"({f}) / ({g}) leaves the ring: a coordinate not flagged nonvanishing "
             "would need a negative exponent"
-        ) from None
+        )
+    return Coefficient._checked(f.chart, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +340,18 @@ def _cleared_vector(col: Hashable, ratios: list[tuple], positions: Mapping[Hasha
         cleared[c] = exact_divide(a * multiplier, p)
     keys = sorted(cleared, key=positions.__getitem__)
     # strip common content and fix the overall sign deterministically
-    contents = [_strip(cleared[c]) for c in keys]
+    contents = [_content(cleared[c]) for c in keys]
     rational = contents[0][0]
-    for c, _, _ in contents[1:]:
+    for c, _ in contents[1:]:
         rational = Fraction(
             math.gcd(abs(rational.numerator), abs(c.numerator)),
             math.lcm(rational.denominator, c.denominator),
         )
-    mono = tuple(min(ms) for ms in zip(*(m for _, m, _ in contents)))
-    divisor = Coefficient(chart, {mono: abs(rational)})
+    mono = _slot_bound(chart, (m for _, m in contents))
+    divisor = Coefficient._checked(chart, {mono: rational})
     out = {c: exact_divide(cleared[c], divisor) for c in keys}
-    if contents[0][0] < 0:
+    first = cleared[keys[0]].terms
+    if first[max(first)] < 0:
         out = {c: -v for c, v in out.items()}
     return out
 

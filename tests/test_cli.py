@@ -769,6 +769,17 @@ class TestErrorPaths:
     def test_a_power_outside_the_ring_is_an_expression_error(self, contact_session, capsys, argv, error):
         assert run(capsys, *argv, "-s", contact_session) == (2, "", f"error: {error}\n")
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["render", "q^16384"], "in expression: power 16384 takes an exponent outside the range [-16384, 16383] of its slot (line 1, column 1)"),
+            (["render", "p*q^16383*q"], "in expression: an exponent leaves the range [-16384, 16383] of its slot (line 1, column 9)"),
+        ],
+    )
+    def test_an_exponent_past_its_slot_is_an_expression_error(self, contact_session, capsys, argv, error):
+        assert run(capsys, *argv, "-s", contact_session) == (2, "", f"error: {error}\n")
+        assert run(capsys, "render", "q^16383", "-s", contact_session) == (0, "q^16383\n", "")
+
     def test_no_command_is_a_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 2

@@ -1,14 +1,16 @@
 """Coefficient ring: exact Laurent arithmetic, calculus, text round-trips."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjb.coeffring import Chart, Coefficient, format_coefficient, parse_coefficient
+from gjb.coeffring import _BIAS, Chart, Coefficient, format_coefficient, parse_coefficient
 from gjb.dsl import render, to_json
 from gjb.errors import DomainError, ParseError, StructuralError
+from gjb.exterior import DiffForm, MultiVector, schouten_nijenhuis, wedge
 from gjb.linalg import exact_divide
 from gjb.session import Session
 
@@ -65,7 +67,7 @@ def test_subtraction_cancels_shared_term():
 def test_partial_of_inverse_power():
     zinv = Coefficient.coordinate(CHART, "z", -1)
     assert zinv.partial("z") == Coefficient.coordinate(CHART, "z", -2).scale(-1)
-    assert zinv.partial("z").terms == Coefficient(CHART, {(0, 0, 0, -2): -1}).terms
+    assert zinv.partial("z").exponent_terms() == {(0, 0, 0, -2): -1}
 
 
 def test_negative_exponent_needs_flag():
@@ -246,11 +248,11 @@ def test_chart_stores_its_fields_hashable():
 
 
 def test_stored_values_are_never_bools():
-    assert Coefficient.constant(CHART, True).terms == {(0, 0, 0, 0): 1}
-    assert type(Coefficient.constant(CHART, True).terms[(0, 0, 0, 0)]) is int
-    assert type(Coefficient(CHART, {(1, 0, 0, 0): True}).terms[(1, 0, 0, 0)]) is int
+    assert Coefficient.constant(CHART, True).exponent_terms() == {(0, 0, 0, 0): 1}
+    assert type(Coefficient.constant(CHART, True).exponent_terms()[(0, 0, 0, 0)]) is int
+    assert type(Coefficient(CHART, {(1, 0, 0, 0): True}).exponent_terms()[(1, 0, 0, 0)]) is int
     assert coord("x").scale(True) == coord("x")
-    assert (coord("x") * True).terms == {(0, 1, 0, 0): 1}
+    assert (coord("x") * True).exponent_terms() == {(0, 1, 0, 0): 1}
     assert not Coefficient.constant(CHART, False)
 
 
@@ -309,7 +311,7 @@ def test_no_float_or_bool_is_ever_stored(f, g, r, name, k):
 def test_every_trusted_result_passes_the_boundary_unchanged(f, g, r, name, k):
     for result in (f + g, f - g, (f + g) - g, -f, f * g, f.scale(r), f * r, f.partial(name), f**k, 2 - f):
         assert 0 not in result.terms.values()
-        checked = Coefficient(result.chart, result.terms)
+        checked = Coefficient(result.chart, result.exponent_terms())
         assert checked == result and checked.terms == result.terms
 
 
@@ -350,7 +352,7 @@ def test_named_builders_refuse_what_the_boundary_refuses():
 def test_named_builders_store_what_the_boundary_stores():
     z = CHART.coordinates.index("z")
     expo = tuple(-2 if i == z else 0 for i in range(CHART.dimension))
-    assert Coefficient.coordinate(CHART, "z", -2).terms == {expo: 1}
+    assert Coefficient.coordinate(CHART, "z", -2).exponent_terms() == {expo: 1}
     assert Coefficient.coordinate(CHART, "y", 0) == Coefficient.one(CHART)
     for zero in (0, Fraction(0), False):
         assert Coefficient.constant(CHART, zero).terms == {}
@@ -366,5 +368,101 @@ def test_named_builders_store_what_the_boundary_stores():
         Coefficient.coordinate(CHART, "z", -1),
     ]
     for c in built:
-        checked = Coefficient(c.chart, c.terms)
+        checked = Coefficient(c.chart, c.exponent_terms())
         assert checked == c and checked.terms == c.terms
+
+
+# -- the packed exponent slots: the range edge and every way past it ----------
+
+LIMIT = _BIAS  # exponents lie in [-LIMIT, LIMIT)
+
+
+def test_a_coefficient_pickles_with_its_chart():
+    c = Coefficient.coordinate(CHART, "z", -3) * (coord("p") + Fraction(1, 2))
+    copy = pickle.loads(pickle.dumps(c))
+    assert copy == c and copy.chart == CHART and copy.terms == c.terms
+    assert copy * coord("x") == c * coord("x")
+
+
+def test_exponents_just_inside_the_range_round_trip_exactly():
+    top = Coefficient.coordinate(CHART, "x", LIMIT - 1)
+    bottom = Coefficient.coordinate(CHART, "z", -LIMIT)
+    edge = top * bottom + coord("p")
+    assert edge.exponent_terms() == {(0, LIMIT - 1, 0, -LIMIT): 1, (1, 0, 0, 0): 1}
+    assert Coefficient(CHART, edge.exponent_terms()) == edge
+    assert parse_coefficient(CHART, format_coefficient(edge)) == edge
+    assert format_coefficient(edge) == f"1*p + 1*x^{LIMIT - 1}*z^{-LIMIT}"
+    assert edge.evaluate({"p": 0, "x": 1, "y": 5, "z": 1}) == 1
+    assert (top * coord("y")).partial("x").exponent_terms() == {(0, LIMIT - 2, 1, 0): LIMIT - 1}
+    assert Coefficient.coordinate(CHART, "z", 1 - LIMIT).unit_inverse().exponent_terms() == {(0, 0, 0, LIMIT - 1): 1}
+    assert coord("z") ** -LIMIT == bottom
+    near = top * bottom * (coord("p") + 1)
+    assert exact_divide(near * (coord("y") - 1), coord("y") - 1) == near
+    # a dividend whose exponents spread over more than a slot's range
+    # divides, since division reads the Laurent keys themselves
+    assert exact_divide(edge * (coord("y") - 1), coord("y") - 1) == edge
+    assert exact_divide(edge * (coord("y") - 1), edge) == coord("y") - 1
+    # a quotient past the slot is refused, never wrapped
+    wide = Coefficient.coordinate(CHART, "z", LIMIT - 1) * (coord("y") + 1)
+    with pytest.raises(DomainError):
+        exact_divide(wide, Coefficient.coordinate(CHART, "z", -1) * (coord("y") + 1))
+
+
+def test_a_product_chain_past_a_slot_raises():
+    top = Coefficient.coordinate(CHART, "x", LIMIT - 1)
+    with pytest.raises(DomainError):
+        top * coord("x")
+    with pytest.raises(DomainError):
+        (top + coord("p")) * (coord("x") + coord("y"))
+    bottom = Coefficient.coordinate(CHART, "z", -LIMIT)
+    with pytest.raises(DomainError):
+        bottom * Coefficient.coordinate(CHART, "z", -1)
+    chain = coord("x")
+    with pytest.raises(DomainError):
+        for _ in range(LIMIT):
+            chain = chain * coord("x")
+    assert chain.exponent_terms() == {(0, LIMIT - 1, 0, 0): 1}
+
+
+def test_a_power_past_a_slot_raises_before_it_multiplies():
+    with pytest.raises(DomainError):
+        coord("x") ** LIMIT
+    with pytest.raises(DomainError):
+        (coord("x") + coord("y")) ** 10**9  # refused at once, not after 10**9 products
+    with pytest.raises(DomainError):
+        coord("z") ** -(LIMIT + 1)
+    with pytest.raises(DomainError):
+        Coefficient.coordinate(CHART, "z", -2) ** (LIMIT // 2 + 1)
+    with pytest.raises(DomainError):
+        Coefficient.coordinate(CHART, "z", -LIMIT).unit_inverse()
+
+
+def test_repeated_partials_on_a_laurent_coordinate_raise_past_the_slot():
+    c = Coefficient.coordinate(CHART, "z", 2 - LIMIT)
+    c = c.partial("z").partial("z")
+    assert c.exponent_terms() == {(0, 0, 0, -LIMIT): (2 - LIMIT) * (1 - LIMIT)}
+    with pytest.raises(DomainError):
+        c.partial("z")
+
+
+def test_parsed_and_constructed_exponents_past_a_slot_raise():
+    for text in (f"x^{LIMIT}", f"z^-{LIMIT + 1}", f"p*x^{10**30}", f"(x + 1)^{LIMIT}"):
+        with pytest.raises((DomainError, ParseError)):
+            parse_coefficient(CHART, text)
+    for expo in ((0, LIMIT, 0, 0), (0, 0, 0, -LIMIT - 1), (0, 0, 0, 10**30)):
+        with pytest.raises(DomainError):
+            Coefficient(CHART, {expo: 1})
+    with pytest.raises(DomainError):
+        Coefficient.coordinate(CHART, "x", LIMIT)
+    with pytest.raises(DomainError):
+        Coefficient.coordinate(CHART, "z", -LIMIT - 1)
+
+
+def test_graded_products_past_a_slot_raise():
+    top = DiffForm.differential(CHART, "p").scale(Coefficient.coordinate(CHART, "x", LIMIT - 1))
+    with pytest.raises(DomainError):
+        wedge(top, DiffForm.differential(CHART, "y").scale(coord("x")))
+    U = MultiVector.basis_vector(CHART, "x").scale(Coefficient.coordinate(CHART, "z", -LIMIT))
+    V = MultiVector.basis_vector(CHART, "z").scale(coord("p"))
+    with pytest.raises(DomainError):
+        schouten_nijenhuis(V, U)  # ∂/∂z of z^-LIMIT leaves the slot

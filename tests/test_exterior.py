@@ -444,6 +444,36 @@ def test_operands_on_two_charts_still_raise():
             op()
 
 
+def test_trivial_operands_skip_the_ring_but_keep_every_check():
+    other = Chart(("a", "b", "c", "u", "w"))
+    empty_form, empty_vector = DiffForm.zero(CH, 2), MultiVector.zero(CH, 2)
+    # a zero or constant factor on another chart is refused, even by an empty object
+    for factor in (Coefficient.zero(other), Coefficient.one(other), Coefficient.constant(other, 3)):
+        for obj in (dx("a"), empty_form):
+            with pytest.raises(StructuralError):
+                obj.scale(factor)
+    form = wedge(dx("a"), dx("b")).scale(C("u + 2"))
+    assert form.scale(Coefficient.constant(CH, Fraction(3, 2))) == form.scale(Fraction(3, 2))
+    assert form.scale(Coefficient.zero(CH)) == DiffForm.zero(CH, 2)
+    assert C("a") * Coefficient.zero(CH) == Coefficient.zero(CH)
+    assert Coefficient.constant(CH, -2) * C("a + b") == C("-2*a - 2*b")
+    # empty operands give the zero of the result's degree, after the checks
+    assert interior_product(e("a"), empty_form) == DiffForm.zero(CH, 1)
+    assert interior_product(empty_vector, wedge(form, dx("c"))) == DiffForm.zero(CH, 1)
+    assert schouten_nijenhuis(empty_vector, e("a")) == MultiVector.zero(CH, 2)
+    assert schouten_nijenhuis(e("a"), MultiVector.zero(CH, 3)) == MultiVector.zero(CH, 3)
+    with pytest.raises(DegreeError):
+        interior_product(MultiVector.zero(CH, 3), empty_form)
+    with pytest.raises(DegreeError):
+        schouten_nijenhuis(MultiVector.zero(CH, 0), MultiVector.zero(CH, 0))
+    with pytest.raises(StructuralError):
+        schouten_nijenhuis(empty_vector, MultiVector.basis_vector(other, "a"))
+    with pytest.raises(StructuralError):
+        interior_product(empty_vector, DiffForm.zero(other, 2))
+    with pytest.raises(StructuralError):
+        interior_product(empty_form, empty_form)
+
+
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
 
@@ -546,7 +576,8 @@ mixed_values = st.one_of(
 def mixed_coefficients(draw):
     exponents = [st.integers(-2 if name in LAURENT_CH.nonvanishing else 0, 2) for name in LAURENT_CH.coordinates]
     # built as trusted so that a whole-number Fraction stays one
-    return Coefficient._trusted(LAURENT_CH, draw(st.dictionaries(st.tuples(*exponents), mixed_values, max_size=3)))
+    terms = draw(st.dictionaries(st.tuples(*exponents), mixed_values, max_size=3))
+    return Coefficient._trusted(LAURENT_CH, {LAURENT_CH.pack(expo): value for expo, value in terms.items()})
 
 
 @given(

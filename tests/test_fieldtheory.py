@@ -717,6 +717,24 @@ def test_evolution_residual_vanishes_on_random_vertical_data(rng):
         assert evolution_residual(CAN, section, data).is_zero()
 
 
+def test_the_hamilton_system_is_built_once_per_section(rng, monkeypatch):
+    S = build_canonical(3, 2)
+    rows, _ = elementary_tables(S)
+    assert len(rows) == 12
+    builds = []
+    build = fieldtheory._hdw_system
+    monkeypatch.setattr(fieldtheory, "_hdw_system", lambda *args: builds.append(1) or build(*args))
+    section = hamiltonian_section(S, rand_hamiltonian(rng, S))
+    for row in rows:
+        assert evolution_residual(S, section, row.data).is_zero()
+    first = hdw_residuals(S, section)
+    first.clear()  # a caller's list is its own
+    assert hdw_residuals(S, section) == list(section.system[0]) != []
+    assert len(builds) == 1
+    with pytest.raises(StructuralError):
+        hdw_residuals(build_canonical(3, 2), section)
+
+
 def test_evolution_rejects_higher_degree_data(rng):
     from gjb.structures import cup_product
 

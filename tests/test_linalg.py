@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjb import linalg
 from gjb.coeffring import Chart, Coefficient, parse_coefficient
 from gjb.errors import DomainError, StructuralError
 from gjb.linalg import exact_divide, rref
@@ -413,6 +412,17 @@ def _dense_reduce(vector, rows):
     return vec
 
 
+def _signed_content(c):
+    """c's rational content, signed like its leading term in lex order,
+    and its componentwise minimal exponent vector."""
+    terms = c.exponent_terms()
+    values = [Fraction(v) for v in terms.values()]
+    content = Fraction(math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values)))
+    if terms[max(terms)] < 0:
+        content = -content
+    return content, tuple(min(ks) for ks in zip(*terms))
+
+
 def _dense_kernel(mat, pivots, ncols):
     """Dense reference kernel of a reduced ring matrix, one vector per
     free column left to right: x_col = 1 and x_c = -mat[r][col] /
@@ -442,14 +452,14 @@ def _dense_kernel(mat, pivots, ncols):
         cleared[col] = multiplier
         for c, a, p in ratios:
             cleared[c] = exact_divide(a * multiplier, p)
-        contents = [linalg._strip(c) for c in cleared if not c.is_zero()]
+        contents = [_signed_content(c) for c in cleared if not c.is_zero()]
         rational = contents[0][0]
-        for c, _, _ in contents[1:]:
+        for c, _ in contents[1:]:
             rational = Fraction(
                 math.gcd(abs(rational.numerator), abs(c.numerator)),
                 math.lcm(rational.denominator, c.denominator),
             )
-        mono = tuple(min(ms) for ms in zip(*(m for _, m, _ in contents)))
+        mono = tuple(min(ms) for ms in zip(*(m for _, m in contents)))
         divisor = Coefficient(CHART, {mono: abs(rational)})
         vec = [exact_divide(c, divisor) for c in cleared]
         basis.append([-c for c in vec] if contents[0][0] < 0 else vec)
