@@ -82,9 +82,7 @@ total = (
 assert total.is_zero()
 print("checked: Jacobi identity on (f, g, h)")
 
-expression = lie_derivative(a.x_field, b.alpha) - interior_product(
-    a.v_field, b.alpha, strict=False
-)
+expression = lie_derivative(a.x_field, b.alpha) - interior_product(a.v_field, b.alpha)
 assert ab.alpha == expression
 print("checked: {f, g} = (L_X - i_V) g")
 

@@ -277,7 +277,7 @@ def _cmd_conformal(args) -> int:
         if witness is None:
             print("conformal: no (no witness solves the conformal equation)")
             return 1
-        alpha = -interior_product(x_field, S.theta, strict=False)
+        alpha = -interior_product(x_field, S.theta)
         data = make_conformal_data(S, alpha, x_field, witness)
     print("conformal: yes")
     _print_value(data, args.format)

@@ -13,7 +13,10 @@ The grammar (EBNF):
 with functions ``d`` (exterior derivative), ``i_`` (interior product),
 ``L_`` (Lie derivative), ``sn`` (Schouten-Nijenhuis bracket), ``jb``
 (Jacobi bracket of conformal data), ``cup`` (cup product) and ``psi``
-(transport to the homogeneous extension).
+(transport to the homogeneous extension).  ``i_(X, w)`` refuses an X of
+higher degree than w with a ``ParseError`` at the call, where the
+library's contraction gives the zero of the negative degree, as ``L_``
+does.
 
 ``^`` binds tighter than ``*`` so that ``1/2*p0^2`` reads as half the
 square of ``p0``; both act as the exterior product on graded operands,
@@ -521,7 +524,7 @@ def _call(env: Environment, node: Call) -> Value:
         U = _as_graded(MultiVector, args[0], node.args[0])
         omega = _as_graded(DiffForm, args[1], node.args[1])
         try:
-            return interior_product(U, omega)
+            return interior_product(U, omega, strict=True)
         except DegreeError as err:
             raise ParseError(str(err), node.line, node.column) from err
     if node.func == "L_":

@@ -66,9 +66,10 @@ a whole number as a Fraction.
 Three operations skip work whose result would be thrown away, and each
 skip is exact:
 
-* prefilter: ``interior_product`` and ``form_contraction`` try
-  ``_contract_key`` on a pair of keys only when the first eaten slot is
-  in the target key, since the contraction of a slot not in it is zero;
+* prefilter: the one contraction loop (``_contracted``, behind
+  ``interior_product`` and ``form_contraction``) tries ``_contract_key``
+  on a pair of keys only when the first eaten slot is in the target key,
+  since the contraction of a slot not in it is zero;
 * support-only d: ``exterior_derivative`` differentiates a coefficient
   only along the coordinates where some term has a nonzero exponent,
   negative ones included, in ascending order, since ∂c/∂xʲ is zero
@@ -438,61 +439,55 @@ def _contract_key(eaten: tuple[int, ...], target: tuple[int, ...]) -> tuple[int,
     return sign, tuple(remaining)
 
 
-def interior_product(U: MultiVector, omega: DiffForm, strict: bool = True) -> DiffForm:
+def _contracted(eaten: _Graded, target: _Graded) -> _Graded:
+    """The contraction of ``eaten`` (degree ≥ 1) into ``target``: eaten
+    coefficient × target coefficient for every pair of keys that meets, of
+    degree target.degree − eaten.degree.  An eaten key longer than the
+    target's meets none, so past the bottom degree this is the zero of
+    that negative degree."""
+    products = (
+        (hit[1], (c * k).scale(hit[0]))
+        for J, c in eaten.terms.items()
+        for I, k in target.terms.items()
+        if J[0] in I and (hit := _contract_key(J, I)) is not None
+    )
+    return target._trusted(target.chart, target.degree - eaten.degree, _accumulate(products))
+
+
+def interior_product(U: MultiVector, omega: DiffForm, strict: bool = False) -> DiffForm:
     """ι_U ω, of degree ω.degree − U.degree.  Degree-zero U multiplies; U
-    too long raises DegreeError unless ``strict`` is off, in which case the
-    result is the zero form of that (negative) degree."""
+    too long gives the zero form of that (negative) degree, or raises
+    DegreeError when ``strict`` is on, as for outside input."""
     if not isinstance(U, MultiVector) or not isinstance(omega, DiffForm):
         raise StructuralError("interior product takes a multivector and a form")
     if U.chart != omega.chart:
         raise StructuralError("operands live on different charts")
     if U.degree == 0:
         return omega.scale(U.scalar())
-    if U.degree > omega.degree:
-        if strict:
-            raise DegreeError(
-                f"cannot contract a degree-{U.degree} multivector into a degree-{omega.degree} form"
-            )
-        return DiffForm.zero(omega.chart, omega.degree - U.degree)
-    products = (
-        (hit[1], (c * k).scale(hit[0]))
-        for J, c in U.terms.items()
-        for I, k in omega.terms.items()
-        if J[0] in I and (hit := _contract_key(J, I)) is not None
-    )
-    return DiffForm._trusted(omega.chart, omega.degree - U.degree, _accumulate(products))
+    if strict and U.degree > omega.degree:
+        raise DegreeError(f"cannot contract a degree-{U.degree} multivector into a degree-{omega.degree} form")
+    return _contracted(U, omega)
 
 
-def form_contraction(xi: DiffForm, U: MultiVector, strict: bool = True) -> MultiVector:
+def form_contraction(xi: DiffForm, U: MultiVector) -> MultiVector:
     """ι_ξ U, the mirror contraction of a form into a multivector, of
-    degree U.degree − ξ.degree; ``strict`` as for interior_product."""
+    degree U.degree − ξ.degree; ξ too long gives the zero multivector of
+    that (negative) degree."""
     if not isinstance(xi, DiffForm) or not isinstance(U, MultiVector):
         raise StructuralError("form contraction takes a form and a multivector")
     if xi.chart != U.chart:
         raise StructuralError("operands live on different charts")
     if xi.degree == 0:
         return U.scale(xi.scalar())
-    if xi.degree > U.degree:
-        if strict:
-            raise DegreeError(
-                f"cannot contract a degree-{xi.degree} form into a degree-{U.degree} multivector"
-            )
-        return MultiVector.zero(U.chart, U.degree - xi.degree)
-    products = (
-        (hit[1], (k * c).scale(hit[0]))
-        for I, k in xi.terms.items()
-        for J, c in U.terms.items()
-        if I[0] in J and (hit := _contract_key(I, J)) is not None
-    )
-    return MultiVector._trusted(U.chart, U.degree - xi.degree, _accumulate(products))
+    return _contracted(xi, U)
 
 
 def lie_derivative(U: MultiVector, omega: DiffForm) -> DiffForm:
     """𝓛_U ω = d ι_U ω − (−1)^p ι_U dω, of degree ω.degree − p + 1; a
     contraction past the bottom degree is the zero of its negative degree."""
     p = U.degree
-    first = exterior_derivative(interior_product(U, omega, strict=False))
-    second = interior_product(U, exterior_derivative(omega), strict=False)
+    first = exterior_derivative(interior_product(U, omega))
+    second = interior_product(U, exterior_derivative(omega))
     return first + second.scale((-1) ** (p + 1))
 
 

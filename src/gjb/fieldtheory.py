@@ -869,7 +869,7 @@ def variational_check(S: NFormStructure) -> CheckReport:
     """Does Theta vanish on every pair of Reeb directions?"""
     basis = _reeb_kernel_basis(S)
     for i, j in itertools.combinations(range(len(basis)), 2):
-        value = interior_product(wedge(basis[i], basis[j]), S.theta, strict=False)
+        value = interior_product(wedge(basis[i], basis[j]), S.theta)
         if not value.is_zero():
             return CheckReport(
                 False,

@@ -223,13 +223,8 @@ def _row(row: Mapping[Hashable, Coefficient]) -> dict[Hashable, Coefficient]:
 
 def _subtract(target: dict, factor: Coefficient, row: Mapping) -> None:
     """target <- target - factor * row in place, keeping no zero entry."""
-    zero = Coefficient.zero(factor.chart)
-    for j, b in row.items():
-        value = target.get(j, zero) - factor * b
-        if value.is_zero():
-            target.pop(j, None)
-        else:
-            target[j] = value
+    neg = -factor
+    _accumulate(((j, neg * b) for j, b in row.items()), target)
 
 
 def _cross_multiply(target: dict, pivot_row: Mapping, pivot: Coefficient, factor: Coefficient) -> dict:

@@ -215,7 +215,11 @@ def sharp_and_reeb(S: NFormStructure, alpha: DiffForm) -> tuple[MultiVector, Coe
 def _graded_class(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None) -> tuple[QuotientMultiVector, ZDecomposition]:
     decs = _decompositions(S, alpha, hint, limit=2)
     if not decs:
-        raise DomainError(f"the degree-{alpha.degree} form is not a contraction of a decomposable member")
+        tried = "the hint or " if hint is not None else ""
+        raise DomainError(
+            f"no decomposition i_u(i_X d theta + gamma theta) of the degree-{alpha.degree} form"
+            f" with u {tried}a constant degree-{S.degree - alpha.degree} basis multivector"
+        )
     modulus = S.kernel(S.degree + 1 - alpha.degree, "both")
     classes = [QuotientMultiVector(wedge(d.x_part, d.u_part), modulus) for d in decs]
     if len(classes) == 2 and classes[0] != classes[1]:
@@ -261,13 +265,13 @@ def bracket_via_sharp(
         raise DomainError("the second form's differential lies outside the membership space")
     v_alpha = dec_a.u_part.scale(-dec_a.gamma)
     v_beta = dec_b.u_part.scale(-dec_b.gamma)
-    vee = -interior_product(wedge(a.x_field, b.x_field), S.theta, strict=False)
+    vee = -interior_product(wedge(a.x_field, b.x_field), S.theta)
     dbeta = exterior_derivative(b.alpha)
     total = (
         exterior_derivative(vee).scale((-1) ** q)
-        + interior_product(sharp_da.representative, dbeta, strict=False).scale((-1) ** ((p - 1) * q))
-        + interior_product(v_beta, a.alpha, strict=False).scale((-1) ** (q + 1))
-        - interior_product(v_alpha, b.alpha, strict=False).scale((-1) ** ((p - 1) * q))
+        + interior_product(sharp_da.representative, dbeta).scale((-1) ** ((p - 1) * q))
+        + interior_product(v_beta, a.alpha).scale((-1) ** (q + 1))
+        - interior_product(v_alpha, b.alpha).scale((-1) ** ((p - 1) * q))
     )
     definitional = jacobi_bracket(a, b).alpha
     residual = total - definitional

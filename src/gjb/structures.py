@@ -184,7 +184,7 @@ class NFormStructure:
         # kernels must re-verify by contraction; elimination bugs die here
         for u in out:
             for t in targets:
-                if not interior_product(u, t, strict=False).is_zero():
+                if not interior_product(u, t).is_zero():
                     raise ValidationError(f"kernel candidate {u} fails to annihilate the target")
         return out
 
@@ -228,10 +228,10 @@ class ConformalData:
 
     def residuals(self) -> dict[str, DiffForm]:
         S, p = self.structure, self.degree
-        eq1 = interior_product(self.x_field, S.theta, strict=False) + self.alpha
+        eq1 = interior_product(self.x_field, S.theta) + self.alpha
         dalpha = exterior_derivative(self.alpha)
-        rhs = (dalpha + interior_product(self.v_field, S.theta, strict=False)).scale((-1) ** (p + 1))
-        eq2 = interior_product(self.x_field, S.dtheta, strict=False) - rhs
+        rhs = (dalpha + interior_product(self.v_field, S.theta)).scale((-1) ** (p + 1))
+        eq2 = interior_product(self.x_field, S.dtheta) - rhs
         return {"defining": eq1, "conformal": eq2}
 
     def validate(self) -> "ConformalData":
@@ -312,7 +312,7 @@ def jacobi_bracket(a: ConformalData, b: ConformalData) -> ConformalData:
     S = a.structure
     p, q = a.degree, b.degree
     x = schouten_nijenhuis(a.x_field, b.x_field)
-    form = -interior_product(x, S.theta, strict=False)
+    form = -interior_product(x, S.theta)
     sign = (-1) ** ((p - 1) * (q - 1))
     v = schouten_nijenhuis(a.x_field, b.v_field) - schouten_nijenhuis(b.x_field, a.v_field).scale(sign)
     return make_conformal_data(S, form, x, v)
@@ -330,9 +330,9 @@ def cup_product(a: ConformalData, b: ConformalData) -> ConformalData:
     S = a.structure
     p, q = a.degree, b.degree
     x = wedge(a.x_field, b.x_field)
-    form = -interior_product(x, S.theta, strict=False)
-    via_b = interior_product(b.x_field, a.alpha, strict=False)
-    via_a = interior_product(a.x_field, b.alpha, strict=False).scale((-1) ** (p * q))
+    form = -interior_product(x, S.theta)
+    via_b = interior_product(b.x_field, a.alpha)
+    via_a = interior_product(a.x_field, b.alpha).scale((-1) ** (p * q))
     if not (form == via_b == via_a):
         raise ValidationError(
             "cup product contraction expressions disagree",

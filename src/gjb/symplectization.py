@@ -143,7 +143,7 @@ def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> Multi
     if p < 1:
         raise StructuralError("conformal fields have degree at least 1")
     v = _as_witness(S.chart, v_field, p - 1)
-    residual = lie_derivative(x_field, S.theta) - interior_product(v, S.theta, strict=False)
+    residual = lie_derivative(x_field, S.theta) - interior_product(v, S.theta)
     if not residual.is_zero():
         raise ValidationError(
             "not a conformal pair on the base", residuals={"lie_vs_witness": str(residual)}
@@ -159,7 +159,7 @@ def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> Multi
 def _verify_hamiltonian_pair(sym: Symplectization, alpha: DiffForm, x: MultiVector, label: str):
     if alpha.chart != sym.extended_chart or x.chart != sym.extended_chart:
         raise StructuralError("Hamiltonian pairs must live on the extended chart")
-    residual = interior_product(x, sym.omega, strict=False) - exterior_derivative(alpha)
+    residual = interior_product(x, sym.omega) - exterior_derivative(alpha)
     if not residual.is_zero():
         raise ValidationError(
             f"{label} is not a Hamiltonian pair for omega", residuals={label: str(residual)}
@@ -174,7 +174,7 @@ def poisson_bracket(sym: Symplectization, pair_a, pair_b) -> DiffForm:
     _verify_hamiltonian_pair(sym, alpha, x_a, "first pair")
     _verify_hamiltonian_pair(sym, beta, x_b, "second pair")
     q = x_b.degree
-    return interior_product(wedge(x_a, x_b), sym.omega, strict=False).scale((-1) ** (q - 1))
+    return interior_product(wedge(x_a, x_b), sym.omega).scale((-1) ** (q - 1))
 
 
 def psi_map(sym: Symplectization, data: ConformalData) -> tuple[DiffForm, MultiVector]:
@@ -187,7 +187,7 @@ def psi_map(sym: Symplectization, data: ConformalData) -> tuple[DiffForm, MultiV
     p = data.degree
     psi = sym.horizontal(data.alpha).scale(sym.conformal_factor).scale((-1) ** (p + 1))
     witness = -lift_conformal(sym, data.x_field, data.v_field)
-    residual = interior_product(witness, sym.omega, strict=False) - exterior_derivative(psi)
+    residual = interior_product(witness, sym.omega) - exterior_derivative(psi)
     if not residual.is_zero():
         raise StructuralError("psi image failed its Hamiltonian contraction")
     return psi, witness

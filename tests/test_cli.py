@@ -780,6 +780,12 @@ class TestErrorPaths:
         assert run(capsys, *argv, "-s", contact_session) == (2, "", f"error: {error}\n")
         assert run(capsys, "render", "q^16383", "-s", contact_session) == (0, "q^16383\n", "")
 
+    def test_an_overlong_interior_product_is_an_expression_error(self, contact_session, capsys):
+        error = "in expression: cannot contract a degree-2 multivector into a degree-1 form (line 1, column 0)"
+        assert run(capsys, "render", "i_(e_q^e_p, dq)", "-s", contact_session) == (2, "", f"error: {error}\n")
+        # a Lie derivative past the bottom degree is the typed zero, not a refusal
+        assert run(capsys, "render", "L_(e_q^e_p, q)", "-s", contact_session) == (0, "0\n", "")
+
     def test_no_command_is_a_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 2

@@ -275,6 +275,13 @@ def test_only_expression_values_render(fmt):
         render(C("y"), "xml")
 
 
+def test_an_overlong_interior_product_is_refused_at_its_call():
+    # the library contraction gives the typed zero; the expression language refuses
+    with pytest.raises(ParseError) as err:
+        evaluate("i_(e_q^e_p, dq)", Environment(chart=Chart(("q", "p", "z"))))
+    assert str(err.value) == "cannot contract a degree-2 multivector into a degree-1 form (line 1, column 0)"
+
+
 def test_graded_operands_refuse_other_species_by_name():
     with pytest.raises(ParseError, match="expected a form, got a 1-vector"):
         evaluate("d(x0) + e_y", env())

@@ -376,7 +376,7 @@ def test_refined_reeb_pairs_for_the_plane():
     ]
     rep = reeb.representative
     assert interior_product(rep, CAN.theta).scalar() == Coefficient.one(CAN.chart)
-    assert interior_product(rep, CAN.dtheta, strict=False).is_zero()
+    assert interior_product(rep, CAN.dtheta).is_zero()
 
 
 def test_refined_reeb_duality_for_three_variables():
@@ -390,7 +390,7 @@ def test_refined_reeb_duality_for_three_variables():
             assert paired == Coefficient.constant(S.chart, 1 if i == j else 0)
     rep = reeb.representative
     assert interior_product(rep, S.theta).scalar() == Coefficient.one(S.chart)
-    assert interior_product(rep, S.dtheta, strict=False).is_zero()
+    assert interior_product(rep, S.dtheta).is_zero()
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 2)])

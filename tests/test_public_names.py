@@ -39,6 +39,23 @@ def test_rref_is_called_with_its_rows_first():
     assert [call for call in calls if not call[2]] == []
 
 
+def test_only_the_expression_language_asks_a_contraction_to_refuse():
+    """A contraction past the bottom degree is the zero of its negative
+    degree.  The one call in the package that asks for a refusal instead is
+    the expression language's ``i_`` (``strict=True``), and
+    ``form_contraction`` takes no ``strict`` at all."""
+    passed, parameters = [], {}
+    for path in pathlib.Path(gjb.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                passed += [(path.name, ast.unparse(kw.value)) for kw in node.keywords if kw.arg == "strict"]
+            if isinstance(node, ast.FunctionDef) and node.name in {"interior_product", "form_contraction"}:
+                arguments = node.args
+                parameters[node.name] = [a.arg for a in arguments.args + arguments.kwonlyargs]
+    assert passed == [("dsl.py", "True")]
+    assert parameters == {"interior_product": ["U", "omega", "strict"], "form_contraction": ["xi", "U"]}
+
+
 def test_every_private_function_has_a_caller():
     """A module-level ``_name`` function that nothing in the package
     refers to (outside its own body) is dead code."""

@@ -74,7 +74,7 @@ def rand_member(rng, S, laurent=False):
     for u in S.kernel(1, "theta"):
         x = x + u.scale(rand_coefficient(rng, S.chart, laurent=laurent))
     gamma = rand_coefficient(rng, S.chart, laurent=laurent)
-    alpha = interior_product(x, S.dtheta, strict=False) + S.theta.scale(gamma)
+    alpha = interior_product(x, S.dtheta) + S.theta.scale(gamma)
     return alpha, x, gamma
 
 
@@ -166,7 +166,7 @@ def test_reeb_component_vanishes_on_pure_contractions(rng):
     # whenever ι_X dΘ decomposes at all, its γ-component is forced to zero
     for _ in range(8):
         x = rand_multivector(rng, CAN.chart, 1)
-        dec = z_membership(CAN, interior_product(x, CAN.dtheta, strict=False))
+        dec = z_membership(CAN, interior_product(x, CAN.dtheta))
         if dec is not None:
             assert dec.gamma.is_zero()
 
@@ -213,8 +213,8 @@ def test_sharp_is_skew_symmetric(rng):
     for _ in range(6):
         alpha, xa, _ = rand_member(rng, CAN)
         beta, xb, _ = rand_member(rng, CAN)
-        left = interior_product(xa, beta, strict=False)
-        right = interior_product(xb, alpha, strict=False)
+        left = interior_product(xa, beta)
+        right = interior_product(xb, alpha)
         assert same_form(left, -right)
 
 
@@ -252,6 +252,19 @@ def test_top_degree_graded_class_is_sharp(rng):
     assert cls.modulus == ()  # K₁ = 0 on a multicontact chart
 
 
+def test_graded_refusal_names_only_the_decompositions_it_tried():
+    # x0·dp is refused after trying the hint and the constant degree-1 basis
+    # vector fields for u, so that is all the message claims
+    alpha = d(CAN, "p").scale(C(CAN, "x0"))
+    searched = "no decomposition i_u(i_X d theta + gamma theta) of the degree-1 form with u "
+    with pytest.raises(DomainError) as err:
+        sharp_graded(CAN, alpha)
+    assert str(err.value) == searched + "a constant degree-1 basis multivector"
+    with pytest.raises(DomainError) as err:
+        sharp_graded(CAN, alpha, e(CAN, "y"))
+    assert str(err.value) == searched + "the hint or a constant degree-1 basis multivector"
+
+
 def test_quotient_classes_ignore_kernel_shifts():
     S = five_structure()
     k2 = S.kernel(2, "both")
@@ -286,8 +299,8 @@ def test_graded_pairing_symmetry(rng):
         beta = interior_product(MultiVector(CAN.chart, n - b, {u_b: Coefficient.one(CAN.chart)}), beta_top)
         sa = sharp_graded(CAN, alpha)
         sb = sharp_graded(CAN, beta)
-        left = interior_product(sa.representative, beta, strict=False)
-        right = interior_product(sb.representative, alpha, strict=False)
+        left = interior_product(sa.representative, beta)
+        right = interior_product(sb.representative, alpha)
         sign = (-1) ** ((n + 1 - a) * (n + 1 - b))
         assert same_form(left, right.scale(sign))
 

@@ -134,7 +134,7 @@ def test_nondegeneracy_failure_reports_a_kernel_witness():
     assert report.witness is not None
     # the witness genuinely annihilates omega
     sym = build(NFormStructure(chart, DiffForm.differential(chart, "x")))
-    assert interior_product(report.witness, sym.omega, strict=False).is_zero()
+    assert interior_product(report.witness, sym.omega).is_zero()
 
 
 # --- lifting ---------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_degree_two_lifts_differ_inside_the_upsilon_kernel(rng):
     assert lie_derivative(second, SYM.upsilon).is_zero()
     assert project_to_base(SYM, second) == pair.x_field
     difference = second - first
-    assert interior_product(difference, exterior_derivative(SYM.upsilon), strict=False).is_zero()
+    assert interior_product(difference, exterior_derivative(SYM.upsilon)).is_zero()
     assert (difference.is_zero()) == shift.is_zero()
 
 
@@ -214,7 +214,7 @@ def test_psi_witness_matches_independent_hamiltonian_solve():
     solved = ms_hamiltonian_pair(SYM.omega, psi)
     assert solved is not None
     difference = witness - solved
-    assert interior_product(difference, SYM.omega, strict=False).is_zero()
+    assert interior_product(difference, SYM.omega).is_zero()
 
 
 def test_poisson_bracket_rejects_non_hamiltonian_pairs():
