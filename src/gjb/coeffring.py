@@ -55,7 +55,7 @@ then trusted: the one term they write has a key of the chart's layout
 by construction, `Chart.index` refuses an unknown name, a negative power
 is refused on a coordinate not flagged nonvanishing and a power outside
 the slot range is refused, `_as_rational` stores the value as the
-boundary would, and a zero value writes no term; parsing builds from
+boundary would, and a zero value writes no term; `dsl` builds from
 them and the ring operations.  The results of `+`, `-`, `*`, `scale`,
 positive powers and `partial` are built by `_trusted`, which checks
 nothing, because the ring is closed under them up to the slot range,
@@ -68,9 +68,9 @@ only where one already was; and no result keeps a zero.
 
 The textual form is `3/2*s0*y^2 - 1*z^-1`: terms joined by signs, each
 term a rational prefix followed by `name^exponent` factors with the names
-in lexicographic order.  The same token stream and precedence are used by
-the CLI expression language, where `^` doubles as the wedge; on scalars
-both readings agree because `name^int` is parsed as an integer power.
+in lexicographic order.  This module only writes text: the form is a
+scalar expression of the expression language, and `dsl.parse_coefficient`
+reads it with that language's one grammar.
 
 All plain and LaTeX text of the package is written here: a spelling
 record per format (`_PLAIN`, `_LATEX`) says how it writes each piece of
@@ -88,18 +88,15 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import DomainError, ParseError, StructuralError
+from .errors import DomainError, StructuralError
 
 __all__ = [
     "Chart",
     "Coefficient",
-    "parse_coefficient",
     "format_coefficient",
-    "tokenize",
-    "Token",
 ]
 
-# the alphabet of names (coordinates, and every name the tokenizer reads);
+# the alphabet of names (coordinates, and every name dsl's tokenizer reads);
 # a name does not start with a digit, and a number is ASCII digits only
 _DIGITS = frozenset("0123456789")
 _NAME_OK = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_") | _DIGITS
@@ -630,181 +627,6 @@ class Coefficient:
 
     def __str__(self):
         return format_coefficient(self)
-
-
-# ---------------------------------------------------------------------------
-# shared tokenizer
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NUMBER NAME OP END
-    text: str
-    line: int
-    column: int
-    value: Fraction | None = None
-
-
-_OPS = {"+", "-", "*", "^", "(", ")", ",", "="}
-
-
-def tokenize(text: str) -> list[Token]:
-    """Token stream shared by the scalar grammar and the CLI expression
-    language.  Numbers are integers or integer ratios like 3/2 (no spaces
-    around the slash) in ASCII digits; names are spelled in the chart's
-    alphabet ``_NAME_OK`` and do not start with a digit.  Any other
-    character, a non-ASCII digit or letter included, is a ParseError."""
-    tokens: list[Token] = []
-    line, col = 1, 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            num = int(text[i:j])
-            den = 1
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1] in _DIGITS:
-                j += 1
-                k = j
-                while k < len(text) and text[k] in _DIGITS:
-                    k += 1
-                den = int(text[j:k])
-                if den == 0:
-                    raise ParseError("zero denominator in numeric literal", line, start_col)
-                j = k
-            tokens.append(Token("NUMBER", text[i:j], line, start_col, Fraction(num, den)))
-            col += j - i
-            i = j
-            continue
-        if ch in _NAME_OK:
-            j = i
-            while j < len(text) and text[j] in _NAME_OK:
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(Token("OP", ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("END", "", line, col))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# scalar parser (the Coefficient textual form)
-# ---------------------------------------------------------------------------
-
-
-class _ScalarParser:
-    def __init__(self, chart: Chart, tokens: list[Token]):
-        self.chart = chart
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-        return self.take()
-
-    def parse(self) -> Coefficient:
-        value = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.column)
-        return value
-
-    def expr(self) -> Coefficient:
-        negate = False
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text in {"+", "-"}:
-            self.take()
-            negate = tok.text == "-"
-        value = self.term()
-        if negate:
-            value = -value
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in {"+", "-"}:
-                self.take()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
-
-    def term(self) -> Coefficient:
-        value = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "*":
-                self.take()
-                value = value * self.atom()
-            else:
-                return value
-
-    def atom(self) -> Coefficient:
-        tok = self.take()
-        if tok.kind == "NUMBER":
-            base = Coefficient.constant(self.chart, tok.value)
-        elif tok.kind == "NAME":
-            if tok.text not in self.chart.coordinates:
-                raise ParseError(f"unknown coordinate {tok.text!r}", tok.line, tok.column)
-            base = Coefficient.coordinate(self.chart, tok.text)
-        elif tok.kind == "OP" and tok.text == "(":
-            base = self.expr()
-            self.expect_op(")")
-        else:
-            raise ParseError(
-                f"expected a number, coordinate or '(', found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
-        nxt = self.peek()
-        if nxt.kind == "OP" and nxt.text == "^":
-            self.take()
-            power = self.signed_int()
-            base = base**power
-        return base
-
-    def signed_int(self) -> int:
-        sign = 1
-        tok = self.take()
-        if tok.kind == "OP" and tok.text in {"+", "-"}:
-            sign = -1 if tok.text == "-" else 1
-            tok = self.take()
-        if tok.kind != "NUMBER" or tok.value.denominator != 1:
-            raise ParseError("exponent must be an integer", tok.line, tok.column)
-        return sign * int(tok.value)
-
-
-def parse_coefficient(chart: Chart, text: str) -> Coefficient:
-    """Parse the textual scalar form, e.g. ``3/2*s0*y^2 - 1*z^-1``."""
-    return _ScalarParser(chart, tokenize(text)).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ The grammar (EBNF):
     factor := FUNC '(' expr (',' expr)* ')'
             | NAME | NUMBER
             | '(' expr ')'
-            | '-' factor
+            | '-' power
 
 with functions ``d`` (exterior derivative), ``i_`` (interior product),
 ``L_`` (Lie derivative), ``sn`` (Schouten-Nijenhuis bracket), ``jb``
@@ -18,10 +18,18 @@ higher degree than w with a ``ParseError`` at the call, where the
 library's contraction gives the zero of the negative degree, as ``L_``
 does.
 
-``^`` binds tighter than ``*`` so that ``1/2*p0^2`` reads as half the
-square of ``p0``; both act as the exterior product on graded operands,
-while ``base ^ k`` with an integer literal ``k`` is a power when the base
-has degree zero and an iterated wedge otherwise.
+``^`` binds tighter than ``*`` and ``-`` so that ``1/2*p0^2`` reads as
+half the square of ``p0`` and ``2*-p0^2`` as ``-2*p0^2``.  ``^`` and
+``*`` both act as the exterior product on graded operands, while
+``base ^ k`` with an integer literal ``k`` is a power when the base has
+degree zero and an iterated wedge otherwise (conformal data has no
+powers).  A scalar ``^`` needs an integer exponent: ``x^(1+1)`` is
+``x^2``, and ``x^y`` or ``x^(1/2)`` is a ``ParseError`` at the ``^``.
+
+Every text the package reads goes through this grammar: the stored
+coefficients of session and interchange files too, which
+``parse_coefficient`` reads as scalar expressions on their chart,
+refusing a value that is not a scalar.
 
 Bare names resolve, in order, against session bindings, chart
 coordinates, ``d<coordinate>`` (a coordinate differential) and
@@ -44,17 +52,15 @@ from fractions import Fraction
 from typing import Mapping
 
 from .coeffring import (
+    _DIGITS,
     _NAME_OK,
     _SPELLINGS,
     Chart,
     Coefficient,
     _accumulate,
     _coefficient_text,
-    Token,
     format_coefficient,
     latex_name,
-    parse_coefficient,
-    tokenize,
 )
 from .errors import DegreeError, DomainError, ParseError, StructuralError
 from .exterior import (
@@ -75,7 +81,10 @@ __all__ = [
     "Neg",
     "BinOp",
     "Call",
+    "Token",
+    "tokenize",
     "parse",
+    "parse_coefficient",
     "free_names",
     "Environment",
     "elaborate",
@@ -90,39 +99,114 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# tokens
+# ---------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class Token:
+    kind: str  # NUMBER NAME OP END
+    text: str
+    line: int
+    column: int
+    value: Fraction | None = None
+
+
+_OPS = {"+", "-", "*", "^", "(", ")", ",", "="}
+
+
+def tokenize(text: str) -> list[Token]:
+    """The token stream of every text the package reads.  Numbers are
+    integers or integer ratios like 3/2 (no spaces around the slash) in
+    ASCII digits; names are spelled in the chart's alphabet ``_NAME_OK``
+    and do not start with a digit.  Any other character, a non-ASCII
+    digit or letter included, is a ParseError."""
+    tokens: list[Token] = []
+    line, col = 1, 0
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 0
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        start_col = col
+        if ch in _DIGITS:
+            j = i
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            num = int(text[i:j])
+            den = 1
+            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1] in _DIGITS:
+                j += 1
+                k = j
+                while k < len(text) and text[k] in _DIGITS:
+                    k += 1
+                den = int(text[j:k])
+                if den == 0:
+                    raise ParseError("zero denominator in numeric literal", line, start_col)
+                j = k
+            tokens.append(Token("NUMBER", text[i:j], line, start_col, Fraction(num, den)))
+            col += j - i
+            i = j
+            continue
+        if ch in _NAME_OK:
+            j = i
+            while j < len(text) and text[j] in _NAME_OK:
+                j += 1
+            tokens.append(Token("NAME", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _OPS:
+            tokens.append(Token("OP", ch, line, start_col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(Token("END", "", line, col))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
 # abstract syntax
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Node:
     line: int
     column: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Num(Node):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ident(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neg(Node):
     operand: Node
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp(Node):
     op: str  # + - * ^
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call(Node):
     func: str
     args: tuple[Node, ...]
@@ -224,7 +308,7 @@ class _Parser:
             self.expect_op(")")
             return node
         if tok.kind == "OP" and tok.text == "-":
-            return Neg(tok.line, tok.column, self.factor())
+            return Neg(tok.line, tok.column, self.power())
         raise ParseError(
             f"expected a name, number or '(', found {tok.text or 'end of input'!r}",
             tok.line,
@@ -490,18 +574,15 @@ def elaborate(node: Node, env: Environment) -> Value:
         left = elaborate(node.left, env)
         if node.op == "^":
             exponent = _literal_int(node.right)
-            if exponent is not None and (
-                _as_scalar(left) is not None or isinstance(left, (DiffForm, MultiVector))
-            ):
+            if exponent is not None:
                 return _power(env, node, left, exponent)
         right = elaborate(node.right, env)
         if node.op == "^":
             rs = _as_scalar(right)
-            if rs is not None and rs.is_constant() and _as_scalar(left) is not None:
-                value = rs.constant_value()
-                if value.denominator != 1:
+            if rs is not None and _as_scalar(left) is not None:
+                if not rs.is_constant() or rs.constant_value().denominator != 1:
                     raise ParseError("exponent must be an integer", node.line, node.column)
-                return _power(env, node, left, int(value))
+                return _power(env, node, left, int(rs.constant_value()))
         return _wedge_like(env, node, left, right)
     if isinstance(node, Call):
         return _call(env, node)
@@ -556,6 +637,16 @@ def _call(env: Environment, node: Call) -> Value:
 def evaluate(text: str, env: Environment) -> Value:
     """Parse and elaborate in one step."""
     return elaborate(parse(text), env)
+
+
+def parse_coefficient(chart: Chart, text: str) -> Coefficient:
+    """Read a scalar expression on ``chart``, such as the textual form
+    ``3/2*s0*y^2 - 1*z^-1`` that ``format_coefficient`` writes; text whose
+    value is not a scalar is a ParseError."""
+    value = evaluate(text, Environment(chart=chart))
+    if not isinstance(value, Coefficient):
+        raise ParseError(f"expected a scalar, got a {_describe(value)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +721,13 @@ def _chart_of(payload: dict, chart: Chart | None) -> Chart:
 
 
 def _stored_coefficient(chart: Chart, text: str) -> Coefficient:
-    """Parse a serialized coefficient.  Text that parses but leaves the
-    chart's Laurent ring (a negative power of a coordinate that may
-    vanish) is as malformed as text that does not parse."""
+    """Parse a serialized coefficient; text that does not read as a scalar
+    of the chart's Laurent ring is malformed, and the error names it.  The
+    library calls the language offers raise their own errors: ``sn`` of
+    two scalars a DegreeError, ``d`` or ``L_`` past a slot a DomainError."""
     try:
         return parse_coefficient(chart, text)
-    except DomainError as err:
+    except (ParseError, DegreeError, DomainError) as err:
         raise StructuralError(f"coefficient {text!r}: {err}") from err
 
 

@@ -19,7 +19,8 @@ from conftest import (
     rand_fg_data,
 )
 from gjb.cli import main as cli_main
-from gjb.coeffring import Chart, Coefficient, parse_coefficient
+from gjb.coeffring import Chart, Coefficient
+from gjb.dsl import parse_coefficient
 from gjb.exterior import (
     DiffForm,
     MultiVector,
@@ -255,11 +256,11 @@ def test_criterion_03_graded_identities():
             a = draw()
             b = deg2[rng.randrange(80)] if k % 3 == 0 else deg1[rng.randrange(120)]
             c = deg1[rng.randrange(120)]
-            q, r = b.degree, c.degree
+            p, q = a.degree, b.degree
             lhs = jacobi_bracket(a, cup_product(b, c)).alpha
             rhs = cup_product(jacobi_bracket(a, b), c).alpha + cup_product(
                 b, jacobi_bracket(a, c)
-            ).alpha.scale((-1) ** ((r - 1) * q))
+            ).alpha.scale((-1) ** ((p - 1) * q))
             assert lhs == rhs
             checked["leibniz"] += 1
     print(

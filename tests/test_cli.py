@@ -786,6 +786,11 @@ class TestErrorPaths:
         # a Lie derivative past the bottom degree is the typed zero, not a refusal
         assert run(capsys, "render", "L_(e_q^e_p, q)", "-s", contact_session) == (0, "0\n", "")
 
+    @pytest.mark.parametrize("expr", ["q^p", "q^(1/2)"])
+    def test_a_scalar_power_needs_an_integer_exponent(self, contact_session, capsys, expr):
+        error = "in expression: exponent must be an integer (line 1, column 1)"
+        assert run(capsys, "render", expr, "-s", contact_session) == (2, "", f"error: {error}\n")
+
     def test_no_command_is_a_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 2

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjb.coeffring import _BIAS, Chart, Coefficient, format_coefficient, parse_coefficient
-from gjb.dsl import render, to_json
+from gjb.coeffring import _BIAS, Chart, Coefficient, format_coefficient
+from gjb.dsl import parse_coefficient, render, to_json
 from gjb.errors import DomainError, ParseError, StructuralError
 from gjb.exterior import DiffForm, MultiVector, schouten_nijenhuis, wedge
 from gjb.linalg import exact_divide

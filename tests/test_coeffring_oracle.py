@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjb.coeffring import Chart, Coefficient, format_coefficient, parse_coefficient
+from gjb.coeffring import Chart, Coefficient, format_coefficient
+from gjb.dsl import parse_coefficient
 from gjb.errors import DomainError
 from gjb.linalg import exact_divide
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gjb.coeffring import Chart, Coefficient, parse_coefficient
+from gjb.coeffring import Chart, Coefficient
 from gjb.dsl import (
     Environment,
     elaborate,
@@ -14,6 +14,7 @@ from gjb.dsl import (
     latex_name,
     object_from_json,
     parse,
+    parse_coefficient,
     render,
     to_json,
 )
@@ -80,6 +81,45 @@ def test_parenthesized_expressions_and_unary_minus():
 
 def test_integer_power_of_sum():
     assert evaluate("(s0 + y)^2", env()) == (C("s0") + C("y")) ** 2
+
+
+def test_a_minus_binds_looser_than_a_power_wherever_it_stands():
+    assert evaluate("2*-y^2", env()) == -2 * C("y") ** 2
+    assert evaluate("-y^2", env()) == -(C("y") ** 2)
+    assert evaluate("p*-y^3*s0", env()) == -C("p") * C("y") ** 3 * C("s0")
+
+
+@pytest.mark.parametrize("text", ["y^p", "y^(p - p + s0)", "y^(1/2)", "(y + 1)^s0"])
+def test_a_scalar_power_refuses_a_non_integer_exponent_at_its_caret(text):
+    with pytest.raises(ParseError) as err:
+        evaluate(text, env())
+    assert str(err.value).startswith("exponent must be an integer")
+    assert err.value.column == text.rindex("^")
+
+
+def test_parse_coefficient_reads_a_scalar_expression():
+    x, y = C("x0"), C("y")
+    assert parse_coefficient(CAN.chart, "2*-x0") == -2 * x
+    assert parse_coefficient(CAN.chart, "x0^2^3") == x**6
+    assert parse_coefficient(CAN.chart, "x0^(1+1)") == x**2
+    assert parse_coefficient(CAN.chart, "3/2*p*y^2 - 1*s0") == Fraction(3, 2) * C("p") * y**2 - C("s0")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x0^+2", "expected a name, number or '(', found '+' (line 1, column 3)"),
+        ("x0^y", "exponent must be an integer (line 1, column 2)"),
+        ("dx0", "expected a scalar, got a 1-form"),
+        ("e_x0", "expected a scalar, got a 1-vector"),
+        ("d(x0)", "expected a scalar, got a 1-form"),
+        ("i_(e_x0, dx0)", "expected a scalar, got a 0-form"),
+    ],
+)
+def test_parse_coefficient_refuses_what_is_not_a_scalar_of_the_ring(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_coefficient(CAN.chart, text)
+    assert str(err.value).startswith(message)
 
 
 def test_wedge_square_of_two_form_in_higher_dimension():
@@ -207,6 +247,15 @@ def test_conformal_data_scales_by_constants_only():
     assert evaluate("-a", env(a=data)).alpha == -data.alpha
     with pytest.raises(ParseError):
         evaluate("s0*a", env(a=data))
+
+
+@pytest.mark.parametrize("text", ["a^2", "a^-1", "a^0"])
+def test_conformal_data_has_no_powers(text):
+    from gjb.fieldtheory import elementary_tables
+
+    rows, _ = elementary_tables(CAN)
+    with pytest.raises(ParseError, match=r"^conformal data has no powers \(line 1, column 1\)"):
+        evaluate(text, env(a=rows[0].data))
 
 
 # --------------------------------------------------------------------------
@@ -382,6 +431,24 @@ def test_json_sums_repeated_terms_and_drops_cancelled_ones():
     assert object_from_json(payload, chart=CAN.chart) == scalar("2")
     payload["terms"].append({"indices": [], "coeff": "-2"})
     assert object_from_json(payload, chart=CAN.chart) == Coefficient.zero(CAN.chart)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("dq", "expected a scalar, got a 1-form (line 1, column 0)"),
+        ("q^+2", "expected a name, number or '(', found '+' (line 1, column 2)"),
+        ("sn(q, z)", "the graded bracket of two scalars is not defined"),
+        ("i_(e_z, d(z^-16384))", "an exponent leaves the range [-16384, 16383] of its slot"),
+    ],
+)
+def test_a_stored_coefficient_outside_the_ring_is_malformed_and_named(text, error):
+    chart = Chart(("q", "z"), nonvanishing=frozenset({"z"}))
+    payload = to_json(DiffForm.differential(chart, "q"))
+    payload["terms"][0]["coeff"] = text
+    with pytest.raises(StructuralError) as err:
+        object_from_json(payload, chart=chart)
+    assert str(err.value) == f"coefficient {text!r}: {error}"
 
 
 def test_json_rejects_malformed_indices():

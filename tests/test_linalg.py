@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjb.coeffring import Chart, Coefficient, parse_coefficient
+from gjb.coeffring import Chart, Coefficient
+from gjb.dsl import parse_coefficient
 from gjb.errors import DomainError, StructuralError
 from gjb.linalg import exact_divide, rref
 

@@ -97,6 +97,25 @@ def test_one_function_joins_signed_terms():
     assert sorted(separators(signed_sum)) == [" + ", " - "]
 
 
+def test_one_grammar_reads_every_text():
+    """``coeffring`` writes text and reads none: it defines no tokenizer
+    or parser and raises no ParseError, and ``dsl`` is the only module
+    that calls ``tokenize``."""
+    package = pathlib.Path(gjb.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    ring = trees["coeffring.py"]
+    defined = {node.name for node in ring.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert defined & {"Token", "tokenize", "_ScalarParser", "parse_coefficient"} == set()
+    assert [node.lineno for node in ast.walk(ring) if isinstance(node, ast.Name) and node.id == "ParseError"] == []
+    callers = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "tokenize" in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    }
+    assert callers == {"dsl.py"}
+
+
 def test_one_builder_reads_the_contraction_sign_rule():
     """Every contraction system comes from one builder: the sign rule
     ``exterior._contract_key`` is used inside ``exterior`` and, elsewhere in

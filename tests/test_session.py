@@ -315,7 +315,10 @@ def test_a_malformed_coefficient_names_its_binding(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, out, err = _cli(capsys, "render", "w", "-s", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: malformed session file: binding 'w': exponent must be an integer (line 1, column 5)\n"
+    assert err == (
+        "error: malformed session file: binding 'w': coefficient '2*x0^': "
+        "expected a name, number or '(', found 'end of input' (line 1, column 5)\n"
+    )
     code, out, err = _cli(capsys, "render", "u", "-s", str(path))
     assert (code, out, err) == (0, "dy\n", "")
 
@@ -331,10 +334,10 @@ def test_a_coefficient_outside_the_ring_names_its_binding(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, out, err = _cli(capsys, "render", "w", "-s", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: malformed session file: binding 'w': coefficient 'x0^-1': 1*x0 is not a unit of the Laurent ring\n"
+    assert err == "error: malformed session file: binding 'w': coefficient 'x0^-1': 1*x0 is not a unit of the Laurent ring (line 1, column 2)\n"
     code, out, err = _cli(capsys, "bracket", "a", "a", "-s", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: malformed session file: binding 'a': coefficient 'p^-2': 1*p is not a unit of the Laurent ring\n"
+    assert err == "error: malformed session file: binding 'a': coefficient 'p^-2': 1*p is not a unit of the Laurent ring (line 1, column 1)\n"
     code, out, err = _cli(capsys, "render", "u", "-s", str(path))
     assert (code, out, err) == (0, "dy\n", "")
 

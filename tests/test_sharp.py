@@ -17,7 +17,8 @@ from conftest import (
     rand_multivector,
     xmu_form,
 )
-from gjb.coeffring import Chart, Coefficient, parse_coefficient
+from gjb.coeffring import Chart, Coefficient
+from gjb.dsl import parse_coefficient
 from gjb.errors import DomainError
 from gjb.exterior import (
     DiffForm,

@@ -24,7 +24,8 @@ from conftest import (
     rand_form,
     rand_multivector,
 )
-from gjb.coeffring import Chart, Coefficient, parse_coefficient
+from gjb.coeffring import Chart, Coefficient
+from gjb.dsl import parse_coefficient
 from gjb.errors import DegreeError, DomainError, StructuralError, ValidationError
 from gjb.linalg import RrefResult, rref
 from gjb.exterior import (
@@ -340,42 +341,45 @@ def test_bracket_identities_beyond_canonical_21(rng, shape):
         assert (first + second + third).is_zero()
     for _ in range(10):
         a, b, c = draw(), draw(), draw()
-        q, r = b.degree, c.degree
+        p, q = a.degree, b.degree
         lhs = jacobi_bracket(a, cup_product(b, c)).alpha
         rhs = cup_product(jacobi_bracket(a, b), c).alpha + cup_product(b, jacobi_bracket(a, c)).alpha.scale(
-            (-1) ** ((r - 1) * q)
+            (-1) ** ((p - 1) * q)
         )
         assert lhs == rhs
 
 
-def test_graded_leibniz_and_jacobi_on_translations():
-    # the translations T_μ = (−ι_{∂x^μ}Θ, ∂x^μ, 0) are conformal because Θ
-    # does not depend on x, and a cup with one of them has α ≠ 0, unlike a
-    # cup of two vertical data
-    S = canonical_structure(2, 1)
+def _translations_and_vertical_data(n):
+    """Degree-1 data at (n, 1): the translations T_μ = (−ι_{∂x^μ}Θ, ∂x^μ, 0),
+    conformal because Θ does not depend on x, then four vertical (F, G)
+    data, G^μ = A^μ + B·p^μ: F = −1, F = −y, G^μ = −1, G^μ = −p^μ.  A cup
+    with a translation has α ≠ 0, unlike a cup of two vertical data."""
+    S = canonical_structure(n, 1)
     chart = S.chart
     zero, one = Coefficient.zero(chart), Coefficient.one(chart)
     y = Coefficient.coordinate(chart, "y")
     translations = []
-    for mu in range(2):
+    for mu in range(n):
         e = MultiVector.basis_vector(chart, f"x{mu}")
         translations.append(make_conformal_data(S, -interior_product(e, S.theta), e, 0))
-    # vertical (F, G) data, G^μ = A^μ + B·p^μ: F = −1, F = −y, G^μ = −1, G^μ = −p^μ
     fg = [
-        (-one, [zero, zero], [zero]),
-        (-y, [zero, zero], [zero]),
-        (zero, [-one, -one], [zero]),
-        (zero, [zero, zero], [-one]),
+        (-one, [zero] * n, [zero]),
+        (-y, [zero] * n, [zero]),
+        (zero, [-one] * n, [zero]),
+        (zero, [zero] * n, [-one]),
     ]
-    vertical = [fg_conformal_data(S, 2, 1, F, A, B) for F, A, B in fg]
-    pool = translations + vertical
+    return translations + [fg_conformal_data(S, n, 1, F, A, B) for F, A, B in fg]
+
+
+def test_graded_leibniz_and_jacobi_on_translations():
+    pool = _translations_and_vertical_data(2)
     nonzero = {"leibniz": 0, "jacobi": 0}
-    # {a, b∨c} = {a,b}∨c + (−1)^{(r−1)q} b∨{a,c} on every ordered triple
+    # {a, b∨c} = {a,b}∨c + (−1)^{(p−1)q} b∨{a,c} on every ordered triple
     for a, b, c in itertools.product(pool, repeat=3):
-        q, r = b.degree, c.degree
+        p, q = a.degree, b.degree
         lhs = jacobi_bracket(a, cup_product(b, c)).alpha
         first = cup_product(jacobi_bracket(a, b), c).alpha
-        second = cup_product(b, jacobi_bracket(a, c)).alpha.scale((-1) ** ((r - 1) * q))
+        second = cup_product(b, jacobi_bracket(a, c)).alpha.scale((-1) ** ((p - 1) * q))
         assert lhs == first + second
         nonzero["leibniz"] += not (lhs.is_zero() and first.is_zero() and second.is_zero())
     # graded Jacobi with one cup slot: each unordered pair's cup with α ≠ 0,
@@ -391,6 +395,29 @@ def test_graded_leibniz_and_jacobi_on_translations():
     # floors measured on this pool: 24 of 216 Leibniz and 108 of 972 Jacobi
     # checks have a nonzero side or term
     assert nonzero["leibniz"] >= 24 and nonzero["jacobi"] >= 108
+
+
+def test_graded_leibniz_sign_bites_at_31():
+    # at (2, 1) a cup of a cup is past the bottom degree, so every Leibniz
+    # check above with a nonzero side has q = r = 1.  At (3, 1) the second
+    # term b∨{a,c} is nonzero with a cup in the a or c slot, the classes
+    # (p, q, r) = (2, 1, 1) and (1, 1, 2), where the sign (−1)^{(p−1)q}
+    # differs from (−1)^{(r−1)q}
+    pool = _translations_and_vertical_data(3)
+    cups = [cup for a, b in itertools.combinations(pool, 2) if not (cup := cup_product(a, b)).alpha.is_zero()]
+    assert len(cups) == 15
+    nonzero = {"side": 0, "second": 0}
+    for a, b, c in itertools.chain(itertools.product(cups, pool, pool), itertools.product(pool, pool, cups)):
+        p, q = a.degree, b.degree
+        lhs = jacobi_bracket(a, cup_product(b, c)).alpha
+        first = cup_product(jacobi_bracket(a, b), c).alpha
+        second = cup_product(b, jacobi_bracket(a, c)).alpha
+        assert lhs == first + second.scale((-1) ** ((p - 1) * q))
+        nonzero["side"] += not (lhs.is_zero() and first.is_zero() and second.is_zero())
+        nonzero["second"] += not second.is_zero()
+    # floors measured on this pool: of the 1470 checks, 126 have a nonzero
+    # side and 72 a nonzero second term
+    assert nonzero["side"] >= 126 and nonzero["second"] >= 72
 
 
 def test_weak_leibniz_zero_data():
@@ -470,17 +497,17 @@ def test_cup_product_five(rng):
 
 
 def test_cup_leibniz_rule(rng):
-    # {a, b v c} = {a,b} v c + (-1)^{(r-1)q} b v {a,c}
+    # {a, b v c} = {a,b} v c + (-1)^{(p-1)q} b v {a,c}
     S = five_structure()
     for _ in range(6):
         a = potential_data(S, rand_potential(rng))
         b = potential_data(S, rand_potential(rng))
         c = potential_data(S, rand_potential(rng))
-        q, r = b.degree, c.degree
+        p, q = a.degree, b.degree
         lhs = jacobi_bracket(a, cup_product(b, c)).alpha
         rhs = cup_product(jacobi_bracket(a, b), c).alpha + cup_product(
             b, jacobi_bracket(a, c)
-        ).alpha.scale((-1) ** ((r - 1) * q))
+        ).alpha.scale((-1) ** ((p - 1) * q))
         assert lhs == rhs
 
 

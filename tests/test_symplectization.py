@@ -11,7 +11,8 @@ from conftest import (
     rand_coefficient,
     rand_fg_data,
 )
-from gjb.coeffring import Chart, Coefficient, parse_coefficient
+from gjb.coeffring import Chart, Coefficient
+from gjb.dsl import parse_coefficient
 from gjb.errors import StructuralError, ValidationError
 from gjb.exterior import (
     DiffForm,
