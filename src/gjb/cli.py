@@ -597,7 +597,7 @@ def _add_nm_flags(parser, required: bool = True) -> None:
     parser.add_argument("--m", type=int, required=required, help="number of field components")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The command-line parser, built on the first ``main`` call of a
     process and reused by every later one (parsing leaves it unchanged)."""

@@ -37,8 +37,9 @@ and packs them (`Chart.pack`), and text, JSON and the tuple view
 only: the other modules reach packed keys through `Chart.origin` and the
 helpers `_partial_terms` (a partial of raw terms), `_block` (a key's
 exponents at a range of positions), `_slot_bound` (slotwise extremes),
-`_slots_at_least` (a slotwise comparison), `_positions`, `_check_range`
-and `_negative_name`.
+`_slots_at_least` (a slotwise comparison), `_positions`, `_support_mask`
+(the positions of `_positions` as one int, bit i for position i),
+`_check_range` and `_negative_name`.
 
 Coefficients are immutable by convention: all operations return new
 objects and nothing mutates `terms` after construction.
@@ -214,6 +215,22 @@ def _positions(chart: Chart, keys: Iterable[int]) -> list[int]:
     for key in keys:
         mask |= key ^ origin
     return [i for i, _ in _slots(chart, mask)]
+
+
+def _support_mask(chart: Chart, keys: Iterable[int]) -> int:
+    """``_positions`` as a mask of positions: bit i is set exactly when
+    some key has a nonzero exponent at position i."""
+    origin = chart.origin
+    mask = 0
+    for key in keys:
+        mask |= key ^ origin
+    last = chart.dimension - 1
+    bits = 0
+    while mask:
+        slot = (mask.bit_length() - 1) // _WIDTH
+        bits |= 1 << (last - slot)
+        mask &= (1 << (slot * _WIDTH)) - 1
+    return bits
 
 
 def _partial_terms(chart: Chart, terms: Mapping[int, int | Fraction], i: int, offset: int = 0) -> dict:

@@ -14,17 +14,20 @@ with functions ``d`` (exterior derivative), ``i_`` (interior product),
 ``L_`` (Lie derivative), ``sn`` (Schouten-Nijenhuis bracket), ``jb``
 (Jacobi bracket of conformal data), ``cup`` (cup product) and ``psi``
 (transport to the homogeneous extension).  ``i_(X, w)`` refuses an X of
-higher degree than w with a ``ParseError`` at the call, where the
-library's contraction gives the zero of the negative degree, as ``L_``
-does.
+higher degree than w, where the library's contraction gives the zero of
+the negative degree, as ``L_`` does.  Whatever the library refuses in
+an operation or call (a DegreeError or DomainError, such as ``sn`` of
+two scalars or ``d`` of a term whose exponent would leave its slot) is
+a ``ParseError`` at its operator or call.
 
 ``^`` binds tighter than ``*`` and ``-`` so that ``1/2*p0^2`` reads as
 half the square of ``p0`` and ``2*-p0^2`` as ``-2*p0^2``.  ``^`` and
 ``*`` both act as the exterior product on graded operands, while
-``base ^ k`` with an integer literal ``k`` is a power when the base has
-degree zero and an iterated wedge otherwise (conformal data has no
-powers).  A scalar ``^`` needs an integer exponent: ``x^(1+1)`` is
-``x^2``, and ``x^y`` or ``x^(1/2)`` is a ``ParseError`` at the ``^``.
+``base ^ k`` with a scalar ``k`` is a power when the base has degree
+zero and an iterated wedge otherwise (conformal data has no powers).
+The exponent must be a constant integer: ``x^(1+1)`` is ``x^2`` and
+``dx^(1+1)`` is ``dx^2``, and ``x^y``, ``dx^y`` or ``x^(1/2)`` is a
+``ParseError`` at the ``^``.
 
 Every text the package reads goes through this grammar: the stored
 coefficients of session and interchange files too, which
@@ -486,10 +489,7 @@ def _add(env: Environment, node: BinOp, left: Value, right: Value) -> Value:
         a, b = _as_graded(DiffForm, left, node.left), _as_graded(DiffForm, right, node.right)
     else:
         a, b = _as_graded(MultiVector, left, node.left), _as_graded(MultiVector, right, node.right)
-    try:
-        return a + b if sign > 0 else a - b
-    except DegreeError as err:
-        raise ParseError(str(err), node.line, node.column) from err
+    return a + b if sign > 0 else a - b
 
 
 def _wedge_like(env: Environment, node: BinOp, left: Value, right: Value) -> Value:
@@ -497,10 +497,7 @@ def _wedge_like(env: Environment, node: BinOp, left: Value, right: Value) -> Val
     operands of the same species take their exterior product."""
     ls, rs = _as_scalar(left), _as_scalar(right)
     if ls is not None and rs is not None:
-        try:
-            return ls * rs
-        except DomainError as err:  # an exponent that leaves its slot
-            raise ParseError(str(err), node.line, node.column) from err
+        return ls * rs
     if ls is not None:
         if isinstance(right, ConformalData):
             if ls.is_constant():
@@ -535,10 +532,7 @@ def _wedge_like(env: Environment, node: BinOp, left: Value, right: Value) -> Val
 def _power(env: Environment, node: BinOp, left: Value, exponent: int) -> Value:
     scalar = _as_scalar(left)
     if scalar is not None:
-        try:
-            return scalar**exponent
-        except DomainError as err:  # a negative power of a coordinate that may vanish, or past a slot
-            raise ParseError(str(err), node.line, node.column) from err
+        return scalar**exponent
     if isinstance(left, ConformalData):
         raise ParseError("conformal data has no powers", node.line, node.column)
     if exponent < 0:
@@ -558,7 +552,12 @@ def _power(env: Environment, node: BinOp, left: Value, exponent: int) -> Value:
 
 
 def elaborate(node: Node, env: Environment) -> Value:
-    """Evaluate an abstract syntax tree against an environment."""
+    """Evaluate an abstract syntax tree against an environment.  The
+    library's own refusals of an operation or call (a DegreeError or
+    DomainError: degrees that do not match, the bracket of two scalars, a
+    contraction past the bottom degree, a negative power of a coordinate
+    that may vanish, an exponent that leaves its slot) are a ParseError
+    at its operator or call."""
     if isinstance(node, Num):
         return Coefficient.constant(env.chart, node.value)
     if isinstance(node, Ident):
@@ -568,25 +567,33 @@ def elaborate(node: Node, env: Environment) -> Value:
         if isinstance(value, ConformalData):
             return value.scale(-1)
         return -value
-    if isinstance(node, BinOp):
-        if node.op in {"+", "-"}:
-            return _add(env, node, elaborate(node.left, env), elaborate(node.right, env))
-        left = elaborate(node.left, env)
-        if node.op == "^":
-            exponent = _literal_int(node.right)
-            if exponent is not None:
-                return _power(env, node, left, exponent)
-        right = elaborate(node.right, env)
-        if node.op == "^":
-            rs = _as_scalar(right)
-            if rs is not None and _as_scalar(left) is not None:
-                if not rs.is_constant() or rs.constant_value().denominator != 1:
-                    raise ParseError("exponent must be an integer", node.line, node.column)
-                return _power(env, node, left, int(rs.constant_value()))
-        return _wedge_like(env, node, left, right)
-    if isinstance(node, Call):
-        return _call(env, node)
-    raise ParseError("malformed expression tree", node.line, node.column)
+    if not isinstance(node, (BinOp, Call)):
+        raise ParseError("malformed expression tree", node.line, node.column)
+    try:
+        return _call(env, node) if isinstance(node, Call) else _operation(env, node)
+    except (DegreeError, DomainError) as err:
+        raise ParseError(str(err), node.line, node.column) from err
+
+
+def _operation(env: Environment, node: BinOp) -> Value:
+    """``+``, ``-``, ``*`` or ``^``.  A ``^`` whose exponent is a scalar
+    is a power, whatever its base: the exponent must be a constant integer,
+    as an integer literal is."""
+    if node.op in {"+", "-"}:
+        return _add(env, node, elaborate(node.left, env), elaborate(node.right, env))
+    left = elaborate(node.left, env)
+    if node.op == "^":
+        exponent = _literal_int(node.right)
+        if exponent is not None:
+            return _power(env, node, left, exponent)
+    right = elaborate(node.right, env)
+    if node.op == "^":
+        rs = _as_scalar(right)
+        if rs is not None:
+            if not rs.is_constant() or rs.constant_value().denominator != 1:
+                raise ParseError("exponent must be an integer", node.line, node.column)
+            return _power(env, node, left, int(rs.constant_value()))
+    return _wedge_like(env, node, left, right)
 
 
 def _call(env: Environment, node: Call) -> Value:
@@ -604,10 +611,7 @@ def _call(env: Environment, node: Call) -> Value:
     if node.func == "i_":
         U = _as_graded(MultiVector, args[0], node.args[0])
         omega = _as_graded(DiffForm, args[1], node.args[1])
-        try:
-            return interior_product(U, omega, strict=True)
-        except DegreeError as err:
-            raise ParseError(str(err), node.line, node.column) from err
+        return interior_product(U, omega, strict=True)
     if node.func == "L_":
         U = _as_graded(MultiVector, args[0], node.args[0])
         omega = _as_graded(DiffForm, args[1], node.args[1])
@@ -722,12 +726,12 @@ def _chart_of(payload: dict, chart: Chart | None) -> Chart:
 
 def _stored_coefficient(chart: Chart, text: str) -> Coefficient:
     """Parse a serialized coefficient; text that does not read as a scalar
-    of the chart's Laurent ring is malformed, and the error names it.  The
-    library calls the language offers raise their own errors: ``sn`` of
-    two scalars a DegreeError, ``d`` or ``L_`` past a slot a DomainError."""
+    of the chart's Laurent ring is malformed, and the error names it (the
+    language reports the library's refusals, such as ``sn`` of two scalars
+    or ``d`` past a slot, as a ParseError at the call)."""
     try:
         return parse_coefficient(chart, text)
-    except (ParseError, DegreeError, DomainError) as err:
+    except ParseError as err:
         raise StructuralError(f"coefficient {text!r}: {err}") from err
 
 
@@ -743,7 +747,7 @@ def _check_graded(payload: dict, chart: Chart | None):
     terms = []
     for term in _member(payload, "terms", list, "a serialized object"):
         indices = tuple(_member(term, "indices", list, "a serialized term"))
-        integers = all(isinstance(i, int) for i in indices)
+        integers = all(type(i) is int for i in indices)
         if not integers or len(indices) != degree or tuple(sorted(set(indices))) != indices:
             raise StructuralError(f"malformed index tuple {indices} for degree {degree}")
         if indices and not (0 <= indices[0] and indices[-1] < target.dimension):

@@ -774,6 +774,8 @@ class TestErrorPaths:
         [
             (["render", "q^16384"], "in expression: power 16384 takes an exponent outside the range [-16384, 16383] of its slot (line 1, column 1)"),
             (["render", "p*q^16383*q"], "in expression: an exponent leaves the range [-16384, 16383] of its slot (line 1, column 9)"),
+            (["render", "(q^10000*dq + q^10000*dp)^2"], "in expression: an exponent leaves the range [-16384, 16383] of its slot (line 1, column 25)"),
+            (["render", "q^10000*(q^10000*dq)"], "in expression: an exponent leaves the range [-16384, 16383] of its slot (line 1, column 7)"),
         ],
     )
     def test_an_exponent_past_its_slot_is_an_expression_error(self, contact_session, capsys, argv, error):
@@ -789,6 +791,33 @@ class TestErrorPaths:
     @pytest.mark.parametrize("expr", ["q^p", "q^(1/2)"])
     def test_a_scalar_power_needs_an_integer_exponent(self, contact_session, capsys, expr):
         error = "in expression: exponent must be an integer (line 1, column 1)"
+        assert run(capsys, "render", expr, "-s", contact_session) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize(
+        "expr,error",
+        [
+            ("sn(q, p)", "the graded bracket of two scalars is not defined (line 1, column 0)"),
+            ("L_(e_z, z^-16384)", "an exponent leaves the range [-16384, 16383] of its slot (line 1, column 0)"),
+            ("d(z^-16384)", "an exponent leaves the range [-16384, 16383] of its slot (line 1, column 0)"),
+            ("q + 2*sn(p, z)", "the graded bracket of two scalars is not defined (line 1, column 6)"),
+        ],
+    )
+    def test_a_library_error_in_a_call_is_an_expression_error(self, tmp_path, capsys, expr, error):
+        path = str(tmp_path / "laurent.json")
+        assert main(["chart", "new", "--coordinates", "q,p,z", "--nonvanishing", "z", "-s", path]) == 0
+        capsys.readouterr()
+        assert run(capsys, "render", expr, "-s", path) == (2, "", f"error: in expression: {error}\n")
+
+    @pytest.mark.parametrize("expr,twin", [("dq^(1+1)", "dq^2"), ("e_q^(1+1)", "e_q^2"), ("(dq + dp)^(3-1)", "(dq + dp)^2")])
+    def test_a_graded_power_with_a_constant_exponent_prints_as_its_literal_twin(self, contact_session, capsys, expr, twin):
+        warning = "warning: exterior product vanishes identically (repeated factor)\n"
+        assert run(capsys, "render", twin, "-s", contact_session) == (0, "0\n", warning)
+        assert run(capsys, "render", expr, "-s", contact_session) == (0, "0\n", warning)
+
+    @pytest.mark.parametrize("expr", ["dq^(1/2)", "e_q^p"])
+    def test_a_graded_power_needs_an_integer_exponent(self, contact_session, capsys, expr):
+        column = expr.index("^")
+        error = f"in expression: exponent must be an integer (line 1, column {column})"
         assert run(capsys, "render", expr, "-s", contact_session) == (2, "", f"error: {error}\n")
 
     def test_no_command_is_a_usage_error(self, capsys):

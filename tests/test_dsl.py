@@ -97,6 +97,39 @@ def test_a_scalar_power_refuses_a_non_integer_exponent_at_its_caret(text):
     assert err.value.column == text.rindex("^")
 
 
+@pytest.mark.parametrize(
+    "text, twin",
+    [
+        ("dx0^(1+1)", "dx0^2"),
+        ("e_x0^(1+1)", "e_x0^2"),
+        ("(dx0 + dy)^(3-1)", "(dx0 + dy)^2"),
+        ("dx0^(2-1)", "dx0^1"),
+        ("e_y^(1-1)", "e_y^0"),
+    ],
+)
+def test_a_graded_power_with_a_constant_exponent_is_its_literal_twin(text, twin):
+    """A parenthesised constant exponent of a form or multivector is an
+    iterated wedge, as the integer literal is, not a scalar multiple."""
+    e, e_twin = env(), env()
+    value, expected = evaluate(text, e), evaluate(twin, e_twin)
+    assert type(value) is type(expected) and value == expected
+    assert e.warnings == e_twin.warnings
+
+
+def test_a_repeated_factor_under_a_constant_exponent_warns():
+    e = env()
+    assert evaluate("dx0^(1+1)", e).is_zero()
+    assert e.warnings == ["exterior product vanishes identically (repeated factor)"]
+
+
+@pytest.mark.parametrize("text", ["dx0^(1/2)", "e_x0^(3/2)", "dx0^y", "e_y^(p - p + s0)"])
+def test_a_graded_power_refuses_a_non_integer_exponent_at_its_caret(text):
+    with pytest.raises(ParseError) as err:
+        evaluate(text, env())
+    assert str(err.value).startswith("exponent must be an integer")
+    assert err.value.column == text.rindex("^")
+
+
 def test_parse_coefficient_reads_a_scalar_expression():
     x, y = C("x0"), C("y")
     assert parse_coefficient(CAN.chart, "2*-x0") == -2 * x
@@ -249,13 +282,21 @@ def test_conformal_data_scales_by_constants_only():
         evaluate("s0*a", env(a=data))
 
 
-@pytest.mark.parametrize("text", ["a^2", "a^-1", "a^0"])
+@pytest.mark.parametrize("text", ["a^2", "a^-1", "a^0", "a^(1+1)", "a^(0-1)", "a^(1-1)"])
 def test_conformal_data_has_no_powers(text):
     from gjb.fieldtheory import elementary_tables
 
     rows, _ = elementary_tables(CAN)
     with pytest.raises(ParseError, match=r"^conformal data has no powers \(line 1, column 1\)"):
         evaluate(text, env(a=rows[0].data))
+
+
+def test_conformal_data_refuses_a_non_integer_exponent():
+    from gjb.fieldtheory import elementary_tables
+
+    rows, _ = elementary_tables(CAN)
+    with pytest.raises(ParseError, match=r"^exponent must be an integer \(line 1, column 1\)"):
+        evaluate("a^(1/2)", env(a=rows[0].data))
 
 
 # --------------------------------------------------------------------------
@@ -438,8 +479,8 @@ def test_json_sums_repeated_terms_and_drops_cancelled_ones():
     [
         ("dq", "expected a scalar, got a 1-form (line 1, column 0)"),
         ("q^+2", "expected a name, number or '(', found '+' (line 1, column 2)"),
-        ("sn(q, z)", "the graded bracket of two scalars is not defined"),
-        ("i_(e_z, d(z^-16384))", "an exponent leaves the range [-16384, 16383] of its slot"),
+        ("sn(q, z)", "the graded bracket of two scalars is not defined (line 1, column 0)"),
+        ("i_(e_z, d(z^-16384))", "an exponent leaves the range [-16384, 16383] of its slot (line 1, column 8)"),
     ],
 )
 def test_a_stored_coefficient_outside_the_ring_is_malformed_and_named(text, error):
@@ -455,6 +496,20 @@ def test_json_rejects_malformed_indices():
     payload = to_json(DiffForm.differential(CAN.chart, "x0"))
     payload["terms"][0]["indices"] = [1, 1]
     with pytest.raises(StructuralError):
+        object_from_json(payload, chart=CAN.chart)
+
+
+@pytest.mark.parametrize("indices", [[True], [1.0], [0, True]])
+def test_json_index_entries_must_be_ints(indices):
+    """A JSON ``true`` is a bool, which Python counts as an int, and
+    ``1.0`` equals ``1``: neither is a position."""
+    payload = to_json(DiffForm.differential(CAN.chart, "x0"))
+    payload["degree"] = len(indices)
+    payload["terms"][0]["indices"] = indices
+    with pytest.raises(StructuralError, match="malformed index tuple"):
+        object_from_json(payload, chart=CAN.chart)
+    payload = json.loads(json.dumps(payload))  # the same through JSON text
+    with pytest.raises(StructuralError, match="malformed index tuple"):
         object_from_json(payload, chart=CAN.chart)
 
 

@@ -23,6 +23,7 @@ from gjb.exterior import (
     PolyMap,
     _contract_key,
     _merge_indices,
+    _odd_parts,
     exterior_derivative,
     form_contraction,
     interior_product,
@@ -417,6 +418,11 @@ def test_plain_text_is_canonical():
 
 def test_the_constructors_refuse_malformed_terms():
     one = Coefficient.one(CH)
+    for key in [(1.0,), (True,), (0, 2.0), (False, 1)]:
+        # equal to an int tuple, and so to its key in the index tables
+        for cls in (DiffForm, MultiVector):
+            with pytest.raises(StructuralError, match="not an int"):
+                cls(CH, len(key), {key: one})
     with pytest.raises(StructuralError):
         DiffForm(CH, 2, {(1, 0): one})  # not increasing
     with pytest.raises(StructuralError):
@@ -535,6 +541,65 @@ def test_every_trusted_graded_result_passes_the_boundary_unchanged(om, eta, U, V
         assert_integral_values_are_ints(r)
 
 
+# -- the index tables against an oracle of sorting and inversion counts -------
+#
+# The kernel's oracles below read index tuples through these functions
+# only, so they share no index code with the cached helpers of exterior.
+
+
+def inversions(seq):
+    return sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
+
+
+def oracle_merge(I, J):
+    """dx^I ∧ dx^J = (−1)^{inv(I + J)} dx^{sorted(I + J)}, zero on a repeat."""
+    joined = I + J
+    if len(set(joined)) < len(joined):
+        return None
+    return (-1) ** inversions(joined), tuple(sorted(joined))
+
+
+def oracle_contract(J, I):
+    """ι_{∂_J} dx^I, J eaten leftmost first: write dx^I as ±dx^J ∧ dx^{I∖J},
+    the sign (−1)^{inv(J + I∖J)}; each factor of J is then eaten at the
+    front, with sign +1."""
+    if not set(J) <= set(I):
+        return None
+    rest = tuple(i for i in I if i not in J)
+    return (-1) ** inversions(J + rest), rest
+
+
+def oracle_odd_parts(J):
+    """∂ᴿξ_J/∂ξᵢ for each i in J: write ξ_J as ±ξ_{J∖i} ξᵢ, the sign
+    (−1)^{inv(J∖i + (i,))}."""
+    parts = []
+    for i in J:
+        rest = tuple(j for j in J if j != i)
+        parts.append((i, rest, (-1) ** inversions(rest + (i,))))
+    return tuple(parts)
+
+
+SUBSETS_OF_6 = [c for p in range(7) for c in itertools.combinations(range(6), p)]
+
+
+def test_index_tables_match_the_sorting_oracle():
+    for J in SUBSETS_OF_6:
+        assert _odd_parts(J) == oracle_odd_parts(J)
+        for I in SUBSETS_OF_6:
+            assert _merge_indices(I, J) == oracle_merge(I, J)
+            assert _contract_key(J, I) == oracle_contract(J, I)
+    assert _contract_key((1, 3), (0, 1, 2, 3)) == (-1, (0, 2))  # ι_{∂₃} ι_{∂₁}: (−1)¹ (−1)²
+    assert _odd_parts((0, 2, 5)) == ((0, (2, 5), 1), (2, (0, 5), -1), (5, (0, 2), 1))
+
+
+def test_index_tables_return_immutable_tuples():
+    """Every caller shares one result per key, so none may be mutable:
+    a tuple of ints and tuples hashes, and a list anywhere inside would not."""
+    for value in (_merge_indices((0, 2), (1,)), _contract_key((1,), (0, 1)), _odd_parts((0, 1))):
+        assert type(value) is tuple
+        hash(value)
+
+
 # -- the product kernel against the Coefficient-level loops it replaced --------
 
 
@@ -550,7 +615,7 @@ def reference_wedge(a, b):
         (merged[1], (c * e).scale(merged[0]))
         for I, c in a.terms.items()
         for J, e in b.terms.items()
-        if (merged := _merge_indices(I, J)) is not None
+        if (merged := oracle_merge(I, J)) is not None
     )
     return type(a)(a.chart, a.degree + b.degree, _accumulate(products))
 
@@ -562,13 +627,11 @@ def reference_schouten(U, V):
 
     def half(A, B, sign):
         for J, c in A.terms.items():
-            for k, i in enumerate(J):
-                rest = J[:k] + J[k + 1 :]
-                right = sign if (A.degree - 1 - k) % 2 == 0 else -sign
+            for i, rest, odd in oracle_odd_parts(J):
                 for K, e in B.terms.items():
-                    merged = _merge_indices(rest, K)
+                    merged = oracle_merge(rest, K)
                     if merged is not None:
-                        yield merged[1], (c * e.partial(names[i])).scale(right * merged[0])
+                        yield merged[1], (c * e.partial(names[i])).scale(sign * odd * merged[0])
 
     swap = -1 if (p - 1) * (q - 1) % 2 else 1
     terms = _accumulate(half(U, V, 1))
@@ -613,27 +676,27 @@ def test_kernel_products_match_the_coefficient_loops(om, eta, U, V):
 
 
 def full_interior_product(U, omega):
-    """ι_U ω with _contract_key tried on every pair of terms."""
+    """ι_U ω with the contraction oracle tried on every pair of terms."""
     if U.degree == 0:
         return full_scale(omega, U.scalar())
     products = (
         (hit[1], (c * k).scale(hit[0]))
         for J, c in U.terms.items()
         for I, k in omega.terms.items()
-        if (hit := _contract_key(J, I)) is not None
+        if (hit := oracle_contract(J, I)) is not None
     )
     return DiffForm(omega.chart, omega.degree - U.degree, _accumulate(products))
 
 
 def full_form_contraction(xi, U):
-    """ι_ξ U with _contract_key tried on every pair of terms."""
+    """ι_ξ U with the contraction oracle tried on every pair of terms."""
     if xi.degree == 0:
         return full_scale(U, xi.scalar())
     products = (
         (hit[1], (k * c).scale(hit[0]))
         for I, k in xi.terms.items()
         for J, c in U.terms.items()
-        if (hit := _contract_key(I, J)) is not None
+        if (hit := oracle_contract(I, J)) is not None
     )
     return MultiVector(U.chart, U.degree - xi.degree, _accumulate(products))
 
@@ -645,7 +708,7 @@ def full_exterior_derivative(omega):
         (merged[1], dc.scale(merged[0]))
         for I, c in omega.terms.items()
         for j, name in enumerate(chart.coordinates)
-        if (merged := _merge_indices((j,), I)) is not None and (dc := c.partial(name))
+        if (merged := oracle_merge((j,), I)) is not None and (dc := c.partial(name))
     )
     return DiffForm(chart, omega.degree + 1, _accumulate(pieces))
 

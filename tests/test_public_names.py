@@ -219,3 +219,47 @@ def test_every_module_level_import_is_used():
                 used.update(ast.literal_eval(node.value))
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == [], unused
+
+
+def test_every_cache_is_bounded():
+    """A cache lives as long as the process, so each one has a bound:
+    every ``lru_cache`` of the package is called with an int ``maxsize``
+    (a literal or a module constant), and nothing uses ``functools.cache``,
+    ``maxsize=None`` or a bare ``lru_cache``."""
+    package = pathlib.Path(gjb.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = importlib.import_module(f"gjb.{path.stem}") if path.stem != "__main__" else None
+        local = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+        }
+
+        def kind(node):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+                return node.attr
+            if isinstance(node, ast.Name):
+                return local.get(node.id)
+            return None
+
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and kind(node.func) == "lru_cache":
+                called.add(id(node.func))
+                sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                size = None
+                if len(sizes) == 1 and isinstance(sizes[0], ast.Constant):
+                    size = sizes[0].value
+                elif len(sizes) == 1 and isinstance(sizes[0], ast.Name):
+                    size = getattr(module, sizes[0].id, None)
+                if type(size) is not int:
+                    offenders.append(f"{path.name}:{node.lineno} lru_cache without an int maxsize")
+        for node in ast.walk(tree):
+            if kind(node) == "cache":
+                offenders.append(f"{path.name}:{node.lineno} functools.cache")
+            elif kind(node) == "lru_cache" and id(node) not in called and not isinstance(node, ast.alias):
+                offenders.append(f"{path.name}:{node.lineno} bare lru_cache")
+    assert offenders == [], offenders
