@@ -260,6 +260,6 @@ def test_every_cache_is_bounded():
         for node in ast.walk(tree):
             if kind(node) == "cache":
                 offenders.append(f"{path.name}:{node.lineno} functools.cache")
-            elif kind(node) == "lru_cache" and id(node) not in called and not isinstance(node, ast.alias):
+            elif kind(node) == "lru_cache" and id(node) not in called:
                 offenders.append(f"{path.name}:{node.lineno} bare lru_cache")
     assert offenders == [], offenders
