@@ -748,8 +748,7 @@ def _coefficient_text(c: Coefficient, spelling: _Spelling, elide_unit: bool = Fa
     )
 
 
-def format_coefficient(c: Coefficient, elide_unit: bool = False) -> str:
-    """Canonical text.  With ``elide_unit`` a ±1 rational prefix in front
-    of a nontrivial monomial is dropped (used when coefficients are
-    embedded in rendered forms)."""
-    return _coefficient_text(c, _PLAIN, elide_unit)
+def format_coefficient(c: Coefficient) -> str:
+    """Canonical text, the interchange form: a ±1 rational prefix in front
+    of a monomial is kept (``dsl.render`` drops it)."""
+    return _coefficient_text(c, _PLAIN)

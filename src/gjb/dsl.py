@@ -69,6 +69,7 @@ from .errors import DegreeError, DomainError, ParseError, StructuralError
 from .exterior import (
     DiffForm,
     MultiVector,
+    _index_tuples,
     exterior_derivative,
     interior_product,
     lie_derivative,
@@ -735,27 +736,30 @@ def _stored_coefficient(chart: Chart, text: str) -> Coefficient:
         raise StructuralError(f"coefficient {text!r}: {err}") from err
 
 
-def _check_graded(payload: dict, chart: Chart | None):
-    """``_check_shape`` for a serialized form or multivector: kind,
-    chart, degree and index tuples are checked and every coefficient must
-    be a string, but none is parsed."""
+def _check_graded(payload: dict, chart: Chart | None, kinds: tuple[str, ...] = ("form", "multivector")):
+    """``_check_shape`` for a serialized form or multivector, or for a
+    coefficient, which is stored as a degree-0 form: kind, chart, degree
+    and index tuples (``exterior._index_tuples``) are checked and every
+    coefficient must be a string, but none is parsed."""
     kind = _member(payload, "kind", str, "a serialized object")
-    if kind not in {"form", "multivector"}:
-        raise StructuralError(f"expected a serialized form or multivector, got kind {kind!r}")
+    if kind not in kinds:
+        raise StructuralError(f"expected a serialized {', '.join(kinds[:-1])} or {kinds[-1]}, got kind {kind!r}")
     target = _chart_of(payload, chart)
-    degree = _member(payload, "degree", int, "a serialized object")
-    terms = []
-    for term in _member(payload, "terms", list, "a serialized object"):
-        indices = tuple(_member(term, "indices", list, "a serialized term"))
-        integers = all(type(i) is int for i in indices)
-        if not integers or len(indices) != degree or tuple(sorted(set(indices))) != indices:
-            raise StructuralError(f"malformed index tuple {indices} for degree {degree}")
-        if indices and not (0 <= indices[0] and indices[-1] < target.dimension):
-            raise StructuralError(f"index tuple {indices} escapes the chart")
-        terms.append((indices, _member(term, "coeff", str, "a serialized term")))
-    cls = DiffForm if kind == "form" else MultiVector
-    # a repeated index tuple is summed, like the terms of any sum
-    return lambda: cls(target, degree, _accumulate((indices, _stored_coefficient(target, text)) for indices, text in terms))
+    degree = payload.get("degree")
+    terms = _member(payload, "terms", list, "a serialized object")
+    keys = _index_tuples([_member(term, "indices", list, "a serialized term") for term in terms], degree, target.dimension)
+    if kind == "coefficient" and degree != 0:
+        raise StructuralError(f"a serialized coefficient has degree 0, not {degree}")
+    texts = [_member(term, "coeff", str, "a serialized term") for term in terms]
+    cls = MultiVector if kind == "multivector" else DiffForm
+
+    def parse():
+        # checked keys and coefficients parsed on ``target`` make a trusted
+        # value; a repeated index tuple is summed, like the terms of any sum
+        value = cls._trusted(target, degree, _accumulate(zip(keys, (_stored_coefficient(target, text) for text in texts))))
+        return value.scalar() if kind == "coefficient" else value
+
+    return parse
 
 
 def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure | None):
@@ -764,23 +768,14 @@ def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure |
     Returns the parse pass, a function of no arguments that parses the
     coefficients and rebuilds the value (re-validating conformal data
     against ``structure``)."""
-    kind = _member(payload, "kind", str, "a serialized value")
-    if kind == "coefficient":
-        target = _chart_of(payload, chart)
-        texts = [_member(term, "coeff", str, "a serialized term") for term in _member(payload, "terms", list, "a serialized object")]
-        return lambda: Coefficient._checked(
-            target, _accumulate(pair for text in texts for pair in _stored_coefficient(target, text).terms.items())
-        )
-    if kind in {"form", "multivector"}:
-        return _check_graded(payload, chart)
-    if kind == "conformal-data":
-        if structure is None:
-            raise StructuralError("conformal data needs a structure to re-validate against")
-        from .structures import make_conformal_data
+    if _member(payload, "kind", str, "a serialized value") != "conformal-data":
+        return _check_graded(payload, chart, ("form", "multivector", "coefficient"))
+    if structure is None:
+        raise StructuralError("conformal data needs a structure to re-validate against")
+    from .structures import make_conformal_data
 
-        parts = [_check_graded(payload.get(part), structure.chart) for part in ("alpha", "x_field", "v_field")]
-        return lambda: make_conformal_data(structure, *(parse() for parse in parts))
-    raise StructuralError(f"unknown serialized kind {kind!r}")
+    parts = [_check_graded(payload.get(part), structure.chart) for part in ("alpha", "x_field", "v_field")]
+    return lambda: make_conformal_data(structure, *(parse() for parse in parts))
 
 
 def object_from_json(payload: dict, chart: Chart | None = None, structure: NFormStructure | None = None) -> Value:

@@ -28,11 +28,13 @@ sign) is ι_{[U,V]} ω = (−1)^{(p−1)q} 𝓛_U ι_V ω − ι_V 𝓛_U ω.
 
 As in ``coeffring``, construction has a validating boundary and a
 trusted interior.  The constructors of DiffForm and MultiVector check
-every term (index tuples of ``int`` positions, strictly increasing, of
-the stated degree and inside the chart; coefficients on the chart) and
-drop zeros;
-``reindex``, ``pull_form_along``, ``vector_bracket`` and every parser
-and loader go through them.  The named builders (``zero``,
+every term (``_index_tuples``, the one index-tuple rule: an ``int``
+degree, and index tuples of ``int`` positions, strictly increasing, of
+that degree and inside the chart; coefficients on the chart) and drop
+zeros; ``reindex``, ``pull_form_along``, ``vector_bracket`` and the
+parser go through them.  The JSON loader applies ``_index_tuples`` in
+its shape pass, then builds by ``_trusted`` from the checked keys and
+the coefficients it parses on the chart.  The named builders (``zero``,
 ``from_scalar``, ``differential``, ``volume``, ``basis_vector``) check
 their arguments and are then trusted: ``Chart.index`` refuses an unknown
 name, ``volume`` refuses a repeated one, so its sorted key is strictly
@@ -257,6 +259,26 @@ def _products(
     return out
 
 
+def _index_tuples(keys: Iterable, degree: int, dimension: int) -> list[tuple[int, ...]]:
+    """``keys`` as tuples, held to the index-tuple rule (module docstring)
+    on a chart of ``dimension`` coordinates; a bool or ``1.0`` is no int."""
+    if type(degree) is not int:
+        raise StructuralError(f"degree {degree!r} is not an int")
+    out = []
+    for key in keys:
+        key = tuple(key)
+        if any(type(i) is not int for i in key):
+            raise StructuralError(f"index tuple {key} holds a position that is not an int")
+        if len(key) != degree:
+            raise StructuralError(f"index tuple {key} does not match degree {degree}")
+        if any(b <= a for a, b in zip(key, key[1:])):
+            raise StructuralError(f"index tuple {key} is not strictly increasing")
+        if key and not (0 <= key[0] and key[-1] < dimension):
+            raise StructuralError(f"index tuple {key} escapes the chart")
+        out.append(key)
+    return out
+
+
 class _Graded:
     """Shared sparse machinery for forms and multivectors."""
 
@@ -264,19 +286,11 @@ class _Graded:
 
     def __init__(self, chart: Chart, degree: int, terms: Mapping[tuple[int, ...], Coefficient] | None = None):
         # negative degrees and degrees above the chart dimension are
-        # allowed: those spaces are zero, and index-tuple validation below
-        # keeps them empty
+        # allowed: those spaces are zero, and the index-tuple rule keeps
+        # them empty
+        terms = terms or {}
         clean: dict[tuple[int, ...], Coefficient] = {}
-        for key, coeff in (terms or {}).items():
-            key = tuple(key)
-            if any(type(i) is not int for i in key):
-                raise StructuralError(f"index tuple {key} holds a position that is not an int")
-            if len(key) != degree:
-                raise DegreeError(f"index tuple {key} does not match degree {degree}")
-            if any(b <= a for a, b in zip(key, key[1:])):
-                raise StructuralError(f"index tuple {key} is not strictly increasing")
-            if key and not (0 <= key[0] and key[-1] < chart.dimension):
-                raise StructuralError(f"index tuple {key} escapes the chart")
+        for key, coeff in zip(_index_tuples(terms, degree, chart.dimension), terms.values()):
             if not isinstance(coeff, Coefficient):
                 coeff = Coefficient.constant(chart, coeff)
             if coeff.chart != chart:
@@ -422,8 +436,7 @@ class DiffForm(_Graded):
         positions = tuple(sorted(chart.index(n) for n in names)) if names is not None else tuple(
             range(chart.dimension)
         )
-        if any(b == a for a, b in zip(positions, positions[1:])):
-            raise StructuralError(f"index tuple {positions} is not strictly increasing")
+        _index_tuples([positions], len(positions), chart.dimension)  # refuses a repeated name
         return DiffForm._trusted(chart, len(positions), {positions: Coefficient.one(chart)})
 
     def d(self) -> "DiffForm":

@@ -19,11 +19,12 @@ file in any other layout reads the same.
 
 Every load checks the JSON syntax, the schema tag (unrecognized versions
 are refused), the chart, the structure form, the binding names and the
-shape of every binding, without parsing any stored coefficient.  Every
-binding a command reads is then rebuilt from its payload on first read:
-its coefficients are parsed, and conformal data is re-validated against
-the session structure, re-running the defining equations; nothing read
-is ever trusted, the stored validation stamp included.  Bindings a
+shape of every binding, without parsing any stored coefficient; each
+payload is checked once per command.  Every binding a command reads is
+then rebuilt on first read by the parse pass its check returned: its
+coefficients are parsed, and conformal data is re-validated against the
+session structure, re-running the defining equations; nothing read is
+ever trusted, the stored validation stamp included.  Bindings a
 command does not read are written back verbatim when it saves.
 """
 
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import MutableMapping
+from collections.abc import Callable, MutableMapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .coeffring import Chart
 from .dsl import (
@@ -64,37 +66,36 @@ class _SaveError(SessionError, OSError):
     caller that catches the write's own error still catches it."""
 
 
-def _read(label: str, reader, payload, **context):
-    """``reader(payload)``, refusing a malformed payload as a SessionError."""
+def _read(label: str, reader, *args, **context):
+    """``reader(*args)``, refusing a malformed payload as a SessionError."""
     try:
-        return reader(payload, **context)
+        return reader(*args, **context)
     except (StructuralError, ParseError) as err:
         raise SessionError(f"malformed session file: {label}: {err}") from err
 
 
-class _Unread:
-    """A binding as the session file stores it, not read yet."""
+class _Unread(NamedTuple):
+    """A binding as the session file stores it, not read yet: its payload,
+    whose shape the load has checked, and the parse pass that check
+    returned, which rebuilds the value."""
 
-    __slots__ = ("payload",)
-
-    def __init__(self, payload: dict):
-        self.payload = payload
+    payload: dict
+    parse: Callable[[], object]
 
 
 class _Bindings(MutableMapping):
     """A session's named values.  A binding loaded from a file stays its
-    payload until it is first looked up; ``read(name, payload)`` then
-    rebuilds it and the value replaces the payload.  Membership,
-    iteration and length never read a binding."""
+    payload until it is first looked up; its parse pass then rebuilds it
+    and the value replaces the payload.  Membership, iteration and length
+    never read a binding."""
 
-    def __init__(self, read, entries):
-        self._read = read
+    def __init__(self, entries):
         self._entries = dict(entries)
 
     def __getitem__(self, name):
         entry = self._entries[name]
         if isinstance(entry, _Unread):
-            entry = self._entries[name] = self._read(name, entry.payload)
+            entry = self._entries[name] = _read(f"binding {name!r}", entry.parse)
         return entry
 
     def __setitem__(self, name, value):
@@ -128,12 +129,7 @@ class Session:
     _structure: NFormStructure | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.bindings = _Bindings(self._read_binding, self.bindings)
-
-    def _read_binding(self, name: str, payload: dict):
-        # object_from_json refuses conformal data when there is no structure form
-        structure = self.structure() if self.theta is not None else None
-        return _read(f"binding {name!r}", object_from_json, payload, chart=self.chart, structure=structure)
+        self.bindings = _Bindings(self.bindings)
 
     # -- structure ---------------------------------------------------------
 
@@ -166,11 +162,12 @@ class Session:
         rebuilt = {}
         for name, entry in self.bindings._entries.items():
             if isinstance(entry, _Unread):
-                entry = self._read_binding(name, entry.payload)
+                # a parse pass holds the structure it was checked against
+                entry = _read(f"binding {name!r}", object_from_json, entry.payload, chart=self.chart, structure=self.structure())
             elif isinstance(entry, ConformalData):
                 entry = make_conformal_data(self.structure(), entry.alpha, entry.x_field, entry.v_field)
             rebuilt[name] = entry
-        self.bindings = _Bindings(self._read_binding, rebuilt)
+        self.bindings = _Bindings(rebuilt)
 
     def environment(self) -> Environment:
         structure = self.structure() if self.theta is not None else None
@@ -243,8 +240,8 @@ class Session:
             error = _binding_name_error(chart, name)
             if error is not None:
                 raise SessionError(f"malformed session file: binding {name!r}: {error}")
-            _read(f"binding {name!r}", _check_shape, entry, chart=chart, structure=structure)
-            session.bindings[name] = _Unread(entry)
+            parse = _read(f"binding {name!r}", _check_shape, entry, chart=chart, structure=structure)
+            session.bindings[name] = _Unread(entry, parse)
             if _untyped_zero_alpha(entry, session.theta):
                 session.bindings[name]  # read it now
         return session

@@ -60,7 +60,6 @@ __all__ = [
     "CheckReport",
     "NFormStructure",
     "ConformalData",
-    "kernel_basis",
     "is_multicontact",
     "verify_conformal",
     "make_conformal_data",
@@ -169,6 +168,7 @@ class NFormStructure:
         return targets[which]
 
     def kernel(self, p: int, which: str = "theta") -> list[MultiVector]:
+        """Generating set of ker_p Θ, ker_p dΘ, or (``"both"``) their intersection."""
         targets = self._targets(which)
         if (p, which) not in self._kernels:
             self._kernels[(p, which)] = self._compute_kernel(p, targets)
@@ -190,11 +190,6 @@ class NFormStructure:
 
     def __repr__(self):
         return f"NFormStructure(n={self.degree}, theta={self.theta!s})"
-
-
-def kernel_basis(S: NFormStructure, p: int, which: str = "theta") -> list[MultiVector]:
-    """Generating set of ker_p Θ, ker_p dΘ, or their intersection."""
-    return S.kernel(p, which)
 
 
 def is_multicontact(S: NFormStructure) -> CheckReport:

@@ -49,7 +49,6 @@ from gjb.structures import (
     cup_product,
     is_multicontact,
     jacobi_bracket,
-    kernel_basis,
     make_conformal_data,
 )
 from gjb.symplectization import (
@@ -278,8 +277,8 @@ def test_criterion_03_graded_identities():
 def test_criterion_04_kernel_perturbations():
     rng = random.Random(SEED + 4)
     with _Clock(30.0) as clock:
-        k_both = kernel_basis(CAN21, 2, "both")
-        k_theta = kernel_basis(CAN21, 1, "theta")
+        k_both = CAN21.kernel(2, "both")
+        k_theta = CAN21.kernel(1, "theta")
         assert k_both and k_theta
         chart = CAN21.chart
         perturbations = 0

@@ -138,7 +138,7 @@ def test_format_standalone_keeps_rational_prefix():
 def test_format_elide_unit_mode():
     f = coord("y") - coord("x")
     assert format_coefficient(f) == "-1*x + 1*y"
-    assert format_coefficient(f, elide_unit=True) == "-x + y"
+    assert render(f) == "-x + y"
 
 
 def test_format_zero_and_constants():

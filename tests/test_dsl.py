@@ -493,24 +493,39 @@ def test_a_stored_coefficient_outside_the_ring_is_malformed_and_named(text, erro
 
 
 def test_json_rejects_malformed_indices():
-    payload = to_json(DiffForm.differential(CAN.chart, "x0"))
-    payload["terms"][0]["indices"] = [1, 1]
-    with pytest.raises(StructuralError):
-        object_from_json(payload, chart=CAN.chart)
+    """A coefficient is stored as a degree-0 form, and its index tuples
+    and degree are checked like a form's."""
+    form = to_json(DiffForm.differential(CAN.chart, "x0"))
+    coefficient = to_json(C("x0"))
+    bad_terms = [{"indices": [2, 1, 9], "coeff": "y"}, {"indices": "junk", "coeff": "x0"}]
+    for payload in [
+        {**form, "terms": [{"indices": [1, 1], "coeff": "1"}]},
+        {**coefficient, "degree": 7, "terms": bad_terms},
+        {**coefficient, "terms": bad_terms},
+        {**coefficient, "terms": bad_terms[1:]},
+        {**coefficient, "degree": 1, "terms": []},
+    ]:
+        with pytest.raises(StructuralError):
+            object_from_json(payload, chart=CAN.chart)
 
 
 @pytest.mark.parametrize("indices", [[True], [1.0], [0, True]])
 def test_json_index_entries_must_be_ints(indices):
     """A JSON ``true`` is a bool, which Python counts as an int, and
-    ``1.0`` equals ``1``: neither is a position."""
-    payload = to_json(DiffForm.differential(CAN.chart, "x0"))
-    payload["degree"] = len(indices)
-    payload["terms"][0]["indices"] = indices
-    with pytest.raises(StructuralError, match="malformed index tuple"):
-        object_from_json(payload, chart=CAN.chart)
-    payload = json.loads(json.dumps(payload))  # the same through JSON text
-    with pytest.raises(StructuralError, match="malformed index tuple"):
-        object_from_json(payload, chart=CAN.chart)
+    ``1.0`` equals ``1``: neither is a position, in a form or in a
+    coefficient, nor a degree."""
+    form = to_json(DiffForm.differential(CAN.chart, "x0"))
+    terms = [{"indices": indices, "coeff": "1"}]
+    for payload in [
+        {**form, "degree": len(indices), "terms": terms},
+        {**to_json(C("x0")), "terms": terms},
+        {**form, "degree": indices[-1]},
+    ]:
+        with pytest.raises(StructuralError, match="is not an int"):
+            object_from_json(payload, chart=CAN.chart)
+        payload = json.loads(json.dumps(payload))  # the same through JSON text
+        with pytest.raises(StructuralError, match="is not an int"):
+            object_from_json(payload, chart=CAN.chart)
 
 
 def test_json_rejects_chart_mismatch():

@@ -431,8 +431,13 @@ def test_the_constructors_refuse_malformed_terms():
         DiffForm(CH, 1, {(4,): one})  # past the last coordinate
     with pytest.raises(StructuralError):
         MultiVector(CH, 1, {(-1,): one})
-    with pytest.raises(DegreeError):
+    with pytest.raises(StructuralError, match="does not match degree 2"):
         DiffForm(CH, 2, {(0,): one})
+    for degree in (True, 1.0, "1"):
+        with pytest.raises(StructuralError, match="is not an int"):
+            DiffForm(CH, degree, {(0,): one})
+        with pytest.raises(StructuralError, match="is not an int"):
+            MultiVector(CH, degree)
     with pytest.raises(StructuralError):
         DiffForm(CH, 1, {(0,): Coefficient.one(LAURENT_CH)})  # on another chart
     with pytest.raises(DomainError):

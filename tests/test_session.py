@@ -2,23 +2,28 @@
 read, lazy bindings, verbatim write-back and atomic saves."""
 
 import builtins
+import contextlib
+import copy
 import errno
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from gjb import dsl as dsl_module
 from gjb import session as session_module
 from gjb.cli import main
 from gjb.coeffring import Chart, Coefficient
-from gjb.dsl import object_from_json, render, to_json
+from gjb.dsl import _check_shape, render, to_json
 from gjb.errors import StructuralError, ValidationError
 from gjb.exterior import DiffForm, MultiVector
 from gjb.fieldtheory import build_canonical, elementary_tables
 from gjb.session import SCHEMA, Session, SessionError
 
 CAN = build_canonical(2, 1)
+CONTACT_GOLDEN = Path(__file__).resolve().parent / "golden" / "session" / "contact.json"
 
 
 def canonical_session():
@@ -222,30 +227,31 @@ def test_a_command_builds_only_the_bindings_it_reads(tmp_path, capsys, monkeypat
     built = []
 
     def counting(payload, *args, **kwargs):
-        if payload != stored["theta"]:
-            built.append(payload)
-        return object_from_json(payload, *args, **kwargs)
+        parse = _check_shape(payload, *args, **kwargs)
 
-    monkeypatch.setattr(session_module, "object_from_json", counting)
+        def counted():
+            built.append(payload)
+            return parse()
+
+        return counted
+
+    # every binding is checked at load, and its parse pass builds it on read
+    monkeypatch.setattr(session_module, "_check_shape", counting)
     code, out, _ = _cli(capsys, "render", "a0", "-s", str(path))
     assert code == 0
     assert out == render(rows[0].data) + "\n"
     assert built == [stored["bindings"]["a0"]]
 
 
-def test_membership_iteration_and_length_read_nothing(tmp_path, monkeypatch):
+def test_membership_iteration_and_length_read_nothing(tmp_path):
     rows, _ = elementary_tables(CAN)
     path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
     loaded = Session.load(path)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a binding was read")
-
-    monkeypatch.setattr(session_module, "object_from_json", refuse)
     assert "data" in loaded.bindings and "zz" not in loaded.bindings
     assert list(loaded.bindings) == ["data", "w"]
     assert len(loaded.bindings) == 2
     assert loaded.environment().bindings is loaded.bindings
+    assert all(isinstance(entry, session_module._Unread) for entry in loaded.bindings._entries.values())
 
 
 def test_unread_payloads_are_written_back_verbatim(tmp_path):
@@ -519,3 +525,79 @@ def test_a_binding_on_an_equal_chart_spelled_otherwise_loads(tmp_path):
     loaded = Session.load(path)
     assert loaded.bindings["w"] == DiffForm.differential(CAN.chart, "y")
     assert loaded.bindings["data"].x_field == rows[0].data.x_field
+
+
+@pytest.mark.parametrize("name", ["g3", "b0"])
+def test_each_payload_is_checked_once_per_command(tmp_path, capsys, monkeypatch, name):
+    """θ and every binding are checked once at load; reading a binding
+    runs the parse pass that check returned, not a second check."""
+    path = shutil.copy(CONTACT_GOLDEN, tmp_path / "contact.json")
+    checked = []
+
+    def counting(payload, *args, **kwargs):
+        checked.append(payload)
+        return _check_shape(payload, *args, **kwargs)
+
+    monkeypatch.setattr(dsl_module, "_check_shape", counting)
+    monkeypatch.setattr(session_module, "_check_shape", counting)
+    code, _, err = _cli(capsys, "render", name, "-s", str(path))
+    assert (code, err) == (0, "")
+    stored = json.loads(CONTACT_GOLDEN.read_text())
+    assert len(checked) == len(stored["bindings"]) + 1
+    assert checked[0] == stored["theta"]
+
+
+@pytest.fixture(scope="module")
+def contact_payload(tmp_path_factory):
+    """The golden contact session (coefficients and conformal data) with
+    one `let`-stored 2-form ``w``."""
+    path = shutil.copy(CONTACT_GOLDEN, tmp_path_factory.mktemp("contact") / "contact.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["let", "w", "=", "d(q)^d(z)", "-s", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _pop(key):
+    return lambda value: value.pop(key)
+
+
+def _set(key, entry):
+    return lambda value: value.update({key: entry})
+
+
+def _set_in_term(key, entry):
+    return lambda value: value["terms"][0].update({key: entry})
+
+
+MALFORMED = {
+    "no-kind": _pop("kind"),
+    "no-chart": _pop("chart"),
+    "no-degree": _pop("degree"),
+    "no-terms": _pop("terms"),
+    "no-indices": lambda value: value["terms"][0].pop("indices"),
+    "no-coeff": lambda value: value["terms"][0].pop("coeff"),
+    "degree-true": _set("degree", True),
+    "degree-float": _set("degree", 1.0),
+    "degree-string": _set("degree", "1"),
+    "indices-not-a-list": _set_in_term("indices", "junk"),
+    "indices-repeated": _set_in_term("indices", [0, 0]),
+    "indices-decreasing": _set_in_term("indices", [2, 0]),
+    "indices-out-of-chart": _set_in_term("indices", [0, 3]),
+    "coeff-not-a-string": _set_in_term("coeff", 1),
+}
+
+
+@pytest.mark.parametrize("mutation", list(MALFORMED))
+@pytest.mark.parametrize("name, part", [("g3", None), ("w", None), ("b0", "x_field")])
+def test_a_malformed_binding_is_refused_at_load_and_named(tmp_path, capsys, contact_payload, name, part, mutation):
+    """A coefficient, a form and a part of conformal data are checked
+    alike; the refusal is an error line and exit code 2."""
+    payload = copy.deepcopy(contact_payload)
+    binding = payload["bindings"][name]
+    MALFORMED[mutation](binding if part is None else binding[part])
+    path = tmp_path / "contact.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = _cli(capsys, "render", name, "-s", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed session file: binding {name!r}: ")
+    assert err.count("\n") == 1

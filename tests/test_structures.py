@@ -43,7 +43,6 @@ from gjb.structures import (
     cup_product,
     is_multicontact,
     jacobi_bracket,
-    kernel_basis,
     make_conformal_data,
     ms_hamiltonian_pair,
     verify_conformal,
@@ -86,11 +85,11 @@ def rand_potential(rng):
 
 def test_contact_kernels():
     S = contact_structure()
-    dkernel = kernel_basis(S, 1, "dtheta")
+    dkernel = S.kernel(1, "dtheta")
     assert dkernel == [MultiVector.basis_vector(CONTACT, "z")]
-    assert kernel_basis(S, 1, "both") == []
+    assert S.kernel(1, "both") == []
     # the kernel of a contact 1-form is the 2-dimensional horizontal span
-    horizontal = kernel_basis(S, 1, "theta")
+    horizontal = S.kernel(1, "theta")
     assert len(horizontal) == 2
     p = Coefficient.coordinate(CONTACT, "p")
     expected = MultiVector.basis_vector(CONTACT, "q") + MultiVector.basis_vector(CONTACT, "z").scale(p)
@@ -101,14 +100,14 @@ def test_contact_kernels():
 
 def test_five_dim_kernels():
     S = five_structure()
-    assert kernel_basis(S, 1, "theta") == [MultiVector.basis_vector(FIVE, "z")]
-    dk = kernel_basis(S, 1, "dtheta")
+    assert S.kernel(1, "theta") == [MultiVector.basis_vector(FIVE, "z")]
+    dk = S.kernel(1, "dtheta")
     assert len(dk) == 2
     names = {frozenset(k for k, in v.terms) for v in dk}
     assert names == {frozenset({FIVE.index("s1")}), frozenset({FIVE.index("s2")})}
     assert is_multicontact(S).ok
     # z-direction pairs with the s-plane inside K_2
-    k2 = kernel_basis(S, 2, "both")
+    k2 = S.kernel(2, "both")
     pair = wedge(MultiVector.basis_vector(FIVE, "z"), MultiVector.basis_vector(FIVE, "s1"))
     assert any(v == pair or v == -pair for v in k2)
 
@@ -120,7 +119,7 @@ def test_kernels_above_the_top_degree_are_everything():
     e = lambda name: MultiVector.basis_vector(CONTACT, name)
     top = wedge(wedge(e("q"), e("p")), e("z"))
     for which in ("theta", "dtheta", "both"):
-        assert kernel_basis(S, 3, which) == [top]
+        assert S.kernel(3, which) == [top]
 
 
 def test_degenerate_structure_is_not_multicontact():
@@ -135,7 +134,7 @@ def test_kernel_basis_reverifies_by_contraction():
     S = five_structure()
     for p in (1, 2):
         for which in ("theta", "dtheta", "both"):
-            for u in kernel_basis(S, p, which):
+            for u in S.kernel(p, which):
                 if which in ("theta", "both"):
                     assert interior_product(u, S.theta).is_zero()
                 if which in ("dtheta", "both"):
@@ -446,7 +445,7 @@ def test_bracket_structure_mismatch():
 
 def test_bracket_invariant_under_x_perturbation(rng):
     S = five_structure()
-    k2 = kernel_basis(S, 2, "both")
+    k2 = S.kernel(2, "both")
     assert k2
     for _ in range(6):
         a = potential_data(S, rand_potential(rng))
@@ -464,7 +463,7 @@ def test_bracket_invariant_under_x_perturbation(rng):
 
 def test_bracket_invariant_under_v_perturbation(rng):
     S = five_structure()
-    zker = kernel_basis(S, 1, "theta")
+    zker = S.kernel(1, "theta")
     assert zker
     for _ in range(6):
         a = potential_data(S, rand_potential(rng))
@@ -648,13 +647,13 @@ def test_stacked_rows_and_kernels_match_the_column_reference(rng):
                     # the reference's nonzero rows in order, keyed by index tuple
                     nonzero = [row for row in positional(reference_kernel_rows(S, p, which)) if row]
                     assert rows == [{keys[c]: entry for c, entry in row.items()} for row in nonzero]
-                    got, want = kernel_basis(S, p, which), reference_kernel(S, p, which)
+                    got, want = S.kernel(p, which), reference_kernel(S, p, which)
                     assert got == want
                     assert [list(u.terms) for u in got] == [list(u.terms) for u in want]
             if chart == INERT:
                 # ∂_w is touched by nothing, so e_w is a kernel vector of each target
                 w = MultiVector.basis_vector(chart, "w")
-                assert all(w in kernel_basis(S, 1, which) for which in targets)
+                assert all(w in S.kernel(1, which) for which in targets)
 
 
 def test_stacked_solves_match_the_column_reference(rng):
