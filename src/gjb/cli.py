@@ -47,7 +47,6 @@ from .exterior import DiffForm, MultiVector, interior_product
 from .fieldtheory import (
     CanonicalStructure,
     _table1_rows,
-    build_canonical,
     dissipated_check,
     dissipation_form,
     distortion,
@@ -156,7 +155,7 @@ def _canonical_from_args(args, *operands: tuple[str, str]) -> CanonicalStructure
         except ParseError as err:
             raise _UsageError(f"in {label}: {err}") from err
         unknown.update(name for name in names if _chart_name(chart, name) is None)
-    return build_canonical(spec, parameters=tuple(sorted(unknown)))
+    return CanonicalStructure(spec, tuple(sorted(unknown)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,7 @@ def _cmd_chart_new(args) -> int:
             raise _UsageError("--canonical expects N,M (e.g. --canonical 2,1)")
         parameters = _split_names(args.parameters) if args.parameters else ()
         try:
-            C = build_canonical(_spec(int(pieces[0]), int(pieces[1])), parameters=parameters)
+            C = CanonicalStructure(_spec(int(pieces[0]), int(pieces[1])), parameters)
         except DomainError as err:  # a repeated, colliding or misspelled parameter name
             raise _UsageError(str(err)) from err
         chart, theta = C.chart, C.theta
@@ -249,7 +248,6 @@ def _check_binding_name(session: Session, name: str) -> None:
 
 
 def _store_binding(session: Session, path, name: str, value) -> None:
-    _check_binding_name(session, name)
     session.bindings[name] = value
     session.save(path)
     print(f"stored as {name}")
@@ -267,6 +265,8 @@ def _cmd_conformal(args) -> int:
         alpha, x_field, v_value = _operands(
             env, (args.alpha, "--alpha", DiffForm), (args.x, "--x", MultiVector), (args.v, "--v", None)
         )
+        if alpha.is_zero():  # a zero of negative degree has no spelling
+            alpha = DiffForm.zero(S.chart, S.degree - x_field.degree)
         data = make_conformal_data(S, alpha, x_field, v_value)
     else:
         # make: solve for the witness from the transformation alone
@@ -557,7 +557,7 @@ def _cmd_distortion(args) -> int:
     if args.n is not None or args.m is not None:
         if args.n is None or args.m is None:
             raise _UsageError("give both --n and --m (or neither, to use the session)")
-        S = build_canonical(_spec(args.n, args.m))
+        S = CanonicalStructure(_spec(args.n, args.m))
     else:
         S = Session.load(args.session).structure()
     table, all_zero = distortion(S)

@@ -167,11 +167,6 @@ class Chart:
         except ValueError:
             raise StructuralError(f"coordinate {name!r} not on chart {self.coordinates}") from None
 
-    def extend(self, name: str, nonvanishing: bool = False) -> "Chart":
-        """New chart with one appended coordinate."""
-        flags = set(self.nonvanishing) | ({name} if nonvanishing else set())
-        return Chart(self.coordinates + (name,), frozenset(flags))
-
     def pack(self, expo) -> int:
         """The key of an exponent vector: StructuralError for a wrong
         length or a non-integer exponent, DomainError for an exponent

@@ -374,9 +374,6 @@ class _Graded:
 
     __rmul__ = __mul__
 
-    def wedge(self, other):
-        return wedge(self, other)
-
     def __eq__(self, other):
         return (
             type(self) is type(other)
@@ -438,9 +435,6 @@ class DiffForm(_Graded):
         )
         _index_tuples([positions], len(positions), chart.dimension)  # refuses a repeated name
         return DiffForm._trusted(chart, len(positions), {positions: Coefficient.one(chart)})
-
-    def d(self) -> "DiffForm":
-        return exterior_derivative(self)
 
 
 class MultiVector(_Graded):

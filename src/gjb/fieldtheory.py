@@ -188,15 +188,10 @@ class CanonicalStructure(NFormStructure):
         return [MultiVector.basis_vector(self.chart, s) for s in self.s_names]
 
 
-def build_canonical(spec: PhaseSpaceSpec | int, m: int | None = None, parameters: tuple[str, ...] = ()) -> CanonicalStructure:
-    """The canonical phase-space structure of a PhaseSpaceSpec or of the
-    pair (n, m).  Its kernels are eliminated on first read, like those of
-    any NFormStructure."""
-    if not isinstance(spec, PhaseSpaceSpec):
-        if m is None:
-            raise DomainError("build_canonical needs a PhaseSpaceSpec or the pair (n, m)")
-        spec = PhaseSpaceSpec(spec, m)
-    return CanonicalStructure(spec, parameters)
+def build_canonical(n: int, m: int, parameters: tuple[str, ...] = ()) -> CanonicalStructure:
+    """The canonical phase-space structure of the pair (n, m).  Its kernels
+    are eliminated on first read, like those of any NFormStructure."""
+    return CanonicalStructure(PhaseSpaceSpec(n, m), parameters)
 
 
 # --------------------------------------------------------------------------

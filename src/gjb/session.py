@@ -25,7 +25,10 @@ then rebuilt on first read by the parse pass its check returned: its
 coefficients are parsed, and conformal data is re-validated against the
 session structure, re-running the defining equations; nothing read is
 ever trusted, the stored validation stamp included.  Bindings a
-command does not read are written back verbatim when it saves.
+command does not read are written back verbatim when it saves.  This
+module reads no field inside a binding payload: the interchange reader
+of ``dsl`` checks each one, and types a zero α that an older file
+stores at degree 0.
 """
 
 from __future__ import annotations
@@ -242,8 +245,6 @@ class Session:
                 raise SessionError(f"malformed session file: binding {name!r}: {error}")
             parse = _read(f"binding {name!r}", _check_shape, entry, chart=chart, structure=structure)
             session.bindings[name] = _Unread(entry, parse)
-            if _untyped_zero_alpha(entry, session.theta):
-                session.bindings[name]  # read it now
         return session
 
     @classmethod
@@ -256,14 +257,3 @@ class Session:
         except json.JSONDecodeError as err:
             raise SessionError(f"session file {p} is not valid JSON: {err}") from err
         return cls.from_payload(payload)
-
-
-def _untyped_zero_alpha(entry: dict, theta: DiffForm | None) -> bool:
-    """Whether a checked binding payload is conformal data whose zero α
-    is stored at a degree other than n − p, as files written before zero
-    forms carried negative degrees store it.  Such a binding is read on
-    load, so that saving writes the typed zero."""
-    if entry["kind"] != "conformal-data":
-        return False
-    alpha = entry["alpha"]
-    return not alpha["terms"] and alpha["degree"] != theta.degree - entry["x_field"]["degree"]

@@ -15,7 +15,10 @@ graded Jacobi bracket of (α, X_α, V_α) and (β, X_β, V_β) is
 with witnesses [X_α, X_β] and [X_α, V_β] − (−1)^{(p−1)(q−1)} [X_β, V_α];
 the cup product is α∨β = −ι_{X_α∧X_β}Θ = ι_{X_β}α.  Every constructor
 re-validates its output, so identities downstream are checked claims, not
-assumptions.
+assumptions.  Each value has one spelling: make_conformal_data refuses an
+α whose degree is not n − p, zero or not, and only where outside input
+enters (the command-line operands and the interchange reader of dsl) is
+an untyped zero α typed at n − p.
 
 Linear problems see a form or multivector in one coordinate format, its
 own terms, a map from index tuple to Coefficient: that is a row or vector
@@ -255,33 +258,27 @@ class ConformalData:
 
 
 def _as_witness(chart: Chart, v, degree: int) -> MultiVector:
+    if isinstance(v, (int, Fraction)):
+        v = Coefficient.constant(chart, v)
     if isinstance(v, MultiVector):
         return v
     if isinstance(v, Coefficient):
         if degree != 0:
             raise DegreeError(f"scalar witness supplied where degree {degree} is needed")
         return MultiVector.from_scalar(v)
-    if isinstance(v, (int, Fraction)):
-        return MultiVector.from_scalar(Coefficient.constant(chart, v))
     raise StructuralError(f"cannot read {type(v).__name__} as a witness multivector")
-
-
-def _as_alpha(chart: Chart, alpha: DiffForm, degree: int) -> DiffForm:
-    if alpha.degree == degree:
-        return alpha
-    if not alpha.is_zero():
-        raise DegreeError(f"alpha must have degree n - p = {degree}, got degree {alpha.degree}")
-    return DiffForm.zero(chart, degree)
 
 
 def make_conformal_data(S: NFormStructure, alpha: DiffForm, x_field: MultiVector, v_field) -> ConformalData:
     """Package and validate a conformal triple; raises ValidationError with
-    the nonzero residual when either defining equation fails.  A zero alpha
-    of any degree is read as the zero (n−p)-form."""
+    the nonzero residual when either defining equation fails.  Alpha must
+    have degree n − p, a zero alpha too."""
     if x_field.degree < 1:
         raise DegreeError("the conformal multivector must have degree at least 1")
     v = _as_witness(S.chart, v_field, x_field.degree - 1)
-    alpha = _as_alpha(S.chart, alpha, S.degree - x_field.degree)
+    degree = S.degree - x_field.degree
+    if alpha.degree != degree:
+        raise DegreeError(f"alpha must have degree n - p = {degree}, got degree {alpha.degree}")
     data = ConformalData(S, alpha, x_field, v)
     return data.validate()
 

@@ -99,7 +99,7 @@ def build(S: NFormStructure) -> Symplectization:
     Υ = z·Θ, Ω = −dΥ, Δ = z∂_z.  The homogeneity equations are re-checked
     on construction."""
     fiber = _fiber_name(S.chart)
-    ext = S.chart.extend(fiber, nonvanishing=True)
+    ext = Chart(S.chart.coordinates + (fiber,), S.chart.nonvanishing | {fiber})
     z = Coefficient.coordinate(ext, fiber)
     upsilon = reindex(S.theta, ext).scale(z)
     omega = -exterior_derivative(upsilon)

@@ -43,12 +43,6 @@ def test_chart_rejects_bad_names():
         Chart(("2x",))
 
 
-def test_chart_extend_appends():
-    bigger = CHART.extend("w", nonvanishing=True)
-    assert bigger.coordinates == ("p", "x", "y", "z", "w")
-    assert "w" in bigger.nonvanishing and "z" in bigger.nonvanishing
-
-
 # -- pinned arithmetic facts -------------------------------------------------
 
 

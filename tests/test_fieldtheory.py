@@ -95,8 +95,6 @@ def test_spec_validation():
         PhaseSpaceSpec(1, 1)
     with pytest.raises(DomainError):
         PhaseSpaceSpec(2, 0)
-    with pytest.raises(DomainError):
-        build_canonical(2)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])

@@ -116,6 +116,29 @@ def test_one_grammar_reads_every_text():
     assert callers == {"dsl.py"}
 
 
+def test_only_the_interchange_reader_reads_inside_a_payload():
+    """The interchange layout is known to ``dsl`` alone: no other module
+    subscripts a payload, or ``.get``s from one, with a key of a serialized
+    value (a session reads its own members, never a binding's fields)."""
+    package = pathlib.Path(gjb.__file__).parent
+    layout = {"kind", "degree", "terms", "indices", "coeff", "alpha", "x_field", "v_field"}
+
+    def key(node):
+        if isinstance(node, ast.Subscript):
+            return node.slice
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get" and node.args:
+            return node.args[0]
+        return None
+
+    readers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(key(node), ast.Constant) and key(node).value in layout
+    }
+    assert readers == {"dsl.py"}
+
+
 def test_one_builder_reads_the_contraction_sign_rule():
     """Every contraction system comes from one builder: the sign rule
     ``exterior._contract_key`` is used inside ``exterior`` and, elsewhere in

@@ -184,12 +184,17 @@ def test_verify_conformal_past_the_top_degree():
     assert verify_conformal(S, top) == MultiVector.zero(CONTACT, 2)
 
 
-def test_zero_alpha_is_read_at_degree_n_minus_p():
+def test_zero_alpha_of_the_wrong_degree_is_refused():
+    # only the command-line operands and the interchange reader type a zero alpha
     S = contact_structure()
     e = lambda name: MultiVector.basis_vector(CONTACT, name)
     x = wedge(e("q"), e("p")) + wedge(e("q"), e("z")).scale(Coefficient.coordinate(CONTACT, "q"))
-    data = make_conformal_data(S, DiffForm.zero(CONTACT, 0), x, -e("z"))
-    assert data.alpha == DiffForm.zero(CONTACT, -1)
+    assert make_conformal_data(S, DiffForm.zero(CONTACT, -1), x, -e("z")).alpha == DiffForm.zero(CONTACT, -1)
+    with pytest.raises(DegreeError, match="n - p = -1, got degree 0"):
+        make_conformal_data(S, DiffForm.zero(CONTACT, 0), x, -e("z"))
+    # a number witness is a scalar, refused where degree 1 is needed
+    with pytest.raises(DegreeError, match="scalar witness supplied where degree 1 is needed"):
+        make_conformal_data(S, DiffForm.zero(CONTACT, -1), x, 0)
 
 
 def test_nonzero_alpha_of_the_wrong_degree_is_refused():

@@ -85,9 +85,13 @@ def test_build_extends_by_an_invertible_fiber():
 
 
 def test_build_renames_a_taken_fiber_coordinate():
-    sym = build(contact_structure())
+    # the taken z is flagged nonvanishing, and its flag survives the extension
+    chart = Chart(("q", "p", "z"), frozenset({"z"}))
+    eta = DiffForm.differential(chart, "z") - DiffForm.differential(chart, "q").scale(Coefficient.coordinate(chart, "p"))
+    sym = build(NFormStructure(chart, eta))
     assert sym.fiber == "z1"
     assert sym.extended_chart.coordinates == ("q", "p", "z", "z1")
+    assert sym.extended_chart.nonvanishing == {"z", "z1"}
 
 
 def test_liouville_contraction_recovers_upsilon():
