@@ -19,7 +19,6 @@ from gjb import (
     NFormStructure,
     build_canonical,
     dissipated_check,
-    dissipation_form,
     distortion,
     elementary_tables,
     evolution_residual,
@@ -61,15 +60,14 @@ print(f"h = {section.h_form}")
 # ---------------------------------------------------------------------------
 headline("Dissipation form and the field equations")
 
-sigma = dissipation_form(C, section)
-print(f"sigma = {sigma}")
+print(f"sigma = {section.sigma}")
 
 labels = (
     ["E_s"]
     + [f"E_y[{i},{mu}]" for i in range(C.spec.m) for mu in range(C.spec.n)]
     + [f"E_p[{i}]" for i in range(C.spec.m)]
 )
-for label, residual in zip(labels, hdw_residuals(C, section)):
+for label, residual in zip(labels, hdw_residuals(section)):
     print(f"  {label} = {residual}")
 print("(setting each residual to zero gives the covariant Hamilton equations;")
 print(" jet symbols like y_x0 stand for the partial derivatives of a section)")
@@ -80,8 +78,8 @@ headline("Evolution of the elementary conformal forms")
 
 rows, _ = elementary_tables(C)
 for row in rows:
-    value = evolution_residual(C, section, row.data)
-    dissipated = dissipated_check(C, section, row.data)
+    value = evolution_residual(section, row.data)
+    dissipated = dissipated_check(section, row.data)
     print(
         f"  {row.label}: evolution residual = {value}"
         f"{'  [dissipated quantity]' if dissipated else ''}"
@@ -97,7 +95,7 @@ F = Coefficient.zero(C.chart)
 G = (Coefficient.constant(C.chart, -1), Coefficient.zero(C.chart))
 _, data = vertical_conformal_from_FG(C, F, G)
 print(f"alpha = {data.alpha}")
-print(f"dissipated for this H: {dissipated_check(C, section, data)}")
+print(f"dissipated for this H: {dissipated_check(section, data)}")
 
 
 # ---------------------------------------------------------------------------

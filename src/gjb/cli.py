@@ -48,7 +48,6 @@ from .fieldtheory import (
     CanonicalStructure,
     _table1_rows,
     dissipated_check,
-    dissipation_form,
     distortion,
     elementary_tables,
     hamiltonian_section,
@@ -463,7 +462,7 @@ def _cmd_hdw(args) -> int:
     C = _canonical_from_args(args, (args.H, "--H"))
     (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
     section = hamiltonian_section(C, H)
-    equations, _, sigma = section.system
+    equations, sigma = section.system[0], section.sigma
     labels = _hdw_labels(C, len(equations))
     if args.format == "json":
         import json as _json
@@ -502,9 +501,7 @@ def _cmd_hdw(args) -> int:
 def _cmd_sigma(args) -> int:
     C = _canonical_from_args(args, (args.H, "--H"))
     (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
-    section = hamiltonian_section(C, H)
-    sigma = dissipation_form(C, section)
-    _print_value(sigma, args.format)
+    _print_value(hamiltonian_section(C, H).sigma, args.format)
     return 0
 
 
@@ -546,7 +543,7 @@ def _cmd_dissipated(args) -> int:
         title = "vertical conformal data from (F, G)"
     else:
         raise _UsageError("dissipated needs --row or --F/--G to pick the conformal data")
-    verdict = dissipated_check(C, hamiltonian_section(C, H), data)
+    verdict = dissipated_check(hamiltonian_section(C, H), data)
     print(f"form: {title}")
     print(f"alpha = {data.alpha}")
     print(f"dissipated: {'yes' if verdict else 'no'}")

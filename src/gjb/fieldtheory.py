@@ -4,8 +4,11 @@ This module builds the canonical multicontact phase space of a first-order
 field theory (``n`` independent variables, ``m`` field components), the
 elementary families of conformal Hamiltonian forms on it, the refined Reeb
 calculus that produces the dissipation 1-form, and an exact first-jet
-emission of the dissipative covariant Hamilton equations of a
-HamiltonianSection, which owns its jet section (``section.jet``).
+emission of the dissipative covariant Hamilton equations.  A
+HamiltonianSection owns what its Hamiltonian determines, each built once on
+first read: its jet section (``section.jet``), its dissipation form sigma_h
+(``section.sigma``) and its Hamilton system (``section.system``).  Every
+reader of the dynamics takes the section alone.
 
 Conventions in force throughout:
 
@@ -542,7 +545,7 @@ class HamiltonianSection:
     canonical: CanonicalStructure
     hamiltonian: Coefficient
 
-    @property
+    @functools.cached_property
     def h_form(self) -> DiffForm:
         C = self.canonical
         return C.volume.scale(C.coordinate(C.p_name) + self.hamiltonian)
@@ -553,12 +556,18 @@ class HamiltonianSection:
         return JetSection.for_hamiltonian_section(self)
 
     @functools.cached_property
-    def system(self) -> tuple[tuple[Coefficient, ...], Mapping[str, Coefficient], DiffForm]:
+    def sigma(self) -> DiffForm:
+        """The dissipation form sigma_h of the section, built on first read.
+        This is the one place a section's sigma_h is computed."""
+        return dissipation_form(self.canonical, self.h_form)
+
+    @functools.cached_property
+    def system(self) -> tuple[tuple[Coefficient, ...], Mapping[str, Coefficient]]:
         """The covariant Hamilton system of the section (``_hdw_system``):
-        the emitted equations, the solved heads and sigma_h, built on
-        first read and read-only."""
-        emitted, solved, sigma = _hdw_system(self.canonical, self)
-        return tuple(emitted), MappingProxyType(solved), sigma
+        the emitted equations and the solved heads, built with ``sigma``
+        on first read and read-only."""
+        emitted, solved = _hdw_system(self)
+        return tuple(emitted), MappingProxyType(solved)
 
 
 def hamiltonian_section(C: CanonicalStructure, H: Coefficient) -> HamiltonianSection:
@@ -572,17 +581,15 @@ def hamiltonian_section(C: CanonicalStructure, H: Coefficient) -> HamiltonianSec
     return section
 
 
-def _as_h_form(h: HamiltonianSection | DiffForm) -> DiffForm:
-    return h.h_form if isinstance(h, HamiltonianSection) else h
+def dissipation_form(S: NFormStructure, h_form: DiffForm) -> DiffForm:
+    """The dissipation 1-form of an n-form h on a multicontact structure:
+    the refined-Reeb trace of dh.
 
-
-def dissipation_form(S: NFormStructure | CanonicalStructure, h: HamiltonianSection | DiffForm) -> DiffForm:
-    """The dissipation 1-form: the refined-Reeb trace of dh.
-
-    Each dual pair contributes iota_R iota_u dh; for a Hamiltonian section
-    the result is (dH/ds^mu) dx^mu.
+    Each dual pair contributes iota_R iota_u dh; for the n-form of a
+    Hamiltonian section the result is (dH/ds^mu) dx^mu.  A section reads
+    its own as ``HamiltonianSection.sigma``, which solves the refined Reeb
+    pairs once per section.
     """
-    h_form = _as_h_form(h)
     if h_form.degree != S.degree:
         raise DegreeError(f"h must be an {S.degree}-form, got degree {h_form.degree}")
     dh = exterior_derivative(h_form)
@@ -684,28 +691,24 @@ def _top_coefficient(J: JetSection, omega: DiffForm) -> Coefficient:
     return omega.terms.get(xkey, Coefficient.zero(J.chart))
 
 
-def _hdw_system(
-    C: CanonicalStructure, section: HamiltonianSection
-) -> tuple[list[Coefficient], dict[str, Coefficient], DiffForm]:
-    """Emit the covariant Hamilton equations, the solved pivot images and
-    the dissipation form sigma_h they were built with.
+def _hdw_system(section: HamiltonianSection) -> tuple[list[Coefficient], dict[str, Coefficient]]:
+    """Emit the covariant Hamilton equations and the solved pivot images.
 
     The raw equations are the pullbacks, along the section's jet, of
     (Theta + h) and of iota_xi (d + sigma_h ^)(Theta + h) for xi over the
-    coordinate fields.  A term's jet degree is its exponent sum over the
-    jet block, and a degree-1 term's column is the one jet it carries.
-    Equations affine in the jet symbols are reduced to a canonical echelon
-    system whose heads are, in order: the first jet of s^0, the jets of the
-    fields y^i, and the first jets of the momenta p^0_i.  Higher-degree
-    equations are reduced modulo the solved heads and emitted only if
-    anything survives.  ``HamiltonianSection.system`` builds it once per
-    section, and every public reader reads that.
+    coordinate fields, sigma_h being the section's own ``sigma``.  A term's
+    jet degree is its exponent sum over the jet block, and a degree-1
+    term's column is the one jet it carries.  Equations affine in the jet
+    symbols are reduced to a canonical echelon system whose heads are, in
+    order: the first jet of s^0, the jets of the fields y^i, and the first
+    jets of the momenta p^0_i.  Higher-degree equations are reduced modulo
+    the solved heads and emitted only if anything survives.
+    ``HamiltonianSection.system`` builds it once per section, and every
+    public reader reads that.
     """
-    jet = section.jet
-    h_form = section.h_form
-    sigma = dissipation_form(C, h_form)
-    total = C.theta + h_form
-    curl = exterior_derivative(total) + wedge(sigma, total)
+    C, jet = section.canonical, section.jet
+    total = C.theta + section.h_form
+    curl = exterior_derivative(total) + wedge(section.sigma, total)
 
     raw = [_top_coefficient(jet, jet.pull(total))]
     for name in C.chart.coordinates:
@@ -763,10 +766,10 @@ def _hdw_system(
         reduced = _hdw_reduce(jet, solved, eq)
         if not reduced.is_zero():
             emitted.append(reduced)
-    return emitted, solved, sigma
+    return emitted, solved
 
 
-def hdw_residuals(C: CanonicalStructure, section: HamiltonianSection) -> list[Coefficient]:
+def hdw_residuals(section: HamiltonianSection) -> list[Coefficient]:
     """The covariant Hamilton equations of a Hamiltonian section as exact
     jet-space residuals.
 
@@ -776,16 +779,16 @@ def hdw_residuals(C: CanonicalStructure, section: HamiltonianSection) -> list[Co
     * sum_mu ds^mu/dx^mu - p^mu_i dH/dp^mu_i + H,
     * dy^i/dx^mu - dH/dp^mu_i           (one equation per i, mu),
     * sum_mu dp^mu_i/dx^mu + dH/dy^i + (dH/ds^mu) p^mu_i   (one per i).
+
+    The system is the section's own (``section.system``), built once.
     """
-    _check_section(C, section)
+    _check_section(section)
     return list(section.system[0])
 
 
-def _check_section(C: CanonicalStructure, section: HamiltonianSection) -> None:
+def _check_section(section: HamiltonianSection) -> None:
     if not isinstance(section, HamiltonianSection):
         raise StructuralError("the covariant Hamilton equations need a HamiltonianSection")
-    if section.canonical is not C:
-        raise StructuralError("the section does not live on the given structure")
 
 
 def _hdw_reduce(jet: JetSection, solved: Mapping[str, Coefficient], value: Coefficient) -> Coefficient:
@@ -798,23 +801,23 @@ def _hdw_reduce(jet: JetSection, solved: Mapping[str, Coefficient], value: Coeff
     return value.substitute(images, jet.chart)
 
 
-def evolution_residual(C: CanonicalStructure, section: HamiltonianSection, data: ConformalData) -> Coefficient:
+def evolution_residual(section: HamiltonianSection, data: ConformalData) -> Coefficient:
     """Residual of the evolution law of a conformal Hamiltonian form.
 
-    For alpha with vector-type conformal data the on-shell law reads
-    psi*(d alpha) = psi*( -r h - iota_X dh - sigma_h ^ alpha
-    + sigma_h ^ iota_X h ) with r the Reeb coefficient of d alpha; the
-    difference of both sides is pulled back along the section's jet and
-    reduced modulo the solved covariant Hamilton system.  A zero return
-    certifies the law.
+    For alpha with vector-type conformal data on the section's structure
+    the on-shell law reads psi*(d alpha) = psi*( -r h - iota_X dh
+    - sigma_h ^ alpha + sigma_h ^ iota_X h ) with r the Reeb coefficient of
+    d alpha; the difference of both sides is pulled back along the
+    section's jet and reduced modulo the section's solved covariant
+    Hamilton system.  A zero return certifies the law.
     """
-    if data.structure is not C:
-        raise StructuralError("conformal data does not live on the given structure")
+    _check_section(section)
+    if data.structure is not section.canonical:
+        raise StructuralError("conformal data does not live on the section's structure")
     if data.degree != 1:
         raise DomainError("the evolution law applies to data with a vector transformation")
-    _check_section(C, section)
-    _, solved, sigma = section.system
-    jet, h_form = section.jet, section.h_form
+    _, solved = section.system
+    jet, h_form, sigma = section.jet, section.h_form, section.sigma
 
     alpha, X = data.alpha, data.x_field
     reeb_coefficient = -data.v_field.scalar()
@@ -831,18 +834,17 @@ def evolution_residual(C: CanonicalStructure, section: HamiltonianSection, data:
     return _hdw_reduce(jet, solved, residual)
 
 
-def dissipated_check(
-    C: CanonicalStructure, h: HamiltonianSection | DiffForm, data: ConformalData
-) -> bool:
+def dissipated_check(section: HamiltonianSection, data: ConformalData) -> bool:
     """Is alpha a dissipated quantity: does psi*(d alpha) = -sigma_h ^ alpha
-    hold on every solution?  Checks the pointwise sufficient condition
-    -(L_X + r) h + (d + sigma_h ^) iota_X h = 0 exactly."""
-    if data.structure is not C:
-        raise StructuralError("conformal data does not live on the given structure")
+    hold on every solution of the section?  Checks the pointwise sufficient
+    condition -(L_X + r) h + (d + sigma_h ^) iota_X h = 0 exactly, with the
+    section's own sigma_h."""
+    _check_section(section)
+    if data.structure is not section.canonical:
+        raise StructuralError("conformal data does not live on the section's structure")
     if data.degree != 1:
         raise DomainError("the dissipated-quantity condition applies to vector-type data")
-    h_form = _as_h_form(h)
-    sigma = dissipation_form(C, h_form)
+    h_form, sigma = section.h_form, section.sigma
     X = data.x_field
     reeb_coefficient = -data.v_field.scalar()
     inner = interior_product(X, h_form)

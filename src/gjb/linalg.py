@@ -156,10 +156,6 @@ class RrefResult:
     def nullity(self) -> int:  # free unknowns, the dimension of the kernel
         return len(self.unknowns) - len(self.pivots)
 
-    @property
-    def pivot_columns(self) -> list[Hashable]:
-        return [c for _, c in self.pivots]
-
     @cached_property
     def _positions(self) -> dict[Hashable, int]:
         return {c: i for i, c in enumerate(self.unknowns)}

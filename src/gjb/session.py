@@ -33,6 +33,7 @@ stores at degree 0.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from collections.abc import Callable, MutableMapping
@@ -165,8 +166,11 @@ class Session:
         rebuilt = {}
         for name, entry in self.bindings._entries.items():
             if isinstance(entry, _Unread):
-                # a parse pass holds the structure it was checked against
-                entry = _read(f"binding {name!r}", object_from_json, entry.payload, chart=self.chart, structure=self.structure())
+                # a parse pass holds the structure it was checked against;
+                # the reader types a stored zero α inside the payload it is
+                # given, so it gets a copy and a rollback keeps the original
+                payload = copy.deepcopy(entry.payload)
+                entry = _read(f"binding {name!r}", object_from_json, payload, chart=self.chart, structure=self.structure())
             elif isinstance(entry, ConformalData):
                 entry = make_conformal_data(self.structure(), entry.alpha, entry.x_field, entry.v_field)
             rebuilt[name] = entry

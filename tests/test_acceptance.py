@@ -470,7 +470,7 @@ def test_criterion_08_field_equations(capsys):
                 expected = expected + DiffForm.differential(CAN21.chart, f"x{mu}").scale(
                     H.partial(f"s{mu}")
                 )
-            assert dissipation_form(CAN21, section) == expected
+            assert dissipation_form(CAN21, section.h_form) == expected
 
         # the emitted system equals an independent rebuild, for generic H
         for _ in range(5):
@@ -483,7 +483,7 @@ def test_criterion_08_field_equations(capsys):
             assert all(H.depends_on(c) for c in CAN21.chart.coordinates if c != CAN21.p_name)
             section = hamiltonian_section(CAN21, H)
             J = JetSection.for_hamiltonian_section(section)
-            assert hdw_residuals(CAN21, section) == _reference_hdw_system(CAN21, H, J)
+            assert hdw_residuals(section) == _reference_hdw_system(CAN21, H, J)
 
         # the worked quadratic example, through the command-line emitter
         code, out = _run_cli(
@@ -504,7 +504,7 @@ def test_criterion_08_field_equations(capsys):
             for _ in range(3):
                 H = _rand_hamiltonian(rng, CAN21)
                 section = hamiltonian_section(CAN21, H)
-                assert evolution_residual(CAN21, section, row.data).is_zero()
+                assert evolution_residual(section, row.data).is_zero()
                 evolution_checks += 1
     print(
         "criterion 8: PASS — sigma carries the s-gradient, emitted equations match the "
@@ -578,9 +578,9 @@ def test_field_equations_and_distortion_at_8_2():
         expected = DiffForm.zero(C.chart, 1)
         for mu in range(8):
             expected = expected + DiffForm.differential(C.chart, f"x{mu}").scale(H.partial(f"s{mu}"))
-        assert dissipation_form(C, section) == expected
+        assert dissipation_form(C, section.h_form) == expected
         J = JetSection.for_hamiltonian_section(section)
-        assert hdw_residuals(C, section) == _reference_hdw_system(C, H, J)
+        assert hdw_residuals(section) == _reference_hdw_system(C, H, J)
     print(
         "(8, 2): PASS — the distortion table vanishes and is symmetric, sigma carries the "
         f"s-gradient, and the emitted equations match the independent rebuild [{clock.stamp()}]"

@@ -125,10 +125,10 @@ def test_parameters_are_inert():
     assert "g" in S.chart.coordinates
     H = Coefficient.coordinate(S.chart, "g") * Coefficient.coordinate(S.chart, "s0")
     sec = hamiltonian_section(S, H)
-    sigma = dissipation_form(S, sec)
+    sigma = dissipation_form(S, sec.h_form)
     dx0 = DiffForm.differential(S.chart, "x0")
     assert sigma == dx0.scale(Coefficient.coordinate(S.chart, "g"))
-    eqs = hdw_residuals(S, sec)
+    eqs = hdw_residuals(sec)
     assert len(eqs) == 4
 
 
@@ -500,7 +500,7 @@ def test_sigma_is_the_s_gradient(rng):
         expected = DiffForm.zero(CAN.chart, 1)
         for mu, s in enumerate(CAN.s_names):
             expected = expected + DiffForm.differential(CAN.chart, f"x{mu}").scale(H.partial(s))
-        assert dissipation_form(CAN, section) == expected
+        assert dissipation_form(CAN, section.h_form) == expected
 
 
 def test_sigma_for_two_fields(rng):
@@ -511,12 +511,12 @@ def test_sigma_for_two_fields(rng):
         expected = DiffForm.zero(S.chart, 1)
         for mu, s in enumerate(S.s_names):
             expected = expected + DiffForm.differential(S.chart, f"x{mu}").scale(H.partial(s))
-        assert dissipation_form(S, section) == expected
+        assert dissipation_form(S, section.h_form) == expected
 
 
 def test_sigma_vanishes_without_action_dependence():
     section = hamiltonian_section(CAN, C("p0") ** 2 + C("y"))
-    assert dissipation_form(CAN, section).is_zero()
+    assert dissipation_form(CAN, section.h_form).is_zero()
 
 
 # --------------------------------------------------------------------------
@@ -613,7 +613,7 @@ def test_hdw_quadratic_action_dependent_example():
     H = (C("p0") ** 2 + C("p1") ** 2).scale(Fraction(1, 2)) + C("s0").scale(gamma)
     section = hamiltonian_section(CAN, H)
     J = JetSection.for_hamiltonian_section(section)
-    eqs = hdw_residuals(CAN, section)
+    eqs = hdw_residuals(section)
     coord = lambda n: Coefficient.coordinate(J.chart, n)
     assert eqs == [
         coord("s0_x0")
@@ -631,7 +631,7 @@ def test_hdw_matches_reference_system_for_random_hamiltonians(rng):
         H = rand_hamiltonian(rng, CAN)
         section = hamiltonian_section(CAN, H)
         J = JetSection.for_hamiltonian_section(section)
-        assert hdw_residuals(CAN, section) == expected_hdw_system(CAN, H, J)
+        assert hdw_residuals(section) == expected_hdw_system(CAN, H, J)
 
 
 @pytest.mark.parametrize("n, m", [(4, 1), (4, 2)])
@@ -647,16 +647,16 @@ def test_sigma_and_hdw_at_four_variables(rng, n, m):
         sigma = DiffForm.zero(S.chart, 1)
         for mu, s in enumerate(S.s_names):
             sigma = sigma + DiffForm.differential(S.chart, S.x_names[mu]).scale(H.partial(s))
-        assert dissipation_form(S, section) == sigma
+        assert dissipation_form(S, section.h_form) == sigma
         J = JetSection.for_hamiltonian_section(section)
-        assert hdw_residuals(S, section) == expected_hdw_system(S, H, J)
+        assert hdw_residuals(section) == expected_hdw_system(S, H, J)
 
 
 def test_hdw_constant_hamiltonian():
     H = Coefficient.constant(CAN.chart, Fraction(3, 7))
     section = hamiltonian_section(CAN, H)
     J = JetSection.for_hamiltonian_section(section)
-    eqs = hdw_residuals(CAN, section)
+    eqs = hdw_residuals(section)
     assert eqs == expected_hdw_system(CAN, H, J)
     assert len(eqs) == 4
 
@@ -666,7 +666,7 @@ def test_hdw_for_two_fields(rng):
     H = rand_hamiltonian(rng, S)
     section = hamiltonian_section(S, H)
     J = JetSection.for_hamiltonian_section(section)
-    eqs = hdw_residuals(S, section)
+    eqs = hdw_residuals(section)
     assert eqs == expected_hdw_system(S, H, J)
     assert len(eqs) == 1 + 4 + 2
 
@@ -676,7 +676,7 @@ def test_hdw_for_three_variables(rng):
     H = rand_hamiltonian(rng, S, max_terms=3)
     section = hamiltonian_section(S, H)
     J = JetSection.for_hamiltonian_section(section)
-    eqs = hdw_residuals(S, section)
+    eqs = hdw_residuals(section)
     assert eqs == expected_hdw_system(S, H, J)
     assert len(eqs) == 1 + 3 + 1
 
@@ -685,12 +685,12 @@ def test_hdw_at_eight_variables_and_two_fields(rng):
     S = build_canonical(8, 2)
     H = rand_hamiltonian(rng, S, max_terms=6)
     section = hamiltonian_section(S, H)
-    assert hdw_residuals(S, section) == expected_hdw_system(S, H, section.jet)
+    assert hdw_residuals(section) == expected_hdw_system(S, H, section.jet)
 
 
 def test_hdw_requires_a_jet_section_for_bare_forms():
     with pytest.raises(StructuralError):
-        hdw_residuals(CAN, CAN.volume.scale(C("p")))
+        hdw_residuals(CAN.volume.scale(C("p")))
 
 
 # --------------------------------------------------------------------------
@@ -704,7 +704,7 @@ def test_evolution_residual_vanishes_on_elementary_forms(rng):
         H = rand_hamiltonian(rng, CAN)
         section = hamiltonian_section(CAN, H)
         for row in rows:
-            assert evolution_residual(CAN, section, row.data).is_zero()
+            assert evolution_residual(section, row.data).is_zero()
 
 
 def test_evolution_residual_vanishes_on_random_vertical_data(rng):
@@ -712,25 +712,27 @@ def test_evolution_residual_vanishes_on_random_vertical_data(rng):
         H = rand_hamiltonian(rng, CAN)
         section = hamiltonian_section(CAN, H)
         data = rand_fg_data(rng, CAN, 2, 1)
-        assert evolution_residual(CAN, section, data).is_zero()
+        assert evolution_residual(section, data).is_zero()
 
 
 def test_the_hamilton_system_is_built_once_per_section(rng, monkeypatch):
+    """One section solves the refined Reeb pairs once and builds its
+    Hamilton system once, across sigma and every reader."""
     S = build_canonical(3, 2)
     rows, _ = elementary_tables(S)
     assert len(rows) == 12
-    builds = []
-    build = fieldtheory._hdw_system
+    builds, solves = [], []
+    build, solve = fieldtheory._hdw_system, fieldtheory.refined_reeb
     monkeypatch.setattr(fieldtheory, "_hdw_system", lambda *args: builds.append(1) or build(*args))
+    monkeypatch.setattr(fieldtheory, "refined_reeb", lambda *args: solves.append(1) or solve(*args))
     section = hamiltonian_section(S, rand_hamiltonian(rng, S))
     for row in rows:
-        assert evolution_residual(S, section, row.data).is_zero()
-    first = hdw_residuals(S, section)
+        assert evolution_residual(section, row.data).is_zero()
+        dissipated_check(section, row.data)
+    first = hdw_residuals(section)
     first.clear()  # a caller's list is its own
-    assert hdw_residuals(S, section) == list(section.system[0]) != []
-    assert len(builds) == 1
-    with pytest.raises(StructuralError):
-        hdw_residuals(build_canonical(3, 2), section)
+    assert hdw_residuals(section) == list(section.system[0]) != []
+    assert (len(builds), len(solves)) == (1, 1)
 
 
 def test_evolution_rejects_higher_degree_data(rng):
@@ -740,7 +742,7 @@ def test_evolution_rejects_higher_degree_data(rng):
     b = rand_fg_data(rng, CAN, 2, 1)
     section = hamiltonian_section(CAN, rand_hamiltonian(rng, CAN))
     with pytest.raises(DomainError):
-        evolution_residual(CAN, section, cup_product(a, b))
+        evolution_residual(section, cup_product(a, b))
 
 
 # --------------------------------------------------------------------------
@@ -752,34 +754,33 @@ def test_momentum_trace_is_dissipated_iff_h_ignores_the_field(rng):
     rows, _ = elementary_tables(CAN)
     row3 = next(r for r in rows if r.family == 3)
     free = hamiltonian_section(CAN, C("p0") * C("x1") + C("s1") ** 2)
-    assert dissipated_check(CAN, free, row3.data)
+    assert dissipated_check(free, row3.data)
     bound = hamiltonian_section(CAN, C("y") * C("x0"))
-    assert not dissipated_check(CAN, bound, row3.data)
+    assert not dissipated_check(bound, row3.data)
 
 
 def test_volume_slice_is_dissipated_iff_no_action_dependence():
     rows, _ = elementary_tables(CAN)
     row4 = next(r for r in rows if r.family == 4 and r.indices == (0,))
     free = hamiltonian_section(CAN, C("p0") ** 2 + C("y"))
-    assert dissipated_check(CAN, free, row4.data)
+    assert dissipated_check(free, row4.data)
     bound = hamiltonian_section(CAN, C("s0") * C("y"))
-    assert not dissipated_check(CAN, bound, row4.data)
+    assert not dissipated_check(bound, row4.data)
 
 
 def test_dissipated_quantity_on_shell(rng):
     """A dissipated alpha satisfies psi*(d alpha) = -sigma ^ alpha modulo the
     solved covariant Hamilton system."""
-    from gjb.fieldtheory import _hdw_system, _hdw_reduce, _top_coefficient
+    from gjb.fieldtheory import _hdw_reduce, _top_coefficient
 
     rows, _ = elementary_tables(CAN)
     row3 = next(r for r in rows if r.family == 3)
     section = hamiltonian_section(CAN, C("p1") * C("x0") + C("s0").scale(Fraction(1, 2)))
-    assert dissipated_check(CAN, section, row3.data)
+    assert dissipated_check(section, row3.data)
     J = JetSection.for_hamiltonian_section(section)
-    _, solved, _ = _hdw_system(CAN, section)
-    sigma = dissipation_form(CAN, section)
+    _, solved = section.system
     alpha = row3.data.alpha
-    onshell = _top_coefficient(J, J.pull(exterior_derivative(alpha) + wedge(sigma, alpha)))
+    onshell = _top_coefficient(J, J.pull(exterior_derivative(alpha) + wedge(section.sigma, alpha)))
     assert _hdw_reduce(J, solved, onshell).is_zero()
 
 

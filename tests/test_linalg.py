@@ -68,7 +68,7 @@ def test_rref_rank_and_unit_pivots():
     # an available unit pivot is preferred over an earlier polynomial one
     result2 = rref(_rows([[C("x"), C("1")]]), CHART)
     assert not result2.generic_only
-    assert result2.pivot_columns == [1]
+    assert [c for _, c in result2.pivots] == [1]
     # only polynomial entries available: the result is generic-rank only
     result3 = rref(_rows([[C("x"), C("y")]]), CHART)
     assert result3.generic_only
@@ -90,11 +90,11 @@ def test_unknowns_order_drives_pivots_and_the_kernel_sign():
     # scanned as (1, 0), the pivot is on column 1, and the kernel vector's
     # first entry in that order, x_1, is the one made positive
     result = rref(_rows([[C("1"), C("1")]]), CHART, unknowns=(1, 0))
-    assert result.pivot_columns == [1]
+    assert [c for _, c in result.pivots] == [1]
     (vec,) = result.kernel
     assert vec == {1: C("1"), 0: C("-1")} and list(vec) == [1, 0]
     # sorted keys by default, so the same matrix pivots on column 0
-    assert rref(_rows([[C("1"), C("1")]]), CHART).pivot_columns == [0]
+    assert [c for _, c in rref(_rows([[C("1"), C("1")]]), CHART).pivots] == [0]
 
 
 def test_an_unknown_no_row_holds_is_free():

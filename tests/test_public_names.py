@@ -169,6 +169,35 @@ def test_one_builder_reads_the_contraction_sign_rule():
     }
 
 
+def test_a_section_computes_its_sigma_in_one_place():
+    """sigma_h has one call path: in the package, only
+    ``HamiltonianSection.sigma`` refers to ``fieldtheory.dissipation_form``
+    (besides imports and ``__all__``), so each section solves its refined
+    Reeb pairs once and every reader shares the result."""
+    package = pathlib.Path(gjb.__file__).parent
+
+    def refers(node):
+        return getattr(node, "id", None) == "dissipation_form" or (
+            isinstance(node, ast.Attribute) and node.attr == "dissipation_form"
+        )
+
+    def scopes(body, prefix=""):
+        for top in body:
+            name = f"{prefix}{getattr(top, 'name', '')}"
+            if isinstance(top, ast.ClassDef):
+                yield from scopes(top.body, f"{name}.")
+            else:
+                yield name, top
+
+    uses = {
+        (path.name, name)
+        for path in package.glob("*.py")
+        for name, top in scopes(ast.parse(path.read_text(encoding="utf-8")).body)
+        if any(refers(node) for node in ast.walk(top))
+    }
+    assert uses == {("fieldtheory.py", "HamiltonianSection.sigma")}
+
+
 def test_solves_do_not_enumerate_every_index_tuple():
     """A contraction solve, the flat-image span and its reductions read only
     the index tuples some term touches; an untouched unknown is counted

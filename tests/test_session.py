@@ -276,19 +276,26 @@ def test_unread_payloads_are_written_back_verbatim(tmp_path):
 def test_set_theta_forces_every_binding_and_its_rollback_keeps_them_unread(tmp_path):
     rows, _ = elementary_tables(CAN)
     path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
-    before = path.read_bytes()
-    loaded = Session.load(path)
-    other = DiffForm.volume(CAN.chart, ("x0", "x1"))
-    with pytest.raises(ValidationError):
-        loaded.set_theta(other)
-    assert loaded.theta == CAN.theta
-    assert all(isinstance(entry, session_module._Unread) for entry in loaded.bindings._entries.values())
-    loaded.save(path)
-    assert path.read_bytes() == before
+    # the refused θ = dq^dp has another n - p, at which the reader would
+    # type the old cup's stored zero α; the rollback keeps it at -1
+    old = tmp_path / "old" / "session.json"
+    old.parent.mkdir()
+    old.write_text(json.dumps(OLD_CUP_SESSION))
+    Session.load(old).save(old)
+    for path, name, other in ((path, "data", ("x0", "x1")), (old, "c", ("q", "p"))):
+        before = path.read_bytes()
+        loaded = Session.load(path)
+        theta = loaded.theta
+        with pytest.raises(ValidationError):
+            loaded.set_theta(DiffForm.volume(loaded.chart, other))
+        assert loaded.theta == theta
+        assert all(isinstance(entry, session_module._Unread) for entry in loaded.bindings._entries.values())
+        loaded.save(path)
+        assert path.read_bytes() == before
 
-    loaded.set_theta(CAN.theta)
-    assert not any(isinstance(entry, session_module._Unread) for entry in loaded.bindings._entries.values())
-    assert loaded.bindings["data"].structure is loaded.structure()
+        loaded.set_theta(theta)
+        assert not any(isinstance(entry, session_module._Unread) for entry in loaded.bindings._entries.values())
+        assert loaded.bindings[name].structure is loaded.structure()
 
 
 def _tampered(tmp_path):
