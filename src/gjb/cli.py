@@ -59,11 +59,11 @@ from .fieldtheory import (
 from .session import Session, SessionError
 from .structures import ConformalData, is_multicontact, make_conformal_data, verify_conformal
 from .symplectization import (
+    _poisson,
     build,
     check_correspondence,
     lift_conformal,
     nondegeneracy_check,
-    poisson_bracket,
     psi_map,
 )
 from .sharp import sharp_and_reeb
@@ -319,7 +319,7 @@ def _cmd_lift(args) -> int:
 def _cmd_poisson(args) -> int:
     env = Session.load(args.session).environment()
     a, b = _operands(env, *_data_pair(args))
-    result = poisson_bracket(env.extension, psi_map(env.extension, a), psi_map(env.extension, b))
+    result = _poisson(env.extension, psi_map(env.extension, a)[1], psi_map(env.extension, b)[1])
     _print_value(result, args.format)
     return 0
 
@@ -360,6 +360,7 @@ def _cmd_let(args) -> int:
     session = Session.load(args.session)
     _check_binding_name(session, name)
     (value,) = _operands(session.environment(), (expr, "expression", None))
+    session.bindings[name] = value  # refused off the session chart, before anything prints
     print(f"{name} =")
     _print_value(value)
     _store_binding(session, args.session, name, value)

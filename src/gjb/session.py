@@ -54,7 +54,7 @@ from .dsl import (
 )
 from .errors import GjbError, ParseError, StructuralError
 from .exterior import DiffForm
-from .structures import NFormStructure
+from .structures import ConformalData, NFormStructure, make_conformal_data
 
 __all__ = ["SCHEMA", "Session", "SessionError"]
 
@@ -91,10 +91,12 @@ class _Bindings(MutableMapping):
     """A session's named values.  A binding loaded from a file stays its
     payload until it is first looked up; its parse pass then rebuilds it
     and the value replaces the payload.  Membership, iteration and length
-    never read a binding."""
+    never read a binding.  A value off the session chart is refused, since
+    no load could read it back."""
 
-    def __init__(self, entries):
-        self._entries = dict(entries)
+    def __init__(self, chart: Chart, entries):
+        self._chart, self._entries = chart, {}
+        self.update(entries)
 
     def __getitem__(self, name):
         entry = self._entries[name]
@@ -103,6 +105,10 @@ class _Bindings(MutableMapping):
         return entry
 
     def __setitem__(self, name, value):
+        if not isinstance(value, _Unread):
+            chart = value.structure.chart if isinstance(value, ConformalData) else value.chart
+            if chart != self._chart:
+                raise SessionError(f"cannot store {name!r}: its value lives off the session chart")
         self._entries[name] = value
 
     def __delitem__(self, name):
@@ -133,7 +139,7 @@ class Session:
     _structure: NFormStructure | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.bindings = _Bindings(self.bindings)
+        self.bindings = _Bindings(self.chart, self.bindings)
 
     # -- structure ---------------------------------------------------------
 
@@ -161,8 +167,6 @@ class Session:
             raise
 
     def _revalidate_bindings(self) -> None:
-        from .structures import ConformalData, make_conformal_data
-
         rebuilt = {}
         for name, entry in self.bindings._entries.items():
             if isinstance(entry, _Unread):
@@ -174,7 +178,7 @@ class Session:
             elif isinstance(entry, ConformalData):
                 entry = make_conformal_data(self.structure(), entry.alpha, entry.x_field, entry.v_field)
             rebuilt[name] = entry
-        self.bindings = _Bindings(rebuilt)
+        self.bindings = _Bindings(self.chart, rebuilt)
 
     def environment(self) -> Environment:
         structure = self.structure() if self.theta is not None else None

@@ -11,7 +11,9 @@ Conformal pairs (X, V) with 𝓛_XΘ = ι_VΘ lift to the extension as
 
 the degree-p multivector with 𝓛_{X̃}Υ = 0 projecting onto X, unique up to
 ker_p dΥ.  The horizontal inclusion ^h keeps every coefficient and adds
-no ∂_z leg (the flat connection annihilating dz).
+no ∂_z leg (the flat connection annihilating dz).  Since
+𝓛_{X̃}Υ = z·(𝓛_XΘ − ι_VΘ)^h with z nonvanishing, the Υ check of
+``lift_conformal`` is the one check of the conformal equation.
 
 Hamiltonian data (α, X, V) maps across through
 
@@ -21,7 +23,8 @@ which is a Hamiltonian form for Ω: ι_W Ω = dΨ(α) holds exactly for
 W = −X̃.  (The lift itself contracts to the opposite sign,
 ι_{X̃}Ω = −dΨ(α); since witnesses enter the Poisson bracket pairwise the
 distinction cancels there, but the per-form Hamiltonian witness is the
-negated lift, and that is what ``psi_map`` returns.)
+negated lift, and that is what ``psi_map`` returns.)  ``psi_map`` checks
+that contraction on every image, ``poisson_bracket`` on its caller's pairs.
 
 The Poisson bracket of Hamiltonian pairs is
 {α̃, β̃}_P = (−1)^{q−1} ι_{X_α̃∧X_β̃}Ω, and the bracket correspondence
@@ -29,7 +32,8 @@ The Poisson bracket of Hamiltonian pairs is
     {Ψ(α), Ψ(β)}_P − Ψ({α, β}) − (−1)^q dΨ(α∨β) = 0
 
 holds identically; ``check_correspondence`` returns that residual for
-inspection rather than asserting it.
+inspection rather than asserting it, bracketing the witnesses
+``psi_map`` has just checked.
 """
 
 from dataclasses import dataclass
@@ -132,25 +136,20 @@ def project_to_base(sym: Symplectization, U: MultiVector) -> MultiVector:
 def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> MultiVector:
     """Homogeneous lift X̃ = X^h + (−1)^p Δ∧V^h of a conformal pair.
 
-    The pair is re-verified (𝓛_XΘ = ι_VΘ) before lifting; the result is
-    checked to annihilate Υ under the Lie derivative and to project back
-    onto ``x_field``.
+    The result is checked to annihilate Υ under the Lie derivative, which
+    refuses a pair with 𝓛_XΘ ≠ ι_VΘ by a ValidationError, and to project
+    back onto ``x_field``.
     """
-    S = sym.base
-    if x_field.chart != S.chart:
-        raise StructuralError("the conformal field must live on the base chart")
-    p = x_field.degree
+    S, p = sym.base, x_field.degree
     if p < 1:
         raise StructuralError("conformal fields have degree at least 1")
     v = _as_witness(S.chart, v_field, p - 1)
-    residual = lie_derivative(x_field, S.theta) - interior_product(v, S.theta)
-    if not residual.is_zero():
-        raise ValidationError(
-            "not a conformal pair on the base", residuals={"lie_vs_witness": str(residual)}
-        )
+    if x_field.chart != S.chart or v.chart != S.chart:
+        raise StructuralError("a conformal pair must live on the base chart")
     lifted = sym.horizontal(x_field) + wedge(sym.liouville, sym.horizontal(v)).scale((-1) ** p)
-    if not lie_derivative(lifted, sym.upsilon).is_zero():
-        raise StructuralError("lift fails to preserve upsilon")
+    residual = lie_derivative(lifted, sym.upsilon)
+    if not residual.is_zero():
+        raise ValidationError("not a conformal pair on the base", residuals={"lie_upsilon": str(residual)})
     if project_to_base(sym, lifted) != x_field:
         raise StructuralError("lift fails to project onto its base field")
     return lifted
@@ -166,40 +165,38 @@ def _verify_hamiltonian_pair(sym: Symplectization, alpha: DiffForm, x: MultiVect
         )
 
 
+def _poisson(sym: Symplectization, x_a: MultiVector, x_b: MultiVector) -> DiffForm:
+    return interior_product(wedge(x_a, x_b), sym.omega).scale((-1) ** (x_b.degree - 1))
+
+
 def poisson_bracket(sym: Symplectization, pair_a, pair_b) -> DiffForm:
     """{α, β}_P = (−1)^{q−1} ι_{X_α∧X_β}Ω for Hamiltonian pairs (form,
-    field) on the extension; both defining contractions are re-verified."""
-    alpha, x_a = pair_a
-    beta, x_b = pair_b
-    _verify_hamiltonian_pair(sym, alpha, x_a, "first pair")
-    _verify_hamiltonian_pair(sym, beta, x_b, "second pair")
-    q = x_b.degree
-    return interior_product(wedge(x_a, x_b), sym.omega).scale((-1) ** (q - 1))
+    field) on the extension; both defining contractions are verified."""
+    _verify_hamiltonian_pair(sym, *pair_a, "first pair")
+    _verify_hamiltonian_pair(sym, *pair_b, "second pair")
+    return _poisson(sym, pair_a[1], pair_b[1])
 
 
 def psi_map(sym: Symplectization, data: ConformalData) -> tuple[DiffForm, MultiVector]:
     """Carry conformal data across: returns (Ψ(α), W) with
     Ψ(α) = (−1)^{p+1} z·α and W the Hamiltonian witness ι_W Ω = dΨ(α),
-    namely the negated homogeneous lift of (X, V).  The contraction
-    identity is asserted exactly."""
+    namely the negated homogeneous lift of (X, V).  The lift's checks and
+    the contraction identity are exact; failing data is a ValidationError."""
     if data.structure is not sym.base:
         raise StructuralError("conformal data does not live on this base structure")
     p = data.degree
     psi = sym.horizontal(data.alpha).scale(sym.conformal_factor).scale((-1) ** (p + 1))
     witness = -lift_conformal(sym, data.x_field, data.v_field)
-    residual = interior_product(witness, sym.omega) - exterior_derivative(psi)
-    if not residual.is_zero():
-        raise StructuralError("psi image failed its Hamiltonian contraction")
+    _verify_hamiltonian_pair(sym, psi, witness, "psi image")
     return psi, witness
 
 
 def check_correspondence(sym: Symplectization, a: ConformalData, b: ConformalData) -> DiffForm:
     """Residual of the bracket correspondence,
-    {Ψ(α), Ψ(β)}_P − Ψ({α, β}) − (−1)^q dΨ(α∨β); identically zero."""
+    {Ψ(α), Ψ(β)}_P − Ψ({α, β}) − (−1)^q dΨ(α∨β); identically zero.  Each
+    Ψ image is checked once, by ``psi_map``."""
     q = b.degree
-    pair_a = psi_map(sym, a)
-    pair_b = psi_map(sym, b)
-    poisson = poisson_bracket(sym, pair_a, pair_b)
+    poisson = _poisson(sym, psi_map(sym, a)[1], psi_map(sym, b)[1])
     psi_bracket = psi_map(sym, jacobi_bracket(a, b))[0]
     psi_cup = psi_map(sym, cup_product(a, b))[0]
     exact_term = exterior_derivative(psi_cup).scale((-1) ** q)

@@ -137,3 +137,25 @@ def rand_fg_data(rng, S, n, m, max_degree=2):
     A = [rand_xy_coefficient(rng, S, n, m, max_degree=max_degree) for _ in range(n)]
     B = [rand_xy_coefficient(rng, S, n, m, max_degree=max_degree) for _ in range(m)]
     return fg_conformal_data(S, n, m, F, A, B)
+
+
+def translations_and_vertical_data(n):
+    """Degree-1 data at (n, 1): the translations T_μ = (−ι_{∂x^μ}Θ, ∂x^μ, 0),
+    conformal because Θ does not depend on x, then four vertical (F, G)
+    data, G^μ = A^μ + B·p^μ: F = −1, F = −y, G^μ = −1, G^μ = −p^μ.  A cup
+    with a translation has α ≠ 0, unlike a cup of two vertical data."""
+    S = canonical_structure(n, 1)
+    chart = S.chart
+    zero, one = Coefficient.zero(chart), Coefficient.one(chart)
+    y = Coefficient.coordinate(chart, "y")
+    translations = []
+    for mu in range(n):
+        e = MultiVector.basis_vector(chart, f"x{mu}")
+        translations.append(make_conformal_data(S, -interior_product(e, S.theta), e, 0))
+    fg = [
+        (-one, [zero] * n, [zero]),
+        (-y, [zero] * n, [zero]),
+        (zero, [-one] * n, [zero]),
+        (zero, [zero] * n, [-one]),
+    ]
+    return translations + [fg_conformal_data(S, n, 1, F, A, B) for F, A, B in fg]

@@ -687,6 +687,16 @@ class TestErrorPaths:
         assert (code, out, err) == (2, "", "error: 'α' is not a valid binding name\n")
         assert pathlib.Path(contact_session).read_bytes() == before
 
+    def test_a_value_off_the_session_chart_is_refused(self, canonical_session, capsys):
+        # psi(a) lives on the extended chart: stored, it left a file that no
+        # later command could load
+        run(capsys, "conformal", "make", "--x=e_x0", "--store", "a", "-s", canonical_session)
+        before = pathlib.Path(canonical_session).read_bytes()
+        code, out, err = run(capsys, "let", "c = psi(a)", "-s", canonical_session)
+        assert (code, out, err) == (2, "", "error: cannot store 'c': its value lives off the session chart\n")
+        assert pathlib.Path(canonical_session).read_bytes() == before
+        assert run(capsys, "render", "d(y)", "-s", canonical_session) == (0, "dy\n", "")
+
     def test_missing_session_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", "multicontact", "-s", str(tmp_path / "nope.json"))
         assert code == 2

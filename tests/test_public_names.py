@@ -169,6 +169,17 @@ def test_one_builder_reads_the_contraction_sign_rule():
     }
 
 
+def _scopes(body, prefix=""):
+    """(qualified name, node) of each top-level statement, methods of a
+    class named ``Class.method``."""
+    for top in body:
+        name = f"{prefix}{getattr(top, 'name', '')}"
+        if isinstance(top, ast.ClassDef):
+            yield from _scopes(top.body, f"{name}.")
+        else:
+            yield name, top
+
+
 def test_a_section_computes_its_sigma_in_one_place():
     """sigma_h has one call path: in the package, only
     ``HamiltonianSection.sigma`` refers to ``fieldtheory.dissipation_form``
@@ -181,21 +192,35 @@ def test_a_section_computes_its_sigma_in_one_place():
             isinstance(node, ast.Attribute) and node.attr == "dissipation_form"
         )
 
-    def scopes(body, prefix=""):
-        for top in body:
-            name = f"{prefix}{getattr(top, 'name', '')}"
-            if isinstance(top, ast.ClassDef):
-                yield from scopes(top.body, f"{name}.")
-            else:
-                yield name, top
-
     uses = {
         (path.name, name)
         for path in package.glob("*.py")
-        for name, top in scopes(ast.parse(path.read_text(encoding="utf-8")).body)
+        for name, top in _scopes(ast.parse(path.read_text(encoding="utf-8")).body)
         if any(refers(node) for node in ast.walk(top))
     }
     assert uses == {("fieldtheory.py", "HamiltonianSection.sigma")}
+
+
+def test_a_hamiltonian_pair_is_verified_once():
+    """ι_WΩ = dΨ(α) is checked where a pair enters: ``psi_map`` checks
+    each image it builds and ``poisson_bracket`` the pairs its caller
+    supplies.  Nothing in the package calls ``poisson_bracket`` on pairs
+    ``psi_map`` has just checked; it brackets them with ``_poisson``."""
+    package = pathlib.Path(gjb.__file__).parent
+
+    calls = {"poisson_bracket": set(), "_verify_hamiltonian_pair": set()}
+    for path in package.glob("*.py"):
+        for name, top in _scopes(ast.parse(path.read_text(encoding="utf-8")).body):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in calls:
+                        calls[called].add((path.name, name))
+    assert calls == {
+        "poisson_bracket": set(),
+        "_verify_hamiltonian_pair": {("symplectization.py", "poisson_bracket"), ("symplectization.py", "psi_map")},
+    }
 
 
 def test_solves_do_not_enumerate_every_index_tuple():

@@ -508,6 +508,26 @@ def test_a_binding_on_a_foreign_chart_is_refused_at_load(tmp_path, capsys, chart
     assert err == f"error: malformed session file: binding '{name}': serialized object lives on a different chart\n"
 
 
+def test_a_value_off_the_session_chart_is_refused_when_stored():
+    # the reader refuses a binding on another chart, so a session that
+    # stored one would write a file no command can load
+    from gjb.symplectization import build, psi_map
+
+    rows, _ = elementary_tables(CAN)
+    sym = build(CAN)
+    psi, witness = psi_map(sym, rows[0].data)
+    other = elementary_tables(build_canonical(3, 1))[0][0].data
+    session = canonical_session()
+    for value in (psi, witness, sym.conformal_factor, other):
+        with pytest.raises(SessionError, match="cannot store 'c': its value lives off the session chart"):
+            session.bindings["c"] = value
+        with pytest.raises(SessionError, match="cannot store 'c'"):
+            Session(chart=CAN.chart, bindings={"c": value})
+    assert "c" not in session.bindings
+    session.bindings["c"] = rows[0].data
+    assert session.bindings["c"] is rows[0].data
+
+
 def test_a_binding_on_an_equal_chart_spelled_otherwise_loads(tmp_path):
     chart = Chart(("q", "p", "z"), frozenset({"p", "z"}))
     p = Coefficient.coordinate(chart, "p")

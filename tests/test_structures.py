@@ -23,6 +23,7 @@ from conftest import (
     rand_fg_data,
     rand_form,
     rand_multivector,
+    translations_and_vertical_data,
 )
 from gjb.coeffring import Chart, Coefficient
 from gjb.dsl import parse_coefficient
@@ -353,30 +354,8 @@ def test_bracket_identities_beyond_canonical_21(rng, shape):
         assert lhs == rhs
 
 
-def _translations_and_vertical_data(n):
-    """Degree-1 data at (n, 1): the translations T_μ = (−ι_{∂x^μ}Θ, ∂x^μ, 0),
-    conformal because Θ does not depend on x, then four vertical (F, G)
-    data, G^μ = A^μ + B·p^μ: F = −1, F = −y, G^μ = −1, G^μ = −p^μ.  A cup
-    with a translation has α ≠ 0, unlike a cup of two vertical data."""
-    S = canonical_structure(n, 1)
-    chart = S.chart
-    zero, one = Coefficient.zero(chart), Coefficient.one(chart)
-    y = Coefficient.coordinate(chart, "y")
-    translations = []
-    for mu in range(n):
-        e = MultiVector.basis_vector(chart, f"x{mu}")
-        translations.append(make_conformal_data(S, -interior_product(e, S.theta), e, 0))
-    fg = [
-        (-one, [zero] * n, [zero]),
-        (-y, [zero] * n, [zero]),
-        (zero, [-one] * n, [zero]),
-        (zero, [zero] * n, [-one]),
-    ]
-    return translations + [fg_conformal_data(S, n, 1, F, A, B) for F, A, B in fg]
-
-
 def test_graded_leibniz_and_jacobi_on_translations():
-    pool = _translations_and_vertical_data(2)
+    pool = translations_and_vertical_data(2)
     nonzero = {"leibniz": 0, "jacobi": 0}
     # {a, b∨c} = {a,b}∨c + (−1)^{(p−1)q} b∨{a,c} on every ordered triple
     for a, b, c in itertools.product(pool, repeat=3):
@@ -407,7 +386,7 @@ def test_graded_leibniz_sign_bites_at_31():
     # term b∨{a,c} is nonzero with a cup in the a or c slot, the classes
     # (p, q, r) = (2, 1, 1) and (1, 1, 2), where the sign (−1)^{(p−1)q}
     # differs from (−1)^{(r−1)q}
-    pool = _translations_and_vertical_data(3)
+    pool = translations_and_vertical_data(3)
     cups = [cup for a, b in itertools.combinations(pool, 2) if not (cup := cup_product(a, b)).alpha.is_zero()]
     assert len(cups) == 15
     nonzero = {"side": 0, "second": 0}

@@ -10,7 +10,10 @@ from conftest import (
     fg_conformal_data,
     rand_coefficient,
     rand_fg_data,
+    rand_multivector,
 )
+from gjb import symplectization
+from gjb.cli import main
 from gjb.coeffring import Chart, Coefficient
 from gjb.dsl import parse_coefficient
 from gjb.errors import StructuralError, ValidationError
@@ -23,6 +26,7 @@ from gjb.exterior import (
     wedge,
 )
 from gjb.structures import (
+    ConformalData,
     NFormStructure,
     is_multicontact,
     jacobi_bracket,
@@ -172,6 +176,53 @@ def test_lift_rejects_invalid_witnesses():
         lift_conformal(SYM, row1.x_field, 7)
 
 
+@pytest.mark.parametrize("structure", ["canonical-21", "canonical-31", "contact"])
+def test_the_upsilon_check_is_the_conformal_equation_times_z(rng, structure):
+    # 𝓛_{X̃}Υ = z·(𝓛_XΘ − ι_VΘ)^h for any pair, so the lift's Υ check
+    # refuses exactly the pairs that are not conformal on the base, and the
+    # residual it reports is the base one times z
+    S = {"canonical-21": CAN, "canonical-31": canonical_structure(3, 1), "contact": contact_structure()}[structure]
+    sym = build(S)
+    refused = 0
+    for p in (1, 2):
+        for _ in range(6):
+            x = rand_multivector(rng, S.chart, p, max_degree=1)
+            v = rand_multivector(rng, S.chart, p - 1, max_degree=1)
+            lifted = sym.horizontal(x) + wedge(sym.liouville, sym.horizontal(v)).scale((-1) ** p)
+            base = lie_derivative(x, S.theta) - interior_product(v, S.theta)
+            upsilon = lie_derivative(lifted, sym.upsilon)
+            assert upsilon == sym.horizontal(base).scale(sym.conformal_factor)
+            if base.is_zero():
+                assert lift_conformal(sym, x, v) == lifted
+                continue
+            with pytest.raises(ValidationError, match="not a conformal pair on the base") as refusal:
+                lift_conformal(sym, x, v)
+            assert refusal.value.residuals == {"lie_upsilon": str(upsilon)}
+            refused += 1
+    assert refused >= 6  # random pairs are mostly not conformal: 11, 12 and 11 of 12 at the default seed
+
+
+def test_the_lift_refuses_a_witness_off_the_base_chart():
+    # the same constant −1 on the extended chart would lift correctly, so
+    # only the chart check refuses it
+    row1 = table1_instances(CAN, 2, 1)[0]
+    with pytest.raises(StructuralError, match="base chart"):
+        lift_conformal(SYM, row1.x_field, SYM.horizontal(row1.v_field))
+
+
+def test_psi_refuses_hand_built_data_that_is_not_conformal():
+    # ConformalData(...) skips make_conformal_data; psi_map still checks
+    # the lift's Υ equation (a wrong witness) and the Ψ contraction (a
+    # wrong α, whose pair (X, V) is conformal)
+    row1 = table1_instances(CAN, 2, 1)[0]
+    wrong_witness = ConformalData(CAN, row1.alpha, row1.x_field, row1.v_field.scale(Coefficient.constant(CAN.chart, 2)))
+    with pytest.raises(ValidationError, match="not a conformal pair on the base"):
+        psi_map(SYM, wrong_witness)
+    wrong_alpha = ConformalData(CAN, row1.alpha + DiffForm.differential(CAN.chart, "x0"), row1.x_field, row1.v_field)
+    with pytest.raises(ValidationError, match="psi image is not a Hamiltonian pair for omega"):
+        psi_map(SYM, wrong_alpha)
+
+
 def test_degree_one_lifts_are_pinned_by_nondegeneracy():
     # ker₁ dΥ = ker₁ Ω = 0 on a multicontact base, so the degree-1 lift
     # of a conformal pair is the unique one
@@ -313,3 +364,52 @@ def test_contact_correspondence_has_no_exact_term(rng):
 def test_self_correspondence_is_skew_trivial():
     data = table1_instances(CAN, 2, 1)[1]
     assert check_correspondence(SYM, data, data).is_zero()
+
+
+# --- one check per equation ---------------------------------------------------
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Calls of ``lie_derivative`` and contractions against an extension's
+    Ω made by ``symplectization``; the contraction of Δ that builds the
+    extension is not counted."""
+    counts = {"lie_derivative": 0, "omega": 0}
+    built = []
+    build, lie, contract = symplectization.build, symplectization.lie_derivative, symplectization.interior_product
+
+    def counting_build(S):
+        built.append(build(S))
+        return built[-1]
+
+    def counting_lie(U, omega):
+        counts["lie_derivative"] += 1
+        return lie(U, omega)
+
+    def counting_contract(U, omega, *args, **kwargs):
+        counts["omega"] += any(omega is sym.omega for sym in built)
+        return contract(U, omega, *args, **kwargs)
+
+    monkeypatch.setattr(symplectization, "build", counting_build)
+    monkeypatch.setattr(symplectization, "lie_derivative", counting_lie)
+    monkeypatch.setattr(symplectization, "interior_product", counting_contract)
+    return counts
+
+
+def test_a_correspondence_checks_each_equation_once(checks, tmp_path, capsys):
+    # one Υ check per Ψ image (four); one Ψ contraction per image and the
+    # bracket's own contraction (five)
+    sym = symplectization.build(CAN)
+    data = table1_instances(CAN, 2, 1)
+    assert check_correspondence(sym, data[1], data[4]).is_zero()
+    assert checks == {"lie_derivative": 4, "omega": 5}
+
+    # the poisson command: two Ψ images and their bracket
+    path = str(tmp_path / "session.json")
+    for argv in (["chart", "new", "--canonical", "2,1"], ["conformal", "make", "--x=e_x0", "--store", "a"],
+                 ["conformal", "make", "--x", "e_y", "--store", "b"]):
+        assert main([*argv, "-s", path]) == 0
+    checks.update(lie_derivative=0, omega=0)
+    assert main(["poisson", "a", "b", "-s", path]) == 0
+    capsys.readouterr()
+    assert checks == {"lie_derivative": 2, "omega": 3}
