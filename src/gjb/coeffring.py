@@ -39,7 +39,10 @@ helpers `_partial_terms` (a partial of raw terms), `_block` (a key's
 exponents at a range of positions), `_slot_bound` (slotwise extremes),
 `_slots_at_least` (a slotwise comparison), `_positions`, `_support_mask`
 (the positions of `_positions` as one int, bit i for position i),
-`_check_range` and `_negative_name`.
+`_check_range`, `_negative_name` and `_slot_shifted` (a coefficient
+moved by one whole slot onto a chart with a coordinate appended or
+dropped at the end, which is how `symplectization` crosses to its
+extended chart and back).
 
 Coefficients are immutable by convention: all operations return new
 objects and nothing mutates `terms` after construction.
@@ -301,6 +304,21 @@ def _slot_bound(chart: Chart, keys: Iterable[int], upper: bool = False) -> int:
         ge = ((((bound | guards) - key) & guards) >> (_WIDTH - 1)) * _SLOT
         bound ^= (bound ^ key) & (~ge if upper else ge)
     return bound
+
+
+def _slot_shifted(c: Coefficient, target: Chart) -> Coefficient:
+    """``c`` on ``target``, which is ``c``'s chart with one coordinate
+    appended (or its last coordinate dropped) and the same flags on the
+    others: every key moves up one whole slot and the new last slot holds
+    the zero exponent (or moves down one slot).  Nothing is checked: the
+    caller knows the charts are so related, and before dropping, that no
+    key has a nonzero exponent in the last slot.  The exponents keep their
+    values and coordinates, so the result is valid on ``target``."""
+    if target.dimension > c.chart.dimension:
+        terms = {(key << _WIDTH) | _BIAS: value for key, value in c.terms.items()}
+    else:
+        terms = {key >> _WIDTH: value for key, value in c.terms.items()}
+    return Coefficient._trusted(target, terms)
 
 
 def _as_rational(value) -> int | Fraction:

@@ -5,6 +5,14 @@ setting Υ = z·Θ, Ω = −dΥ produces a homogeneous structure: the Liouville
 field Δ = z∂_z satisfies ι_ΔΩ = −Υ and Δ(z) = z, both re-verified exactly
 at construction time.
 
+The extended chart is the base chart with z appended as its last
+coordinate, so a value crosses between the two by a layout relation, not
+by coordinate names: each packed exponent key moves by one whole slot
+(``coeffring._slot_shifted``), with the zero exponent in z's slot going
+up, and index tuples keep their positions.  ``horizontal`` and
+``project_to_base`` transport this way; ``exterior.reindex`` stays the
+general transport by name.
+
 Conformal pairs (X, V) with 𝓛_XΘ = ι_VΘ lift to the extension as
 
     X̃ = X^h + (−1)^p Δ∧V^h,
@@ -13,7 +21,10 @@ the degree-p multivector with 𝓛_{X̃}Υ = 0 projecting onto X, unique up to
 ker_p dΥ.  The horizontal inclusion ^h keeps every coefficient and adds
 no ∂_z leg (the flat connection annihilating dz).  Since
 𝓛_{X̃}Υ = z·(𝓛_XΘ − ι_VΘ)^h with z nonvanishing, the Υ check of
-``lift_conformal`` is the one check of the conformal equation.
+``lift_conformal`` is the one check of the conformal equation.  It is
+computed as d ι_{X̃}Υ + (−1)^p ι_{X̃}Ω, which is 𝓛_{X̃}Υ exactly since
+Ω = −dΥ by construction, so the lift contracts Ω once and ``psi_map``
+reads that contraction again.
 
 Hamiltonian data (α, X, V) maps across through
 
@@ -24,7 +35,8 @@ W = −X̃.  (The lift itself contracts to the opposite sign,
 ι_{X̃}Ω = −dΨ(α); since witnesses enter the Poisson bracket pairwise the
 distinction cancels there, but the per-form Hamiltonian witness is the
 negated lift, and that is what ``psi_map`` returns.)  ``psi_map`` checks
-that contraction on every image, ``poisson_bracket`` on its caller's pairs.
+that contraction on every image, as −ι_{X̃}Ω from the lift,
+``poisson_bracket`` on its caller's pairs.
 
 The Poisson bracket of Hamiltonian pairs is
 {α̃, β̃}_P = (−1)^{q−1} ι_{X_α̃∧X_β̃}Ω, and the bracket correspondence
@@ -38,17 +50,9 @@ inspection rather than asserting it, bracketing the witnesses
 
 from dataclasses import dataclass
 
-from .coeffring import Chart, Coefficient
+from .coeffring import Chart, Coefficient, _slot_shifted
 from .errors import StructuralError, ValidationError
-from .exterior import (
-    DiffForm,
-    MultiVector,
-    exterior_derivative,
-    interior_product,
-    lie_derivative,
-    reindex,
-    wedge,
-)
+from .exterior import DiffForm, MultiVector, exterior_derivative, interior_product, wedge
 from .structures import CheckReport, ConformalData, NFormStructure, _as_witness, cup_product, jacobi_bracket
 
 __all__ = [
@@ -72,6 +76,12 @@ def _fiber_name(chart: Chart) -> str:
     return f"z{k}"
 
 
+def _slot_moved(obj, chart: Chart):
+    """``obj`` on ``chart``, its chart with the fiber appended or dropped:
+    the same index tuples, each coefficient moved by one slot."""
+    return obj._trusted(chart, obj.degree, {key: _slot_shifted(c, chart) for key, c in obj.terms.items()})
+
+
 @dataclass(frozen=True)
 class Symplectization:
     """The extended chart with its homogeneous data; build with ``build``."""
@@ -85,6 +95,9 @@ class Symplectization:
     conformal_factor: Coefficient
 
     def __post_init__(self):
+        base = self.base.chart
+        if self.extended_chart != Chart(base.coordinates + (self.fiber,), base.nonvanishing | {self.fiber}):
+            raise StructuralError("the extended chart must be the base chart with the fiber appended")
         if not (interior_product(self.liouville, self.omega) + self.upsilon).is_zero():
             raise StructuralError("Liouville contraction does not recover -upsilon")
         applied = interior_product(
@@ -94,8 +107,11 @@ class Symplectization:
             raise StructuralError("Liouville field does not rescale the conformal factor")
 
     def horizontal(self, obj):
-        """Inclusion into the extended chart: same coefficients, no fiber leg."""
-        return reindex(obj, self.extended_chart)
+        """Inclusion of a base-chart object into the extended chart: same
+        coefficients, no fiber leg."""
+        if obj.chart != self.base.chart:
+            raise StructuralError("the horizontal inclusion takes an object on the base chart")
+        return _slot_moved(obj, self.extended_chart)
 
 
 def build(S: NFormStructure) -> Symplectization:
@@ -105,7 +121,7 @@ def build(S: NFormStructure) -> Symplectization:
     fiber = _fiber_name(S.chart)
     ext = Chart(S.chart.coordinates + (fiber,), S.chart.nonvanishing | {fiber})
     z = Coefficient.coordinate(ext, fiber)
-    upsilon = reindex(S.theta, ext).scale(z)
+    upsilon = _slot_moved(S.theta, ext).scale(z)
     omega = -exterior_derivative(upsilon)
     liouville = MultiVector.basis_vector(ext, fiber).scale(z)
     return Symplectization(S, ext, fiber, upsilon, omega, liouville, z)
@@ -124,13 +140,14 @@ def project_to_base(sym: Symplectization, U: MultiVector) -> MultiVector:
     """Push a multivector on the extension down to the base chart: terms
     carrying the fiber direction die, the rest keep their coefficients
     (which must not involve the fiber)."""
+    if U.chart != sym.extended_chart:
+        raise StructuralError("projection takes a multivector on the extended chart")
     fiber_index = sym.extended_chart.index(sym.fiber)
     kept = {key: c for key, c in U.terms.items() if fiber_index not in key}
     for c in kept.values():
         if c.depends_on(sym.fiber):
             raise StructuralError("projection of a fiber-dependent coefficient is undefined")
-    flat = MultiVector(sym.extended_chart, U.degree, kept)
-    return reindex(flat, sym.base.chart)
+    return _slot_moved(MultiVector._trusted(U.chart, U.degree, kept), sym.base.chart)
 
 
 def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> MultiVector:
@@ -140,6 +157,12 @@ def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> Multi
     refuses a pair with 𝓛_XΘ ≠ ι_VΘ by a ValidationError, and to project
     back onto ``x_field``.
     """
+    return _lift(sym, x_field, v_field)[0]
+
+
+def _lift(sym: Symplectization, x_field: MultiVector, v_field) -> tuple[MultiVector, DiffForm]:
+    """``lift_conformal``'s checked lift X̃, with the ι_{X̃}Ω its Υ check
+    computes: 𝓛_{X̃}Υ = d ι_{X̃}Υ − (−1)^p ι_{X̃}dΥ, and dΥ = −Ω."""
     S, p = sym.base, x_field.degree
     if p < 1:
         raise StructuralError("conformal fields have degree at least 1")
@@ -147,18 +170,24 @@ def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> Multi
     if x_field.chart != S.chart or v.chart != S.chart:
         raise StructuralError("a conformal pair must live on the base chart")
     lifted = sym.horizontal(x_field) + wedge(sym.liouville, sym.horizontal(v)).scale((-1) ** p)
-    residual = lie_derivative(lifted, sym.upsilon)
+    contracted = interior_product(lifted, sym.omega)
+    residual = exterior_derivative(interior_product(lifted, sym.upsilon)) + contracted.scale((-1) ** p)
     if not residual.is_zero():
         raise ValidationError("not a conformal pair on the base", residuals={"lie_upsilon": str(residual)})
     if project_to_base(sym, lifted) != x_field:
         raise StructuralError("lift fails to project onto its base field")
-    return lifted
+    return lifted, contracted
 
 
-def _verify_hamiltonian_pair(sym: Symplectization, alpha: DiffForm, x: MultiVector, label: str):
+def _verify_hamiltonian_pair(
+    sym: Symplectization, alpha: DiffForm, x: MultiVector, label: str, contracted: DiffForm | None = None
+):
+    """ι_xΩ = dα, with ι_xΩ given as ``contracted`` when the caller has it."""
     if alpha.chart != sym.extended_chart or x.chart != sym.extended_chart:
         raise StructuralError("Hamiltonian pairs must live on the extended chart")
-    residual = interior_product(x, sym.omega) - exterior_derivative(alpha)
+    if contracted is None:
+        contracted = interior_product(x, sym.omega)
+    residual = contracted - exterior_derivative(alpha)
     if not residual.is_zero():
         raise ValidationError(
             f"{label} is not a Hamiltonian pair for omega", residuals={label: str(residual)}
@@ -186,8 +215,9 @@ def psi_map(sym: Symplectization, data: ConformalData) -> tuple[DiffForm, MultiV
         raise StructuralError("conformal data does not live on this base structure")
     p = data.degree
     psi = sym.horizontal(data.alpha).scale(sym.conformal_factor).scale((-1) ** (p + 1))
-    witness = -lift_conformal(sym, data.x_field, data.v_field)
-    _verify_hamiltonian_pair(sym, psi, witness, "psi image")
+    lifted, contracted = _lift(sym, data.x_field, data.v_field)
+    witness = -lifted
+    _verify_hamiltonian_pair(sym, psi, witness, "psi image", -contracted)
     return psi, witness
 
 

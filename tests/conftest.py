@@ -139,23 +139,24 @@ def rand_fg_data(rng, S, n, m, max_degree=2):
     return fg_conformal_data(S, n, m, F, A, B)
 
 
-def translations_and_vertical_data(n):
-    """Degree-1 data at (n, 1): the translations T_μ = (−ι_{∂x^μ}Θ, ∂x^μ, 0),
+def translations_and_vertical_data(n, m=1):
+    """Degree-1 data at (n, m): the translations T_μ = (−ι_{∂x^μ}Θ, ∂x^μ, 0),
     conformal because Θ does not depend on x, then four vertical (F, G)
-    data, G^μ = A^μ + B·p^μ: F = −1, F = −y, G^μ = −1, G^μ = −p^μ.  A cup
-    with a translation has α ≠ 0, unlike a cup of two vertical data."""
-    S = canonical_structure(n, 1)
+    data on the first field y, G^μ = A^μ + B·p^μ: F = −1, F = −y,
+    G^μ = −1, G^μ = −p^μ.  A cup with a translation has α ≠ 0, unlike a
+    cup of two vertical data."""
+    S = canonical_structure(n, m)
     chart = S.chart
     zero, one = Coefficient.zero(chart), Coefficient.one(chart)
-    y = Coefficient.coordinate(chart, "y")
+    y = Coefficient.coordinate(chart, phase_field_names(n, m)[0][0])
     translations = []
     for mu in range(n):
         e = MultiVector.basis_vector(chart, f"x{mu}")
         translations.append(make_conformal_data(S, -interior_product(e, S.theta), e, 0))
     fg = [
-        (-one, [zero] * n, [zero]),
-        (-y, [zero] * n, [zero]),
-        (zero, [-one] * n, [zero]),
-        (zero, [zero] * n, [-one]),
+        (-one, [zero] * n, [zero] * m),
+        (-y, [zero] * n, [zero] * m),
+        (zero, [-one] * n, [zero] * m),
+        (zero, [zero] * n, [-one] + [zero] * (m - 1)),
     ]
-    return translations + [fg_conformal_data(S, n, 1, F, A, B) for F, A, B in fg]
+    return translations + [fg_conformal_data(S, n, m, F, A, B) for F, A, B in fg]

@@ -213,17 +213,32 @@ def test_criterion_02_table2_reproduction(capsys):
 def test_criterion_03_graded_identities():
     rng = random.Random(SEED)
     with _Clock(60.0) as clock:
-        deg1 = [rand_fg_data(rng, CAN21, 2, 1) for _ in range(120)]
+        # the translations and vertical data of the conftest pool, then
+        # random vertical data on the same structure; a cup with a
+        # translation has α ≠ 0, a cup of two vertical data α = 0
+        pool = translations_and_vertical_data(2)
+        S, translations = pool[0].structure, pool[:2]
+        deg1 = [rand_fg_data(rng, S, 2, 1) for _ in range(120)]
         deg2 = [
             cup_product(deg1[rng.randrange(120)], deg1[rng.randrange(120)]) for _ in range(80)
         ]
-        instances = deg1 + deg2  # every construction re-validated itself
+        instances = pool + deg1 + deg2  # every construction re-validated itself
         assert len(instances) >= 200
 
         def draw():
             return instances[rng.randrange(len(instances))]
 
+        def random_cup():
+            return deg2[rng.randrange(80)]
+
+        def translation():
+            return translations[rng.randrange(2)]
+
+        def translation_cup():
+            return cup_product(translation(), draw())
+
         checked = {"skew": 0, "jacobi": 0, "leibniz": 0, "expression": 0}
+        nonzero = {"jacobi": 0, "leibniz": 0}
         for _ in range(60):
             a, b = draw(), draw()
             p, q = a.degree, b.degree
@@ -240,33 +255,37 @@ def test_criterion_03_graded_identities():
             assert jacobi_bracket(a, b).alpha == expected
             checked["expression"] += 1
         for k in range(25):
-            # keep one slot on the higher-degree pool; a cup of vertical data
-            # has α = 0, so this checks zeros (nonzero graded checks are in
-            # test_structures.py::test_graded_leibniz_and_jacobi_on_translations)
-            a = deg2[rng.randrange(80)] if k % 2 else draw()
+            # keep one slot on the higher-degree pool: a random cup, or a cup
+            # with a translation, whose α is nonzero
+            a = (draw, random_cup, draw, translation_cup)[k % 4]()
             b, c = draw(), draw()
             p, q, r = a.degree, b.degree, c.degree
-            total = (
-                jacobi_bracket(a, jacobi_bracket(b, c)).alpha.scale((-1) ** ((p - 1) * (r - 1)))
-                + jacobi_bracket(c, jacobi_bracket(a, b)).alpha.scale((-1) ** ((r - 1) * (q - 1)))
-                + jacobi_bracket(b, jacobi_bracket(c, a)).alpha.scale((-1) ** ((q - 1) * (p - 1)))
-            )
-            assert total.is_zero()
+            terms = [
+                jacobi_bracket(a, jacobi_bracket(b, c)).alpha.scale((-1) ** ((p - 1) * (r - 1))),
+                jacobi_bracket(c, jacobi_bracket(a, b)).alpha.scale((-1) ** ((r - 1) * (q - 1))),
+                jacobi_bracket(b, jacobi_bracket(c, a)).alpha.scale((-1) ** ((q - 1) * (p - 1))),
+            ]
+            assert (terms[0] + terms[1] + terms[2]).is_zero()
             checked["jacobi"] += 1
+            nonzero["jacobi"] += not all(term.is_zero() for term in terms)
         for k in range(25):
             a = draw()
-            b = deg2[rng.randrange(80)] if k % 3 == 0 else deg1[rng.randrange(120)]
+            b = (random_cup, translation, lambda: deg1[rng.randrange(120)])[k % 3]()
             c = deg1[rng.randrange(120)]
             p, q = a.degree, b.degree
             lhs = jacobi_bracket(a, cup_product(b, c)).alpha
-            rhs = cup_product(jacobi_bracket(a, b), c).alpha + cup_product(
-                b, jacobi_bracket(a, c)
-            ).alpha.scale((-1) ** ((p - 1) * q))
-            assert lhs == rhs
+            first = cup_product(jacobi_bracket(a, b), c).alpha
+            second = cup_product(b, jacobi_bracket(a, c)).alpha.scale((-1) ** ((p - 1) * q))
+            assert lhs == first + second
             checked["leibniz"] += 1
+            nonzero["leibniz"] += not (lhs.is_zero() and first.is_zero() and second.is_zero())
+        # measured: 3 Jacobi and 5 Leibniz checks of 25 are nonzero at the
+        # default seed; at GJ_SEED 1 to 29, never fewer than 1 of either
+        assert nonzero["jacobi"] >= 1 and nonzero["leibniz"] >= 1
     print(
         f"criterion 3: PASS — {len(instances)} validated instances; "
-        f"{checked['skew']} skew, {checked['jacobi']} Jacobi, {checked['leibniz']} Leibniz, "
+        f"{checked['skew']} skew, {checked['jacobi']} Jacobi ({nonzero['jacobi']} nonzero), "
+        f"{checked['leibniz']} Leibniz ({nonzero['leibniz']} nonzero), "
         f"{checked['expression']} expression-identity checks, all exact [{clock.stamp()}]"
     )
 

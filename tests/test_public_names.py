@@ -340,3 +340,23 @@ def test_every_cache_is_bounded():
             elif kind(node) == "lru_cache" and id(node) not in called:
                 offenders.append(f"{path.name}:{node.lineno} bare lru_cache")
     assert offenders == [], offenders
+
+
+def test_only_the_ring_reads_the_packed_layout():
+    """The packed key layout (``_WIDTH``, ``_BIAS``, ``_SLOT``, ``_GUARD``)
+    is named in ``coeffring`` alone; every other module moves packed keys
+    through its helpers, such as ``_slot_shifted`` for the one-slot
+    transport of ``symplectization``."""
+    package = pathlib.Path(gjb.__file__).parent
+    layout = {"_WIDTH", "_BIAS", "_SLOT", "_GUARD"}
+
+    def named(node):
+        return {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)} & layout
+
+    readers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and named(node)
+    }
+    assert readers == {"coeffring.py"}

@@ -297,14 +297,16 @@ def test_bracket_expression_identity_five(rng):
 
 
 def _degree_one_data(rng, shape):
-    """Six seeded degree-1 conformal data: vertical (F, G) data on a
-    canonical phase space, or contact data of random functions."""
+    """Degree-1 conformal data: contact data of six random functions, or on
+    a canonical phase space the translations and vertical data of
+    ``translations_and_vertical_data``, whose cups with a translation have
+    α ≠ 0, then six seeded vertical (F, G) data."""
     if shape == "contact":
         S = contact_structure()
         return [contact_data(S, rand_coefficient(rng, CONTACT, max_terms=2, max_degree=2)) for _ in range(6)]
     n, m = shape
-    S = canonical_structure(n, m)
-    return [rand_fg_data(rng, S, n, m, max_degree=1) for _ in range(6)]
+    pool = translations_and_vertical_data(n, m)
+    return pool + [rand_fg_data(rng, pool[0].structure, n, m, max_degree=1) for _ in range(6)]
 
 
 def _jacobi_terms(a, b, c):
@@ -320,38 +322,51 @@ def _jacobi_terms(a, b, c):
 def test_bracket_identities_beyond_canonical_21(rng, shape):
     # skew symmetry, the expression identity, graded Jacobi and Leibniz,
     # ten of each; every Jacobi chain has one degree-2 operand, a cup
-    # product.  On vertical and contact data a cup has α = 0, so the graded
-    # Jacobi and Leibniz checks here compare zeros: the nonzero ones are in
-    # test_graded_leibniz_and_jacobi_on_translations
+    # product.  On the canonical shapes the draws include translations, so
+    # some cups have α ≠ 0 and some Jacobi and Leibniz checks compare
+    # nonzero forms; on contact data a cup's α has degree −1, so there
+    # they compare zeros
     pool = _degree_one_data(rng, shape)
+    # the n translations lead the pool on a canonical shape; contact data
+    # has none, and draws any datum in their place
+    translations = pool[: None if shape == "contact" else shape[0]]
 
     def draw():
         return pool[rng.randrange(len(pool))]
 
-    def cup():
-        return cup_product(draw(), draw())
+    def translation():
+        return translations[rng.randrange(len(translations))]
 
-    nonzero = 0
+    def cup():
+        return cup_product(translation(), draw())
+
+    nonzero = {"skew": 0, "jacobi": 0, "leibniz": 0}
     for k in range(10):
         a, b = draw(), cup() if k % 2 else draw()
         p, q = a.degree, b.degree
         bracket = jacobi_bracket(a, b).alpha
-        nonzero += not bracket.is_zero()
+        nonzero["skew"] += not bracket.is_zero()
         assert bracket == jacobi_bracket(b, a).alpha.scale(-((-1) ** ((p - 1) * (q - 1))))
         expected = lie_derivative(a.x_field, b.alpha) - interior_product(a.v_field, b.alpha)
         assert bracket == expected.scale((-1) ** ((p - 1) * q))
-    assert nonzero  # the draws are not all in involution
     for k in range(10):
         first, second, third = _jacobi_terms(*(cup() if j == k % 3 else draw() for j in range(3)))
         assert (first + second + third).is_zero()
+        nonzero["jacobi"] += not (first.is_zero() and second.is_zero() and third.is_zero())
     for _ in range(10):
-        a, b, c = draw(), draw(), draw()
+        a, b, c = draw(), translation(), draw()
         p, q = a.degree, b.degree
         lhs = jacobi_bracket(a, cup_product(b, c)).alpha
-        rhs = cup_product(jacobi_bracket(a, b), c).alpha + cup_product(b, jacobi_bracket(a, c)).alpha.scale(
-            (-1) ** ((p - 1) * q)
-        )
-        assert lhs == rhs
+        first = cup_product(jacobi_bracket(a, b), c).alpha
+        second = cup_product(b, jacobi_bracket(a, c)).alpha.scale((-1) ** ((p - 1) * q))
+        assert lhs == first + second
+        nonzero["leibniz"] += not (lhs.is_zero() and first.is_zero() and second.is_zero())
+    assert nonzero["skew"]  # the draws are not all in involution
+    if shape != "contact":
+        # measured: at the default seed 1 Jacobi and 3 Leibniz checks of ten
+        # are nonzero at (2, 2), 4 and 4 at (3, 1); at GJ_SEED 1 to 29, never
+        # fewer than 1 of either
+        assert nonzero["jacobi"] >= 1 and nonzero["leibniz"] >= 1
 
 
 def test_graded_leibniz_and_jacobi_on_translations():

@@ -2,6 +2,9 @@
 the base criterion, conformal lifts, the Poisson bracket, and the bracket
 correspondence through the psi map."""
 
+import dataclasses
+import sys
+
 import pytest
 
 from conftest import (
@@ -10,9 +13,10 @@ from conftest import (
     fg_conformal_data,
     rand_coefficient,
     rand_fg_data,
+    rand_form,
     rand_multivector,
 )
-from gjb import symplectization
+from gjb import exterior, symplectization
 from gjb.cli import main
 from gjb.coeffring import Chart, Coefficient
 from gjb.dsl import parse_coefficient
@@ -23,6 +27,7 @@ from gjb.exterior import (
     exterior_derivative,
     interior_product,
     lie_derivative,
+    reindex,
     wedge,
 )
 from gjb.structures import (
@@ -249,9 +254,76 @@ def test_degree_two_lifts_differ_inside_the_upsilon_kernel(rng):
 
 
 def test_projection_rejects_fiber_dependent_coefficients():
-    bad = MultiVector.basis_vector(SYM.extended_chart, "x0").scale(SYM.conformal_factor)
-    with pytest.raises(StructuralError):
-        project_to_base(SYM, bad)
+    # a coefficient that depends on the fiber, by a positive or a negative
+    # power, in all of its terms or in one, is refused before any key moves
+    for sym in (SYM, build(_transport_structure("laurent"))):
+        ext, z = sym.extended_chart, sym.conformal_factor
+        leg = MultiVector.basis_vector(ext, ext.coordinates[0])
+        for c in (z, z.unit_inverse(), z * z + Coefficient.one(ext)):
+            with pytest.raises(StructuralError, match="^projection of a fiber-dependent coefficient is undefined$"):
+                project_to_base(sym, leg.scale(c))
+
+
+# --- transport between the charts ---------------------------------------------
+
+
+def _transport_structure(shape):
+    """A structure whose chart exercises one case of the transport: the
+    fiber z appended to canonical charts and a contact chart (q, p, s),
+    z1 appended to the contact chart (q, p, z), and a Laurent chart whose
+    flagged coordinates carry negative exponents."""
+    if shape == "canonical-21":
+        return CAN
+    if shape == "canonical-31":
+        return canonical_structure(3, 1)
+    if shape == "contact-z1":
+        return contact_structure()
+    if shape == "contact":
+        chart = Chart(("q", "p", "s"))
+        return NFormStructure(chart, DiffForm.differential(chart, "s") - DiffForm.differential(chart, "q").scale(
+            Coefficient.coordinate(chart, "p")))
+    chart = Chart(("u", "x", "v"), frozenset({"u", "v"}))
+    u, v = Coefficient.coordinate(chart, "u", -2), Coefficient.coordinate(chart, "v", -1)
+    return NFormStructure(chart, wedge(DiffForm.differential(chart, "u"), DiffForm.differential(chart, "x")).scale(u)
+                          + wedge(DiffForm.differential(chart, "x"), DiffForm.differential(chart, "v")).scale(v))
+
+
+@pytest.mark.parametrize("shape", ["canonical-21", "canonical-31", "contact", "contact-z1", "laurent"])
+def test_the_slot_shift_transport_agrees_with_reindex(rng, shape):
+    # horizontal moves each key up one slot and project_to_base down one;
+    # reindex, the transport by coordinate name, is the oracle for both
+    S = _transport_structure(shape)
+    sym = build(S)
+    base, ext = S.chart, sym.extended_chart
+    assert sym.fiber == ("z1" if shape == "contact-z1" else "z")
+    assert sym.upsilon == reindex(S.theta, ext).scale(sym.conformal_factor)
+    fiber_leg = MultiVector.basis_vector(ext, sym.fiber)
+    for degree in range(base.dimension + 1):
+        for _ in range(3):
+            form = rand_form(rng, base, degree, laurent=True)
+            field = rand_multivector(rng, base, degree, laurent=True)
+            assert sym.horizontal(form) == reindex(form, ext)
+            assert sym.horizontal(field) == reindex(field, ext)
+            assert project_to_base(sym, sym.horizontal(field)) == field
+            if degree:
+                # the legs along the fiber drop, whatever their coefficients
+                legs = wedge(fiber_leg.scale(sym.conformal_factor), reindex(
+                    rand_multivector(rng, base, degree - 1, laurent=True), ext))
+                lifted = reindex(field, ext) + legs
+                flat = MultiVector(ext, degree, {key: c for key, c in lifted.terms.items() if ext.dimension - 1 not in key})
+                assert project_to_base(sym, lifted) == reindex(flat, base) == field
+    # each direction takes its own chart only
+    with pytest.raises(StructuralError, match="base chart"):
+        sym.horizontal(fiber_leg)
+    with pytest.raises(StructuralError, match="extended chart"):
+        project_to_base(sym, MultiVector.basis_vector(base, base.coordinates[0]))
+
+
+def test_an_extension_keeps_the_base_chart_as_its_leading_slots():
+    # the slot shift is sound only for the chart build makes
+    moved = Chart((SYM.fiber,) + CAN.chart.coordinates, SYM.extended_chart.nonvanishing)
+    with pytest.raises(StructuralError, match="base chart with the fiber appended"):
+        dataclasses.replace(SYM, extended_chart=moved)
 
 
 # --- psi and the Poisson bracket --------------------------------------------
@@ -371,45 +443,53 @@ def test_self_correspondence_is_skew_trivial():
 
 @pytest.fixture
 def checks(monkeypatch):
-    """Calls of ``lie_derivative`` and contractions against an extension's
-    Ω made by ``symplectization``; the contraction of Δ that builds the
-    extension is not counted."""
-    counts = {"lie_derivative": 0, "omega": 0}
-    built = []
-    build, lie, contract = symplectization.build, symplectization.lie_derivative, symplectization.interior_product
+    """Work done against the homogeneous data of the latest extension
+    built, counted at the ``exterior`` level whoever asks for it:
+    contractions into a form equal to ±Ω by value (``_contracted`` is the
+    one contraction loop) and exterior derivatives of a form equal to Υ.
+    An extension is watched from when it is built, so the contraction of
+    Δ and the dΥ that build it are not counted."""
+    counts = {"omega": 0, "d_upsilon": 0}
+    built = []  # (Ω, −Ω, Υ) of the latest extension
+    build, contracted, derivative = symplectization.build, exterior._contracted, exterior.exterior_derivative
 
     def counting_build(S):
-        built.append(build(S))
-        return built[-1]
+        built.clear()
+        sym = build(S)
+        built.append((sym.omega, -sym.omega, sym.upsilon))
+        return sym
 
-    def counting_lie(U, omega):
-        counts["lie_derivative"] += 1
-        return lie(U, omega)
+    def counting_contracted(eaten, target):
+        counts["omega"] += any(target == omega or target == negated for omega, negated, _ in built)
+        return contracted(eaten, target)
 
-    def counting_contract(U, omega, *args, **kwargs):
-        counts["omega"] += any(omega is sym.omega for sym in built)
-        return contract(U, omega, *args, **kwargs)
+    def counting_derivative(omega):
+        counts["d_upsilon"] += any(omega == upsilon for _, _, upsilon in built)
+        return derivative(omega)
 
     monkeypatch.setattr(symplectization, "build", counting_build)
-    monkeypatch.setattr(symplectization, "lie_derivative", counting_lie)
-    monkeypatch.setattr(symplectization, "interior_product", counting_contract)
+    monkeypatch.setattr(exterior, "_contracted", counting_contracted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gjb" and getattr(module, "exterior_derivative", None) is derivative:
+            monkeypatch.setattr(module, "exterior_derivative", counting_derivative)
     return counts
 
 
 def test_a_correspondence_checks_each_equation_once(checks, tmp_path, capsys):
-    # one Υ check per Ψ image (four); one Ψ contraction per image and the
-    # bracket's own contraction (five)
+    # each Ψ image contracts its lift against Ω once, and its Υ check and
+    # Hamiltonian check both read that contraction (four); the bracket
+    # contracts once more (five); Ω = −dΥ is never formed again
     sym = symplectization.build(CAN)
     data = table1_instances(CAN, 2, 1)
     assert check_correspondence(sym, data[1], data[4]).is_zero()
-    assert checks == {"lie_derivative": 4, "omega": 5}
+    assert checks == {"omega": 5, "d_upsilon": 0}
 
     # the poisson command: two Ψ images and their bracket
     path = str(tmp_path / "session.json")
     for argv in (["chart", "new", "--canonical", "2,1"], ["conformal", "make", "--x=e_x0", "--store", "a"],
                  ["conformal", "make", "--x", "e_y", "--store", "b"]):
         assert main([*argv, "-s", path]) == 0
-    checks.update(lie_derivative=0, omega=0)
+    checks.update(omega=0, d_upsilon=0)
     assert main(["poisson", "a", "b", "-s", path]) == 0
     capsys.readouterr()
-    assert checks == {"lie_derivative": 2, "omega": 3}
+    assert checks == {"omega": 3, "d_upsilon": 0}
