@@ -43,7 +43,7 @@ from .dsl import (
     to_json,
 )
 from .errors import DomainError, GjbError, ParseError, StructuralError, ValidationError
-from .exterior import DiffForm, MultiVector, interior_product
+from .exterior import DiffForm, MultiVector
 from .fieldtheory import (
     CanonicalStructure,
     _table1_rows,
@@ -57,7 +57,7 @@ from .fieldtheory import (
     vertical_conformal_from_FG,
 )
 from .session import Session, SessionError
-from .structures import ConformalData, is_multicontact, make_conformal_data, verify_conformal
+from .structures import ConformalData, _contracted_data, is_multicontact, make_conformal_data, verify_conformal
 from .symplectization import (
     _poisson,
     build,
@@ -276,8 +276,7 @@ def _cmd_conformal(args) -> int:
         if witness is None:
             print("conformal: no (no witness solves the conformal equation)")
             return 1
-        alpha = -interior_product(x_field, S.theta)
-        data = make_conformal_data(S, alpha, x_field, witness)
+        data = _contracted_data(S, x_field, witness)
     print("conformal: yes")
     _print_value(data, args.format)
     if args.store:

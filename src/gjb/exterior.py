@@ -77,8 +77,13 @@ with no term; and the one exact division gives an int whenever the value
 is integral and a reduced Fraction otherwise, so no kernel result holds
 a whole number as a Fraction.
 
-Four operations skip work whose result would be thrown away, and each
+Five operations skip work whose result would be thrown away, and each
 skip is exact:
+
+* empty Schouten operand: ``schouten_nijenhuis`` returns the empty
+  multivector of degree p + q − 1 when either operand has no terms,
+  after its two refusals and before clearing either operand, since every
+  term of the bracket is a product of a term of each;
 
 * prefilter: the one contraction loop (``_contracted``, behind
   ``interior_product`` and ``form_contraction``) tries ``_contract_key``
@@ -552,13 +557,19 @@ def vector_bracket(X: MultiVector, Y: MultiVector) -> MultiVector:
 def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
     """Graded bracket of multivector fields, of degree p + q − 1, by the
     odd-variable formula of the module docstring; one double loop over the
-    term pairs of each ordering, with no special case for a scalar operand."""
+    term pairs of each ordering, with no special case for a scalar operand.
+    Two scalars and operands on different charts are refused first; then
+    an operand with no terms gives the empty multivector of degree
+    p + q − 1 at once, since every term of the bracket is a product of a
+    U term with a V term."""
     p, q = U.degree, V.degree
     if p == 0 and q == 0:
         raise DegreeError("the graded bracket of two scalars is not defined")
     if U.chart != V.chart:
         raise StructuralError("operands live on different charts")
     chart, origin = U.chart, U.chart.origin
+    if not U.terms or not V.terms:
+        return MultiVector._trusted(chart, p + q - 1, {})
     # every term of each operand can take part, so each is cleared whole
     LU, U_int = _cleared(U.terms)
     LV, V_int = _cleared(V.terms)

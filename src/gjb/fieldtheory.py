@@ -140,6 +140,14 @@ class CanonicalStructure(NFormStructure):
     A parameter's field lies in both kernels, so with parameters K_1 is
     spanned by the parameter fields.  Kernels are eliminated on first
     read, as for any NFormStructure; the tests pin these closed forms.
+
+    Theta is written from its closed-form terms, not summed from wedges.
+    The chart puts x first, so d^n x is the key (0, ..., n-1) and
+    d^{n-1}x_mu is (-1)^mu times the key rest_mu, that key less mu; a y or
+    s differential follows every x, so each other term of Theta sits under
+    rest_mu + (field,) with sign (-1)^{mu+n-1}.  ``volume`` (d^n x) and
+    each d^{n-1}x_mu (``xmu``) are built once, with the structure; the
+    tests pin all three against their wedge and contraction definitions.
     """
 
     def __init__(self, spec: PhaseSpaceSpec, parameters: tuple[str, ...] = ()):
@@ -159,15 +167,23 @@ class CanonicalStructure(NFormStructure):
             chart = Chart(coordinates + self.parameters)
         except StructuralError as err:  # the names are distinct, so one is misspelled
             raise DomainError(str(err)) from err
-        dnx = DiffForm.volume(chart, self.x_names)
-        theta = dnx.scale(-Coefficient.coordinate(chart, self.p_name))
+        # the closed form of the class docstring, in the order the sum
+        # -p d^n x + ds^mu ^ d^{n-1}x_mu - p^mu_i dy^i ^ d^{n-1}x_mu meets it
+        one = Coefficient.one(chart)
+        top = tuple(range(n))
+        self.volume = DiffForm._trusted(chart, n, {top: one})
+        terms = {top: -Coefficient.coordinate(chart, self.p_name)}
+        xmus = []
         for mu in range(n):
-            head = interior_product(MultiVector.basis_vector(chart, self.x_names[mu]), dnx)
-            theta = theta + wedge(DiffForm.differential(chart, self.s_names[mu]), head)
+            rest = top[:mu] + top[mu + 1 :]
+            xmus.append(DiffForm._trusted(chart, n - 1, {rest: -one if mu % 2 else one}))
+            odd = (mu + n - 1) % 2
+            terms[rest + (chart.index(self.s_names[mu]),)] = -one if odd else one
             for i in range(m):
                 p_coord = Coefficient.coordinate(chart, self.momentum_name(mu, i))
-                theta = theta - wedge(DiffForm.differential(chart, self.y_names[i]), head).scale(p_coord)
-        super().__init__(chart, theta)
+                terms[rest + (chart.index(self.y_names[i]),)] = p_coord if odd else -p_coord
+        self._xmus = tuple(xmus)
+        super().__init__(chart, DiffForm._trusted(chart, n, terms))
 
     # -- naming helpers ------------------------------------------------
 
@@ -177,13 +193,9 @@ class CanonicalStructure(NFormStructure):
     def coordinate(self, name: str) -> Coefficient:
         return Coefficient.coordinate(self.chart, name)
 
-    @property
-    def volume(self) -> DiffForm:
-        return DiffForm.volume(self.chart, self.x_names)
-
     def xmu(self, mu: int) -> DiffForm:
-        """The (n-1)-form d^{n-1}x_mu."""
-        return interior_product(MultiVector.basis_vector(self.chart, self.x_names[mu]), self.volume)
+        """The (n-1)-form d^{n-1}x_mu, built once with the structure."""
+        return self._xmus[mu]
 
     @property
     def reeb_directions(self) -> list[MultiVector]:

@@ -14,11 +14,17 @@ graded Jacobi bracket of (α, X_α, V_α) and (β, X_β, V_β) is
 
 with witnesses [X_α, X_β] and [X_α, V_β] − (−1)^{(p−1)(q−1)} [X_β, V_α];
 the cup product is α∨β = −ι_{X_α∧X_β}Θ = ι_{X_β}α.  Every constructor
-re-validates its output, so identities downstream are checked claims, not
-assumptions.  Each value has one spelling: make_conformal_data refuses an
-α whose degree is not n − p, zero or not, and only where outside input
-enters (the command-line operands and the interchange reader of dsl) is
-an untyped zero α typed at n − p.
+checks each equation of its output that does not hold by construction, so
+identities downstream are checked claims, not assumptions.
+make_conformal_data takes α from its caller and checks both equations.
+The bracket, the cup product and the CLI's ``conformal make`` build
+through the private _contracted_data, which computes α = −ι_XΘ itself,
+so the defining equation holds by construction and only the conformal
+equation is checked.  That equation is written once
+(_conformal_residual) for both paths.  Each value has one spelling:
+make_conformal_data refuses an α whose degree is not n − p, zero or not,
+and only where outside input enters (the command-line operands and the
+interchange reader of dsl) is an untyped zero α typed at n − p.
 
 Linear problems see a form or multivector in one coordinate format, its
 own terms, a map from index tuple to Coefficient: that is a row or vector
@@ -212,7 +218,9 @@ class ConformalData:
 
     alpha has degree n−p (a negative degree, whose only form is zero, when
     p > n), x_field degree p, v_field degree p−1.  Use make_conformal_data
-    to construct with validation.
+    to construct with validation; ``residuals`` gives both equations'
+    residuals, the conformal one by the same function that checks the
+    bracket path's results.
     """
 
     structure: NFormStructure
@@ -225,12 +233,9 @@ class ConformalData:
         return self.x_field.degree
 
     def residuals(self) -> dict[str, DiffForm]:
-        S, p = self.structure, self.degree
+        S = self.structure
         eq1 = interior_product(self.x_field, S.theta) + self.alpha
-        dalpha = exterior_derivative(self.alpha)
-        rhs = (dalpha + interior_product(self.v_field, S.theta)).scale((-1) ** (p + 1))
-        eq2 = interior_product(self.x_field, S.dtheta) - rhs
-        return {"defining": eq1, "conformal": eq2}
+        return {"defining": eq1, "conformal": _conformal_residual(S, self.alpha, self.x_field, self.v_field)}
 
     def validate(self) -> "ConformalData":
         bad = {k: str(v) for k, v in self.residuals().items() if not v.is_zero()}
@@ -269,10 +274,31 @@ def _as_witness(chart: Chart, v, degree: int) -> MultiVector:
     raise StructuralError(f"cannot read {type(v).__name__} as a witness multivector")
 
 
+def _conformal_residual(S: NFormStructure, alpha: DiffForm, x_field: MultiVector, v_field: MultiVector) -> DiffForm:
+    """ι_X dΘ − (−1)^{p+1} (dα + ι_V Θ), zero exactly when the conformal
+    equation holds; the one spelling of that equation."""
+    rhs = (exterior_derivative(alpha) + interior_product(v_field, S.theta)).scale((-1) ** (x_field.degree + 1))
+    return interior_product(x_field, S.dtheta) - rhs
+
+
+def _contracted_data(S: NFormStructure, x_field: MultiVector, v_field: MultiVector) -> ConformalData:
+    """Conformal data of a degree ≥ 1 field X and a degree-(p − 1) witness
+    V with α = −ι_XΘ computed here, so the defining equation holds by
+    construction and only the conformal equation is checked; raises
+    ValidationError with its nonzero residual, as make_conformal_data
+    does."""
+    alpha = -interior_product(x_field, S.theta)
+    residual = _conformal_residual(S, alpha, x_field, v_field)
+    if not residual.is_zero():
+        raise ValidationError("conformal data fails its defining equations", residuals={"conformal": str(residual)})
+    return ConformalData(S, alpha, x_field, v_field)
+
+
 def make_conformal_data(S: NFormStructure, alpha: DiffForm, x_field: MultiVector, v_field) -> ConformalData:
-    """Package and validate a conformal triple; raises ValidationError with
-    the nonzero residual when either defining equation fails.  Alpha must
-    have degree n − p, a zero alpha too."""
+    """Package and validate a conformal triple whose α comes from outside:
+    both the defining and the conformal equation are checked, and a
+    ValidationError carries each nonzero residual.  Alpha must have degree
+    n − p, a zero alpha too."""
     if x_field.degree < 1:
         raise DegreeError("the conformal multivector must have degree at least 1")
     v = _as_witness(S.chart, v_field, x_field.degree - 1)
@@ -297,32 +323,39 @@ def verify_conformal(S: NFormStructure, X: MultiVector) -> MultiVector | None:
 
 
 def jacobi_bracket(a: ConformalData, b: ConformalData) -> ConformalData:
-    """Graded Jacobi bracket of two conformal triples; the result is again
-    validated conformal data."""
+    """Graded Jacobi bracket of two conformal triples; the result's α is
+    −ι_XΘ of its field X, and the result is checked against the conformal
+    equation."""
     if a.structure is not b.structure:
         raise StructuralError("conformal data on different structures")
     S = a.structure
     p, q = a.degree, b.degree
     x = schouten_nijenhuis(a.x_field, b.x_field)
-    form = -interior_product(x, S.theta)
     sign = (-1) ** ((p - 1) * (q - 1))
     v = schouten_nijenhuis(a.x_field, b.v_field) - schouten_nijenhuis(b.x_field, a.v_field).scale(sign)
-    return make_conformal_data(S, form, x, v)
+    return _contracted_data(S, x, v)
 
 
 def cup_product(a: ConformalData, b: ConformalData) -> ConformalData:
     """Cup product α∨β = −ι_{X_α∧X_β}Θ with a constructed witness.
 
-    The three equivalent contraction expressions are asserted against each
-    other, and the closed-form witness is validated like any conformal
-    data, so a wrong formula raises ValidationError.
+    The closed-form witness is checked against the conformal equation, so
+    a wrong formula raises ValidationError, and the three equivalent
+    contraction expressions of α∨β are asserted against each other.
     """
     if a.structure is not b.structure:
         raise StructuralError("conformal data on different structures")
     S = a.structure
     p, q = a.degree, b.degree
     x = wedge(a.x_field, b.x_field)
-    form = -interior_product(x, S.theta)
+    v = (
+        (schouten_nijenhuis(b.x_field, a.x_field) + wedge(b.v_field, a.x_field)).scale(
+            (-1) ** (p * (q - 1))
+        )
+        + wedge(a.v_field, b.x_field).scale((-1) ** q)
+    )
+    data = _contracted_data(S, x, v)
+    form = data.alpha
     via_b = interior_product(b.x_field, a.alpha)
     via_a = interior_product(a.x_field, b.alpha).scale((-1) ** (p * q))
     if not (form == via_b == via_a):
@@ -330,13 +363,7 @@ def cup_product(a: ConformalData, b: ConformalData) -> ConformalData:
             "cup product contraction expressions disagree",
             residuals={"minus_pair_contraction": str(form), "via_b": str(via_b), "via_a": str(via_a)},
         )
-    v = (
-        (schouten_nijenhuis(b.x_field, a.x_field) + wedge(b.v_field, a.x_field)).scale(
-            (-1) ** (p * (q - 1))
-        )
-        + wedge(a.v_field, b.x_field).scale((-1) ** q)
-    )
-    return make_conformal_data(S, form, x, v)
+    return data
 
 
 def ms_hamiltonian_pair(omega: DiffForm, alpha: DiffForm) -> MultiVector | None:

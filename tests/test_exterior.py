@@ -14,6 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import SEED, rand_coefficient, rand_form, rand_multivector
+from gjb import exterior as exterior_module
 from gjb.coeffring import Chart, Coefficient, _accumulate
 from gjb.dsl import parse_coefficient
 from gjb.errors import DegreeError, DomainError, StructuralError
@@ -496,6 +497,34 @@ def test_trivial_operands_skip_the_ring_but_keep_every_check():
         interior_product(empty_vector, DiffForm.zero(other, 2))
     with pytest.raises(StructuralError):
         interior_product(empty_form, empty_form)
+
+
+def test_a_schouten_bracket_with_an_empty_operand_forms_no_product(monkeypatch):
+    # the refusals come first, then an empty operand returns the empty
+    # bracket of degree p + q − 1 without clearing either operand
+    cleared, clear = [], exterior_module._cleared
+
+    def counting_cleared(terms, offset=0):
+        cleared.append(len(terms))
+        return clear(terms, offset)
+
+    other = Chart(("a", "b", "c", "u", "w"))
+    full = wedge(e("a"), e("b")).scale(C("u^2 + a"))
+    monkeypatch.setattr(exterior_module, "_cleared", counting_cleared)
+    zero = lambda degree, chart=CH: MultiVector.zero(chart, degree)
+    for U, V in ((zero(1), full), (full, zero(3)), (zero(0), full), (full, zero(0)), (zero(2), zero(1))):
+        assert schouten_nijenhuis(U, V) == zero(U.degree + V.degree - 1)  # equal degrees too
+    assert cleared == []
+    for U, V in ((zero(0), zero(0)), (zero(0), MultiVector.from_scalar(C("a")))):
+        with pytest.raises(DegreeError, match="two scalars"):
+            schouten_nijenhuis(U, V)
+    for U, V in ((full, zero(1, other)), (zero(2, other), full), (zero(1), zero(1, other))):
+        with pytest.raises(StructuralError, match="different charts"):
+            schouten_nijenhuis(U, V)
+    assert cleared == []
+    # a bracket of two nonempty operands still clears each once
+    schouten_nijenhuis(full, e("c"))
+    assert cleared == [len(full.terms), 1]
 
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))

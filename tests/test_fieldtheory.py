@@ -105,6 +105,33 @@ def test_canonical_grid_is_multicontact_and_variational(n, m):
     assert len(S.chart.coordinates) == n + m + 1 + n * m + n
 
 
+@pytest.mark.parametrize("parameters", [(), ("g",)], ids=["bare", "parameter"])
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (6, 2)])
+def test_closed_form_theta_matches_its_wedge_definition(n, m, parameters):
+    # the oracle builds Theta = ds^mu ^ d^{n-1}x_mu - p d^n x
+    # - p^mu_i dy^i ^ d^{n-1}x_mu from wedges and contractions, with
+    # d^{n-1}x_mu the contraction of d^n x by the mu-th coordinate field
+    S = build_canonical(n, m, parameters)
+    chart = S.chart
+    coord = lambda name: Coefficient.coordinate(chart, name)
+    dnx = wedge(DiffForm.differential(chart, "x0"), DiffForm.differential(chart, "x1"))
+    for mu in range(2, n):
+        dnx = wedge(dnx, DiffForm.differential(chart, f"x{mu}"))
+    xmus = [interior_product(MultiVector.basis_vector(chart, f"x{mu}"), dnx) for mu in range(n)]
+    theta = dnx.scale(-coord("p"))
+    for mu in range(n):
+        theta = theta + wedge(DiffForm.differential(chart, f"s{mu}"), xmus[mu])
+        for i in range(m):
+            y, pm = ("y", f"p{mu}") if m == 1 else (f"y{i}", f"p{mu}_{i}")
+            theta = theta - wedge(DiffForm.differential(chart, y), xmus[mu]).scale(coord(pm))
+    assert S.theta == theta
+    assert S.volume == dnx
+    assert [S.xmu(mu) for mu in range(n)] == xmus
+    assert S.dtheta == exterior_derivative(theta)
+    # each is built once per structure
+    assert S.xmu(n - 1) is S.xmu(n - 1) and S.volume is S.volume
+
+
 def test_canonical_kernel_oracle_signs():
     """ker_1 Theta contains d/dy + p^mu d/ds^mu with PLUS signs; the minus
     variant does not contract Theta to zero."""

@@ -25,6 +25,7 @@ from conftest import (
     rand_multivector,
     translations_and_vertical_data,
 )
+from gjb import cli, exterior, structures
 from gjb.coeffring import Chart, Coefficient
 from gjb.dsl import parse_coefficient
 from gjb.errors import DegreeError, DomainError, StructuralError, ValidationError
@@ -297,13 +298,17 @@ def test_bracket_expression_identity_five(rng):
 
 
 def _degree_one_data(rng, shape):
-    """Degree-1 conformal data: contact data of six random functions, or on
-    a canonical phase space the translations and vertical data of
-    ``translations_and_vertical_data``, whose cups with a translation have
-    α ≠ 0, then six seeded vertical (F, G) data."""
+    """Degree-1 conformal data: on the contact structure the contact data of
+    q, p and z, no two of which are in involution, then contact data of six
+    random functions; on a canonical phase space the translations and
+    vertical data of ``translations_and_vertical_data``, whose cups with a
+    translation have α ≠ 0, then six seeded vertical (F, G) data."""
     if shape == "contact":
         S = contact_structure()
-        return [contact_data(S, rand_coefficient(rng, CONTACT, max_terms=2, max_degree=2)) for _ in range(6)]
+        coordinates = [contact_data(S, Coefficient.coordinate(S.chart, name)) for name in ("q", "p", "z")]
+        return coordinates + [
+            contact_data(S, rand_coefficient(rng, CONTACT, max_terms=2, max_degree=2)) for _ in range(6)
+        ]
     n, m = shape
     pool = translations_and_vertical_data(n, m)
     return pool + [rand_fg_data(rng, pool[0].structure, n, m, max_degree=1) for _ in range(6)]
@@ -320,16 +325,17 @@ def _jacobi_terms(a, b, c):
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 1), "contact"], ids=["canonical22", "canonical31", "contact"])
 def test_bracket_identities_beyond_canonical_21(rng, shape):
-    # skew symmetry, the expression identity, graded Jacobi and Leibniz,
-    # ten of each; every Jacobi chain has one degree-2 operand, a cup
-    # product.  On the canonical shapes the draws include translations, so
+    # skew symmetry and the expression identity on the leading data
+    # pairwise and on ten draws, graded Jacobi and Leibniz on ten draws
+    # each; every Jacobi chain has one degree-2 operand, a cup product.
+    # On the canonical shapes the draws include translations, so
     # some cups have α ≠ 0 and some Jacobi and Leibniz checks compare
     # nonzero forms; on contact data a cup's α has degree −1, so there
     # they compare zeros
     pool = _degree_one_data(rng, shape)
-    # the n translations lead the pool on a canonical shape; contact data
-    # has none, and draws any datum in their place
-    translations = pool[: None if shape == "contact" else shape[0]]
+    # the n translations lead the pool on a canonical shape, as the data of
+    # the three coordinates lead it on the contact structure
+    translations = pool[: 3 if shape == "contact" else shape[0]]
 
     def draw():
         return pool[rng.randrange(len(pool))]
@@ -341,8 +347,11 @@ def test_bracket_identities_beyond_canonical_21(rng, shape):
         return cup_product(translation(), draw())
 
     nonzero = {"skew": 0, "jacobi": 0, "leibniz": 0}
-    for k in range(10):
-        a, b = draw(), cup() if k % 2 else draw()
+    # the leading data pairwise, then ten draws; the contact data of q, p
+    # and z are pairwise not in involution, the translations commute
+    pairs = list(itertools.combinations(translations, 2))
+    pairs += [(draw(), cup() if k % 2 else draw()) for k in range(10)]
+    for a, b in pairs:
         p, q = a.degree, b.degree
         bracket = jacobi_bracket(a, b).alpha
         nonzero["skew"] += not bracket.is_zero()
@@ -367,6 +376,69 @@ def test_bracket_identities_beyond_canonical_21(rng, shape):
         # are nonzero at (2, 2), 4 and 4 at (3, 1); at GJ_SEED 1 to 29, never
         # fewer than 1 of either
         assert nonzero["jacobi"] >= 1 and nonzero["leibniz"] >= 1
+
+
+@pytest.fixture
+def theta_contractions(monkeypatch):
+    """Every (eaten, target) pair contracted at the ``exterior`` level
+    (``_contracted`` is the one contraction loop), whoever asks for it; the
+    function returned counts the pairs equal by value to (X, Θ)."""
+    seen, contracted = [], exterior._contracted
+
+    def counting(eaten, target):
+        seen.append((eaten, target))
+        return contracted(eaten, target)
+
+    monkeypatch.setattr(exterior, "_contracted", counting)
+    return lambda X, theta: sum(eaten == X and target == theta for eaten, target in seen)
+
+
+def test_a_bracket_and_a_cup_contract_their_field_against_theta_once(theta_contractions):
+    # α = −ι_XΘ is computed once, and the defining equation holds without
+    # a second contraction (two before); counted by value, so only products
+    # with a nonzero field are counted
+    pool = translations_and_vertical_data(3, 2)
+    S = pool[0].structure
+    checked = {jacobi_bracket: 0, cup_product: 0}
+    for a, b in itertools.permutations(pool, 2):
+        for product in checked:
+            x = product(a, b).x_field
+            if x.is_zero():
+                continue
+            before = theta_contractions(x, S.theta)
+            result = product(a, b)
+            assert theta_contractions(x, S.theta) - before == 1
+            assert result.residuals()["defining"].is_zero()
+            checked[product] += 1
+    assert min(checked.values()) >= 4, checked
+
+
+def test_conformal_make_contracts_its_field_against_theta_once_for_alpha(theta_contractions, tmp_path, capsys):
+    path = str(tmp_path / "s.json")
+    assert cli.main(["chart", "new", "--canonical", "3,2", "-s", path]) == 0
+    S = canonical_structure(3, 2)
+    X = MultiVector.basis_vector(S.chart, "x1")
+    expected = f"alpha = {-interior_product(X, S.theta)}"
+    before = theta_contractions(X, S.theta)
+    assert cli.main(["conformal", "make", "--x", "e_x1", "-s", path]) == 0
+    assert expected in capsys.readouterr().out
+    # one inside the Lie derivative of the witness solve, one for α; the
+    # defining equation is not checked again (three contractions before)
+    assert theta_contractions(X, S.theta) - before == 2
+
+
+def test_the_bracket_path_refuses_a_witness_off_the_conformal_equation():
+    # a bracket whose witness is wrong dies on the conformal residual, with
+    # the message and residual key of make_conformal_data; on the contact
+    # structure ι_VΘ = V·Θ, so each field has one witness
+    S = contact_structure()
+    q, p = (Coefficient.coordinate(S.chart, name) for name in ("q", "p"))
+    a, b = contact_data(S, p), contact_data(S, q * p)
+    off = ConformalData(S, b.alpha, b.x_field, b.v_field + MultiVector.from_scalar(q))
+    assert not jacobi_bracket(a, b).alpha.is_zero()
+    with pytest.raises(ValidationError, match="^conformal data fails its defining equations$") as refused:
+        jacobi_bracket(a, off)
+    assert set(refused.value.residuals) == {"conformal"}
 
 
 def test_graded_leibniz_and_jacobi_on_translations():
