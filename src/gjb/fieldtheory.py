@@ -53,10 +53,10 @@ from .structures import (
     CheckReport,
     ConformalData,
     NFormStructure,
+    _contracted_data,
     _contraction_columns,
     is_multicontact,
     jacobi_bracket,
-    make_conformal_data,
     solve_by_contraction,
 )
 
@@ -221,8 +221,9 @@ def vertical_conformal_from_FG(
 
     F may depend on x and y only; each G^mu may depend on x, y and the
     momenta, subject to dG^mu/dp^nu_i = delta^mu_nu * B_i for functions
-    B_i(x, y) shared across mu.  The resulting data has
-    alpha = (-F s^mu - G^mu) d^{n-1}x_mu with conformal factor F.
+    B_i(x, y) shared across mu.  The resulting data has alpha = -i_X Theta,
+    which equals (-F s^mu - G^mu) d^{n-1}x_mu, with conformal factor F;
+    only the conformal equation is checked.
     """
     chart, n, m = C.chart, C.spec.n, C.spec.m
     if F.chart != chart or any(g.chart != chart for g in G):
@@ -285,12 +286,7 @@ def vertical_conformal_from_FG(
         p_comp = p_comp + F.partial(C.x_names[mu]) * coord(C.s_names[mu]) + G[mu].partial(C.x_names[mu])
     add(C.p_name, p_comp)
     x_field = MultiVector(chart, 1, x_terms)
-
-    alpha = DiffForm.zero(chart, n - 1)
-    for mu in range(n):
-        alpha = alpha + C.xmu(mu).scale(-(F * coord(C.s_names[mu]) + G[mu]))
-    data = make_conformal_data(C, alpha, x_field, MultiVector.from_scalar(F))
-    return x_field, data
+    return x_field, _contracted_data(C, x_field, MultiVector.from_scalar(F))
 
 
 # --------------------------------------------------------------------------
@@ -300,13 +296,20 @@ def vertical_conformal_from_FG(
 
 @dataclass(frozen=True)
 class Table1Row:
-    """One elementary conformal Hamiltonian form with its transformation."""
+    """One elementary conformal Hamiltonian form with its transformation.
+
+    The conformal factor is not stored: ``factor`` reads the constant
+    witness V of ``data``, which the conformal equation has checked.
+    """
 
     family: int  # 1..4
     indices: tuple[int, ...]  # () | (i, mu) | (i,) | (mu,)
     label: str
     data: ConformalData
-    factor: Fraction
+
+    @property
+    def factor(self) -> Fraction:
+        return self.data.v_field.scalar().constant_value()
 
 
 @dataclass(frozen=True)
@@ -317,61 +320,47 @@ class Table2Entry:
     column: Table1Row
     computed: DiffForm
     reference: DiffForm
-    match: bool
     note: str = ""
+
+    @property
+    def match(self) -> bool:
+        return self.computed == self.reference
 
 
 def _table1_rows(C: CanonicalStructure) -> list[Table1Row]:
+    """The elementary rows, each built from the closed-form field X the
+    paper prints and its constant witness V (-1 for the scaling family, 0
+    for the others), so alpha = -i_X Theta by construction."""
     chart, n, m = C.chart, C.spec.n, C.spec.m
-    zero = Coefficient.zero(chart)
-    one = Coefficient.one(chart)
-    zeros = [zero] * n
-    rows: list[Table1Row] = []
+    coord = C.coordinate
+    minus_one = MultiVector.from_scalar(Coefficient.constant(chart, -1))
+    zero = MultiVector.zero(chart)
 
     def basis(name):
         return MultiVector.basis_vector(chart, name)
 
+    def row(family, indices, label, x_field, v_field):
+        return Table1Row(family, indices, label, _contracted_data(C, x_field, v_field))
+
     # family 1: alpha = s^mu d^{n-1}x_mu, factor -1
-    _, data = vertical_conformal_from_FG(C, -one, zeros)
-    printed = MultiVector.zero(chart, 1)
-    for s in C.s_names:
-        printed = printed - basis(s).scale(C.coordinate(s))
-    for pm in C.momentum_names:
-        printed = printed - basis(pm).scale(C.coordinate(pm))
-    printed = printed - basis(C.p_name).scale(C.coordinate(C.p_name))
-    if data.x_field != printed:
-        raise StructuralError("scaling family does not match its closed-form transformation")
-    rows.append(Table1Row(1, (), "s^mu d^{n-1}x_mu", data, Fraction(-1)))
+    scaling = MultiVector.zero(chart, 1)
+    for name in (*C.s_names, *C.momentum_names, C.p_name):
+        scaling = scaling - basis(name).scale(coord(name))
+    rows = [row(1, (), "s^mu d^{n-1}x_mu", scaling, minus_one)]
 
     # family 2: alpha = y^i d^{n-1}x_mu, factor 0
     for i in range(m):
         for mu in range(n):
-            G = list(zeros)
-            G[mu] = -C.coordinate(C.y_names[i])
-            _, data = vertical_conformal_from_FG(C, zero, G)
-            printed = -basis(C.s_names[mu]).scale(C.coordinate(C.y_names[i])) - basis(C.momentum_name(mu, i))
-            if data.x_field != printed:
-                raise StructuralError("field-coordinate family does not match its closed-form transformation")
-            rows.append(Table1Row(2, (i, mu), f"y^{i} d^{{n-1}}x_{mu}", data, Fraction(0)))
+            x_field = -basis(C.s_names[mu]).scale(coord(C.y_names[i])) - basis(C.momentum_name(mu, i))
+            rows.append(row(2, (i, mu), f"y^{i} d^{{n-1}}x_{mu}", x_field, zero))
 
     # family 3: alpha = p^mu_i d^{n-1}x_mu (mu summed), factor 0
     for i in range(m):
-        G = [-C.coordinate(C.momentum_name(mu, i)) for mu in range(n)]
-        _, data = vertical_conformal_from_FG(C, zero, G)
-        printed = basis(C.y_names[i])
-        if data.x_field != printed:
-            raise StructuralError("momentum-trace family does not match its closed-form transformation")
-        rows.append(Table1Row(3, (i,), f"p^mu_{i} d^{{n-1}}x_mu", data, Fraction(0)))
+        rows.append(row(3, (i,), f"p^mu_{i} d^{{n-1}}x_mu", basis(C.y_names[i]), zero))
 
     # family 4: alpha = d^{n-1}x_mu, factor 0
     for mu in range(n):
-        G = list(zeros)
-        G[mu] = -one
-        _, data = vertical_conformal_from_FG(C, zero, G)
-        printed = -basis(C.s_names[mu])
-        if data.x_field != printed:
-            raise StructuralError("volume-slice family does not match its closed-form transformation")
-        rows.append(Table1Row(4, (mu,), f"d^{{n-1}}x_{mu}", data, Fraction(0)))
+        rows.append(row(4, (mu,), f"d^{{n-1}}x_{mu}", -basis(C.s_names[mu]), zero))
 
     return rows
 
@@ -430,7 +419,7 @@ def elementary_tables(C: CanonicalStructure) -> tuple[list[Table1Row], list[Tabl
         for b in rows:
             computed = jacobi_bracket(a.data, b.data).alpha
             reference, note = _reference_cell(C, a, b)
-            entries.append(Table2Entry(a, b, computed, reference, computed == reference, note))
+            entries.append(Table2Entry(a, b, computed, reference, note))
     return rows, entries
 
 

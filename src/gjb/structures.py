@@ -17,10 +17,11 @@ the cup product is α∨β = −ι_{X_α∧X_β}Θ = ι_{X_β}α.  Every constru
 checks each equation of its output that does not hold by construction, so
 identities downstream are checked claims, not assumptions.
 make_conformal_data takes α from its caller and checks both equations.
-The bracket, the cup product and the CLI's ``conformal make`` build
-through the private _contracted_data, which computes α = −ι_XΘ itself,
-so the defining equation holds by construction and only the conformal
-equation is checked.  That equation is written once
+The bracket, the cup product, the CLI's ``conformal make``, and
+fieldtheory's Table 1 rows and vertical (F, G) data build through the
+private _contracted_data, which computes α = −ι_XΘ itself, so the
+defining equation holds by construction and only the conformal equation
+is checked.  That equation is written once
 (_conformal_residual) for both paths.  Each value has one spelling:
 make_conformal_data refuses an α whose degree is not n − p, zero or not,
 and only where outside input enters (the command-line operands and the

@@ -86,6 +86,9 @@ def _commands():
     H22 = "1/2*p0_0^2 + 1/2*p1_1^2 + g*y0*s0 - y1^2"
     out += [
         ("tables_21_latex", None, ["tables", "--n", "2", "--m", "1", "--format", "latex"]),
+        ("tables_22", None, ["tables", "--n", "2", "--m", "2"]),
+        ("tables_32_json", None, ["tables", "--n", "3", "--m", "2", "--format", "json"]),
+        ("tables_32_latex", None, ["tables", "--n", "3", "--m", "2", "--format", "latex"]),
         ("hdw_21_parameter", None, ["hdw", "--n", "2", "--m", "1", "--H", H]),
         ("hdw_21_parameter_latex", None, ["hdw", "--n", "2", "--m", "1", "--H", H, "--format", "latex"]),
         ("hdw_22_parameter_latex", None, ["hdw", "--n", "2", "--m", "2", "--H", H22, "--format", "latex"]),

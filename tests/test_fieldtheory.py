@@ -388,6 +388,76 @@ def test_table1_for_two_fields_three_variables():
     assert momentum_row.data.x_field == MultiVector.basis_vector(S.chart, "y1")
 
 
+def _family_fg(S, row):
+    """The (F, G) that generates an elementary row: family 1 F = -1, G = 0;
+    family 2 G^mu = -y^i; family 3 G^mu = -p^mu_i; family 4 G^mu = -1."""
+    n = S.spec.n
+    zero, one = Coefficient.zero(S.chart), Coefficient.one(S.chart)
+    G = [zero] * n
+    if row.family == 1:
+        return -one, G
+    if row.family == 2:
+        i, mu = row.indices
+        G[mu] = -S.coordinate(S.y_names[i])
+    elif row.family == 3:
+        (i,) = row.indices
+        G = [-S.coordinate(S.momentum_name(mu, i)) for mu in range(n)]
+    else:
+        (mu,) = row.indices
+        G[mu] = -one
+    return zero, G
+
+
+@pytest.mark.parametrize("parameters", [(), ("g",)], ids=["plain", "parameter"])
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_table1_rows_are_their_vertical_fg_data(n, m, parameters):
+    """Each closed-form row equals the vertical data of its family's (F, G),
+    whose alpha is (-F s^mu - G^mu) d^{n-1}x_mu, and its factor is F."""
+    S = build_canonical(n, m, parameters)
+    rows = fieldtheory._table1_rows(S)
+    assert [(r.family, r.indices) for r in rows] == (
+        [(1, ())]
+        + [(2, (i, mu)) for i in range(m) for mu in range(n)]
+        + [(3, (i,)) for i in range(m)]
+        + [(4, (mu,)) for mu in range(n)]
+    )
+    for row in rows:
+        F, G = _family_fg(S, row)
+        data = vertical_conformal_from_FG(S, F, G)[1]
+        assert row.data.x_field == data.x_field
+        assert row.data.v_field == data.v_field == MultiVector.from_scalar(F)
+        assert row.data.alpha == data.alpha
+        assert row.data.alpha == sum(
+            (S.xmu(mu).scale(-(F * S.coordinate(S.s_names[mu]) + G[mu])) for mu in range(n)),
+            DiffForm.zero(S.chart, n - 1),
+        )
+        assert isinstance(row.factor, Fraction)
+        assert Coefficient.constant(S.chart, row.factor) == F
+
+
+def test_table1_rows_are_built_once_from_their_closed_forms(monkeypatch):
+    """One _contracted_data call per row, no (F, G) detour, no two-equation
+    check, and at most two partial derivatives per row (those of d alpha)."""
+    S = build_canonical(3, 2)
+    S.dtheta  # the structure's own dTheta is not the rows' work
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Table 1 rows are built from their closed forms")
+
+    built = []
+    contracted = fieldtheory._contracted_data
+    monkeypatch.setattr(fieldtheory, "vertical_conformal_from_FG", refuse)
+    monkeypatch.setattr(structures, "make_conformal_data", refuse)
+    monkeypatch.setattr(fieldtheory, "_contracted_data", lambda *args: built.append(args) or contracted(*args))
+    partials = []
+    partial = Coefficient.partial
+    monkeypatch.setattr(Coefficient, "partial", lambda self, name: partials.append(name) or partial(self, name))
+    rows = fieldtheory._table1_rows(S)
+    assert len(rows) == 12
+    assert [args[1] for args in built] == [row.data.x_field for row in rows]
+    assert len(partials) <= 2 * len(rows)
+
+
 # --------------------------------------------------------------------------
 # refined Reeb
 # --------------------------------------------------------------------------

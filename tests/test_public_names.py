@@ -223,6 +223,42 @@ def test_a_hamiltonian_pair_is_verified_once():
     }
 
 
+def test_conformal_data_is_checked_against_both_equations_only_where_alpha_comes_from_outside():
+    """``make_conformal_data`` checks an α its caller supplies: the
+    command-line operands of ``conformal verify``, a stored payload, a
+    re-validated binding, and the sum or multiple of two checked triples.
+    Data whose α the package computes, −ι_XΘ, is built by
+    ``_contracted_data``; ``fieldtheory`` builds through nothing else."""
+    package = pathlib.Path(gjb.__file__).parent
+
+    calls = {"make_conformal_data": set(), "_contracted_data": set(), "ConformalData": set()}
+    for path in package.glob("*.py"):
+        for name, top in _scopes(ast.parse(path.read_text(encoding="utf-8")).body):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in calls:
+                        calls[called].add((path.name, name))
+    assert calls == {
+        "make_conformal_data": {
+            ("cli.py", "_cmd_conformal"),
+            ("dsl.py", "_check_shape"),
+            ("session.py", "Session._revalidate_bindings"),
+            ("structures.py", "ConformalData.__add__"),
+            ("structures.py", "ConformalData.scale"),
+        },
+        "_contracted_data": {
+            ("cli.py", "_cmd_conformal"),
+            ("fieldtheory.py", "_table1_rows"),
+            ("fieldtheory.py", "vertical_conformal_from_FG"),
+            ("structures.py", "cup_product"),
+            ("structures.py", "jacobi_bracket"),
+        },
+        "ConformalData": {("structures.py", "_contracted_data"), ("structures.py", "make_conformal_data")},
+    }
+
+
 def test_solves_do_not_enumerate_every_index_tuple():
     """A contraction solve, the flat-image span and its reductions read only
     the index tuples some term touches; an untouched unknown is counted
