@@ -20,12 +20,10 @@ from .exterior import (
     DiffForm,
     MultiVector,
     exterior_derivative,
-    form_contraction,
     interior_product,
     lie_derivative,
     pull_form_along,
     schouten_nijenhuis,
-    vector_bracket,
     wedge,
 )
 from .structures import (
@@ -88,9 +86,7 @@ __all__ = [
     "wedge",
     "exterior_derivative",
     "interior_product",
-    "form_contraction",
     "lie_derivative",
-    "vector_bracket",
     "schouten_nijenhuis",
     "pull_form_along",
     "CheckReport",

@@ -13,10 +13,13 @@ Two kinds of commands:
   ``dissipated``, ``distortion``) work directly on a canonical phase
   space selected with ``--n``/``--m`` and need no session.
 
-Exit codes: 0 on success, 1 when a mathematical check fails or an object
-fails validation, 2 on usage errors (bad flags, syntax errors, unknown
-names, an expression that leaves the Laurent ring such as ``q^-1`` where
-``q`` may vanish, missing or incompatible session files), 141 (128 +
+Exit codes: 0 on success, 1 when a mathematical check fails, an object
+fails validation, or a value to be written holds a rational with more
+digits than the interpreter converts to text (4 300 by default), 2 on
+usage errors (bad flags, syntax errors, a numeric literal longer than
+that limit, unknown names, an expression that leaves the Laurent ring
+such as ``q^-1`` where ``q`` may vanish, missing or incompatible session
+files), 141 (128 +
 SIGPIPE) when stdout is a pipe whose reader has closed it, as in
 ``gjb tables --n 2 --m 1 | head -1``; nothing more is written then.
 """
@@ -57,7 +60,7 @@ from .fieldtheory import (
     vertical_conformal_from_FG,
 )
 from .session import Session, SessionError
-from .structures import ConformalData, _contracted_data, is_multicontact, make_conformal_data, verify_conformal
+from .structures import ConformalData, _witnessed_data, is_multicontact, make_conformal_data
 from .symplectization import (
     _poisson,
     build,
@@ -272,11 +275,10 @@ def _cmd_conformal(args) -> int:
         if args.x is None:
             raise _UsageError("conformal make needs --x")
         (x_field,) = _operands(env, (args.x, "--x", MultiVector))
-        witness = verify_conformal(S, x_field)
-        if witness is None:
+        data = _witnessed_data(S, x_field)
+        if data is None:
             print("conformal: no (no witness solves the conformal equation)")
             return 1
-        data = _contracted_data(S, x_field, witness)
     print("conformal: yes")
     _print_value(data, args.format)
     if args.store:
@@ -360,8 +362,9 @@ def _cmd_let(args) -> int:
     _check_binding_name(session, name)
     (value,) = _operands(session.environment(), (expr, "expression", None))
     session.bindings[name] = value  # refused off the session chart, before anything prints
+    text = render(value)  # so is a value with no text
     print(f"{name} =")
-    _print_value(value)
+    print(text)
     _store_binding(session, args.session, name, value)
     return 0
 

@@ -80,6 +80,9 @@ All plain and LaTeX text of the package is written here: a spelling
 record per format (`_PLAIN`, `_LATEX`) says how it writes each piece of
 a value, down to whether a unit prefix such as the `1*` of `1*z^-1` is
 ever written, and `_signed_sum` is the only code that joins signed terms.
+A rational with more digits than the interpreter converts to text (its
+quadratic-time guard `sys.get_int_max_str_digits()`, read, never raised)
+has no text: `_term_text` refuses it with a DomainError.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ from __future__ import annotations
 import operator
 import re
 import struct
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -745,6 +749,10 @@ def _term_text(chart: Chart, key: int, magnitude: Fraction, spelling: _Spelling,
     """One unsigned term: the rational, then the coordinate powers of the
     packed ``key`` in name order.  A rational 1 before a monomial is left
     out when ``elide_unit`` is set or the format never writes it."""
+    for part in (magnitude.numerator, magnitude.denominator):
+        # below 2**1920 < 10**640, the least limit the interpreter accepts
+        if part.bit_length() > 1920 and (limit := sys.get_int_max_str_digits()) and part >= 10**limit:
+            raise DomainError(f"a rational with more than {limit} digits has no text")
     names = chart.coordinates
     powers = sorted((names[i], k) for i, k in _exponents(chart, key))
     mono = spelling.product.join(spelling.power(name, k) for name, k in powers)

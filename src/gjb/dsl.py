@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -122,6 +123,13 @@ class Token:
 _OPS = {"+", "-", "*", "^", "(", ")", ",", "="}
 
 
+def _digits_value(digits: str, line: int, column: int) -> int:
+    """The int of ASCII ``digits``; more than the interpreter converts is a ParseError."""
+    if (limit := sys.get_int_max_str_digits()) and len(digits) > limit:
+        raise ParseError(f"numeric literal with more than {limit} digits", line, column)
+    return int(digits)
+
+
 def tokenize(text: str) -> list[Token]:
     """The token stream of every text the package reads.  Numbers are
     integers or integer ratios like 3/2 (no spaces around the slash) in
@@ -147,14 +155,14 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            num = int(text[i:j])
+            num = _digits_value(text[i:j], line, start_col)
             den = 1
             if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1] in _DIGITS:
                 j += 1
                 k = j
                 while k < len(text) and text[k] in _DIGITS:
                     k += 1
-                den = int(text[j:k])
+                den = _digits_value(text[j:k], line, start_col)
                 if den == 0:
                     raise ParseError("zero denominator in numeric literal", line, start_col)
                 j = k
@@ -509,16 +517,13 @@ def _wedge_like(env: Environment, node: BinOp, left: Value, right: Value) -> Val
                 raise ParseError("conformal data scales by constants only", node.line, node.column)
             return other.scale(scalar.constant_value())
         return other.scale(scalar)
-    if isinstance(left, DiffForm) and isinstance(right, DiffForm):
-        product = wedge(left, right)
-    elif isinstance(left, MultiVector) and isinstance(right, MultiVector):
-        product = wedge(left, right)
-    else:
+    if not (isinstance(left, (DiffForm, MultiVector)) and type(left) is type(right)):
         raise ParseError(
             f"cannot multiply a {_describe(left)} with a {_describe(right)}",
             node.line,
             node.column,
         )
+    product = wedge(left, right)
     if product.is_zero() and not left.is_zero() and not right.is_zero():
         env.warn("exterior product vanishes identically (repeated factor)")
     return product

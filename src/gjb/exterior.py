@@ -7,8 +7,7 @@ leans on are fixed here:
 
 * wedge signs come from counting inversions while merging index tuples;
 * a single contraction slot is ι_{∂_j} dx^I = (−1)^{k−1} dx^{I∖j} when j
-  is the k-th index of I (and the mirror rule for a differential eating a
-  multivector);
+  is the k-th index of I;
 * contracting a decomposable contracts the LEFTMOST factor first, so
   ι_{X₁∧⋯∧X_p} = ι_{X_p}∘⋯∘ι_{X₁};
 * degree-zero contraction is plain multiplication;
@@ -31,21 +30,21 @@ trusted interior.  The constructors of DiffForm and MultiVector check
 every term (``_index_tuples``, the one index-tuple rule: an ``int``
 degree, and index tuples of ``int`` positions, strictly increasing, of
 that degree and inside the chart; coefficients on the chart) and drop
-zeros; ``reindex``, ``pull_form_along``, ``vector_bracket`` and the
-parser go through them.  The JSON loader applies ``_index_tuples`` in
-its shape pass, then builds by ``_trusted`` from the checked keys and
-the coefficients it parses on the chart.  The named builders (``zero``,
-``from_scalar``, ``differential``, ``volume``, ``basis_vector``) check
-their arguments and are then trusted: ``Chart.index`` refuses an unknown
-name, ``volume`` refuses a repeated one, so its sorted key is strictly
+zeros; ``reindex``, ``pull_form_along`` and the parser go through
+them.  The JSON loader applies ``_index_tuples`` in its shape pass, then
+builds by ``_trusted`` from the checked keys and the coefficients it
+parses on the chart.  The named builders (``zero``, ``from_scalar``,
+``differential``, ``volume``, ``basis_vector``) check their arguments
+and are then trusted: ``Chart.index`` refuses an unknown name,
+``volume`` refuses a repeated one, so its sorted key is strictly
 increasing, and ``from_scalar`` writes no term for a zero scalar.  The
 results of ``+``, ``-``, ``scale``, ``wedge``, ``exterior_derivative``,
-``interior_product``, ``form_contraction`` and ``schouten_nijenhuis``
-are built by ``_Graded._trusted``, which checks nothing: their operands
-are checked to share one chart, every key is a merge of strictly
-increasing tuples (``_merge_indices``) or what a contraction leaves of
-one (``_contract_key``), so it is strictly increasing, inside the chart
-and of the result's degree, and every coefficient comes out of
+``interior_product`` and ``schouten_nijenhuis`` are built by
+``_Graded._trusted``, which checks nothing: their operands are checked
+to share one chart, every key is a merge of strictly increasing tuples
+(``_merge_indices``) or what a contraction leaves of one
+(``_contract_key``), so it is strictly increasing, inside the chart and
+of the result's degree, and every coefficient comes out of
 ``_accumulate``, which keeps no zero, or out of the product kernel.
 
 The index algebra is read from tables.  ``_merge_indices``,
@@ -86,9 +85,9 @@ skip is exact:
   term of the bracket is a product of a term of each;
 
 * prefilter: the one contraction loop (``_contracted``, behind
-  ``interior_product`` and ``form_contraction``) tries ``_contract_key``
-  on a pair of keys only when the first eaten slot is in the target key,
-  since the contraction of a slot not in it is zero;
+  ``interior_product``) tries ``_contract_key`` on a pair of keys only
+  when the first eaten slot is in the target key, since the contraction
+  of a slot not in it is zero;
 * support-only d: ``exterior_derivative`` differentiates a coefficient
   only along the coordinates where some term has a nonzero exponent,
   negative ones included, in ascending order, since ∂c/∂xʲ is zero
@@ -139,9 +138,7 @@ __all__ = [
     "wedge",
     "exterior_derivative",
     "interior_product",
-    "form_contraction",
     "lie_derivative",
-    "vector_bracket",
     "schouten_nijenhuis",
     "reindex",
     "PolyMap",
@@ -485,19 +482,18 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
     return DiffForm._trusted(chart, omega.degree + 1, _accumulate(pieces))
 
 
-def _contracted(eaten: _Graded, target: _Graded) -> _Graded:
-    """The contraction of ``eaten`` (degree ≥ 1) into ``target``: eaten
-    coefficient × target coefficient for every pair of keys that meets, of
-    degree target.degree − eaten.degree.  An eaten key longer than the
-    target's meets none, so past the bottom degree this is the zero of
-    that negative degree."""
+def _contracted(U: MultiVector, omega: DiffForm) -> DiffForm:
+    """ι_U ω for U of degree ≥ 1: U coefficient × ω coefficient for every
+    pair of keys that meets, of degree ω.degree − U.degree.  A key of U
+    longer than ω's meets none, so past the bottom degree this is the zero
+    of that negative degree."""
     products = (
         (hit[1], (c * k).scale(hit[0]))
-        for J, c in eaten.terms.items()
-        for I, k in target.terms.items()
+        for J, c in U.terms.items()
+        for I, k in omega.terms.items()
         if J[0] in I and (hit := _contract_key(J, I)) is not None
     )
-    return target._trusted(target.chart, target.degree - eaten.degree, _accumulate(products))
+    return DiffForm._trusted(omega.chart, omega.degree - U.degree, _accumulate(products))
 
 
 def interior_product(U: MultiVector, omega: DiffForm, strict: bool = False) -> DiffForm:
@@ -515,19 +511,6 @@ def interior_product(U: MultiVector, omega: DiffForm, strict: bool = False) -> D
     return _contracted(U, omega)
 
 
-def form_contraction(xi: DiffForm, U: MultiVector) -> MultiVector:
-    """ι_ξ U, the mirror contraction of a form into a multivector, of
-    degree U.degree − ξ.degree; ξ too long gives the zero multivector of
-    that (negative) degree."""
-    if not isinstance(xi, DiffForm) or not isinstance(U, MultiVector):
-        raise StructuralError("form contraction takes a form and a multivector")
-    if xi.chart != U.chart:
-        raise StructuralError("operands live on different charts")
-    if xi.degree == 0:
-        return U.scale(xi.scalar())
-    return _contracted(xi, U)
-
-
 def lie_derivative(U: MultiVector, omega: DiffForm) -> DiffForm:
     """𝓛_U ω = d ι_U ω − (−1)^p ι_U dω, of degree ω.degree − p + 1; a
     contraction past the bottom degree is the zero of its negative degree."""
@@ -535,23 +518,6 @@ def lie_derivative(U: MultiVector, omega: DiffForm) -> DiffForm:
     first = exterior_derivative(interior_product(U, omega))
     second = interior_product(U, exterior_derivative(omega))
     return first + second.scale((-1) ** (p + 1))
-
-
-def vector_bracket(X: MultiVector, Y: MultiVector) -> MultiVector:
-    """Lie bracket of two vector fields, componentwise and exact."""
-    if X.degree != 1 or Y.degree != 1:
-        raise DegreeError(f"vector bracket needs two vector fields, got degrees {X.degree} and {Y.degree}")
-    if X.chart != Y.chart:
-        raise StructuralError("operands live on different charts")
-    names = X.chart.coordinates
-
-    def pieces():
-        for (m,), a in X.terms.items():
-            for (n,), b in Y.terms.items():
-                yield (n,), a * b.partial(names[m])
-                yield (m,), -(b * a.partial(names[n]))
-
-    return MultiVector(X.chart, 1, _accumulate(pieces()))
 
 
 def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:

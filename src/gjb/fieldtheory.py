@@ -8,7 +8,9 @@ emission of the dissipative covariant Hamilton equations.  A
 HamiltonianSection owns what its Hamiltonian determines, each built once on
 first read: its jet section (``section.jet``), its dissipation form sigma_h
 (``section.sigma``) and its Hamilton system (``section.system``).  Every
-reader of the dynamics takes the section alone.
+reader of the dynamics takes the section alone, and the dissipated-quantity
+condition and the evolution law share one core, -r h - iota_X dh +
+sigma_h ^ iota_X h.
 
 Conventions in force throughout:
 
@@ -802,15 +804,29 @@ def _hdw_reduce(jet: JetSection, solved: Mapping[str, Coefficient], value: Coeff
     return value.substitute(images, jet.chart)
 
 
+def _dissipation_core(section: HamiltonianSection, data: ConformalData) -> DiffForm:
+    """-r h - iota_X dh + sigma_h ^ iota_X h for vector-type data, r the
+    Reeb coefficient of d alpha: the dissipated-quantity condition, and
+    the evolution law's right-hand side but for its alpha term."""
+    h_form, X = section.h_form, data.x_field
+    reeb_coefficient = -data.v_field.scalar()
+    return (
+        -h_form.scale(reeb_coefficient)
+        - interior_product(X, exterior_derivative(h_form))
+        + wedge(section.sigma, interior_product(X, h_form))
+    )
+
+
 def evolution_residual(section: HamiltonianSection, data: ConformalData) -> Coefficient:
     """Residual of the evolution law of a conformal Hamiltonian form.
 
     For alpha with vector-type conformal data on the section's structure
     the on-shell law reads psi*(d alpha) = psi*( -r h - iota_X dh
     - sigma_h ^ alpha + sigma_h ^ iota_X h ) with r the Reeb coefficient of
-    d alpha; the difference of both sides is pulled back along the
-    section's jet and reduced modulo the section's solved covariant
-    Hamilton system.  A zero return certifies the law.
+    d alpha, the dissipation core less sigma_h ^ alpha; the difference of
+    both sides is pulled back along the section's jet and reduced modulo
+    the section's solved covariant Hamilton system.  A zero return
+    certifies the law.
     """
     _check_section(section)
     if data.structure is not section.canonical:
@@ -818,17 +834,8 @@ def evolution_residual(section: HamiltonianSection, data: ConformalData) -> Coef
     if data.degree != 1:
         raise DomainError("the evolution law applies to data with a vector transformation")
     _, solved = section.system
-    jet, h_form, sigma = section.jet, section.h_form, section.sigma
-
-    alpha, X = data.alpha, data.x_field
-    reeb_coefficient = -data.v_field.scalar()
-    dh = exterior_derivative(h_form)
-    rhs = (
-        -h_form.scale(reeb_coefficient)
-        - interior_product(X, dh)
-        - wedge(sigma, alpha)
-        + wedge(sigma, interior_product(X, h_form))
-    )
+    jet, alpha = section.jet, data.alpha
+    rhs = _dissipation_core(section, data) - wedge(section.sigma, alpha)
     residual = _top_coefficient(jet, jet.pull(exterior_derivative(alpha))) - _top_coefficient(
         jet, jet.pull(rhs)
     )
@@ -839,23 +846,16 @@ def dissipated_check(section: HamiltonianSection, data: ConformalData) -> bool:
     """Is alpha a dissipated quantity: does psi*(d alpha) = -sigma_h ^ alpha
     hold on every solution of the section?  Checks the pointwise sufficient
     condition -(L_X + r) h + (d + sigma_h ^) iota_X h = 0 exactly, with the
-    section's own sigma_h."""
+    section's own sigma_h.  As L_X h = d iota_X h + iota_X dh, that is the
+    dissipation core -r h - iota_X dh + sigma_h ^ iota_X h = 0 (Gaset,
+    Lainz, Mas and Rivas 2020, The Herglotz variational principle and
+    dissipated quantities)."""
     _check_section(section)
     if data.structure is not section.canonical:
         raise StructuralError("conformal data does not live on the section's structure")
     if data.degree != 1:
         raise DomainError("the dissipated-quantity condition applies to vector-type data")
-    h_form, sigma = section.h_form, section.sigma
-    X = data.x_field
-    reeb_coefficient = -data.v_field.scalar()
-    inner = interior_product(X, h_form)
-    residual = (
-        -lie_derivative(X, h_form)
-        - h_form.scale(reeb_coefficient)
-        + exterior_derivative(inner)
-        + wedge(sigma, inner)
-    )
-    return residual.is_zero()
+    return _dissipation_core(section, data).is_zero()
 
 
 # --------------------------------------------------------------------------
@@ -887,18 +887,20 @@ def distortion(S: NFormStructure) -> tuple[dict[tuple[int, int], DiffForm], bool
 
     Entry (i, j) is iota_{R_i} d iota_{R_j} Theta reduced modulo the image
     of the flat map; the table is symmetric and its global vanishing is
-    exactly the condition making every Hamiltonian form good.
+    exactly the condition making every Hamiltonian form good.  Each
+    iota_R Theta is formed once, for the span and for its curl.
     """
     report = variational_check(S)
     if not report.ok:
         raise DomainError(f"distortion is only defined on variational structures: {report.details}")
     basis = _reeb_kernel_basis(S)
-    span = _flat_image_span(S, basis)
+    flats = [interior_product(R, S.theta) for R in basis]
+    span = rref([flat.terms for flat in flats], S.chart)
+    curls = [exterior_derivative(flat) for flat in flats]
     table: dict[tuple[int, int], DiffForm] = {}
     for i, R in enumerate(basis):
-        for j, Rp in enumerate(basis):
-            raw = interior_product(R, exterior_derivative(interior_product(Rp, S.theta)))
-            table[(i, j)] = _mod_flat_representative(S, raw, span)
+        for j, curl in enumerate(curls):
+            table[(i, j)] = _mod_flat_representative(S, interior_product(R, curl), span)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if table[(i, j)] != table[(j, i)]:

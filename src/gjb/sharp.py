@@ -31,7 +31,7 @@ bracket −ι_{[X_α,X_β]}Θ before returning it.
 
 Membership search is one exact linear solve per candidate u: the constant
 basis multivectors are tried in index order, after an optional
-caller-supplied hint.
+caller-supplied hint; the columns ι_{∂_j} of dΘ and Θ are read once.
 """
 
 from __future__ import annotations
@@ -151,11 +151,11 @@ class QuotientMultiVector:
         return f"QuotientMultiVector({self.representative!r}, modulus of {len(self.modulus)})"
 
 
-def _decomposition_solution(S: NFormStructure, alpha: DiffForm, u: MultiVector):
+def _decomposition_solution(S: NFormStructure, alpha: DiffForm, u: MultiVector, vector_columns: dict):
     """Solve α = ι_u(ι_X dΘ + γ·Θ), ι_X Θ = 0 for the unknowns (X, γ):
     the components of X in coordinate order, keyed by index tuple, then γ,
-    keyed "gamma"."""
-    columns = {J: (interior_product(u, a), b) for J, (a, b) in _contraction_columns([S.dtheta, S.theta], 1).items()}
+    keyed "gamma", from ``_contraction_columns([dΘ, Θ], 1)``."""
+    columns = {J: (interior_product(u, a), b) for J, (a, b) in vector_columns.items()}
     side = DiffForm.zero(S.chart, S.degree - 1)
     columns["gamma"] = (interior_product(u, S.theta), side)
     return solve_by_contraction(columns, [[alpha, side]], S.chart.dimension + 1)[0]
@@ -177,8 +177,9 @@ def _decompositions(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None
         if not any(u == c for c in candidates):
             candidates.append(u)
     found: list[ZDecomposition] = []
+    vector_columns = _contraction_columns([S.dtheta, S.theta], 1)
     for u in candidates:
-        solved = _decomposition_solution(S, alpha, u)
+        solved = _decomposition_solution(S, alpha, u, vector_columns)
         if solved is None:
             continue
         values, unique = solved
@@ -259,14 +260,14 @@ def bracket_via_sharp(
         raise StructuralError("conformal data on different structures")
     S = a.structure
     p, q = a.degree, b.degree
+    dbeta = exterior_derivative(b.alpha)
     sharp_da, dec_a = _graded_class(S, exterior_derivative(a.alpha), hint_a)
-    dec_b = z_membership(S, exterior_derivative(b.alpha), hint_b)
+    dec_b = z_membership(S, dbeta, hint_b)
     if dec_b is None:
         raise DomainError("the second form's differential lies outside the membership space")
     v_alpha = dec_a.u_part.scale(-dec_a.gamma)
     v_beta = dec_b.u_part.scale(-dec_b.gamma)
     vee = -interior_product(wedge(a.x_field, b.x_field), S.theta)
-    dbeta = exterior_derivative(b.alpha)
     total = (
         exterior_derivative(vee).scale((-1) ** q)
         + interior_product(sharp_da.representative, dbeta).scale((-1) ** ((p - 1) * q))

@@ -17,12 +17,13 @@ the cup product is α∨β = −ι_{X_α∧X_β}Θ = ι_{X_β}α.  Every constru
 checks each equation of its output that does not hold by construction, so
 identities downstream are checked claims, not assumptions.
 make_conformal_data takes α from its caller and checks both equations.
-The bracket, the cup product, the CLI's ``conformal make``, and
-fieldtheory's Table 1 rows and vertical (F, G) data build through the
-private _contracted_data, which computes α = −ι_XΘ itself, so the
-defining equation holds by construction and only the conformal equation
-is checked.  That equation is written once
-(_conformal_residual) for both paths.  Each value has one spelling:
+The bracket, the cup product, and fieldtheory's Table 1 rows and
+vertical (F, G) data build through the private _contracted_data, and
+``conformal make`` and verify_conformal through _witnessed_data, which
+solves for the witness; both compute α = −ι_XΘ, so only the conformal
+equation is checked.  It is written once (_conformal_residual), from
+ι_X dΘ and dα, which the solve reads too, so each is formed once per
+call.  Each value has one spelling:
 make_conformal_data refuses an α whose degree is not n − p, zero or not,
 and only where outside input enters (the command-line operands and the
 interchange reader of dsl) is an untyped zero α typed at n − p.
@@ -60,7 +61,6 @@ from .exterior import (
     _contract_key,
     exterior_derivative,
     interior_product,
-    lie_derivative,
     schouten_nijenhuis,
     wedge,
 )
@@ -234,9 +234,10 @@ class ConformalData:
         return self.x_field.degree
 
     def residuals(self) -> dict[str, DiffForm]:
-        S = self.structure
-        eq1 = interior_product(self.x_field, S.theta) + self.alpha
-        return {"defining": eq1, "conformal": _conformal_residual(S, self.alpha, self.x_field, self.v_field)}
+        S, X = self.structure, self.x_field
+        eq1 = interior_product(X, S.theta) + self.alpha
+        iota_dtheta, dalpha = interior_product(X, S.dtheta), exterior_derivative(self.alpha)
+        return {"defining": eq1, "conformal": _conformal_residual(S, X.degree, iota_dtheta, dalpha, self.v_field)}
 
     def validate(self) -> "ConformalData":
         bad = {k: str(v) for k, v in self.residuals().items() if not v.is_zero()}
@@ -275,24 +276,46 @@ def _as_witness(chart: Chart, v, degree: int) -> MultiVector:
     raise StructuralError(f"cannot read {type(v).__name__} as a witness multivector")
 
 
-def _conformal_residual(S: NFormStructure, alpha: DiffForm, x_field: MultiVector, v_field: MultiVector) -> DiffForm:
-    """ι_X dΘ − (−1)^{p+1} (dα + ι_V Θ), zero exactly when the conformal
-    equation holds; the one spelling of that equation."""
-    rhs = (exterior_derivative(alpha) + interior_product(v_field, S.theta)).scale((-1) ** (x_field.degree + 1))
-    return interior_product(x_field, S.dtheta) - rhs
+def _conformal_residual(S: NFormStructure, p: int, iota_dtheta: DiffForm, dalpha: DiffForm, v_field) -> DiffForm:
+    """ι_X dΘ − (−1)^{p+1} (dα + ι_V Θ) for a degree-p X, zero exactly when
+    the conformal equation holds; the one spelling of that equation."""
+    return iota_dtheta - (dalpha + interior_product(v_field, S.theta)).scale((-1) ** (p + 1))
+
+
+def _checked_data(
+    S: NFormStructure, alpha: DiffForm, x_field: MultiVector, v_field: MultiVector, iota_dtheta: DiffForm, dalpha: DiffForm
+) -> ConformalData:
+    """(α, X, V) with α = −ι_XΘ, checked against the conformal equation
+    only; a ValidationError carries its nonzero residual."""
+    residual = _conformal_residual(S, x_field.degree, iota_dtheta, dalpha, v_field)
+    if not residual.is_zero():
+        raise ValidationError("conformal data fails its defining equations", residuals={"conformal": str(residual)})
+    return ConformalData(S, alpha, x_field, v_field)
 
 
 def _contracted_data(S: NFormStructure, x_field: MultiVector, v_field: MultiVector) -> ConformalData:
     """Conformal data of a degree ≥ 1 field X and a degree-(p − 1) witness
     V with α = −ι_XΘ computed here, so the defining equation holds by
-    construction and only the conformal equation is checked; raises
-    ValidationError with its nonzero residual, as make_conformal_data
-    does."""
+    construction and only the conformal equation is checked."""
     alpha = -interior_product(x_field, S.theta)
-    residual = _conformal_residual(S, alpha, x_field, v_field)
-    if not residual.is_zero():
-        raise ValidationError("conformal data fails its defining equations", residuals={"conformal": str(residual)})
-    return ConformalData(S, alpha, x_field, v_field)
+    return _checked_data(S, alpha, x_field, v_field, interior_product(x_field, S.dtheta), exterior_derivative(alpha))
+
+
+def _witnessed_data(S: NFormStructure, x_field: MultiVector) -> ConformalData | None:
+    """Conformal data of a degree ≥ 1 field X with α = −ι_XΘ and the
+    witness V solved from 𝓛_XΘ = −dα − (−1)^p ι_X dΘ = ι_VΘ; None when X
+    is not an infinitesimal conformal transformation."""
+    p = x_field.degree
+    if p < 1:
+        raise DegreeError("conformal candidates must have degree at least 1")
+    alpha = -interior_product(x_field, S.theta)
+    iota_dtheta, dalpha = interior_product(x_field, S.dtheta), exterior_derivative(alpha)
+    lie = -(dalpha + iota_dtheta.scale((-1) ** p))
+    columns = _contraction_columns([S.theta], p - 1)
+    (solved,) = solve_by_contraction(columns, [[lie]], math.comb(S.chart.dimension, p - 1))
+    if solved is None:
+        return None
+    return _checked_data(S, alpha, x_field, MultiVector(S.chart, p - 1, solved[0]), iota_dtheta, dalpha)
 
 
 def make_conformal_data(S: NFormStructure, alpha: DiffForm, x_field: MultiVector, v_field) -> ConformalData:
@@ -313,14 +336,8 @@ def make_conformal_data(S: NFormStructure, alpha: DiffForm, x_field: MultiVector
 def verify_conformal(S: NFormStructure, X: MultiVector) -> MultiVector | None:
     """Solve 𝓛_X Θ = ι_V Θ for a witness V of degree p−1; None when X is
     not an infinitesimal conformal transformation."""
-    p = X.degree
-    if p < 1:
-        raise DegreeError("conformal candidates must have degree at least 1")
-    columns = _contraction_columns([S.theta], p - 1)
-    (solved,) = solve_by_contraction(columns, [[lie_derivative(X, S.theta)]], math.comb(S.chart.dimension, p - 1))
-    if solved is None:
-        return None
-    return MultiVector(S.chart, p - 1, solved[0])
+    data = _witnessed_data(S, X)
+    return None if data is None else data.v_field
 
 
 def jacobi_bracket(a: ConformalData, b: ConformalData) -> ConformalData:

@@ -697,6 +697,45 @@ class TestErrorPaths:
         assert pathlib.Path(canonical_session).read_bytes() == before
         assert run(capsys, "render", "d(y)", "-s", canonical_session) == (0, "dy\n", "")
 
+    # CPython converts ints of at most 4 300 digits (its default
+    # sys.get_int_max_str_digits) to and from text; a longer rational used
+    # to escape as a ValueError traceback with exit 1
+    TOO_LONG = "error: a rational with more than 4300 digits has no text\n"
+    LONG_LITERAL = "numeric literal with more than 4300 digits"
+
+    @pytest.mark.parametrize(
+        "expr,fmt", [("2^20000", "plain"), ("1/2^99999", "plain"), ("2^20000*dy", "latex"), ("1/2^99999", "json")]
+    )
+    def test_a_rational_too_long_to_write_is_refused(self, canonical_session, capsys, expr, fmt):
+        code, out, err = run(capsys, "render", expr, "--format", fmt, "-s", canonical_session)
+        assert (code, out, err) == (1, "", self.TOO_LONG)
+
+    def test_let_of_a_rational_too_long_to_write_prints_and_stores_nothing(self, canonical_session, capsys):
+        before = pathlib.Path(canonical_session).read_bytes()
+        assert run(capsys, "let", "b = 2^20000", "-s", canonical_session) == (1, "", self.TOO_LONG)
+        assert pathlib.Path(canonical_session).read_bytes() == before
+
+    def test_a_numeric_literal_too_long_to_read_is_a_usage_error(self, canonical_session, capsys):
+        digits = "1" * 5001
+        for expr in (digits, f"1/{digits}"):
+            code, out, err = run(capsys, "render", expr, "-s", canonical_session)
+            assert (code, out, err) == (2, "", f"error: in expression: {self.LONG_LITERAL} (line 1, column 0)\n")
+        before = pathlib.Path(canonical_session).read_bytes()
+        code, out, err = run(capsys, "let", f"b = {digits}*dy", "-s", canonical_session)
+        assert (code, out, err) == (2, "", f"error: in expression: {self.LONG_LITERAL} (line 1, column 1)\n")
+        assert pathlib.Path(canonical_session).read_bytes() == before
+        # 4 300 digits still read and write
+        assert run(capsys, "render", "9" * 4300, "-s", canonical_session) == (0, "9" * 4300 + "\n", "")
+
+    def test_a_stored_literal_too_long_to_read_is_refused_at_its_binding(self, canonical_session, capsys):
+        assert run(capsys, "let", "b = 3*p0", "-s", canonical_session)[0] == 0
+        path = pathlib.Path(canonical_session)
+        path.write_text(path.read_text().replace('"3*p0"', f'"{"1" * 5001}*p0"'))
+        code, out, err = run(capsys, "render", "b", "-s", canonical_session)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed session file: binding 'b': coefficient '111")
+        assert err.endswith(f"*p0': {self.LONG_LITERAL} (line 1, column 0)\n") and err.count("\n") == 1
+
     def test_missing_session_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", "multicontact", "-s", str(tmp_path / "nope.json"))
         assert code == 2

@@ -17,6 +17,7 @@ from conftest import (
     rand_multivector,
     xmu_form,
 )
+from gjb import sharp
 from gjb.coeffring import Chart, Coefficient
 from gjb.dsl import parse_coefficient
 from gjb.errors import DomainError
@@ -266,6 +267,17 @@ def test_graded_refusal_names_only_the_decompositions_it_tried():
     assert str(err.value) == searched + "the hint or a constant degree-1 basis multivector"
 
 
+def test_a_search_reads_the_columns_of_dtheta_and_theta_once(monkeypatch):
+    # x0·dp is refused after all eight candidates u; the columns ι_{∂_j} of
+    # dΘ and Θ do not depend on u, so the search reads them once (once per
+    # candidate before)
+    calls, columns = [], sharp._contraction_columns
+    monkeypatch.setattr(sharp, "_contraction_columns", lambda forms, p: calls.append(p) or columns(forms, p))
+    with pytest.raises(DomainError):
+        sharp_graded(CAN, d(CAN, "p").scale(C(CAN, "x0")))
+    assert calls == [1]
+
+
 def test_quotient_classes_ignore_kernel_shifts():
     S = five_structure()
     k2 = S.kernel(2, "both")
@@ -334,6 +346,17 @@ def test_bracket_formula_on_elementary_family():
     assert jacobi_bracket(data[0], data[4]).alpha == data[4].alpha
     # and {y-family, p-family} hits minus the Kronecker form
     assert jacobi_bracket(data[1], data[3]).alpha == -data[4].alpha
+
+
+def test_bracket_formula_differentiates_each_form_once(monkeypatch):
+    # dβ is formed once, for its decomposition and the sharp term (twice
+    # before)
+    data = table1_instances(CAN, 2, 1)
+    a, b = data[1], data[3]
+    differentiated, derivative = [], sharp.exterior_derivative
+    monkeypatch.setattr(sharp, "exterior_derivative", lambda omega: differentiated.append(omega) or derivative(omega))
+    assert bracket_via_sharp(a, b) == jacobi_bracket(a, b).alpha
+    assert differentiated.count(b.alpha) == differentiated.count(a.alpha) == 1
 
 
 def test_bracket_formula_on_random_pairs(rng):
