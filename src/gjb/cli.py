@@ -37,7 +37,9 @@ from .dsl import (
     _as_scalar,
     _binding_name_error,
     _chart_name,
+    _payload,
     _shadowing_error,
+    chart_to_json,
     elaborate,
     free_names,
     latex_name,
@@ -387,16 +389,18 @@ def _cmd_tables(args) -> int:
     if args.format == "json":
         import json as _json
 
+        # every value lives on the one chart, written once at the top
         payload = {
             "n": args.n,
             "m": args.m,
+            "chart": chart_to_json(C.chart),
             "table1": [
                 {
                     "family": row.family,
                     "indices": list(row.indices),
-                    "alpha": to_json(row.data.alpha),
-                    "x_field": to_json(row.data.x_field),
-                    "v_field": to_json(row.data.v_field),
+                    "alpha": _payload(row.data.alpha),
+                    "x_field": _payload(row.data.x_field),
+                    "v_field": _payload(row.data.v_field),
                     "factor": str(row.factor),
                 }
                 for row in rows
@@ -405,8 +409,8 @@ def _cmd_tables(args) -> int:
                 {
                     "row": _row_title(entry.row),
                     "column": _row_title(entry.column),
-                    "computed": to_json(entry.computed),
-                    "reference": to_json(entry.reference),
+                    "computed": _payload(entry.computed),
+                    "reference": _payload(entry.reference),
                     "match": entry.match,
                     "note": entry.note,
                 }

@@ -37,6 +37,14 @@ refusing a value that is not a scalar.  The interchange reader
 inside a payload, and where an older file stores a zero α at degree 0
 it types it at n − p, as the library requires.
 
+A standalone value (``to_json``, ``object_from_json``, ``render`` to
+JSON) names its chart.  A document that names its chart once writes its
+values through the chartless writer ``_payload``: a ``gjb-session/2``
+file, whose reader refuses a value that names a chart, and ``gjb tables
+--format json``.  A ``gjb-session/1`` file names the chart in every
+value; its reader checks each against the session chart and drops it
+from the payload, so that the next save writes version 2.
+
 Bare names resolve, in order, against session bindings, chart
 coordinates, ``d<coordinate>`` (a coordinate differential) and
 ``e_<coordinate>`` (a coordinate vector field); this matches the textual
@@ -80,7 +88,7 @@ from .exterior import (
     schouten_nijenhuis,
     wedge,
 )
-from .structures import ConformalData, NFormStructure, cup_product, jacobi_bracket
+from .structures import ConformalData, NFormStructure, cup_product, jacobi_bracket, make_conformal_data
 
 __all__ = [
     "Node",
@@ -685,33 +693,36 @@ def chart_from_json(payload: dict) -> Chart:
     return Chart(tuple(coordinates), frozenset(nonvanishing))
 
 
-def _graded_to_json(obj: DiffForm | MultiVector) -> dict:
-    return {
-        "kind": "form" if isinstance(obj, DiffForm) else "multivector",
-        "degree": obj.degree,
-        "chart": chart_to_json(obj.chart),
-        "terms": [
-            {"indices": list(key), "coeff": format_coefficient(obj.terms[key])}
-            for key in sorted(obj.terms)
-        ],
-    }
+def _graded_payload(obj: DiffForm | MultiVector, with_chart: bool) -> dict:
+    payload = {"kind": "form" if isinstance(obj, DiffForm) else "multivector", "degree": obj.degree}
+    if with_chart:
+        payload["chart"] = chart_to_json(obj.chart)
+    payload["terms"] = [{"indices": list(key), "coeff": format_coefficient(obj.terms[key])} for key in sorted(obj.terms)]
+    return payload
 
 
-def to_json(obj: Value) -> dict:
-    """Serializable dictionary for any expression value."""
+def _payload(obj: Value, with_chart: bool = False) -> dict:
+    """The interchange writer; by default the chartless one, for a document
+    that names its chart once for every value it holds."""
     if isinstance(obj, Coefficient):
-        return {**_graded_to_json(DiffForm.from_scalar(obj)), "kind": "coefficient"}
+        return {**_graded_payload(DiffForm.from_scalar(obj), with_chart), "kind": "coefficient"}
     if isinstance(obj, (DiffForm, MultiVector)):
-        return _graded_to_json(obj)
+        return _graded_payload(obj, with_chart)
     if isinstance(obj, ConformalData):
         return {
             "kind": "conformal-data",
-            "alpha": _graded_to_json(obj.alpha),
-            "x_field": _graded_to_json(obj.x_field),
-            "v_field": _graded_to_json(obj.v_field),
+            "alpha": _graded_payload(obj.alpha, with_chart),
+            "x_field": _graded_payload(obj.x_field, with_chart),
+            "v_field": _graded_payload(obj.v_field, with_chart),
             "validated": True,
         }
     raise StructuralError(f"cannot serialize a {type(obj).__name__}")
+
+
+def to_json(obj: Value) -> dict:
+    """Serializable dictionary for any expression value.  A standalone value
+    names its chart; conformal data names it in each of its parts."""
+    return _payload(obj, with_chart=True)
 
 
 def _chart_of(payload: dict, chart: Chart | None) -> Chart:
@@ -725,6 +736,14 @@ def _chart_of(payload: dict, chart: Chart | None) -> Chart:
     return target
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for an error line; a text of more than 80
+    characters by its head and tail, and its length."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:60] + '...' + text[-17:]!r} ({len(text)} characters)"
+
+
 def _stored_coefficient(chart: Chart, text: str) -> Coefficient:
     """Parse a serialized coefficient; text that does not read as a scalar
     of the chart's Laurent ring is malformed, and the error names it (the
@@ -733,24 +752,47 @@ def _stored_coefficient(chart: Chart, text: str) -> Coefficient:
     try:
         return parse_coefficient(chart, text)
     except ParseError as err:
-        raise StructuralError(f"coefficient {text!r}: {err}") from err
+        raise StructuralError(f"coefficient {_quoted(text)}: {err}") from err
 
 
-def _check_graded(payload: dict, chart: Chart | None, kinds: tuple[str, ...] = ("form", "multivector")):
+def _term_indices(terms: list, texts: list):
+    """The ``indices`` of each serialized term, checked together with the
+    term object and its ``coeff`` string, which is appended to ``texts``."""
+    for term in terms:
+        if not isinstance(term, dict):
+            raise StructuralError("a serialized term is not a JSON object")
+        indices, text = term.get("indices"), term.get("coeff")
+        if not isinstance(indices, list):
+            raise StructuralError("a serialized term needs a list 'indices'")
+        if not isinstance(text, str):
+            raise StructuralError("a serialized term needs a str 'coeff'")
+        texts.append(text)
+        yield indices
+
+
+def _check_graded(payload: dict, chart: Chart | None, chart_member: str, kinds: tuple[str, ...] = ("form", "multivector")):
     """``_check_shape`` for a serialized form or multivector, or for a
     coefficient, which is stored as a degree-0 form: kind, chart, degree
     and index tuples (``exterior._index_tuples``) are checked and every
-    coefficient must be a string, but none is parsed."""
+    coefficient must be a string, but none is parsed.  The terms are read
+    in one pass: ``_index_tuples`` draws them from ``_term_indices``."""
     kind = _member(payload, "kind", str, "a serialized object")
     if kind not in kinds:
         raise StructuralError(f"expected a serialized {', '.join(kinds[:-1])} or {kinds[-1]}, got kind {kind!r}")
-    target = _chart_of(payload, chart)
+    if chart_member == "refused":
+        if "chart" in payload:
+            raise StructuralError("a stored value names no chart of its own; the session file names it once")
+        target = chart
+    else:
+        target = _chart_of(payload, chart)
+        if chart_member == "dropped":
+            del payload["chart"]
     degree = payload.get("degree")
     terms = _member(payload, "terms", list, "a serialized object")
-    keys = _index_tuples([_member(term, "indices", list, "a serialized term") for term in terms], degree, target.dimension)
+    texts: list[str] = []
+    keys = _index_tuples(_term_indices(terms, texts), degree, target.dimension)
     if kind == "coefficient" and degree != 0:
         raise StructuralError(f"a serialized coefficient has degree 0, not {degree}")
-    texts = [_member(term, "coeff", str, "a serialized term") for term in terms]
     cls = MultiVector if kind == "multivector" else DiffForm
 
     def parse():
@@ -762,33 +804,48 @@ def _check_graded(payload: dict, chart: Chart | None, kinds: tuple[str, ...] = (
     return parse
 
 
-def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure | None):
+def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure | None, chart_member: str = "kept"):
     """The structural pass of ``object_from_json``: everything about a
     serialized value that can be checked without parsing a coefficient.
     Returns the parse pass, a function of no arguments that parses the
     coefficients and rebuilds the value (re-validating conformal data
     against ``structure``).
 
+    ``chart_member`` says what becomes of the ``chart`` member of each
+    graded value (of each part of conformal data): a standalone value
+    names its chart, which must be ``chart`` when one is given, or the
+    chart of ``structure`` for conformal data ("kept"); a value of a
+    ``gjb-session/1`` file names the session chart, which is checked and
+    then deleted from the payload, so that the payload is written back
+    without it ("dropped"); a value of a ``gjb-session/2`` file names
+    none and lives on the session chart, and a ``chart`` member is
+    refused ("refused").
+
     Files written before zero forms carried negative degrees store a zero
     α at degree 0, so a termless stored α is typed at n − p, in the
     payload itself: a payload saved verbatim then holds the typed zero."""
     if _member(payload, "kind", str, "a serialized value") != "conformal-data":
-        return _check_graded(payload, chart, ("form", "multivector", "coefficient"))
+        return _check_graded(payload, chart, chart_member, ("form", "multivector", "coefficient"))
     if structure is None:
         raise StructuralError("conformal data needs a structure to re-validate against")
-    from .structures import make_conformal_data
-
     x_field, alpha = payload.get("x_field"), payload.get("alpha")
-    parse_x = _check_graded(x_field, structure.chart)
+    parse_x = _check_graded(x_field, structure.chart, chart_member)
     if isinstance(alpha, dict) and alpha.get("terms") == []:
         alpha["degree"] = structure.degree - x_field["degree"]
-    parts = [_check_graded(alpha, structure.chart), parse_x, _check_graded(payload.get("v_field"), structure.chart)]
+    parts = [_check_graded(alpha, structure.chart, chart_member), parse_x, _check_graded(payload.get("v_field"), structure.chart, chart_member)]
     return lambda: make_conformal_data(structure, *(parse() for parse in parts))
 
 
+def _stored_value(payload: dict, chart: Chart, structure: NFormStructure | None, chart_member: str) -> Value:
+    """The value of a session file's payload, checked and rebuilt at once
+    (``_check_shape`` says what ``chart_member`` does)."""
+    return _check_shape(payload, chart, structure, chart_member)()
+
+
 def object_from_json(payload: dict, chart: Chart | None = None, structure: NFormStructure | None = None) -> Value:
-    """Rebuild an expression value; conformal data is re-validated
-    against ``structure`` and never trusts the stored stamp."""
+    """Rebuild a standalone expression value, which names its chart;
+    conformal data is re-validated against ``structure`` and never trusts
+    the stored stamp."""
     return _check_shape(payload, chart, structure)()
 
 

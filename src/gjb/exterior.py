@@ -263,21 +263,31 @@ def _products(
 
 def _index_tuples(keys: Iterable, degree: int, dimension: int) -> list[tuple[int, ...]]:
     """``keys`` as tuples, held to the index-tuple rule (module docstring)
-    on a chart of ``dimension`` coordinates; a bool or ``1.0`` is no int."""
+    on a chart of ``dimension`` coordinates; a bool or ``1.0`` is no int.
+    One loop over its positions accepts a key; a refused key is named by
+    the first rule it breaks, in the order below."""
     if type(degree) is not int:
         raise StructuralError(f"degree {degree!r} is not an int")
     out = []
     for key in keys:
         key = tuple(key)
-        if any(type(i) is not int for i in key):
-            raise StructuralError(f"index tuple {key} holds a position that is not an int")
+        last = -1
+        for i in key:
+            if type(i) is not int or i <= last:
+                break
+            last = i
+        else:
+            if last < dimension and len(key) == degree:
+                out.append(key)
+                continue
+        for i in key:
+            if type(i) is not int:
+                raise StructuralError(f"index tuple {key} holds a position that is not an int")
         if len(key) != degree:
             raise StructuralError(f"index tuple {key} does not match degree {degree}")
-        if any(b <= a for a, b in zip(key, key[1:])):
+        if sorted(set(key)) != list(key):
             raise StructuralError(f"index tuple {key} is not strictly increasing")
-        if key and not (0 <= key[0] and key[-1] < dimension):
-            raise StructuralError(f"index tuple {key} escapes the chart")
-        out.append(key)
+        raise StructuralError(f"index tuple {key} escapes the chart")
     return out
 
 

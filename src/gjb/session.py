@@ -8,27 +8,34 @@ A session file is a JSON document:
         ...
       },
       "chart": {"coordinates": [...], "nonvanishing": [...]},
-      "schema": "gjb-session/1",
+      "schema": "gjb-session/2",
       "theta": <form> | null
     }
 
-where the object payloads follow the library's JSON interchange.  A save
-writes one member to a line and one binding to a line, sorted by name,
-each value compact with sorted keys; a load needs only valid JSON, so a
-file in any other layout reads the same.
+where the object payloads follow the library's JSON interchange, less
+the ``chart`` member: the document names its chart once, and θ and every
+binding (each part of conformal data too) live on it, so a stored value
+that names a chart of its own is refused.  A save writes one member to a
+line and one binding to a line, sorted by name, each value compact with
+sorted keys; a load needs only valid JSON, so a file in any other layout
+reads the same.
 
-Every load checks the JSON syntax, the schema tag (unrecognized versions
-are refused), the chart, the structure form, the binding names and the
-shape of every binding, without parsing any stored coefficient; each
-payload is checked once per command.  Every binding a command reads is
-then rebuilt on first read by the parse pass its check returned: its
-coefficients are parsed, and conformal data is re-validated against the
-session structure, re-running the defining equations; nothing read is
-ever trusted, the stored validation stamp included.  Bindings a
-command does not read are written back verbatim when it saves.  This
-module reads no field inside a binding payload: the interchange reader
-of ``dsl`` checks each one, and types a zero α that an older file
-stores at degree 0.
+Every load checks the JSON syntax, the schema tag, the chart, the
+structure form, the binding names and the shape of every binding,
+without parsing any stored coefficient; each payload is checked once per
+command.  A ``gjb-session/1`` file, whose every value names its chart,
+still loads: each chart it names is checked against the document chart
+and then dropped from the payload, so the next save writes
+``gjb-session/2`` with every coefficient text kept.  Every other schema
+tag is refused.  Every binding a command reads is then rebuilt on first
+read by the parse pass its check returned: its coefficients are parsed,
+and conformal data is re-validated against the session structure,
+re-running the defining equations; nothing read is ever trusted, the
+stored validation stamp included.  Bindings a command does not read are
+written back verbatim when it saves.  This module reads no field inside
+a binding payload: the interchange reader of ``dsl`` checks each one,
+drops the chart a version-1 value names, and types a zero α that an
+older file stores at degree 0.
 """
 
 from __future__ import annotations
@@ -46,11 +53,11 @@ from .dsl import (
     Environment,
     _binding_name_error,
     _check_shape,
+    _payload,
     _shadowing_error,
+    _stored_value,
     chart_from_json,
     chart_to_json,
-    object_from_json,
-    to_json,
 )
 from .errors import GjbError, ParseError, StructuralError
 from .exterior import DiffForm
@@ -58,7 +65,11 @@ from .structures import ConformalData, NFormStructure, make_conformal_data
 
 __all__ = ["SCHEMA", "Session", "SessionError"]
 
-SCHEMA = "gjb-session/1"
+SCHEMA = "gjb-session/2"
+
+# the schema that names the chart in every value; it loads, and its next
+# save writes SCHEMA
+_SCHEMA_1 = "gjb-session/1"
 
 
 class SessionError(GjbError):
@@ -124,9 +135,10 @@ class _Bindings(MutableMapping):
         return len(self._entries)
 
     def to_json(self) -> dict:
-        """Unread payloads verbatim, read and new values serialized."""
+        """Unread payloads verbatim, read and new values serialized without
+        their chart."""
         return {
-            name: entry.payload if isinstance(entry, _Unread) else to_json(entry)
+            name: entry.payload if isinstance(entry, _Unread) else _payload(entry)
             for name, entry in self._entries.items()
         }
 
@@ -174,7 +186,7 @@ class Session:
                 # the reader types a stored zero α inside the payload it is
                 # given, so it gets a copy and a rollback keeps the original
                 payload = copy.deepcopy(entry.payload)
-                entry = _read(f"binding {name!r}", object_from_json, payload, chart=self.chart, structure=self.structure())
+                entry = _read(f"binding {name!r}", _stored_value, payload, self.chart, self.structure(), "refused")
             elif isinstance(entry, ConformalData):
                 entry = make_conformal_data(self.structure(), entry.alpha, entry.x_field, entry.v_field)
             rebuilt[name] = entry
@@ -190,7 +202,7 @@ class Session:
         return {
             "schema": SCHEMA,
             "chart": chart_to_json(self.chart),
-            "theta": None if self.theta is None else to_json(self.theta),
+            "theta": None if self.theta is None else _payload(self.theta),
             "bindings": self.bindings.to_json(),
         }
 
@@ -230,10 +242,12 @@ class Session:
         if not isinstance(payload, dict):
             raise SessionError("session file does not hold a JSON object")
         schema = payload.get("schema")
-        if schema != SCHEMA:
+        if schema not in (SCHEMA, _SCHEMA_1):
             raise SessionError(
-                f"unsupported session schema {schema!r}; this build reads {SCHEMA!r}"
+                f"unsupported session schema {schema!r}; this build reads {SCHEMA!r} and {_SCHEMA_1!r}"
             )
+        # a version-1 value names the session chart, which its check drops
+        chart_member = "refused" if schema == SCHEMA else "dropped"
         bindings = payload.get("bindings", {})
         if not isinstance(bindings, dict):
             raise SessionError("the session bindings are not a JSON object")
@@ -242,7 +256,7 @@ class Session:
             raise SessionError(f"malformed session file: chart: {error}")
         session = cls(chart=chart)
         if payload.get("theta") is not None:
-            theta = _read("theta", object_from_json, payload["theta"], chart=chart)
+            theta = _read("theta", _stored_value, payload["theta"], chart, None, chart_member)
             if not isinstance(theta, DiffForm):
                 raise SessionError("the stored structure form is not a form")
             session.theta = theta
@@ -251,7 +265,7 @@ class Session:
             error = _binding_name_error(chart, name)
             if error is not None:
                 raise SessionError(f"malformed session file: binding {name!r}: {error}")
-            parse = _read(f"binding {name!r}", _check_shape, entry, chart=chart, structure=structure)
+            parse = _read(f"binding {name!r}", _check_shape, entry, chart, structure, chart_member)
             session.bindings[name] = _Unread(entry, parse)
         return session
 
@@ -260,8 +274,12 @@ class Session:
         p = Path(path)
         if not p.exists():
             raise SessionError(f"no session file at {p}; run `chart new` first")
+        text = p.read_text()
         try:
-            payload = json.loads(p.read_text())
-        except json.JSONDecodeError as err:
-            raise SessionError(f"session file {p} is not valid JSON: {err}") from err
+            payload = json.loads(text)
+        except ValueError as err:
+            # a JSONDecodeError, or an int of more digits than the
+            # interpreter converts (sys.get_int_max_str_digits())
+            what = "is not valid JSON" if isinstance(err, json.JSONDecodeError) else "holds a number too long to read"
+            raise SessionError(f"session file {p} {what}: {err}") from err
         return cls.from_payload(payload)

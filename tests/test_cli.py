@@ -16,6 +16,8 @@ import pytest
 import gjb
 from gjb import cli
 from gjb.cli import main
+from gjb.dsl import chart_to_json
+from gjb.fieldtheory import build_canonical
 
 
 def run(capsys, *argv):
@@ -345,8 +347,11 @@ class TestTables:
             ("3(0)", "2(0,0)"),
             ("3(0)", "2(0,1)"),
         }
+        # the chart is written once, at the top, and no value names one
+        assert payload["chart"] == chart_to_json(build_canonical(2, 1).chart)
         first = payload["table1"][0]
-        assert set(first["alpha"]) == {"chart", "degree", "kind", "terms"}
+        assert set(first["alpha"]) == {"degree", "kind", "terms"}
+        assert '"chart"' not in json.dumps([payload["table1"], payload["table2"]])
 
     def test_latex_tables_use_latex_markup(self, capsys):
         code, out, _ = run(capsys, "tables", "--n", "2", "--m", "1", "--format", "latex")
@@ -734,7 +739,28 @@ class TestErrorPaths:
         code, out, err = run(capsys, "render", "b", "-s", canonical_session)
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed session file: binding 'b': coefficient '111")
-        assert err.endswith(f"*p0': {self.LONG_LITERAL} (line 1, column 0)\n") and err.count("\n") == 1
+        assert err.endswith(f"*p0' (5004 characters): {self.LONG_LITERAL} (line 1, column 0)\n") and err.count("\n") == 1
+        # the text is quoted by its head and tail, not whole
+        assert len(err) < 250
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_stored_json_number_too_long_to_read_is_a_usage_error(self, canonical_session, capsys, version):
+        assert run(capsys, "let", "b = 3*dp0", "-s", canonical_session)[0] == 0
+        path = pathlib.Path(canonical_session)
+        payload = json.loads(path.read_text())
+        if version == 1:
+            payload["schema"] = "gjb-session/1"
+            for value in (payload["theta"], payload["bindings"]["b"]):
+                value["chart"] = payload["chart"]
+        # json.loads reads no int of more digits than the interpreter's limit
+        text = json.dumps(payload).replace('"degree": 1', '"degree": ' + "1" * 5001)
+        assert text.count("1" * 5001) == 1
+        path.write_text(text)
+        code, out, err = run(capsys, "render", "b", "-s", canonical_session)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: session file {path} holds a number too long to read: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert path.read_text() == text
 
     def test_missing_session_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", "multicontact", "-s", str(tmp_path / "nope.json"))
@@ -899,8 +925,7 @@ class TestErrorPaths:
     def test_a_stored_chart_with_a_shadowing_pair_is_refused_on_load(self, contact_session, capsys, name, shadowed):
         with open(contact_session) as handle:
             payload = json.load(handle)
-        for chart in (payload["chart"], payload["theta"]["chart"]):
-            chart["coordinates"].append(name)
+        payload["chart"]["coordinates"].append(name)
         with open(contact_session, "w") as handle:
             json.dump(payload, handle)
         code, out, err = run(capsys, "render", "dq", "-s", contact_session)

@@ -1,5 +1,7 @@
 """Session persistence: schema versioning, round trips, re-validation on
-read, lazy bindings, verbatim write-back and atomic saves."""
+read, lazy bindings, verbatim write-back and atomic saves.  A
+``gjb-session/1`` file names its chart in every value; the tests that
+edit a stored chart write such a file (``_as_version_1``)."""
 
 import builtins
 import contextlib
@@ -16,7 +18,7 @@ from gjb import dsl as dsl_module
 from gjb import session as session_module
 from gjb.cli import main
 from gjb.coeffring import Chart, Coefficient
-from gjb.dsl import _check_shape, render, to_json
+from gjb.dsl import _check_shape, _payload, render
 from gjb.errors import StructuralError, ValidationError
 from gjb.exterior import DiffForm, MultiVector
 from gjb.fieldtheory import build_canonical, elementary_tables
@@ -59,9 +61,9 @@ def test_schema_tag_is_required(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["schema"] == SCHEMA
 
-    payload["schema"] = "gjb-session/2"
+    payload["schema"] = "gjb-session/3"
     path.write_text(json.dumps(payload))
-    with pytest.raises(SessionError):
+    with pytest.raises(SessionError, match="unsupported session schema 'gjb-session/3'"):
         Session.load(path)
 
     del payload["schema"]
@@ -159,9 +161,9 @@ def test_conformal_data_without_theta_is_refused(tmp_path):
     session.save(path)
     payload = json.loads(path.read_text())
     payload["theta"] = None
-    payload["bindings"] = {"data": to_json(rows[0].data)}
+    payload["bindings"] = {"data": _payload(rows[0].data)}
     path.write_text(json.dumps(payload))
-    with pytest.raises(SessionError):
+    with pytest.raises(SessionError, match="binding 'data': conformal data needs a structure"):
         Session.load(path)
 
 
@@ -212,6 +214,20 @@ def _saved(tmp_path, bindings):
     path = tmp_path / "session.json"
     session.save(path)
     return path
+
+
+def _as_version_1(payload):
+    """A saved payload as a ``gjb-session/1`` file stores it: θ and every
+    graded value (each part of conformal data) name the session chart."""
+    payload = copy.deepcopy(payload)
+    payload["schema"] = "gjb-session/1"
+    values = [] if payload["theta"] is None else [payload["theta"]]
+    for value in payload["bindings"].values():
+        parts = ("alpha", "x_field", "v_field") if value["kind"] == "conformal-data" else ()
+        values.extend([value[part] for part in parts] or [value])
+    for value in values:
+        value["chart"] = copy.deepcopy(payload["chart"])
+    return payload
 
 
 def _cli(capsys, *argv):
@@ -266,11 +282,23 @@ def test_unread_payloads_are_written_back_verbatim(tmp_path):
     loaded.save(path)
     saved = json.loads(path.read_text())
     assert saved["bindings"]["w"] == payload["bindings"]["w"]
-    assert saved["bindings"]["u"] == to_json(loaded.bindings["u"])
+    assert saved["bindings"]["u"] == _payload(loaded.bindings["u"])
     again = Session.load(path)
     assert again.bindings["w"] == DiffForm.differential(CAN.chart, "y")
     again.save(path)
-    assert json.loads(path.read_text())["bindings"]["w"] == to_json(DiffForm.differential(CAN.chart, "y"))
+    assert json.loads(path.read_text())["bindings"]["w"] == _payload(DiffForm.differential(CAN.chart, "y"))
+
+
+def test_a_version_1_file_is_written_back_as_version_2_with_its_texts(tmp_path):
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
+    payload = json.loads(path.read_text())
+    payload["bindings"]["w"]["terms"][0]["coeff"] = "2 - 1"
+    path.write_text(json.dumps(_as_version_1(payload)))
+    Session.load(path).save(path)
+    saved = json.loads(path.read_text())
+    assert saved == payload
+    assert path.read_text().count('"chart"') == 1
 
 
 def test_set_theta_forces_every_binding_and_its_rollback_keeps_them_unread(tmp_path):
@@ -494,7 +522,7 @@ def test_a_file_in_the_indented_layout_loads_and_is_rewritten_in_the_new_one(tmp
 def test_a_binding_on_a_foreign_chart_is_refused_at_load(tmp_path, capsys, chart, part):
     rows, _ = elementary_tables(CAN)
     path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
-    payload = json.loads(path.read_text())
+    payload = _as_version_1(json.loads(path.read_text()))
     if part is None:
         payload["bindings"]["w"]["chart"] = chart
     else:
@@ -537,7 +565,7 @@ def test_a_binding_on_an_equal_chart_spelled_otherwise_loads(tmp_path):
     session.bindings["w"] = w
     path = tmp_path / "session.json"
     session.save(path)
-    payload = json.loads(path.read_text())
+    payload = _as_version_1(json.loads(path.read_text()))
     assert payload["bindings"]["w"]["chart"]["nonvanishing"] == ["p", "z"]
     payload["bindings"]["w"]["chart"]["nonvanishing"] = ["z", "p", "z"]
     path.write_text(json.dumps(payload))
@@ -545,7 +573,7 @@ def test_a_binding_on_an_equal_chart_spelled_otherwise_loads(tmp_path):
 
     rows, _ = elementary_tables(CAN)
     path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
-    payload = json.loads(path.read_text())
+    payload = _as_version_1(json.loads(path.read_text()))
     for value in (payload["bindings"]["w"], *(payload["bindings"]["data"][part] for part in ("alpha", "x_field", "v_field"))):
         del value["chart"]["nonvanishing"]
     path.write_text(json.dumps(payload))
@@ -617,9 +645,10 @@ MALFORMED = {
 @pytest.mark.parametrize("mutation", list(MALFORMED))
 @pytest.mark.parametrize("name, part", [("g3", None), ("w", None), ("b0", "x_field")])
 def test_a_malformed_binding_is_refused_at_load_and_named(tmp_path, capsys, contact_payload, name, part, mutation):
-    """A coefficient, a form and a part of conformal data are checked
-    alike; the refusal is an error line and exit code 2."""
-    payload = copy.deepcopy(contact_payload)
+    """A coefficient, a form and a part of conformal data of a
+    ``gjb-session/1`` file are checked alike; the refusal is an error line
+    and exit code 2."""
+    payload = _as_version_1(contact_payload)
     binding = payload["bindings"][name]
     MALFORMED[mutation](binding if part is None else binding[part])
     path = tmp_path / "contact.json"
@@ -628,3 +657,68 @@ def test_a_malformed_binding_is_refused_at_load_and_named(tmp_path, capsys, cont
     assert (code, out) == (2, "")
     assert err.startswith(f"error: malformed session file: binding {name!r}: ")
     assert err.count("\n") == 1
+
+
+# a gjb-session/2 value names no chart, not even the session's own
+MALFORMED_V2 = {
+    **{mutation: edit for mutation, edit in MALFORMED.items() if mutation != "no-chart"},
+    "a-chart": _set("chart", CONTACT_CHART),
+}
+
+
+@pytest.mark.parametrize("mutation", list(MALFORMED_V2))
+@pytest.mark.parametrize("name, part", [("g3", None), ("w", None), ("b0", "x_field")])
+def test_a_malformed_version_2_binding_is_refused_at_load_and_named(tmp_path, capsys, contact_payload, name, part, mutation):
+    payload = copy.deepcopy(contact_payload)
+    assert payload["schema"] == SCHEMA == "gjb-session/2"
+    binding = payload["bindings"][name]
+    MALFORMED_V2[mutation](binding if part is None else binding[part])
+    path = tmp_path / "contact.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = _cli(capsys, "render", name, "-s", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed session file: binding {name!r}: ")
+    assert err.count("\n") == 1
+    if mutation == "a-chart":
+        assert err.endswith(": a stored value names no chart of its own; the session file names it once\n")
+
+
+def test_a_version_2_theta_naming_a_chart_is_refused(tmp_path, capsys):
+    path = shutil.copy(CONTACT_GOLDEN, tmp_path / "contact.json")
+    payload = json.loads(path.read_text())
+    payload["theta"]["chart"] = CONTACT_CHART
+    path.write_text(json.dumps(payload))
+    code, out, err = _cli(capsys, "render", "dq", "-s", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed session file: theta: a stored value names no chart of its own; the session file names it once\n"
+
+
+def test_a_version_2_load_reads_the_chart_once(tmp_path, capsys, monkeypatch):
+    """The document chart is read once; no stored value carries a chart to
+    compare with it, so ``_chart_of`` never runs, also for the bindings a
+    command reads."""
+    path = shutil.copy(CONTACT_GOLDEN, tmp_path / "contact.json")
+    calls = {"chart_from_json": 0, "_chart_of": 0}
+
+    def counted(name, function):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(dsl_module, name, counted(name, getattr(dsl_module, name)))
+    monkeypatch.setattr(session_module, "chart_from_json", dsl_module.chart_from_json)
+    code, _, err = _cli(capsys, "cup", "b1", "b2", "-s", str(path))
+    assert (code, err) == (0, "")
+    assert calls == {"chart_from_json": 1, "_chart_of": 0}
+
+    calls.update(chart_from_json=0)
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(_as_version_1(json.loads(path.read_text()))))
+    assert _cli(capsys, "render", "g0", "-s", str(v1))[0] == 0
+    stored = json.loads(path.read_text())
+    values = 1 + sum(3 if value["kind"] == "conformal-data" else 1 for value in stored["bindings"].values())
+    assert calls["_chart_of"] == values
+    assert calls["chart_from_json"] == 1
