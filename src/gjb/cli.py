@@ -18,8 +18,8 @@ fails validation, or a value to be written holds a rational with more
 digits than the interpreter converts to text (4 300 by default), 2 on
 usage errors (bad flags, syntax errors, a numeric literal longer than
 that limit, unknown names, an expression that leaves the Laurent ring
-such as ``q^-1`` where ``q`` may vanish, missing or incompatible session
-files), 141 (128 +
+such as ``q^-1`` where ``q`` may vanish, missing, unreadable or
+incompatible session files), 141 (128 +
 SIGPIPE) when stdout is a pipe whose reader has closed it, as in
 ``gjb tables --n 2 --m 1 | head -1``; nothing more is written then.
 """

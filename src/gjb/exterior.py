@@ -62,10 +62,12 @@ positions only, so no other entry reaches a table.
 (``_cleared``, ``coeffring._partial_terms``, ``_products``), which works
 fraction-free on the ring's packed exponent keys (``coeffring``): each
 side's coefficients are multiplied by the lcm of their value
-denominators once, the right side's keys are taken less the chart's
-origin once per operand, so every term product is one int addition of
-keys and one int product of values, summed per (index tuple, key), and
-each sum is divided once by the product of the two lcms.  Its results
+denominators once (a bracket operand once in its lifetime, see the
+support-only Schouten derivative below), the right side's keys are
+taken less the chart's origin once per operand, so every term product
+is one int addition of keys and one int product of values, summed per
+(index tuple, key), and each sum is divided once by the product of the
+two lcms.  Its results
 are closed like the ring's: an exponent vector is a sum of two valid
 vectors (or a derivative's, which lowers an exponent only where it was
 nonzero, as ``Coefficient.partial`` does), so it is negative only where
@@ -96,7 +98,14 @@ skip is exact:
 * support-only Schouten derivative: ``schouten_nijenhuis`` takes
   ∂B/∂xⁱ of a term of B only when its coefficient depends on xⁱ, as one
   support mask per term says (``coeffring._support_mask``), since every
-  other term's derivative along xⁱ is zero;
+  other term's derivative along xⁱ is zero.  These inputs are kept on
+  the operand (``_SchoutenInputs``, in the ``_schouten`` slot of a
+  MultiVector, filled on its first bracket): its lcm and cleared terms,
+  its masks, and each ∂B/∂xⁱ table once i is met, so an operand is
+  cleared, masked and differentiated once in its lifetime, not once per
+  bracket.  That is exact because they are functions of the terms alone
+  and nothing writes to the terms of a built Coefficient or graded object
+  (an AST guard in ``tests/test_public_names.py``);
 * rational scaling: ``scale`` by an int, a Fraction, or a Coefficient
   that is zero or a one-term constant (after the chart check) multiplies
   each coefficient's values by it (``Coefficient.scale``), with the
@@ -316,7 +325,10 @@ class _Graded:
     @classmethod
     def _trusted(cls, chart: Chart, degree: int, terms: dict[tuple[int, ...], Coefficient]):
         """An object over ``terms`` as they are, with no check and no copy:
-        only for results built from checked operands (module docstring)."""
+        only for results built from checked operands (module docstring).
+        The object owns the dict from here on: the caller must not mutate
+        it, since the object's terms, and what a bracket keeps derived from
+        them, rest on it staying as handed over."""
         new = object.__new__(cls)
         new.chart = chart
         new.degree = degree
@@ -452,7 +464,9 @@ class DiffForm(_Graded):
 class MultiVector(_Graded):
     """Alternating multivector field with exact scalar coefficients."""
 
-    __slots__ = ()
+    # what schouten_nijenhuis derives from the field alone, filled by
+    # _schouten_inputs on the first bracket (module docstring)
+    __slots__ = ("_schouten",)
 
     @staticmethod
     def basis_vector(chart: Chart, name: str) -> "MultiVector":
@@ -530,6 +544,30 @@ def lie_derivative(U: MultiVector, omega: DiffForm) -> DiffForm:
     return first + second.scale((-1) ** (p + 1))
 
 
+class _SchoutenInputs:
+    """What ``schouten_nijenhuis`` derives from one multivector alone: the
+    lcm of its value denominators and its cleared terms (``_cleared``),
+    the support mask of each term (``coeffring._support_mask``), made when
+    the first i is met, and ∂/∂xⁱ of the terms whose coefficient depends
+    on xⁱ, keyed less the origin, for each coordinate i met so far."""
+
+    __slots__ = ("lcm", "cleared", "supports", "partials")
+
+    def __init__(self, U: MultiVector):
+        self.lcm, self.cleared = _cleared(U.terms)
+        self.supports: list[tuple[tuple[int, ...], dict, int]] | None = None
+        self.partials: dict[int, list[tuple[tuple[int, ...], dict]]] = {}
+
+
+def _schouten_inputs(U: MultiVector) -> _SchoutenInputs:
+    """The Schouten inputs of ``U``, made on its first bracket and kept on
+    it; exact, since nothing writes to the terms of a built object."""
+    inputs = getattr(U, "_schouten", None)
+    if inputs is None:
+        inputs = U._schouten = _SchoutenInputs(U)
+    return inputs
+
+
 def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
     """Graded bracket of multivector fields, of degree p + q − 1, by the
     odd-variable formula of the module docstring; one double loop over the
@@ -546,23 +584,22 @@ def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
     chart, origin = U.chart, U.chart.origin
     if not U.terms or not V.terms:
         return MultiVector._trusted(chart, p + q - 1, {})
-    # every term of each operand can take part, so each is cleared whole
-    LU, U_int = _cleared(U.terms)
-    LV, V_int = _cleared(V.terms)
+    # every term of each operand can take part, so each is cleared whole,
+    # once in its lifetime
+    U_in, V_in = _schouten_inputs(U), _schouten_inputs(V)
 
-    def half(A: dict, B: dict, sign: int):
+    def half(A: _SchoutenInputs, B: _SchoutenInputs, sign: int):
         # sign · Σᵢ ∂ᴿA/∂ξᵢ · ∂B/∂xⁱ as kernel items; ∂B/∂xⁱ is taken once
-        # per i, keyed less the origin as a right operand, and only of the
-        # terms whose coefficient depends on xⁱ (read off one support mask
-        # per term, made when the first i is met)
-        supports: list[tuple[tuple[int, ...], dict, int]] | None = None
-        derivatives: dict[int, list[tuple[tuple[int, ...], dict]]] = {}
-        for J, c in A.items():
+        # per i in B's lifetime, keyed less the origin as a right operand,
+        # and only of the terms whose coefficient depends on xⁱ (read off
+        # one support mask per term, made when the first i is met)
+        derivatives = B.partials
+        for J, c in A.cleared.items():
             for i, rest, odd in _odd_parts(J):
                 if i not in derivatives:
-                    if supports is None:
-                        supports = [(K, e, _support_mask(chart, e)) for K, e in B.items()]
-                    derivatives[i] = [(K, _partial_terms(chart, e, i, origin)) for K, e, m in supports if m >> i & 1]
+                    if B.supports is None:
+                        B.supports = [(K, e, _support_mask(chart, e)) for K, e in B.cleared.items()]
+                    derivatives[i] = [(K, _partial_terms(chart, e, i, origin)) for K, e, m in B.supports if m >> i & 1]
                 right = sign * odd
                 for K, de in derivatives[i]:
                     merged = _merge_indices(rest, K)
@@ -572,8 +609,8 @@ def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
     # (p − 1)(q − 1) is negative when an operand is a scalar; both halves
     # are products of a U term with a V term, so they share one denominator
     swap = -1 if (p - 1) * (q - 1) % 2 else 1
-    items = itertools.chain(half(U_int, V_int, 1), half(V_int, U_int, -swap))
-    return MultiVector._trusted(chart, p + q - 1, _products(chart, items, LU * LV))
+    items = itertools.chain(half(U_in, V_in, 1), half(V_in, U_in, -swap))
+    return MultiVector._trusted(chart, p + q - 1, _products(chart, items, U_in.lcm * V_in.lcm))
 
 
 def reindex(obj: _Graded, target: Chart) -> _Graded:

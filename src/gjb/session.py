@@ -20,22 +20,23 @@ line and one binding to a line, sorted by name, each value compact with
 sorted keys; a load needs only valid JSON, so a file in any other layout
 reads the same.
 
-Every load checks the JSON syntax, the schema tag, the chart, the
-structure form, the binding names and the shape of every binding,
-without parsing any stored coefficient; each payload is checked once per
-command.  A ``gjb-session/1`` file, whose every value names its chart,
-still loads: each chart it names is checked against the document chart
-and then dropped from the payload, so the next save writes
-``gjb-session/2`` with every coefficient text kept.  Every other schema
-tag is refused.  Every binding a command reads is then rebuilt on first
-read by the parse pass its check returned: its coefficients are parsed,
-and conformal data is re-validated against the session structure,
-re-running the defining equations; nothing read is ever trusted, the
-stored validation stamp included.  Bindings a command does not read are
-written back verbatim when it saves.  This module reads no field inside
-a binding payload: the interchange reader of ``dsl`` checks each one,
-drops the chart a version-1 value names, and types a zero α that an
-older file stores at degree 0.
+Every load reads the file as UTF-8 text (a file that cannot be read as
+such is a SessionError naming it), then checks the JSON syntax, the
+schema tag, the chart, the structure form, the binding names and the
+shape of every binding, without parsing any stored coefficient; each
+payload is checked once per command.  A ``gjb-session/1`` file, whose
+every value names its chart, still loads: each chart it names is checked
+against the document chart and then dropped from the payload, so the
+next save writes ``gjb-session/2`` with every coefficient text kept.
+Every other schema tag is refused.  Every binding a command reads is
+then rebuilt on first read by the parse pass its check returned: its
+coefficients are parsed, and conformal data is re-validated against the
+session structure, re-running the defining equations; nothing read is
+ever trusted, the stored validation stamp included.  Bindings a command
+does not read are written back verbatim when it saves.  This module
+reads no field inside a binding payload: the interchange reader of
+``dsl`` checks each one, drops the chart a version-1 value names, and
+types a zero α that an older file stores at degree 0.
 """
 
 from __future__ import annotations
@@ -274,7 +275,14 @@ class Session:
         p = Path(path)
         if not p.exists():
             raise SessionError(f"no session file at {p}; run `chart new` first")
-        text = p.read_text()
+        # the read has its own errors: a UnicodeDecodeError is a ValueError,
+        # which the JSON clause below would misname
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise SessionError(f"session file {p} is not UTF-8 text: {err}") from err
+        except OSError as err:
+            raise SessionError(f"cannot read session file {p}: {err.strerror or err}") from err
         try:
             payload = json.loads(text)
         except ValueError as err:

@@ -767,6 +767,25 @@ class TestErrorPaths:
         assert code == 2
         assert "run `chart new` first" in err
 
+    def test_a_session_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        data = b'{"schema": "\xff"}'
+        path.write_bytes(data)
+        code, out, err = run(capsys, "render", "dq", "-s", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: session file {path} is not UTF-8 text: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert path.read_bytes() == data
+
+    def test_a_session_path_that_cannot_be_read_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "session.json"
+        path.mkdir()
+        (path / "inside").write_bytes(b"kept")
+        code, out, err = run(capsys, "render", "dq", "-s", str(path))
+        assert (code, out, err) == (2, "", f"error: cannot read session file {path}: Is a directory\n")
+        assert [entry.name for entry in path.iterdir()] == ["inside"]
+        assert (path / "inside").read_bytes() == b"kept"
+
     def test_unsupported_schema(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other/9"}')

@@ -7,13 +7,14 @@ convention drift fails loudly here.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import SEED, rand_coefficient, rand_form, rand_multivector
+from conftest import SEED, rand_coefficient, rand_fg_data, rand_form, rand_multivector
 from gjb import exterior as exterior_module
 from gjb.coeffring import Chart, Coefficient, _accumulate
 from gjb.dsl import parse_coefficient
@@ -32,6 +33,8 @@ from gjb.exterior import (
     schouten_nijenhuis,
     wedge,
 )
+from gjb.fieldtheory import build_canonical
+from gjb.structures import jacobi_bracket
 
 CH = Chart(("a", "b", "c", "u"))
 # t is nonvanishing, so coefficients may carry negative powers of it
@@ -733,6 +736,85 @@ def test_kernel_products_match_the_coefficient_loops(om, eta, U, V):
     for kernel, reference in results:
         assert kernel == reference
         assert_integral_values_are_ints(kernel)
+
+
+# -- the Schouten inputs kept on each operand ----------------------------------
+
+
+def fresh(U):
+    """A copy of U that no bracket has read."""
+    return MultiVector(U.chart, U.degree, dict(U.terms))
+
+
+def brackets(U, V):
+    """[U, V], [V, U], [U, U] and [V, V], less the brackets of two scalars."""
+    return [(A, B) for A, B in ((U, V), (V, U), (U, U), (V, V)) if A.degree or B.degree]
+
+
+operands = st.one_of(graded(MultiVector, coefficients=mixed_coefficients), graded(MultiVector))
+
+
+@seed(SEED)
+@given(operands, operands, operands)
+@settings(max_examples=60, deadline=None)
+def test_a_bracketed_operand_brackets_as_a_fresh_copy(U, V, W):
+    # each operand keeps what it gave its first bracket; brackets in
+    # either position and against itself read it back
+    for A, B in brackets(U, W) + brackets(W, V):
+        schouten_nijenhuis(A, B)
+    for _ in range(2):
+        for A, B in brackets(U, V):
+            kept = schouten_nijenhuis(A, B)
+            assert_same_in_order(kept, schouten_nijenhuis(fresh(A), fresh(B)))
+            assert kept == reference_schouten(A, B)
+            assert_integral_values_are_ints(kept)
+
+
+def test_a_jacobi_check_clears_masks_and_differentiates_each_operand_once(monkeypatch):
+    # one criterion-3 Jacobi check on vertical (F, G) data at (2, 1): each
+    # nonempty multivector is cleared once however many brackets read it,
+    # each of its terms masked at most once, and differentiated at most
+    # once along each coordinate
+    clear, mask, partial = exterior_module._cleared, exterior_module._support_mask, exterior_module._partial_terms
+    cleared, outputs, masked, differentiated = [], [], Counter(), Counter()
+
+    def counting_cleared(terms, offset=0):
+        lcm, out = clear(terms, offset)
+        cleared.append(terms)
+        outputs.append(out)  # keeps every counted dict alive, so no id is reused
+        return lcm, out
+
+    def counting_mask(chart, keys):
+        masked[id(keys)] += 1
+        return mask(chart, keys)
+
+    def counting_partial(chart, terms, i, offset=0):
+        differentiated[id(terms), i] += 1
+        return partial(chart, terms, i, offset)
+
+    rng = random.Random(SEED)
+    S = build_canonical(2, 1)
+    a, b, c = (rand_fg_data(rng, S, 2, 1) for _ in range(3))
+    monkeypatch.setattr(exterior_module, "_cleared", counting_cleared)
+    monkeypatch.setattr(exterior_module, "_support_mask", counting_mask)
+    monkeypatch.setattr(exterior_module, "_partial_terms", counting_partial)
+    p, q, r = a.degree, b.degree, c.degree
+    total = (
+        jacobi_bracket(a, jacobi_bracket(b, c)).alpha.scale((-1) ** ((p - 1) * (r - 1)))
+        + jacobi_bracket(c, jacobi_bracket(a, b)).alpha.scale((-1) ** ((r - 1) * (q - 1)))
+        + jacobi_bracket(b, jacobi_bracket(c, a)).alpha.scale((-1) ** ((q - 1) * (p - 1)))
+    )
+    assert total.is_zero()
+    assert cleared and all(cleared)
+    assert len({id(terms) for terms in cleared}) == len(cleared)
+    # the cleared terms of each multivector, counted once per multivector:
+    # one term dict may sit in two (a coefficient they share)
+    first = {}
+    for terms, out in zip(cleared, outputs):
+        first.setdefault(id(terms), out)
+    held = Counter(id(e) for out in first.values() for e in out.values())
+    assert masked and all(count <= held[key] for key, count in masked.items())
+    assert differentiated and all(count <= held[key] for (key, _), count in differentiated.items())
 
 
 # -- the skip rules against the loops that did the skipped work ---------------

@@ -427,3 +427,46 @@ def test_every_exported_name_has_a_reader():
     }
     assert [name for name in gjb.__all__ if name not in read and name not in exempt] == []
     assert [name for name in exempt if name in read] == []
+
+
+def test_no_code_writes_to_the_terms_of_a_built_value():
+    """A Coefficient's or a graded object's ``terms`` are never written
+    after construction, which keeps the Schouten inputs a multivector
+    holds (``MultiVector._schouten``) exact.  Outside the constructors of
+    ``Coefficient`` and ``_Graded`` no code in the package rebinds,
+    assigns into, deletes from or calls a mutating method on a ``.terms``,
+    or passes one as ``_accumulate``'s target; and only
+    ``schouten_nijenhuis`` and its helper name the slot."""
+    package = pathlib.Path(gjb.__file__).parent
+    builders = {"Coefficient.__init__", "Coefficient._trusted", "_Graded.__init__", "_Graded._trusted"}
+    mutators = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
+
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    offenders, slot_readers = [], set()
+    for path in sorted(package.glob("*.py")):
+        for name, top in _scopes(ast.parse(path.read_text(encoding="utf-8")).body):
+            for node in ast.walk(top):
+                where = f"{path.name}:{node.__dict__.get('lineno')} {name}"
+                writes = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+                if writes and is_terms(node) and name not in builders:
+                    offenders.append(f"{where} rebinds .terms")
+                elif writes and isinstance(node, ast.Subscript) and is_terms(node.value):
+                    offenders.append(f"{where} writes into .terms")
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    if isinstance(func, ast.Attribute) and func.attr in mutators and is_terms(func.value):
+                        offenders.append(f"{where} calls .terms.{func.attr}")
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    target = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "terms"]
+                    if called == "_accumulate" and any(is_terms(arg) for arg in target):
+                        offenders.append(f"{where} accumulates into .terms")
+                if (isinstance(node, ast.Attribute) and node.attr == "_schouten") or (
+                    isinstance(node, ast.Constant) and node.value == "_schouten"
+                ):
+                    # a statement of a class body is named by its class
+                    slot_readers.add((path.name, name.rstrip(".")))
+    assert offenders == []
+    # the one string naming the slot is its entry in MultiVector.__slots__
+    assert slot_readers == {("exterior.py", "MultiVector"), ("exterior.py", "_schouten_inputs")}
