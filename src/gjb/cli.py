@@ -18,7 +18,8 @@ fails validation, or a value to be written holds a rational with more
 digits than the interpreter converts to text (4 300 by default), 2 on
 usage errors (bad flags, syntax errors, a numeric literal longer than
 that limit, unknown names, an expression that leaves the Laurent ring
-such as ``q^-1`` where ``q`` may vanish, missing, unreadable or
+such as ``q^-1`` where ``q`` may vanish, a free name of ``hdw``'s
+``--H`` spelled like one of its jet symbols, missing, unreadable or
 incompatible session files), 141 (128 +
 SIGPIPE) when stdout is a pipe whose reader has closed it, as in
 ``gjb tables --n 2 --m 1 | head -1``; nothing more is written then.
@@ -469,6 +470,10 @@ def _cmd_hdw(args) -> int:
     C = _canonical_from_args(args, (args.H, "--H"))
     (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
     section = hamiltonian_section(C, H)
+    try:
+        section.jet
+    except DomainError as err:  # a parameter named like a jet symbol
+        raise _UsageError(str(err)) from err
     equations, sigma = section.system[0], section.sigma
     labels = _hdw_labels(C, len(equations))
     if args.format == "json":

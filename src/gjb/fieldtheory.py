@@ -26,7 +26,10 @@ Conventions in force throughout:
   first partial derivatives of an unknown section;
 * the jet chart order is ``x^0..x^{n-1}``, the fields ``y^i, p^mu_i, s^mu``,
   their jets (field-major), then the parameters, so the jet symbols form
-  one contiguous block (``JetSection.jets``).
+  one contiguous block (``JetSection.jets``);
+* psi*(c dx^K) = psi*(c) psi*(dx^K), so an n-form pulls back to its
+  x-volume coefficient as the sum of psi*(c) w_K over its terms, each jet
+  keeping the x-volume coefficient w_K of psi*(dx^K) for every K it meets.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -501,11 +504,12 @@ def _subbundle_membership(S: NFormStructure, h: DiffForm, span: RrefResult) -> C
         raise StructuralError("h does not live on the structure chart")
     if h.degree != S.degree:
         raise DegreeError(f"h must be an {S.degree}-form, got degree {h.degree}")
-    for name in chart.coordinates:
-        if isinstance(S, CanonicalStructure) and name in S.parameters:
-            continue
-        contraction = interior_product(MultiVector.basis_vector(chart, name), h)
-        if not span.contains(contraction.terms):
+    parameters = S.parameters if isinstance(S, CanonicalStructure) else ()
+    # a contraction absent from the columns is zero, in every span; the
+    # rest come in chart order, so the witness is the first that escapes
+    for (i,), (contraction,) in _contraction_columns([h], 1).items():
+        name = chart.coordinates[i]
+        if name not in parameters and not span.contains(contraction.terms):
             return CheckReport(False, witness=name, details=f"iota along {name} leaves the image of the flat map")
     return CheckReport(True)
 
@@ -622,6 +626,11 @@ class JetSection:
     jet symbols fill the contiguous block ``jets`` of chart positions.  The
     residual momentum is eliminated: its image is -H, and the image of dp
     is the total differential of -H through the jet symbols.
+
+    Its private table ``_monomials``, filled as it is read, holds for each
+    n-tuple K of base-chart positions met the x-volume coefficient w_K of
+    psi*(dx^K), checked once by ``_top_coefficient``, and for each shorter
+    prefix L the wedge psi*(dx^L), formed once for every K that shares it.
     """
 
     canonical: CanonicalStructure
@@ -630,14 +639,19 @@ class JetSection:
     jets: range
     scalar_images: Mapping[str, Coefficient]
     form_images: Mapping[str, DiffForm]
+    _monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def for_hamiltonian_section(cls, section: HamiltonianSection) -> "JetSection":
-        """Fields y, momenta and s unknown; the residual momentum is -H."""
+        """Fields y, momenta and s unknown; the residual momentum is -H.  A
+        parameter spelled like a jet symbol is refused."""
         C = section.canonical
         fields = C.y_names + C.momentum_names + C.s_names
         symbols = tuple(jet_name(f, x) for f in fields for x in C.x_names)
         start = len(C.x_names) + len(fields)
+        for prm in (prm for prm in C.parameters if prm in symbols):
+            f, x = divmod(symbols.index(prm), len(C.x_names))
+            raise DomainError(f"parameter {prm!r} collides with the jet symbol of {fields[f]} along {C.x_names[x]}")
         chart = Chart(C.x_names + fields + symbols + C.parameters)
         coord = lambda name: Coefficient.coordinate(chart, name)
         dx = {x: DiffForm.differential(chart, x) for x in C.x_names}
@@ -681,6 +695,27 @@ class JetSection:
             raise StructuralError("form does not live on the base chart")
         return pull_form_along(omega, self.scalar_images, self.form_images, self.chart)
 
+    def _monomial(self, K: tuple[int, ...]) -> Coefficient | DiffForm:
+        """w_K for an n-tuple K, psi*(dx^K) for a shorter one: the pulled
+        prefix K[:-1] wedged with the image of the last differential."""
+        table = self._monomials
+        if K not in table:
+            image = self.form_images[self.canonical.chart.coordinates[K[-1]]]
+            pulled = wedge(self._monomial(K[:-1]), image) if len(K) > 1 else image
+            table[K] = _top_coefficient(self, pulled) if len(K) == self.canonical.spec.n else pulled
+        return table[K]
+
+
+def _pulled_top(J: JetSection, omega: DiffForm) -> Coefficient:
+    """The x-volume coefficient of psi*omega for an n-form omega on the base
+    chart: the sum of psi*(c) w_K over its terms c dx^K."""
+    if omega.degree != J.canonical.spec.n:
+        raise DegreeError(f"expected an {J.canonical.spec.n}-form to pull back, got degree {omega.degree}")
+    total = Coefficient.zero(J.chart)
+    for K, c in omega.terms.items():
+        total = total + J.pull_scalar(c) * J._monomial(K)
+    return total
+
 
 def _top_coefficient(J: JetSection, omega: DiffForm) -> Coefficient:
     """Coefficient of the x-volume in a pulled-back n-form."""
@@ -699,26 +734,25 @@ def _hdw_system(section: HamiltonianSection) -> tuple[list[Coefficient], dict[st
 
     The raw equations are the pullbacks, along the section's jet, of
     (Theta + h) and of iota_xi (d + sigma_h ^)(Theta + h) for xi over the
-    coordinate fields, sigma_h being the section's own ``sigma``.  A term's
-    jet degree is its exponent sum over the jet block, and a degree-1
-    term's column is the one jet it carries.  Equations affine in the jet
-    symbols are reduced to a canonical echelon system whose heads are, in
-    order: the first jet of s^0, the jets of the fields y^i, and the first
-    jets of the momenta p^0_i.  Higher-degree equations are reduced modulo
-    the solved heads and emitted only if anything survives.
-    ``HamiltonianSection.system`` builds it once per section, and every
-    public reader reads that.
+    coordinate fields, sigma_h being the section's own ``sigma``; every
+    single contraction is read off one pass over the curl's terms, and one
+    that is absent is the zero equation.  A term's jet degree is its
+    exponent sum over the jet block, and a degree-1 term's column is the
+    one jet it carries.  Equations affine in the jet symbols are reduced
+    to a canonical echelon system whose heads are, in order: the first jet
+    of s^0, the jets of the fields y^i, and the first jets of the momenta
+    p^0_i.  Higher-degree equations are reduced modulo the solved heads and
+    emitted only if anything survives.  ``HamiltonianSection.system``
+    builds it once per section, and every public reader reads that.
     """
     C, jet = section.canonical, section.jet
     total = C.theta + section.h_form
     curl = exterior_derivative(total) + wedge(section.sigma, total)
 
-    raw = [_top_coefficient(jet, jet.pull(total))]
-    for name in C.chart.coordinates:
-        if name in C.parameters:
-            continue
-        xi = MultiVector.basis_vector(C.chart, name)
-        raw.append(_top_coefficient(jet, jet.pull(interior_product(xi, curl))))
+    raw = [_pulled_top(jet, total)]
+    for (i,), (column,) in _contraction_columns([curl], 1).items():
+        if C.chart.coordinates[i] not in C.parameters:
+            raw.append(_pulled_top(jet, column))
 
     chart = jet.chart
     lo, hi = jet.jets.start, jet.jets.stop
@@ -836,9 +870,7 @@ def evolution_residual(section: HamiltonianSection, data: ConformalData) -> Coef
     _, solved = section.system
     jet, alpha = section.jet, data.alpha
     rhs = _dissipation_core(section, data) - wedge(section.sigma, alpha)
-    residual = _top_coefficient(jet, jet.pull(exterior_derivative(alpha))) - _top_coefficient(
-        jet, jet.pull(rhs)
-    )
+    residual = _pulled_top(jet, exterior_derivative(alpha)) - _pulled_top(jet, rhs)
     return _hdw_reduce(jet, solved, residual)
 
 

@@ -426,6 +426,24 @@ class TestHdw:
         assert code == 2
         assert "--H must be a scalar expression" in err
 
+    @pytest.mark.parametrize(
+        "H,message",
+        [
+            ("p0_x0", "parameter 'p0_x0' collides with the jet symbol of p0 along x0"),
+            ("y_x1*y", "parameter 'y_x1' collides with the jet symbol of y along x1"),
+        ],
+    )
+    def test_a_free_name_spelled_like_a_jet_symbol_is_a_usage_error(self, capsys, H, message):
+        """A free name of --H becomes a parameter of the jet chart too, so
+        one spelled like a jet symbol is refused with one line.  sigma and
+        dissipated build no jet and take the same --H as before."""
+        size = ("--n", "2", "--m", "1", "--H", H)
+        assert run(capsys, "hdw", *size) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, "sigma", *size)
+        assert (code, out, err) == (0, "0\n", "")
+        code, out, err = run(capsys, "dissipated", *size, "--row", "4:0")
+        assert (code, err) == (0, "") and out.splitlines()[-1] == "dissipated: yes"
+
 
 # ---------------------------------------------------------------------------
 # sigma / dissipated / distortion

@@ -38,6 +38,7 @@ H21 = "1/2*p0^2 + 1/2*p1^2 + 3*s0"
 H31 = "1/2*p0^2 + 1/2*p1^2 + 1/2*p2^2 + 3*s0 + y*s1"
 H42 = "1/2*p0_0^2 + 1/2*p1_1^2 + 3*s0 + y0*s1"
 H62 = "1/2*p0_0^2 + 1/2*p5_1^2 + 3*s0 + y1*s5"
+H122 = "1/2*p0_0^2 + 1/2*p1_1^2 + 3*s0 + y0*s1"
 
 
 def _commands():
@@ -112,6 +113,7 @@ def _commands():
     out += [
         ("hdw_62_json", None, ["hdw", *size, "--H", H62, "--format", "json"]),
         ("distortion_62", None, ["distortion", *size]),
+        ("hdw_122_json", None, ["hdw", "--n", "12", "--m", "2", "--H", H122, "--format", "json"]),
     ]
     return out
 

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gjb import exterior, fieldtheory, linalg, structures
 from gjb.coeffring import Chart, Coefficient
@@ -39,13 +41,14 @@ from gjb.fieldtheory import (
 )
 from gjb.linalg import rref
 from gjb.structures import (
+    CheckReport,
     NFormStructure,
     _contraction_columns,
     is_multicontact,
     solve_by_contraction,
 )
 
-from conftest import contact_structure, rand_fg_data, translations_and_vertical_data
+from conftest import SEED, contact_structure, rand_coefficient, rand_fg_data, rand_form, translations_and_vertical_data
 
 CAN = build_canonical(2, 1)
 
@@ -673,6 +676,15 @@ def test_jet_symbols_fill_one_block_of_the_jet_chart(n, m, parameters):
     assert J.chart.coordinates[J.jets.stop :] == S.parameters
 
 
+@pytest.mark.parametrize("field,x", [("p0", "x0"), ("y", "x1")])
+def test_a_parameter_named_like_a_jet_symbol_is_refused(field, x):
+    parameter = jet_name(field, x)
+    S = build_canonical(2, 1, (parameter,))
+    section = hamiltonian_section(S, S.coordinate(parameter) * S.coordinate("y"))
+    with pytest.raises(DomainError, match=f"^parameter '{parameter}' collides with the jet symbol of {field} along {x}$"):
+        section.jet
+
+
 # --------------------------------------------------------------------------
 # covariant Hamilton equations
 # --------------------------------------------------------------------------
@@ -841,6 +853,105 @@ def test_evolution_rejects_higher_degree_data(rng):
     section = hamiltonian_section(CAN, rand_hamiltonian(rng, CAN))
     with pytest.raises(DomainError):
         evolution_residual(section, cup_product(a, b))
+
+
+PULL_SHAPES = [(2, 1), (2, 2), (3, 1), (3, 2)]
+PULL_STRUCTURES = {shape: build_canonical(*shape, ("g",)) for shape in PULL_SHAPES}
+
+
+def rand_pulled_form(rng, S):
+    """A random n-form on S whose coefficients often hold p and g, with a
+    term on the x-volume or one of Theta's keys in most draws."""
+    omega = rand_form(rng, S.chart, S.degree, max_terms=5)
+    factors = [Coefficient.one(S.chart), S.coordinate("p"), S.coordinate("g"), S.coordinate("p") * S.coordinate("g")]
+    terms = {key: c * rng.choice(factors) for key, c in omega.terms.items()}
+    for key in rng.sample(sorted(S.theta.terms), 2):
+        terms[key] = rand_coefficient(rng, S.chart) * rng.choice(factors)
+    return DiffForm(S.chart, S.degree, terms)
+
+
+@seed(SEED)
+@given(st.sampled_from(PULL_SHAPES), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_the_x_volume_coefficient_of_a_pullback_matches_the_generic_pullback(shape, rng):
+    S = PULL_STRUCTURES[shape]
+    H = rand_hamiltonian(rng, S) + S.coordinate("g") * rand_hamiltonian(rng, S)
+    J = hamiltonian_section(S, H).jet
+    # the second and third forms read entries the first put in the table
+    for omega in (rand_pulled_form(rng, S), rand_pulled_form(rng, S), S.theta + rand_pulled_form(rng, S)):
+        assert fieldtheory._pulled_top(J, omega) == fieldtheory._top_coefficient(J, J.pull(omega))
+
+
+def per_coordinate_membership(S, h, span):
+    """The subbundle membership as first written: one contraction per
+    coordinate field, parameters skipped, in chart order."""
+    for name in S.chart.coordinates:
+        if name in S.parameters:
+            continue
+        contraction = interior_product(MultiVector.basis_vector(S.chart, name), h)
+        if not span.contains(contraction.terms):
+            return CheckReport(False, witness=name, details=f"iota along {name} leaves the image of the flat map")
+    return CheckReport(True)
+
+
+def membership_outcomes(S, h):
+    R, v = (MultiVector.basis_vector(S.chart, s) for s in S.s_names[:2])
+    outcomes = []
+    for check, args in ((hamiltonian_subbundle_check, ()), (good_hamiltonian_check, ()), (gamma_obstruction, (R, v))):
+        try:
+            outcomes.append(check(S, h, *args))
+        except DomainError as err:
+            outcomes.append(str(err))
+    return outcomes
+
+
+@seed(SEED)
+@given(st.sampled_from(PULL_SHAPES), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_subbundle_membership_matches_the_per_coordinate_loop(shape, rng):
+    S = PULL_STRUCTURES[shape]
+    h = hamiltonian_section(S, rand_hamiltonian(rng, S) + S.coordinate("g")).h_form
+    # a section's own form is a member; a form with one more term on a
+    # random key usually is not, and escapes along some coordinate
+    forms = [h, h + rand_form(rng, S.chart, S.degree, max_terms=1)]
+    got = [membership_outcomes(S, form) for form in forms]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fieldtheory, "_subbundle_membership", per_coordinate_membership)
+        assert got == [membership_outcomes(S, form) for form in forms]
+    assert got[0][0].ok
+
+
+def test_the_hamilton_system_pulls_each_differential_monomial_back_once(rng, monkeypatch):
+    """One (3, 2) system reads every single contraction of the curl from
+    one pass: it contracts no coordinate field, pulls each coefficient of
+    Theta + h and of each contraction back once, wedges each distinct
+    prefix of a differential monomial once and checks each monomial's
+    x-volume once."""
+    S = build_canonical(3, 2, ("g",))
+    section = hamiltonian_section(S, rand_hamiltonian(rng, S) + S.coordinate("g") * S.coordinate("s1"))
+    total = S.theta + section.h_form
+    curl = exterior_derivative(total) + wedge(section.sigma, total)
+    pulled = [total] + [
+        interior_product(MultiVector.basis_vector(S.chart, name), curl)
+        for name in S.chart.coordinates
+        if name not in S.parameters
+    ]
+    keys = {K for omega in pulled for K in omega.terms}
+    prefixes = {K[:length] for K in keys for length in range(2, S.degree + 1)}
+    assert section.jet is not None and section.sigma is not None  # built before counting
+    contracted, scalars, wedges, checked = [], [], [], []
+    contract, pull_scalar = exterior._contracted, JetSection.pull_scalar
+    product, top = exterior.wedge, fieldtheory._top_coefficient
+    monkeypatch.setattr(exterior, "_contracted", lambda U, omega: contracted.append(U) or contract(U, omega))
+    monkeypatch.setattr(JetSection, "pull_scalar", lambda J, c: scalars.append(c) or pull_scalar(J, c))
+    for module in (exterior, fieldtheory):
+        monkeypatch.setattr(module, "wedge", lambda a, b: wedges.append((a, b)) or product(a, b))
+    monkeypatch.setattr(fieldtheory, "_top_coefficient", lambda J, omega: checked.append(omega) or top(J, omega))
+    fieldtheory._hdw_system(section)
+    assert contracted == []
+    assert len(scalars) == sum(len(omega.terms) for omega in pulled)
+    assert wedges[0] == (section.sigma, total) and len(wedges) - 1 == len(prefixes)
+    assert len(checked) == len(keys)
 
 
 # --------------------------------------------------------------------------

@@ -200,6 +200,28 @@ def test_a_section_computes_its_sigma_in_one_place():
     assert uses == {("fieldtheory.py", "HamiltonianSection.sigma")}
 
 
+def test_the_hamilton_system_pulls_back_through_the_monomial_table():
+    """``pull_form_along`` wedges every term's differential images anew, so
+    the package calls it only from ``PolyMap.pull_form`` and
+    ``JetSection.pull``.  The Hamilton system and the evolution law read
+    their n-forms through the jet's table of x-volume coefficients and
+    never call a ``.pull(``."""
+    package = pathlib.Path(gjb.__file__).parent
+    callers, pulls = set(), set()
+    for path in package.glob("*.py"):
+        for name, top in _scopes(ast.parse(path.read_text(encoding="utf-8")).body):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == "pull_form_along":
+                        callers.add((path.name, name))
+                    if called == "pull" and isinstance(func, ast.Attribute):
+                        pulls.add((path.name, name))
+    assert callers == {("exterior.py", "PolyMap.pull_form"), ("fieldtheory.py", "JetSection.pull")}
+    assert not pulls & {("fieldtheory.py", "_hdw_system"), ("fieldtheory.py", "evolution_residual")}
+
+
 def test_a_hamiltonian_pair_is_verified_once():
     """ι_WΩ = dΨ(α) is checked where a pair enters: ``psi_map`` checks
     each image it builds and ``poisson_bracket`` the pairs its caller
