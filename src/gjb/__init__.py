@@ -22,7 +22,6 @@ from .exterior import (
     exterior_derivative,
     interior_product,
     lie_derivative,
-    pull_form_along,
     schouten_nijenhuis,
     wedge,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "interior_product",
     "lie_derivative",
     "schouten_nijenhuis",
-    "pull_form_along",
     "CheckReport",
     "NFormStructure",
     "ConformalData",

@@ -18,11 +18,13 @@ fails validation, or a value to be written holds a rational with more
 digits than the interpreter converts to text (4 300 by default), 2 on
 usage errors (bad flags, syntax errors, a numeric literal longer than
 that limit, unknown names, an expression that leaves the Laurent ring
-such as ``q^-1`` where ``q`` may vanish, a free name of ``hdw``'s
+such as ``q^-1`` where ``q`` may vanish, a degree the operation does not
+take, which is every ``DegreeError``, such as ``kernel --degree 0`` or
+``sharp`` of a form of the wrong degree, a free name of ``hdw``'s
 ``--H`` spelled like one of its jet symbols, missing, unreadable or
-incompatible session files), 141 (128 +
-SIGPIPE) when stdout is a pipe whose reader has closed it, as in
-``gjb tables --n 2 --m 1 | head -1``; nothing more is written then.
+incompatible session files), 141 (128 + SIGPIPE) when stdout is a pipe
+whose reader has closed it, as in ``gjb tables --n 2 --m 1 | head -1``;
+nothing more is written then.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .dsl import (
     render,
     to_json,
 )
-from .errors import DomainError, GjbError, ParseError, StructuralError, ValidationError
+from .errors import DegreeError, DomainError, GjbError, ParseError, StructuralError, ValidationError
 from .exterior import DiffForm, MultiVector
 from .fieldtheory import (
     CanonicalStructure,
@@ -743,7 +745,7 @@ def main(argv: list[str] | None = None) -> int:
         # null device, so that the flush at exit raises nothing either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe ended
-    except (_UsageError, SessionError, ParseError) as err:
+    except (_UsageError, SessionError, ParseError, DegreeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValidationError as err:

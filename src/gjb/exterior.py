@@ -30,7 +30,7 @@ trusted interior.  The constructors of DiffForm and MultiVector check
 every term (``_index_tuples``, the one index-tuple rule: an ``int``
 degree, and index tuples of ``int`` positions, strictly increasing, of
 that degree and inside the chart; coefficients on the chart) and drop
-zeros; ``reindex``, ``pull_form_along`` and the parser go through
+zeros; ``reindex`` and the parser go through
 them.  The JSON loader applies ``_index_tuples`` in its shape pass, then
 builds by ``_trusted`` from the checked keys and the coefficients it
 parses on the chart.  The named builders (``zero``, ``from_scalar``,
@@ -119,7 +119,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Hashable, Iterable, Mapping
@@ -150,8 +149,6 @@ __all__ = [
     "lie_derivative",
     "schouten_nijenhuis",
     "reindex",
-    "PolyMap",
-    "pull_form_along",
 ]
 
 
@@ -634,57 +631,3 @@ def reindex(obj: _Graded, target: Chart) -> _Graded:
 
     return type(obj)(target, obj.degree, _accumulate(moved()))
 
-
-def pull_form_along(
-    omega: DiffForm,
-    scalar_images: Mapping[str, Coefficient],
-    form_images: Mapping[str, DiffForm],
-    source: Chart,
-) -> DiffForm:
-    """Pull a form back along a map described by coordinate images: each
-    coefficient goes through the scalar substitution, each differential
-    dx^i is replaced by ``form_images[x^i]`` (a 1-form on ``source``)."""
-    for name, image in form_images.items():
-        if image.degree != 1:
-            raise DegreeError(f"image of d{name} must be a 1-form, got degree {image.degree}")
-    terms: dict[tuple[int, ...], Coefficient] = {}
-    for I, c in omega.terms.items():
-        piece = DiffForm.from_scalar(c.substitute(scalar_images, source))
-        for idx in I:
-            name = omega.chart.coordinates[idx]
-            if name not in form_images:
-                raise StructuralError(f"no differential image for coordinate {name!r}")
-            piece = wedge(piece, form_images[name])
-        _accumulate(piece.terms.items(), terms)
-    return DiffForm(source, omega.degree, terms)
-
-
-@dataclass(frozen=True)
-class PolyMap:
-    """Map between charts, given by scalar images of target coordinates."""
-
-    source: Chart
-    target: Chart
-    images: Mapping[str, Coefficient]
-
-    def __post_init__(self):
-        missing = set(self.target.coordinates) - set(self.images)
-        if missing:
-            raise StructuralError(f"missing images for target coordinates {sorted(missing)}")
-        for name, image in self.images.items():
-            if image.chart != self.source:
-                raise StructuralError(f"image of {name!r} does not live on the source chart")
-
-    def pull_scalar(self, c: Coefficient) -> Coefficient:
-        if c.chart != self.target:
-            raise StructuralError("scalar does not live on the target chart")
-        return c.substitute(self.images, self.source)
-
-    def pull_form(self, omega: DiffForm) -> DiffForm:
-        if omega.chart != self.target:
-            raise StructuralError("form does not live on the target chart")
-        differentials = {
-            name: exterior_derivative(DiffForm.from_scalar(image))
-            for name, image in self.images.items()
-        }
-        return pull_form_along(omega, self.images, differentials, self.source)

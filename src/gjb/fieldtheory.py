@@ -50,7 +50,6 @@ from .exterior import (
     exterior_derivative,
     interior_product,
     lie_derivative,
-    pull_form_along,
     wedge,
 )
 from .linalg import RrefResult, exact_divide, rref
@@ -631,6 +630,8 @@ class JetSection:
     n-tuple K of base-chart positions met the x-volume coefficient w_K of
     psi*(dx^K), checked once by ``_top_coefficient``, and for each shorter
     prefix L the wedge psi*(dx^L), formed once for every K that shares it.
+    With ``pull_scalar`` it is the package's one pullback: forms are read
+    only through their x-volume coefficient (``_pulled_top``).
     """
 
     canonical: CanonicalStructure
@@ -689,11 +690,6 @@ class JetSection:
         if c.chart != self.canonical.chart:
             raise StructuralError("scalar does not live on the base chart")
         return c.substitute(self.scalar_images, self.chart)
-
-    def pull(self, omega: DiffForm) -> DiffForm:
-        if omega.chart != self.canonical.chart:
-            raise StructuralError("form does not live on the base chart")
-        return pull_form_along(omega, self.scalar_images, self.form_images, self.chart)
 
     def _monomial(self, K: tuple[int, ...]) -> Coefficient | DiffForm:
         """w_K for an n-tuple K, psi*(dx^K) for a shorter one: the pulled

@@ -46,8 +46,8 @@ from .linalg import rref
 from .structures import (
     ConformalData,
     NFormStructure,
+    _all_index_tuples,
     _contraction_columns,
-    _index_tuples,
     jacobi_bracket,
     solve_by_contraction,
 )
@@ -172,7 +172,7 @@ def _decompositions(S: NFormStructure, alpha: DiffForm, hint: MultiVector | None
             raise DegreeError(f"a degree-{a} form needs a degree-{n - a} contraction hint, got {hint.degree}")
         candidates.append(hint)
     one = Coefficient.one(S.chart)
-    for J in _index_tuples(S.chart, n - a):
+    for J in _all_index_tuples(S.chart, n - a):
         u = MultiVector(S.chart, n - a, {J: one})
         if not any(u == c for c in candidates):
             candidates.append(u)

@@ -92,7 +92,7 @@ class CheckReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _index_tuples(chart: Chart, p: int) -> tuple[tuple[int, ...], ...]:
+def _all_index_tuples(chart: Chart, p: int) -> tuple[tuple[int, ...], ...]:
     """The keys of the degree-p terms on the chart, in lexicographic order
     (none for negative p); cached, since every kernel lists them."""
     return tuple(itertools.combinations(range(chart.dimension), p)) if p >= 0 else ()
@@ -189,7 +189,7 @@ class NFormStructure:
         if p < 1 or p > self.chart.dimension:
             raise DegreeError(f"kernel degree {p} out of range")
         rows = _stacked_rows(_contraction_columns(targets, p), [t.degree - p for t in targets])
-        result = rref(rows, self.chart, unknowns=_index_tuples(self.chart, p))
+        result = rref(rows, self.chart, unknowns=_all_index_tuples(self.chart, p))
         out = [MultiVector(self.chart, p, vec) for vec in result.kernel]
         # kernels must re-verify by contraction; elimination bugs die here
         for u in out:

@@ -1062,7 +1062,7 @@ class TestOperandPath:
             capsys, "conformal", "verify", "--alpha", "d(x0)^d(x0)", "--x", "e_y^e_y", "--v", "0",
             "-s", canonical_session,
         )
-        assert (code, out) == (1, "")
+        assert (code, out) == (2, "")
         assert err.splitlines() == [
             "warning: exterior product vanishes identically (repeated factor)",
             "error: scalar witness supplied where degree 1 is needed",

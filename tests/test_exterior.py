@@ -22,7 +22,6 @@ from gjb.errors import DegreeError, DomainError, StructuralError
 from gjb.exterior import (
     DiffForm,
     MultiVector,
-    PolyMap,
     _contract_key,
     _merge_indices,
     _odd_parts,
@@ -417,20 +416,6 @@ def test_reindex_round_trip():
     # same geometric object: contractions agree after transport
     contracted = interior_product(MultiVector.basis_vector(other, "a"), moved)
     assert reindex(contracted, CH) == interior_product(e("a"), om)
-
-
-def test_pullback_commutes_with_d_and_wedge(rng):
-    target = Chart(("s", "t"))
-    images = {
-        "s": rand_coefficient(rng, CH, max_terms=2, max_degree=2),
-        "t": rand_coefficient(rng, CH, max_terms=2, max_degree=2),
-    }
-    phi = PolyMap(CH, target, images)
-    for _ in range(10):
-        om = rand_form(rng, target, rng.randint(0, 1))
-        eta = rand_form(rng, target, rng.randint(0, 1))
-        assert phi.pull_form(exterior_derivative(om)) == exterior_derivative(phi.pull_form(om))
-        assert phi.pull_form(wedge(om, eta)) == wedge(phi.pull_form(om), phi.pull_form(eta))
 
 
 # -- display -------------------------------------------------------------------

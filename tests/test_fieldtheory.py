@@ -1,6 +1,7 @@
 """Canonical phase space, elementary tables, Reeb calculus, covariant
 Hamilton equations, dissipated quantities, distortion and obstructions."""
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -627,13 +628,12 @@ def test_sigma_vanishes_without_action_dependence():
 
 def test_generic_jet_section_differentials():
     J = hamiltonian_section(CAN, C("p0") ** 2 + C("y") * C("s1")).jet
-    pulled = J.pull(DiffForm.differential(CAN.chart, "y"))
     expected = DiffForm.differential(J.chart, "x0").scale(
         Coefficient.coordinate(J.chart, jet_name("y", "x0"))
     ) + DiffForm.differential(J.chart, "x1").scale(
         Coefficient.coordinate(J.chart, jet_name("y", "x1"))
     )
-    assert pulled == expected
+    assert J.form_images["y"] == expected
 
 
 def test_hamiltonian_jet_section_eliminates_the_residual_momentum():
@@ -656,12 +656,12 @@ def test_hamiltonian_jet_section_eliminates_the_residual_momentum():
         DiffForm.differential(J.chart, "x0").scale(total["x0"])
         + DiffForm.differential(J.chart, "x1").scale(total["x1"])
     )
-    assert J.pull(DiffForm.differential(CAN.chart, "p")) == expected
+    assert J.form_images["p"] == expected
 
 
 def test_jet_pullback_of_the_volume():
     J = hamiltonian_section(CAN, C("p0") ** 2 + C("y") * C("s1")).jet
-    assert J.pull(CAN.volume) == DiffForm.volume(J.chart, ("x0", "x1"))
+    assert fieldtheory._pulled_top(J, CAN.volume) == Coefficient.one(J.chart)
 
 
 @pytest.mark.parametrize("n, m, parameters", [(2, 1, ()), (2, 3, ()), (4, 2, ()), (3, 2, ("g", "k"))])
@@ -870,16 +870,77 @@ def rand_pulled_form(rng, S):
     return DiffForm(S.chart, S.degree, terms)
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    sympy = pytest.importorskip("sympy")
+    import sympy.combinatorics
+
+    return sympy
+
+
+def determinant_pullback(sympy, J, H):
+    """An oracle for ``_pulled_top``, the x-volume coefficient of the
+    pullback along the jet ``J`` of p = -H, that shares no code with
+    ``wedge``: it reads coefficients only through their exponent maps and
+    works in sympy's polynomial ring on the jet chart's names.  The
+    x-volume coefficient of psi*(c dx^K) is psi*(c) det M_K, where the row
+    of M_K for each position of K is e_nu for x^nu, (f_x0, ..., f_x{n-1})
+    for a field f, (-D_0 H, ..., -D_{n-1} H) for p, with D_mu the total
+    derivative through the jet symbols, and zero for a parameter; psi*(c)
+    is c with p replaced by -H."""
+    S = J.canonical
+    ring = sympy.ring(J.chart.coordinates, sympy.QQ)[0]
+    gen = dict(zip(J.chart.coordinates, ring.gens))
+
+    def polynomial(c, values):
+        names = c.chart.coordinates
+        return sum(
+            (
+                ring(sympy.QQ(v.numerator, v.denominator)) * math.prod(values[x] ** k for x, k in zip(names, expo) if k)
+                for expo, v in c.exponent_terms().items()
+            ),
+            ring.zero,
+        )
+
+    fields = S.y_names + S.momentum_names + S.s_names
+    h = polynomial(H, gen)
+    rows = {x: [ring.one if x == other else ring.zero for other in S.x_names] for x in S.x_names}
+    rows.update({f: [gen[jet_name(f, x)] for x in S.x_names] for f in fields})
+    rows.update({prm: [ring.zero] * S.spec.n for prm in S.parameters})
+    total = [h.diff(gen[x]) + sum((h.diff(gen[f]) * gen[jet_name(f, x)] for f in fields), ring.zero) for x in S.x_names]
+    rows[S.p_name] = [-D for D in total]
+    values = {**gen, S.p_name: -h}
+
+    def det(names):
+        return sum(
+            (
+                sympy.combinatorics.Permutation(list(sigma)).signature()
+                * math.prod((rows[name][mu] for name, mu in zip(names, sigma)), start=ring.one)
+                for sigma in itertools.permutations(range(S.spec.n))
+            ),
+            ring.zero,
+        )
+
+    def pull(omega):
+        return sum(
+            (polynomial(c, values) * det([S.chart.coordinates[k] for k in K]) for K, c in omega.terms.items()),
+            ring.zero,
+        )
+
+    return pull, lambda c: polynomial(c, gen)
+
+
 @seed(SEED)
 @given(st.sampled_from(PULL_SHAPES), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_the_x_volume_coefficient_of_a_pullback_matches_the_generic_pullback(shape, rng):
+def test_the_x_volume_coefficient_of_a_pullback_matches_the_generic_pullback(sympy, shape, rng):
     S = PULL_STRUCTURES[shape]
     H = rand_hamiltonian(rng, S) + S.coordinate("g") * rand_hamiltonian(rng, S)
     J = hamiltonian_section(S, H).jet
+    pull, polynomial = determinant_pullback(sympy, J, H)
     # the second and third forms read entries the first put in the table
     for omega in (rand_pulled_form(rng, S), rand_pulled_form(rng, S), S.theta + rand_pulled_form(rng, S)):
-        assert fieldtheory._pulled_top(J, omega) == fieldtheory._top_coefficient(J, J.pull(omega))
+        assert polynomial(fieldtheory._pulled_top(J, omega)) == pull(omega)
 
 
 def per_coordinate_membership(S, h, span):
@@ -980,7 +1041,7 @@ def test_volume_slice_is_dissipated_iff_no_action_dependence():
 def test_dissipated_quantity_on_shell(rng):
     """A dissipated alpha satisfies psi*(d alpha) = -sigma ^ alpha modulo the
     solved covariant Hamilton system."""
-    from gjb.fieldtheory import _hdw_reduce, _top_coefficient
+    from gjb.fieldtheory import _hdw_reduce, _pulled_top
 
     rows, _ = elementary_tables(CAN)
     row3 = next(r for r in rows if r.family == 3)
@@ -989,7 +1050,7 @@ def test_dissipated_quantity_on_shell(rng):
     J = JetSection.for_hamiltonian_section(section)
     _, solved = section.system
     alpha = row3.data.alpha
-    onshell = _top_coefficient(J, J.pull(exterior_derivative(alpha) + wedge(section.sigma, alpha)))
+    onshell = _pulled_top(J, exterior_derivative(alpha) + wedge(section.sigma, alpha))
     assert _hdw_reduce(J, solved, onshell).is_zero()
 
 
