@@ -13,18 +13,26 @@ Two kinds of commands:
   ``dissipated``, ``distortion``) work directly on a canonical phase
   space selected with ``--n``/``--m`` and need no session.
 
-Exit codes: 0 on success, 1 when a mathematical check fails, an object
-fails validation, or a value to be written holds a rational with more
-digits than the interpreter converts to text (4 300 by default), 2 on
-usage errors (bad flags, syntax errors, a numeric literal longer than
-that limit, unknown names, an expression that leaves the Laurent ring
-such as ``q^-1`` where ``q`` may vanish, a degree the operation does not
-take, which is every ``DegreeError``, such as ``kernel --degree 0`` or
-``sharp`` of a form of the wrong degree, a free name of ``hdw``'s
-``--H`` spelled like one of its jet symbols, missing, unreadable or
+Exit codes: 0 on success, 1 when a mathematical check fails (among them
+``dissipated: no``, and a ``--G`` that does not generate a conformal
+transformation, a check on the data), an object fails validation, or a
+value to be written holds a rational with more digits than the
+interpreter converts to text (4 300 by default), 2 on usage errors (bad
+flags, syntax errors, a numeric literal longer than that limit, unknown
+names, an expression that leaves the Laurent ring such as ``q^-1`` where
+``q`` may vanish, a degree the operation does not take, which is every
+``DegreeError``, such as ``kernel --degree 0`` or ``sharp`` of a form of
+the wrong degree, a free name of ``hdw``'s ``--H`` spelled like one of
+its jet symbols, an operand outside the variables it may depend on: an
+``--H`` on the residual momentum, an ``--F`` on more than x and y, a
+``--G`` on more than x, y and the momenta; missing, unreadable or
 incompatible session files), 141 (128 + SIGPIPE) when stdout is a pipe
 whose reader has closed it, as in ``gjb tables --n 2 --m 1 | head -1``;
 nothing more is written then.
+
+Each operand text is parsed once: a phase-space command reads the free
+names of its ``--H``/``--F``/``--G`` trees to build its structure
+(``_canonical_from_args``) and evaluates the same trees (``_operands``).
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import sys
 from .coeffring import Chart, Coefficient
 from .dsl import (
     Environment,
+    Node,
     _as_scalar,
     _binding_name_error,
     _chart_name,
@@ -54,6 +63,8 @@ from .errors import DegreeError, DomainError, GjbError, ParseError, StructuralEr
 from .exterior import DiffForm, MultiVector
 from .fieldtheory import (
     CanonicalStructure,
+    HamiltonianSection,
+    _fg_support_error,
     _table1_rows,
     dissipated_check,
     distortion,
@@ -106,16 +117,28 @@ _REFUSALS = {
 }
 
 
-def _operands(env: Environment, *operands: tuple[str, str, type | None]) -> list:
-    """Each ``(text, label, kind)`` evaluated against ``env`` and coerced
+def _parsed(text: str, label: str) -> Node:
+    """The syntax tree of an operand text; one that does not parse is a
+    usage error labelled ``label``."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        raise _UsageError(f"in {label}: {err}") from err
+
+
+def _operands(env: Environment, *operands: tuple[str | Node, str, type | None]) -> list:
+    """Each ``(source, label, kind)`` evaluated against ``env`` and coerced
     to ``kind`` (None takes the value as it is), by the expression
     language's rule that a scalar and a degree-0 form or multivector are
-    one thing.  The warnings of the whole evaluation are printed once,
-    after every operand is read."""
+    one thing.  A source text is parsed here, in turn; a tree is one
+    ``_canonical_from_args`` already parsed, so no text is read twice.
+    The warnings of the whole evaluation are printed once, after every
+    operand is read."""
     values = []
-    for text, label, kind in operands:
+    for source, label, kind in operands:
+        tree = _parsed(source, label) if isinstance(source, str) else source
         try:
-            value = elaborate(parse(text), env)
+            value = elaborate(tree, env)
         except ParseError as err:
             raise _UsageError(f"in {label}: {err}") from err
         if kind is not None and not isinstance(value, kind):
@@ -148,21 +171,30 @@ def _spec(n: int, m: int) -> PhaseSpaceSpec:
         raise _UsageError(str(err)) from err
 
 
-def _canonical_from_args(args, *operands: tuple[str, str]) -> CanonicalStructure:
+def _canonical_from_args(args, *operands: tuple[str, str]) -> tuple[CanonicalStructure, list[Node]]:
     """Build the (n, m) phase space, promoting unknown names in the
-    ``(text, label)`` operands to symbolic parameters.  The names are read
-    off the shape alone, so exactly one structure is built; a text that
-    does not parse is a usage error labelled as ``_operands`` labels it."""
+    ``(text, label)`` operands to symbolic parameters, and return it with
+    the operands' syntax trees, in order, for ``_operands`` to evaluate.
+    The names are read off the shape alone, so exactly one structure is
+    built; a text that does not parse is a usage error labelled as
+    ``_operands`` labels it."""
     spec = _spec(args.n, args.m)
     chart = Chart(spec.coordinates)
     unknown = set()
+    trees = []
     for text, label in operands:
-        try:
-            names = free_names(parse(text))
-        except ParseError as err:
-            raise _UsageError(f"in {label}: {err}") from err
-        unknown.update(name for name in names if _chart_name(chart, name) is None)
-    return CanonicalStructure(spec, tuple(sorted(unknown)))
+        trees.append(_parsed(text, label))
+        unknown.update(name for name in free_names(trees[-1]) if _chart_name(chart, name) is None)
+    return CanonicalStructure(spec, tuple(sorted(unknown))), trees
+
+
+def _section(C: CanonicalStructure, H: Coefficient) -> HamiltonianSection:
+    """The Hamiltonian section of ``--H``; an H on the residual momentum
+    is a usage error, with the library's message."""
+    try:
+        return hamiltonian_section(C, H)
+    except DomainError as err:
+        raise _UsageError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +419,10 @@ def _row_title(row) -> str:
 
 
 def _cmd_tables(args) -> int:
-    C = _canonical_from_args(args)
+    C, _ = _canonical_from_args(args)
     rows, entries = elementary_tables(C)
+    # each cell names two of the rows; each row's title is written once
+    titles = {id(row): _row_title(row) for row in rows}
     if args.format == "json":
         import json as _json
 
@@ -410,8 +444,8 @@ def _cmd_tables(args) -> int:
             ],
             "table2": [
                 {
-                    "row": _row_title(entry.row),
-                    "column": _row_title(entry.column),
+                    "row": titles[id(entry.row)],
+                    "column": titles[id(entry.column)],
                     "computed": _payload(entry.computed),
                     "reference": _payload(entry.reference),
                     "match": entry.match,
@@ -426,18 +460,18 @@ def _cmd_tables(args) -> int:
     print()
     print("Table 1: form | transformation | factor")
     for row in rows:
-        print(f"  [{_row_title(row)}] alpha = {render(row.data.alpha, args.format)}")
+        print(f"  [{titles[id(row)]}] alpha = {render(row.data.alpha, args.format)}")
         print(f"      X = {render(row.data.x_field, args.format)}")
         print(f"      factor = {row.factor}")
     print()
     print("Table 2: pairwise brackets, definitional vs reference")
     mismatches = 0
     for entry in entries:
-        verdict = "MATCH" if entry.match else "MISMATCH"
-        if not entry.match:
-            mismatches += 1
+        match = entry.match
+        verdict = "MATCH" if match else "MISMATCH"
+        mismatches += not match
         line = (
-            f"  {{{_row_title(entry.row)}, {_row_title(entry.column)}}}"
+            f"  {{{titles[id(entry.row)]}, {titles[id(entry.column)]}}}"
             f" = {render(entry.computed, args.format)}  [reference: {render(entry.reference, args.format)}]  {verdict}"
         )
         if entry.note:
@@ -469,9 +503,9 @@ def _legend(C: CanonicalStructure, J: JetSection) -> dict[str, str]:
 
 
 def _cmd_hdw(args) -> int:
-    C = _canonical_from_args(args, (args.H, "--H"))
-    (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
-    section = hamiltonian_section(C, H)
+    C, (tree,) = _canonical_from_args(args, (args.H, "--H"))
+    (H,) = _operands(Environment(chart=C.chart), (tree, "--H", Coefficient))
+    section = _section(C, H)
     try:
         section.jet
     except DomainError as err:  # a parameter named like a jet symbol
@@ -513,9 +547,9 @@ def _cmd_hdw(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    C = _canonical_from_args(args, (args.H, "--H"))
-    (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
-    _print_value(hamiltonian_section(C, H).sigma, args.format)
+    C, (tree,) = _canonical_from_args(args, (args.H, "--H"))
+    (H,) = _operands(Environment(chart=C.chart), (tree, "--H", Coefficient))
+    _print_value(_section(C, H).sigma, args.format)
     return 0
 
 
@@ -528,7 +562,7 @@ def _parse_row_spec(text: str) -> tuple[int, tuple[int, ...]]:
 
 
 def _cmd_dissipated(args) -> int:
-    C = _canonical_from_args(
+    C, (h_tree, *fg_trees) = _canonical_from_args(
         args, (args.H, "--H"), *([(args.F, "--F")] if args.F else ()), *((g, "--G") for g in args.G or ())
     )
     if args.row and (args.F or args.G):
@@ -541,23 +575,27 @@ def _cmd_dissipated(args) -> int:
         if len(matches) > 1:
             options = ", ".join(_row_title(r) for r in matches)
             raise _UsageError(f"--row {args.row!r} is ambiguous; candidates: {options}")
-        (H,) = _operands(Environment(chart=C.chart), (args.H, "--H", Coefficient))
+        (H,) = _operands(Environment(chart=C.chart), (h_tree, "--H", Coefficient))
         data = matches[0].data
         title = matches[0].label
     elif args.F or args.G:
         if args.G and len(args.G) != C.spec.n:
             raise _UsageError(f"--G must be given {C.spec.n} times (one component per variable)")
+        f_source = fg_trees.pop(0) if args.F else "0"
         H, F, *G = _operands(
             Environment(chart=C.chart),
-            (args.H, "--H", Coefficient),
-            (args.F or "0", "--F", Coefficient),
-            *((g, "--G", Coefficient) for g in args.G or ["0"] * C.spec.n),
+            (h_tree, "--H", Coefficient),
+            (f_source, "--F", Coefficient),
+            *((g, "--G", Coefficient) for g in fg_trees or ["0"] * C.spec.n),
         )
+        refusal = _fg_support_error(C, F, G)
+        if refusal is not None:
+            raise _UsageError(refusal)
         _, data = vertical_conformal_from_FG(C, F, G)
         title = "vertical conformal data from (F, G)"
     else:
         raise _UsageError("dissipated needs --row or --F/--G to pick the conformal data")
-    verdict = dissipated_check(hamiltonian_section(C, H), data)
+    verdict = dissipated_check(_section(C, H), data)
     print(f"form: {title}")
     print(f"alpha = {data.alpha}")
     print(f"dissipated: {'yes' if verdict else 'no'}")

@@ -129,6 +129,8 @@ class Chart:
     (module docstring), computed once from the fields: ``origin``, the
     key of the zero exponent vector; ``_guards``, the guard bit of every
     slot; ``_shifts``, the bit offset of each coordinate's slot;
+    ``_name_shifts``, the same offsets in the order of the sorted
+    coordinate names, which is the order text reads exponents in;
     ``_polynomial``, the lowest bit of each slot of a coordinate not
     flagged nonvanishing; and ``_format``, the struct format of one key.
     """
@@ -158,6 +160,7 @@ class Chart:
             "origin": _BIAS * ones,
             "_guards": _GUARD * ones,
             "_shifts": shifts,
+            "_name_shifts": tuple(shifts[i] for i in sorted(range(n), key=self.coordinates.__getitem__)),
             "_polynomial": sum(1 << s for s, name in zip(shifts, self.coordinates) if name not in self.nonvanishing),
             "_format": f">{n}H",
         }
@@ -646,15 +649,15 @@ class Coefficient:
 
     def sorted_terms(self) -> list[tuple[int, int | Fraction]]:
         """Canonical term order: exponents read along lexicographically
-        sorted coordinate names, larger vectors first."""
-        order = sorted(range(self.chart.dimension), key=lambda i: self.chart.coordinates[i])
-        unpack = self.chart.unpack
-
-        def key(item):
-            expo = unpack(item[0])
-            return tuple(-expo[i] for i in order)
-
-        return sorted(self.terms.items(), key=key)
+        sorted coordinate names, larger vectors first.  The name order is
+        the chart's (``Chart._name_shifts``), and each slot is compared as
+        it is stored, its exponent plus the bias; distinct keys have
+        distinct slot tuples, so the order is total.  No, or one, term is
+        returned as it is."""
+        if len(self.terms) < 2:
+            return list(self.terms.items())
+        shifts = self.chart._name_shifts
+        return sorted(self.terms.items(), key=lambda item: tuple((item[0] >> s) & _SLOT for s in shifts), reverse=True)
 
     def __repr__(self):
         return f"Coefficient({format_coefficient(self)!r})"

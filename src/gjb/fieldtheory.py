@@ -218,6 +218,22 @@ def build_canonical(n: int, m: int, parameters: tuple[str, ...] = ()) -> Canonic
 # --------------------------------------------------------------------------
 
 
+def _fg_support_error(C: CanonicalStructure, F: Coefficient, G: Sequence[Coefficient]) -> str | None:
+    """Why F or a G^mu is refused by its variables alone, or None: F may
+    depend on x and y only, each G^mu on x, y and the momenta (parameters
+    are allowed everywhere)."""
+    allowed_F = set(C.x_names) | set(C.y_names) | set(C.parameters)
+    bad = F.support() - allowed_F
+    if bad:
+        return f"F may depend on x and y only; it involves {sorted(bad)}"
+    allowed_G = allowed_F | set(C.momentum_names)
+    for mu, g in enumerate(G):
+        bad = g.support() - allowed_G
+        if bad:
+            return f"G^{mu} may depend on x, y and the momenta only; it involves {sorted(bad)}"
+    return None
+
+
 def vertical_conformal_from_FG(
     C: CanonicalStructure, F: Coefficient, G: Sequence[Coefficient]
 ) -> tuple[MultiVector, ConformalData]:
@@ -234,15 +250,10 @@ def vertical_conformal_from_FG(
         raise StructuralError("F and G must live on the canonical chart")
     if len(G) != n:
         raise DomainError(f"expected {n} components for G, got {len(G)}")
+    refusal = _fg_support_error(C, F, G)
+    if refusal is not None:
+        raise DomainError(refusal)
     allowed_F = set(C.x_names) | set(C.y_names) | set(C.parameters)
-    bad = F.support() - allowed_F
-    if bad:
-        raise DomainError(f"F may depend on x and y only; it involves {sorted(bad)}")
-    allowed_G = allowed_F | set(C.momentum_names)
-    for mu in range(n):
-        bad = G[mu].support() - allowed_G
-        if bad:
-            raise DomainError(f"G^{mu} may depend on x, y and the momenta only; it involves {sorted(bad)}")
     B = []
     for i in range(m):
         diag = G[0].partial(C.momentum_name(0, i))

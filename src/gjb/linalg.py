@@ -5,8 +5,8 @@ entry, the format of the terms of a form or multivector: a key a row does
 not hold is a zero entry.  Elimination never leaves the Laurent ring;
 there is no fraction field.  The unknowns are scanned in one given order,
 so results are deterministic.  A pivot that is a unit of the ring (invertible
-at every chart point) is scaled to 1 by its inverse and cleared from the
-other rows with ring operations.  Only when no unit pivot remains anywhere
+at every chart point) is scaled to 1 by its inverse, unless it is 1
+already, and cleared from the other rows with ring operations.  Only when no unit pivot remains anywhere
 does elimination pivot on a non-unit entry p.  It clears p's column from
 another row by cross-multiplying, row <- p*row - a*pivot_row, the
 fraction-free step of Bareiss 1968 without its division by the previous
@@ -230,18 +230,23 @@ def _cross_multiply(target: dict, pivot_row: Mapping, pivot: Coefficient, factor
     return out
 
 
-def _eliminate(mat: list[dict], unknowns: Sequence[Hashable]) -> tuple[list[tuple[int, Hashable]], bool]:
+def _eliminate(
+    mat: list[dict], unknowns: Sequence[Hashable], chart: Chart
+) -> tuple[list[tuple[int, Hashable]], bool]:
     """In-place Gauss–Jordan elimination on the ``unknowns`` columns.
 
     Honest-unit pivots (invertible at every chart point) are taken first,
     scanning the unknowns in order; only when none remain anywhere does
     elimination pivot on a non-unit entry, flagging the result as valid
-    at generic points only.  Deterministic throughout.  A row operation
-    touches only the keys the pivot row holds, and an unknown no row holds
-    is never scanned, since row operations only combine rows.
+    at generic points only.  Deterministic throughout.  A unit pivot row
+    is scaled by the pivot's inverse, except when the pivot is already 1,
+    as ``RrefResult.reduce`` skips it too.  A row operation touches only
+    the keys the pivot row holds, and an unknown no row holds is never
+    scanned, since row operations only combine rows.
     """
     pivots: list[tuple[int, Hashable]] = []
     generic = False
+    one = Coefficient.one(chart)
     used_rows: set[int] = set()
     used_cols: set[Hashable] = set()
     held = set().union(*mat)
@@ -262,9 +267,10 @@ def _eliminate(mat: list[dict], unknowns: Sequence[Hashable]) -> tuple[list[tupl
             pivot_row = mat[row]
             pivot = pivot_row[col]
             if pivot.is_unit():
-                inv = pivot.unit_inverse()
-                for j in pivot_row:
-                    pivot_row[j] = pivot_row[j] * inv
+                if pivot != one:
+                    inv = pivot.unit_inverse()
+                    for j in pivot_row:
+                        pivot_row[j] = pivot_row[j] * inv
                 for r, target in enumerate(mat):
                     if r != row and col in target:
                         _subtract(target, target[col], pivot_row)
@@ -302,7 +308,7 @@ def rref(rows: Sequence[Mapping], chart: Chart, unknowns: Sequence[Hashable] | N
     unknowns = tuple(sorted(set().union(*mat)) if unknowns is None else unknowns)
     if len(set(unknowns)) != len(unknowns):
         raise StructuralError("an unknown is listed twice")
-    pivots, generic = _eliminate(mat, unknowns)
+    pivots, generic = _eliminate(mat, unknowns, chart)
     return RrefResult(mat, pivots, generic, unknowns, chart)
 
 

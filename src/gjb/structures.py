@@ -23,7 +23,12 @@ vertical (F, G) data build through the private _contracted_data, and
 solves for the witness; both compute α = −ι_XΘ, so only the conformal
 equation is checked.  It is written once (_conformal_residual), from
 ι_X dΘ and dα, which the solve reads too, so each is formed once per
-call.  Each value has one spelling:
+call.  A field X with no terms, which most brackets of the elementary
+tables give, contracts nothing: _contracted_data takes α, ι_X dΘ and dα
+as the empty forms of their degrees, and the conformal residual of an
+empty V is then the empty form, so the zero pair (X, V) = (0, 0) is the
+empty α of degree n − p, checked through _checked_data like any other.
+Each value has one spelling:
 make_conformal_data refuses an α whose degree is not n − p, zero or not,
 and only where outside input enters (the command-line operands and the
 interchange reader of dsl) is an untyped zero α typed at n − p.
@@ -278,7 +283,11 @@ def _as_witness(chart: Chart, v, degree: int) -> MultiVector:
 
 def _conformal_residual(S: NFormStructure, p: int, iota_dtheta: DiffForm, dalpha: DiffForm, v_field) -> DiffForm:
     """ι_X dΘ − (−1)^{p+1} (dα + ι_V Θ) for a degree-p X, zero exactly when
-    the conformal equation holds; the one spelling of that equation."""
+    the conformal equation holds; the one spelling of that equation.  When
+    V, ι_X dΘ and dα have no terms it is the empty ``iota_dtheta``, and
+    nothing is contracted."""
+    if not (v_field.terms or iota_dtheta.terms or dalpha.terms):
+        return iota_dtheta
     return iota_dtheta - (dalpha + interior_product(v_field, S.theta)).scale((-1) ** (p + 1))
 
 
@@ -296,9 +305,17 @@ def _checked_data(
 def _contracted_data(S: NFormStructure, x_field: MultiVector, v_field: MultiVector) -> ConformalData:
     """Conformal data of a degree ≥ 1 field X and a degree-(p − 1) witness
     V with α = −ι_XΘ computed here, so the defining equation holds by
-    construction and only the conformal equation is checked."""
-    alpha = -interior_product(x_field, S.theta)
-    return _checked_data(S, alpha, x_field, v_field, interior_product(x_field, S.dtheta), exterior_derivative(alpha))
+    construction and only the conformal equation is checked.  An X with
+    no terms contracts nothing: α, ι_X dΘ and dα are the empty forms of
+    their degrees, so the zero pair (X and V both empty) has the empty α
+    of degree n − p and forms no product at all."""
+    if x_field.terms:
+        alpha = -interior_product(x_field, S.theta)
+        iota_dtheta, dalpha = interior_product(x_field, S.dtheta), exterior_derivative(alpha)
+    else:
+        alpha = DiffForm.zero(S.chart, S.degree - x_field.degree)
+        iota_dtheta = dalpha = DiffForm.zero(S.chart, alpha.degree + 1)
+    return _checked_data(S, alpha, x_field, v_field, iota_dtheta, dalpha)
 
 
 def _witnessed_data(S: NFormStructure, x_field: MultiVector) -> ConformalData | None:

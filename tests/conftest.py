@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from gjb import cli
 from gjb.coeffring import Chart, Coefficient
 from gjb.exterior import DiffForm, MultiVector, interior_product, wedge
 from gjb.fieldtheory import build_canonical, vertical_conformal_from_FG
@@ -21,6 +22,31 @@ SEED = int(os.environ.get("GJ_SEED", "20250815"))
 @pytest.fixture
 def rng():
     return random.Random(SEED)
+
+
+class RecordingParser:
+    """The command-line parser, with each parsed command wrapped to record
+    the exception it raises before ``main`` maps it to an exit code, so a
+    harness reads the exception, not its message.  Patched in for
+    ``cli._build_parser``."""
+
+    def __init__(self):
+        self.parser = cli._build_parser()
+        self.raised = []
+
+    def parse_args(self, argv):
+        args = self.parser.parse_args(argv)
+        command = args.func
+
+        def recorded(parsed):
+            try:
+                return command(parsed)
+            except Exception as err:
+                self.raised.append(err)
+                raise
+
+        args.func = recorded
+        return args
 
 
 def rand_coefficient(rng, chart, max_terms=3, max_degree=2, laurent=False):

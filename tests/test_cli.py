@@ -507,6 +507,28 @@ class TestSigmaDissipatedDistortion:
             assert code == 2
             assert "error:" in err
 
+    RESIDUAL = "a Hamiltonian section may not depend on the residual momentum 'p'"
+    REFUSED_OPERANDS = [
+        (["sigma", "--H", "p"], RESIDUAL),
+        (["hdw", "--H", "p"], RESIDUAL),
+        (["dissipated", "--H", "p", "--row", "1"], RESIDUAL),
+        (["dissipated", "--H", "y", "--F", "p0", "--G", "0", "--G", "0"], "F may depend on x and y only; it involves ['p0']"),
+        (["dissipated", "--H", "y", "--G", "s0", "--G", "0"], "G^0 may depend on x, y and the momenta only; it involves ['s0']"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", REFUSED_OPERANDS, ids=[" ".join(argv) for argv, _ in REFUSED_OPERANDS])
+    def test_an_operand_outside_its_variables_is_a_usage_error(self, capsys, argv, message):
+        # bad input, not a failed check on the data
+        code, out, err = run(capsys, argv[0], "--n", "2", "--m", "1", *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_g_that_generates_no_conformal_transformation_fails_its_check(self, capsys):
+        code, out, err = run(capsys, "dissipated", "--n", "2", "--m", "1", "--H", "y", "--G", "p1", "--G", "0")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: G does not generate a conformal transformation: dG^0/dp^1_0 = 1 but delta^0_1 * dG^0/dp^0_0 = 0\n"
+        )
+
     def test_dissipated_rejects_a_malformed_row_index(self, capsys):
         code, out, err = run(
             capsys, "dissipated", "--n", "2", "--m", "1", "--H", "p0^2", "--row", "2:x"
@@ -1120,6 +1142,52 @@ class TestOneStructurePerCommand:
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert len(built) == 1
+
+
+class TestSkippedWork:
+    """A phase-space command does no work whose answer it already holds,
+    pinned by call counts, wherever a module of the package binds the
+    function counted."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module_name, bound in list(sys.modules.items()):
+            if module_name.split(".")[0] == "gjb" and getattr(bound, name, None) is real:
+                monkeypatch.setattr(bound, name, counting)
+        return calls
+
+    def test_tables_contract_no_zero_pair(self, capsys, monkeypatch):
+        # the zero pairs (X, V) = (0, 0), 114 of the 144 Table 2 cells at
+        # (3, 2), contract nothing
+        from gjb import exterior
+
+        calls = self.counted(monkeypatch, exterior, "interior_product")
+        code, _, err = run(capsys, "tables", "--n", "3", "--m", "2")
+        assert (code, err) == (0, "")
+        assert len(calls) == 105
+
+    TOKENIZED = [
+        (1, 4, ["dissipated", "--n", "2", "--m", "2", "--H", "k*y0", "--F", "x0", "--G", "y0", "--G", "y1"]),
+        (0, 1, ["hdw", "--n", "2", "--m", "2", "--H", "1/2*p0_0^2 + k*y0"]),
+        (0, 1, ["sigma", "--n", "2", "--m", "1", "--H", "k*y"]),
+    ]
+
+    @pytest.mark.parametrize("expected, texts, argv", TOKENIZED, ids=[argv[0] for _, _, argv in TOKENIZED])
+    def test_each_operand_text_is_tokenized_once(self, capsys, monkeypatch, expected, texts, argv):
+        # the free names and the value are read off one tree
+        from gjb import dsl
+
+        calls = self.counted(monkeypatch, dsl, "tokenize")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (expected, "")
+        assert [text for (text,) in calls] == argv[6::2] and len(calls) == texts
 
 
 class TestClosedPipe:

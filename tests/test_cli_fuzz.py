@@ -31,7 +31,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import SEED
+from conftest import SEED, RecordingParser
 from gjb import cli
 from gjb.dsl import FUNCTIONS
 from gjb.errors import DomainError, ValidationError
@@ -95,29 +95,6 @@ commands = st.one_of(
 TOO_LONG = re.compile(r"a rational with more than \d+ digits has no text")
 
 
-class _Recording:
-    """The command-line parser, with each parsed command wrapped to record
-    the exception it raises before ``main`` maps it to an exit code."""
-
-    def __init__(self):
-        self.parser = cli._build_parser()
-        self.raised = []
-
-    def parse_args(self, argv):
-        args = self.parser.parse_args(argv)
-        command = args.func
-
-        def recorded(parsed):
-            try:
-                return command(parsed)
-            except Exception as err:
-                self.raised.append(err)
-                raise
-
-        args.func = recorded
-        return args
-
-
 @pytest.fixture(scope="module")
 def sessions(tmp_path_factory):
     """Each session's path and the bytes of its file."""
@@ -142,7 +119,7 @@ def sessions(tmp_path_factory):
 def test_every_command_keeps_the_exit_code_contract(sessions, session, argv):
     path, original = sessions[session]
     path.write_bytes(original)
-    recording = _Recording()
+    recording = RecordingParser()
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(cli, "_build_parser", lambda: recording):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

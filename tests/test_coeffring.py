@@ -14,6 +14,8 @@ from gjb.exterior import DiffForm, MultiVector, schouten_nijenhuis, wedge
 from gjb.linalg import exact_divide
 from gjb.session import Session
 
+from conftest import rand_coefficient
+
 CHART = Chart(("p", "x", "y", "z"), frozenset({"z"}))
 
 
@@ -138,6 +140,19 @@ def test_format_elide_unit_mode():
 def test_format_zero_and_constants():
     assert format_coefficient(Coefficient.zero(CHART)) == "0"
     assert format_coefficient(const(Fraction(-7, 3))) == "-7/3"
+
+
+def test_terms_are_sorted_along_the_chart_name_order(rng):
+    """``sorted_terms`` reads exponents along the sorted coordinate names,
+    larger vectors first, on a chart whose names are out of order; a
+    negative exponent sorts below zero."""
+    chart = Chart(("y", "s0", "x1", "p", "a", "x0"), frozenset({"a", "p"}))
+    order = sorted(range(chart.dimension), key=chart.coordinates.__getitem__)
+    for _ in range(100):
+        f = rand_coefficient(rng, chart, max_terms=6, max_degree=3, laurent=True)
+        by_names = sorted(f.exponent_terms().items(), key=lambda item: [-item[0][i] for i in order])
+        assert [(chart.unpack(key), value) for key, value in f.sorted_terms()] == by_names
+    assert format_coefficient(Coefficient(chart, {(1, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, -1, 2): 2})) == "1*y + 2*a^-1*x0^2"
 
 
 def test_parse_examples():

@@ -508,6 +508,41 @@ def test_zero_skipping_elimination_matches_the_dense_reference(system):
     assert carried.nullity == result.nullity
 
 
+# pivots of 1 and -1, a unit off the constants (z is nonvanishing), other
+# unit constants, and non-units, which force cross-multiplied pivots
+PIVOT_ENTRIES = ["0", "0", "0", "1", "1", "-1", "2", "z", "-z^-1", "x", "x + 1"]
+
+
+def test_a_pivot_of_one_is_not_rescaled(rng, monkeypatch):
+    """``_eliminate`` multiplies a unit pivot row by the pivot's inverse
+    except when the pivot is 1; its rows, pivots and ``generic_only``
+    match ``_dense_ring_rref``, which rescales every unit pivot."""
+    one = Coefficient.one(CHART)
+    inverted = []
+    unit_inverse = Coefficient.unit_inverse
+    seen = {"one": 0, "other unit": 0, "generic": 0}
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[C(rng.choice(PIVOT_ENTRIES)) for _ in range(ncols)] for _ in range(nrows)]
+        mat, pivots, generic = _dense_ring_rref(rows)
+        with monkeypatch.context() as patched:
+            patched.setattr(Coefficient, "unit_inverse", lambda c: inverted.append(c) or unit_inverse(c))
+            result = rref(_rows(rows), CHART, unknowns=range(ncols))
+        assert result.pivots == pivots
+        assert result.generic_only == generic
+        assert result.rows == _rows(mat)
+        assert one not in inverted
+        if generic:
+            seen["generic"] += 1
+        else:
+            # every pivot is a unit and ends as 1; only those that were not 1 are inverted
+            assert all(result.rows[r][c] == one for r, c in pivots)
+            seen["one"] += len(pivots) - len(inverted)
+            seen["other unit"] += len(inverted)
+        inverted.clear()
+    assert min(seen.values()) >= 5, seen
+
+
 def _rational_rank(matrix):
     """Rank over the rationals by plain Fraction elimination."""
     mat, rank = [list(row) for row in matrix], 0

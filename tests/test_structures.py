@@ -462,6 +462,33 @@ def test_the_bracket_path_refuses_a_witness_off_the_conformal_equation():
     assert set(refused.value.residuals) == {"conformal"}
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_the_zero_pair_is_what_the_full_path_gives_and_contracts_nothing(monkeypatch, p):
+    """(X, V) = (0, 0), the pair most Table 2 cells bracket to, gives α the
+    empty form of degree n − p (negative past the top), as −ι_XΘ does, and
+    forms no contraction on the way."""
+    S = canonical_structure(2, 1)
+    X, V = MultiVector.zero(S.chart, p), MultiVector.zero(S.chart, p - 1)
+    full = -interior_product(X, S.theta)
+    contracted = []
+    with monkeypatch.context() as patched:
+        patched.setattr(exterior, "_contracted", lambda *args: contracted.append(args))
+        data = structures._contracted_data(S, X, V)
+    assert contracted == []
+    assert data.alpha == full and data.alpha.is_zero()
+    assert data.alpha.degree == full.degree == S.degree - p
+    assert (data.structure, data.x_field, data.v_field) == (S, X, V)
+    assert all(residual.is_zero() for residual in data.residuals().values())
+
+
+def test_a_zero_field_with_a_nonzero_witness_is_refused():
+    S = canonical_structure(2, 1)
+    one = MultiVector.from_scalar(Coefficient.one(S.chart))
+    with pytest.raises(ValidationError, match="^conformal data fails its defining equations$") as refused:
+        structures._contracted_data(S, MultiVector.zero(S.chart, 1), one)
+    assert set(refused.value.residuals) == {"conformal"}
+
+
 def test_graded_leibniz_and_jacobi_on_translations():
     pool = translations_and_vertical_data(2)
     nonzero = {"leibniz": 0, "jacobi": 0}
