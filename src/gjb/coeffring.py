@@ -74,7 +74,8 @@ The textual form is `3/2*s0*y^2 - 1*z^-1`: terms joined by signs, each
 term a rational prefix followed by `name^exponent` factors with the names
 in lexicographic order.  This module only writes text: the form is a
 scalar expression of the expression language, and `dsl.parse_coefficient`
-reads it with that language's one grammar.
+reads it, in one pass when a text is in exactly this form, through the
+validating constructor, and with that language's one grammar otherwise.
 
 All plain and LaTeX text of the package is written here: a spelling
 record per format (`_PLAIN`, `_LATEX`) says how it writes each piece of

@@ -29,13 +29,18 @@ The exponent must be a constant integer: ``x^(1+1)`` is ``x^2`` and
 ``dx^(1+1)`` is ``dx^2``, and ``x^y``, ``dx^y`` or ``x^(1/2)`` is a
 ``ParseError`` at the ``^``.
 
-Every text the package reads goes through this grammar: the stored
-coefficients of session and interchange files too, which
-``parse_coefficient`` reads as scalar expressions on their chart,
-refusing a value that is not a scalar.  The interchange reader
-(``object_from_json`` and its shape check) is the one module that reads
-inside a payload, and where an older file stores a zero α at degree 0
-it types it at n − p, as the library requires.
+Every text the package reads is read by this grammar, with one
+exception: ``parse_coefficient``, which reads the stored coefficients of
+session and interchange files as scalar expressions on their chart,
+first tries a one-pass reader of the exact form ``format_coefficient``
+writes (``_writer_form``).  That reader builds its terms through the
+ring's validating constructor and declines, never refuses: any text
+outside that form, or any it would read differently from the grammar,
+goes to the grammar, so every value is the grammar's value and every
+refusal the grammar's refusal.  A value that is not a scalar is refused.
+The interchange reader (``object_from_json`` and its shape check) is the
+one module that reads inside a payload, and where an older file stores a
+zero α at degree 0 it types it at n − p, as the library requires.
 
 A standalone value (``to_json``, ``object_from_json``, ``render`` to
 JSON) names its chart.  A document that names its chart once writes its
@@ -61,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -488,15 +494,6 @@ def _as_data(value: Value, node: Node) -> ConformalData:
     )
 
 
-def _literal_int(node: Node) -> int | None:
-    if isinstance(node, Num) and node.value.denominator == 1:
-        return int(node.value)
-    if isinstance(node, Neg):
-        inner = _literal_int(node.operand)
-        return None if inner is None else -inner
-    return None
-
-
 def _add(env: Environment, node: BinOp, left: Value, right: Value) -> Value:
     sign = 1 if node.op == "+" else -1
     if isinstance(left, ConformalData) or isinstance(right, ConformalData):
@@ -590,11 +587,6 @@ def _operation(env: Environment, node: BinOp) -> Value:
     if node.op in {"+", "-"}:
         return _add(env, node, elaborate(node.left, env), elaborate(node.right, env))
     left = elaborate(node.left, env)
-    if node.op == "^":
-        # a literal exponent skips elaborating it: 15-25 % of parse_coefficient on stored powers
-        exponent = _literal_int(node.right)
-        if exponent is not None:
-            return _power(env, node, left, exponent)
     right = elaborate(node.right, env)
     if node.op == "^":
         rs = _as_scalar(right)
@@ -652,10 +644,63 @@ def evaluate(text: str, env: Environment) -> Value:
     return elaborate(parse(text), env)
 
 
+# the form ``format_coefficient`` writes: terms joined by " + " or " - ",
+# the first maybe led by "-", each an ASCII integer or ratio followed by
+# ``*name`` factors, each with an optional ``^k``
+_TERM = r"[0-9]+(?:/[0-9]+)?(?:\*[A-Za-z_][A-Za-z0-9_]*(?:\^-?[0-9]+)?)*"
+_WRITER_FORM = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
+
+
+def _writer_form(chart: Chart, text: str) -> Coefficient | None:
+    """The value of ``text`` read in one pass when it is in the form
+    ``format_coefficient`` writes, built through the validating
+    constructor; None, for the grammar to read, for any other text and for
+    what the grammar reads otherwise or refuses: a name that is not a
+    coordinate, names of a term not in strictly increasing order, a zero
+    term with factors, a repeated monomial, a zero denominator, a literal
+    longer than the interpreter converts, and (refused by the constructor)
+    an exponent outside its slot or a negative one on a coordinate that may
+    vanish."""
+    if not _WRITER_FORM.fullmatch(text) or ((limit := sys.get_int_max_str_digits()) and len(text) > limit):
+        return None
+    coordinates, terms = chart.coordinates, {}
+    pieces = text.split(" ")  # term, sign, term, sign, ...
+    for sign, term in zip(["+", *pieces[1::2]], pieces[::2]):
+        number, *factors = term.split("*")
+        numerator, _, denominator = number.partition("/")
+        value = int(numerator)
+        if denominator:
+            if not int(denominator):
+                return None
+            value = Fraction(value, int(denominator))
+        if not value and factors:
+            return None  # the constructor drops a zero term unchecked
+        exponents, previous = [0] * len(coordinates), ""
+        for factor in factors:
+            name, _, power = factor.partition("^")
+            if name <= previous or name not in coordinates:
+                return None
+            exponents[coordinates.index(name)] = int(power or 1)
+            previous = name
+        key = tuple(exponents)
+        if key in terms:
+            return None
+        terms[key] = -value if sign == "-" else value
+    try:
+        return Coefficient(chart, terms)
+    except DomainError:
+        return None
+
+
 def parse_coefficient(chart: Chart, text: str) -> Coefficient:
     """Read a scalar expression on ``chart``, such as the textual form
     ``3/2*s0*y^2 - 1*z^-1`` that ``format_coefficient`` writes; text whose
-    value is not a scalar is a ParseError."""
+    value is not a scalar is a ParseError.  A text in the writer's form is
+    read in one pass (``_writer_form``); any other text, and any that pass
+    declines, goes through the grammar, so every refusal is the grammar's."""
+    value = _writer_form(chart, text)
+    if value is not None:
+        return value
     value = evaluate(text, Environment(chart=chart))
     if not isinstance(value, Coefficient):
         raise ParseError(f"expected a scalar, got a {_describe(value)}")

@@ -529,6 +529,12 @@ class TestSigmaDissipatedDistortion:
             "error: G does not generate a conformal transformation: dG^0/dp^1_0 = 1 but delta^0_1 * dG^0/dp^0_0 = 0\n"
         )
 
+    def test_a_g_not_affine_in_the_momenta_fails_its_check(self, capsys):
+        argv = ["--H", "p0_0", "--F", "0", "--G", "p0_0*p1_1", "--G", "p1_0*p1_1"]
+        code, out, err = run(capsys, "dissipated", "--n", "2", "--m", "2", *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: G must be affine in the momenta with x,y coefficients; dG^0/dp^0_0 involves ['p1_1']\n"
+
     def test_dissipated_rejects_a_malformed_row_index(self, capsys):
         code, out, err = run(
             capsys, "dissipated", "--n", "2", "--m", "1", "--H", "p0^2", "--row", "2:x"

@@ -14,11 +14,12 @@ Whatever the texts, each command keeps the exit-code contract of the
   of stderr;
 * an exit 1 comes only from a ``ValidationError``, from a ``dissipated:
   no`` verdict, or from the refusal of a G that does not generate a
-  conformal transformation, a check on the data; an operand refused by
-  its variables alone is bad input, exit 2.
+  conformal transformation or is not affine in the momenta, checks on
+  the data; an operand refused by its variables alone is bad input,
+  exit 2.
 
-The fixed cases are those operand refusals; the random ones follow from
-the seed (``GJ_SEED``).
+The fixed cases are those operand refusals and the two refusals of G
+that check the data; the random ones follow from the seed (``GJ_SEED``).
 """
 
 import contextlib
@@ -52,7 +53,10 @@ FIXED = [
     ["dissipated", "--n", "2", "--m", "1", "--H=y", "--G=s0", "--G=0"],
     ["dissipated", "--n", "2", "--m", "2", "--H=y0", "--F=s1", "--G=0", "--G=0"],
     ["dissipated", "--n", "2", "--m", "1", "--H=y", "--G=p1", "--G=0"],  # G-generation: exit 1
+    ["dissipated", "--n", "2", "--m", "2", "--H=p0_0", "--G=p0_0*p1_1", "--G=p1_0*p1_1"],  # not affine: exit 1
 ]
+# the refusals of G that are checks on the data
+G_CHECKS = ("G does not generate a conformal transformation", "G must be affine in the momenta")
 
 
 def _names(n, m):
@@ -130,7 +134,7 @@ def _check(argv):
             isinstance(raised, ValidationError)
             or (
                 isinstance(raised, DomainError)
-                and str(raised).startswith("G does not generate a conformal transformation")
+                and str(raised).startswith(G_CHECKS)
             )
             for raised in recording.raised
         )
@@ -144,7 +148,7 @@ def test_phase_space_commands_keep_the_exit_code_contract():
     start = time.perf_counter()
     codes = [_check(argv) for argv in commands]
     elapsed = time.perf_counter() - start
-    assert codes[: len(FIXED)] == [2] * (len(FIXED) - 1) + [1]
+    assert codes[: len(FIXED)] == [2] * (len(FIXED) - 2) + [1, 1]
     # the draws reach every exit code
     assert {0, 1, 2} <= set(codes[len(FIXED) :]), codes
     assert elapsed < BUDGET_S, f"{len(commands)} commands took {elapsed:.2f}s"

@@ -2,12 +2,17 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from gjb.coeffring import Chart, Coefficient
+from gjb import dsl
+from gjb.coeffring import Chart, Coefficient, format_coefficient
 from gjb.dsl import (
     Environment,
+    _writer_form,
     elaborate,
     evaluate,
     free_names,
@@ -23,7 +28,7 @@ from gjb.exterior import DiffForm, MultiVector, wedge
 from gjb.fieldtheory import build_canonical
 from gjb.structures import make_conformal_data
 
-from conftest import contact_structure, rand_coefficient, rand_form, rand_multivector
+from conftest import SEED, contact_structure, rand_coefficient, rand_form, rand_multivector
 
 CAN = build_canonical(2, 1)
 
@@ -556,3 +561,119 @@ def test_conformal_json_needs_a_structure():
     rows, _ = elementary_tables(CAN)
     with pytest.raises(StructuralError):
         object_from_json(to_json(rows[0].data))
+
+
+# --------------------------------------------------------------------------
+# the one-pass reader of the writer's form
+# --------------------------------------------------------------------------
+
+# a plain chart, a Laurent chart whose names are not in sorted order, and
+# a canonical chart with parameters
+WRITER_CHARTS = {
+    "plain": Chart(("q", "p", "z")),
+    "laurent": Chart(("z", "q", "p", "w"), nonvanishing=frozenset({"z", "w"})),
+    "parameter": build_canonical(2, 1, ("k", "c")).chart,
+}
+_rationals = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(max_denominator=12),
+    # large rationals, well inside the digits the interpreter converts
+    st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**300)),
+)
+
+
+@st.composite
+def _written(draw):
+    """A chart and a random coefficient on it."""
+    chart = WRITER_CHARTS[draw(st.sampled_from(sorted(WRITER_CHARTS)))]
+    exponents = st.tuples(*(st.integers(-40 if name in chart.nonvanishing else 0, 40) for name in chart.coordinates))
+    return chart, Coefficient(chart, draw(st.dictionaries(exponents, _rationals, max_size=4)))
+
+
+@seed(SEED)
+@given(_written())
+@settings(max_examples=300, deadline=None)
+def test_the_one_pass_reader_reads_every_written_text_as_the_grammar_does(case):
+    chart, value = case
+    text = format_coefficient(value)
+    read = _writer_form(chart, text)
+    assert read is not None
+    assert read == evaluate(text, Environment(chart=chart)) == value
+
+
+def _outcome(chart, text):
+    """The value ``parse_coefficient`` reads, or the type, message, line
+    and column of its refusal."""
+    try:
+        return parse_coefficient(chart, text)
+    except ParseError as err:
+        return type(err), str(err), err.line, err.column
+
+
+def _grammar_outcome(chart, text):
+    with mock.patch.object(dsl, "_writer_form", lambda chart, text: None):
+        return _outcome(chart, text)
+
+
+# x may vanish, z may not
+ADVERSARIAL_CHART = Chart(("q", "x", "y", "z"), nonvanishing=frozenset({"z"}))
+ADVERSARIAL = [
+    "３",
+    "1/2٣",
+    "x^-1*x",
+    "1*x^-1*x",
+    "1*x^20000*x^-20000",
+    "x^20000*x^-20000",
+    "1*x^20000 - 1*x^20000",
+    "1*z^-16384",
+    "1*z^-16385",
+    "1*x^-1 - 1*x^-1",
+    "0*x^-1",
+    "1/0",
+    "1/0*x",
+    "1/00",
+    "1" * 4301,
+    "1*x^" + "1" * 4301,
+    "dq",
+    "e_q",
+    "d",
+    "1*y*x",
+    "1*x*x",
+    "1*x + 1*x",
+    "1 + 0",
+    "1*x^0 + 1",
+    "1*x+2",
+    "+1*x",
+    "--1*x",
+    "x^2^3",
+    "1*x^2^3",
+    "1*x ",
+    " 1*x",
+    "1*x  + 1",
+    "1*w",
+    "0",
+    "-0",
+    "0/7",
+    "",
+]
+
+
+@pytest.mark.parametrize("text", ADVERSARIAL)
+def test_the_one_pass_reader_declines_what_the_grammar_reads_otherwise(text):
+    assert _outcome(ADVERSARIAL_CHART, text) == _grammar_outcome(ADVERSARIAL_CHART, text)
+
+
+_MUTATIONS = st.sampled_from([*"0123456789/*^-+ _xyzqpwk", "３", "٣", "e_", "d", "(", ")"])
+
+
+@seed(SEED)
+@given(_written(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_written_text_reads_as_the_grammar_reads_it(case, data):
+    chart, value = case
+    text = format_coefficient(value)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        # insert, replace or delete one piece
+        text = text[:at] + data.draw(st.just("") | _MUTATIONS) + text[at + data.draw(st.integers(0, 1)) :]
+    assert _outcome(chart, text) == _grammar_outcome(chart, text)

@@ -313,6 +313,18 @@ def test_fg_nonaffine_momentum_dependence_is_rejected():
         vertical_conformal_from_FG(CAN, Coefficient.zero(CAN.chart), G)
 
 
+def test_fg_nonaffine_momentum_dependence_is_refused_at_m_2():
+    # at i = 0 the diagonal condition holds with B_0 = p1_1, so the affine
+    # refusal comes first; the diagonal check at i = 1 refuses the same G
+    C22 = build_canonical(2, 2)
+    p = {name: Coefficient.coordinate(C22.chart, name) for name in ("p0_0", "p0_1", "p1_0", "p1_1")}
+    G = [p["p0_0"] * p["p1_1"], p["p1_0"] * p["p1_1"]]
+    with pytest.raises(DomainError) as err:
+        vertical_conformal_from_FG(C22, Coefficient.zero(C22.chart), G)
+    assert str(err.value) == "G must be affine in the momenta with x,y coefficients; dG^0/dp^0_0 involves ['p1_1']"
+    assert G[0].partial("p0_1") != G[1].partial("p1_1")
+
+
 # --------------------------------------------------------------------------
 # elementary tables
 # --------------------------------------------------------------------------

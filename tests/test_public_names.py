@@ -97,22 +97,38 @@ def test_one_function_joins_signed_terms():
 
 
 def test_one_grammar_reads_every_text():
-    """``coeffring`` writes text and reads none: it defines no tokenizer
-    or parser and raises no ParseError, and ``dsl`` is the only module
-    that calls ``tokenize``."""
+    """``coeffring`` writes text and reads none: it defines no tokenizer,
+    parser or reader and raises no ParseError.  ``dsl`` is the only module
+    that calls ``tokenize``, and the one-pass reader of the writer's form,
+    ``_writer_form``, lives in ``dsl`` and is called only there, by
+    ``parse_coefficient``, ahead of the grammar."""
     package = pathlib.Path(gjb.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
     ring = trees["coeffring.py"]
     defined = {node.name for node in ring.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    assert defined & {"Token", "tokenize", "_ScalarParser", "parse_coefficient"} == set()
+    assert defined & {"Token", "tokenize", "_ScalarParser", "parse_coefficient", "_writer_form"} == set()
     assert [node.lineno for node in ast.walk(ring) if isinstance(node, ast.Name) and node.id == "ParseError"] == []
-    callers = {
-        name
-        for name, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and "tokenize" in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+
+    def callers(name):
+        return {
+            module
+            for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        }
+
+    assert callers("tokenize") == {"dsl.py"}
+    readers = {
+        module
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_writer_form"
     }
-    assert callers == {"dsl.py"}
+    assert readers == callers("_writer_form") == {"dsl.py"}
+    parse_coefficient = next(
+        node for node in trees["dsl.py"].body if isinstance(node, ast.FunctionDef) and node.name == "parse_coefficient"
+    )
+    assert "_writer_form" in {getattr(node.func, "id", None) for node in ast.walk(parse_coefficient) if isinstance(node, ast.Call)}
 
 
 def test_only_the_interchange_reader_reads_inside_a_payload():

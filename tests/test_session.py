@@ -259,6 +259,25 @@ def test_a_command_builds_only_the_bindings_it_reads(tmp_path, capsys, monkeypat
     assert built == [stored["bindings"]["a0"]]
 
 
+def test_a_written_binding_is_read_without_the_grammar(tmp_path, monkeypatch):
+    # the texts the package writes are read in one pass; a hand-edited text
+    # outside the writer's form goes through the grammar
+    rows, _ = elementary_tables(CAN)
+    path = _saved(tmp_path, {"data": rows[0].data, "h": Coefficient.coordinate(CAN.chart, "y")})
+    payload = json.loads(path.read_text())
+    assert payload["bindings"]["data"]["x_field"]["terms"]
+    payload["bindings"]["h"]["terms"][0]["coeff"] = "(x0 + y)^2"
+    path.write_text(json.dumps(payload))
+    texts = []
+    real = dsl_module.tokenize
+    monkeypatch.setattr(dsl_module, "tokenize", lambda text: texts.append(text) or real(text))
+    loaded = Session.load(path)
+    assert loaded.bindings["data"].x_field == rows[0].data.x_field
+    assert texts == []
+    assert loaded.bindings["h"] == (Coefficient.coordinate(CAN.chart, "x0") + Coefficient.coordinate(CAN.chart, "y")) ** 2
+    assert texts == ["(x0 + y)^2"]
+
+
 def test_membership_iteration_and_length_read_nothing(tmp_path):
     rows, _ = elementary_tables(CAN)
     path = _saved(tmp_path, {"data": rows[0].data, "w": DiffForm.differential(CAN.chart, "y")})
