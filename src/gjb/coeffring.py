@@ -50,8 +50,8 @@ objects and nothing mutates `terms` after construction.
 Construction has a validating boundary and a trusted interior.  The
 public constructor checks every term (an exact rational value, an
 integer exponent vector of the chart's length, every exponent inside its
-slot, negative exponents only on nonvanishing coordinates) and drops
-zeros.  `_checked` applies the same checks to packed keys, for
+slot, negative exponents only on nonvanishing coordinates, a zero term's
+too) and drops zeros.  `_checked` checks packed keys alike, for
 `unit_inverse`, `substitute`, `rename_chart`, `linalg.exact_divide` and
 the sums `dsl` reads back from stored text.  The named builders `zero`,
 `constant`, `one` and `coordinate` check their arguments instead and are
@@ -366,14 +366,12 @@ class Coefficient:
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
-        packed: dict[int, int | Fraction] = {}
+        checked: dict[int, int | Fraction] = {}
         for expo, coeff in (terms or {}).items():
-            coeff = _as_rational(coeff)
-            if coeff:
-                packed[chart.pack(expo)] = coeff
-        _refuse_negative(chart, packed)
+            checked[chart.pack(expo)] = _as_rational(coeff)  # the value is checked first
+        _refuse_negative(chart, checked)  # a zero term's key too, before zeros are dropped
         self.chart = chart
-        self.terms = packed
+        self.terms = {key: coeff for key, coeff in checked.items() if coeff}
 
     @staticmethod
     def _trusted(chart: Chart, terms: dict[int, int | Fraction]) -> "Coefficient":
@@ -386,16 +384,16 @@ class Coefficient:
 
     @staticmethod
     def _checked(chart: Chart, terms: Mapping[int, int | Fraction]) -> "Coefficient":
-        """The constructor's checks on packed keys: values stored as the
-        boundary stores them and zeros dropped, every exponent inside its
-        slot, negative exponents only on nonvanishing coordinates."""
+        """The constructor's checks on packed keys, a zero's key too: values
+        stored as the boundary stores them and zeros dropped, every exponent
+        inside its slot, negative ones only on nonvanishing coordinates."""
         clean: dict[int, int | Fraction] = {}
         for key, coeff in terms.items():
             coeff = _as_rational(coeff)
             if coeff:
                 clean[key] = coeff
-        _check_range(chart, reduce(operator.or_, clean, 0))
-        _refuse_negative(chart, clean)
+        _check_range(chart, reduce(operator.or_, terms, 0))
+        _refuse_negative(chart, terms)
         return Coefficient._trusted(chart, clean)
 
     # -- constructors ------------------------------------------------------

@@ -654,13 +654,13 @@ _WRITER_FORM = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
 def _writer_form(chart: Chart, text: str) -> Coefficient | None:
     """The value of ``text`` read in one pass when it is in the form
     ``format_coefficient`` writes, built through the validating
-    constructor; None, for the grammar to read, for any other text and for
-    what the grammar reads otherwise or refuses: a name that is not a
-    coordinate, names of a term not in strictly increasing order, a zero
-    term with factors, a repeated monomial, a zero denominator, a literal
-    longer than the interpreter converts, and (refused by the constructor)
-    an exponent outside its slot or a negative one on a coordinate that may
-    vanish."""
+    constructor; None, for the grammar to read, for any other text, for a
+    zero term with factors, which the writer never writes, and for what
+    the grammar reads otherwise or refuses: a name that is not a
+    coordinate, names of a term not in strictly increasing order, a
+    repeated monomial, a zero denominator, a literal longer than the
+    interpreter converts, and (refused by the constructor) an exponent
+    outside its slot or a negative one on a coordinate that may vanish."""
     if not _WRITER_FORM.fullmatch(text) or ((limit := sys.get_int_max_str_digits()) and len(text) > limit):
         return None
     coordinates, terms = chart.coordinates, {}
@@ -674,7 +674,7 @@ def _writer_form(chart: Chart, text: str) -> Coefficient | None:
                 return None
             value = Fraction(value, int(denominator))
         if not value and factors:
-            return None  # the constructor drops a zero term unchecked
+            return None  # the writer never writes a zero term
         exponents, previous = [0] * len(coordinates), ""
         for factor in factors:
             name, _, power = factor.partition("^")

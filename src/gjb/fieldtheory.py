@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -61,7 +60,6 @@ from .structures import (
     _contraction_columns,
     is_multicontact,
     jacobi_bracket,
-    solve_by_contraction,
 )
 
 __all__ = [
@@ -474,24 +472,30 @@ class RefinedReeb:
         return rep.scale(Fraction(1, len(self.pairs)))
 
 
+def _flat_map(S: NFormStructure) -> tuple[tuple[MultiVector, ...], tuple[DiffForm, ...], RrefResult]:
+    """The Reeb directions R_i of S, their flat images iota_{R_i} Theta and
+    one elimination of [F | I], kept on S: row i is iota_{R_i} Theta, keyed
+    by its index tuples J, with 1 under the right-hand side i, so solution
+    j is the dual u^j (iota_{d_J} dx^J = 1) and ``reduce`` reads F's span."""
+    if S._flat_map is None:
+        basis = tuple(_reeb_kernel_basis(S))
+        flats = tuple(interior_product(R, S.theta) for R in basis)
+        rows = [{**flat.terms, i: Coefficient.one(S.chart)} for i, flat in enumerate(flats)]
+        S._flat_map = basis, flats, rref(rows, S.chart, sorted(set().union(*(flat.terms for flat in flats))))
+    return S._flat_map
+
+
 def refined_reeb(S: NFormStructure) -> RefinedReeb:
-    """Solve for the dual pairs refining the Reeb multivector of S."""
+    """The dual pairs refining the Reeb multivector of S, each dual read
+    off the structure's one elimination of its flat map (``_flat_map``)."""
     chart, n = S.chart, S.degree
-    basis = _reeb_kernel_basis(S)
+    basis, _, span = _flat_map(S)
     if not basis:
         raise DomainError("the degree-1 kernel of dTheta is trivial; no Reeb directions exist")
-    # column J pairs ∂_J with every Reeb direction: ι_{∂_J}ι_{R_i}Θ for each
-    # i; right-hand side j asks for ι_{u^j}ι_{R_i}Θ = δ_i^j, and one
-    # elimination solves all of them
-    columns = _contraction_columns([interior_product(R, S.theta) for R in basis], n - 1)
-    deltas = [
-        [DiffForm.from_scalar(Coefficient.constant(chart, 1 if i == j else 0)) for i in range(len(basis))]
-        for j in range(len(basis))
-    ]
-    solved = solve_by_contraction(columns, deltas, math.comb(chart.dimension, n - 1))
-    if None in solved:
-        raise DomainError("the Reeb directions do not admit dual multivectors")
-    pairs = [(R, MultiVector(chart, n - 1, values)) for R, (values, _) in zip(basis, solved)]
+    try:
+        pairs = [(R, MultiVector(chart, n - 1, span.solution(j))) for j, R in enumerate(basis)]
+    except DomainError:
+        raise DomainError("the Reeb directions do not admit dual multivectors") from None
     reeb = RefinedReeb(S, tuple(pairs))
     rep = reeb.representative
     if interior_product(rep, S.theta).scalar() != Coefficient.one(chart):
@@ -499,11 +503,6 @@ def refined_reeb(S: NFormStructure) -> RefinedReeb:
     if not interior_product(rep, S.dtheta).is_zero():
         raise StructuralError("refined Reeb representative does not annihilate dTheta")
     return reeb
-
-
-def _flat_image_span(S: NFormStructure, basis: Sequence[MultiVector]) -> RrefResult:
-    """The eliminated span of the forms iota_R Theta."""
-    return rref([interior_product(R, S.theta).terms for R in basis], S.chart)
 
 
 def _subbundle_membership(S: NFormStructure, h: DiffForm, span: RrefResult) -> CheckReport:
@@ -525,17 +524,15 @@ def _subbundle_membership(S: NFormStructure, h: DiffForm, span: RrefResult) -> C
 
 
 def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
-    """Is every single contraction of h a combination of the forms
-    iota_R Theta, R ranging over the degree-1 kernel of dTheta?"""
-    return _subbundle_membership(S, h, _flat_image_span(S, _reeb_kernel_basis(S)))
+    """Is every single contraction of h in the structure's one span of the
+    forms iota_R Theta, R ranging over the degree-1 kernel of dTheta?"""
+    return _subbundle_membership(S, h, _flat_map(S)[2])
 
 
 def good_hamiltonian_check(S: NFormStructure, h: DiffForm) -> CheckReport:
     """Does iota_R dh stay inside the Hamiltonian subbundle for every Reeb
-    direction R?  Requires h to lie in the subbundle itself.  The flat
-    images are eliminated once for all 1 + k membership tests."""
-    basis = _reeb_kernel_basis(S)
-    span = _flat_image_span(S, basis)
+    direction R?  Requires h to lie in the subbundle itself."""
+    basis, _, span = _flat_map(S)
     report = _subbundle_membership(S, h, span)
     if not report.ok:
         raise DomainError(f"h is not a Hamiltonian form: {report.details}")
@@ -604,7 +601,7 @@ def dissipation_form(S: NFormStructure, h_form: DiffForm) -> DiffForm:
 
     Each dual pair contributes iota_R iota_u dh; for the n-form of a
     Hamiltonian section the result is (dH/ds^mu) dx^mu.  A section reads
-    its own as ``HamiltonianSection.sigma``, which solves the refined Reeb
+    its own as ``HamiltonianSection.sigma``, which reads the refined Reeb
     pairs once per section.
     """
     if h_form.degree != S.degree:
@@ -926,15 +923,13 @@ def distortion(S: NFormStructure) -> tuple[dict[tuple[int, int], DiffForm], bool
 
     Entry (i, j) is iota_{R_i} d iota_{R_j} Theta reduced modulo the image
     of the flat map; the table is symmetric and its global vanishing is
-    exactly the condition making every Hamiltonian form good.  Each
-    iota_R Theta is formed once, for the span and for its curl.
+    exactly the condition making every Hamiltonian form good.  The span
+    and the curls read the structure's flat map (``_flat_map``).
     """
     report = variational_check(S)
     if not report.ok:
         raise DomainError(f"distortion is only defined on variational structures: {report.details}")
-    basis = _reeb_kernel_basis(S)
-    flats = [interior_product(R, S.theta) for R in basis]
-    span = rref([flat.terms for flat in flats], S.chart)
+    basis, flats, span = _flat_map(S)
     curls = [exterior_derivative(flat) for flat in flats]
     table: dict[tuple[int, int], DiffForm] = {}
     for i, R in enumerate(basis):
@@ -952,7 +947,7 @@ def gamma_obstruction(S: NFormStructure, h: DiffForm, R: MultiVector, v: MultiVe
     """Obstruction class L_R iota_v h - iota_v d iota_R h modulo the image
     of the flat map.  A nonzero value exhibits a Hamiltonian form whose
     dynamics depends on the choice of Reeb direction."""
-    span = _flat_image_span(S, _reeb_kernel_basis(S))
+    span = _flat_map(S)[2]
     report = _subbundle_membership(S, h, span)
     if not report.ok:
         raise DomainError(f"h is not a Hamiltonian form: {report.details}")

@@ -21,7 +21,8 @@ Any other key is a right-hand side, carried through every row operation
 but never pivoted on, so one elimination of [A | b_0 ... b_k] solves
 A x = b_j for every j (``solution(key)``).  The same result gives the
 kernel of A (``nullity`` and ``kernel``), and reduces vectors modulo the
-row span (``reduce`` and ``contains``).
+row span of A (``reduce`` and ``contains``), which no right-hand side
+enters: a reduction gives what the elimination of A alone would.
 
 A result is read by one rule.  Rows, solutions, kernel vectors and reduced
 vectors are maps holding only nonzero entries.  A pivot row stands for its
@@ -108,7 +109,8 @@ def _poly_divide(F: dict, G: dict, chart: Chart) -> dict | None:
 
 
 def exact_divide(f: Coefficient, g: Coefficient) -> Coefficient:
-    """f / g when g divides f in the Laurent ring; DomainError otherwise."""
+    """f / g when g divides f in the Laurent ring; DomainError otherwise.
+    A division by 1 is f itself."""
     if g.is_zero():
         raise DomainError("division by zero")
     if f.is_zero():
@@ -116,7 +118,7 @@ def exact_divide(f: Coefficient, g: Coefficient) -> Coefficient:
     if f.chart != g.chart:
         raise StructuralError("operands live on different charts")
     if g.is_unit():
-        return f * g.unit_inverse()
+        return f if g.terms == {g.chart.origin: 1} else f * g.unit_inverse()
     Q = _poly_divide(f.terms, g.terms, f.chart)
     if Q is None:
         raise DomainError(f"({f}) is not divisible by ({g})")
@@ -179,9 +181,13 @@ class RrefResult:
             raise DomainError("the linear system is inconsistent")
         return {c: exact_divide(self.rows[r][key], self.rows[r][c]) for r, c in self.pivots if key in self.rows[r]}
 
+    @cached_property
+    def _spanning_rows(self) -> list[dict[Hashable, Coefficient]]:
+        return [{key: v for key, v in row.items() if key in self._positions} for row in self.rows]
+
     def reduce(self, vector: Mapping[Hashable, Coefficient]) -> tuple[dict[Hashable, Coefficient], Coefficient]:
         """Canonical representative of ``vector`` (a map from column key to
-        entry) modulo the row span, as nonzero entries and one common
+        entry) modulo the row span of A, as nonzero entries and one common
         denominator; its value is the entries divided by the denominator.
         Pivot columns of the span are cleared and every other key keeps
         its value.  The denominator is the product of the non-unit pivot
@@ -189,11 +195,12 @@ class RrefResult:
         vec = _row(vector)
         one = Coefficient.one(self._chart)
         den = one
+        rows = self._spanning_rows  # the rows of A: no right-hand side enters
         for r, c in self.pivots:
             factor = vec.get(c)
             if factor is None:
                 continue
-            row, pivot = self.rows[r], self.rows[r][c]
+            row, pivot = rows[r], rows[r][c]
             if pivot == one:
                 _subtract(vec, factor, row)
             else:
@@ -202,7 +209,7 @@ class RrefResult:
         return vec, den
 
     def contains(self, vector: Mapping[Hashable, Coefficient]) -> bool:
-        """Does ``vector`` lie in the row span?"""
+        """Does ``vector`` lie in the row span of A (``reduce``)?"""
         return not self.reduce(vector)[0]
 
 

@@ -170,6 +170,7 @@ class NFormStructure:
         self.theta = theta
         self.dtheta = exterior_derivative(theta)
         self._kernels: dict[tuple[int, str], list[MultiVector]] = {}
+        self._flat_map = None  # fieldtheory's eliminated flat images of the Reeb directions, on first read
 
     @property
     def degree(self) -> int:

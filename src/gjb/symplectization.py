@@ -21,10 +21,10 @@ the degree-p multivector with 𝓛_{X̃}Υ = 0 projecting onto X, unique up to
 ker_p dΥ.  The horizontal inclusion ^h keeps every coefficient and adds
 no ∂_z leg (the flat connection annihilating dz).  Since
 𝓛_{X̃}Υ = z·(𝓛_XΘ − ι_VΘ)^h with z nonvanishing, the Υ check of
-``lift_conformal`` is the one check of the conformal equation.  It is
-computed as d ι_{X̃}Υ + (−1)^p ι_{X̃}Ω, which is 𝓛_{X̃}Υ exactly since
-Ω = −dΥ by construction, so the lift contracts Ω once and ``psi_map``
-reads that contraction again.
+``lift_conformal`` is a check of the conformal equation.  It is computed
+as d ι_{X̃}Υ + (−1)^p ι_{X̃}Ω, which is 𝓛_{X̃}Υ exactly since Ω = −dΥ
+by construction.  ``psi_map`` does not run it: its Hamiltonian check
+covers it (below).
 
 Hamiltonian data (α, X, V) maps across through
 
@@ -34,9 +34,16 @@ which is a Hamiltonian form for Ω: ι_W Ω = dΨ(α) holds exactly for
 W = −X̃.  (The lift itself contracts to the opposite sign,
 ι_{X̃}Ω = −dΨ(α); since witnesses enter the Poisson bracket pairwise the
 distinction cancels there, but the per-form Hamiltonian witness is the
-negated lift, and that is what ``psi_map`` returns.)  ``psi_map`` checks
-that contraction on every image, as −ι_{X̃}Ω from the lift,
-``poisson_bracket`` on its caller's pairs.
+negated lift, and that is what ``psi_map`` returns.)  That contraction
+is ``psi_map``'s one check.  As Δ contracts Θ^h to zero, for any α, X
+and V its residual is, with β = α + ι_XΘ,
+
+    ι_WΩ − dΨ(α) = (−1)^p (dz∧β^h + z·(dβ)^h − 𝓛_{X̃}Υ).
+
+𝓛_{X̃}Υ has no dz leg, so the check refuses a wrong α, and at
+α = −ι_XΘ the residual is (−1)^{p+1} 𝓛_{X̃}Υ: it refuses every datum
+the Υ check refuses.  ``poisson_bracket`` checks the contraction on its
+caller's pairs.
 
 The Poisson bracket of Hamiltonian pairs is
 {α̃, β̃}_P = (−1)^{q−1} ι_{X_α̃∧X_β̃}Ω, and the bracket correspondence
@@ -95,8 +102,8 @@ class Symplectization:
     conformal_factor: Coefficient
 
     def __post_init__(self):
-        base = self.base.chart
-        if self.extended_chart != Chart(base.coordinates + (self.fiber,), base.nonvanishing | {self.fiber}):
+        base, ext = self.base.chart, self.extended_chart
+        if ext.coordinates != base.coordinates + (self.fiber,) or ext.nonvanishing != base.nonvanishing | {self.fiber}:
             raise StructuralError("the extended chart must be the base chart with the fiber appended")
         if not (interior_product(self.liouville, self.omega) + self.upsilon).is_zero():
             raise StructuralError("Liouville contraction does not recover -upsilon")
@@ -150,48 +157,41 @@ def project_to_base(sym: Symplectization, U: MultiVector) -> MultiVector:
     return _slot_moved(MultiVector._trusted(U.chart, U.degree, kept), sym.base.chart)
 
 
-def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> MultiVector:
-    """Homogeneous lift X̃ = X^h + (−1)^p Δ∧V^h of a conformal pair.
-
-    The result is checked to annihilate Υ under the Lie derivative, which
-    refuses a pair with 𝓛_XΘ ≠ ι_VΘ by a ValidationError, and to project
-    back onto ``x_field``.
-    """
-    return _lift(sym, x_field, v_field)[0]
-
-
-def _lift(sym: Symplectization, x_field: MultiVector, v_field) -> tuple[MultiVector, DiffForm]:
-    """``lift_conformal``'s checked lift X̃, with the ι_{X̃}Ω its Υ check
-    computes: 𝓛_{X̃}Υ = d ι_{X̃}Υ − (−1)^p ι_{X̃}dΥ, and dΥ = −Ω."""
+def _homogeneous_lift(sym: Symplectization, x_field: MultiVector, v_field) -> MultiVector:
+    """X̃ = X^h + (−1)^p Δ∧V^h for a pair on the base chart, unchecked."""
     S, p = sym.base, x_field.degree
     if p < 1:
         raise StructuralError("conformal fields have degree at least 1")
     v = _as_witness(S.chart, v_field, p - 1)
     if x_field.chart != S.chart or v.chart != S.chart:
         raise StructuralError("a conformal pair must live on the base chart")
-    lifted = sym.horizontal(x_field) + wedge(sym.liouville, sym.horizontal(v)).scale((-1) ** p)
-    contracted = interior_product(lifted, sym.omega)
-    residual = exterior_derivative(interior_product(lifted, sym.upsilon)) + contracted.scale((-1) ** p)
+    return sym.horizontal(x_field) + wedge(sym.liouville, sym.horizontal(v)).scale((-1) ** p)
+
+
+def lift_conformal(sym: Symplectization, x_field: MultiVector, v_field) -> MultiVector:
+    """Homogeneous lift X̃ = X^h + (−1)^p Δ∧V^h of a conformal pair.
+
+    The result is checked to annihilate Υ under the Lie derivative (the
+    Υ check), which refuses a pair with 𝓛_XΘ ≠ ι_VΘ by a ValidationError,
+    and to project back onto ``x_field``.
+    """
+    lifted = _homogeneous_lift(sym, x_field, v_field)
+    contracted = interior_product(lifted, sym.omega).scale((-1) ** x_field.degree)
+    residual = exterior_derivative(interior_product(lifted, sym.upsilon)) + contracted
     if not residual.is_zero():
         raise ValidationError("not a conformal pair on the base", residuals={"lie_upsilon": str(residual)})
     if project_to_base(sym, lifted) != x_field:
         raise StructuralError("lift fails to project onto its base field")
-    return lifted, contracted
+    return lifted
 
 
-def _verify_hamiltonian_pair(
-    sym: Symplectization, alpha: DiffForm, x: MultiVector, label: str, contracted: DiffForm | None = None
-):
-    """ι_xΩ = dα, with ι_xΩ given as ``contracted`` when the caller has it."""
+def _verify_hamiltonian_pair(sym: Symplectization, alpha: DiffForm, x: MultiVector, label: str):
+    """ι_xΩ = dα."""
     if alpha.chart != sym.extended_chart or x.chart != sym.extended_chart:
         raise StructuralError("Hamiltonian pairs must live on the extended chart")
-    if contracted is None:
-        contracted = interior_product(x, sym.omega)
-    residual = contracted - exterior_derivative(alpha)
+    residual = interior_product(x, sym.omega) - exterior_derivative(alpha)
     if not residual.is_zero():
-        raise ValidationError(
-            f"{label} is not a Hamiltonian pair for omega", residuals={label: str(residual)}
-        )
+        raise ValidationError(f"{label} is not a Hamiltonian pair for omega", residuals={label: str(residual)})
 
 
 def _poisson(sym: Symplectization, x_a: MultiVector, x_b: MultiVector) -> DiffForm:
@@ -208,16 +208,15 @@ def poisson_bracket(sym: Symplectization, pair_a, pair_b) -> DiffForm:
 
 def psi_map(sym: Symplectization, data: ConformalData) -> tuple[DiffForm, MultiVector]:
     """Carry conformal data across: returns (Ψ(α), W) with
-    Ψ(α) = (−1)^{p+1} z·α and W the Hamiltonian witness ι_W Ω = dΨ(α),
-    namely the negated homogeneous lift of (X, V).  The lift's checks and
-    the contraction identity are exact; failing data is a ValidationError."""
+    Ψ(α) = (−1)^{p+1} z·α and W the negated homogeneous lift of (X, V).
+    The one check, ι_WΩ = dΨ(α), holds exactly when α = −ι_XΘ and
+    𝓛_{X̃}Υ = 0 (module docstring); failing data is a ValidationError."""
     if data.structure is not sym.base:
         raise StructuralError("conformal data does not live on this base structure")
     p = data.degree
     psi = sym.horizontal(data.alpha).scale(sym.conformal_factor).scale((-1) ** (p + 1))
-    lifted, contracted = _lift(sym, data.x_field, data.v_field)
-    witness = -lifted
-    _verify_hamiltonian_pair(sym, psi, witness, "psi image", -contracted)
+    witness = -_homogeneous_lift(sym, data.x_field, data.v_field)
+    _verify_hamiltonian_pair(sym, psi, witness, "psi image")
     return psi, witness
 
 

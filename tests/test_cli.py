@@ -1195,6 +1195,40 @@ class TestSkippedWork:
         assert (code, err) == (expected, "")
         assert [text for (text,) in calls] == argv[6::2] and len(calls) == texts
 
+    ELIMINATED = [
+        (0, 1, ["sigma", "--n", "2", "--m", "2", "--H", "k*s0*y0 + p0_0*s1"]),
+        (1, 1, ["dissipated", "--n", "2", "--m", "2", "--H", "k*y0", "--F", "x0", "--G", "y0", "--G", "y1"]),
+        (0, 2, ["hdw", "--n", "2", "--m", "2", "--H", "1/2*p0_0^2 + k*s1"]),
+    ]
+
+    @pytest.mark.parametrize("expected, calls, argv", ELIMINATED, ids=[argv[0] for _, _, argv in ELIMINATED])
+    def test_the_flat_map_is_eliminated_once(self, capsys, monkeypatch, expected, calls, argv):
+        # the section's subbundle check and the refined Reeb duals read one
+        # elimination of the flat map; hdw eliminates its own system besides
+        from gjb import linalg
+
+        counted = self.counted(monkeypatch, linalg, "rref")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (expected, "")
+        assert len(counted) == calls
+
+    def test_a_psi_check_contracts_nothing_against_upsilon(self, canonical_session, capsys, monkeypatch):
+        # each Ψ image is checked by its Hamiltonian pair alone, one
+        # contraction against Ω; the bracket of the witnesses is the fifth
+        # and the Liouville check of the extension built the sixth
+        from gjb import exterior
+        from gjb.symplectization import build
+
+        sym = build(build_canonical(2, 1))
+        run(capsys, "conformal", "make", "--x=-e_s0", "--store", "a", "-s", canonical_session)
+        run(capsys, "conformal", "make", "--x", "e_y", "--store", "b", "-s", canonical_session)
+        calls = self.counted(monkeypatch, exterior, "interior_product")
+        code, out, err = run(capsys, "psi-check", "a", "b", "-s", canonical_session)
+        assert (code, err) == (0, "") and "correspondence holds: yes" in out
+        targets = [omega for _, omega in calls]
+        assert sum(omega == sym.upsilon for omega in targets) == 0
+        assert sum(omega == sym.omega for omega in targets) == 6
+
 
 class TestClosedPipe:
     """Writing into a pipe whose reader is gone, as in

@@ -276,6 +276,23 @@ def test_the_boundary_refuses_what_is_not_in_the_ring():
         Coefficient.constant(CHART, 1.0)
 
 
+def test_the_boundary_checks_the_key_of_a_zero_term():
+    # a zero value drops its term only after its key has passed the checks
+    chart = Chart(("x", "y"))
+    with pytest.raises(StructuralError, match="has length 1"):
+        Coefficient(chart, {("junk",): 0})
+    with pytest.raises(StructuralError, match="has length 3"):
+        Coefficient(chart, {(1, 2, 3): 0})
+    with pytest.raises(DomainError, match="negative exponent on 'x'"):
+        Coefficient(chart, {(-1, 0): 0})
+    with pytest.raises(DomainError, match="negative exponent on 'x'"):
+        Coefficient._checked(chart, {chart.pack((-1, 0)): 0, chart.pack((1, 0)): 1})
+    with pytest.raises(DomainError, match="leaves the range"):
+        Coefficient._checked(chart, {chart.origin | chart._guards: 0})
+    assert Coefficient(chart, {(2, 1): 0, (1, 0): 3}) == Coefficient.coordinate(chart, "x").scale(3)
+    assert Coefficient._checked(chart, {chart.pack((2, 1)): 0}).terms == {}
+
+
 def test_arithmetic_across_charts_still_raises():
     other = Chart(("p", "x", "y", "z"))
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):

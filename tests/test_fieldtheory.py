@@ -571,11 +571,12 @@ def test_sections_are_good(rng):
         assert good_hamiltonian_check(CAN, section.h_form).ok
 
 
-def test_flat_images_are_eliminated_once_per_check(monkeypatch, rng):
-    # good_hamiltonian_check tests 1 + k memberships, and gamma_obstruction
-    # tests one and reduces one form: each eliminates the flat images once
+def test_flat_images_are_eliminated_once_per_structure(monkeypatch, rng):
+    # the section's subbundle check, good_hamiltonian_check's 1 + k
+    # memberships, gamma_obstruction's membership and reduction, the
+    # refined Reeb duals and the distortion table all read one elimination
+    # of the structure's flat map; a new structure eliminates its own
     S = build_canonical(3, 2)
-    h = hamiltonian_section(S, rand_hamiltonian(rng, S)).h_form
     R, v = (MultiVector.basis_vector(S.chart, s) for s in S.s_names[:2])
     calls = []
 
@@ -585,9 +586,15 @@ def test_flat_images_are_eliminated_once_per_check(monkeypatch, rng):
 
     for module in (linalg, structures, fieldtheory):
         monkeypatch.setattr(module, "rref", counting_rref)
-    assert good_hamiltonian_check(S, h).ok
+    section = hamiltonian_section(S, rand_hamiltonian(rng, S))
     assert len(calls) == 1
-    assert gamma_obstruction(S, h, R, v).is_zero()
+    assert good_hamiltonian_check(S, section.h_form).ok
+    assert gamma_obstruction(S, section.h_form, R, v).is_zero()
+    refined_reeb(S)
+    section.sigma
+    distortion(S)
+    assert len(calls) == 1
+    assert hamiltonian_subbundle_check(build_canonical(3, 2), section.h_form).ok
     assert len(calls) == 2
 
 

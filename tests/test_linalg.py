@@ -543,6 +543,37 @@ def test_a_pivot_of_one_is_not_rescaled(rng, monkeypatch):
     assert min(seen.values()) >= 5, seen
 
 
+def test_right_hand_sides_take_no_part_in_a_reduction(rng):
+    """``reduce`` and ``contains`` against rref([A | B]) give what they
+    give against rref(A): the same entries and the same denominator, a
+    vector's own right-hand-side keys kept as they are."""
+    seen = {"unit": 0, "non-unit": 0}
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[C(rng.choice(PIVOT_ENTRIES)) for _ in range(ncols)] for _ in range(nrows)]
+        sides = [f"b{j}" for j in range(rng.randint(1, 3))]
+        augmented = [{**row, **{b: C(rng.choice(LAURENT)) for b in sides}} for row in _rows(rows)]
+        alone, carried = rref(_rows(rows), CHART, range(ncols)), rref(augmented, CHART, range(ncols))
+        for _ in range(4):
+            keys = list(range(ncols)) + sides[: rng.randint(0, len(sides))]
+            vector = {key: C(rng.choice(["0"] + LAURENT)) for key in keys}
+            reduced, den = carried.reduce(vector)
+            assert (reduced, den) == alone.reduce(vector)
+            assert carried.contains(vector) == alone.contains(vector) == (not reduced)
+            seen["unit" if den == Coefficient.one(CHART) else "non-unit"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_division_by_one_is_the_dividend(monkeypatch):
+    f, minus_one = C("x^2*z^-1 - 1/3*y"), C("-1")
+    inverted = []
+    unit_inverse = Coefficient.unit_inverse
+    monkeypatch.setattr(Coefficient, "unit_inverse", lambda c: inverted.append(c) or unit_inverse(c))
+    assert exact_divide(f, Coefficient.one(CHART)) is f
+    assert exact_divide(f, minus_one) == -f
+    assert inverted == [minus_one]
+
+
 def _rational_rank(matrix):
     """Rank over the rationals by plain Fraction elimination."""
     mat, rank = [list(row) for row in matrix], 0

@@ -313,6 +313,47 @@ def test_conformal_data_is_checked_against_both_equations_only_where_alpha_comes
     }
 
 
+def _callers(filename, called):
+    """The scopes of a package module that call ``called``, by name or as
+    an attribute."""
+    tree = ast.parse((pathlib.Path(gjb.__file__).parent / filename).read_text(encoding="utf-8"))
+    return {
+        name
+        for name, top in _scopes(tree.body)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and called in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_the_flat_map_is_eliminated_in_one_place():
+    """In ``fieldtheory`` two functions eliminate: ``_flat_map``, whose one
+    elimination of the flat images every Reeb-dual and subbundle reader
+    reads, and ``_hdw_system``, the Hamilton system's own."""
+    assert _callers("fieldtheory.py", "rref") == {"_flat_map", "_hdw_system"}
+
+
+def test_psi_map_reads_no_upsilon():
+    """``psi_map``'s one check is its Hamiltonian pair, a contraction
+    against Ω: neither it nor a function of its module it calls, directly
+    or not, reads Υ, which the Υ check of ``lift_conformal`` reads."""
+    tree = ast.parse((pathlib.Path(gjb.__file__).parent / "symplectization.py").read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+    def reads(name):
+        return {node.attr for node in ast.walk(functions[name]) if isinstance(node, ast.Attribute)}
+
+    reached, todo = set(), ["psi_map"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        calls = {getattr(node.func, "id", None) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+        todo += sorted((calls & functions.keys()) - reached)
+    assert reached == {"psi_map", "_homogeneous_lift", "_verify_hamiltonian_pair"}
+    assert [name for name in sorted(reached) if "upsilon" in reads(name)] == []
+    assert "upsilon" in reads("lift_conformal")
+
+
 def test_solves_do_not_enumerate_every_index_tuple():
     """A contraction solve, the flat-image span and its reductions read only
     the index tuples some term touches; an untouched unknown is counted
@@ -331,7 +372,7 @@ def test_solves_do_not_enumerate_every_index_tuple():
         "sharp.py": {"_decomposition_solution"},
         "fieldtheory.py": {
             "refined_reeb",
-            "_flat_image_span",
+            "_flat_map",
             "hamiltonian_subbundle_check",
             "_mod_flat_representative",
         },

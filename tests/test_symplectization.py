@@ -33,6 +33,7 @@ from gjb.exterior import (
 from gjb.structures import (
     ConformalData,
     NFormStructure,
+    cup_product,
     is_multicontact,
     jacobi_bracket,
     make_conformal_data,
@@ -216,16 +217,92 @@ def test_the_lift_refuses_a_witness_off_the_base_chart():
 
 
 def test_psi_refuses_hand_built_data_that_is_not_conformal():
-    # ConformalData(...) skips make_conformal_data; psi_map still checks
-    # the lift's Υ equation (a wrong witness) and the Ψ contraction (a
-    # wrong α, whose pair (X, V) is conformal)
+    # ConformalData(...) skips make_conformal_data; psi_map's one check,
+    # the Ψ contraction, still refuses a wrong witness (the lift's Υ
+    # equation fails) and a wrong α (whose pair (X, V) is conformal)
     row1 = table1_instances(CAN, 2, 1)[0]
     wrong_witness = ConformalData(CAN, row1.alpha, row1.x_field, row1.v_field.scale(Coefficient.constant(CAN.chart, 2)))
-    with pytest.raises(ValidationError, match="not a conformal pair on the base"):
+    with pytest.raises(ValidationError, match="psi image is not a Hamiltonian pair for omega"):
         psi_map(SYM, wrong_witness)
     wrong_alpha = ConformalData(CAN, row1.alpha + DiffForm.differential(CAN.chart, "x0"), row1.x_field, row1.v_field)
     with pytest.raises(ValidationError, match="psi image is not a Hamiltonian pair for omega"):
         psi_map(SYM, wrong_alpha)
+
+
+def _psi_residual(sym, alpha, x, v):
+    """ι_WΩ − dΨ(α) for W = −X̃, as ``psi_map`` forms it."""
+    p = x.degree
+    lifted = sym.horizontal(x) + wedge(sym.liouville, sym.horizontal(v)).scale((-1) ** p)
+    psi = sym.horizontal(alpha).scale(sym.conformal_factor).scale((-1) ** (p + 1))
+    return interior_product(-lifted, sym.omega) - exterior_derivative(psi), lie_derivative(lifted, sym.upsilon)
+
+
+@pytest.mark.parametrize("structure", ["canonical-21", "canonical-31", "contact"])
+def test_the_psi_residual_is_a_dz_leg_plus_the_upsilon_residual(rng, structure):
+    # for any α, X and V: ι_WΩ − dΨ(α) = (−1)^p (dz∧β^h + z·(dβ)^h − 𝓛_{X̃}Υ)
+    # with β = α + ι_XΘ; 𝓛_{X̃}Υ has no dz leg, and at α = −ι_XΘ the
+    # residual is (−1)^{p+1} 𝓛_{X̃}Υ
+    S = {"canonical-21": CAN, "canonical-31": canonical_structure(3, 1), "contact": contact_structure()}[structure]
+    sym = build(S)
+    n, z = S.degree, sym.conformal_factor
+    dz = DiffForm.differential(sym.extended_chart, sym.fiber)
+    fiber = sym.extended_chart.index(sym.fiber)
+    for p in (1, 2):
+        for _ in range(5):
+            x = rand_multivector(rng, S.chart, p, max_degree=1)
+            v = rand_multivector(rng, S.chart, p - 1, max_degree=1)
+            alpha = rand_form(rng, S.chart, n - p, max_degree=1) if p <= n else DiffForm.zero(S.chart, n - p)
+            beta = alpha + interior_product(x, S.theta)
+            residual, upsilon = _psi_residual(sym, alpha, x, v)
+            expected = wedge(dz, sym.horizontal(beta)) + sym.horizontal(exterior_derivative(beta)).scale(z) - upsilon
+            assert residual == expected.scale((-1) ** p)
+            assert not any(fiber in key for key in upsilon.terms)
+            assert _psi_residual(sym, -interior_product(x, S.theta), x, v)[0] == upsilon.scale((-1) ** (p + 1))
+            if not residual.is_zero():
+                with pytest.raises(ValidationError) as refusal:
+                    psi_map(sym, ConformalData(S, alpha, x, v))
+                assert refusal.value.residuals == {"psi image": str(residual)}
+
+
+def _conformal_samples(rng, S):
+    """Conformal data on S, three at p = 1 and their cups at p = 2."""
+    if hasattr(S, "spec"):
+        first = [rand_fg_data(rng, S, S.spec.n, S.spec.m, max_degree=1) for _ in range(3)]
+    else:  # the contact structure
+        first = [contact_data(S, rand_coefficient(rng, S.chart, max_degree=2)) for _ in range(3)]
+    return first + [cup_product(a, b) for a, b in zip(first, first[1:] + first[:1])]
+
+
+@pytest.mark.parametrize("structure", ["canonical-21", "canonical-31", "contact"])
+def test_psi_refuses_every_datum_the_upsilon_check_refuses(rng, structure):
+    # hand-built data at p = 1 and 2: a wrong witness (α = −ι_XΘ, the
+    # pair not conformal), which the lift's Υ check refuses, and a wrong α
+    # beside a conformal pair; psi_map, which runs no Υ check, refuses both
+    S = {"canonical-21": CAN, "canonical-31": canonical_structure(3, 1), "contact": contact_structure()}[structure]
+    sym = build(S)
+    refused = {"witness": 0, "alpha": 0}
+    for p in (1, 2):
+        for _ in range(6):
+            x = rand_multivector(rng, S.chart, p, max_degree=1)
+            v = rand_multivector(rng, S.chart, p - 1, max_degree=1)
+            data = ConformalData(S, -interior_product(x, S.theta), x, v)
+            try:
+                lift_conformal(sym, x, v)
+            except ValidationError:
+                with pytest.raises(ValidationError, match="psi image is not a Hamiltonian pair for omega"):
+                    psi_map(sym, data)
+                refused["witness"] += 1
+            else:
+                assert psi_map(sym, data)[1] == -lift_conformal(sym, x, v)
+    for data in _conformal_samples(rng, S):
+        assert psi_map(sym, data)[1] == -lift_conformal(sym, data.x_field, data.v_field)
+        for _ in range(2 if data.alpha.degree >= 0 else 0):
+            while (wrong := rand_form(rng, S.chart, data.alpha.degree, max_degree=1)).is_zero():
+                pass
+            with pytest.raises(ValidationError, match="psi image is not a Hamiltonian pair for omega"):
+                psi_map(sym, ConformalData(S, data.alpha + wrong, data.x_field, data.v_field))
+            refused["alpha"] += 1
+    assert min(refused.values()) >= 6, refused
 
 
 def test_degree_one_lifts_are_pinned_by_nondegeneracy():
@@ -476,9 +553,9 @@ def checks(monkeypatch):
 
 
 def test_a_correspondence_checks_each_equation_once(checks, tmp_path, capsys):
-    # each Ψ image contracts its lift against Ω once, and its Υ check and
-    # Hamiltonian check both read that contraction (four); the bracket
-    # contracts once more (five); Ω = −dΥ is never formed again
+    # each Ψ image contracts its witness against Ω once, for its one
+    # check, the Hamiltonian pair (four); the bracket contracts once more
+    # (five); Ω = −dΥ is never formed again
     sym = symplectization.build(CAN)
     data = table1_instances(CAN, 2, 1)
     assert check_correspondence(sym, data[1], data[4]).is_zero()
