@@ -35,7 +35,7 @@ from .structures import (
     make_conformal_data,
     verify_conformal,
 )
-from .sharp import bracket_via_sharp, sharp_and_reeb, sharp_graded, z_membership
+from .sharp import sharp_and_reeb, z_membership
 from .symplectization import (
     Symplectization,
     build,
@@ -96,8 +96,6 @@ __all__ = [
     "jacobi_bracket",
     "cup_product",
     "sharp_and_reeb",
-    "sharp_graded",
-    "bracket_via_sharp",
     "z_membership",
     "Symplectization",
     "build",

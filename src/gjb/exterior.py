@@ -30,22 +30,22 @@ trusted interior.  The constructors of DiffForm and MultiVector check
 every term (``_index_tuples``, the one index-tuple rule: an ``int``
 degree, and index tuples of ``int`` positions, strictly increasing, of
 that degree and inside the chart; coefficients on the chart) and drop
-zeros; ``reindex`` and the parser go through
-them.  The JSON loader applies ``_index_tuples`` in its shape pass, then
-builds by ``_trusted`` from the checked keys and the coefficients it
-parses on the chart.  The named builders (``zero``, ``from_scalar``,
-``differential``, ``volume``, ``basis_vector``) check their arguments
-and are then trusted: ``Chart.index`` refuses an unknown name,
-``volume`` refuses a repeated one, so its sorted key is strictly
-increasing, and ``from_scalar`` writes no term for a zero scalar.  The
-results of ``+``, ``-``, ``scale``, ``wedge``, ``exterior_derivative``,
-``interior_product`` and ``schouten_nijenhuis`` are built by
-``_Graded._trusted``, which checks nothing: their operands are checked
-to share one chart, every key is a merge of strictly increasing tuples
-(``_merge_indices``) or what a contraction leaves of one
-(``_contract_key``), so it is strictly increasing, inside the chart and
-of the result's degree, and every coefficient comes out of
-``_accumulate``, which keeps no zero, or out of the product kernel.
+zeros; the parser goes through them.  The JSON loader applies
+``_index_tuples`` in its shape pass, then builds by ``_trusted`` from
+the checked keys and the coefficients it parses on the chart.  The named
+builders (``zero``, ``from_scalar``, ``differential``, ``volume``,
+``basis_vector``) check their arguments and are then trusted:
+``Chart.index`` refuses an unknown name, ``volume`` refuses a repeated
+one, so its sorted key is strictly increasing, and ``from_scalar``
+writes no term for a zero scalar.  The results of ``+``, ``-``,
+``scale``, ``wedge``, ``exterior_derivative``, ``interior_product`` and
+``schouten_nijenhuis`` are built by ``_Graded._trusted``, which checks
+nothing: their operands are checked to share one chart, every key is a
+merge of strictly increasing tuples (``_merge_indices``) or what a
+contraction leaves of one (``_contract_key``), so it is strictly
+increasing, inside the chart and of the result's degree, and every
+coefficient comes out of ``_accumulate``, which keeps no zero, or out of
+the product kernel.
 
 The index algebra is read from tables.  ``_merge_indices``,
 ``_contract_key`` and ``_odd_parts`` (the right derivatives of ξ_J that
@@ -148,7 +148,6 @@ __all__ = [
     "interior_product",
     "lie_derivative",
     "schouten_nijenhuis",
-    "reindex",
 ]
 
 
@@ -608,26 +607,3 @@ def schouten_nijenhuis(U: MultiVector, V: MultiVector) -> MultiVector:
     swap = -1 if (p - 1) * (q - 1) % 2 else 1
     items = itertools.chain(half(U_in, V_in, 1), half(V_in, U_in, -swap))
     return MultiVector._trusted(chart, p + q - 1, _products(chart, items, U_in.lcm * V_in.lcm))
-
-
-def reindex(obj: _Graded, target: Chart) -> _Graded:
-    """Transport an object to another chart by coordinate name;
-    coefficients are reinterpreted on the target chart."""
-    positions: dict[int, int] = {}
-
-    def position(i: int) -> int:
-        if i not in positions:
-            positions[i] = target.index(obj.chart.coordinates[i])
-        return positions[i]
-
-    def moved():
-        for key, coeff in obj.terms.items():
-            mapped = [position(i) for i in key]
-            order = sorted(range(len(mapped)), key=lambda k: mapped[k])
-            inversions = sum(
-                1 for a in range(len(order)) for b in range(a + 1, len(order)) if order[a] > order[b]
-            )
-            yield tuple(mapped[k] for k in order), coeff.rename_chart(target).scale((-1) ** inversions)
-
-    return type(obj)(target, obj.degree, _accumulate(moved()))
-

@@ -45,8 +45,8 @@ A kernel is computed one way, for every structure: NFormStructure.kernel
 reads it off the kernel of that system's elimination on first read,
 re-checks each vector by contraction and caches the basis.
 solve_by_contraction carries right-hand sides under their own keys and
-reads every solution from one elimination, and sharp's decompositions
-read the same system.
+reads every solution from one elimination, and sharp's membership
+solve reads the same system.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ __all__ = [
     "make_conformal_data",
     "jacobi_bracket",
     "cup_product",
-    "ms_hamiltonian_pair",
 ]
 
 
@@ -401,22 +400,3 @@ def cup_product(a: ConformalData, b: ConformalData) -> ConformalData:
         )
     return data
 
-
-def ms_hamiltonian_pair(omega: DiffForm, alpha: DiffForm) -> MultiVector | None:
-    """Solve ι_X Ω = dα for X on a closed form Ω; None when inconsistent."""
-    if not exterior_derivative(omega).is_zero():
-        raise ValidationError(
-            "the ambient form is not closed", residuals={"domega": str(exterior_derivative(omega))}
-        )
-    if alpha.chart != omega.chart:
-        raise StructuralError("operands live on different charts")
-    target = exterior_derivative(alpha)
-    p = omega.degree - target.degree
-    if p < 0:
-        raise DegreeError(
-            f"no multivector degree matches: form degree {alpha.degree} against ambient degree {omega.degree}"
-        )
-    (solved,) = solve_by_contraction(_contraction_columns([omega], p), [[target]], math.comb(omega.chart.dimension, p))
-    if solved is None:
-        return None
-    return MultiVector(omega.chart, p, solved[0])

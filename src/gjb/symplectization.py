@@ -10,8 +10,8 @@ coordinate, so a value crosses between the two by a layout relation, not
 by coordinate names: each packed exponent key moves by one whole slot
 (``coeffring._slot_shifted``), with the zero exponent in z's slot going
 up, and index tuples keep their positions.  ``horizontal`` and
-``project_to_base`` transport this way; ``exterior.reindex`` stays the
-general transport by name.
+``project_to_base`` transport this way; the tests check both against
+the general transport by name, ``reindex`` in ``tests/oracles.py``.
 
 Conformal pairs (X, V) with 𝓛_XΘ = ι_VΘ lift to the extension as
 

@@ -45,7 +45,7 @@ from gjb.fieldtheory import (
     jet_name,
     variational_check,
 )
-from gjb.sharp import bracket_via_sharp, sharp_and_reeb
+from gjb.sharp import sharp_and_reeb
 from gjb.structures import (
     NFormStructure,
     cup_product,
@@ -60,6 +60,7 @@ from gjb.symplectization import (
     poisson_bracket,
     psi_map,
 )
+from oracles import bracket_via_sharp
 
 CAN21 = build_canonical(2, 1)
 CAN32 = build_canonical(3, 2)

@@ -28,12 +28,12 @@ from gjb.exterior import (
     exterior_derivative,
     interior_product,
     lie_derivative,
-    reindex,
     schouten_nijenhuis,
     wedge,
 )
 from gjb.fieldtheory import build_canonical
 from gjb.structures import jacobi_bracket
+from oracles import reindex
 
 CH = Chart(("a", "b", "c", "u"))
 # t is nonvanishing, so coefficients may carry negative powers of it

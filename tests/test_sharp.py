@@ -1,6 +1,7 @@
-"""Sharp/Reeb decompositions, the graded quotient, and the form-level
-bracket formula, exercised on the canonical phase space, the contact
-chart, and a five-dimensional structure with a nontrivial K₂."""
+"""Sharp/Reeb decompositions of top-degree forms (``gjb.sharp``), and the
+graded quotient and form-level bracket formula of the test oracle
+(``oracles``), exercised on the canonical phase space, the contact chart,
+and a five-dimensional structure with a nontrivial K₂."""
 
 import itertools
 import random
@@ -20,7 +21,7 @@ from conftest import (
 from gjb import sharp
 from gjb.coeffring import Chart, Coefficient
 from gjb.dsl import parse_coefficient
-from gjb.errors import DomainError
+from gjb.errors import DegreeError, DomainError
 from gjb.exterior import (
     DiffForm,
     MultiVector,
@@ -29,13 +30,7 @@ from gjb.exterior import (
     wedge,
 )
 from gjb.linalg import rref
-from gjb.sharp import (
-    QuotientMultiVector,
-    bracket_via_sharp,
-    sharp_and_reeb,
-    sharp_graded,
-    z_membership,
-)
+from gjb.sharp import sharp_and_reeb, z_membership
 from gjb.structures import (
     NFormStructure,
     cup_product,
@@ -43,6 +38,8 @@ from gjb.structures import (
     make_conformal_data,
     verify_conformal,
 )
+import oracles
+from oracles import QuotientMultiVector, bracket_via_sharp, sharp_graded
 
 CAN = canonical_structure(2, 1)
 
@@ -57,10 +54,6 @@ def e(S, name):
 
 def d(S, name):
     return DiffForm.differential(S.chart, name)
-
-
-def one(S):
-    return MultiVector.from_scalar(Coefficient.one(S.chart))
 
 
 def same_form(x, y):
@@ -133,8 +126,35 @@ def test_theta_decomposes_onto_gamma_one():
     assert dec is not None and dec.unique
     assert dec.x_part.is_zero()
     assert dec.gamma == Coefficient.one(CAN.chart)
-    assert dec.u_part == one(CAN)
     assert sharp_and_reeb(CAN, CAN.theta) == (dec.x_part, dec.gamma)
+
+
+def test_one_membership_contracts_twice_and_reads_the_columns_once(monkeypatch):
+    # the solve reads the columns ι_{∂_j} of dΘ and Θ off their terms and
+    # takes γ's column (Θ, 0) as it is, so the only contractions are the
+    # two checks ι_X Θ and ι_X dΘ
+    product, read = sharp.interior_product, sharp._contraction_columns
+    for shape in ((2, 1), (3, 2)):
+        S = canonical_structure(*shape)
+        contractions, columns = [], []
+        monkeypatch.setattr(sharp, "interior_product", lambda U, w: contractions.append(U) or product(U, w))
+        monkeypatch.setattr(sharp, "_contraction_columns", lambda forms, p: columns.append(p) or read(forms, p))
+        dec = z_membership(S, S.theta)
+        assert dec is not None and dec.unique and dec.gamma == Coefficient.one(S.chart)
+        assert len(contractions) == 2
+        assert columns == [1]
+
+
+def test_membership_refuses_a_form_whose_degree_is_not_n():
+    # sharp_and_reeb checks the degree before it solves, so `gjb sharp`
+    # keeps its own message
+    for alpha in (d(CAN, "y"), wedge(CAN.theta, d(CAN, "y"))):
+        with pytest.raises(DegreeError) as err:
+            z_membership(CAN, alpha)
+        assert str(err.value) == f"membership is defined for degree-2 forms here, got degree {alpha.degree}"
+        with pytest.raises(DegreeError) as err:
+            sharp_and_reeb(CAN, alpha)
+        assert str(err.value) == f"sharp acts on degree-2 forms here, got degree {alpha.degree}"
 
 
 def test_membership_inverts_kernel_contractions():
@@ -271,8 +291,8 @@ def test_a_search_reads_the_columns_of_dtheta_and_theta_once(monkeypatch):
     # x0·dp is refused after all eight candidates u; the columns ι_{∂_j} of
     # dΘ and Θ do not depend on u, so the search reads them once (once per
     # candidate before)
-    calls, columns = [], sharp._contraction_columns
-    monkeypatch.setattr(sharp, "_contraction_columns", lambda forms, p: calls.append(p) or columns(forms, p))
+    calls, columns = [], oracles._contraction_columns
+    monkeypatch.setattr(oracles, "_contraction_columns", lambda forms, p: calls.append(p) or columns(forms, p))
     with pytest.raises(DomainError):
         sharp_graded(CAN, d(CAN, "p").scale(C(CAN, "x0")))
     assert calls == [1]
@@ -353,8 +373,8 @@ def test_bracket_formula_differentiates_each_form_once(monkeypatch):
     # before)
     data = table1_instances(CAN, 2, 1)
     a, b = data[1], data[3]
-    differentiated, derivative = [], sharp.exterior_derivative
-    monkeypatch.setattr(sharp, "exterior_derivative", lambda omega: differentiated.append(omega) or derivative(omega))
+    differentiated, derivative = [], oracles.exterior_derivative
+    monkeypatch.setattr(oracles, "exterior_derivative", lambda omega: differentiated.append(omega) or derivative(omega))
     assert bracket_via_sharp(a, b) == jacobi_bracket(a, b).alpha
     assert differentiated.count(b.alpha) == differentiated.count(a.alpha) == 1
 

@@ -37,7 +37,6 @@ from gjb.exterior import (
     exterior_derivative,
     interior_product,
     lie_derivative,
-    reindex,
     wedge,
 )
 from gjb.structures import (
@@ -47,12 +46,12 @@ from gjb.structures import (
     is_multicontact,
     jacobi_bracket,
     make_conformal_data,
-    ms_hamiltonian_pair,
     verify_conformal,
     _contraction_columns,
     _stacked_rows,
     solve_by_contraction,
 )
+from oracles import ms_hamiltonian_pair, reindex
 
 CONTACT = Chart(("q", "p", "z"))
 FIVE = Chart(("x", "y", "z", "s1", "s2"), frozenset({"z"}))

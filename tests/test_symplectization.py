@@ -27,7 +27,6 @@ from gjb.exterior import (
     exterior_derivative,
     interior_product,
     lie_derivative,
-    reindex,
     wedge,
 )
 from gjb.structures import (
@@ -37,7 +36,6 @@ from gjb.structures import (
     is_multicontact,
     jacobi_bracket,
     make_conformal_data,
-    ms_hamiltonian_pair,
 )
 from gjb.symplectization import (
     build,
@@ -48,6 +46,7 @@ from gjb.symplectization import (
     project_to_base,
     psi_map,
 )
+from oracles import ms_hamiltonian_pair, reindex
 
 CAN = canonical_structure(2, 1)
 SYM = build(CAN)
