@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 
@@ -76,7 +77,7 @@ from .fieldtheory import (
     vertical_conformal_from_FG,
 )
 from .session import Session, SessionError
-from .structures import ConformalData, _witnessed_data, is_multicontact, make_conformal_data
+from .structures import ConformalData, _witnessed_data, cup_product, is_multicontact, jacobi_bracket, make_conformal_data
 from .symplectization import (
     _poisson,
     build,
@@ -245,8 +246,8 @@ def _cmd_chart_new(args) -> int:
 def _cmd_theta_set(args) -> int:
     session = Session.load(args.session)
     (value,) = _operands(session.environment(), (args.expr, "theta", None))
-    if not isinstance(value, DiffForm) or value.degree < 1:
-        raise _UsageError("theta must be a form of positive degree")
+    if not isinstance(value, DiffForm) or value.degree < 1 or value.is_zero():
+        raise _UsageError("theta must be a nonzero form of positive degree")
     session.set_theta(value)
     session.save(args.session)
     print(f"theta = {value}")
@@ -304,9 +305,14 @@ def _cmd_conformal(args) -> int:
         alpha, x_field, v_value = _operands(
             env, (args.alpha, "--alpha", DiffForm), (args.x, "--x", MultiVector), (args.v, "--v", None)
         )
+        # a degree-0 --v is read as its scalar, which the library refuses
+        # where the witness needs a positive degree
+        scalar = _as_scalar(v_value)
+        if scalar is None and not isinstance(v_value, MultiVector):
+            raise _UsageError(_REFUSALS[MultiVector].format(label="--v", got=type(v_value).__name__))
         if alpha.is_zero():  # a zero of negative degree has no spelling
             alpha = DiffForm.zero(S.chart, S.degree - x_field.degree)
-        data = make_conformal_data(S, alpha, x_field, v_value)
+        data = make_conformal_data(S, alpha, x_field, v_value if scalar is None else scalar)
     else:
         # make: solve for the witness from the transformation alone
         if args.x is None:
@@ -324,8 +330,6 @@ def _cmd_conformal(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    from .structures import cup_product, jacobi_bracket
-
     a, b = _operands(Session.load(args.session).environment(), *_data_pair(args))
     result = jacobi_bracket(a, b) if args.operation == "bracket" else cup_product(a, b)
     _print_value(result, args.format)
@@ -424,8 +428,6 @@ def _cmd_tables(args) -> int:
     # each cell names two of the rows; each row's title is written once
     titles = {id(row): _row_title(row) for row in rows}
     if args.format == "json":
-        import json as _json
-
         # every value lives on the one chart, written once at the top
         payload = {
             "n": args.n,
@@ -454,7 +456,7 @@ def _cmd_tables(args) -> int:
                 for entry in entries
             ],
         }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"elementary conformal forms on the canonical (n={args.n}, m={args.m}) phase space")
     print()
@@ -513,8 +515,6 @@ def _cmd_hdw(args) -> int:
     equations, sigma = section.system[0], section.sigma
     labels = _hdw_labels(C, len(equations))
     if args.format == "json":
-        import json as _json
-
         payload = {
             "n": args.n,
             "m": args.m,
@@ -526,7 +526,7 @@ def _cmd_hdw(args) -> int:
             ],
             "legend": _legend(C, section.jet),
         }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     if args.format == "latex":
         print(f"\\sigma_h = {render(sigma, 'latex')}")

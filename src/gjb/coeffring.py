@@ -32,8 +32,8 @@ bits once: an exponent that would leave its slot raises `DomainError`
 instead of carrying into its neighbour.  `**` tests its bound before it
 multiplies, from the slotwise extremes of its operand.  Tuples appear
 only at the boundary: the validating constructor takes tuple-keyed maps
-and packs them (`Chart.pack`), and text, JSON and the tuple view
-`exponent_terms` unpack (`Chart.unpack`).  The layout is read here
+and packs them (`Chart.pack`), and `**` unpacks the slotwise extremes
+of its operand (`Chart.unpack`).  The layout is read here
 only: the other modules reach packed keys through `Chart.origin` and the
 helpers `_partial_terms` (a partial of raw terms), `_block` (a key's
 exponents at a range of positions), `_slot_bound` (slotwise extremes),
@@ -55,20 +55,19 @@ too) and drops zeros.  `_checked` checks packed keys alike, for
 `unit_inverse`, `substitute`, `rename_chart`, `linalg.exact_divide` and
 the sums `dsl` reads back from stored text.  The named builders `zero`,
 `constant`, `one` and `coordinate` check their arguments instead and are
-then trusted: the one term they write has a key of the chart's layout
-by construction, `Chart.index` refuses an unknown name, a negative power
-is refused on a coordinate not flagged nonvanishing and a power outside
-the slot range is refused, `_as_rational` stores the value as the
-boundary would, and a zero value writes no term; `dsl` builds from
-them and the ring operations.  The results of `+`, `-`, `*`, `scale`,
-positive powers and `partial` are built by `_trusted`, which checks
-nothing, because the ring is closed under them up to the slot range,
-which each of them tests through the guard bits: both operands are on
-one chart (`_check_mate`), so keys keep its layout; negation and scaling
-keep the keys; an exponent of a product is negative only where an
-operand's was, on a nonvanishing coordinate; `partial` drops the terms
-whose exponent in its coordinate is 0, so it makes a negative exponent
-only where one already was; and no result keeps a zero.
+then trusted: the one term they write has a key of the chart's layout by
+construction, `Chart.index` refuses an unknown name, `_as_rational`
+stores the value as the boundary would, and a zero value writes no term;
+`dsl` builds from them and the ring operations.  The results of `+`,
+`-`, `*`, `scale`, positive powers and `partial` are built by
+`_trusted`, which checks nothing, because the ring is closed under them
+up to the slot range, which each of them tests through the guard bits:
+both operands are on one chart (`_check_mate`), so keys keep its layout;
+negation and scaling keep the keys; an exponent of a product is negative
+only where an operand's was, on a nonvanishing coordinate; `partial`
+drops the terms whose exponent in its coordinate is 0, so it makes a
+negative exponent only where one already was; and no result keeps a
+zero.
 
 The textual form is `3/2*s0*y^2 - 1*z^-1`: terms joined by signs, each
 term a rational prefix followed by `name^exponent` factors with the names
@@ -412,21 +411,10 @@ class Coefficient:
         return Coefficient._trusted(chart, {chart.origin: 1})
 
     @staticmethod
-    def coordinate(chart: Chart, name: str, power: int = 1) -> "Coefficient":
-        i = chart.index(name)
-        if power < 0 and name not in chart.nonvanishing:
-            raise DomainError(f"negative exponent on {name!r}, which is not flagged nonvanishing")
-        if not isinstance(power, int) or not -_BIAS <= power < _BIAS:
-            raise DomainError(f"power {power} of {name!r} is not an integer in [{-_BIAS}, {_BIAS - 1}]")
-        return Coefficient._trusted(chart, {chart.origin + (power << chart._shifts[i]): 1})
+    def coordinate(chart: Chart, name: str) -> "Coefficient":
+        return Coefficient._trusted(chart, {chart.origin + (1 << chart._shifts[chart.index(name)]): 1})
 
     # -- queries -----------------------------------------------------------
-
-    def exponent_terms(self) -> dict[tuple[int, ...], int | Fraction]:
-        """The terms under their exponent vectors: the tuple view of the
-        packed keys, in the same order."""
-        unpack = self.chart.unpack
-        return {unpack(key): value for key, value in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -576,32 +564,6 @@ class Coefficient:
         terms = _partial_terms(self.chart, self.terms, self.chart.index(name))
         _check_range(self.chart, reduce(operator.or_, terms, 0))
         return Coefficient._trusted(self.chart, terms)
-
-    def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
-        """Evaluate at a rational point; every chart coordinate must be
-        assigned, and nonvanishing coordinates must be nonzero.  The point's
-        values are taken as Fractions, so a negative power stays exact."""
-        values = []
-        for name in self.chart.coordinates:
-            if name not in point:
-                raise StructuralError(f"no value supplied for coordinate {name!r}")
-            v = Fraction(_as_rational(point[name]))
-            if v == 0 and name in self.chart.nonvanishing:
-                raise DomainError(f"coordinate {name!r} is nonvanishing but got 0")
-            values.append(v)
-        unknown = set(point) - set(self.chart.coordinates)
-        if unknown:
-            raise StructuralError(f"values supplied for unknown coordinates {sorted(unknown)}")
-        total = Fraction(0)
-        for key, coeff in self.terms.items():
-            acc = coeff
-            for i, k in _exponents(self.chart, key):
-                v = values[i]
-                if v == 0 and k < 0:
-                    raise DomainError("division by zero while evaluating a Laurent term")
-                acc *= v**k
-            total += acc
-        return total
 
     def substitute(self, images: Mapping[str, "Coefficient"], target: Chart) -> "Coefficient":
         """Ring morphism: replace every coordinate by its image (a

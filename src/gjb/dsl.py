@@ -38,17 +38,19 @@ ring's validating constructor and declines, never refuses: any text
 outside that form, or any it would read differently from the grammar,
 goes to the grammar, so every value is the grammar's value and every
 refusal the grammar's refusal.  A value that is not a scalar is refused.
-The interchange reader (``object_from_json`` and its shape check) is the
-one module that reads inside a payload, and where an older file stores a
-zero α at degree 0 it types it at n − p, as the library requires.
+The reader of a session file's stored values (``_check_shape`` and the
+parse pass it returns) is the one code that reads inside a payload, and
+where an older file stores a zero α at degree 0 it types it at n − p, as
+the library requires.
 
-A standalone value (``to_json``, ``object_from_json``, ``render`` to
-JSON) names its chart.  A document that names its chart once writes its
-values through the chartless writer ``_payload``: a ``gjb-session/2``
-file, whose reader refuses a value that names a chart, and ``gjb tables
---format json``.  A ``gjb-session/1`` file names the chart in every
-value; its reader checks each against the session chart and drops it
-from the payload, so that the next save writes version 2.
+A standalone value (``to_json``, ``render`` to JSON) names its chart;
+the package writes such values and reads none back.  A document that
+names its chart once writes its values through the chartless writer
+``_payload``: a ``gjb-session/2`` file, whose reader refuses a value
+that names a chart, and ``gjb tables --format json``.  A
+``gjb-session/1`` file names the chart in every value; its reader checks
+each against the session chart and drops it from the payload, so that
+the next save writes version 2.
 
 Bare names resolve, in order, against session bindings, chart
 coordinates, ``d<coordinate>`` (a coordinate differential) and
@@ -114,7 +116,6 @@ __all__ = [
     "render",
     "latex_name",
     "to_json",
-    "object_from_json",
     "chart_to_json",
     "chart_from_json",
 ]
@@ -770,15 +771,12 @@ def to_json(obj: Value) -> dict:
     return _payload(obj, with_chart=True)
 
 
-def _chart_of(payload: dict, chart: Chart | None) -> Chart:
+def _chart_of(payload: dict, chart: Chart) -> None:
+    """Check the chart a version-1 value names against the document's."""
     stored = _member(payload, "chart", dict, "a serialized object")
     # the serialized form of ``chart`` is a well-formed chart that names it
-    if chart is not None and stored == chart_to_json(chart):
-        return chart
-    target = chart_from_json(stored)
-    if chart is not None and target != chart:
+    if stored != chart_to_json(chart) and chart_from_json(stored) != chart:
         raise StructuralError("serialized object lives on a different chart")
-    return target
 
 
 def _quoted(text: str) -> str:
@@ -815,7 +813,7 @@ def _term_indices(terms: list, texts: list):
         yield indices
 
 
-def _check_graded(payload: dict, chart: Chart | None, chart_member: str, kinds: tuple[str, ...] = ("form", "multivector")):
+def _check_graded(payload: dict, chart: Chart, chart_member: str, kinds: tuple[str, ...] = ("form", "multivector")):
     """``_check_shape`` for a serialized form or multivector, or for a
     coefficient, which is stored as a degree-0 form: kind, chart, degree
     and index tuples (``exterior._index_tuples``) are checked and every
@@ -827,44 +825,39 @@ def _check_graded(payload: dict, chart: Chart | None, chart_member: str, kinds: 
     if chart_member == "refused":
         if "chart" in payload:
             raise StructuralError("a stored value names no chart of its own; the session file names it once")
-        target = chart
     else:
-        target = _chart_of(payload, chart)
-        if chart_member == "dropped":
-            del payload["chart"]
+        _chart_of(payload, chart)
+        del payload["chart"]
     degree = payload.get("degree")
     terms = _member(payload, "terms", list, "a serialized object")
     texts: list[str] = []
-    keys = _index_tuples(_term_indices(terms, texts), degree, target.dimension)
+    keys = _index_tuples(_term_indices(terms, texts), degree, chart.dimension)
     if kind == "coefficient" and degree != 0:
         raise StructuralError(f"a serialized coefficient has degree 0, not {degree}")
     cls = MultiVector if kind == "multivector" else DiffForm
 
     def parse():
-        # checked keys and coefficients parsed on ``target`` make a trusted
+        # checked keys and coefficients parsed on ``chart`` make a trusted
         # value; a repeated index tuple is summed, like the terms of any sum
-        value = cls._trusted(target, degree, _accumulate(zip(keys, (_stored_coefficient(target, text) for text in texts))))
+        value = cls._trusted(chart, degree, _accumulate(zip(keys, (_stored_coefficient(chart, text) for text in texts))))
         return value.scalar() if kind == "coefficient" else value
 
     return parse
 
 
-def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure | None, chart_member: str = "kept"):
-    """The structural pass of ``object_from_json``: everything about a
-    serialized value that can be checked without parsing a coefficient.
-    Returns the parse pass, a function of no arguments that parses the
-    coefficients and rebuilds the value (re-validating conformal data
-    against ``structure``).
+def _check_shape(payload: dict, chart: Chart, structure: NFormStructure | None, chart_member: str):
+    """The structural pass of a session file's stored value: everything
+    about it that can be checked without parsing a coefficient.  Returns
+    the parse pass, a function of no arguments that parses the
+    coefficients on the session chart ``chart`` and rebuilds the value
+    (re-validating conformal data against ``structure``).
 
     ``chart_member`` says what becomes of the ``chart`` member of each
-    graded value (of each part of conformal data): a standalone value
-    names its chart, which must be ``chart`` when one is given, or the
-    chart of ``structure`` for conformal data ("kept"); a value of a
-    ``gjb-session/1`` file names the session chart, which is checked and
-    then deleted from the payload, so that the payload is written back
-    without it ("dropped"); a value of a ``gjb-session/2`` file names
-    none and lives on the session chart, and a ``chart`` member is
-    refused ("refused").
+    graded value (of each part of conformal data): a value of a
+    ``gjb-session/2`` file names none, and a ``chart`` member is refused
+    ("refused"); a value of a ``gjb-session/1`` file names the session
+    chart, which is checked and then deleted from the payload, so that
+    the payload is written back without it ("dropped").
 
     Files written before zero forms carried negative degrees store a zero
     α at degree 0, so a termless stored α is typed at n − p, in the
@@ -874,10 +867,10 @@ def _check_shape(payload: dict, chart: Chart | None, structure: NFormStructure |
     if structure is None:
         raise StructuralError("conformal data needs a structure to re-validate against")
     x_field, alpha = payload.get("x_field"), payload.get("alpha")
-    parse_x = _check_graded(x_field, structure.chart, chart_member)
+    parse_x = _check_graded(x_field, chart, chart_member)
     if isinstance(alpha, dict) and alpha.get("terms") == []:
         alpha["degree"] = structure.degree - x_field["degree"]
-    parts = [_check_graded(alpha, structure.chart, chart_member), parse_x, _check_graded(payload.get("v_field"), structure.chart, chart_member)]
+    parts = [_check_graded(alpha, chart, chart_member), parse_x, _check_graded(payload.get("v_field"), chart, chart_member)]
     return lambda: make_conformal_data(structure, *(parse() for parse in parts))
 
 
@@ -885,13 +878,6 @@ def _stored_value(payload: dict, chart: Chart, structure: NFormStructure | None,
     """The value of a session file's payload, checked and rebuilt at once
     (``_check_shape`` says what ``chart_member`` does)."""
     return _check_shape(payload, chart, structure, chart_member)()
-
-
-def object_from_json(payload: dict, chart: Chart | None = None, structure: NFormStructure | None = None) -> Value:
-    """Rebuild a standalone expression value, which names its chart;
-    conformal data is re-validated against ``structure`` and never trusts
-    the stored stamp."""
-    return _check_shape(payload, chart, structure)()
 
 
 # conformal data in each text format: the name of alpha, and the lines

@@ -33,11 +33,10 @@ that degree and inside the chart; coefficients on the chart) and drop
 zeros; the parser goes through them.  The JSON loader applies
 ``_index_tuples`` in its shape pass, then builds by ``_trusted`` from
 the checked keys and the coefficients it parses on the chart.  The named
-builders (``zero``, ``from_scalar``, ``differential``, ``volume``,
+builders (``zero``, ``from_scalar``, ``differential``,
 ``basis_vector``) check their arguments and are then trusted:
-``Chart.index`` refuses an unknown name, ``volume`` refuses a repeated
-one, so its sorted key is strictly increasing, and ``from_scalar``
-writes no term for a zero scalar.  The results of ``+``, ``-``,
+``Chart.index`` refuses an unknown name, and ``from_scalar`` writes no
+term for a zero scalar.  The results of ``+``, ``-``,
 ``scale``, ``wedge``, ``exterior_derivative``, ``interior_product`` and
 ``schouten_nijenhuis`` are built by ``_Graded._trusted``, which checks
 nothing: their operands are checked to share one chart, every key is a
@@ -387,13 +386,6 @@ class _Graded:
             return self._trusted(self.chart, self.degree, {})
         return self._trusted(self.chart, self.degree, {k: c.scale(factor) for k, c in self.terms.items()})
 
-    def __mul__(self, factor):
-        if isinstance(factor, (int, Fraction, Coefficient)):
-            return self.scale(factor)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (
             type(self) is type(other)
@@ -447,14 +439,6 @@ class DiffForm(_Graded):
     @staticmethod
     def differential(chart: Chart, name: str) -> "DiffForm":
         return DiffForm._trusted(chart, 1, {(chart.index(name),): Coefficient.one(chart)})
-
-    @staticmethod
-    def volume(chart: Chart, names: Iterable[str] | None = None) -> "DiffForm":
-        positions = tuple(sorted(chart.index(n) for n in names)) if names is not None else tuple(
-            range(chart.dimension)
-        )
-        _index_tuples([positions], len(positions), chart.dimension)  # refuses a repeated name
-        return DiffForm._trusted(chart, len(positions), {positions: Coefficient.one(chart)})
 
 
 class MultiVector(_Graded):

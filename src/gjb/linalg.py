@@ -20,7 +20,7 @@ default every key the rows hold, sorted); an unknown no row holds is free.
 Any other key is a right-hand side, carried through every row operation
 but never pivoted on, so one elimination of [A | b_0 ... b_k] solves
 A x = b_j for every j (``solution(key)``).  The same result gives the
-kernel of A (``nullity`` and ``kernel``), and reduces vectors modulo the
+kernel of A (``kernel``), and reduces vectors modulo the
 row span of A (``reduce`` and ``contains``), which no right-hand side
 enters: a reduction gives what the elimination of A alone would.
 
@@ -33,7 +33,7 @@ are none).
 
 Only the work a caller reads is done.  A row operation touches only the
 keys of the pivot row, and an unknown no row holds is never scanned.
-``nullity`` is known at once, but the cleared kernel basis is built only
+The rank is known at once, but the cleared kernel basis is built only
 when ``kernel`` is first read.
 """
 
@@ -153,10 +153,6 @@ class RrefResult:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    @property
-    def nullity(self) -> int:  # free unknowns, the dimension of the kernel
-        return len(self.unknowns) - len(self.pivots)
 
     @cached_property
     def _positions(self) -> dict[Hashable, int]:

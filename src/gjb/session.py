@@ -34,7 +34,7 @@ coefficients are parsed, and conformal data is re-validated against the
 session structure, re-running the defining equations; nothing read is
 ever trusted, the stored validation stamp included.  Bindings a command
 does not read are written back verbatim when it saves.  This module
-reads no field inside a binding payload: the interchange reader of
+reads no field inside a binding payload: the stored-value reader of
 ``dsl`` checks each one, drops the chart a version-1 value names, and
 types a zero α that an older file stores at degree 0.
 """
@@ -82,10 +82,10 @@ class _SaveError(SessionError, OSError):
     caller that catches the write's own error still catches it."""
 
 
-def _read(label: str, reader, *args, **context):
+def _read(label: str, reader, *args):
     """``reader(*args)``, refusing a malformed payload as a SessionError."""
     try:
-        return reader(*args, **context)
+        return reader(*args)
     except (StructuralError, ParseError) as err:
         raise SessionError(f"malformed session file: {label}: {err}") from err
 

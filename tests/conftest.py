@@ -15,6 +15,7 @@ from gjb.coeffring import Chart, Coefficient
 from gjb.exterior import DiffForm, MultiVector, interior_product, wedge
 from gjb.fieldtheory import build_canonical, vertical_conformal_from_FG
 from gjb.structures import NFormStructure, make_conformal_data
+from oracles import volume
 
 SEED = int(os.environ.get("GJ_SEED", "20250815"))
 
@@ -120,7 +121,7 @@ def canonical_structure(n, m):
 
 def xmu_form(S, n, mu):
     """d^{n−1}x_μ on a canonical structure."""
-    dnx = DiffForm.volume(S.chart, tuple(f"x{k}" for k in range(n)))
+    dnx = volume(S.chart, tuple(f"x{k}" for k in range(n)))
     return interior_product(MultiVector.basis_vector(S.chart, f"x{mu}"), dnx)
 
 

@@ -1,7 +1,8 @@
 """Oracles the tests read and no command does: the paper's form-level
 bracket formula through the graded sharp, the solve of ι_X Ω = dα on a
-closed form, and the transport of a value to another chart by coordinate
-name.
+closed form, the transport of a value to another chart by coordinate
+name, the value of a coefficient at a rational point, the tuple view of
+its packed keys, and volume forms built by wedging differentials.
 
 On a structure with n-form Θ, ``gjb.sharp`` decomposes the members
 α = ι_X dΘ + γ·Θ (ι_X Θ = 0) of the degree-n membership space 𝒵ⁿ, with
@@ -36,11 +37,13 @@ caller-supplied hint; the columns ι_{∂_j} of dΘ and Θ are read once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import Mapping, Sequence
 
-from gjb.coeffring import Chart, Coefficient, _accumulate
+from gjb.coeffring import Chart, Coefficient, _accumulate, _as_rational, _exponents
 from gjb.errors import DegreeError, DomainError, StructuralError, ValidationError
 from gjb.exterior import DiffForm, MultiVector, _Graded, exterior_derivative, interior_product, wedge
 from gjb.linalg import rref
@@ -309,3 +312,51 @@ def reindex(obj: _Graded, target: Chart) -> _Graded:
             yield tuple(mapped[k] for k in order), coeff.rename_chart(target).scale((-1) ** inversions)
 
     return type(obj)(target, obj.degree, _accumulate(moved()))
+
+
+# --- a coefficient at a point, and its terms under exponent vectors ----------
+
+
+def evaluate(c: Coefficient, point: Mapping[str, Fraction | int]) -> Fraction:
+    """``c`` at a rational point; every chart coordinate must be assigned,
+    and nonvanishing coordinates must be nonzero.  The point's values are
+    taken as Fractions, so a negative power stays exact."""
+    values = []
+    for name in c.chart.coordinates:
+        if name not in point:
+            raise StructuralError(f"no value supplied for coordinate {name!r}")
+        v = Fraction(_as_rational(point[name]))
+        if v == 0 and name in c.chart.nonvanishing:
+            raise DomainError(f"coordinate {name!r} is nonvanishing but got 0")
+        values.append(v)
+    unknown = set(point) - set(c.chart.coordinates)
+    if unknown:
+        raise StructuralError(f"values supplied for unknown coordinates {sorted(unknown)}")
+    total = Fraction(0)
+    for key, coeff in c.terms.items():
+        acc = coeff
+        for i, k in _exponents(c.chart, key):
+            v = values[i]
+            if v == 0 and k < 0:
+                raise DomainError("division by zero while evaluating a Laurent term")
+            acc *= v**k
+        total += acc
+    return total
+
+
+def exponent_terms(c: Coefficient) -> dict[tuple[int, ...], int | Fraction]:
+    """The terms of ``c`` under their exponent vectors: the tuple view of
+    the packed keys, in the same order."""
+    unpack = c.chart.unpack
+    return {unpack(key): value for key, value in c.terms.items()}
+
+
+# --- volume forms -------------------------------------------------------------
+
+
+def volume(chart: Chart, names: Sequence[str] | None = None) -> DiffForm:
+    """The wedge of the differentials of ``names`` taken in chart order
+    (every coordinate by default); no names give the constant 1."""
+    names = chart.coordinates if names is None else sorted(names, key=chart.index)
+    one = DiffForm.from_scalar(Coefficient.one(chart))
+    return functools.reduce(wedge, (DiffForm.differential(chart, name) for name in names), one)

@@ -110,6 +110,14 @@ class TestChartAndTheta:
         assert code == 2
         assert "positive degree" in err
 
+    @pytest.mark.parametrize("text", ["0*d(q)", "d(q) - d(q)"])
+    def test_a_zero_theta_is_a_usage_error(self, contact_session, capsys, text):
+        before = pathlib.Path(contact_session).read_bytes()
+        code, out, err = run(capsys, "theta", "set", text, "-s", contact_session)
+        assert (code, out) == (2, "")
+        assert err == "error: theta must be a nonzero form of positive degree\n"
+        assert pathlib.Path(contact_session).read_bytes() == before
+
 
 # ---------------------------------------------------------------------------
 # structure checks and kernels
@@ -208,6 +216,32 @@ class TestConformalAndBrackets:
         assert code == 1
         assert "error:" in err
         assert "residual[" in err
+
+    @pytest.mark.parametrize(
+        "v, error",
+        [
+            ("d(q)", "--v must be a multivector, got DiffForm"),
+            ("0*d(q)", "--v must be a multivector, got DiffForm"),
+            ("a", "--v must be a multivector, got ConformalData"),
+        ],
+    )
+    def test_a_witness_that_is_a_form_or_data_is_a_usage_error(self, contact_session, capsys, v, error):
+        run(capsys, "conformal", "make", "--x", "e_z", "--store", "a", "-s", contact_session)
+        before = pathlib.Path(contact_session).read_bytes()
+        code, out, err = run(capsys, "conformal", "verify", "--alpha", "-1", "--x", "e_z", "--v", v, "-s", contact_session)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert pathlib.Path(contact_session).read_bytes() == before
+
+    def test_a_degree_zero_witness_form_is_its_scalar(self, contact_session, canonical_session, capsys):
+        code, out, err = run(
+            capsys, "conformal", "verify", "--alpha", "-1", "--x", "e_z", "--v", "i_(e_q, 0*d(q))", "-s", contact_session
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["conformal: yes", "alpha = -1", "X = e_z", "V = 0"]
+        code, out, err = run(
+            capsys, "conformal", "verify", "--alpha", "0", "--x", "e_y^e_s0", "--v", "i_(e_y, 0*d(y))", "-s", canonical_session
+        )
+        assert (code, out, err) == (2, "", "error: scalar witness supplied where degree 1 is needed\n")
 
     def test_verify_reads_a_typed_zero_alpha(self, contact_session, capsys):
         # p = 2 > n = 1, so alpha lives in degree -1 and the typed 0 is read there

@@ -3,11 +3,11 @@
 Random texts are built from the expression language's names, numbers,
 operators and functions, either along its grammar or as free token
 runs, both with a length bound.  Each one goes through a session command
-(``render``, ``let``, ``sharp``, ``conformal make``, ``bracket``,
-``cup``, ``lift``; ``kernel --degree`` draws a degree) on a contact and
-on a Laurent session, in-process through ``gjb.cli.main``.  Whatever
-the text, the command keeps the exit-code contract of the ``cli``
-docstring:
+(``render``, ``let``, ``sharp``, ``theta set``, ``conformal make``,
+``conformal verify`` with three texts, ``bracket``, ``cup``, ``lift``;
+``kernel --degree`` draws a degree) on a contact and on a Laurent
+session, in-process through ``gjb.cli.main``.  Whatever the text, the
+command keeps the exit-code contract of the ``cli`` docstring:
 
 * ``main`` returns 0, 1 or 2 and raises nothing;
 * an exit 2 prints exactly one ``error:`` line, and it is the last line
@@ -84,7 +84,9 @@ data = st.one_of(st.sampled_from(["a", "-a", "a + a", "1/2*a", "jb(a, a)", "cup(
 commands = st.one_of(
     st.tuples(st.sampled_from(["render", "sharp"]), texts).map(lambda t: [t[0], f" {t[1]}"]),
     data.map(lambda text: ["lift", f" {text}"]),
+    texts.map(lambda text: ["theta", "set", f" {text}"]),
     texts.map(lambda text: ["conformal", "make", f"--x= {text}"]),
+    st.tuples(texts, texts, texts).map(lambda t: ["conformal", "verify", f"--alpha= {t[0]}", f"--x= {t[1]}", f"--v= {t[2]}"]),
     st.tuples(st.sampled_from(["bracket", "cup"]), data, data).map(lambda t: [t[0], f" {t[1]}", f" {t[2]}"]),
     st.tuples(st.sampled_from(["b", "a", "q"]), texts).map(lambda t: ["let", f"{t[0]} = {t[1]}"]),
     st.tuples(st.integers(-2, 5), st.sampled_from(["theta", "dtheta", "both"])).map(
@@ -116,6 +118,9 @@ def sessions(tmp_path_factory):
 @example("contact", ["kernel", "--degree", "4"])
 @example("contact", ["sharp", "d(q)^d(p)"])
 @example("contact", ["conformal", "make", "--x", "1"])
+# a zero theta, and a --v that is a form, are usage errors
+@example("contact", ["theta", "set", "0*d(q)"])
+@example("contact", ["conformal", "verify", "--alpha", "-1", "--x", "e_z", "--v", "d(q)"])
 def test_every_command_keeps_the_exit_code_contract(sessions, session, argv):
     path, original = sessions[session]
     path.write_bytes(original)

@@ -1,5 +1,6 @@
 """Expression grammar, elaboration rules, renderers and JSON interchange."""
 
+import copy
 import json
 from fractions import Fraction
 from unittest import mock
@@ -17,7 +18,6 @@ from gjb.dsl import (
     evaluate,
     free_names,
     latex_name,
-    object_from_json,
     parse,
     parse_coefficient,
     render,
@@ -29,6 +29,7 @@ from gjb.fieldtheory import build_canonical
 from gjb.structures import make_conformal_data
 
 from conftest import SEED, contact_structure, rand_coefficient, rand_form, rand_multivector
+from oracles import volume
 
 CAN = build_canonical(2, 1)
 
@@ -164,7 +165,7 @@ def test_wedge_square_of_two_form_in_higher_dimension():
     chart = Chart(("a", "b", "c", "e"))
     e = Environment(chart=chart)
     value = evaluate("(da^db + dc^de)^2", e)
-    expected = DiffForm.volume(chart).scale(2)
+    expected = volume(chart).scale(2)
     assert value == expected
     assert not e.warnings
 
@@ -429,6 +430,13 @@ def test_latex_conformal_data_mentions_iota():
 # --------------------------------------------------------------------------
 
 
+def stored(payload, chart, structure=None):
+    """A value that names its chart, read back by the version-1 session
+    reader, which checks that chart against ``chart`` and drops it from
+    the payload in place; so it reads a copy."""
+    return dsl._stored_value(copy.deepcopy(payload), chart, structure, "dropped")
+
+
 def test_a_coefficient_serializes_as_a_degree_zero_term_list():
     value = C("p0").scale(Fraction(-3, 2)) + C("y") ** 2
     chart = {"coordinates": list(CAN.chart.coordinates), "nonvanishing": []}
@@ -446,11 +454,11 @@ def test_json_round_trip_on_random_objects(rng):
     for _ in range(25):
         form = rand_form(rng, CAN.chart, rng.randint(0, 3))
         payload = json.loads(render(form, "json"))
-        assert object_from_json(payload, chart=CAN.chart) == form
+        assert stored(payload, CAN.chart) == form
         vector = rand_multivector(rng, CAN.chart, rng.randint(0, 3))
-        assert object_from_json(to_json(vector), chart=CAN.chart) == vector
+        assert stored(to_json(vector), CAN.chart) == vector
         scalar = rand_coefficient(rng, CAN.chart)
-        assert object_from_json(to_json(scalar), chart=CAN.chart) == scalar
+        assert stored(to_json(scalar), CAN.chart) == scalar
 
 
 def test_json_terms_accepted_in_any_order():
@@ -459,7 +467,7 @@ def test_json_terms_accepted_in_any_order():
     )
     payload = to_json(form)
     payload["terms"] = list(reversed(payload["terms"]))
-    assert object_from_json(payload, chart=CAN.chart) == form
+    assert stored(payload, CAN.chart) == form
 
 
 def test_json_sums_repeated_terms_and_drops_cancelled_ones():
@@ -468,15 +476,15 @@ def test_json_sums_repeated_terms_and_drops_cancelled_ones():
     payload = to_json(form)
     payload["terms"].append({"indices": [0], "coeff": "2 - s0"})
     payload["terms"].append({"indices": [1], "coeff": "-1"})
-    assert object_from_json(payload, chart=CAN.chart) == DiffForm.differential(CAN.chart, "x0").scale(2)
+    assert stored(payload, CAN.chart) == DiffForm.differential(CAN.chart, "x0").scale(2)
     vector = to_json(MultiVector.basis_vector(CAN.chart, "y"))
     vector["terms"].append({"indices": [2], "coeff": "-1"})
-    assert object_from_json(vector, chart=CAN.chart) == MultiVector.zero(CAN.chart, 1)
+    assert stored(vector, CAN.chart) == MultiVector.zero(CAN.chart, 1)
     payload = to_json(scalar("s0 + 1"))
     payload["terms"].append({"indices": [], "coeff": "1 - s0"})
-    assert object_from_json(payload, chart=CAN.chart) == scalar("2")
+    assert stored(payload, CAN.chart) == scalar("2")
     payload["terms"].append({"indices": [], "coeff": "-2"})
-    assert object_from_json(payload, chart=CAN.chart) == Coefficient.zero(CAN.chart)
+    assert stored(payload, CAN.chart) == Coefficient.zero(CAN.chart)
 
 
 @pytest.mark.parametrize(
@@ -493,7 +501,7 @@ def test_a_stored_coefficient_outside_the_ring_is_malformed_and_named(text, erro
     payload = to_json(DiffForm.differential(chart, "q"))
     payload["terms"][0]["coeff"] = text
     with pytest.raises(StructuralError) as err:
-        object_from_json(payload, chart=chart)
+        stored(payload, chart)
     assert str(err.value) == f"coefficient {text!r}: {error}"
 
 
@@ -511,7 +519,7 @@ def test_json_rejects_malformed_indices():
         {**coefficient, "degree": 1, "terms": []},
     ]:
         with pytest.raises(StructuralError):
-            object_from_json(payload, chart=CAN.chart)
+            stored(payload, CAN.chart)
 
 
 @pytest.mark.parametrize("indices", [[True], [1.0], [0, True]])
@@ -527,17 +535,17 @@ def test_json_index_entries_must_be_ints(indices):
         {**form, "degree": indices[-1]},
     ]:
         with pytest.raises(StructuralError, match="is not an int"):
-            object_from_json(payload, chart=CAN.chart)
+            stored(payload, CAN.chart)
         payload = json.loads(json.dumps(payload))  # the same through JSON text
         with pytest.raises(StructuralError, match="is not an int"):
-            object_from_json(payload, chart=CAN.chart)
+            stored(payload, CAN.chart)
 
 
 def test_json_rejects_chart_mismatch():
     contact = contact_structure()
     payload = to_json(DiffForm.differential(contact.chart, "q"))
     with pytest.raises(StructuralError):
-        object_from_json(payload, chart=CAN.chart)
+        stored(payload, CAN.chart)
 
 
 def test_conformal_json_revalidates_and_ignores_the_stamp():
@@ -547,12 +555,12 @@ def test_conformal_json_revalidates_and_ignores_the_stamp():
     data = rows[0].data
     payload = to_json(data)
     payload["validated"] = False  # the stamp is never trusted either way
-    rebuilt = object_from_json(payload, structure=CAN)
+    rebuilt = stored(payload, CAN.chart, CAN)
     assert rebuilt.alpha == data.alpha
     assert rebuilt.x_field == data.x_field
     payload["x_field"]["terms"][0]["coeff"] = "17"
     with pytest.raises(ValidationError):
-        object_from_json(payload, structure=CAN)
+        stored(payload, CAN.chart, CAN)
 
 
 def test_conformal_json_needs_a_structure():
@@ -560,7 +568,7 @@ def test_conformal_json_needs_a_structure():
 
     rows, _ = elementary_tables(CAN)
     with pytest.raises(StructuralError):
-        object_from_json(to_json(rows[0].data))
+        stored(to_json(rows[0].data), CAN.chart)
 
 
 # --------------------------------------------------------------------------

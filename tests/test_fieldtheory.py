@@ -50,6 +50,7 @@ from gjb.structures import (
 )
 
 from conftest import SEED, contact_structure, rand_coefficient, rand_fg_data, rand_form, translations_and_vertical_data
+from oracles import exponent_terms
 
 CAN = build_canonical(2, 1)
 
@@ -916,7 +917,7 @@ def determinant_pullback(sympy, J, H):
         return sum(
             (
                 ring(sympy.QQ(v.numerator, v.denominator)) * math.prod(values[x] ** k for x, k in zip(names, expo) if k)
-                for expo, v in c.exponent_terms().items()
+                for expo, v in exponent_terms(c).items()
             ),
             ring.zero,
         )

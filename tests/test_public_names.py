@@ -7,9 +7,11 @@ argument, so a stale export or a keyword matrix breaks traced runs.
 """
 
 import ast
+import functools
 import importlib
 import pathlib
 import pkgutil
+import types
 
 import pytest
 
@@ -492,31 +494,58 @@ def test_only_the_ring_reads_the_packed_layout():
     assert readers == {"coeffring.py"}
 
 
-def test_every_exported_name_has_a_reader():
-    """Every name of every module's ``__all__`` is read somewhere in the
-    package, the demos or the benchmark: as a name or an attribute in code,
-    not as an import, a definition or an ``__all__`` entry.  A name only
-    tests read is not public surface; it belongs in ``tests/oracles.py``.
-    The exemptions, each with its reason; each names an exported name, so
-    a stale one fails:"""
-    exempt = {
-        "object_from_json": "dsl's reader of a standalone value, the inverse of to_json the round-trip tests read",
+def _members(cls):
+    """(owner, name) of each public method and property of ``cls``, its
+    package base classes' too; dunders are not members here."""
+    kinds = (types.FunctionType, staticmethod, classmethod, property, functools.cached_property)
+    return {
+        (owner.__name__, name)
+        for owner in cls.__mro__
+        if owner.__module__.startswith("gjb.")
+        for name, value in vars(owner).items()
+        if not name.startswith("_") and isinstance(value, kinds)
     }
+
+
+def test_every_exported_name_has_a_reader():
+    """Every name of every module's ``__all__``, and every public method
+    and property of every exported class, is read somewhere in the
+    package, the demos or the benchmark: an exported name as a name or an
+    attribute in code, not as an import, a definition or an ``__all__``
+    entry, and a member as an attribute outside its own body.  A name only
+    tests read is not public surface; it belongs in ``tests/oracles.py``.
+
+    The check goes by name, not by type: a member passes when any
+    attribute of that name is read.  So ``Coefficient.evaluate`` and
+    ``DiffForm.volume`` passed it only by sharing a name with
+    ``dsl.evaluate`` and ``CanonicalStructure.volume``; both are now
+    oracles in ``tests/oracles.py``."""
     root = pathlib.Path(gjb.__file__).parent
     files = [*root.glob("*.py"), *(root.parents[1] / "demos").glob("*.py"), *(root.parents[1] / "bench").glob("*.py")]
-    read = {
-        getattr(node, "id", None) or getattr(node, "attr", None)
-        for path in files
-        if not path.name.startswith("test_")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
+    read, attributes = set(), set()
+    for path in files:
+        if path.name.startswith("test_"):
+            continue
+        for scope, top in _scopes(ast.parse(path.read_text(encoding="utf-8")).body):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                    attributes.add((node.attr, scope))
     exported = {
-        f"{module}.{name}" for module in MODULES for name in getattr(importlib.import_module(module), "__all__", ())
+        f"{module}.{name}": getattr(importlib.import_module(module), name)
+        for module in MODULES
+        for name in getattr(importlib.import_module(module), "__all__", ())
     }
-    assert sorted(name for name in exported if name.rpartition(".")[2] not in read | exempt.keys()) == []
-    assert [name for name in exempt if name in read] == []
-    assert sorted(exempt.keys() - {name.rpartition(".")[2] for name in exported}) == []
+    assert sorted(name for name in exported if name.rpartition(".")[2] not in read) == []
+    members = set().union(*(_members(value) for value in exported.values() if isinstance(value, type)))
+    unread = {
+        f"{owner}.{name}"
+        for owner, name in members
+        if not any(attr == name and not f"{scope}.".startswith(f"{owner}.{name}.") for attr, scope in attributes)
+    }
+    assert sorted(unread) == []
 
 
 def test_no_code_writes_to_the_terms_of_a_built_value():

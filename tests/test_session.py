@@ -23,6 +23,7 @@ from gjb.errors import StructuralError, ValidationError
 from gjb.exterior import DiffForm, MultiVector
 from gjb.fieldtheory import build_canonical, elementary_tables
 from gjb.session import SCHEMA, Session, SessionError
+from oracles import volume
 
 CAN = build_canonical(2, 1)
 CONTACT_GOLDEN = Path(__file__).resolve().parent / "golden" / "session" / "contact.json"
@@ -172,7 +173,7 @@ def test_set_theta_revalidates_and_rolls_back():
     rows, _ = elementary_tables(CAN)
     session.bindings["data"] = rows[0].data
     # a different multicontact form on the same chart invalidates the triple
-    other = DiffForm.volume(CAN.chart, ("x0", "x1"))
+    other = volume(CAN.chart, ("x0", "x1"))
     with pytest.raises(ValidationError):
         session.set_theta(other)
     assert session.theta == CAN.theta  # rolled back
@@ -334,7 +335,7 @@ def test_set_theta_forces_every_binding_and_its_rollback_keeps_them_unread(tmp_p
         loaded = Session.load(path)
         theta = loaded.theta
         with pytest.raises(ValidationError):
-            loaded.set_theta(DiffForm.volume(loaded.chart, other))
+            loaded.set_theta(volume(loaded.chart, other))
         assert loaded.theta == theta
         assert all(isinstance(entry, session_module._Unread) for entry in loaded.bindings._entries.values())
         loaded.save(path)

@@ -733,7 +733,7 @@ def reference_solve(columns, targets, keys):
         values = solution.solution(b)
     except DomainError:
         return None
-    return {keys[c]: value for c, value in values.items()}, solution.nullity == 0
+    return {keys[c]: value for c, value in values.items()}, len(solution.unknowns) - solution.rank == 0
 
 
 def random_structures(rng):

@@ -359,7 +359,7 @@ def _transport_structure(shape):
         return NFormStructure(chart, DiffForm.differential(chart, "s") - DiffForm.differential(chart, "q").scale(
             Coefficient.coordinate(chart, "p")))
     chart = Chart(("u", "x", "v"), frozenset({"u", "v"}))
-    u, v = Coefficient.coordinate(chart, "u", -2), Coefficient.coordinate(chart, "v", -1)
+    u, v = Coefficient.coordinate(chart, "u") ** -2, Coefficient.coordinate(chart, "v") ** -1
     return NFormStructure(chart, wedge(DiffForm.differential(chart, "u"), DiffForm.differential(chart, "x")).scale(u)
                           + wedge(DiffForm.differential(chart, "x"), DiffForm.differential(chart, "v")).scale(v))
 
