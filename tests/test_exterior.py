@@ -922,6 +922,7 @@ def test_rational_scaling_refuses_what_a_constant_refuses():
     "build",
     [
         lambda: DiffForm.differential(CH, "w"),
+        lambda: DiffForm.differential(Chart(("a", "b", "a")), "a"),
         lambda: MultiVector.basis_vector(CH, "w"),
     ],
 )
