@@ -7,13 +7,17 @@ commands read fresh session files that ``chart new`` and ``theta set``
 build in a temporary directory; the session path is replaced by
 ``<session>`` before comparing.
 
-After an intended output change, rewrite the golden files with
+After an intended output change, rewrite the golden files of the named
+commands with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py NAME [NAME ...]
+
+or of every command when no name is given.
 """
 
 import contextlib
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,6 +36,12 @@ SESSIONS = {
         ["theta", "set", "z*d(z) - p*z^-1*d(q)"],
     ],
     "degenerate": [["chart", "new", "--coordinates", "q,p,z"], ["theta", "set", "d(q)"]],
+    "contact_data": [
+        ["chart", "new", "--coordinates", "q,p,z"],
+        ["theta", "set", "d(z) - p*d(q)"],
+        ["conformal", "make", "--x", "e_z", "--store", "a"],
+        ["conformal", "make", "--x", "q*e_q + z*e_z", "--store", "b"],
+    ],
 }
 
 H21 = "1/2*p0^2 + 1/2*p1^2 + 3*s0"
@@ -55,6 +65,10 @@ def _commands():
         ("check_canonical", "canonical", ["check", "multicontact"]),
         ("check_laurent", "laurent", ["check", "multicontact"]),
         ("check_degenerate", "degenerate", ["check", "multicontact"]),
+        ("symplectize_contact", "contact", ["symplectize"]),
+        ("symplectize_degenerate", "degenerate", ["symplectize"]),
+        ("psi_check_contact", "contact_data", ["psi-check", "a", "b"]),
+        ("distortion_degenerate", "degenerate", ["distortion"]),
         ("sharp_contact", "contact", ["sharp", "d(z)"]),
         ("sharp_canonical", "canonical", ["sharp", "d(y)^d(x1)"]),
         ("sharp_canonical_volume", "canonical", ["sharp", "p*d(x0)^d(x1)"]),
@@ -96,6 +110,9 @@ def _commands():
         ("sigma_21", None, ["sigma", "--n", "2", "--m", "1", "--H", H21]),
         ("sigma_21_latex", None, ["sigma", "--n", "2", "--m", "1", "--H", H21, "--format", "latex"]),
         ("sigma_22_latex", None, ["sigma", "--n", "2", "--m", "2", "--H", H22, "--format", "latex"]),
+        ("dissipated_21_no", None, ["dissipated", "--n", "2", "--m", "1", "--H", "1/2*p0^2", "--row", "1"]),
+        ("dissipated_21_yes", None, ["dissipated", "--n", "2", "--m", "1", "--H", "1/2*p0^2", "--row", "2:0,1"]),
+        ("dissipated_21_fg", None, ["dissipated", "--n", "2", "--m", "1", "--H", "1/2*p0^2", "--F", "0", "--G=-1", "--G", "0"]),
         ("conformal_make_contact_latex", "contact", ["conformal", "make", "--x", "q*e_q + z*e_z", "--format", "latex"]),
         ("conformal_make_canonical_latex", "canonical", ["conformal", "make", "--x", "e_s0", "--format", "latex"]),
         ("conformal_make_laurent_latex", "laurent", ["conformal", "make", "--x", "e_q", "--format", "latex"]),
@@ -163,11 +180,18 @@ def test_cli_output_is_golden(name, session, argv, sessions):
     assert code == int((GOLDEN / f"{name}.exit").read_text())
 
 
-def _write_golden() -> None:
+def _write_golden(names=()) -> None:
+    """Write the golden files of the named commands, of every command when
+    no name is given."""
+    unknown = set(names) - {name for name, _, _ in COMMANDS}
+    if unknown:
+        raise SystemExit(f"no golden command named {', '.join(sorted(unknown))}")
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         paths = _make_sessions(Path(tmp))
         for name, session, argv in COMMANDS:
+            if names and name not in names:
+                continue
             code, out, err = _output(argv, session, paths)
             (GOLDEN / f"{name}.stdout").write_text(out)
             (GOLDEN / f"{name}.stderr").write_text(err)
@@ -175,4 +199,4 @@ def _write_golden() -> None:
 
 
 if __name__ == "__main__":
-    _write_golden()
+    _write_golden(sys.argv[1:])
