@@ -79,7 +79,7 @@ headline("Evolution of the elementary conformal forms")
 rows, _ = elementary_tables(C)
 for row in rows:
     value = evolution_residual(section, row.data)
-    dissipated = dissipated_check(section, row.data)
+    dissipated = dissipated_check(section, row.data).ok
     print(
         f"  {row.label}: evolution residual = {value}"
         f"{'  [dissipated quantity]' if dissipated else ''}"
@@ -95,7 +95,7 @@ F = Coefficient.zero(C.chart)
 G = (Coefficient.constant(C.chart, -1), Coefficient.zero(C.chart))
 _, data = vertical_conformal_from_FG(C, F, G)
 print(f"alpha = {data.alpha}")
-print(f"dissipated for this H: {dissipated_check(section, data)}")
+print(f"dissipated for this H: {dissipated_check(section, data).ok}")
 
 
 # ---------------------------------------------------------------------------

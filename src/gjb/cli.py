@@ -30,6 +30,11 @@ incompatible session files), 141 (128 + SIGPIPE) when stdout is a pipe
 whose reader has closed it, as in ``gjb tables --n 2 --m 1 | head -1``;
 nothing more is written then.
 
+Verdicts print one way (``_verdict``): ``label: yes|no``, then a failed
+one's ``witness:`` and ``details:``.  ``symplectize`` exits 0 either way,
+as does ``distortion``'s ``all zero: no``, a result.  ``kernel --which
+both`` prints ker Θ, then ker dΘ, not K_p, which ``kernel(p, "both")`` gives.
+
 Each operand text is parsed once: a phase-space command reads the free
 names of its ``--H``/``--F``/``--G`` trees to build its structure
 (``_canonical_from_args``) and evaluates the same trees (``_operands``).
@@ -77,7 +82,7 @@ from .fieldtheory import (
     vertical_conformal_from_FG,
 )
 from .session import Session, SessionError
-from .structures import ConformalData, _witnessed_data, cup_product, is_multicontact, jacobi_bracket, make_conformal_data
+from .structures import CheckReport, ConformalData, _witnessed_data, cup_product, is_multicontact, jacobi_bracket, make_conformal_data
 from .symplectization import (
     _poisson,
     build,
@@ -254,18 +259,18 @@ def _cmd_theta_set(args) -> int:
     return 0
 
 
-def _cmd_check_multicontact(args) -> int:
-    session = Session.load(args.session)
-    report = is_multicontact(session.structure())
-    if report.ok:
-        print("multicontact: yes")
-        return 0
-    print("multicontact: no")
-    if report.witness is not None:
+def _verdict(label: str, report: CheckReport) -> int:
+    """Print ``label: yes|no``, then a failed report's witness and details; exit 0 or 1."""
+    print(f"{label}: {'yes' if report.ok else 'no'}")
+    if not report.ok and report.witness is not None:
         print(f"witness: {report.witness}")
-    if report.details:
+    if not report.ok and report.details:
         print(f"details: {report.details}")
-    return 1
+    return 0 if report.ok else 1
+
+
+def _cmd_check_multicontact(args) -> int:
+    return _verdict("multicontact", is_multicontact(Session.load(args.session).structure()))
 
 
 def _cmd_kernel(args) -> int:
@@ -343,10 +348,7 @@ def _cmd_symplectize(args) -> int:
     print(f"upsilon = {sym.upsilon}")
     print(f"omega = {sym.omega}")
     print(f"liouville = {sym.liouville}")
-    report = nondegeneracy_check(sym)
-    print(f"nondegenerate: {'yes' if report.ok else 'no'}")
-    if not report.ok and report.witness is not None:
-        print(f"witness: {report.witness}")
+    _verdict("nondegenerate", nondegeneracy_check(sym))
     return 0
 
 
@@ -371,11 +373,7 @@ def _cmd_psi_check(args) -> int:
     a, b = _operands(env, *_data_pair(args))
     residual = check_correspondence(env.extension, a, b)
     print(f"residual = {residual}")
-    if residual.is_zero():
-        print("correspondence holds: yes")
-        return 0
-    print("correspondence holds: no")
-    return 1
+    return _verdict("correspondence holds", CheckReport(residual.is_zero()))
 
 
 def _cmd_sharp(args) -> int:
@@ -595,11 +593,10 @@ def _cmd_dissipated(args) -> int:
         title = "vertical conformal data from (F, G)"
     else:
         raise _UsageError("dissipated needs --row or --F/--G to pick the conformal data")
-    verdict = dissipated_check(_section(C, H), data)
+    report = dissipated_check(_section(C, H), data)
     print(f"form: {title}")
     print(f"alpha = {data.alpha}")
-    print(f"dissipated: {'yes' if verdict else 'no'}")
-    return 0 if verdict else 1
+    return _verdict("dissipated", report)
 
 
 def _cmd_distortion(args) -> int:
@@ -678,7 +675,8 @@ def _build_parser() -> _Parser:
 
     kernel = sub.add_parser("kernel", help="kernel basis of the structure form")
     kernel.add_argument("--degree", type=int, default=1)
-    kernel.add_argument("--which", choices=("theta", "dtheta", "both"), default="theta")
+    which = "both: the kernel of theta, then that of d(theta); not their intersection K_p"
+    kernel.add_argument("--which", choices=("theta", "dtheta", "both"), default="theta", help=which)
     _add_session_flag(kernel)
     kernel.set_defaults(func=_cmd_kernel)
 

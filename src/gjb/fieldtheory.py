@@ -444,9 +444,7 @@ def elementary_tables(C: CanonicalStructure) -> tuple[list[Table1Row], list[Tabl
 def _reeb_kernel_basis(S: NFormStructure) -> list[MultiVector]:
     if isinstance(S, CanonicalStructure):
         return S.reeb_directions
-    report = is_multicontact(S)
-    if not report.ok:
-        raise DomainError(f"structure is not multicontact: {report.details}")
+    is_multicontact(S).require(DomainError, "structure is not multicontact")
     return S.kernel(1, "dtheta")
 
 
@@ -505,10 +503,10 @@ def refined_reeb(S: NFormStructure) -> RefinedReeb:
     return reeb
 
 
-def _subbundle_membership(S: NFormStructure, h: DiffForm, span: RrefResult) -> CheckReport:
-    """Is every single contraction of h in ``span``, the eliminated flat
-    images of the Reeb directions?"""
-    chart = S.chart
+def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
+    """Is every single contraction of h in the span of the forms iota_R Theta,
+    R ranging over the degree-1 kernel of dTheta (``_flat_map``)?"""
+    span, chart = _flat_map(S)[2], S.chart
     if h.chart != chart:
         raise StructuralError("h does not live on the structure chart")
     if h.degree != S.degree:
@@ -523,28 +521,16 @@ def _subbundle_membership(S: NFormStructure, h: DiffForm, span: RrefResult) -> C
     return CheckReport(True)
 
 
-def hamiltonian_subbundle_check(S: NFormStructure, h: DiffForm) -> CheckReport:
-    """Is every single contraction of h in the structure's one span of the
-    forms iota_R Theta, R ranging over the degree-1 kernel of dTheta?"""
-    return _subbundle_membership(S, h, _flat_map(S)[2])
-
-
 def good_hamiltonian_check(S: NFormStructure, h: DiffForm) -> CheckReport:
     """Does iota_R dh stay inside the Hamiltonian subbundle for every Reeb
     direction R?  Requires h to lie in the subbundle itself."""
-    basis, _, span = _flat_map(S)
-    report = _subbundle_membership(S, h, span)
-    if not report.ok:
-        raise DomainError(f"h is not a Hamiltonian form: {report.details}")
+    hamiltonian_subbundle_check(S, h).require(DomainError, "h is not a Hamiltonian form")
     dh = exterior_derivative(h)
-    for R in basis:
-        inner = _subbundle_membership(S, interior_product(R, dh), span)
+    for R in _flat_map(S)[0]:
+        inner = hamiltonian_subbundle_check(S, interior_product(R, dh))
         if not inner.ok:
-            return CheckReport(
-                False,
-                witness=(R, inner.witness),
-                details=f"iota_R dh escapes the Hamiltonian subbundle along {inner.witness}",
-            )
+            details = f"iota_R dh escapes the Hamiltonian subbundle along {inner.witness}"
+            return CheckReport(False, witness=(R, inner.witness), details=details)
     return CheckReport(True)
 
 
@@ -590,8 +576,9 @@ def hamiltonian_section(C: CanonicalStructure, H: Coefficient) -> HamiltonianSec
     if H.depends_on(C.p_name):
         raise DomainError(f"a Hamiltonian section may not depend on the residual momentum {C.p_name!r}")
     section = HamiltonianSection(C, H)
-    if not hamiltonian_subbundle_check(C, section.h_form).ok:
-        raise StructuralError("Hamiltonian section escaped the Hamiltonian subbundle")
+    hamiltonian_subbundle_check(C, section.h_form).require(
+        StructuralError, "Hamiltonian section escaped the Hamiltonian subbundle"
+    )
     return section
 
 
@@ -878,7 +865,7 @@ def evolution_residual(section: HamiltonianSection, data: ConformalData) -> Coef
     return _hdw_reduce(jet, solved, residual)
 
 
-def dissipated_check(section: HamiltonianSection, data: ConformalData) -> bool:
+def dissipated_check(section: HamiltonianSection, data: ConformalData) -> CheckReport:
     """Is alpha a dissipated quantity: does psi*(d alpha) = -sigma_h ^ alpha
     hold on every solution of the section?  Checks the pointwise sufficient
     condition -(L_X + r) h + (d + sigma_h ^) iota_X h = 0 exactly, with the
@@ -891,7 +878,7 @@ def dissipated_check(section: HamiltonianSection, data: ConformalData) -> bool:
         raise StructuralError("conformal data does not live on the section's structure")
     if data.degree != 1:
         raise DomainError("the dissipated-quantity condition applies to vector-type data")
-    return _dissipation_core(section, data).is_zero()
+    return CheckReport(_dissipation_core(section, data).is_zero())
 
 
 # --------------------------------------------------------------------------
@@ -905,11 +892,8 @@ def variational_check(S: NFormStructure) -> CheckReport:
     for i, j in itertools.combinations(range(len(basis)), 2):
         value = interior_product(wedge(basis[i], basis[j]), S.theta)
         if not value.is_zero():
-            return CheckReport(
-                False,
-                witness=(basis[i], basis[j]),
-                details="Theta does not vanish on a pair of Reeb directions",
-            )
+            details = "Theta does not vanish on a pair of Reeb directions"
+            return CheckReport(False, witness=(basis[i], basis[j]), details=details)
     return CheckReport(True)
 
 
@@ -926,9 +910,7 @@ def distortion(S: NFormStructure) -> tuple[dict[tuple[int, int], DiffForm], bool
     exactly the condition making every Hamiltonian form good.  The span
     and the curls read the structure's flat map (``_flat_map``).
     """
-    report = variational_check(S)
-    if not report.ok:
-        raise DomainError(f"distortion is only defined on variational structures: {report.details}")
+    variational_check(S).require(DomainError, "distortion is only defined on variational structures")
     basis, flats, span = _flat_map(S)
     curls = [exterior_derivative(flat) for flat in flats]
     table: dict[tuple[int, int], DiffForm] = {}
@@ -947,10 +929,7 @@ def gamma_obstruction(S: NFormStructure, h: DiffForm, R: MultiVector, v: MultiVe
     """Obstruction class L_R iota_v h - iota_v d iota_R h modulo the image
     of the flat map.  A nonzero value exhibits a Hamiltonian form whose
     dynamics depends on the choice of Reeb direction."""
-    span = _flat_map(S)[2]
-    report = _subbundle_membership(S, h, span)
-    if not report.ok:
-        raise DomainError(f"h is not a Hamiltonian form: {report.details}")
+    hamiltonian_subbundle_check(S, h).require(DomainError, "h is not a Hamiltonian form")
     for W, label in ((R, "R"), (v, "v")):
         if W.degree != 1:
             raise DegreeError(f"{label} must be a vector field")
@@ -959,4 +938,4 @@ def gamma_obstruction(S: NFormStructure, h: DiffForm, R: MultiVector, v: MultiVe
     raw = lie_derivative(R, interior_product(v, h)) - interior_product(
         v, exterior_derivative(interior_product(R, h))
     )
-    return _mod_flat_representative(S, raw, span)
+    return _mod_flat_representative(S, raw, _flat_map(S)[2])

@@ -7,8 +7,11 @@ with conformal data (α, X, V) characterized by
 
     ι_X Θ = −α,    ι_X dΘ = (−1)^{p+1} (dα + ι_V Θ),
 
-equivalently 𝓛_X Θ = ι_V Θ.  Brackets operate on verified triples: the
-graded Jacobi bracket of (α, X_α, V_α) and (β, X_β, V_β) is
+equivalently 𝓛_X Θ = ι_V Θ.  CheckReport is the one verdict: is_multicontact,
+nondegeneracy_check, hamiltonian_subbundle_check, good_hamiltonian_check,
+variational_check and dissipated_check return it, and report.require(Error,
+what) raises Error(f"{what}: {details}") if it fails.  Brackets operate on
+verified triples: the graded Jacobi bracket of (α, X_α, V_α) and (β, X_β, V_β) is
 
     {α, β} = −ι_{[X_α, X_β]} Θ
 
@@ -85,7 +88,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a structural check, with evidence."""
+    """The package's one verdict: the outcome of a check, with evidence."""
 
     ok: bool
     witness: object | None = None
@@ -93,6 +96,12 @@ class CheckReport:
 
     def __bool__(self):
         return self.ok
+
+    def require(self, error: type[Exception], what: str) -> "CheckReport":
+        """This report if it holds; else raise ``error(f"{what}: {details}")``."""
+        if self.ok:
+            return self
+        raise error(f"{what}: {self.details}")
 
 
 @functools.lru_cache(maxsize=64)

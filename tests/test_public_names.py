@@ -335,6 +335,45 @@ def test_the_flat_map_is_eliminated_in_one_place():
     assert _callers("fieldtheory.py", "rref") == {"_flat_map", "_hdw_system"}
 
 
+def test_a_verdict_has_one_way_in_and_one_way_out():
+    """A failed ``CheckReport`` becomes an exception only through
+    ``CheckReport.require``: no ``if not <expr>.ok:`` in the package has a
+    ``raise`` in its body.  The CLI prints a verdict only through
+    ``_verdict``: no other function of ``cli.py`` spells a ``witness:`` or
+    ``details:`` line, and ``_verdict``'s callers are the four commands
+    that answer with a verdict."""
+    package = pathlib.Path(gjb.__file__).parent
+    raising = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            test = getattr(node, "test", None)
+            if (
+                isinstance(node, ast.If)
+                and isinstance(test, ast.UnaryOp)
+                and isinstance(test.op, ast.Not)
+                and isinstance(test.operand, ast.Attribute)
+                and test.operand.attr == "ok"
+                and any(isinstance(inner, ast.Raise) for statement in node.body for inner in ast.walk(statement))
+            ):
+                raising.append(f"{path.name}:{node.lineno}")
+    assert raising == []
+    printers = {
+        name
+        for name, top in _scopes(ast.parse((package / "cli.py").read_text(encoding="utf-8")).body)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith(("witness:", "details:"))
+    }
+    assert printers == {"_verdict"}
+    assert _callers("cli.py", "_verdict") == {
+        "_cmd_check_multicontact",
+        "_cmd_dissipated",
+        "_cmd_psi_check",
+        "_cmd_symplectize",
+    }
+
+
 def test_psi_map_reads_no_upsilon():
     """``psi_map``'s one check is its Hamiltonian pair, a contraction
     against Ω: neither it nor a function of its module it calls, directly
