@@ -104,6 +104,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); raise instead
         raise _UsageError(f"{self.prog}: {message}")
 
+    def _parse_optional(self, arg_string):
+        # a single-dash argument that is no option string of this parser is
+        # an operand, such as ``-q`` or ``-d(q)``; so no short option takes
+        # an attached value (``-sFILE``)
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
 
 # ---------------------------------------------------------------------------
 # small helpers

@@ -1,17 +1,25 @@
 """Exact scalar functions on a coordinate chart.
 
 A Coefficient is a sparse Laurent polynomial over Q in the chart's
-coordinates.  Representation: a dict mapping packed exponent keys (one
-int per monomial, below) to nonzero exact rationals, each an `int` or a
-`Fraction`.  Values enter as `int` when integral, so most products take
-Python's integer path.  The ring operations here may leave an integral
-value as a `Fraction`, which compares, hashes and prints exactly like the
-`int`; the graded products of `exterior` (its product kernel) never do,
-since they divide once per result term.  The zero polynomial is the
-empty dict.  Negative exponents are allowed only for coordinates the
-chart flags as nonvanishing; everything else is ordinary polynomial
-data.  No floats and no bools anywhere: every division and every
-negative power has a `Fraction` operand.
+coordinates, stored as integer numerators over one common denominator,
+the representation FLINT's ``fmpq_poly`` uses for Q[x].  ``nums`` maps
+packed exponent keys (one int per monomial, below) to nonzero ints, and
+``den`` is an int >= 1 with ``math.gcd(den, *nums.values()) == 1``: the
+value is in lowest terms, so ``den == 1`` exactly when it is integral,
+zero is the empty ``nums`` over 1, and equal values have equal fields,
+which is what ``==`` and ``hash`` compare.  Every ring operation works on
+ints and normalises its result at most once, by one
+``math.gcd(den, *nums.values())``, skipped when the result's ``den`` is
+1 (``Coefficient._reduced``); no Fraction is built on the way.  A value
+crossing the boundary is an exact rational, an ``int`` or a
+``Fraction``: the constructor and ``_checked`` take such values and put
+them over their lcm denominator, which is lowest terms already, and
+``terms`` is the read-only boundary view, each term's value under its
+key, an ``int`` when integral and a reduced ``Fraction`` otherwise,
+built afresh on each read.  Arithmetic never reads it; the text writer
+reads ``sorted_terms``.  Negative exponents are allowed only for
+coordinates the chart flags as nonvanishing; everything else is ordinary
+polynomial data.  No floats and no bools anywhere.
 
 Packed keys (the layout of Monagan and Pearce's packed exponent vectors).
 A key holds one `_WIDTH`-bit slot per chart coordinate, the first
@@ -45,23 +53,28 @@ dropped at the end, which is how `symplectization` crosses to its
 extended chart and back).
 
 Coefficients are immutable by convention: all operations return new
-objects and nothing mutates `terms` after construction.
+objects and nothing mutates ``nums`` after construction.
 
 Construction has a validating boundary and a trusted interior.  The
 public constructor checks every term (an exact rational value, an
 integer exponent vector of the chart's length, every exponent inside its
 slot, negative exponents only on nonvanishing coordinates, a zero term's
-too) and drops zeros.  `_checked` checks packed keys alike, for
-`unit_inverse`, `substitute`, `rename_chart`, `linalg.exact_divide` and
-the sums `dsl` reads back from stored text.  The named builders `zero`,
+too) and drops zeros.  `_checked` checks packed keys alike, for the
+quotients of `linalg.exact_divide`, and `_checked_nums` does so for
+numerators over a denominator, for `unit_inverse`, `substitute`,
+`rename_chart` and the values `dsl._writer_form` reads from stored text.
+The named builders `zero`,
 `constant`, `one` and `coordinate` check their arguments instead and are
 then trusted: the one term they write has a key of the chart's layout by
 construction, `Chart.index` refuses an unknown name, `_as_rational`
 stores the value as the boundary would, and a zero value writes no term;
 `dsl` builds from them and the ring operations.  The results of `+`,
 `-`, `*`, `scale`, positive powers and `partial` are built by
-`_trusted`, which checks nothing, because the ring is closed under them
-up to the slot range, which each of them tests through the guard bits:
+`_reduced`, which divides out the one gcd and checks nothing, or, when
+they are in lowest terms by construction (negation, an int scale), by
+`_trusted`, which divides nothing either.  Neither checks because the
+ring is closed under these operations up to the slot range, which each
+of them tests through the guard bits:
 both operands are on one chart (`_check_mate`), so keys keep its layout;
 negation and scaling keep the keys; an exponent of a product is negative
 only where an operand's was, on a nonvanishing coordinate; `partial`
@@ -87,6 +100,7 @@ has no text: `_term_text` refuses it with a DomainError.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import struct
@@ -94,7 +108,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import DomainError, StructuralError
 
@@ -238,11 +252,12 @@ def _support_mask(chart: Chart, keys: Iterable[int]) -> int:
     return bits
 
 
-def _partial_terms(chart: Chart, terms: Mapping[int, int | Fraction], i: int, offset: int = 0) -> dict:
-    """∂/∂xⁱ of packed terms, each result key less ``offset``: a term with
-    a nonzero exponent k in slot i goes to its key less the slot's unit,
-    times k, and any other term drops.  Distinct keys stay distinct, so
-    no sum is formed and no zero arises; the caller tests the range."""
+def _partial_terms(chart: Chart, terms: Mapping[int, int], i: int, offset: int = 0) -> dict:
+    """∂/∂xⁱ of packed integer terms, each result key less ``offset``: a
+    term with a nonzero exponent k in slot i goes to its key less the
+    slot's unit, times k, and any other term drops.  Distinct keys stay
+    distinct, so no sum is formed and no zero arises; the caller tests the
+    range and divides by any common factor."""
     shift = chart._shifts[i]
     lowered = (1 << shift) + offset
     out = {}
@@ -299,6 +314,13 @@ def _refuse_negative(chart: Chart, keys: Iterable[int]) -> None:
         raise DomainError(f"negative exponent on {name!r}, which is not flagged nonvanishing")
 
 
+def _check_keys(chart: Chart, keys: Collection[int]) -> None:
+    """The constructor's checks on packed keys: every exponent inside its
+    slot, and negative ones only on nonvanishing coordinates."""
+    _check_range(chart, reduce(operator.or_, keys, 0))
+    _refuse_negative(chart, keys)
+
+
 def _slot_bound(chart: Chart, keys: Iterable[int], upper: bool = False) -> int:
     """The key of the slotwise minimum (maximum with ``upper``) of some
     valid keys, slot by slot in ints: with every guard bit set on one side
@@ -322,10 +344,10 @@ def _slot_shifted(c: Coefficient, target: Chart) -> Coefficient:
     key has a nonzero exponent in the last slot.  The exponents keep their
     values and coordinates, so the result is valid on ``target``."""
     if target.dimension > c.chart.dimension:
-        terms = {(key << _WIDTH) | _BIAS: value for key, value in c.terms.items()}
+        nums = {(key << _WIDTH) | _BIAS: value for key, value in c.nums.items()}
     else:
-        terms = {key >> _WIDTH: value for key, value in c.terms.items()}
-    return Coefficient._trusted(target, terms)
+        nums = {key >> _WIDTH: value for key, value in c.nums.items()}
+    return Coefficient._trusted(target, nums, c.den)
 
 
 def _as_rational(value) -> int | Fraction:
@@ -338,6 +360,32 @@ def _as_rational(value) -> int | Fraction:
     if isinstance(value, int):
         return int(value)
     raise StructuralError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _over_lcm(values: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]:
+    """Stored rationals (each an ``int`` or a reduced ``Fraction``, as
+    ``_as_rational`` leaves them) as numerators over the lcm L of their
+    denominators, zeros dropped.  That is lowest terms already: for each
+    prime p of L, some value's denominator d holds p as often as L does,
+    so p divides neither L/d nor that value's numerator, nor their
+    product."""
+    den = 1
+    for value in values.values():
+        if type(value) is not int and den % value.denominator:
+            den = math.lcm(den, value.denominator)
+    if den == 1:
+        return {key: value for key, value in values.items() if value}, 1
+    return {
+        key: value * den if type(value) is int else value.numerator * (den // value.denominator)
+        for key, value in values.items()
+        if value
+    }, den
+
+
+def _quotient(n: int, den: int) -> int | Fraction:
+    """``n / den`` as the boundary stores it: an int when integral, a
+    reduced Fraction otherwise."""
+    return n // den if n % den == 0 else Fraction(n, den)
 
 
 def _accumulate(pairs: Iterable[tuple], terms: dict | None = None) -> dict:
@@ -360,9 +408,11 @@ def _accumulate(pairs: Iterable[tuple], terms: dict | None = None) -> dict:
 
 
 class Coefficient:
-    """Sparse exact Laurent polynomial attached to a chart."""
+    """Sparse exact Laurent polynomial attached to a chart: integer
+    numerators ``nums`` over one denominator ``den``, in lowest terms
+    (module docstring)."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "nums", "den")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
         checked: dict[int, int | Fraction] = {}
@@ -370,15 +420,32 @@ class Coefficient:
             checked[chart.pack(expo)] = _as_rational(coeff)  # the value is checked first
         _refuse_negative(chart, checked)  # a zero term's key too, before zeros are dropped
         self.chart = chart
-        self.terms = {key: coeff for key, coeff in checked.items() if coeff}
+        self.nums, self.den = _over_lcm(checked)
 
     @staticmethod
-    def _trusted(chart: Chart, terms: dict[int, int | Fraction]) -> "Coefficient":
-        """A Coefficient over ``terms`` as they are, with no check and no
-        copy: only for results the ring is closed under (module docstring)."""
+    def _trusted(chart: Chart, nums: dict[int, int], den: int) -> "Coefficient":
+        """A Coefficient over ``nums`` and ``den`` as they are, with no
+        check, no copy and no division: only for results the ring is
+        closed under (module docstring) that are in lowest terms already."""
         new = object.__new__(Coefficient)
         new.chart = chart
-        new.terms = terms
+        new.nums = nums
+        new.den = den
+        return new
+
+    @staticmethod
+    def _reduced(chart: Chart, nums: dict[int, int], den: int) -> "Coefficient":
+        """``_trusted`` after the one normalisation: ``nums`` and ``den``
+        divided by their gcd, which is skipped when ``den`` is 1."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {key: n // g for key, n in nums.items()}
+                den //= g
+        new = object.__new__(Coefficient)  # ``_trusted``, inlined on this hot path
+        new.chart = chart
+        new.nums = nums
+        new.den = den
         return new
 
     @staticmethod
@@ -386,78 +453,95 @@ class Coefficient:
         """The constructor's checks on packed keys, a zero's key too: values
         stored as the boundary stores them and zeros dropped, every exponent
         inside its slot, negative ones only on nonvanishing coordinates."""
-        clean: dict[int, int | Fraction] = {}
-        for key, coeff in terms.items():
-            coeff = _as_rational(coeff)
-            if coeff:
-                clean[key] = coeff
-        _check_range(chart, reduce(operator.or_, terms, 0))
-        _refuse_negative(chart, terms)
-        return Coefficient._trusted(chart, clean)
+        values = {key: _as_rational(coeff) for key, coeff in terms.items()}
+        _check_keys(chart, terms)
+        return Coefficient._trusted(chart, *_over_lcm(values))
+
+    @staticmethod
+    def _checked_nums(chart: Chart, nums: Mapping[int, int], den: int) -> "Coefficient":
+        """``_checked`` for int numerators over a denominator ``den`` >= 1:
+        the keys checked, a zero's too, zeros dropped, then ``_reduced``."""
+        _check_keys(chart, nums)
+        return Coefficient._reduced(chart, {key: n for key, n in nums.items() if n}, den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(chart: Chart) -> "Coefficient":
-        return Coefficient._trusted(chart, {})
+        return Coefficient._trusted(chart, {}, 1)
 
     @staticmethod
     def constant(chart: Chart, value) -> "Coefficient":
         value = _as_rational(value)
-        return Coefficient._trusted(chart, {chart.origin: value} if value else {})
+        if type(value) is int:
+            return Coefficient._trusted(chart, {chart.origin: value} if value else {}, 1)
+        return Coefficient._trusted(chart, {chart.origin: value.numerator}, value.denominator)
 
     @staticmethod
     def one(chart: Chart) -> "Coefficient":
-        return Coefficient._trusted(chart, {chart.origin: 1})
+        return Coefficient._trusted(chart, {chart.origin: 1}, 1)
 
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "Coefficient":
-        return Coefficient._trusted(chart, {chart.origin + (1 << chart._shifts[chart.index(name)]): 1})
+        return Coefficient._trusted(chart, {chart.origin + (1 << chart._shifts[chart.index(name)]): 1}, 1)
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[int, int | Fraction]:
+        """The boundary view: each term's value under its packed key, an
+        ``int`` when integral and a reduced ``Fraction`` otherwise, in a
+        new dict on each read; writing to it changes nothing."""
+        den = self.den
+        if den == 1:
+            return dict(self.nums)
+        return {key: _quotient(n, den) for key, n in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
         origin = self.chart.origin
-        return all(key == origin for key in self.terms)
+        return all(key == origin for key in self.nums)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise DomainError(f"{self} is not a constant")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(next(iter(self.nums.values())), self.den)
 
     def is_unit(self) -> bool:
         """True when invertible in the ring: a single term supported on
         nonvanishing coordinates only."""
-        if len(self.terms) != 1:
+        if len(self.nums) != 1:
             return False
         chart = self.chart
-        return not (next(iter(self.terms)) ^ chart.origin) & (chart._polynomial * _SLOT)
+        return not (next(iter(self.nums)) ^ chart.origin) & (chart._polynomial * _SLOT)
 
     def unit_inverse(self) -> "Coefficient":
+        """The inverse of a unit n/den·x^e: den/n·x^(−e), in lowest terms
+        since n/den is; only the slot range of −e needs a check."""
         if not self.is_unit():
             raise DomainError(f"{self} is not a unit of the Laurent ring")
-        key, coeff = next(iter(self.terms.items()))
-        return Coefficient._checked(self.chart, {2 * self.chart.origin - key: Fraction(1) / coeff})
+        ((key, n),) = self.nums.items()
+        inverse = {2 * self.chart.origin - key: self.den if n > 0 else -self.den}
+        return Coefficient._checked_nums(self.chart, inverse, abs(n))
 
     def depends_on(self, name: str) -> bool:
         chart = self.chart
         mask = _SLOT << chart._shifts[chart.index(name)]
         zero = chart.origin & mask
-        return any(key & mask != zero for key in self.terms)
+        return any(key & mask != zero for key in self.nums)
 
     def support(self) -> set[str]:
         names = self.chart.coordinates
-        return {names[i] for i in _positions(self.chart, self.terms)}
+        return {names[i] for i in _positions(self.chart, self.nums)}
 
     def max_degree(self) -> int:
         """Largest total degree over the terms (sum of positive parts)."""
         chart = self.chart
-        return max((sum(k for _, k in _exponents(chart, key) if k > 0) for key in self.terms), default=0)
+        return max((sum(k for _, k in _exponents(chart, key) if k > 0) for key in self.nums), default=0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -466,26 +550,35 @@ class Coefficient:
             raise StructuralError("coefficients live on different charts")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Coefficient.constant(self.chart, other)
+        """The sum over the lcm of the two denominators."""
         if not isinstance(other, Coefficient):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Coefficient.constant(self.chart, other)
         self._check_mate(other)
-        return Coefficient._trusted(self.chart, _accumulate(other.terms.items(), dict(self.terms)))
+        da, db = self.den, other.den
+        if da == db:
+            nums = dict(self.nums)
+            pairs = other.nums.items()
+        else:
+            den = da // math.gcd(da, db) * db
+            fa, fb = den // da, den // db
+            nums = {e: c * fa for e, c in self.nums.items()}
+            pairs = ((e, c * fb) for e, c in other.nums.items())
+            da = den
+        return Coefficient._reduced(self.chart, _accumulate(pairs, nums), da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient._trusted(self.chart, {e: -c for e, c in self.terms.items()})
+        return Coefficient._trusted(self.chart, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Coefficient.constant(self.chart, other)
         if not isinstance(other, Coefficient):
-            return NotImplemented
-        self._check_mate(other)
-        negated = ((e, -c) for e, c in other.terms.items())
-        return Coefficient._trusted(self.chart, _accumulate(negated, dict(self.terms)))
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Coefficient.constant(self.chart, other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -497,32 +590,45 @@ class Coefficient:
             return NotImplemented
         self._check_mate(other)
         origin = self.chart.origin
-        terms: dict[int, int | Fraction] = {}
+        nums: dict[int, int] = {}
         seen = 0
-        for e1, c1 in self.terms.items():
+        for e1, c1 in self.nums.items():
             e1 -= origin
-            for e2, c2 in other.terms.items():
+            for e2, c2 in other.nums.items():
                 key = e1 + e2
                 seen |= key
                 value = c1 * c2
-                if key in terms:
-                    value += terms[key]
+                if key in nums:
+                    value += nums[key]
                     if not value:
-                        del terms[key]
+                        del nums[key]
                         continue
-                terms[key] = value
+                nums[key] = value
         _check_range(self.chart, seen)
-        return Coefficient._trusted(self.chart, terms)
+        return Coefficient._reduced(self.chart, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "Coefficient":
-        value = _as_rational(value)
+        """self times an exact rational: an int p has gcd(den, p·nums) =
+        gcd(den, p), since ``nums`` and ``den`` share no factor, so that
+        gcd is divided out of p and ``den`` at once; a Fraction's
+        denominator may share a factor with ``nums``, so that result is
+        normalised."""
+        if type(value) is not int:
+            value = _as_rational(value)
         if value == 1:
             return self
         if value == 0:
             return Coefficient.zero(self.chart)
-        return Coefficient._trusted(self.chart, {e: c * value for e, c in self.terms.items()})
+        den = self.den
+        if type(value) is int:
+            if den != 1 and (g := math.gcd(den, value)) != 1:
+                value //= g
+                den //= g
+            return Coefficient._trusted(self.chart, {e: c * value for e, c in self.nums.items()}, den)
+        p = value.numerator
+        return Coefficient._reduced(self.chart, {e: c * p for e, c in self.nums.items()}, den * value.denominator)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -531,12 +637,12 @@ class Coefficient:
             return Coefficient.one(self.chart)
         if n < 0:
             return self.unit_inverse() ** (-n)
-        if n > 1 and self.terms:
+        if n > 1 and self.nums:
             # the slotwise extremes of a power are n times the operand's
             # (the ring has no zero divisors), so the bound is known first
             unpack = self.chart.unpack
-            low = min(unpack(_slot_bound(self.chart, self.terms)))
-            high = max(unpack(_slot_bound(self.chart, self.terms, upper=True)))
+            low = min(unpack(_slot_bound(self.chart, self.nums)))
+            high = max(unpack(_slot_bound(self.chart, self.nums, upper=True)))
             if n * low < -_BIAS or n * high >= _BIAS:
                 raise DomainError(f"power {n} takes an exponent outside the range [{-_BIAS}, {_BIAS - 1}] of its slot")
         out = self
@@ -548,28 +654,30 @@ class Coefficient:
         return (
             isinstance(other, Coefficient)
             and self.chart == other.chart
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, name: str) -> "Coefficient":
         """Exact partial derivative; Laurent terms differentiate termwise."""
-        terms = _partial_terms(self.chart, self.terms, self.chart.index(name))
-        _check_range(self.chart, reduce(operator.or_, terms, 0))
-        return Coefficient._trusted(self.chart, terms)
+        nums = _partial_terms(self.chart, self.nums, self.chart.index(name))
+        _check_range(self.chart, reduce(operator.or_, nums, 0))
+        return Coefficient._reduced(self.chart, nums, self.den)
 
     def substitute(self, images: Mapping[str, "Coefficient"], target: Chart) -> "Coefficient":
         """Ring morphism: replace every coordinate by its image (a
         Coefficient on `target`).  Negative powers require the image to be
-        a unit."""
-        terms: dict[int, int | Fraction] = {}
+        a unit.  Each term's numerator times its powers is summed over the
+        lcm of those products' denominators, and the sum over ``den`` times
+        that lcm is normalised once."""
         cache: dict[tuple[int, int], Coefficient] = {}
 
         def power(i: int, k: int) -> Coefficient:
@@ -580,12 +688,15 @@ class Coefficient:
                 cache[(i, k)] = images[name] ** k
             return cache[(i, k)]
 
-        for key, coeff in self.terms.items():
-            term = Coefficient.constant(target, coeff)
+        products = []
+        for key, n in self.nums.items():
+            term = Coefficient._trusted(target, {target.origin: n}, 1)
             for i, k in _exponents(self.chart, key):
                 term = term * power(i, k)
-            _accumulate(term.terms.items(), terms)
-        return Coefficient._checked(target, terms)
+            products.append(term)
+        den = math.lcm(*(term.den for term in products))
+        nums = _accumulate((e, c * (den // term.den)) for term in products for e, c in term.nums.items())
+        return Coefficient._checked_nums(target, nums, den * self.den)
 
     def rename_chart(self, target: Chart) -> "Coefficient":
         """Reinterpret on `target` by coordinate name: each nonzero
@@ -603,22 +714,26 @@ class Coefficient:
                 new += k << shift(i)
             return new
 
-        pairs = ((moved(key), coeff) for key, coeff in self.terms.items())
-        return Coefficient._checked(target, _accumulate(pairs))
+        pairs = ((moved(key), n) for key, n in self.nums.items())
+        return Coefficient._checked_nums(target, _accumulate(pairs), self.den)
 
     # -- display -----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[int, int | Fraction]]:
-        """Canonical term order: exponents read along lexicographically
-        sorted coordinate names, larger vectors first.  The name order is
-        the chart's (``Chart._name_shifts``), and each slot is compared as
-        it is stored, its exponent plus the bias; distinct keys have
-        distinct slot tuples, so the order is total.  No, or one, term is
-        returned as it is."""
-        if len(self.terms) < 2:
-            return list(self.terms.items())
-        shifts = self.chart._name_shifts
-        return sorted(self.terms.items(), key=lambda item: tuple((item[0] >> s) & _SLOT for s in shifts), reverse=True)
+        """The terms in canonical order, each value as ``terms`` gives it:
+        exponents read along lexicographically sorted coordinate names,
+        larger vectors first.  The name order is the chart's
+        (``Chart._name_shifts``), and each slot is compared as it is
+        stored, its exponent plus the bias; distinct keys have distinct
+        slot tuples, so the order is total."""
+        items = list(self.nums.items())
+        if len(items) > 1:
+            shifts = self.chart._name_shifts
+            items.sort(key=lambda item: tuple((item[0] >> s) & _SLOT for s in shifts), reverse=True)
+        den = self.den
+        if den == 1:
+            return items
+        return [(key, _quotient(n, den)) for key, n in items]
 
     def __repr__(self):
         return f"Coefficient({format_coefficient(self)!r})"

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -654,13 +655,17 @@ _WRITER_FORM = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
 
 def _writer_form(chart: Chart, text: str) -> Coefficient | None:
     """The value of ``text`` read in one pass when it is in the form
-    ``format_coefficient`` writes, built through the validating
-    constructor; None, for the grammar to read, for any other text, for a
-    zero term with factors, which the writer never writes, and for what
-    the grammar reads otherwise or refuses: a name that is not a
-    coordinate, names of a term not in strictly increasing order, a
-    repeated monomial, a zero denominator, a literal longer than the
-    interpreter converts, and (refused by the constructor) an exponent
+    ``format_coefficient`` writes, with the validating constructor's
+    checks: each literal's numerator and denominator go straight into the
+    ring's ``nums`` and ``den`` (numerators over the lcm of the
+    denominators, then one normalisation), each monomial is packed
+    through ``Chart.pack`` and the keys are checked by
+    ``Coefficient._checked_nums``.  None, for the grammar to read, for any
+    other text, for a zero term with factors, which the writer never
+    writes, and for what the grammar reads otherwise or refuses: a name
+    that is not a coordinate, names of a term not in strictly increasing
+    order, a repeated monomial, a zero denominator, a literal longer than
+    the interpreter converts, and (refused by those checks) an exponent
     outside its slot or a negative one on a coordinate that may vanish."""
     if not _WRITER_FORM.fullmatch(text) or ((limit := sys.get_int_max_str_digits()) and len(text) > limit):
         return None
@@ -669,11 +674,9 @@ def _writer_form(chart: Chart, text: str) -> Coefficient | None:
     for sign, term in zip(["+", *pieces[1::2]], pieces[::2]):
         number, *factors = term.split("*")
         numerator, _, denominator = number.partition("/")
-        value = int(numerator)
-        if denominator:
-            if not int(denominator):
-                return None
-            value = Fraction(value, int(denominator))
+        value, den = int(numerator), int(denominator or 1)
+        if not den:
+            return None
         if not value and factors:
             return None  # the writer never writes a zero term
         exponents, previous = [0] * len(coordinates), ""
@@ -686,9 +689,11 @@ def _writer_form(chart: Chart, text: str) -> Coefficient | None:
         key = tuple(exponents)
         if key in terms:
             return None
-        terms[key] = -value if sign == "-" else value
+        terms[key] = (-value if sign == "-" else value, den)
     try:
-        return Coefficient(chart, terms)
+        den = math.lcm(*(d for _, d in terms.values()))
+        nums = {chart.pack(key): n * (den // d) for key, (n, d) in terms.items()}
+        return Coefficient._checked_nums(chart, nums, den)
     except DomainError:
         return None
 

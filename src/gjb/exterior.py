@@ -59,23 +59,25 @@ positions only, so no other entry reaches a table.
 
 ``wedge`` and ``schouten_nijenhuis`` multiply through the product kernel
 (``_cleared``, ``coeffring._partial_terms``, ``_products``), which works
-fraction-free on the ring's packed exponent keys (``coeffring``): each
-side's coefficients are multiplied by the lcm of their value
-denominators once (a bracket operand once in its lifetime, see the
-support-only Schouten derivative below), the right side's keys are
-taken less the chart's origin once per operand, so every term product
-is one int addition of keys and one int product of values, summed per
-(index tuple, key), and each sum is divided once by the product of the
-two lcms.  Its results
+in ints on the ring's representation (``coeffring``): integer numerators
+``nums`` under packed exponent keys over one denominator ``den``.  Each
+side's coefficients are brought over the lcm of their ``den``s once (a
+bracket operand once in its lifetime, see the support-only Schouten
+derivative below); a coefficient whose ``den`` is that lcm is not
+copied, and the right side's keys are taken less the chart's origin
+once per operand.  So every term product is one int addition of keys and
+one int product of numerators, summed per (index tuple, key), and each
+index tuple's sums stand over the product of the two lcms: that
+coefficient is divided by one gcd of the denominator and its sums,
+skipped when the denominator is 1, which leaves it in lowest terms.  No
+Fraction is built.  Its results
 are closed like the ring's: an exponent vector is a sum of two valid
 vectors (or a derivative's, which lowers an exponent only where it was
 nonzero, as ``Coefficient.partial`` does), so it is negative only where
 an operand's was, on a nonvanishing coordinate; every key formed is ORed
 into one guard-bit test, so an exponent that leaves its slot raises
-``DomainError``; a zero sum is dropped, and so is an index tuple left
-with no term; and the one exact division gives an int whenever the value
-is integral and a reduced Fraction otherwise, so no kernel result holds
-a whole number as a Fraction.
+``DomainError``; and a zero sum is dropped, and so is an index tuple
+left with no term.
 
 Five operations skip work whose result would be thrown away, and each
 skip is exact:
@@ -206,25 +208,23 @@ def _odd_parts(J: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ..
 
 
 def _cleared(terms: Mapping[Hashable, Coefficient], offset: int = 0) -> tuple[int, dict[Hashable, dict[int, int]]]:
-    """The lcm L of the value denominators of the coefficients in
-    ``terms`` and, under the same keys, each one's terms times L: every
-    value an int, every packed exponent key less ``offset`` (the chart's
-    origin for a right operand of ``_products``, none for a left one)."""
-    L, integral = 1, True
+    """The lcm L of the denominators of the coefficients in ``terms`` and,
+    under the same keys, each one's value times L as int numerators, every
+    packed exponent key less ``offset`` (the chart's origin for a right
+    operand of ``_products``, none for a left one).  A coefficient whose
+    ``den`` is L, with no offset, is its ``nums`` as they are."""
+    L = 1
     for c in terms.values():
-        for v in c.terms.values():
-            if type(v) is not int:
-                integral = False
-                if L % v.denominator:
-                    L = math.lcm(L, v.denominator)
-    if integral:
-        if not offset:
-            return 1, {key: c.terms for key, c in terms.items()}
-        return 1, {key: {e - offset: v for e, v in c.terms.items()} for key, c in terms.items()}
-    return L, {
-        key: {e - offset: v * L if type(v) is int else v.numerator * (L // v.denominator) for e, v in c.terms.items()}
-        for key, c in terms.items()
-    }
+        if L % c.den:
+            L = math.lcm(L, c.den)
+    out = {}
+    for key, c in terms.items():
+        factor = L // c.den
+        if factor == 1:
+            out[key] = {e - offset: n for e, n in c.nums.items()} if offset else c.nums
+        else:
+            out[key] = {e - offset: n * factor for e, n in c.nums.items()}
+    return L, out
 
 
 def _products(
@@ -236,9 +236,8 @@ def _products(
     and ``right`` under packed keys less the chart's origin, so a monomial
     product is one int addition.  The sums run in ints, one dict of
     exponent keys per key; every key formed, cancelled or not, is ORed
-    into one guard test, a zero sum is dropped, and each other sum is
-    divided once, giving an int when the quotient is integral and a
-    reduced Fraction otherwise."""
+    into one guard test, a zero sum is dropped, and each key's sums stand
+    over ``denominator`` divided by one gcd (``Coefficient._reduced``)."""
     sums: dict[tuple[int, ...], dict[int, int]] = {}
     for sign, key, left, right in items:
         bucket = sums.get(key)
@@ -254,13 +253,9 @@ def _products(
     out: dict[tuple[int, ...], Coefficient] = {}
     for key, bucket in sums.items():
         seen = reduce(operator.or_, bucket, seen)
-        terms = {
-            expo: total // denominator if total % denominator == 0 else Fraction(total, denominator)
-            for expo, total in bucket.items()
-            if total
-        }
-        if terms:
-            out[key] = Coefficient._trusted(chart, terms)
+        nums = {expo: total for expo, total in bucket.items() if total}
+        if nums:
+            out[key] = Coefficient._reduced(chart, nums, denominator)
     _check_range(chart, seen)
     return out
 
@@ -338,7 +333,7 @@ class _Graded:
 
     @classmethod
     def from_scalar(cls, coeff: Coefficient):
-        return cls._trusted(coeff.chart, 0, {(): coeff} if coeff.terms else {})
+        return cls._trusted(coeff.chart, 0, {(): coeff} if coeff else {})
 
     def scalar(self) -> Coefficient:
         if self.degree != 0:
@@ -374,13 +369,12 @@ class _Graded:
         if isinstance(factor, Coefficient):
             if factor.chart is not self.chart and factor.chart != self.chart:
                 raise StructuralError("coefficients live on different charts")
-            values = factor.terms
-            origin = self.chart.origin
-            if len(values) > 1 or (values and origin not in values):
+            nums, origin = factor.nums, self.chart.origin
+            if len(nums) > 1 or (nums and origin not in nums):
                 products = ((k, factor * c) for k, c in self.terms.items())
                 return self._trusted(self.chart, self.degree, _accumulate(products))
             # zero or a one-term constant: a rational factor
-            factor = values.get(origin, 0)
+            factor = nums.get(origin, 0) if factor.den == 1 else Fraction(nums[origin], factor.den)
         factor = _as_rational(factor)
         if factor == 0:
             return self._trusted(self.chart, self.degree, {})
@@ -412,10 +406,10 @@ class _Graded:
             for key in sorted(self.terms):
                 coeff = self.terms[key]
                 factors = spelling.wedge.join(factor(names[i]) for i in key)
-                if len(coeff.terms) > 1:
+                if len(coeff.nums) > 1:
                     yield False, spelling.grouped.format(_coefficient_text(coeff, spelling, elide_unit=True)) + factors
                     continue
-                ((expo, value),) = coeff.terms.items()
+                ((expo, value),) = coeff.sorted_terms()
                 if abs(value) == 1 and expo == self.chart.origin:
                     yield value < 0, factors
                 else:
@@ -480,7 +474,7 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
     pieces = (
         (merged[1], c.partial(chart.coordinates[j]).scale(merged[0]))
         for I, c in omega.terms.items()
-        for j in _positions(chart, c.terms)
+        for j in _positions(chart, c.nums)
         if (merged := _merge_indices((j,), I)) is not None
     )
     return DiffForm._trusted(chart, omega.degree + 1, _accumulate(pieces))

@@ -766,14 +766,15 @@ def _hdw_system(section: HamiltonianSection) -> tuple[list[Coefficient], dict[st
             continue
         # jet symbols are polynomial, so a term's jet degree is above 1
         # exactly when its block holds two jets or one jet squared or more
-        split = [_block(chart, expo, lo, hi) for expo in eq.terms]
+        split = [_block(chart, expo, lo, hi) for expo in eq.nums]
         if any(len(jets) > 1 or (jets and jets[0][1] > 1) for _, jets in split):
             leftovers.append(eq)
             continue
+        # each entry is some of eq's numerators over eq's denominator
         entries: dict[int, dict] = {}
-        for (rest, jets), value in zip(split, eq.terms.values()):
+        for (rest, jets), value in zip(split, eq.nums.values()):
             entries.setdefault(column_of[jets[0][0]] if jets else len(columns), {})[rest] = value
-        affine_rows.append({k: Coefficient._trusted(chart, entries[k]) for k in sorted(entries)})
+        affine_rows.append({k: Coefficient._reduced(chart, entries[k], eq.den) for k in sorted(entries)})
 
     emitted: list[Coefficient] = []
     solved: dict[str, Coefficient] = {}

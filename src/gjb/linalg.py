@@ -56,16 +56,14 @@ __all__ = ["exact_divide", "rref", "RrefResult"]
 # ---------------------------------------------------------------------------
 
 
-def _content(c: Coefficient) -> tuple[Fraction, int]:
-    """Rational content, always a Fraction (so a stored value divided by
-    it stays exact, even an int), and the packed key of the componentwise
-    minimal exponent vector."""
+def _content(c: Coefficient) -> tuple[int, int, int]:
+    """Rational content g / den as two ints, g the gcd of the numerators
+    ``nums`` and ``den`` the coefficient's denominator, already in lowest
+    terms since ``nums`` and ``den`` share no factor; and the packed key
+    of the componentwise minimal exponent vector."""
     if c.is_zero():
         raise StructuralError("zero has no content")
-    nums = [abs(v.numerator) for v in c.terms.values()]
-    dens = [v.denominator for v in c.terms.values()]
-    rational = Fraction(math.gcd(*nums), math.lcm(*dens))
-    return rational, _slot_bound(c.chart, c.terms)
+    return math.gcd(*c.nums.values()), c.den, _slot_bound(c.chart, c.nums)
 
 
 def _poly_divide(F: dict, G: dict, chart: Chart) -> dict | None:
@@ -80,9 +78,10 @@ def _poly_divide(F: dict, G: dict, chart: Chart) -> dict | None:
     inside it every remainder key stays inside F's box, so each key is
     valid and the strictly falling leading keys, finitely many, end the
     loop.  The box test compares distances from the box's corners, which
-    are never negative.  G's values are divided as Fractions, so every
-    quotient stays exact; its keys are differences of valid keys plus the
-    origin, so one guard test covers them."""
+    are never negative.  The values are ints or Fractions, and G's are
+    divided as Fractions, so every quotient stays exact; its keys are
+    differences of valid keys plus the origin, so one guard test covers
+    them."""
     origin = chart.origin
     f_low, f_high = _slot_bound(chart, F), _slot_bound(chart, F, upper=True)
     g_lead = max(G)
@@ -118,8 +117,9 @@ def exact_divide(f: Coefficient, g: Coefficient) -> Coefficient:
     if f.chart != g.chart:
         raise StructuralError("operands live on different charts")
     if g.is_unit():
-        return f if g.terms == {g.chart.origin: 1} else f * g.unit_inverse()
-    Q = _poly_divide(f.terms, g.terms, f.chart)
+        return f if g.den == 1 and g.nums == {g.chart.origin: 1} else f * g.unit_inverse()
+    # f / g is the quotient of the numerators times g.den / f.den
+    Q = _poly_divide(f.nums, g.nums, f.chart)
     if Q is None:
         raise DomainError(f"({f}) is not divisible by ({g})")
     if _negative_name(f.chart, Q) is not None:
@@ -127,7 +127,8 @@ def exact_divide(f: Coefficient, g: Coefficient) -> Coefficient:
             f"({f}) / ({g}) leaves the ring: a coordinate not flagged nonvanishing "
             "would need a negative exponent"
         )
-    return Coefficient._checked(f.chart, Q)
+    ratio = Fraction(g.den, f.den)
+    return Coefficient._checked(f.chart, {key: value * ratio for key, value in Q.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +342,14 @@ def _cleared_vector(col: Hashable, ratios: list[tuple], positions: Mapping[Hasha
     keys = sorted(cleared, key=positions.__getitem__)
     # strip common content and fix the overall sign deterministically
     contents = [_content(cleared[c]) for c in keys]
-    rational = contents[0][0]
-    for c, _ in contents[1:]:
-        rational = Fraction(
-            math.gcd(abs(rational.numerator), abs(c.numerator)),
-            math.lcm(rational.denominator, c.denominator),
-        )
-    mono = _slot_bound(chart, (m for _, m in contents))
-    divisor = Coefficient._checked(chart, {mono: rational})
+    # gcd of the numerators over lcm of the denominators, in lowest terms:
+    # a prime of both would divide every g and so no den
+    numerator = math.gcd(*(g for g, _, _ in contents))
+    denominator = math.lcm(*(den for _, den, _ in contents))
+    mono = _slot_bound(chart, (m for _, _, m in contents))
+    divisor = Coefficient._checked_nums(chart, {mono: numerator}, denominator)
     out = {c: exact_divide(cleared[c], divisor) for c in keys}
-    first = cleared[keys[0]].terms
+    first = cleared[keys[0]].nums
     if first[max(first)] < 0:
         out = {c: -v for c, v in out.items()}
     return out

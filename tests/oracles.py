@@ -2,7 +2,9 @@
 bracket formula through the graded sharp, the solve of ι_X Ω = dα on a
 closed form, the transport of a value to another chart by coordinate
 name, the value of a coefficient at a rational point, the tuple view of
-its packed keys, and volume forms built by wedging differentials.
+its packed keys, volume forms built by wedging differentials, and a
+plain-``Fraction`` reference for the ring operations and the graded
+products.
 
 On a structure with n-form Θ, ``gjb.sharp`` decomposes the members
 α = ι_X dΘ + γ·Θ (ι_X Θ = 0) of the degree-n membership space 𝒵ⁿ, with
@@ -360,3 +362,161 @@ def volume(chart: Chart, names: Sequence[str] | None = None) -> DiffForm:
     names = chart.coordinates if names is None else sorted(names, key=chart.index)
     one = DiffForm.from_scalar(Coefficient.one(chart))
     return functools.reduce(wedge, (DiffForm.differential(chart, name) for name in names), one)
+
+
+# --- a plain-Fraction reference for the ring and the graded products ---------
+#
+# A value is a dict from exponent vector to nonzero Fraction, read off an
+# operand's ``terms`` (the boundary view); a graded value is a dict from
+# (index tuple, exponent vector) to nonzero Fraction.  The reference reads
+# nothing else of a Coefficient, shares no code with ``gjb`` beyond
+# ``Chart.unpack``, and takes its index signs from inversion counts.
+
+
+def fraction_terms(c: Coefficient) -> dict[tuple[int, ...], Fraction]:
+    unpack = c.chart.unpack
+    return {unpack(key): Fraction(value) for key, value in c.terms.items()}
+
+
+def _collected(pairs) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        out[key] = out.get(key, Fraction(0)) + value
+    return {key: value for key, value in out.items() if value}
+
+
+def _added(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a + b for a, b in zip(e1, e2))
+
+
+def fraction_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    return _collected([*a.items(), *((e, sign * v) for e, v in b.items())])
+
+
+def fraction_product(a: dict, b: dict) -> dict:
+    return _collected((_added(e1, e2), v1 * v2) for e1, v1 in a.items() for e2, v2 in b.items())
+
+
+def fraction_scale(a: dict, r) -> dict:
+    return _collected((e, v * r) for e, v in a.items())
+
+
+def fraction_partial(a: dict, i: int) -> dict:
+    return _collected((e[:i] + (e[i] - 1,) + e[i + 1 :], v * e[i]) for e, v in a.items() if e[i])
+
+
+def fraction_power(a: dict, n: int, dimension: int) -> dict:
+    """``a`` to the power ``n``; a negative power inverts a one-term ``a``."""
+    if n < 0:
+        ((e, v),) = a.items()
+        a, n = {tuple(-k for k in e): 1 / v}, -n
+    out = {(0,) * dimension: Fraction(1)}
+    for _ in range(n):
+        out = fraction_product(out, a)
+    return out
+
+
+def fraction_substitute(a: dict, images: Sequence[dict], dimension: int) -> dict:
+    """Σ v·Πᵢ images[i]^eᵢ over the terms v·x^e of ``a``, ``images`` one
+    per coordinate and ``dimension`` the target chart's."""
+    out: dict = {}
+    for e, v in a.items():
+        term = {(0,) * dimension: v}
+        for image, k in zip(images, e):
+            if k:
+                term = fraction_product(term, fraction_power(image, k, dimension))
+        out = fraction_sum(out, term)
+    return out
+
+
+def fraction_renamed(a: dict, source: Chart, target: Chart) -> dict:
+    """Each exponent moved to its coordinate's position on ``target``."""
+    where = [target.coordinates.index(name) for name in source.coordinates]
+
+    def moved(e):
+        out = [0] * target.dimension
+        for i, k in zip(where, e):
+            out[i] = k
+        return tuple(out)
+
+    return _collected((moved(e), v) for e, v in a.items())
+
+
+def fraction_graded(obj: _Graded) -> dict:
+    return {(I, e): v for I, c in obj.terms.items() for e, v in fraction_terms(c).items()}
+
+
+def _merged(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """dx^I ∧ dx^J = sign·dx^K, K sorted: the sign counts the pairs of I
+    and J out of order; None when they share an index."""
+    if set(I) & set(J):
+        return None
+    inversions = sum(1 for a in I for b in J if a > b)
+    return (-1) ** inversions, tuple(sorted(I + J))
+
+
+def fraction_wedge(a: _Graded, b: _Graded) -> dict:
+    def pairs():
+        for (I, e1), v1 in fraction_graded(a).items():
+            for (J, e2), v2 in fraction_graded(b).items():
+                merged = _merged(I, J)
+                if merged is not None:
+                    yield (merged[1], _added(e1, e2)), merged[0] * v1 * v2
+
+    return _collected(pairs())
+
+
+def fraction_derivative(omega: DiffForm) -> dict:
+    """d(v·x^e dx^I) = Σⱼ eⱼ·v·x^(e − 1ⱼ) dx^j ∧ dx^I."""
+
+    def pairs():
+        for (I, e), v in fraction_graded(omega).items():
+            for j, k in enumerate(e):
+                merged = _merged((j,), I)
+                if k and merged is not None:
+                    yield (merged[1], e[:j] + (k - 1,) + e[j + 1 :]), merged[0] * k * v
+
+    return _collected(pairs())
+
+
+def fraction_contraction(U: MultiVector, omega: DiffForm) -> dict:
+    """ι_U ω: ∂_J eats the slots of J leftmost first, each ι_{∂_j} taking
+    dx^I to (−1)^{k−1} dx^{I∖j} when j is the k-th index of I."""
+
+    def contracted(J, I):
+        sign, rest = 1, list(I)
+        for j in J:
+            if j not in rest:
+                return None
+            sign *= (-1) ** rest.index(j)
+            rest.remove(j)
+        return sign, tuple(rest)
+
+    def pairs():
+        for (J, e1), v1 in fraction_graded(U).items():
+            for (I, e2), v2 in fraction_graded(omega).items():
+                hit = contracted(J, I)
+                if hit is not None:
+                    yield (hit[1], _added(e1, e2)), hit[0] * v1 * v2
+
+    return _collected(pairs())
+
+
+def fraction_schouten(U: MultiVector, V: MultiVector) -> dict:
+    """[U, V] = Σᵢ ∂ᴿU/∂ξᵢ ∧ ∂V/∂xⁱ − (−1)^{(p−1)(q−1)} ∂ᴿV/∂ξᵢ ∧ ∂U/∂xⁱ,
+    where ∂ᴿ/∂ξᵢ takes v·ξ_J to (−1)^{|J|−1−k} v·ξ_{J∖i} for i at 0-based
+    position k of J."""
+
+    def half(P, Q, sign):
+        for (J, e1), v1 in fraction_graded(P).items():
+            for k, i in enumerate(J):
+                odd = (-1) ** (len(J) - 1 - k)
+                rest = J[:k] + J[k + 1 :]
+                for (K, e2), v2 in fraction_graded(Q).items():
+                    merged = _merged(rest, K)
+                    if e2[i] and merged is not None:
+                        lowered = e2[:i] + (e2[i] - 1,) + e2[i + 1 :]
+                        yield (merged[1], _added(e1, lowered)), sign * odd * merged[0] * e2[i] * v1 * v2
+
+    swap = -1 if (U.degree - 1) * (V.degree - 1) % 2 else 1
+    return _collected([*half(U, V, 1), *half(V, U, -swap)])

@@ -1070,6 +1070,30 @@ class TestParserReuse:
         assert cli._build_parser() is shared
 
 
+class TestDashOperands:
+    """An operand that starts with ``-`` needs neither a leading space nor
+    ``--``: a single-dash argument that is no option string of its parser
+    is an operand, so a short option takes no attached value."""
+
+    def test_a_negated_operand_is_an_operand(self, contact_session, capsys):
+        assert run(capsys, "render", "-q", "-s", contact_session) == (0, "-q\n", "")
+        assert run(capsys, "sharp", "-d(q)", "-s", contact_session) == (0, "sharp = e_p\nreeb factor = 0\n", "")
+        for argv in (["render", "-q"], ["sharp", "-d(q)"]):
+            spaced = [argv[0], f" {argv[1]}"]
+            assert run(capsys, *argv, "-s", contact_session) == run(capsys, *spaced, "-s", contact_session)
+
+    def test_a_negated_flag_value_is_the_value(self, capsys):
+        attached = run(capsys, "hdw", "--n", "2", "--m", "1", "--H=-y")
+        assert attached[0] == 0 and "E_s: s0_x0 + s1_x1 - y" in attached[1]
+        assert run(capsys, "hdw", "--n", "2", "--m", "1", "--H", "-y") == attached
+
+    def test_an_attached_short_value_is_not_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "render", "s0", "-s0")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: gjb: unrecognized arguments: -s0"
+
+
 # ---------------------------------------------------------------------------
 # operands: one reader, and the extension built only where it is read
 # ---------------------------------------------------------------------------

@@ -19,12 +19,16 @@ command keeps the exit-code contract of the ``cli`` docstring:
 
 Each command is wrapped to record what it raises before ``main`` maps it
 to an exit code, so the last property reads the exception, not its
-message.
+message.  An operand is passed as it is or led by a space, and a flag's
+value attached (``--x=text``) or as the next argument: a text that starts
+with one ``-`` is an operand either way.  The examples' commands are
+timed together and held to a measured bound after the last one.
 """
 
 import contextlib
 import io
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -80,14 +84,27 @@ texts = st.one_of(_grammar, _tokens).filter(lambda text: len(text) <= MAX_LENGTH
 # operands of bracket, cup and lift: conformal data often enough to compute
 data = st.one_of(st.sampled_from(["a", "-a", "a + a", "1/2*a", "jb(a, a)", "cup(a, a)"]), texts)
 
-# a positional text is led by a space, so argparse never reads it as a flag
+
+def operands(strategy):
+    """Texts as they are or led by a space; one led by a single ``-`` is
+    an operand, not an option, either way."""
+    return st.tuples(st.sampled_from(["", " "]), strategy).map("".join)
+
+
+def flag(name):
+    """A flag with an operand as its value: attached, or the next argument."""
+    return st.tuples(st.booleans(), operands(texts)).map(
+        lambda t: [f"--{name}={t[1]}"] if t[0] else [f"--{name}", t[1]]
+    )
+
+
 commands = st.one_of(
-    st.tuples(st.sampled_from(["render", "sharp"]), texts).map(lambda t: [t[0], f" {t[1]}"]),
-    data.map(lambda text: ["lift", f" {text}"]),
-    texts.map(lambda text: ["theta", "set", f" {text}"]),
-    texts.map(lambda text: ["conformal", "make", f"--x= {text}"]),
-    st.tuples(texts, texts, texts).map(lambda t: ["conformal", "verify", f"--alpha= {t[0]}", f"--x= {t[1]}", f"--v= {t[2]}"]),
-    st.tuples(st.sampled_from(["bracket", "cup"]), data, data).map(lambda t: [t[0], f" {t[1]}", f" {t[2]}"]),
+    st.tuples(st.sampled_from(["render", "sharp"]), operands(texts)).map(list),
+    operands(data).map(lambda text: ["lift", text]),
+    operands(texts).map(lambda text: ["theta", "set", text]),
+    flag("x").map(lambda x: ["conformal", "make", *x]),
+    st.tuples(flag("alpha"), flag("x"), flag("v")).map(lambda t: ["conformal", "verify", *t[0], *t[1], *t[2]]),
+    st.tuples(st.sampled_from(["bracket", "cup"]), operands(data), operands(data)).map(list),
     st.tuples(st.sampled_from(["b", "a", "q"]), texts).map(lambda t: ["let", f"{t[0]} = {t[1]}"]),
     st.tuples(st.integers(-2, 5), st.sampled_from(["theta", "dtheta", "both"])).map(
         lambda t: ["kernel", "--degree", str(t[0]), "--which", t[1]]
@@ -95,6 +112,22 @@ commands = st.one_of(
 )
 
 TOO_LONG = re.compile(r"a rational with more than \d+ digits has no text")
+
+# measured: the commands of the 400 examples and the fixed ones take
+# 0.43-0.49 s together (2-core x86-64, Python 3.11.7); the budget is about
+# ten times that
+EXAMPLES = 400
+BUDGET_S = 5.0
+
+
+@pytest.fixture(scope="module")
+def clock():
+    """The total time and number of the commands run; after the module's
+    last test, their total is held to ``BUDGET_S``."""
+    spent = {"seconds": 0.0, "commands": 0}
+    yield spent
+    if spent["commands"] >= EXAMPLES:
+        assert spent["seconds"] < BUDGET_S, f"{spent['commands']} commands took {spent['seconds']:.2f}s"
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +145,7 @@ def sessions(tmp_path_factory):
 
 @seed(SEED)
 @given(st.sampled_from(sorted(SESSIONS)), commands)
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 # a refused degree is a usage error
 @example("contact", ["kernel", "--degree", "0"])
 @example("contact", ["kernel", "--degree", "4"])
@@ -121,14 +154,21 @@ def sessions(tmp_path_factory):
 # a zero theta, and a --v that is a form, are usage errors
 @example("contact", ["theta", "set", "0*d(q)"])
 @example("contact", ["conformal", "verify", "--alpha", "-1", "--x", "e_z", "--v", "d(q)"])
-def test_every_command_keeps_the_exit_code_contract(sessions, session, argv):
+# an operand or a flag value led by "-" with no space
+@example("contact", ["render", "-q"])
+@example("contact", ["sharp", "-d(q)"])
+@example("laurent", ["conformal", "make", "--x", "-e_q"])
+def test_every_command_keeps_the_exit_code_contract(clock, sessions, session, argv):
     path, original = sessions[session]
     path.write_bytes(original)
     recording = RecordingParser()
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with mock.patch.object(cli, "_build_parser", lambda: recording):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([*argv, "-s", str(path)])
+    clock["seconds"] += time.perf_counter() - start
+    clock["commands"] += 1
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     if code:

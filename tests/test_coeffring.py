@@ -1,5 +1,7 @@
 """Coefficient ring: exact Laurent arithmetic, calculus, text round-trips."""
 
+import itertools
+import math
 import pickle
 from fractions import Fraction
 
@@ -10,12 +12,28 @@ from hypothesis import strategies as st
 from gjb.coeffring import _BIAS, Chart, Coefficient, format_coefficient
 from gjb.dsl import parse_coefficient, render, to_json
 from gjb.errors import DomainError, ParseError, StructuralError
-from gjb.exterior import DiffForm, MultiVector, schouten_nijenhuis, wedge
+from gjb.exterior import DiffForm, MultiVector, exterior_derivative, interior_product, schouten_nijenhuis, wedge
 from gjb.linalg import exact_divide
 from gjb.session import Session
 
 from conftest import rand_coefficient
-from oracles import evaluate, exponent_terms
+from oracles import (
+    evaluate,
+    exponent_terms,
+    fraction_contraction,
+    fraction_derivative,
+    fraction_graded,
+    fraction_partial,
+    fraction_power,
+    fraction_product,
+    fraction_renamed,
+    fraction_scale,
+    fraction_schouten,
+    fraction_substitute,
+    fraction_sum,
+    fraction_terms,
+    fraction_wedge,
+)
 
 CHART = Chart(("p", "x", "y", "z"), frozenset({"z"}))
 
@@ -345,16 +363,18 @@ def test_every_trusted_result_passes_the_boundary_unchanged(f, g, r, name, k):
         assert 0 not in result.terms.values()
         checked = Coefficient(result.chart, exponent_terms(result))
         assert checked == result and checked.terms == result.terms
+        assert checked.den == result.den and checked.nums == result.nums
 
 
 def test_an_integral_fraction_is_an_int(tmp_path):
     expo = (1, 0, 2, -1)
     as_int = Coefficient(CHART, {expo: 3})
-    # the boundary stores an int; arithmetic may leave a Fraction
+    # the boundary stores an int, and so does arithmetic: every value is
+    # in lowest terms, so an integral one stands over the denominator 1
     given_fraction = Coefficient(CHART, {expo: Fraction(3)})
     computed = Coefficient(CHART, {expo: Fraction(3, 2)}) * 2
-    assert _stored_types(as_int) == _stored_types(given_fraction) == {int}
-    assert _stored_types(computed) == {Fraction}
+    assert _stored_types(as_int) == _stored_types(given_fraction) == _stored_types(computed) == {int}
+    assert as_int.den == given_fraction.den == computed.den == 1
 
     def session_bytes(value, name):
         session = Session(chart=CHART)
@@ -368,6 +388,127 @@ def test_an_integral_fraction_is_an_int(tmp_path):
         assert render(value, "latex") == render(as_int, "latex")
         assert to_json(value) == to_json(as_int)
         assert session_bytes(value, "value.json") == session_bytes(as_int, "int.json")
+
+
+# -- integer numerators over one denominator, against plain Fractions ---------
+
+DENOMINATORS = (1, 2, 3, 4, 6)
+# the target charts of substitute and rename_chart
+IMAGE_CH = Chart(("a", "b", "w"), frozenset({"w"}))
+RENAMED_CH = Chart(("z", "y", "w", "x", "p"), frozenset({"z"}))
+
+
+def mixed_rationals(integral):
+    return st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1,) if integral else DENOMINATORS))
+
+
+@st.composite
+def mixed_coefficients(draw, integral, chart=CHART, max_terms=3):
+    """Up to ``max_terms`` Laurent terms with denominators from 2, 3, 4 and
+    6 mixed, or integral ones only."""
+    exponents = [st.integers(-2 if name in chart.nonvanishing else 0, 2) for name in chart.coordinates]
+    terms = draw(st.dictionaries(st.tuples(*exponents), mixed_rationals(integral), max_size=max_terms))
+    return Coefficient(chart, terms)
+
+
+@st.composite
+def mixed_units(draw, integral, chart, name, signs=False):
+    """A nonzero rational, or only ±1 with ``signs``, times a power of the
+    nonvanishing ``name``."""
+    value = draw(st.sampled_from((-1, 1)) if signs else mixed_rationals(integral).filter(bool))
+    k = draw(st.integers(-2, 2))
+    return Coefficient(chart, {tuple(k if n == name else 0 for n in chart.coordinates): value})
+
+
+@st.composite
+def mixed_graded(draw, cls, integral):
+    degree = draw(st.integers(0, 3))
+    keys = list(itertools.combinations(range(CHART.dimension), degree))
+    terms = draw(st.dictionaries(st.sampled_from(keys), mixed_coefficients(integral, max_terms=2), max_size=3))
+    return cls(CHART, degree, terms)
+
+
+def assert_in_lowest_terms(c):
+    assert c.den >= 1 and 0 not in c.nums.values()
+    assert math.gcd(c.den, *c.nums.values()) == 1
+    assert (c.den == 1) == all(type(value) is int for value in c.terms.values())
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_ring_results_are_in_lowest_terms_and_equal_plain_fractions(integral, data):
+    f, g = data.draw(mixed_coefficients(integral)), data.draw(mixed_coefficients(integral))
+    n = data.draw(st.integers(-6, 6))
+    r = data.draw(mixed_rationals(False))
+    c = const(data.draw(mixed_rationals(integral)))
+    k = data.draw(st.integers(0, 3))
+    unit = data.draw(mixed_units(integral, CHART, "z"))
+    images = [data.draw(mixed_coefficients(integral, IMAGE_CH, max_terms=2)) for _ in "pxy"]
+    # an integral image of z has an integral inverse
+    images.append(data.draw(mixed_units(integral, IMAGE_CH, "w", signs=integral)))
+    F, G, U = fraction_terms(f), fraction_terms(g), fraction_terms(unit)
+    dimension = CHART.dimension
+    integral_results = [
+        (f + g, fraction_sum(F, G)),
+        (f - g, fraction_sum(F, G, -1)),
+        (-f, fraction_scale(F, -1)),
+        (f * g, fraction_product(F, G)),
+        (f.scale(n), fraction_scale(F, n)),
+        (f * c, fraction_product(F, fraction_terms(c))),
+        (f**k, fraction_power(F, k, dimension)),
+        (
+            f.substitute(dict(zip(CHART.coordinates, images)), IMAGE_CH),
+            fraction_substitute(F, [fraction_terms(image) for image in images], IMAGE_CH.dimension),
+        ),
+        (f.rename_chart(RENAMED_CH), fraction_renamed(F, CHART, RENAMED_CH)),
+        *((f.partial(name), fraction_partial(F, i)) for i, name in enumerate(CHART.coordinates)),
+    ]
+    results = integral_results + [
+        (f.scale(r), fraction_scale(F, r)),
+        (unit.unit_inverse(), fraction_power(U, -1, dimension)),
+        (unit**-k, fraction_power(U, -k, dimension)),
+    ]
+    for result, reference in results:
+        assert_in_lowest_terms(result)
+        assert fraction_terms(result) == reference
+    if integral:
+        # integral operands keep the denominator 1
+        assert [result.den for result, _ in integral_results] == [1] * len(integral_results)
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_results_are_in_lowest_terms_and_equal_plain_fractions(integral, data):
+    om, eta = data.draw(mixed_graded(DiffForm, integral)), data.draw(mixed_graded(DiffForm, integral))
+    U, V = data.draw(mixed_graded(MultiVector, integral)), data.draw(mixed_graded(MultiVector, integral))
+    f = data.draw(mixed_coefficients(integral, max_terms=2))
+    c = const(data.draw(mixed_rationals(integral)))
+    n = data.draw(st.integers(-6, 6))
+    r = data.draw(mixed_rationals(False))
+    OM = fraction_graded(om)
+
+    def scaled(value):
+        # a product with a scalar is a wedge with a degree-0 form
+        return fraction_wedge(om, DiffForm.from_scalar(value))
+
+    integral_results = [
+        (wedge(om, eta), fraction_wedge(om, eta)),
+        (wedge(U, V), fraction_wedge(U, V)),
+        (interior_product(U, om), fraction_contraction(U, om)),
+        (exterior_derivative(om), fraction_derivative(om)),
+        (om.scale(n), {key: v * n for key, v in OM.items() if n}),
+        (om.scale(c), scaled(c)),
+        (om.scale(f), scaled(f)),
+    ]
+    if U.degree or V.degree:
+        integral_results.append((schouten_nijenhuis(U, V), fraction_schouten(U, V)))
+    results = integral_results + [(om.scale(r), {key: v * r for key, v in OM.items() if r})]
+    for result, reference in results:
+        for coeff in result.terms.values():
+            assert_in_lowest_terms(coeff)
+        assert fraction_graded(result) == reference
+    if integral:
+        assert {coeff.den for result, _ in integral_results for coeff in result.terms.values()} <= {1}
 
 
 def test_named_builders_refuse_what_the_boundary_refuses():

@@ -33,7 +33,7 @@ from gjb.exterior import (
 )
 from gjb.fieldtheory import build_canonical
 from gjb.structures import jacobi_bracket
-from oracles import reindex, volume
+from oracles import exponent_terms, reindex, volume
 
 CH = Chart(("a", "b", "c", "u"))
 # t is nonvanishing, so coefficients may carry negative powers of it
@@ -588,6 +588,10 @@ def test_every_trusted_graded_result_passes_the_boundary_unchanged(om, eta, U, V
         assert all(r.terms.values())
         checked = type(r)(r.chart, r.degree, r.terms)
         assert checked == r and checked.terms == r.terms
+        # each coefficient rebuilt through the ring's boundary has the same
+        # numerators over the same denominator
+        rebuilt = {key: Coefficient(r.chart, exponent_terms(c)) for key, c in r.terms.items()}
+        assert {key: (c.nums, c.den) for key, c in rebuilt.items()} == {key: (c.nums, c.den) for key, c in r.terms.items()}
     for r in kernel_results:
         assert_integral_values_are_ints(r)
 
@@ -691,7 +695,7 @@ def reference_schouten(U, V):
 
 
 # an int, a Fraction with a denominator up to 7 (which may reduce to a whole
-# number), or a whole number kept as a Fraction, as arithmetic can leave one
+# number), or a whole number given as a Fraction
 mixed_values = st.one_of(
     st.integers(-9, 9).filter(bool),
     st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 7)),
@@ -702,9 +706,9 @@ mixed_values = st.one_of(
 @st.composite
 def mixed_coefficients(draw):
     exponents = [st.integers(-2 if name in LAURENT_CH.nonvanishing else 0, 2) for name in LAURENT_CH.coordinates]
-    # built as trusted so that a whole-number Fraction stays one
+    # through the boundary, which puts the values over their lcm denominator
     terms = draw(st.dictionaries(st.tuples(*exponents), mixed_values, max_size=3))
-    return Coefficient._trusted(LAURENT_CH, {LAURENT_CH.pack(expo): value for expo, value in terms.items()})
+    return Coefficient(LAURENT_CH, terms)
 
 
 @given(

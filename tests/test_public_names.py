@@ -16,6 +16,11 @@ import types
 import pytest
 
 import gjb
+from conftest import fg_conformal_data
+from gjb.coeffring import Coefficient
+from gjb.dsl import parse_coefficient
+from gjb.fieldtheory import build_canonical
+from gjb.structures import cup_product, jacobi_bracket
 
 MODULES = ["gjb"] + [
     f"gjb.{info.name}" for info in pkgutil.iter_modules(gjb.__path__) if not info.name.startswith("_")
@@ -533,6 +538,61 @@ def test_only_the_ring_reads_the_packed_layout():
     assert readers == {"coeffring.py"}
 
 
+def test_only_the_ring_and_its_kernels_read_numerators_and_denominators():
+    """A Coefficient's fields ``nums`` and ``den`` are read and written as
+    attributes in ``coeffring`` and in the modules that work on the ring's
+    representation: the product kernel of ``exterior``, the content and
+    division of ``linalg``, and the Hamilton rows of ``fieldtheory``.
+    ``dsl`` writes a stored literal's numerator and denominator through
+    ``Coefficient._checked_nums`` without naming the fields; every other
+    module reads a value through the ring's operations."""
+    package = pathlib.Path(gjb.__file__).parent
+    readers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in {"nums", "den"}
+    }
+    assert readers == {"coeffring.py", "exterior.py", "fieldtheory.py", "linalg.py"}
+    dsl = ast.parse((package / "dsl.py").read_text(encoding="utf-8"))
+    assert "_checked_nums" in {getattr(node.func, "attr", None) for node in ast.walk(dsl) if isinstance(node, ast.Call)}
+
+
+def test_a_leibniz_check_reads_no_boundary_view(monkeypatch):
+    """Leibniz checks on vertical (F, G) data at (2, 1) with denominators 2
+    and 3, one on three degree-1 operands (its cup is degree-2 data) and
+    one led by a degree-2 operand, do all their arithmetic on the ring's
+    numerators and denominators: ``Coefficient.terms``, the boundary view,
+    is read zero times."""
+    S = build_canonical(2, 1)
+
+    def data(F, A, B):
+        read = functools.partial(parse_coefficient, S.chart)
+        return fg_conformal_data(S, 2, 1, read(F), [read(text) for text in A], [read(text) for text in B])
+
+    a = data("1/2*x0", ["1/3*y", "x1"], ["1/2"])
+    b = data("1/3*y", ["1/2*x0*y", "0"], ["1/3*x1"])
+    c = data("1/2", ["x0", "1/3"], ["1/2*x1"])
+    a2 = cup_product(a, data("x1", ["1/6", "1/2*y"], ["y"]))
+    assert {coeff.den for d in (a, b, c, a2) for coeff in d.alpha.terms.values()} >= {2, 3}
+    reads = []
+    view = Coefficient.terms
+    monkeypatch.setattr(Coefficient, "terms", property(lambda coeff: reads.append(coeff) or view.fget(coeff)))
+    fields = []
+    for first in (a, a2):
+        bracket = jacobi_bracket(first, cup_product(b, c))
+        rhs = cup_product(jacobi_bracket(first, b), c).alpha + cup_product(b, jacobi_bracket(first, c)).alpha
+        assert bracket.alpha == rhs
+        fields.append(bracket.x_field)
+    # vertical data brackets to vertical fields, so every α here is zero,
+    # but the fields the brackets computed are not
+    assert a2.degree == 2 and not fields[0].is_zero()
+    assert reads == []
+    # the count is live: a read of the view is counted
+    next(iter(fields[0].terms.values())).terms
+    assert len(reads) == 1
+
+
 def _members(cls):
     """(owner, name) of each public method and property of ``cls``, its
     package base classes' too; dunders are not members here."""
@@ -588,19 +648,22 @@ def test_every_exported_name_has_a_reader():
 
 
 def test_no_code_writes_to_the_terms_of_a_built_value():
-    """A Coefficient's or a graded object's ``terms`` are never written
-    after construction, which keeps the Schouten inputs a multivector
-    holds (``MultiVector._schouten``) exact.  Outside the constructors of
-    ``Coefficient`` and ``_Graded`` no code in the package rebinds,
-    assigns into, deletes from or calls a mutating method on a ``.terms``,
-    or passes one as ``_accumulate``'s target; and only
-    ``schouten_nijenhuis`` and its helper name the slot."""
+    """A graded object's ``terms`` and a Coefficient's ``nums`` and ``den``
+    are never written after construction, which keeps the Schouten inputs
+    a multivector holds (``MultiVector._schouten``, whose cleared terms may
+    be a coefficient's ``nums`` itself) exact.  Outside the constructors
+    of ``Coefficient`` (``_reduced`` among them) and ``_Graded`` no code
+    in the package rebinds,
+    assigns into, deletes from or calls a mutating method on a ``.terms``
+    or a ``.nums``, rebinds a ``.den``, or passes a ``.terms`` or a
+    ``.nums`` as ``_accumulate``'s target; and only ``schouten_nijenhuis``
+    and its helper name the slot."""
     package = pathlib.Path(gjb.__file__).parent
-    builders = {"Coefficient.__init__", "Coefficient._trusted", "_Graded.__init__", "_Graded._trusted"}
+    builders = {"Coefficient.__init__", "Coefficient._trusted", "Coefficient._reduced", "_Graded.__init__", "_Graded._trusted"}
     mutators = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
 
     def is_terms(node):
-        return isinstance(node, ast.Attribute) and node.attr == "terms"
+        return isinstance(node, ast.Attribute) and node.attr in {"terms", "nums"}
 
     offenders, slot_readers = [], set()
     for path in sorted(package.glob("*.py")):
@@ -608,8 +671,8 @@ def test_no_code_writes_to_the_terms_of_a_built_value():
             for node in ast.walk(top):
                 where = f"{path.name}:{node.__dict__.get('lineno')} {name}"
                 writes = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
-                if writes and is_terms(node) and name not in builders:
-                    offenders.append(f"{where} rebinds .terms")
+                if writes and isinstance(node, ast.Attribute) and node.attr in {"terms", "nums", "den"} and name not in builders:
+                    offenders.append(f"{where} rebinds .{node.attr}")
                 elif writes and isinstance(node, ast.Subscript) and is_terms(node.value):
                     offenders.append(f"{where} writes into .terms")
                 elif isinstance(node, ast.Call):
